@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage or parse error, 2 verification mismatch
-or fuzz counterexample, 3 candidate budget or component cap exceeded.
+Exit codes: 0 success, 1 usage, parse or unreadable-input error, 2
+verification mismatch or fuzz counterexample, 3 candidate budget or
+component cap exceeded.
 The budget can also be set through the PPT_BUDGET environment variable.
 """
 
@@ -67,7 +68,12 @@ def _emit(obj) -> None:
 
 
 def _load(args):
-    source, name = _read_source(args.file)
+    try:
+        source, name = _read_source(args.file)
+    except OSError as err:
+        print(f"error: cannot read {args.file}: {err.strerror or err}",
+              file=sys.stderr)
+        raise _Exit(1)
     try:
         return parse_program(source)
     except ParseError as err:

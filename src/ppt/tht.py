@@ -7,8 +7,12 @@ point 0; since and trigger quantify over points up to the evaluation
 point.  On total traces the semantics collapses to the classical one.
 
 A total trace T is a temporal stable model of a program when <T, T> is
-a model and no strictly smaller H yields a model <H, T>.  Enumeration
-is brute force over all candidate traces, guarded by a candidate
+a model and no strictly smaller H yields a model <H, T>.  Since heads
+speak about the present and bodies about the past, both conditions can
+be tested point by point: T is stable iff <T, T> is a model and no point
+k has a smaller H_k that satisfies the rules of point k while H = T at
+every other point (see `ppt.progression` for the proof).  Enumeration
+builds traces one state at a time on that lemma, guarded by a candidate
 budget.
 
 Internally formulas are evaluated to time bitmasks (bit k set when the
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceeded, LengthMismatch
+from .progression import stable_states
 from .syntax import (
     Always, And, AtomRef, AlwaysBefore, EventuallyBefore, Falsum, FinalConst,
     Iff, Implies, InitialConst, Not, Or, Previous, Program, Rule, RuleKind,
@@ -311,51 +316,30 @@ def _resolve_alphabet(p: Program, alphabet) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def _bits_to_trace(flat: int, atoms: tuple[str, ...], lam: int) -> Trace:
-    states = []
-    for k in range(lam):
-        states.append(frozenset(
-            atoms[j] for j in range(len(atoms)) if flat >> (j * lam + k) & 1))
-    return Trace(tuple(states))
-
-
 def enumerate_ts_models(p: Program, lam: int, alphabet=None,
                         budget: int | None = None) -> set[Trace]:
     """All temporal stable models of the program at the given length.
 
-    Brute force: every total trace over the alphabet is tested for
-    modelhood, and each model is tested for minimality against every
-    strictly smaller here-trace (pointwise subsets), short-circuiting on
-    the first smaller model found.
+    Traces are built one state at a time.  By the lemma of
+    `ppt.progression`, a prefix is dropped as soon as its last point
+    breaks a rule of that point on the total trace, or admits a strictly
+    smaller here-state that satisfies those rules while H = T at every
+    other point; no extension of such a prefix can be stable.  The
+    budget still bounds the 2^(n*lam) candidate traces, n the alphabet
+    size.
     """
     if lam < 1:
         raise ValueError("trace length must be at least 1")
     atoms = _resolve_alphabet(p, alphabet)
     _check_budget(len(atoms), lam, budget)
-    rules = p.rules
-    lam_mask = (1 << lam) - 1
+    sets: dict[int, frozenset[str]] = {}
     models: set[Trace] = set()
-    for flat in range(1 << (len(atoms) * lam)):
-        t_bits = {a: (flat >> (j * lam)) & lam_mask
-                  for j, a in enumerate(atoms)}
-        ev = _BitEvaluator(t_bits, t_bits, lam)
-        if not all(_check_rule(ev, r, total_only=True) for r in rules):
-            continue
-        total_memo = ev.memo
-        stable = True
-        sub = flat
-        while sub:
-            sub = (sub - 1) & flat
-            h_bits = {a: (sub >> (j * lam)) & lam_mask
-                      for j, a in enumerate(atoms)}
-            ev_h = _BitEvaluator(h_bits, t_bits, lam, dict(total_memo))
-            if all(_check_rule(ev_h, r, total_only=False) for r in rules):
-                stable = False
-                break
-            if sub == 0:
-                break
-        if stable:
-            models.add(_bits_to_trace(flat, atoms, lam))
+    for states in stable_states(p.rules, atoms, lam):
+        for s in states:
+            if s not in sets:
+                sets[s] = frozenset(
+                    a for j, a in enumerate(atoms) if s >> j & 1)
+        models.add(Trace(tuple(sets[s] for s in states)))
     return models
 
 

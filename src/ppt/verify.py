@@ -22,7 +22,7 @@ helpers drive seeded batches for the command line and the test suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import LengthMismatch
 from .syntax import (
@@ -347,10 +347,7 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0,
     }
     for case in range(cases):
         case_seed = rng.getrandbits(32)
-        p = random_program(GenConfig(
-            seed=case_seed, max_atoms=base.max_atoms,
-            max_rules=base.max_rules, max_body_depth=base.max_body_depth,
-            lambda_range=base.lambda_range, weights=base.weights))
+        p = random_program(replace(base, seed=case_seed))
         p = Program(p.rules, frozenset(_ATOM_POOL[:base.max_atoms]))
         lam = random.Random(case_seed ^ 0x5EED).randint(*base.lambda_range)
 

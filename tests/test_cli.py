@@ -87,6 +87,21 @@ class TestModels:
         assert json.loads(out)["models"] == [[["a"]]]
 
 
+class TestUnreadableInput:
+    def test_missing_file(self, capsys, tmp_path):
+        path = str(tmp_path / "nonexistent.ppt")
+        code, out, err = run(capsys, "models", path, "--length", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+
+    def test_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "check", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {tmp_path}: ")
+
+
 class TestGraphAndLoops:
     def test_graph_lines(self, capsys, p1_file):
         code, out, _ = run(capsys, "graph", p1_file)
