@@ -30,11 +30,12 @@ from .tht import (
 from .ltlf import enumerate_ltlf_models, ltlf_sat
 from .depgraph import (
     DepGraph, Loop, dependency_graph, enumerate_loops, is_tight, iter_loops,
+    section_graphs,
 )
 from .transform import (
-    CompilationUnit, compile_unit, completion, completion_atom,
-    external_support, loop_formulas, program_as_ltlf, simplify,
-    support_transform,
+    completion, completion_atom, external_support, loop_formulas,
+    program_as_ltlf, simplify, sourced_completion, sourced_loop_formulas,
+    sourced_program_as_ltlf, support_transform,
 )
 from .verify import (
     GenConfig, MODES, PreconditionSkipped, Report, TraceMask,

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage, parse or unreadable-input error, 2
-verification mismatch or fuzz counterexample, 3 candidate budget or
-component cap exceeded.
+Exit codes: 0 success, 1 usage, parse or unreadable-input error, or
+output pipe closed early, 2 verification mismatch or fuzz
+counterexample, 3 candidate budget or loop-enumeration component cap
+exceeded.
 The budget can also be set through the PPT_BUDGET environment variable.
 """
 
@@ -14,11 +15,14 @@ import os
 import sys
 
 from .errors import BudgetExceeded, ParseError, PptError, SccTooLarge
-from .syntax import RuleKind, atoms_of, format_formula
+from .syntax import atoms_of, format_formula
 from .parser import parse_program
 from .tht import DEFAULT_BUDGET, enumerate_ts_models, models_to_json
-from .depgraph import dependency_graph, enumerate_loops, is_tight
-from .transform import compile_unit, program_as_ltlf, simplify
+from .depgraph import enumerate_loops, is_tight, section_graphs
+from .transform import (
+    simplify, sourced_completion, sourced_loop_formulas,
+    sourced_program_as_ltlf,
+)
 from .verify import (
     run_correspondence_suite, run_lemma_suite, run_semantics_suite,
     verify_correspondence,
@@ -112,29 +116,23 @@ def _cmd_models(args) -> int:
     return 0
 
 
-def _section_graphs(program):
-    yield "initial", dependency_graph(program.initial, program.alphabet,
-                                      RuleKind.INITIAL)
-    yield "dynamic", dependency_graph(program.dynamic, program.alphabet,
-                                      RuleKind.DYNAMIC)
-
-
 def _cmd_graph(args) -> int:
     program = _load(args)
+    graphs = section_graphs(program)
     if args.json:
-        _emit({name: sorted([a, b] for a, b in g.edges)
-               for name, g in _section_graphs(program)})
+        _emit({g.section.value: sorted([a, b] for a, b in g.edges)
+               for g in graphs})
         return 0
-    for name, graph in _section_graphs(program):
+    for graph in graphs:
         for a, b in sorted(graph.edges):
-            print(f"{name}: {a} -> {b}")
+            print(f"{graph.section.value}: {a} -> {b}")
     return 0
 
 
 def _cmd_loops(args) -> int:
     program = _load(args)
-    found = {name: enumerate_loops(g, args.unitary)
-             for name, g in _section_graphs(program)}
+    found = {g.section.value: enumerate_loops(g, args.unitary)
+             for g in section_graphs(program)}
     if args.json:
         _emit({name: [sorted(loop.atoms) for loop in loops]
                for name, loops in found.items()})
@@ -145,40 +143,23 @@ def _cmd_loops(args) -> int:
     return 0
 
 
-def _print_formulas(args, formulas, sources) -> None:
-    if args.simplify:
-        formulas = [simplify(f) for f in formulas]
-    if args.json:
-        _emit({"formulas": [{"formula": format_formula(f), "source": s}
-                            for f, s in zip(formulas, sources)]})
+def _cmd_compile(args) -> int:
+    """`complete`, `lf` and `embed`: build and print one translation."""
+    program = _load(args)
+    if args.command == "complete":
+        pairs = sourced_completion(program)
+    elif args.command == "lf":
+        pairs = sourced_loop_formulas(program, args.unitary)
     else:
-        for f in formulas:
+        pairs = sourced_program_as_ltlf(program)
+    if args.simplify:
+        pairs = [(simplify(f), source) for f, source in pairs]
+    if args.json:
+        _emit({"formulas": [{"formula": format_formula(f), "source": source}
+                            for f, source in pairs]})
+    else:
+        for f, _ in pairs:
             print(format_formula(f))
-
-
-def _cmd_complete(args) -> int:
-    program = _load(args)
-    unit = compile_unit(program)
-    sources = ["; ".join(unit.provenance.get(f, ()))
-               for f in unit.completion]
-    _print_formulas(args, list(unit.completion), sources)
-    return 0
-
-
-def _cmd_lf(args) -> int:
-    program = _load(args)
-    unit = compile_unit(program, unitary=args.unitary)
-    sources = ["; ".join(unit.provenance.get(f, ()))
-               for f in unit.loop_formulas]
-    _print_formulas(args, list(unit.loop_formulas), sources)
-    return 0
-
-
-def _cmd_embed(args) -> int:
-    program = _load(args)
-    formulas = program_as_ltlf(program)
-    sources = [f"rule {r.source_index}" for r in program.rules]
-    _print_formulas(args, formulas, sources)
     return 0
 
 
@@ -243,18 +224,18 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--unitary", action="store_true")
     cmd.add_argument("--json", action="store_true")
 
-    cmd = add("complete", _cmd_complete, "print the temporal completion")
+    cmd = add("complete", _cmd_compile, "print the temporal completion")
     file_arg(cmd)
     cmd.add_argument("--simplify", action="store_true")
     cmd.add_argument("--json", action="store_true")
 
-    cmd = add("lf", _cmd_lf, "print the loop formulas")
+    cmd = add("lf", _cmd_compile, "print the loop formulas")
     file_arg(cmd)
     cmd.add_argument("--unitary", action="store_true")
     cmd.add_argument("--simplify", action="store_true")
     cmd.add_argument("--json", action="store_true")
 
-    cmd = add("embed", _cmd_embed, "print the rules as classical formulas")
+    cmd = add("embed", _cmd_compile, "print the rules as classical formulas")
     file_arg(cmd)
     cmd.add_argument("--simplify", action="store_true")
     cmd.add_argument("--json", action="store_true")
@@ -280,7 +261,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone (`ppt embed FILE | head -1`).  Point stdout
+        # at devnull so that the flush at interpreter exit cannot raise
+        # again; see "Note on SIGPIPE" in the `signal` documentation.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _Exit as err:
         return err.code
     except _Usage as err:

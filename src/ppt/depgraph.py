@@ -9,7 +9,13 @@ no graph of their own.
 A loop is a nonempty atom set whose induced subgraph is strongly
 connected; in the default regime singleton loops additionally need a
 self-edge, while the unitary regime admits every singleton.  A program
-is tight when neither section graph has a loop in the default regime.
+is tight when neither section graph has a loop in the default regime,
+that is neither a self-edge nor a strongly connected component of two
+or more atoms (such a component is itself a loop).
+
+Loop enumeration tries every subset of a component, so it refuses
+components larger than the fixed `SCC_CAP`; tightness needs no
+enumeration and has no cap.
 """
 
 from __future__ import annotations
@@ -24,11 +30,11 @@ from .syntax import (
 )
 
 __all__ = [
-    "DEFAULT_SCC_CAP", "DepGraph", "Loop",
-    "dependency_graph", "enumerate_loops", "iter_loops", "is_tight",
+    "SCC_CAP", "DepGraph", "Loop", "dependency_graph", "section_graphs",
+    "enumerate_loops", "iter_loops", "is_tight",
 ]
 
-DEFAULT_SCC_CAP = 20
+SCC_CAP = 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,6 +87,12 @@ def dependency_graph(rules: Sequence[Rule], alphabet: Iterable[Atom] | None = No
             for body_atom in supports:
                 edges.add((head_atom, body_atom))
     return DepGraph(frozenset(vertices), frozenset(edges), section)
+
+
+def section_graphs(p: Program) -> tuple[DepGraph, DepGraph]:
+    """The initial and dynamic graphs of a program, over its alphabet."""
+    return (dependency_graph(p.initial, p.alphabet, RuleKind.INITIAL),
+            dependency_graph(p.dynamic, p.alphabet, RuleKind.DYNAMIC))
 
 
 def _successors(g: DepGraph) -> dict[Atom, list[Atom]]:
@@ -159,8 +171,7 @@ def _strongly_connected(subset: tuple[Atom, ...],
     return reach(succ) == members and reach(pred) == members
 
 
-def iter_loops(g: DepGraph, unitary: bool = False,
-               scc_cap: int = DEFAULT_SCC_CAP) -> Iterator[Loop]:
+def iter_loops(g: DepGraph, unitary: bool = False) -> Iterator[Loop]:
     """Stream the loops of a graph, checking the SCC cap up front.
 
     Loops of size two or more are strongly connected subsets of a single
@@ -173,9 +184,9 @@ def iter_loops(g: DepGraph, unitary: bool = False,
         pred[b].append(a)
     sccs = _tarjan_sccs(succ)
     for component in sccs:
-        if len(component) > scc_cap:
+        if len(component) > SCC_CAP:
             raise SccTooLarge(
-                f"component of size {len(component)} exceeds cap {scc_cap}")
+                f"component of size {len(component)} exceeds cap {SCC_CAP}")
     self_edges = {a for a, b in g.edges if a == b}
     for vertex in sorted(g.vertices):
         if unitary or vertex in self_edges:
@@ -192,18 +203,17 @@ def iter_loops(g: DepGraph, unitary: bool = False,
                 yield Loop(frozenset(subset), g.section)
 
 
-def enumerate_loops(g: DepGraph, unitary: bool = False,
-                    scc_cap: int = DEFAULT_SCC_CAP) -> tuple[Loop, ...]:
+def enumerate_loops(g: DepGraph, unitary: bool = False) -> tuple[Loop, ...]:
     """All loops of a graph in canonical (sorted) order."""
-    loops = set(iter_loops(g, unitary, scc_cap))
+    loops = set(iter_loops(g, unitary))
     return tuple(sorted(loops, key=Loop.sort_key))
 
 
-def is_tight(p: Program, scc_cap: int = DEFAULT_SCC_CAP) -> bool:
+def is_tight(p: Program) -> bool:
     """True when neither section graph has a loop (default regime)."""
-    for rules, section in ((p.initial, RuleKind.INITIAL),
-                           (p.dynamic, RuleKind.DYNAMIC)):
-        g = dependency_graph(rules, p.alphabet, section)
-        if next(iter_loops(g, False, scc_cap), None) is not None:
+    for g in section_graphs(p):
+        if any(a == b for a, b in g.edges):
+            return False
+        if any(len(c) > 1 for c in _tarjan_sccs(_successors(g))):
             return False
     return True

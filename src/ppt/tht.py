@@ -31,10 +31,9 @@ from typing import Iterable, Iterator
 from .errors import BudgetExceeded, LengthMismatch
 from .progression import stable_states
 from .syntax import (
-    Always, And, AtomRef, AlwaysBefore, EventuallyBefore, Falsum, FinalConst,
-    Iff, Implies, InitialConst, Not, Or, Previous, Program, Rule, RuleKind,
-    Since, Trigger, Verum, WeakNextAlways, WeakPrevious, atoms_of,
-    is_past_formula, validate_atom,
+    Always, And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst,
+    Not, Or, Previous, Program, Rule, RuleKind, Since, Trigger, Verum,
+    WeakNextAlways, atoms_of, is_past_formula, validate_atom,
 )
 
 __all__ = [
@@ -129,7 +128,8 @@ class _BitEvaluator:
     at point k; `total` selects evaluation on <T, T> instead of <H, T>.
     Negation always recurses on the total side.  Extended connectives
     are classical and therefore only admitted when the two sides
-    coincide (total traces).
+    coincide (total traces).  Surface sugar (`wprev`, `always_before`,
+    `eventually_before`) is expanded by the parser and is not evaluated.
     """
 
     __slots__ = ("h", "t", "lam", "full", "memo")
@@ -211,24 +211,6 @@ class _BitEvaluator:
             for k in range(self.lam - 1, 0, -1):
                 cur &= (x >> k) & 1
                 bits |= cur << (k - 1)
-            return bits
-        if tp is WeakPrevious:
-            return ((self.eval(f.arg, total) << 1) | 1) & self.full
-        if tp is AlwaysBefore:
-            x = self.eval(f.arg, total)
-            bits = 0
-            cur = 1
-            for k in range(self.lam):
-                cur &= (x >> k) & 1
-                bits |= cur << k
-            return bits
-        if tp is EventuallyBefore:
-            x = self.eval(f.arg, total)
-            bits = 0
-            cur = 0
-            for k in range(self.lam):
-                cur |= (x >> k) & 1
-                bits |= cur << k
             return bits
         raise TypeError(f"cannot evaluate {f!r}")
 

@@ -6,11 +6,18 @@ traces:
 * `completion`: one biconditional per alphabet atom gathering the
   supporting rule bodies, initial rules guarded by `I`, dynamic rules by
   `not I`; headless initial/dynamic rules and all final rules are
-  carried over as constraints.
+  carried over as constraints, read as `program_as_ltlf` reads them.
 * `loop_formulas`: for every loop of a section graph, the loop
   disjunction implies its external support, the dynamic schema wrapped
-  in `wnext_always`.
+  in `wnext_always`.  Loops are enumerated per strongly connected
+  component, which fails with `SccTooLarge` beyond the fixed
+  `depgraph.SCC_CAP`; the other two translations need no loops.
 * `program_as_ltlf`: the rules themselves read as formulas.
+
+Each translation is written once, as a `sourced_*` function returning
+(formula, source) pairs; the source names what produced the formula:
+`atom x`, `rule i` or a loop such as `initial loop {a, b}`.  The plain
+functions drop the sources.
 
 Emission is canonical and unsimplified; `simplify` applies a fixed set
 of truth-constant rewrites when shorter output is wanted.
@@ -18,7 +25,6 @@ of truth-constant rewrites when shorter output is wanted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import MixedSection, UnknownAtom
@@ -28,13 +34,15 @@ from .syntax import (
     PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, Verum,
     VERUM, WeakNextAlways, head_disjunction, or_chain,
 )
-from .depgraph import DEFAULT_SCC_CAP, dependency_graph, enumerate_loops
+from .depgraph import enumerate_loops, section_graphs
 
 __all__ = [
-    "support_transform", "external_support", "completion_atom", "completion",
-    "loop_formulas", "program_as_ltlf", "simplify", "CompilationUnit",
-    "compile_unit",
+    "support_transform", "external_support", "completion_atom",
+    "sourced_completion", "sourced_loop_formulas", "sourced_program_as_ltlf",
+    "completion", "loop_formulas", "program_as_ltlf", "simplify",
 ]
+
+Sourced = list[tuple[ExtFormula, str]]
 
 
 def support_transform(f: PastFormula, loop: Iterable[Atom]) -> PastFormula:
@@ -124,29 +132,12 @@ def completion_atom(p: Program, atom: Atom) -> ExtFormula:
     return Always(Iff(AtomRef(atom), rhs))
 
 
-def _constraint_formula(rule: Rule) -> ExtFormula:
-    if rule.kind is RuleKind.FINAL:
-        return Always(Implies(FINAL_CONST, Implies(rule.body, FALSUM)))
-    if rule.kind is RuleKind.DYNAMIC:
-        return WeakNextAlways(Implies(rule.body, FALSUM))
-    return Implies(rule.body, FALSUM)
-
-
-def completion(p: Program) -> list[ExtFormula]:
-    """Temporal completion: atom biconditionals, then carried constraints."""
-    out = [completion_atom(p, atom) for atom in sorted(p.alphabet)]
-    out.extend(_constraint_formula(r) for r in p.rules
-               if r.kind is not RuleKind.FINAL and not r.head)
-    out.extend(_constraint_formula(r) for r in p.final)
-    return out
-
-
 def _rule_formula(rule: Rule) -> ExtFormula:
     if rule.kind is RuleKind.FINAL:
         return Always(Implies(FINAL_CONST, Implies(rule.body, FALSUM)))
     head = head_disjunction(rule)
     # Facts print as their bare head; `true -> h` adds nothing.
-    if rule.body == CORE_TRUE or type(rule.body) is Verum:
+    if rule.head and rule.body == CORE_TRUE:
         core: ExtFormula = head
     else:
         core = Implies(rule.body, head)
@@ -155,31 +146,57 @@ def _rule_formula(rule: Rule) -> ExtFormula:
     return core
 
 
-def program_as_ltlf(p: Program) -> list[ExtFormula]:
+def sourced_completion(p: Program) -> Sourced:
+    """Temporal completion: atom biconditionals, then carried constraints."""
+    out = [(completion_atom(p, atom), f"atom {atom}")
+           for atom in sorted(p.alphabet)]
+    constraints = [r for r in p.rules
+                   if r.kind is not RuleKind.FINAL and not r.head]
+    constraints.extend(p.final)
+    out.extend((_rule_formula(r), f"rule {r.source_index}")
+               for r in constraints)
+    return out
+
+
+def sourced_program_as_ltlf(p: Program) -> Sourced:
     """The rules themselves read classically, in source order."""
-    return [_rule_formula(r) for r in p.rules]
+    return [(_rule_formula(r), f"rule {r.source_index}") for r in p.rules]
 
 
-def loop_formulas(p: Program, unitary: bool = False,
-                  scc_cap: int = DEFAULT_SCC_CAP) -> list[ExtFormula]:
+def sourced_loop_formulas(p: Program, unitary: bool = False) -> Sourced:
     """One formula per loop: initial loops first, then dynamic loops.
 
     Loops come out in canonical order; each formula states that the loop
     disjunction implies the external support of the loop within its own
     section.
     """
-    out: list[ExtFormula] = []
-    for rules, section in ((p.initial, RuleKind.INITIAL),
-                           (p.dynamic, RuleKind.DYNAMIC)):
-        graph = dependency_graph(rules, p.alphabet, section)
-        for loop in enumerate_loops(graph, unitary, scc_cap):
-            atoms = or_chain([AtomRef(a) for a in sorted(loop.atoms)], FALSUM)
-            body = Implies(atoms, external_support(rules, loop.atoms))
+    out: Sourced = []
+    for graph in section_graphs(p):
+        section = graph.section
+        rules = p.initial if section is RuleKind.INITIAL else p.dynamic
+        for loop in enumerate_loops(graph, unitary):
+            atoms = sorted(loop.atoms)
+            body = Implies(or_chain([AtomRef(a) for a in atoms], FALSUM),
+                           external_support(rules, loop.atoms))
             if section is RuleKind.DYNAMIC:
-                out.append(WeakNextAlways(body))
-            else:
-                out.append(body)
+                body = WeakNextAlways(body)
+            out.append((body, f"{section.value} loop {{{', '.join(atoms)}}}"))
     return out
+
+
+def completion(p: Program) -> list[ExtFormula]:
+    """The formulas of `sourced_completion`."""
+    return [f for f, _ in sourced_completion(p)]
+
+
+def program_as_ltlf(p: Program) -> list[ExtFormula]:
+    """The formulas of `sourced_program_as_ltlf`."""
+    return [f for f, _ in sourced_program_as_ltlf(p)]
+
+
+def loop_formulas(p: Program, unitary: bool = False) -> list[ExtFormula]:
+    """The formulas of `sourced_loop_formulas`."""
+    return [f for f, _ in sourced_loop_formulas(p, unitary)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,58 +248,3 @@ def simplify(f: ExtFormula) -> ExtFormula:
         return f if lhs is f.lhs and rhs is f.rhs else tp(lhs, rhs)
     return f
 
-
-# ---------------------------------------------------------------------------
-# Aggregated compilation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CompilationUnit:
-    """Everything the compiler can say about one program.
-
-    `provenance` maps each emitted formula to the labels of its sources
-    (an atom, a rule index or a loop); identical formulas share an
-    entry.
-    """
-
-    completion: tuple[ExtFormula, ...]
-    loop_formulas: tuple[ExtFormula, ...]
-    program_formulas: tuple[ExtFormula, ...]
-    provenance: dict = field(compare=False)
-
-
-def compile_unit(p: Program, unitary: bool = False,
-                 scc_cap: int = DEFAULT_SCC_CAP) -> CompilationUnit:
-    """Compile a program and record where each formula came from."""
-    provenance: dict[ExtFormula, tuple[str, ...]] = {}
-
-    def record(formula: ExtFormula, label: str) -> ExtFormula:
-        labels = provenance.get(formula, ())
-        if label not in labels:
-            provenance[formula] = labels + (label,)
-        return formula
-
-    comp = []
-    for atom in sorted(p.alphabet):
-        comp.append(record(completion_atom(p, atom), f"atom {atom}"))
-    for rule in p.rules:
-        if rule.kind is not RuleKind.FINAL and not rule.head:
-            comp.append(record(_constraint_formula(rule),
-                               f"rule {rule.source_index}"))
-    for rule in p.final:
-        comp.append(record(_constraint_formula(rule),
-                           f"rule {rule.source_index}"))
-
-    loops = []
-    for rules, section in ((p.initial, RuleKind.INITIAL),
-                           (p.dynamic, RuleKind.DYNAMIC)):
-        graph = dependency_graph(rules, p.alphabet, section)
-        for loop in enumerate_loops(graph, unitary, scc_cap):
-            atoms = or_chain([AtomRef(a) for a in sorted(loop.atoms)], FALSUM)
-            body = Implies(atoms, external_support(rules, loop.atoms))
-            formula = WeakNextAlways(body) if section is RuleKind.DYNAMIC else body
-            label = f"{section.value} loop {{{', '.join(sorted(loop.atoms))}}}"
-            loops.append(record(formula, label))
-
-    prog = [record(_rule_formula(r), f"rule {r.source_index}") for r in p.rules]
-    return CompilationUnit(tuple(comp), tuple(loops), tuple(prog), provenance)

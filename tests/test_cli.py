@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ppt
 
 from ppt.cli import main
 
@@ -150,6 +156,218 @@ class TestCompileCommands:
         code, out, _ = run(capsys, "embed", p1_file)
         assert code == 0
         assert out.splitlines()[0] == "load"
+
+    def test_sources_do_not_leak_across_translations(self, capsys, tmp_path):
+        path = tmp_path / "self.ppt"
+        path.write_text("a :- a.\n:- a.\n")
+        _, out, _ = run(capsys, "complete", str(path), "--json")
+        assert json.loads(out)["formulas"][-1] == {
+            "formula": "a -> false", "source": "rule 1"}
+        _, out, _ = run(capsys, "lf", str(path), "--json")
+        assert [e["source"] for e in json.loads(out)["formulas"]] == [
+            "initial loop {a}"]
+
+    def test_true_constraint_same_in_complete_and_embed(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "true.ppt"
+        path.write_text(":- true.\n#dynamic.\n:- true.\n")
+        _, complete, _ = run(capsys, "complete", str(path))
+        _, embed, _ = run(capsys, "embed", str(path))
+        assert complete == embed == ("not false -> false\n"
+                                     "wnext_always(not false -> false)\n")
+
+
+class TestLargeCycle:
+    """A 22-atom positive cycle: past the loop cap, but only `lf` needs
+    loops."""
+
+    @pytest.fixture
+    def cycle_file(self, tmp_path):
+        path = tmp_path / "cycle.ppt"
+        path.write_text("".join(f"a{i} :- a{(i + 1) % 22}.\n"
+                                for i in range(22)))
+        return str(path)
+
+    def test_complete_exit_0(self, capsys, cycle_file):
+        code, out, err = run(capsys, "complete", cycle_file)
+        assert code == 0
+        assert len(out.splitlines()) == 22
+        assert err == ""
+
+    def test_check_not_tight(self, capsys, cycle_file):
+        code, out, _ = run(capsys, "check", cycle_file)
+        assert code == 0
+        assert "tight: no" in out
+
+    def test_lf_exit_3(self, capsys, cycle_file):
+        code, out, err = run(capsys, "lf", cycle_file)
+        assert code == 3
+        assert out == ""
+        assert err == "error: component of size 22 exceeds cap 20\n"
+
+
+def test_closed_pipe_exits_1_without_traceback(tmp_path):
+    # Far more output than a pipe buffers, so the writer is still going
+    # when the reader closes.
+    path = tmp_path / "facts.ppt"
+    path.write_text("".join(f"a{i:04d}{'x' * 100}.\n" for i in range(3000)))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ppt.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ppt.cli", "embed", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"a0000x")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+# Exact stdout of the compile commands on P1 and P2, recorded before the
+# three translations were given one compiler path.  JSON commands list
+# (formula, source) pairs; the others list the printed lines.
+GOLDEN = {
+    ('P1', 'complete --json'): [
+        ('always(dead <-> false or not I and (shoot and (not unload since '
+         'load)))',
+         'atom dead'),
+        ('always(load <-> I and not false or not I and (not false and not '
+         'shoot and not unload))',
+         'atom load'),
+        ('always(shoot <-> false or (not I and (not false and not load and '
+         'not unload) or not I and dead))',
+         'atom shoot'),
+        ('always(unload <-> false or not I and (not false and not shoot and '
+         'not load))',
+         'atom unload'),
+        ('always(F -> (not dead -> false))',
+         'rule 4'),
+    ],
+    ('P1', 'complete --simplify'): [
+        'always(dead <-> not I and (shoot and (not unload since load)))',
+        'always(load <-> I or not I and (not shoot and not unload))',
+        ('always(shoot <-> not I and (not load and not unload) or not I and '
+         'dead)'),
+        'always(unload <-> not I and (not shoot and not load))',
+        'always(F -> (not dead -> false))',
+    ],
+    ('P1', 'lf --json'): [
+        ('wnext_always(dead or shoot -> not false and not load and not '
+         'unload or false and (load or not unload and prev (not unload '
+         'since load)) or false)',
+         'dynamic loop {dead, shoot}'),
+    ],
+    ('P1', 'lf --unitary --json'): [
+        ('dead -> false',
+         'initial loop {dead}'),
+        ('load -> not false',
+         'initial loop {load}'),
+        ('shoot -> false',
+         'initial loop {shoot}'),
+        ('unload -> false',
+         'initial loop {unload}'),
+        ('wnext_always(dead -> shoot and (load or not unload and prev (not '
+         'unload since load)))',
+         'dynamic loop {dead}'),
+        ('wnext_always(dead or shoot -> not false and not load and not '
+         'unload or false and (load or not unload and prev (not unload '
+         'since load)) or false)',
+         'dynamic loop {dead, shoot}'),
+        ('wnext_always(load -> not false and not shoot and not unload)',
+         'dynamic loop {load}'),
+        ('wnext_always(shoot -> not false and not load and not unload or '
+         'dead)',
+         'dynamic loop {shoot}'),
+        ('wnext_always(unload -> not false and not shoot and not load)',
+         'dynamic loop {unload}'),
+    ],
+    ('P1', 'embed --json'): [
+        ('load',
+         'rule 0'),
+        ('wnext_always(shoot or load or unload)',
+         'rule 1'),
+        ('wnext_always(shoot and (not unload since load) -> dead)',
+         'rule 2'),
+        ('wnext_always(dead -> shoot)',
+         'rule 3'),
+        ('always(F -> (not dead -> false))',
+         'rule 4'),
+    ],
+    ('P2', 'complete --json'): [
+        ('always(dead <-> false or not I and (shoot and (not unload since '
+         'load)))',
+         'atom dead'),
+        ('always(load <-> I and not false or false)',
+         'atom load'),
+        ('always(shoot <-> false or not I and dead)',
+         'atom shoot'),
+        ('always(unload <-> false)',
+         'atom unload'),
+        ('always(F -> (not dead -> false))',
+         'rule 3'),
+    ],
+    ('P2', 'complete --simplify'): [
+        'always(dead <-> not I and (shoot and (not unload since load)))',
+        'always(load <-> I)',
+        'always(shoot <-> not I and dead)',
+        'always(unload <-> false)',
+        'always(F -> (not dead -> false))',
+    ],
+    ('P2', 'lf --json'): [
+        ('wnext_always(dead or shoot -> false and (load or not unload and '
+         'prev (not unload since load)) or false)',
+         'dynamic loop {dead, shoot}'),
+    ],
+    ('P2', 'lf --unitary --json'): [
+        ('dead -> false',
+         'initial loop {dead}'),
+        ('load -> not false',
+         'initial loop {load}'),
+        ('shoot -> false',
+         'initial loop {shoot}'),
+        ('unload -> false',
+         'initial loop {unload}'),
+        ('wnext_always(dead -> shoot and (load or not unload and prev (not '
+         'unload since load)))',
+         'dynamic loop {dead}'),
+        ('wnext_always(dead or shoot -> false and (load or not unload and '
+         'prev (not unload since load)) or false)',
+         'dynamic loop {dead, shoot}'),
+        ('wnext_always(load -> false)',
+         'dynamic loop {load}'),
+        ('wnext_always(shoot -> dead)',
+         'dynamic loop {shoot}'),
+        ('wnext_always(unload -> false)',
+         'dynamic loop {unload}'),
+    ],
+    ('P2', 'embed --json'): [
+        ('load',
+         'rule 0'),
+        ('wnext_always(shoot and (not unload since load) -> dead)',
+         'rule 1'),
+        ('wnext_always(dead -> shoot)',
+         'rule 2'),
+        ('always(F -> (not dead -> false))',
+         'rule 3'),
+    ],
+}
+
+
+@pytest.mark.parametrize("program, command", sorted(GOLDEN))
+def test_golden_compile_output(capsys, tmp_path, program, command):
+    path = tmp_path / "prog.ppt"
+    path.write_text({"P1": P1_TEXT, "P2": P2_TEXT}[program])
+    name, *flags = command.split()
+    code, out, _ = run(capsys, name, str(path), *flags)
+    assert code == 0
+    expected = GOLDEN[program, command]
+    if "--json" in flags:
+        entries = [{"formula": f, "source": s} for f, s in expected]
+        want = json.dumps({"formulas": entries}, indent=2)
+    else:
+        want = "\n".join(expected)
+    assert out == want + "\n"
 
 
 class TestVerify:

@@ -4,8 +4,9 @@ import pytest
 
 from ppt import (
     DepGraph, MixedSection, RuleKind, SccTooLarge, dependency_graph,
-    enumerate_loops, is_tight, parse_program,
+    enumerate_loops, is_tight, parse_program, section_graphs,
 )
+from ppt.depgraph import SCC_CAP
 
 
 def _dyn_graph(p):
@@ -75,9 +76,11 @@ class TestLoops:
                                    if (a, a) not in g.edges}
 
     def test_scc_cap(self):
-        p = parse_program("#dynamic. a :- b. b :- c. c :- a.")
-        with pytest.raises(SccTooLarge):
-            enumerate_loops(dependency_graph(p.dynamic), scc_cap=2)
+        size = SCC_CAP + 1
+        p = parse_program("#dynamic. " + " ".join(
+            f"a{i} :- a{(i + 1) % size}." for i in range(size)))
+        with pytest.raises(SccTooLarge, match=f"size {size} exceeds"):
+            enumerate_loops(dependency_graph(p.dynamic))
 
 
 class TestTightness:
@@ -92,6 +95,19 @@ class TestTightness:
 
     def test_self_loop_not_tight(self):
         assert is_tight(parse_program("#dynamic. a :- a.")) is False
+
+    def test_tight_agrees_with_loop_enumeration(self):
+        rng = random.Random(54)
+        atoms = ("a", "b", "c", "d")
+        for _ in range(300):
+            rules = " ".join(
+                f"{rng.choice(atoms)} :- {rng.choice(atoms)}."
+                for _ in range(rng.randint(0, 5)))
+            p = parse_program(rules + " #dynamic. " + " ".join(
+                f"{rng.choice(atoms)} :- {rng.choice(atoms)}, not "
+                f"{rng.choice(atoms)}." for _ in range(rng.randint(0, 5))))
+            has_loop = any(enumerate_loops(g) for g in section_graphs(p))
+            assert is_tight(p) is not has_loop
 
 
 def _oracle_loops(vertices, edges, unitary):

@@ -8,7 +8,8 @@ from ppt import (
     classify_occurrences, completion, completion_atom, enumerate_ltlf_models,
     enumerate_ts_models, external_support, format_formula, ht_sat,
     in_negation_scope, loop_formulas, ltlf_sat, parse_formula, parse_program,
-    program_as_ltlf, simplify, support_transform, compile_unit,
+    program_as_ltlf, simplify, sourced_completion, sourced_loop_formulas,
+    sourced_program_as_ltlf, support_transform,
 )
 from ppt.syntax import CORE_TRUE, FINAL_CONST, INITIAL_CONST
 from ppt.verify import TraceMask, mask_trace, random_httrace, random_past_formula
@@ -205,19 +206,30 @@ class TestSimplify:
 
 class TestCompileUnit:
     def test_provenance_labels(self, p1):
-        unit = compile_unit(p1, unitary=True)
-        assert len(unit.completion) == 5
-        assert len(unit.loop_formulas) == 9
-        assert len(unit.program_formulas) == 5
-        labels = [unit.provenance[f] for f in unit.completion]
-        assert ("atom dead",) in labels
-        assert ("rule 4",) in labels
+        comp = sourced_completion(p1)
+        assert len(comp) == 5
+        assert len(sourced_loop_formulas(p1, unitary=True)) == 9
+        assert len(sourced_program_as_ltlf(p1)) == 5
+        labels = [source for _, source in comp]
+        assert "atom dead" in labels
+        assert "rule 4" in labels
 
     def test_formats_ascii(self, p1):
-        unit = compile_unit(p1)
-        texts = [format_formula(simplify(f)) for f in unit.completion]
+        texts = [format_formula(simplify(f)) for f in completion(p1)]
         assert "always(dead <-> not I and (shoot and (not unload since load)))" \
             in texts
+
+    def test_plain_functions_drop_sources(self, p1):
+        assert completion(p1) == [f for f, _ in sourced_completion(p1)]
+        assert loop_formulas(p1, unitary=True) == [
+            f for f, _ in sourced_loop_formulas(p1, unitary=True)]
+        assert program_as_ltlf(p1) == [
+            f for f, _ in sourced_program_as_ltlf(p1)]
+
+    def test_identical_rules_keep_their_own_labels(self):
+        p = parse_program(":- a.\n:- a.\nb :- a.")
+        assert [s for _, s in sourced_completion(p)][-2:] == ["rule 0",
+                                                               "rule 1"]
 
 
 class TestLemmaSupportInstance:
