@@ -2,11 +2,11 @@
 
 A library and CLI for a rule language whose heads speak about the
 present and whose bodies may use arbitrary past temporal formulas.
-It enumerates temporal stable models state by state, compiles programs
-into classical finite-trace formulas (temporal completion, loop
-formulas, and the unitary-cycle regime that subsumes completion), and
-machine-checks that the translations agree with the stable-model
-semantics.
+It compiles programs into classical finite-trace formulas (temporal
+completion, loop formulas, and the unitary-cycle regime that subsumes
+completion), enumerates stable models and classical models with one
+state-by-state search, and machine-checks that the translations agree
+with the stable-model semantics.
 """
 
 from .errors import (

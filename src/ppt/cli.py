@@ -61,6 +61,13 @@ class _Usage(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # Bad usage exits 1 like other bad input; 2 means a mismatch.
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 class _Exit(Exception):
     def __init__(self, code: int):
         super().__init__(code)
@@ -172,6 +179,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.cases < 0:
+        raise _Usage(f"--cases must be nonnegative, got {args.cases}")
     results = {}
     failures = 0
     if args.suite in ("correspondence", "all"):
@@ -192,7 +201,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="ppt",
         description="Past-present temporal logic programs over finite traces.")
     sub = top.add_subparsers(dest="command", required=True)

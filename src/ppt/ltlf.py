@@ -1,56 +1,28 @@
-"""Classical satisfaction of extended formulas over total finite traces.
+"""Classical models of the compiler output over total finite traces.
 
-This is the target side of the compilation: completion and loop
-formulas are checked here, two-valued, with the past connectives read
-exactly as on total HT-traces.  `I` holds only at the first point, `F`
-only at the last; `always` ranges from the evaluation point to the end
-and `wnext_always` from the next point on (vacuously true at the last
-point).
+The target side of the compilation, two-valued: past connectives read as
+on total HT-traces, `I` true only at the first point, `F` only at the
+last.  Models come from the search of `ppt.progression` without its
+minimality test; `ltlf_sat` checks one trace through `tht.formula_sat`.
+Both reject an `always` or `wnext_always` below the top of a formula.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .tht import Trace, _BitEvaluator, _check_budget, _trace_bits
-from .syntax import formula_atoms, validate_atom
+from .progression import search
+from .tht import HTTrace, Trace, formula_sat
 
 __all__ = ["ltlf_sat", "enumerate_ltlf_models"]
 
 
 def ltlf_sat(t: Trace, k: int, f) -> bool:
     """Satisfaction of an extended formula at point k of a total trace."""
-    if not 0 <= k < len(t):
-        raise IndexError(f"time point {k} outside [0, {len(t)})")
-    bits = _trace_bits(t)
-    ev = _BitEvaluator(bits, bits, len(t))
-    return bool(ev.eval(f, True) >> k & 1)
+    return formula_sat(HTTrace.total(t), k, f)
 
 
 def enumerate_ltlf_models(fs: Iterable, lam: int, alphabet,
                           budget: int | None = None) -> set[Trace]:
     """All total traces over the alphabet satisfying every formula at 0."""
-    if lam < 1:
-        raise ValueError("trace length must be at least 1")
-    formulas = list(fs)
-    names = frozenset(alphabet)
-    for name in names:
-        validate_atom(name)
-    used = frozenset().union(*(formula_atoms(f) for f in formulas)) \
-        if formulas else frozenset()
-    if not used <= names:
-        missing = ", ".join(sorted(used - names))
-        raise ValueError(f"alphabet does not cover formula atoms: {missing}")
-    atoms = tuple(sorted(names))
-    _check_budget(len(atoms), lam, budget)
-    lam_mask = (1 << lam) - 1
-    models: set[Trace] = set()
-    for flat in range(1 << (len(atoms) * lam)):
-        t_bits = {a: (flat >> (j * lam)) & lam_mask
-                  for j, a in enumerate(atoms)}
-        ev = _BitEvaluator(t_bits, t_bits, lam)
-        if all(ev.eval(f, True) & 1 for f in formulas):
-            states = [frozenset(a for a in atoms if t_bits[a] >> k & 1)
-                      for k in range(lam)]
-            models.add(Trace(tuple(states)))
-    return models
+    return {Trace(states) for states in search(fs, lam, alphabet, budget)}

@@ -9,7 +9,7 @@ core form by :func:`expand_derived`.
 The extended formula language is what the compiler emits: core formulas
 plus implication, biconditional, ``always``, ``wnext_always`` and the
 initial/final point constants.  Extended connectives never occur inside
-rule bodies; they are only evaluated classically over total traces.
+rule bodies; they are always evaluated classically.
 
 All node classes are immutable and hashable, so formulas can be shared,
 memoised and used as dictionary keys freely.
@@ -195,8 +195,18 @@ CORE_TRUE = Not(FALSUM)
 INITIAL_EXPANSION = Not(Previous(Not(FALSUM)))
 
 _PAST_TYPES = (Falsum, AtomRef, Not, And, Or, Previous, Since, Trigger)
-_UNARY_TYPES = (Not, Previous, WeakPrevious, AlwaysBefore, EventuallyBefore,
-                Always, WeakNextAlways)
+_SUGAR = {
+    Verum: lambda: CORE_TRUE,
+    InitialConst: lambda: INITIAL_EXPANSION,
+    WeakPrevious: lambda x: Or(Previous(x), INITIAL_EXPANSION),
+    AlwaysBefore: lambda x: Trigger(FALSUM, x),
+    EventuallyBefore: lambda x: Since(CORE_TRUE, x),
+}
+_LEAVES = frozenset((AtomRef, Falsum))
+_CORE_BINARY = frozenset((And, Or, Since, Trigger))
+_SURFACE_UNARY = frozenset((Not, Previous, WeakPrevious, AlwaysBefore,
+                            EventuallyBefore))
+_UNARY_TYPES = tuple(_SURFACE_UNARY) + (Always, WeakNextAlways)
 _BINARY_TYPES = (And, Or, Since, Trigger, Implies, Iff)
 
 
@@ -230,32 +240,41 @@ def expand_derived(f: SurfaceFormula) -> PastFormula:
     true becomes `not false`; `initially` becomes `not prev not false`;
     `always_before f` becomes `false trigger f`; `eventually_before f`
     becomes `not false since f`; `wprev f` becomes `prev f or initially`.
-    Core formulas are returned unchanged (the function is idempotent).
+    Core formulas are returned unchanged (the function is idempotent),
+    at any depth: the walk keeps its own stack.
     """
-    tp = type(f)
-    if tp is Verum:
-        return CORE_TRUE
-    if tp is InitialConst:
-        return INITIAL_EXPANSION
-    if tp is WeakPrevious:
-        return Or(Previous(expand_derived(f.arg)), INITIAL_EXPANSION)
-    if tp is AlwaysBefore:
-        return Trigger(FALSUM, expand_derived(f.arg))
-    if tp is EventuallyBefore:
-        return Since(CORE_TRUE, expand_derived(f.arg))
-    if tp is Falsum or tp is AtomRef:
-        return f
-    if tp is Not:
-        arg = expand_derived(f.arg)
-        return f if arg is f.arg else Not(arg)
-    if tp is Previous:
-        arg = expand_derived(f.arg)
-        return f if arg is f.arg else Previous(arg)
-    if tp in (And, Or, Since, Trigger):
-        lhs = expand_derived(f.lhs)
-        rhs = expand_derived(f.rhs)
-        return f if lhs is f.lhs and rhs is f.rhs else tp(lhs, rhs)
-    raise TypeError(f"not a past or surface formula: {f!r}")
+    done: dict[int, PastFormula] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        tp = type(g)
+        # A child is done when it is a leaf or has been rewritten.
+        if tp in _CORE_BINARY:
+            lhs = g.lhs if type(g.lhs) in _LEAVES else done.get(id(g.lhs))
+            rhs = g.rhs if type(g.rhs) in _LEAVES else done.get(id(g.rhs))
+            if lhs is None or rhs is None:
+                stack += [k for k, new in ((g.rhs, rhs), (g.lhs, lhs))
+                          if new is None]
+                continue
+            out = g if lhs is g.lhs and rhs is g.rhs else tp(lhs, rhs)
+        elif tp in _SURFACE_UNARY:
+            arg = g.arg if type(g.arg) in _LEAVES else done.get(id(g.arg))
+            if arg is None:
+                stack.append(g.arg)
+                continue
+            if tp in _SUGAR:
+                out = _SUGAR[tp](arg)
+            else:
+                out = g if arg is g.arg else tp(arg)
+        elif tp in _LEAVES:
+            out = g
+        elif tp in _SUGAR:
+            out = _SUGAR[tp]()
+        else:
+            raise TypeError(f"not a past or surface formula: {g!r}")
+        done[id(g)] = out
+        stack.pop()
+    return done[id(f)]
 
 
 def formula_atoms(f) -> frozenset[Atom]:

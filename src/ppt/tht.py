@@ -5,22 +5,20 @@ traces with H_k a subset of T_k at every point.  Negation always
 evaluates its argument on the total trace <T, T>; previous is false at
 point 0; since and trigger quantify over points up to the evaluation
 point.  On total traces the semantics collapses to the classical one.
+Rule checks read each rule through its classical formula
+(`transform.rule_formula`), required on both sides.
 
 A total trace T is a temporal stable model of a program when <T, T> is
-a model and no strictly smaller H yields a model <H, T>.  Since heads
-speak about the present and bodies about the past, both conditions can
-be tested point by point: T is stable iff <T, T> is a model and no point
-k has a smaller H_k that satisfies the rules of point k while H = T at
-every other point (see `ppt.progression` for the proof).  Enumeration
-builds traces one state at a time on that lemma, guarded by a candidate
-budget.
+a model and no strictly smaller H yields a model <H, T>;
+`enumerate_ts_models` finds them with the search of `ppt.progression`.
 
-Internally formulas are evaluated to time bitmasks (bit k set when the
-formula holds at point k), with since/trigger computed by their
-one-step recurrences; the quantified forms are kept as independent test
-oracles.  The three-valued valuation below, by contrast, follows the
-quantified min/max presentation directly, so the two routes stay
-structurally independent.
+The checks of one given trace evaluate formulas to time bitmasks (bit k
+set when the formula holds at point k), with since/trigger computed by
+their one-step recurrences: bit-parallel over the points of one trace,
+where the search is bit-parallel over candidate states.  The
+three-valued valuation below, by contrast, follows the quantified
+min/max presentation directly, so the two routes stay structurally
+independent.
 """
 
 from __future__ import annotations
@@ -28,21 +26,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import BudgetExceeded, LengthMismatch
-from .progression import stable_states
+from .errors import LengthMismatch
+from .progression import DEFAULT_BUDGET, placement, search
 from .syntax import (
-    Always, And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst,
-    Not, Or, Previous, Program, Rule, RuleKind, Since, Trigger, Verum,
-    WeakNextAlways, atoms_of, is_past_formula, validate_atom,
+    And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst, Not, Or,
+    Previous, Program, Rule, Since, Trigger, Verum, is_past_formula,
 )
+from .transform import program_as_ltlf, rule_formula
 
 __all__ = [
     "DEFAULT_BUDGET", "Trace", "HTTrace",
-    "ht_sat", "rule_sat", "is_ht_model", "enumerate_ts_models",
-    "three_valued", "models_to_json",
+    "ht_sat", "formula_sat", "rule_sat", "is_ht_model",
+    "enumerate_ts_models", "three_valued", "models_to_json",
 ]
-
-DEFAULT_BUDGET = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +122,10 @@ class _BitEvaluator:
 
     `eval(f, total)` returns an int whose bit k is the satisfaction of f
     at point k; `total` selects evaluation on <T, T> instead of <H, T>.
-    Negation always recurses on the total side.  Extended connectives
-    are classical and therefore only admitted when the two sides
-    coincide (total traces).  Surface sugar (`wprev`, `always_before`,
-    `eventually_before`) is expanded by the parser and is not evaluated.
+    Negation always recurses on the total side; the other extended
+    connectives are classical on either side.  The wrappers `always`
+    and `wnext_always` are read by `formula_sat`, and the parser expands
+    surface sugar; neither is evaluated here.
     """
 
     __slots__ = ("h", "t", "lam", "full", "memo")
@@ -183,9 +179,6 @@ class _BitEvaluator:
         return bits
 
     def _eval_extended(self, f, tp, total: bool) -> int:
-        if not total and self.h is not self.t:
-            raise ValueError(
-                f"{tp.__name__} is only evaluated classically on total traces")
         if tp is Verum:
             return self.full
         if tp is InitialConst:
@@ -196,42 +189,8 @@ class _BitEvaluator:
             return self.full & (~self.eval(f.lhs, total) | self.eval(f.rhs, total))
         if tp is Iff:
             return self.full & ~(self.eval(f.lhs, total) ^ self.eval(f.rhs, total))
-        if tp is Always:
-            x = self.eval(f.arg, total)
-            bits = 0
-            cur = 1
-            for k in range(self.lam - 1, -1, -1):
-                cur &= (x >> k) & 1
-                bits |= cur << k
-            return bits
-        if tp is WeakNextAlways:
-            x = self.eval(f.arg, total)
-            bits = 1 << (self.lam - 1)
-            cur = 1
-            for k in range(self.lam - 1, 0, -1):
-                cur &= (x >> k) & 1
-                bits |= cur << (k - 1)
-            return bits
-        raise TypeError(f"cannot evaluate {f!r}")
-
-
-def _check_rule(ev: _BitEvaluator, rule: Rule, total_only: bool) -> bool:
-    full = ev.full
-    if rule.kind is RuleKind.FINAL:
-        return not (ev.eval(rule.body, True) >> (ev.lam - 1)) & 1
-    head_there = 0
-    for atom in rule.head:
-        head_there |= ev.t.get(atom, 0)
-    impl = full & (~ev.eval(rule.body, True) | head_there)
-    if not total_only:
-        head_here = 0
-        for atom in rule.head:
-            head_here |= ev.h.get(atom, 0)
-        impl &= full & (~ev.eval(rule.body, False) | head_here)
-    if rule.kind is RuleKind.INITIAL:
-        return impl & 1 == 1
-    mask = full & ~1
-    return impl & mask == mask
+        raise ValueError(
+            f"cannot evaluate {tp.__name__} below the top of a formula")
 
 
 def _evaluator(m: HTTrace) -> _BitEvaluator:
@@ -254,75 +213,46 @@ def ht_sat(m: HTTrace, k: int, f) -> bool:
     return bool(ev.eval(f, ev.h is ev.t) >> k & 1)
 
 
-def rule_sat(m: HTTrace, rule: Rule) -> bool:
-    """Satisfaction of one rule on an HT-trace.
-
-    Initial rules require the implication at point 0, dynamic rules at
-    every point from 1 on, both on the trace itself and on its total
-    counterpart.  Final rules require the body to fail on the total
-    trace at the last point.
-    """
+def formula_sat(m: HTTrace, k: int, f) -> bool:
+    """Satisfaction of an emitted formula at point k of an HT-trace:
+    its wrapper read by `progression.placement`, the connectives below
+    classical, negation reading T, and both sides required."""
+    if not 0 <= k < len(m):
+        raise IndexError(f"time point {k} outside [0, {len(m)})")
     ev = _evaluator(m)
-    return _check_rule(ev, rule, total_only=ev.h is ev.t)
+    g, first, onward = placement(f)
+    bits = ev.eval(g, True)
+    if ev.h is not ev.t:
+        bits &= ev.eval(g, False)
+    j = k + first
+    want = ev.full >> j << j if onward else 1 << j
+    return bits & want == want
+
+
+def rule_sat(m: HTTrace, rule: Rule) -> bool:
+    """Satisfaction of one rule on an HT-trace, read through its formula
+    (`transform.rule_formula`): initial rules at point 0, dynamic rules
+    from 1 on, final rules (body false on T) at the last point."""
+    return formula_sat(m, 0, rule_formula(rule))
 
 
 def is_ht_model(m: HTTrace, p: Program) -> bool:
     """True when the HT-trace satisfies every rule of the program."""
-    ev = _evaluator(m)
-    total_only = ev.h is ev.t
-    return all(_check_rule(ev, rule, total_only) for rule in p.rules)
+    return all(formula_sat(m, 0, f) for f in program_as_ltlf(p))
 
 
 # ---------------------------------------------------------------------------
 # Stable-model enumeration
 # ---------------------------------------------------------------------------
 
-def _check_budget(n_atoms: int, lam: int, budget: int | None) -> None:
-    budget = DEFAULT_BUDGET if budget is None else budget
-    candidates = 1 << (n_atoms * lam)
-    if candidates > budget:
-        raise BudgetExceeded(
-            f"{candidates} candidate traces exceed the budget of {budget}")
-
-
-def _resolve_alphabet(p: Program, alphabet) -> tuple[str, ...]:
-    if alphabet is None:
-        names = p.alphabet
-    else:
-        names = frozenset(alphabet)
-        for name in names:
-            validate_atom(name)
-        if not atoms_of(p) <= names:
-            missing = ", ".join(sorted(atoms_of(p) - names))
-            raise ValueError(f"alphabet does not cover program atoms: {missing}")
-    return tuple(sorted(names))
-
-
 def enumerate_ts_models(p: Program, lam: int, alphabet=None,
                         budget: int | None = None) -> set[Trace]:
-    """All temporal stable models of the program at the given length.
-
-    Traces are built one state at a time.  By the lemma of
-    `ppt.progression`, a prefix is dropped as soon as its last point
-    breaks a rule of that point on the total trace, or admits a strictly
-    smaller here-state that satisfies those rules while H = T at every
-    other point; no extension of such a prefix can be stable.  The
-    budget still bounds the 2^(n*lam) candidate traces, n the alphabet
-    size.
-    """
-    if lam < 1:
-        raise ValueError("trace length must be at least 1")
-    atoms = _resolve_alphabet(p, alphabet)
-    _check_budget(len(atoms), lam, budget)
-    sets: dict[int, frozenset[str]] = {}
-    models: set[Trace] = set()
-    for states in stable_states(p.rules, atoms, lam):
-        for s in states:
-            if s not in sets:
-                sets[s] = frozenset(
-                    a for j, a in enumerate(atoms) if s >> j & 1)
-        models.add(Trace(tuple(sets[s] for s in states)))
-    return models
+    """All temporal stable models of the program at the given length,
+    from the search of `ppt.progression`; the budget bounds the
+    2^(n*lam) candidate traces, n the alphabet size."""
+    names = p.alphabet if alphabet is None else alphabet
+    return {Trace(states) for states in
+            search(program_as_ltlf(p), lam, names, budget, minimal=True)}
 
 
 # ---------------------------------------------------------------------------

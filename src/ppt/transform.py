@@ -12,7 +12,8 @@ traces:
   in `wnext_always`.  Loops are enumerated per strongly connected
   component, which fails with `SccTooLarge` beyond the fixed
   `depgraph.SCC_CAP`; the other two translations need no loops.
-* `program_as_ltlf`: the rules themselves read as formulas.
+* `program_as_ltlf`: the rules read as formulas (`rule_formula`), as
+  the stable-model search and the rule checks of `ppt.tht` read them.
 
 Each translation is written once, as a `sourced_*` function returning
 (formula, source) pairs; the source names what produced the formula:
@@ -38,6 +39,7 @@ from .depgraph import enumerate_loops, section_graphs
 
 __all__ = [
     "support_transform", "external_support", "completion_atom",
+    "rule_formula",
     "sourced_completion", "sourced_loop_formulas", "sourced_program_as_ltlf",
     "completion", "loop_formulas", "program_as_ltlf", "simplify",
 ]
@@ -132,7 +134,8 @@ def completion_atom(p: Program, atom: Atom) -> ExtFormula:
     return Always(Iff(AtomRef(atom), rhs))
 
 
-def _rule_formula(rule: Rule) -> ExtFormula:
+def rule_formula(rule: Rule) -> ExtFormula:
+    """One rule read as a classical formula, wrapped where it applies."""
     if rule.kind is RuleKind.FINAL:
         return Always(Implies(FINAL_CONST, Implies(rule.body, FALSUM)))
     head = head_disjunction(rule)
@@ -153,14 +156,14 @@ def sourced_completion(p: Program) -> Sourced:
     constraints = [r for r in p.rules
                    if r.kind is not RuleKind.FINAL and not r.head]
     constraints.extend(p.final)
-    out.extend((_rule_formula(r), f"rule {r.source_index}")
+    out.extend((rule_formula(r), f"rule {r.source_index}")
                for r in constraints)
     return out
 
 
 def sourced_program_as_ltlf(p: Program) -> Sourced:
     """The rules themselves read classically, in source order."""
-    return [(_rule_formula(r), f"rule {r.source_index}") for r in p.rules]
+    return [(rule_formula(r), f"rule {r.source_index}") for r in p.rules]
 
 
 def sourced_loop_formulas(p: Program, unitary: bool = False) -> Sourced:

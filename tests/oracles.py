@@ -1,16 +1,23 @@
-"""Brute-force reference for temporal stable models.
+"""Brute-force references for both sides of the correspondence.
 
-Every total trace over the alphabet is tested for modelhood, and each
-model is tested for minimality against every strictly smaller
+`brute_force_ts_models` tests every total trace over the alphabet for
+modelhood, and each model for minimality against every strictly smaller
 here-trace (pointwise subsets), short-circuiting on the first smaller
-model found.  It shares the bitmask evaluator with `ppt.tht` but none
-of the state-by-state search of `ppt.progression`, which it checks.
+model found.  It reads rules from their heads and bodies (`rules_hold`),
+independently of `ppt.transform.rule_formula`, through which the
+package reads them.
+
+`brute_force_ltlf_models` tests every total trace against lists of
+emitted formulas, reading the `always` and `wnext_always` wrappers
+itself rather than through `ppt.progression.placement`.
+
+Both share the bitmask evaluator with `ppt.tht` but none of the
+state-by-state search of `ppt.progression`, which they check.
 """
 
-from ppt import Program, Trace
-from ppt.tht import (
-    _BitEvaluator, _check_budget, _check_rule, _resolve_alphabet,
-)
+from ppt import Always, HTTrace, Program, Rule, RuleKind, Trace, WeakNextAlways
+from ppt.progression import _check_budget
+from ppt.tht import _BitEvaluator, _evaluator
 
 
 def _bits_to_trace(flat: int, atoms: tuple[str, ...], lam: int) -> Trace:
@@ -21,19 +28,50 @@ def _bits_to_trace(flat: int, atoms: tuple[str, ...], lam: int) -> Trace:
     return Trace(tuple(states))
 
 
+def _traces(atoms: tuple[str, ...], lam: int, budget: int | None):
+    """Every trace as (flat, bits): bit j*lam + k of flat is atom j at k."""
+    if lam < 1:
+        raise ValueError("trace length must be at least 1")
+    _check_budget(len(atoms), lam, budget)
+    lam_mask = (1 << lam) - 1
+    for flat in range(1 << (len(atoms) * lam)):
+        yield flat, {a: (flat >> (j * lam)) & lam_mask
+                     for j, a in enumerate(atoms)}
+
+
+def _check_rule(ev: _BitEvaluator, rule: Rule, total_only: bool) -> bool:
+    full = ev.full
+    if rule.kind is RuleKind.FINAL:
+        return not (ev.eval(rule.body, True) >> (ev.lam - 1)) & 1
+    head_there = 0
+    for atom in rule.head:
+        head_there |= ev.t.get(atom, 0)
+    impl = full & (~ev.eval(rule.body, True) | head_there)
+    if not total_only:
+        head_here = 0
+        for atom in rule.head:
+            head_here |= ev.h.get(atom, 0)
+        impl &= full & (~ev.eval(rule.body, False) | head_here)
+    if rule.kind is RuleKind.INITIAL:
+        return impl & 1 == 1
+    mask = full & ~1
+    return impl & mask == mask
+
+
+def rules_hold(m: HTTrace, p: Program) -> bool:
+    """Every rule of p on the HT-trace, read from its head and body."""
+    ev = _evaluator(m)
+    return all(_check_rule(ev, r, ev.h is ev.t) for r in p.rules)
+
+
 def brute_force_ts_models(p: Program, lam: int, alphabet=None,
                           budget: int | None = None) -> set[Trace]:
     """All temporal stable models, by trying every candidate trace."""
-    if lam < 1:
-        raise ValueError("trace length must be at least 1")
-    atoms = _resolve_alphabet(p, alphabet)
-    _check_budget(len(atoms), lam, budget)
+    atoms = tuple(sorted(p.alphabet if alphabet is None else alphabet))
     rules = p.rules
     lam_mask = (1 << lam) - 1
     models: set[Trace] = set()
-    for flat in range(1 << (len(atoms) * lam)):
-        t_bits = {a: (flat >> (j * lam)) & lam_mask
-                  for j, a in enumerate(atoms)}
+    for flat, t_bits in _traces(atoms, lam, budget):
         ev = _BitEvaluator(t_bits, t_bits, lam)
         if not all(_check_rule(ev, r, total_only=True) for r in rules):
             continue
@@ -53,3 +91,30 @@ def brute_force_ts_models(p: Program, lam: int, alphabet=None,
         if stable:
             models.add(_bits_to_trace(flat, atoms, lam))
     return models
+
+
+def _holds_classically(ev: _BitEvaluator, f) -> bool:
+    if type(f) is Always:
+        return ev.eval(f.arg, True) == ev.full
+    if type(f) is WeakNextAlways:
+        return ev.eval(f.arg, True) | 1 == ev.full
+    return ev.eval(f, True) & 1 == 1
+
+
+def brute_force_ltlf_models(translations, lam: int, alphabet,
+                            budget: int | None = None) -> list[set[Trace]]:
+    """The total traces satisfying every formula of each list at point 0,
+    one model set per list, by trying every candidate trace.
+
+    One evaluator per trace serves all lists, so formulas they share
+    are evaluated once.
+    """
+    atoms = tuple(sorted(alphabet))
+    translations = [list(fs) for fs in translations]
+    model_sets: list[set[Trace]] = [set() for _ in translations]
+    for flat, t_bits in _traces(atoms, lam, budget):
+        ev = _BitEvaluator(t_bits, t_bits, lam)
+        for models, fs in zip(model_sets, translations):
+            if all(_holds_classically(ev, f) for f in fs):
+                models.add(_bits_to_trace(flat, atoms, lam))
+    return model_sets

@@ -93,6 +93,66 @@ class TestModels:
         assert json.loads(out)["models"] == [[["a"]]]
 
 
+class TestUsageErrors:
+    """Bad command lines exit 1 with argparse's message; 2 is reserved
+    for a verification mismatch."""
+
+    @pytest.mark.parametrize("argv", [
+        ["models", "{file}"],
+        ["verify", "{file}", "--length", "x"],
+        ["frobnicate"],
+        [],
+        ["fuzz", "--cases", "x"],
+    ])
+    def test_exit_1(self, capsys, p1_file, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(file=p1_file) for arg in argv])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 1
+        assert captured.out == ""
+        assert "ppt" in captured.err and "error: " in captured.err
+
+    def test_negative_case_count(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--cases", "-3")
+        assert (code, out) == (1, "")
+        assert err == "error: --cases must be nonnegative, got -3\n"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "usage: ppt" in capsys.readouterr().out
+
+
+class TestDeepBody:
+    """A constraint of 2,000 conjuncts: twice Python's default recursion
+    limit, so no walk over the body may recurse on its depth."""
+
+    @pytest.fixture
+    def deep_file(self, tmp_path):
+        path = tmp_path / "deep.ppt"
+        conjuncts = ", ".join(["c", "prev a"] * 1000)
+        path.write_text("a.\n#dynamic.\nb :- prev a.\nc :- not d.\n"
+                        f"d :- not c.\n:- {conjuncts}.\n")
+        return str(path)
+
+    MODELS = [[["a"], ["b", "d"], ["c"]], [["a"], ["b", "d"], ["d"]]]
+
+    def test_models(self, capsys, deep_file):
+        code, out, err = run(capsys, "models", deep_file, "--length", "3")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["models"] == self.MODELS
+
+    @pytest.mark.parametrize("mode", ["completion", "loops", "unitary"])
+    def test_verify(self, capsys, deep_file, mode):
+        code, out, err = run(capsys, "verify", deep_file, "--length", "3",
+                             "--mode", mode)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["equal"] is True
+        assert doc["ltlf_models"] == self.MODELS
+
+
 class TestUnreadableInput:
     def test_missing_file(self, capsys, tmp_path):
         path = str(tmp_path / "nonexistent.ppt")
@@ -368,6 +428,190 @@ def test_golden_compile_output(capsys, tmp_path, program, command):
     else:
         want = "\n".join(expected)
     assert out == want + "\n"
+
+
+# Exact stdout of `models` and `verify` on P1 and P2, recorded before the
+# classical side of the correspondence moved onto the state-by-state
+# search: (exit code, JSON document).
+PROGRAM_TEXT = {
+    'P1': (
+        'load.\n'
+        '#dynamic.\n'
+        'shoot | load | unload.\n'
+        'dead :- shoot, (not unload since load).\n'
+        'shoot :- dead.\n'
+        '#final.\n'
+        ':- not dead.\n'
+    ),
+    'P2': (
+        'load.\n'
+        '#dynamic.\n'
+        'dead :- shoot, (not unload since load).\n'
+        'shoot :- dead.\n'
+        '#final.\n'
+        ':- not dead.\n'
+    ),
+}
+GOLDEN_SEARCH = {
+    ('P1', 'models --length 2'): (0, {
+        'length': 2,
+        'models': [
+            [['load'], ['dead', 'shoot']]]}),
+    ('P1', 'models --length 3'): (0, {
+        'length': 3,
+        'models': [
+            [['load'], ['dead', 'shoot'], ['dead', 'shoot']],
+            [['load'], ['load'], ['dead', 'shoot']]]}),
+    ('P1', 'verify --length 2 --mode completion'): (0, {
+        'program': PROGRAM_TEXT['P1'],
+        'length': 2,
+        'mode': 'completion',
+        'tight': False,
+        'equal': True,
+        'ts_models': [
+            [['load'], ['dead', 'shoot']]],
+        'ltlf_models': [
+            [['load'], ['dead', 'shoot']]],
+        'witnesses': []}),
+    ('P1', 'verify --length 2 --mode loops'): (0, {
+        'program': PROGRAM_TEXT['P1'],
+        'length': 2,
+        'mode': 'completion_loops',
+        'tight': None,
+        'equal': True,
+        'ts_models': [
+            [['load'], ['dead', 'shoot']]],
+        'ltlf_models': [
+            [['load'], ['dead', 'shoot']]],
+        'witnesses': []}),
+    ('P1', 'verify --length 2 --mode unitary'): (0, {
+        'program': PROGRAM_TEXT['P1'],
+        'length': 2,
+        'mode': 'unitary_loops',
+        'tight': None,
+        'equal': True,
+        'ts_models': [
+            [['load'], ['dead', 'shoot']]],
+        'ltlf_models': [
+            [['load'], ['dead', 'shoot']]],
+        'witnesses': []}),
+    ('P1', 'verify --length 3 --mode completion'): (0, {
+        'program': PROGRAM_TEXT['P1'],
+        'length': 3,
+        'mode': 'completion',
+        'tight': False,
+        'equal': True,
+        'ts_models': [
+            [['load'], ['dead', 'shoot'], ['dead', 'shoot']],
+            [['load'], ['load'], ['dead', 'shoot']]],
+        'ltlf_models': [
+            [['load'], ['dead', 'shoot'], ['dead', 'shoot']],
+            [['load'], ['load'], ['dead', 'shoot']]],
+        'witnesses': []}),
+    ('P1', 'verify --length 3 --mode loops'): (0, {
+        'program': PROGRAM_TEXT['P1'],
+        'length': 3,
+        'mode': 'completion_loops',
+        'tight': None,
+        'equal': True,
+        'ts_models': [
+            [['load'], ['dead', 'shoot'], ['dead', 'shoot']],
+            [['load'], ['load'], ['dead', 'shoot']]],
+        'ltlf_models': [
+            [['load'], ['dead', 'shoot'], ['dead', 'shoot']],
+            [['load'], ['load'], ['dead', 'shoot']]],
+        'witnesses': []}),
+    ('P1', 'verify --length 3 --mode unitary'): (0, {
+        'program': PROGRAM_TEXT['P1'],
+        'length': 3,
+        'mode': 'unitary_loops',
+        'tight': None,
+        'equal': True,
+        'ts_models': [
+            [['load'], ['dead', 'shoot'], ['dead', 'shoot']],
+            [['load'], ['load'], ['dead', 'shoot']]],
+        'ltlf_models': [
+            [['load'], ['dead', 'shoot'], ['dead', 'shoot']],
+            [['load'], ['load'], ['dead', 'shoot']]],
+        'witnesses': []}),
+    ('P2', 'models --length 2'): (0, {
+        'length': 2,
+        'models': []}),
+    ('P2', 'models --length 3'): (0, {
+        'length': 3,
+        'models': []}),
+    ('P2', 'verify --length 2 --mode completion'): (2, {
+        'program': PROGRAM_TEXT['P2'],
+        'length': 2,
+        'mode': 'completion',
+        'tight': False,
+        'equal': False,
+        'ts_models': [],
+        'ltlf_models': [
+            [['load'], ['dead', 'shoot']]],
+        'witnesses': [
+            [['load'], ['dead', 'shoot']]]}),
+    ('P2', 'verify --length 2 --mode loops'): (0, {
+        'program': PROGRAM_TEXT['P2'],
+        'length': 2,
+        'mode': 'completion_loops',
+        'tight': None,
+        'equal': True,
+        'ts_models': [],
+        'ltlf_models': [],
+        'witnesses': []}),
+    ('P2', 'verify --length 2 --mode unitary'): (0, {
+        'program': PROGRAM_TEXT['P2'],
+        'length': 2,
+        'mode': 'unitary_loops',
+        'tight': None,
+        'equal': True,
+        'ts_models': [],
+        'ltlf_models': [],
+        'witnesses': []}),
+    ('P2', 'verify --length 3 --mode completion'): (2, {
+        'program': PROGRAM_TEXT['P2'],
+        'length': 3,
+        'mode': 'completion',
+        'tight': False,
+        'equal': False,
+        'ts_models': [],
+        'ltlf_models': [
+            [['load'], [], ['dead', 'shoot']],
+            [['load'], ['dead', 'shoot'], ['dead', 'shoot']]],
+        'witnesses': [
+            [['load'], [], ['dead', 'shoot']],
+            [['load'], ['dead', 'shoot'], ['dead', 'shoot']]]}),
+    ('P2', 'verify --length 3 --mode loops'): (0, {
+        'program': PROGRAM_TEXT['P2'],
+        'length': 3,
+        'mode': 'completion_loops',
+        'tight': None,
+        'equal': True,
+        'ts_models': [],
+        'ltlf_models': [],
+        'witnesses': []}),
+    ('P2', 'verify --length 3 --mode unitary'): (0, {
+        'program': PROGRAM_TEXT['P2'],
+        'length': 3,
+        'mode': 'unitary_loops',
+        'tight': None,
+        'equal': True,
+        'ts_models': [],
+        'ltlf_models': [],
+        'witnesses': []}),
+}
+
+
+@pytest.mark.parametrize("program, command", sorted(GOLDEN_SEARCH))
+def test_golden_search_output(capsys, tmp_path, program, command):
+    path = tmp_path / "prog.ppt"
+    path.write_text({"P1": P1_TEXT, "P2": P2_TEXT}[program])
+    name, *flags = command.split()
+    code, out, _ = run(capsys, name, str(path), *flags)
+    want_code, doc = GOLDEN_SEARCH[program, command]
+    assert code == want_code
+    assert out == json.dumps(doc, indent=2) + "\n"
 
 
 class TestVerify:

@@ -34,6 +34,33 @@ class TestLtlfSat:
         assert ltlf_sat(TARGET, 1, f) is True
         assert ltlf_sat(TARGET, 0, f) is False
 
+    def test_always_from_k_on(self):
+        t = Trace.of([], ["a"], ["a"])
+        f = Always(AtomRef("a"))
+        assert [ltlf_sat(t, k, f) for k in range(3)] == [False, True, True]
+
+    def test_weak_next_always_after_k(self):
+        t = Trace.of(["a"], [], ["a"], ["a"])
+        f = WeakNextAlways(AtomRef("a"))
+        assert [ltlf_sat(t, k, f) for k in range(4)] == [
+            False, True, True, True]
+
+    def test_wrappers_at_the_last_point(self):
+        t = Trace.of(["a"], [])
+        assert ltlf_sat(t, 1, Always(AtomRef("a"))) is False
+        assert ltlf_sat(t, 1, Always(Not(AtomRef("a")))) is True
+        assert ltlf_sat(t, 1, WeakNextAlways(FALSUM)) is True
+
+    @pytest.mark.parametrize("wrapper", [Always, WeakNextAlways])
+    def test_nested_wrapper_raises(self, wrapper):
+        f = Implies(AtomRef("a"), wrapper(AtomRef("a")))
+        with pytest.raises(ValueError):
+            ltlf_sat(TARGET, 0, f)
+        with pytest.raises(ValueError):
+            ltlf_sat(TARGET, 0, Always(f))
+        with pytest.raises(ValueError):
+            enumerate_ltlf_models([f], 2, {"a"})
+
     def test_index_error(self):
         with pytest.raises(IndexError):
             ltlf_sat(TARGET, 2, FALSUM)

@@ -1,4 +1,4 @@
-"""The state-by-state stable-model search against the brute-force oracle."""
+"""The state-by-state search, on both sides, against brute-force oracles."""
 
 import random
 
@@ -6,12 +6,13 @@ import pytest
 
 from ppt import (
     And, AtomRef, BudgetExceeded, Previous, Program, Rule, RuleKind, Trace,
-    enumerate_ts_models, parse_program,
+    completion, enumerate_ltlf_models, enumerate_ts_models, loop_formulas,
+    parse_program, program_as_ltlf,
 )
 from ppt.syntax import CORE_TRUE
 from ppt.verify import GenConfig, random_program
 
-from oracles import brute_force_ts_models
+from oracles import brute_force_ltlf_models, brute_force_ts_models
 
 POOL = ("a", "b", "c", "d")
 
@@ -42,6 +43,22 @@ def test_matches_oracle_on_random_programs():
         p, alphabet, lam = _random_case(seed, max_candidate_bits=11)
         if enumerate_ts_models(p, lam, alphabet) != brute_force_ts_models(
                 p, lam, alphabet):
+            mismatches.append(seed)
+    assert mismatches == []
+
+
+def test_classical_search_matches_oracle_on_random_programs():
+    # Completion, completion plus loop formulas, and the rules plus
+    # unitary loop formulas, on the programs of the test above.
+    mismatches = []
+    for seed in range(3000):
+        p, alphabet, lam = _random_case(seed, max_candidate_bits=11)
+        cf = completion(p)
+        translations = [cf, cf + loop_formulas(p),
+                        program_as_ltlf(p) + loop_formulas(p, unitary=True)]
+        found = [enumerate_ltlf_models(fs, lam, alphabet)
+                 for fs in translations]
+        if found != brute_force_ltlf_models(translations, lam, alphabet):
             mismatches.append(seed)
     assert mismatches == []
 

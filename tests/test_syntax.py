@@ -68,6 +68,24 @@ class TestExpand:
         assert is_past_formula(once)
         assert expand_derived(once) == once
 
+    @given(surface_formulas)
+    def test_core_formula_comes_back_as_the_same_object(self, f):
+        once = expand_derived(f)
+        assert expand_derived(once) is once
+
+    def test_deep_formula_needs_no_recursion(self):
+        core = surface = AtomRef("a")
+        for _ in range(5000):
+            core = And(core, INITIAL_EXPANSION)
+            surface = And(surface, InitialConst())
+        assert expand_derived(core) is core
+        # Dataclass equality recurses, so compare along the left spine.
+        node, depth = expand_derived(surface), 0
+        while type(node) is And:
+            assert node.rhs is INITIAL_EXPANSION
+            node, depth = node.lhs, depth + 1
+        assert (node, depth) == (AtomRef("a"), 5000)
+
 
 class TestOccurrences:
     def test_rule3_body(self):

@@ -16,9 +16,12 @@ from ppt import (
     rule_sat, three_valued,
 )
 from ppt.syntax import CORE_TRUE, Falsum, INITIAL_EXPANSION
-from ppt.verify import random_httrace, random_past_formula
+from ppt.verify import (
+    GenConfig, random_httrace, random_past_formula, random_program,
+)
 
 from conftest import TARGET
+from oracles import rules_hold
 
 
 def ht_sat_oracle(m: HTTrace, k: int, f) -> bool:
@@ -127,6 +130,23 @@ class TestIsModel:
     def test_empty_program(self):
         m = HTTrace.total(Trace.of(["a"], []))
         assert is_ht_model(m, Program(())) is True
+
+    def test_agrees_with_direct_rule_check(self):
+        # The package reads each rule through its classical formula; the
+        # oracle reads heads and bodies.
+        rng = random.Random(53)
+        disagreements = []
+        for seed in range(1500):
+            p = random_program(GenConfig(seed=seed, max_atoms=4, max_rules=8,
+                                         max_body_depth=4))
+            m = random_httrace(rng, ("a", "b", "c", "d"), rng.randint(1, 4))
+            if rng.random() < 0.25:
+                m = HTTrace.total(m.t)
+            if is_ht_model(m, p) != rules_hold(m, p) or any(
+                    rule_sat(m, r) != rules_hold(m, Program((r,)))
+                    for r in p.rules):
+                disagreements.append(seed)
+        assert disagreements == []
 
 
 class TestEnumerate:
