@@ -14,13 +14,12 @@ from .errors import (
     RestrictionError, SccTooLarge, UnknownAtom,
 )
 from .syntax import (
-    Always, AlwaysBefore, And, Atom, AtomRef, EventuallyBefore, ExtFormula,
-    FALSUM, Falsum, FinalConst, FINAL_CONST, Iff, Implies, INITIAL_CONST,
-    InitialConst, Not, Occurrence, Or, PastFormula, Previous, Program, Rule,
-    RuleKind, Since, SurfaceFormula, Trigger, VERUM, Verum, WeakNextAlways,
-    WeakPrevious, atoms_of, classify_occurrences, expand_derived, format,
+    Always, And, Atom, AtomRef, ExtFormula, FALSUM, Falsum, FinalConst,
+    FINAL_CONST, Iff, Implies, INITIAL_CONST, InitialConst, Not, Occurrence,
+    Or, PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, VERUM,
+    Verum, WeakNextAlways, atoms_of, classify_occurrences, format,
     format_formula, format_program, format_rule, head_disjunction,
-    in_negation_scope, is_past_formula,
+    is_past_formula,
 )
 from .parser import parse_formula, parse_program
 from .tht import (

@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 usage, parse or unreadable-input error, or
 output pipe closed early, 2 verification mismatch or fuzz
 counterexample, 3 candidate budget or loop-enumeration component cap
 exceeded.
-The budget can also be set through the PPT_BUDGET environment variable.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import sys
 from .errors import BudgetExceeded, ParseError, PptError, SccTooLarge
 from .syntax import atoms_of, format_formula
 from .parser import parse_program
-from .tht import DEFAULT_BUDGET, enumerate_ts_models, models_to_json
+from .tht import enumerate_ts_models, models_to_json
 from .depgraph import enumerate_loops, is_tight, section_graphs
 from .transform import (
     simplify, sourced_completion, sourced_loop_formulas,
@@ -37,13 +36,6 @@ def _read_source(path: str) -> tuple[str, str]:
         return sys.stdin.read(), "<stdin>"
     with open(path, encoding="utf-8") as handle:
         return handle.read(), path
-
-
-def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("PPT_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
 
 
 def _alphabet(args, program):
@@ -118,7 +110,7 @@ def _cmd_check(args) -> int:
 def _cmd_models(args) -> int:
     program = _load(args)
     models = enumerate_ts_models(program, args.length, _alphabet(args, program),
-                                 _budget(args))
+                                 args.budget)
     _emit(models_to_json(models, args.length))
     return 0
 
@@ -173,7 +165,7 @@ def _cmd_compile(args) -> int:
 def _cmd_verify(args) -> int:
     program = _load(args)
     report = verify_correspondence(program, args.length,
-                                   _MODE_ALIASES[args.mode], _budget(args))
+                                   _MODE_ALIASES[args.mode], args.budget)
     _emit(report.to_json())
     return 0 if report.equal else 2
 
@@ -185,7 +177,7 @@ def _cmd_fuzz(args) -> int:
     failures = 0
     if args.suite in ("correspondence", "all"):
         results["correspondence"] = run_correspondence_suite(
-            args.cases, args.seed, budget=_budget(args))
+            args.cases, args.seed, budget=args.budget)
         failures += results["correspondence"]["failures"]
     if args.suite in ("lemmas", "all"):
         for lemma in ("pastocc", "support"):

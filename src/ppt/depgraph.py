@@ -25,8 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import MixedSection, SccTooLarge
 from .syntax import (
-    Atom, Program, Rule, RuleKind, classify_occurrences, in_negation_scope,
-    PRESENT,
+    Atom, Program, Rule, RuleKind, classify_occurrences, PRESENT,
 )
 
 __all__ = [
@@ -81,8 +80,7 @@ def dependency_graph(rules: Sequence[Rule], alphabet: Iterable[Atom] | None = No
         # Occurrences with zero enclosing negations are positive; only
         # those, and only present ones, support a derivation.
         supports = {occ.atom for occ in occurrences
-                    if occ.presentness == PRESENT
-                    and not in_negation_scope(rule.body, occ)}
+                    if occ.presentness == PRESENT and not occ.negated}
         for head_atom in rule.head:
             for body_atom in supports:
                 edges.add((head_atom, body_atom))

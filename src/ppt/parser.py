@@ -13,9 +13,20 @@ Body grammar, in ascending precedence:
     unary         `not`, `prev`, `wprev`, `always_before`, `eventually_before`
     primary       atom, `true`, `false`, `initially`, `( body )`
 
-Parsed bodies are expanded to core form.  Initial and final rule bodies
-must be conjunctions of regular literals and final rules must have empty
-heads; violations raise :class:`RestrictionError`.
+Each sugar is built directly in its core spelling, so parsed bodies are
+core formulas:
+
+    true                  not false
+    initially             not prev not false
+    wprev f               prev f or initially
+    always_before f       false trigger f
+    eventually_before f   true since f
+
+Parentheses and unary operators may nest at most `MAX_NESTING` deep;
+deeper input raises :class:`ParseError` at the first token past the
+limit.  Initial and final rule bodies must be conjunctions of regular
+literals and final rules must have empty heads; violations raise
+:class:`RestrictionError`.
 """
 
 from __future__ import annotations
@@ -25,12 +36,11 @@ from dataclasses import dataclass
 
 from .errors import ParseError, RestrictionError
 from .syntax import (
-    ATOM_RE, And, AtomRef, AlwaysBefore, EventuallyBefore, Falsum,
-    InitialConst, Not, Or, Previous, Program, Rule, RuleKind, Since, Trigger,
-    Verum, WeakPrevious, expand_derived, is_literal_conjunction,
+    ATOM_RE, And, AtomRef, CORE_TRUE, FALSUM, INITIAL_EXPANSION, Not, Or,
+    Previous, Program, Rule, RuleKind, Since, Trigger, is_literal_conjunction,
 )
 
-__all__ = ["parse_program", "parse_formula"]
+__all__ = ["MAX_NESTING", "parse_program", "parse_formula"]
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -50,16 +60,21 @@ _RESERVED = frozenset({
 _UNARY_OPS = {
     "not": Not,
     "prev": Previous,
-    "wprev": WeakPrevious,
-    "always_before": AlwaysBefore,
-    "eventually_before": EventuallyBefore,
+    "wprev": lambda f: Or(Previous(f), INITIAL_EXPANSION),
+    "always_before": lambda f: Trigger(FALSUM, f),
+    "eventually_before": lambda f: Since(CORE_TRUE, f),
 }
 
 _CONSTANTS = {
-    "true": Verum(),
-    "false": Falsum(),
-    "initially": InitialConst(),
+    "true": CORE_TRUE,
+    "false": FALSUM,
+    "initially": INITIAL_EXPANSION,
 }
+
+# Each level of nesting costs the recursive descent a few Python frames,
+# and the printer and compiler recurse on it too; this bound keeps every
+# one of them far below the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,6 +113,7 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -130,6 +146,16 @@ class _Parser:
             self.fail(f"unexpected {shown!r}", *(expected or (repr(text),)))
         return self.advance()
 
+    def nested(self, parse):
+        """Consume an opening token, then run `parse` one level deeper."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"formula nested deeper than {MAX_NESTING} levels")
+        self.advance()
+        self.depth += 1
+        inner = parse()
+        self.depth -= 1
+        return inner
+
     # -- grammar -----------------------------------------------------------
 
     def atom_name(self) -> str:
@@ -148,17 +174,14 @@ class _Parser:
 
     def primary(self):
         tok = self.peek()
-        if self.eat("("):
-            inner = self.disjunction()
+        if self.at("("):
+            inner = self.nested(self.disjunction)
             self.expect(")", "')'")
             return inner
         if tok.kind == "ident":
             if tok.text in _CONSTANTS:
                 self.advance()
                 return _CONSTANTS[tok.text]
-            if tok.text in _UNARY_OPS:
-                self.advance()
-                return _UNARY_OPS[tok.text](self.unary())
             return AtomRef(self.atom_name())
         self.fail(f"expected a formula, found {tok.text or 'end of input'!r}",
                   "atom", "'('", "'not'", "'true'", "'false'")
@@ -166,8 +189,7 @@ class _Parser:
     def unary(self):
         tok = self.peek()
         if tok.kind == "ident" and tok.text in _UNARY_OPS:
-            self.advance()
-            return _UNARY_OPS[tok.text](self.unary())
+            return _UNARY_OPS[tok.text](self.nested(self.unary))
         return self.primary()
 
     def temporal(self):
@@ -217,15 +239,14 @@ class _Parser:
         body_tok = self.peek()
         if self.eat(":-"):
             body_tok = self.peek()
-            surface = self.disjunction()
+            body = self.disjunction()
         else:
-            surface = Verum()
+            body = CORE_TRUE
         self.expect(".", "'.'")
 
         if section is RuleKind.FINAL and head:
             raise RestrictionError(start.line, start.column,
                                    "final rules cannot have a head")
-        body = expand_derived(surface)
         if section is not RuleKind.DYNAMIC and not is_literal_conjunction(body):
             raise RestrictionError(
                 body_tok.line, body_tok.column,
@@ -244,11 +265,11 @@ class _Parser:
         return Program(tuple(rules))
 
     def formula(self):
-        surface = self.disjunction()
+        body = self.disjunction()
         if self.peek().kind != "eof":
             self.fail(f"unexpected {self.peek().text!r} after formula",
                       "end of input")
-        return expand_derived(surface)
+        return body
 
 
 def parse_program(src: str) -> Program:
@@ -257,5 +278,5 @@ def parse_program(src: str) -> Program:
 
 
 def parse_formula(src: str):
-    """Parse a body formula and return its core form."""
+    """Parse a body formula; the result is a core formula."""
     return _Parser(src).formula()

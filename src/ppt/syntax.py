@@ -1,15 +1,17 @@
 """Data model for past-present temporal logic programs.
 
-Core past formulas are exactly: falsum, atoms, negation, conjunction,
-disjunction, previous, since and trigger.  Everything a rule body may
-contain after parsing is core; the surface sugar (``true``, ``initially``,
-``wprev``, ``always_before``, ``eventually_before``) is rewritten into
-core form by :func:`expand_derived`.
+There are two formula languages.  Core past formulas are exactly:
+falsum, atoms, negation, conjunction, disjunction, previous, since and
+trigger; every rule body is one.  The surface sugar of the concrete
+syntax (``true``, ``initially``, ``wprev``, ``always_before``,
+``eventually_before``) has no node of its own: the parser builds each
+in its core spelling.
 
 The extended formula language is what the compiler emits: core formulas
-plus implication, biconditional, ``always``, ``wnext_always`` and the
-initial/final point constants.  Extended connectives never occur inside
-rule bodies; they are always evaluated classically.
+plus implication, biconditional, ``always``, ``wnext_always``, the
+constant true and the initial/final point constants.  Extended
+connectives never occur inside rule bodies; they are always evaluated
+classically.
 
 All node classes are immutable and hashable, so formulas can be shared,
 memoised and used as dictionary keys freely.
@@ -25,15 +27,13 @@ from typing import Iterable, Union
 __all__ = [
     "ATOM_RE", "Atom", "validate_atom",
     "Falsum", "AtomRef", "Not", "And", "Or", "Previous", "Since", "Trigger",
-    "Verum", "InitialConst", "FinalConst", "WeakPrevious", "AlwaysBefore",
-    "EventuallyBefore", "Implies", "Iff", "Always", "WeakNextAlways",
-    "PastFormula", "SurfaceFormula", "ExtFormula",
+    "Verum", "InitialConst", "FinalConst", "Implies", "Iff", "Always",
+    "WeakNextAlways", "PastFormula", "ExtFormula",
     "FALSUM", "VERUM", "INITIAL_CONST", "FINAL_CONST", "CORE_TRUE",
     "INITIAL_EXPANSION",
     "RuleKind", "Rule", "Program",
     "Occurrence", "POSITIVE", "NEGATIVE", "PRESENT", "PAST",
-    "expand_derived", "is_past_formula", "classify_occurrences",
-    "in_negation_scope", "formula_atoms", "atoms_of",
+    "is_past_formula", "classify_occurrences", "formula_atoms", "atoms_of",
     "is_literal_conjunction", "head_disjunction", "and_chain", "or_chain",
     "format", "format_formula", "format_rule", "format_program",
 ]
@@ -109,42 +109,18 @@ class Trigger:
     rhs: "PastFormula"
 
 
-# Surface sugar, accepted by the parser and removed by expand_derived.
-
-@dataclass(frozen=True, slots=True)
-class Verum:
-    """The constant true (sugar for `not false`)."""
-
-
-@dataclass(frozen=True, slots=True)
-class WeakPrevious:
-    """Like Previous but true at point 0 (sugar)."""
-
-    arg: "SurfaceFormula"
-
-
-@dataclass(frozen=True, slots=True)
-class AlwaysBefore:
-    """The argument holds at every point up to now (sugar)."""
-
-    arg: "SurfaceFormula"
-
-
-@dataclass(frozen=True, slots=True)
-class EventuallyBefore:
-    """The argument held at some point up to now (sugar)."""
-
-    arg: "SurfaceFormula"
-
-
 # Extended connectives for the compiler output language.
 
 @dataclass(frozen=True, slots=True)
-class InitialConst:
-    """Constant true exactly at the first point of a trace.
+class Verum:
+    """The constant true; rule bodies spell it `not false`."""
 
-    Inside rule bodies this is sugar (`initially`) that expands to core
-    form; in emitted formulas it stays primitive and prints as ``I``.
+
+@dataclass(frozen=True, slots=True)
+class InitialConst:
+    """Constant true exactly at the first point of a trace; prints as ``I``.
+
+    Rule bodies spell it `not prev not false` (`INITIAL_EXPANSION`).
     """
 
 
@@ -180,8 +156,6 @@ class WeakNextAlways:
 
 
 PastFormula = Union[Falsum, AtomRef, Not, And, Or, Previous, Since, Trigger]
-SurfaceFormula = Union[PastFormula, Verum, InitialConst, WeakPrevious,
-                       AlwaysBefore, EventuallyBefore]
 ExtFormula = Union[PastFormula, Verum, InitialConst, FinalConst, Implies,
                    Iff, Always, WeakNextAlways]
 
@@ -195,18 +169,7 @@ CORE_TRUE = Not(FALSUM)
 INITIAL_EXPANSION = Not(Previous(Not(FALSUM)))
 
 _PAST_TYPES = (Falsum, AtomRef, Not, And, Or, Previous, Since, Trigger)
-_SUGAR = {
-    Verum: lambda: CORE_TRUE,
-    InitialConst: lambda: INITIAL_EXPANSION,
-    WeakPrevious: lambda x: Or(Previous(x), INITIAL_EXPANSION),
-    AlwaysBefore: lambda x: Trigger(FALSUM, x),
-    EventuallyBefore: lambda x: Since(CORE_TRUE, x),
-}
-_LEAVES = frozenset((AtomRef, Falsum))
-_CORE_BINARY = frozenset((And, Or, Since, Trigger))
-_SURFACE_UNARY = frozenset((Not, Previous, WeakPrevious, AlwaysBefore,
-                            EventuallyBefore))
-_UNARY_TYPES = tuple(_SURFACE_UNARY) + (Always, WeakNextAlways)
+_UNARY_TYPES = (Not, Previous, Always, WeakNextAlways)
 _BINARY_TYPES = (And, Or, Since, Trigger, Implies, Iff)
 
 
@@ -218,11 +181,6 @@ def _children(f) -> tuple:
     return ()
 
 
-def _child(f, index: int):
-    kids = _children(f)
-    return kids[index]
-
-
 def is_past_formula(f) -> bool:
     """True when `f` uses only the core past connectives."""
     stack = [f]
@@ -232,49 +190,6 @@ def is_past_formula(f) -> bool:
             return False
         stack.extend(_children(node))
     return True
-
-
-def expand_derived(f: SurfaceFormula) -> PastFormula:
-    """Rewrite surface sugar into core form.
-
-    true becomes `not false`; `initially` becomes `not prev not false`;
-    `always_before f` becomes `false trigger f`; `eventually_before f`
-    becomes `not false since f`; `wprev f` becomes `prev f or initially`.
-    Core formulas are returned unchanged (the function is idempotent),
-    at any depth: the walk keeps its own stack.
-    """
-    done: dict[int, PastFormula] = {}
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        tp = type(g)
-        # A child is done when it is a leaf or has been rewritten.
-        if tp in _CORE_BINARY:
-            lhs = g.lhs if type(g.lhs) in _LEAVES else done.get(id(g.lhs))
-            rhs = g.rhs if type(g.rhs) in _LEAVES else done.get(id(g.rhs))
-            if lhs is None or rhs is None:
-                stack += [k for k, new in ((g.rhs, rhs), (g.lhs, lhs))
-                          if new is None]
-                continue
-            out = g if lhs is g.lhs and rhs is g.rhs else tp(lhs, rhs)
-        elif tp in _SURFACE_UNARY:
-            arg = g.arg if type(g.arg) in _LEAVES else done.get(id(g.arg))
-            if arg is None:
-                stack.append(g.arg)
-                continue
-            if tp in _SUGAR:
-                out = _SUGAR[tp](arg)
-            else:
-                out = g if arg is g.arg else tp(arg)
-        elif tp in _LEAVES:
-            out = g
-        elif tp in _SUGAR:
-            out = _SUGAR[tp]()
-        else:
-            raise TypeError(f"not a past or surface formula: {g!r}")
-        done[id(g)] = out
-        stack.pop()
-    return done[id(f)]
 
 
 def formula_atoms(f) -> frozenset[Atom]:
@@ -305,52 +220,43 @@ class Occurrence:
     """One atom occurrence inside a formula.
 
     Polarity counts enclosing negations (even is positive); presentness
-    is past exactly when the path crosses a Previous node.  `path` is
-    the sequence of child indices from the root to the occurrence.
+    is past exactly when the occurrence sits under a Previous node.
+    `negated` is true under at least one negation, so a doubly negated
+    occurrence is positive yet negated.
     """
 
     atom: Atom
     polarity: str
     presentness: str
-    path: tuple[int, ...]
+    negated: bool
 
 
 def classify_occurrences(f: PastFormula) -> tuple[Occurrence, ...]:
     """All atom occurrences of a core formula, in left-to-right order."""
     out: list[Occurrence] = []
-    stack: list[tuple] = [(f, 0, 0, ())]
+    stack: list[tuple] = [(f, 0, 0)]
     while stack:
-        node, negs, prevs, path = stack.pop()
+        node, negs, prevs = stack.pop()
         tp = type(node)
         if tp is AtomRef:
             out.append(Occurrence(
                 node.name,
                 NEGATIVE if negs % 2 else POSITIVE,
                 PAST if prevs else PRESENT,
-                path,
+                negs > 0,
             ))
         elif tp is Falsum:
             pass
         elif tp is Not:
-            stack.append((node.arg, negs + 1, prevs, path + (0,)))
+            stack.append((node.arg, negs + 1, prevs))
         elif tp is Previous:
-            stack.append((node.arg, negs, prevs + 1, path + (0,)))
+            stack.append((node.arg, negs, prevs + 1))
         elif tp in (And, Or, Since, Trigger):
-            stack.append((node.rhs, negs, prevs, path + (1,)))
-            stack.append((node.lhs, negs, prevs, path + (0,)))
+            stack.append((node.rhs, negs, prevs))
+            stack.append((node.lhs, negs, prevs))
         else:
             raise ValueError(f"not a core past formula: {node!r}")
     return tuple(out)
-
-
-def in_negation_scope(root: PastFormula, occ: Occurrence) -> bool:
-    """True when the occurrence sits under at least one negation."""
-    node = root
-    for index in occ.path:
-        if type(node) is Not:
-            return True
-        node = _child(node, index)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +283,7 @@ def is_literal_conjunction(f: PastFormula) -> bool:
         if tp is And:
             stack.append(node.lhs)
             stack.append(node.rhs)
-        elif tp is AtomRef or tp is Verum:
+        elif tp is AtomRef:
             pass
         elif tp is Not and type(node.arg) in (AtomRef, Falsum):
             pass
@@ -496,13 +402,7 @@ _PREC_TEMPORAL = 4
 _PREC_UNARY = 5
 _PREC_PRIMARY = 6
 
-_UNARY_KEYWORD = {
-    Not: "not",
-    Previous: "prev",
-    WeakPrevious: "wprev",
-    AlwaysBefore: "always_before",
-    EventuallyBefore: "eventually_before",
-}
+_UNARY_KEYWORD = {Not: "not", Previous: "prev"}
 
 
 def format_formula(f) -> str:
@@ -538,12 +438,17 @@ def _render(f, ctx: int) -> str:
         word = "since" if tp is Since else "trigger"
         return (f"({_render(f.lhs, _PREC_UNARY)} {word} "
                 f"{_render(f.rhs, _PREC_UNARY)})")
-    if tp is And:
-        text = f"{_render(f.lhs, _PREC_AND)} and {_render(f.rhs, _PREC_AND + 1)}"
-        return _wrap(text, _PREC_AND, ctx)
-    if tp is Or:
-        text = f"{_render(f.lhs, _PREC_OR)} or {_render(f.rhs, _PREC_OR + 1)}"
-        return _wrap(text, _PREC_OR, ctx)
+    if tp is And or tp is Or:
+        # A left-nested chain prints without parentheses, so its spine is
+        # walked in a loop and long bodies need no recursion on length.
+        prec = _PREC_AND if tp is And else _PREC_OR
+        parts = []
+        while type(f) is tp:
+            parts.append(_render(f.rhs, prec + 1))
+            f = f.lhs
+        parts.append(_render(f, prec))
+        parts.reverse()
+        return _wrap((" and " if tp is And else " or ").join(parts), prec, ctx)
     if tp is Implies:
         text = f"{_render(f.lhs, _PREC_IMPL + 1)} -> {_render(f.rhs, _PREC_IMPL + 1)}"
         return _wrap(text, _PREC_IMPL, ctx)

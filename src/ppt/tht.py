@@ -124,8 +124,7 @@ class _BitEvaluator:
     at point k; `total` selects evaluation on <T, T> instead of <H, T>.
     Negation always recurses on the total side; the other extended
     connectives are classical on either side.  The wrappers `always`
-    and `wnext_always` are read by `formula_sat`, and the parser expands
-    surface sugar; neither is evaluated here.
+    and `wnext_always` are read by `formula_sat`, not evaluated here.
     """
 
     __slots__ = ("h", "t", "lam", "full", "memo")

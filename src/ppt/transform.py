@@ -67,10 +67,17 @@ def support_transform(f: PastFormula, loop: Iterable[Atom]) -> PastFormula:
             return FALSUM if g.name in loop else g
         if tp is Falsum or tp is Not or tp is Previous:
             return g
-        if tp is And:
-            return And(walk(g.lhs), walk(g.rhs))
-        if tp is Or:
-            return Or(walk(g.lhs), walk(g.rhs))
+        if tp is And or tp is Or:
+            # Rebuild the left spine of a conjunction/disjunction chain
+            # in a loop, so that long bodies need no recursion on length.
+            spine = []
+            while type(g) is And or type(g) is Or:
+                spine.append(g)
+                g = g.lhs
+            out = walk(g)
+            for node in reversed(spine):
+                out = type(node)(out, walk(node.rhs))
+            return out
         if tp is Trigger:
             return And(walk(g.rhs),
                        Or(walk(g.lhs), Or(Previous(g), INITIAL_EXPANSION)))
@@ -215,6 +222,17 @@ def simplify(f: ExtFormula) -> ExtFormula:
     result stays semantically equivalent connective by connective.
     """
     tp = type(f)
+    if tp is And or tp is Or:
+        # The left spine of a chain is simplified in a loop, innermost
+        # node first, so that long bodies need no recursion on length.
+        spine = []
+        while type(f) is And or type(f) is Or:
+            spine.append(f)
+            f = f.lhs
+        out = simplify(f)
+        for node in reversed(spine):
+            out = _simplify_junction(node, out, simplify(node.rhs))
+        return out
     if tp is Not:
         arg = simplify(f.arg)
         if type(arg) is Falsum:
@@ -222,26 +240,6 @@ def simplify(f: ExtFormula) -> ExtFormula:
         if type(arg) is Verum:
             return FALSUM
         return f if arg is f.arg else Not(arg)
-    if tp is And:
-        lhs = simplify(f.lhs)
-        rhs = simplify(f.rhs)
-        if type(lhs) is Falsum or type(rhs) is Falsum:
-            return FALSUM
-        if type(lhs) is Verum:
-            return rhs
-        if type(rhs) is Verum:
-            return lhs
-        return f if lhs is f.lhs and rhs is f.rhs else And(lhs, rhs)
-    if tp is Or:
-        lhs = simplify(f.lhs)
-        rhs = simplify(f.rhs)
-        if type(lhs) is Verum or type(rhs) is Verum:
-            return VERUM
-        if type(lhs) is Falsum:
-            return rhs
-        if type(rhs) is Falsum:
-            return lhs
-        return f if lhs is f.lhs and rhs is f.rhs else Or(lhs, rhs)
     if tp in (Previous, Always, WeakNextAlways):
         arg = simplify(f.arg)
         return f if arg is f.arg else tp(arg)
@@ -251,3 +249,21 @@ def simplify(f: ExtFormula) -> ExtFormula:
         return f if lhs is f.lhs and rhs is f.rhs else tp(lhs, rhs)
     return f
 
+
+def _simplify_junction(f, lhs: ExtFormula, rhs: ExtFormula) -> ExtFormula:
+    """Rewrite the conjunction or disjunction `f` given its simplified sides."""
+    if type(f) is And:
+        if type(lhs) is Falsum or type(rhs) is Falsum:
+            return FALSUM
+        if type(lhs) is Verum:
+            return rhs
+        if type(rhs) is Verum:
+            return lhs
+    else:
+        if type(lhs) is Verum or type(rhs) is Verum:
+            return VERUM
+        if type(lhs) is Falsum:
+            return rhs
+        if type(rhs) is Falsum:
+            return lhs
+    return f if lhs is f.lhs and rhs is f.rhs else type(f)(lhs, rhs)

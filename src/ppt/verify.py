@@ -28,8 +28,7 @@ from .errors import LengthMismatch
 from .syntax import (
     And, Atom, AtomRef, CORE_TRUE, FALSUM, INITIAL_EXPANSION, Not, Or,
     PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger,
-    classify_occurrences, format_program, in_negation_scope, POSITIVE,
-    PRESENT,
+    classify_occurrences, format_program, PRESENT,
 )
 from .tht import HTTrace, Trace, enumerate_ts_models, ht_sat, three_valued
 from .ltlf import enumerate_ltlf_models
@@ -103,7 +102,7 @@ def _violations(f: PastFormula, atoms: frozenset[Atom],
             continue
         if present_only and occ.presentness != PRESENT:
             continue
-        if occ.polarity == POSITIVE and not in_negation_scope(f, occ):
+        if not occ.negated:
             bad.add(occ.atom)
     return bad
 

@@ -9,6 +9,7 @@ import pytest
 import ppt
 
 from ppt.cli import main
+from ppt.parser import MAX_NESTING
 
 from conftest import P1_TEXT, P2_TEXT
 
@@ -72,11 +73,6 @@ class TestModels:
                            "--budget", "10")
         assert code == 3
         assert "budget" in err
-
-    def test_env_budget(self, capsys, p1_file, monkeypatch):
-        monkeypatch.setenv("PPT_BUDGET", "10")
-        code, _, _ = run(capsys, "models", p1_file, "--length", "2")
-        assert code == 3
 
     def test_alphabet_must_cover(self, capsys, p1_file):
         code, _, err = run(capsys, "models", p1_file, "--length", "1",
@@ -151,6 +147,70 @@ class TestDeepBody:
         doc = json.loads(out)
         assert doc["equal"] is True
         assert doc["ltlf_models"] == self.MODELS
+
+
+class TestDeepRuleBody:
+    """A rule with a head and 2,000 conjuncts, which the compiler rewrites
+    and prints: no walk over the body may recurse on its length."""
+
+    @pytest.fixture
+    def deep_file(self, tmp_path):
+        path = tmp_path / "deep_rule.ppt"
+        conjuncts = ", ".join(["prev a"] * 2000)
+        path.write_text(f"a.\n#dynamic.\nb :- {conjuncts}.\na :- b.\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--length", "3", "--mode", "unitary"],
+        ["lf", "--unitary"],
+        ["complete"],
+        ["complete", "--simplify"],
+        ["embed"],
+    ])
+    def test_command(self, capsys, deep_file, argv):
+        code, out, err = run(capsys, argv[0], deep_file, *argv[1:])
+        assert (code, err) == (0, "")
+        if argv[0] == "verify":
+            assert json.loads(out)["equal"] is True
+        else:
+            assert "prev a and prev a" in out
+
+
+class TestDeepNesting:
+    """Nesting past the parser's fixed limit is a parse error at the
+    first token beyond it; nesting up to the limit runs everywhere."""
+
+    COMMANDS = [["check"], ["models", "--length", "2"], ["graph"], ["loops"],
+                ["complete", "--simplify"], ["lf", "--unitary"], ["embed"],
+                ["verify", "--length", "2", "--mode", "unitary"]]
+
+    def write(self, tmp_path, body):
+        path = tmp_path / "nested.ppt"
+        path.write_text(f"#dynamic.\nb :- {body}.\nc :- b.\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_parentheses(self, capsys, tmp_path, argv):
+        path = self.write(tmp_path, "(" * 400 + "c" + ")" * 400)
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, out) == (1, "")
+        column = len("b :- ") + MAX_NESTING + 1
+        assert err.startswith(f"{path}:2:{column}: error: ")
+
+    def test_stacked_negations(self, capsys, tmp_path):
+        path = self.write(tmp_path, "not " * 1500 + "c")
+        code, out, err = run(capsys, "check", path)
+        assert (code, out) == (1, "")
+        column = len("b :- ") + 4 * MAX_NESTING + 1
+        assert err.startswith(f"{path}:2:{column}: error: ")
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_at_the_limit(self, capsys, tmp_path, argv):
+        half = MAX_NESTING // 2
+        body = "(c; " * half + "not " * half + "b" + ")" * half
+        path = self.write(tmp_path, body)
+        code, _, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, err) == (0, "")
 
 
 class TestUnreadableInput:

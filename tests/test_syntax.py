@@ -2,12 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ppt import (
-    AlwaysBefore, And, AtomRef, EventuallyBefore, FALSUM, Falsum, Not, Or,
-    Previous, Program, Rule, RuleKind, Since, Trigger, Verum, WeakPrevious,
-    atoms_of, classify_occurrences, expand_derived, format, format_formula,
-    in_negation_scope, is_past_formula, parse_formula, parse_program,
+    And, AtomRef, FALSUM, Falsum, Not, Or, Previous, Program, Rule, RuleKind,
+    Since, Trigger, atoms_of, classify_occurrences, format, format_formula,
+    is_past_formula, parse_formula, parse_program,
 )
-from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION, InitialConst
+from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION
 
 atoms = st.sampled_from(("a", "b", "c"))
 leaves = st.one_of(st.builds(AtomRef, atoms), st.just(FALSUM))
@@ -23,66 +22,69 @@ past_formulas = st.recursive(
     ),
     max_leaves=8,
 )
-surface_formulas = st.recursive(
-    st.one_of(leaves, st.just(Verum()), st.just(InitialConst())),
+
+# Pairs of (text with sugar, the same formula written by hand in core
+# syntax), so the sugar tables of the parser are checked against an
+# independent spelling.
+_UNARY_SPELLING = {
+    "not": "not ({})",
+    "prev": "prev ({})",
+    "wprev": "(prev ({}) or not prev not false)",
+    "always_before": "(false trigger ({}))",
+    "eventually_before": "(not false since ({}))",
+}
+_BINARY_WORDS = ("and", "or", "since", "trigger")
+sugar_texts = st.recursive(
+    st.one_of(
+        atoms.map(lambda a: (a, a)),
+        st.sampled_from([("false", "false"), ("true", "not false"),
+                         ("initially", "not prev not false")]),
+    ),
     lambda kids: st.one_of(
-        st.builds(Not, kids),
-        st.builds(Previous, kids),
-        st.builds(WeakPrevious, kids),
-        st.builds(AlwaysBefore, kids),
-        st.builds(EventuallyBefore, kids),
-        st.builds(And, kids, kids),
-        st.builds(Or, kids, kids),
-        st.builds(Since, kids, kids),
-        st.builds(Trigger, kids, kids),
+        st.builds(lambda word, kid: (f"{word} ({kid[0]})",
+                                     _UNARY_SPELLING[word].format(kid[1])),
+                  st.sampled_from(sorted(_UNARY_SPELLING)), kids),
+        st.builds(lambda word, l, r: (f"({l[0]}) {word} ({r[0]})",
+                                      f"({l[1]}) {word} ({r[1]})"),
+                  st.sampled_from(_BINARY_WORDS), kids, kids),
     ),
     max_leaves=8,
 )
 
 
 class TestExpand:
+    """The parser builds every sugar keyword in its core spelling."""
+
     def test_verum(self):
-        assert expand_derived(Verum()) == Not(FALSUM)
+        assert parse_formula("true") == Not(FALSUM)
 
     def test_initially(self):
-        assert expand_derived(InitialConst()) == Not(Previous(Not(FALSUM)))
+        assert parse_formula("initially") == Not(Previous(Not(FALSUM)))
 
     def test_always_before(self):
-        a = AtomRef("a")
-        assert expand_derived(AlwaysBefore(a)) == Trigger(FALSUM, a)
+        assert parse_formula("always_before a") == Trigger(FALSUM, AtomRef("a"))
 
     def test_eventually_before(self):
-        a = AtomRef("a")
-        assert expand_derived(EventuallyBefore(a)) == Since(CORE_TRUE, a)
+        assert parse_formula("eventually_before a") == Since(CORE_TRUE,
+                                                             AtomRef("a"))
 
     def test_weak_previous(self):
-        a = AtomRef("a")
-        assert expand_derived(WeakPrevious(a)) == Or(Previous(a), INITIAL_EXPANSION)
+        assert parse_formula("wprev a") == Or(Previous(AtomRef("a")),
+                                              INITIAL_EXPANSION)
 
-    def test_identity_on_core_atom(self):
-        assert expand_derived(AtomRef("a")) == AtomRef("a")
-
-    @given(surface_formulas)
-    def test_idempotent_and_core(self, f):
-        once = expand_derived(f)
-        assert is_past_formula(once)
-        assert expand_derived(once) == once
-
-    @given(surface_formulas)
-    def test_core_formula_comes_back_as_the_same_object(self, f):
-        once = expand_derived(f)
-        assert expand_derived(once) is once
+    @given(sugar_texts)
+    def test_sugar_text_parses_to_hand_expanded_core(self, pair):
+        sugar, core = pair
+        parsed = parse_formula(sugar)
+        assert is_past_formula(parsed)
+        assert parsed == parse_formula(core)
 
     def test_deep_formula_needs_no_recursion(self):
-        core = surface = AtomRef("a")
-        for _ in range(5000):
-            core = And(core, INITIAL_EXPANSION)
-            surface = And(surface, InitialConst())
-        assert expand_derived(core) is core
+        parsed = parse_formula("a" + ", initially" * 5000)
         # Dataclass equality recurses, so compare along the left spine.
-        node, depth = expand_derived(surface), 0
+        node, depth = parsed, 0
         while type(node) is And:
-            assert node.rhs is INITIAL_EXPANSION
+            assert node.rhs == INITIAL_EXPANSION
             node, depth = node.lhs, depth + 1
         assert (node, depth) == (AtomRef("a"), 5000)
 
@@ -108,7 +110,7 @@ class TestOccurrences:
         (occ,) = classify_occurrences(f)
         assert occ.polarity == "positive"
         assert occ.presentness == "present"
-        assert in_negation_scope(f, occ)
+        assert occ.negated
 
     @given(past_formulas)
     def test_counts_leaves(self, f):
@@ -126,17 +128,23 @@ class TestOccurrences:
 
     @given(past_formulas)
     def test_past_iff_path_crosses_previous(self, f):
-        # Independent check: replay each path and look for Previous nodes.
-        for occ in classify_occurrences(f):
-            node = f
-            crossed = False
-            for idx in occ.path:
-                if type(node) is Previous:
-                    crossed = True
-                node = (node.arg if type(node) in (Not, Previous)
-                        else (node.lhs if idx == 0 else node.rhs))
-            assert type(node) is AtomRef and node.name == occ.atom
-            assert (occ.presentness == "past") == crossed
+        # Independent listing, by plain recursion over the tree, of every
+        # occurrence with the negations and Previous nodes above it.
+        def listing(g, negs, prevs):
+            tp = type(g)
+            if tp is AtomRef:
+                return [(g.name, "negative" if negs % 2 else "positive",
+                         "past" if prevs else "present", negs > 0)]
+            if tp is Falsum:
+                return []
+            if tp is Not:
+                return listing(g.arg, negs + 1, prevs)
+            if tp is Previous:
+                return listing(g.arg, negs, prevs + 1)
+            return listing(g.lhs, negs, prevs) + listing(g.rhs, negs, prevs)
+
+        assert [(o.atom, o.polarity, o.presentness, o.negated)
+                for o in classify_occurrences(f)] == listing(f, 0, 0)
 
 
 class TestFormat:

@@ -7,8 +7,8 @@ from ppt import (
     Or, Previous, Since, Trace, Trigger, UnknownAtom, VERUM, WeakNextAlways,
     classify_occurrences, completion, completion_atom, enumerate_ltlf_models,
     enumerate_ts_models, external_support, format_formula, ht_sat,
-    in_negation_scope, loop_formulas, ltlf_sat, parse_formula, parse_program,
-    program_as_ltlf, simplify, sourced_completion, sourced_loop_formulas,
+    loop_formulas, ltlf_sat, parse_formula, parse_program, program_as_ltlf,
+    simplify, sourced_completion, sourced_loop_formulas,
     sourced_program_as_ltlf, support_transform,
 )
 from ppt.syntax import CORE_TRUE, FINAL_CONST, INITIAL_CONST
@@ -66,8 +66,7 @@ class TestSupportTransform:
             out = support_transform(f, loop)
             for occ in classify_occurrences(out):
                 if occ.atom in loop:
-                    assert (occ.presentness == "past"
-                            or in_negation_scope(out, occ))
+                    assert occ.presentness == "past" or occ.negated
 
 
 class TestExternalSupport:
@@ -245,8 +244,7 @@ class TestLemmaSupportInstance:
             pivot = rng.randrange(lam)
             bad = {occ.atom for occ in classify_occurrences(f)
                    if occ.atom not in loop
-                   and not in_negation_scope(f, occ)
-                   and occ.polarity == "positive"}
+                   and not occ.negated}
             candidates = sorted(frozenset(atoms) - loop - bad)
             pivot_set = loop | frozenset(
                 rng.sample(candidates, rng.randint(0, len(candidates))))
