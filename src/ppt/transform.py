@@ -231,7 +231,22 @@ def simplify(f: ExtFormula) -> ExtFormula:
             f = f.lhs
         out = simplify(f)
         for node in reversed(spine):
-            out = _simplify_junction(node, out, simplify(node.rhs))
+            rhs = simplify(node.rhs)
+            if type(node) is And:
+                if type(out) is Falsum or type(rhs) is Falsum:
+                    out = FALSUM
+                elif type(out) is Verum:
+                    out = rhs
+                elif type(rhs) is not Verum:
+                    out = (node if out is node.lhs and rhs is node.rhs
+                           else And(out, rhs))
+            elif type(out) is Verum or type(rhs) is Verum:
+                out = VERUM
+            elif type(out) is Falsum:
+                out = rhs
+            elif type(rhs) is not Falsum:
+                out = (node if out is node.lhs and rhs is node.rhs
+                       else Or(out, rhs))
         return out
     if tp is Not:
         arg = simplify(f.arg)
@@ -249,21 +264,3 @@ def simplify(f: ExtFormula) -> ExtFormula:
         return f if lhs is f.lhs and rhs is f.rhs else tp(lhs, rhs)
     return f
 
-
-def _simplify_junction(f, lhs: ExtFormula, rhs: ExtFormula) -> ExtFormula:
-    """Rewrite the conjunction or disjunction `f` given its simplified sides."""
-    if type(f) is And:
-        if type(lhs) is Falsum or type(rhs) is Falsum:
-            return FALSUM
-        if type(lhs) is Verum:
-            return rhs
-        if type(rhs) is Verum:
-            return lhs
-    else:
-        if type(lhs) is Verum or type(rhs) is Verum:
-            return VERUM
-        if type(lhs) is Falsum:
-            return rhs
-        if type(rhs) is Falsum:
-            return lhs
-    return f if lhs is f.lhs and rhs is f.rhs else type(f)(lhs, rhs)
