@@ -28,7 +28,7 @@ from .tht import (
 )
 from .ltlf import enumerate_ltlf_models, ltlf_sat
 from .depgraph import (
-    DepGraph, Loop, dependency_graph, enumerate_loops, is_tight, iter_loops,
+    DepGraph, Loop, dependency_graph, enumerate_loops, is_tight,
     section_graphs,
 )
 from .transform import (

@@ -21,7 +21,7 @@ enumeration and has no cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import MixedSection, SccTooLarge
 from .syntax import (
@@ -30,7 +30,7 @@ from .syntax import (
 
 __all__ = [
     "SCC_CAP", "DepGraph", "Loop", "dependency_graph", "section_graphs",
-    "enumerate_loops", "iter_loops", "is_tight",
+    "enumerate_loops", "is_tight",
 ]
 
 SCC_CAP = 20
@@ -169,12 +169,12 @@ def _strongly_connected(subset: tuple[Atom, ...],
     return reach(succ) == members and reach(pred) == members
 
 
-def iter_loops(g: DepGraph, unitary: bool = False) -> Iterator[Loop]:
-    """Stream the loops of a graph, checking the SCC cap up front.
+def enumerate_loops(g: DepGraph, unitary: bool = False) -> tuple[Loop, ...]:
+    """All loops of a graph in canonical (sorted) order.
 
     Loops of size two or more are strongly connected subsets of a single
-    SCC.  Singletons need a self-edge in the default regime and are
-    unconditional in the unitary regime.
+    SCC, which must not exceed the cap.  Singletons need a self-edge in
+    the default regime and are unconditional in the unitary regime.
     """
     succ = _successors(g)
     pred: dict[Atom, list[Atom]] = {v: [] for v in succ}
@@ -186,9 +186,9 @@ def iter_loops(g: DepGraph, unitary: bool = False) -> Iterator[Loop]:
             raise SccTooLarge(
                 f"component of size {len(component)} exceeds cap {SCC_CAP}")
     self_edges = {a for a, b in g.edges if a == b}
-    for vertex in sorted(g.vertices):
-        if unitary or vertex in self_edges:
-            yield Loop(frozenset((vertex,)), g.section)
+    loops = [Loop(frozenset((vertex,)), g.section)
+             for vertex in sorted(g.vertices)
+             if unitary or vertex in self_edges]
     for component in sccs:
         if len(component) < 2:
             continue
@@ -198,12 +198,7 @@ def iter_loops(g: DepGraph, unitary: bool = False) -> Iterator[Loop]:
             if len(subset) < 2:
                 continue
             if _strongly_connected(subset, succ, pred):
-                yield Loop(frozenset(subset), g.section)
-
-
-def enumerate_loops(g: DepGraph, unitary: bool = False) -> tuple[Loop, ...]:
-    """All loops of a graph in canonical (sorted) order."""
-    loops = set(iter_loops(g, unitary))
+                loops.append(Loop(frozenset(subset), g.section))
     return tuple(sorted(loops, key=Loop.sort_key))
 
 

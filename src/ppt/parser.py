@@ -22,7 +22,8 @@ core formulas:
     always_before f       false trigger f
     eventually_before f   true since f
 
-Parentheses and unary operators may nest at most `MAX_NESTING` deep;
+Parentheses, unary operators and the operators of a `since`/`trigger`
+chain each count one level of nesting, up to `MAX_NESTING` levels;
 deeper input raises :class:`ParseError` at the first token past the
 limit.  Initial and final rule bodies must be conjunctions of regular
 literals and final rules must have empty heads; violations raise
@@ -193,14 +194,16 @@ class _Parser:
         return self.primary()
 
     def temporal(self):
+        # A chain nests to the left, one level per operator, so each
+        # operator counts against the limit until the chain ends.
         left = self.unary()
-        while True:
-            if self.eat("since"):
-                left = Since(left, self.unary())
-            elif self.eat("trigger"):
-                left = Trigger(left, self.unary())
-            else:
-                return left
+        outer = self.depth
+        while self.at("since") or self.at("trigger"):
+            op = Since if self.at("since") else Trigger
+            left = op(left, self.nested(self.unary))
+            self.depth += 1
+        self.depth = outer
+        return left
 
     def conjunction(self):
         left = self.temporal()

@@ -32,9 +32,9 @@ __all__ = [
     "FALSUM", "VERUM", "INITIAL_CONST", "FINAL_CONST", "CORE_TRUE",
     "INITIAL_EXPANSION",
     "RuleKind", "Rule", "Program",
-    "Occurrence", "POSITIVE", "NEGATIVE", "PRESENT", "PAST",
+    "Occurrence", "PRESENT", "PAST",
     "is_past_formula", "classify_occurrences", "formula_atoms", "atoms_of",
-    "is_literal_conjunction", "head_disjunction", "and_chain", "or_chain",
+    "is_literal_conjunction", "head_disjunction", "or_chain",
     "format", "format_formula", "format_rule", "format_program",
 ]
 
@@ -209,8 +209,6 @@ def formula_atoms(f) -> frozenset[Atom]:
 # Occurrence analysis
 # ---------------------------------------------------------------------------
 
-POSITIVE = "positive"
-NEGATIVE = "negative"
 PRESENT = "present"
 PAST = "past"
 
@@ -219,14 +217,13 @@ PAST = "past"
 class Occurrence:
     """One atom occurrence inside a formula.
 
-    Polarity counts enclosing negations (even is positive); presentness
-    is past exactly when the occurrence sits under a Previous node.
-    `negated` is true under at least one negation, so a doubly negated
-    occurrence is positive yet negated.
+    Presentness is past exactly when the occurrence sits under a
+    Previous node.  `negated` is true under at least one negation; the
+    positive occurrences of the paper are exactly the ones that are not
+    negated, whatever the number of enclosing negations.
     """
 
     atom: Atom
-    polarity: str
     presentness: str
     negated: bool
 
@@ -234,26 +231,21 @@ class Occurrence:
 def classify_occurrences(f: PastFormula) -> tuple[Occurrence, ...]:
     """All atom occurrences of a core formula, in left-to-right order."""
     out: list[Occurrence] = []
-    stack: list[tuple] = [(f, 0, 0)]
+    stack: list[tuple] = [(f, False, PRESENT)]
     while stack:
-        node, negs, prevs = stack.pop()
+        node, negated, presentness = stack.pop()
         tp = type(node)
         if tp is AtomRef:
-            out.append(Occurrence(
-                node.name,
-                NEGATIVE if negs % 2 else POSITIVE,
-                PAST if prevs else PRESENT,
-                negs > 0,
-            ))
+            out.append(Occurrence(node.name, presentness, negated))
         elif tp is Falsum:
             pass
         elif tp is Not:
-            stack.append((node.arg, negs + 1, prevs))
+            stack.append((node.arg, True, presentness))
         elif tp is Previous:
-            stack.append((node.arg, negs, prevs + 1))
+            stack.append((node.arg, negated, PAST))
         elif tp in (And, Or, Since, Trigger):
-            stack.append((node.rhs, negs, prevs))
-            stack.append((node.lhs, negs, prevs))
+            stack.append((node.rhs, negated, presentness))
+            stack.append((node.lhs, negated, presentness))
         else:
             raise ValueError(f"not a core past formula: {node!r}")
     return tuple(out)
@@ -365,14 +357,6 @@ def atoms_of(p: Program) -> frozenset[Atom]:
         names.update(r.head)
         names.update(formula_atoms(r.body))
     return frozenset(names)
-
-
-def and_chain(parts: Iterable, empty) -> object:
-    """Left-associated conjunction of `parts`; `empty` when there are none."""
-    out = None
-    for part in parts:
-        out = part if out is None else And(out, part)
-    return empty if out is None else out
 
 
 def or_chain(parts: Iterable, empty) -> object:

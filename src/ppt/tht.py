@@ -96,10 +96,6 @@ class HTTrace:
     def total(cls, t: Trace) -> "HTTrace":
         return cls(t, t)
 
-    @property
-    def is_total(self) -> bool:
-        return self.h == self.t
-
     def __len__(self) -> int:
         return len(self.h)
 

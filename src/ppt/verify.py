@@ -17,12 +17,15 @@ the loop for the support lemma).
 
 The random generators are deterministic per seed, and the `run_*_suite`
 helpers drive seeded batches for the command line and the test suite.
+`verify_correspondence` and `run_correspondence_suite` both take each
+mode's translation from `_target_formulas`, which looks the translation
+functions up by name at call time.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import LengthMismatch
 from .syntax import (
@@ -144,12 +147,15 @@ def check_lemma_pastocc(f: PastFormula, m: HTTrace, mask: TraceMask) -> bool:
 
 _ATOM_POOL = ("a", "b", "c", "d")
 
-# Binary/unary connective weights for random bodies; temporal operators
-# are favoured so since/trigger/previous get real coverage.
-_DEFAULT_WEIGHTS = (
+# Connective weights for random bodies; temporal operators are favoured
+# so since/trigger/previous get real coverage.
+_WEIGHTS = (
     ("since", 2), ("trigger", 2), ("prev", 2), ("and", 1), ("or", 1),
     ("not", 1), ("leaf", 1),
 )
+
+# At most this many negations on any path of a random body.
+_MAX_NEGATIONS = 2
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,6 @@ class GenConfig:
     max_rules: int = 6
     max_body_depth: int = 3
     lambda_range: tuple[int, int] = (1, 3)
-    weights: tuple[tuple[str, int], ...] = _DEFAULT_WEIGHTS
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_atoms <= 4:
@@ -175,13 +180,11 @@ class GenConfig:
             raise ValueError("lambda_range must be within [1, 4]")
 
 
-def random_past_formula(rng: random.Random, atoms, depth: int,
-                        neg_budget: int = 2,
-                        weights=_DEFAULT_WEIGHTS) -> PastFormula:
+def random_past_formula(rng: random.Random, atoms, depth: int) -> PastFormula:
     """A random core past formula of at most the given depth."""
     atoms = tuple(atoms)
-    names = [name for name, _ in weights]
-    table = dict(weights)
+    names = [name for name, _ in _WEIGHTS]
+    table = dict(_WEIGHTS)
 
     def leaf() -> PastFormula:
         if rng.random() < 0.08:
@@ -192,7 +195,7 @@ def random_past_formula(rng: random.Random, atoms, depth: int,
         if d <= 0:
             return leaf()
         options = [n for n in names
-                   if n != "not" or negs < neg_budget]
+                   if n != "not" or negs < _MAX_NEGATIONS]
         pick = rng.choices(options, [table[n] for n in options])[0]
         if pick == "leaf":
             return leaf()
@@ -239,8 +242,7 @@ def random_program(cfg: GenConfig) -> Program:
             head = tuple(sorted(rng.sample(atoms, min(size, len(atoms)))))
         if kind is RuleKind.DYNAMIC:
             body = random_past_formula(
-                rng, atoms, rng.randint(0, cfg.max_body_depth),
-                weights=cfg.weights)
+                rng, atoms, rng.randint(0, cfg.max_body_depth))
         else:
             body = _random_literal_body(rng, atoms)
         rules.append(Rule(kind, head, body, index))
@@ -324,15 +326,13 @@ def verify_correspondence(p: Program, lam: int, mode: str,
 # ---------------------------------------------------------------------------
 
 def run_correspondence_suite(cases: int = 500, seed: int = 0,
-                      cfg: GenConfig | None = None,
-                      budget: int | None = None) -> dict:
+                             budget: int | None = None) -> dict:
     """Seeded correspondence batch over random programs.
 
-    Checks, per case: completion-plus-loops equality, unitary-regime
-    equality, stable models always within the completion models, and
-    completion equality whenever the program is tight.
+    Checks, per case and per mode: stable models always within the
+    completion models, completion equality whenever the program is
+    tight, and equality for the two loop-formula modes.
     """
-    base = cfg or GenConfig()
     rng = random.Random(seed)
     summary = {
         "cases": cases,
@@ -346,35 +346,30 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0,
     }
     for case in range(cases):
         case_seed = rng.getrandbits(32)
-        p = random_program(replace(base, seed=case_seed))
-        p = Program(p.rules, frozenset(_ATOM_POOL[:base.max_atoms]))
-        lam = random.Random(case_seed ^ 0x5EED).randint(*base.lambda_range)
+        cfg = GenConfig(seed=case_seed)
+        p = random_program(cfg)
+        p = Program(p.rules, frozenset(_ATOM_POOL[:cfg.max_atoms]))
+        lam = random.Random(case_seed ^ 0x5EED).randint(*cfg.lambda_range)
 
         ts = enumerate_ts_models(p, lam, p.alphabet, budget)
-        cf = completion(p)
-        ok = True
-        m_cf = enumerate_ltlf_models(cf, lam, p.alphabet, budget)
-        if not ts <= m_cf:
-            summary["soundness_failures"] += 1
-            ok = False
         tight = is_tight(p)
         if tight:
             summary["tight_cases"] += 1
-            if ts != m_cf:
-                summary["completion_tight_failures"] += 1
-                ok = False
-        m_cfl = enumerate_ltlf_models(
-            cf + loop_formulas(p, unitary=False), lam, p.alphabet, budget)
-        if ts != m_cfl:
-            summary["completion_loops_failures"] += 1
-            ok = False
-        m_uni = enumerate_ltlf_models(
-            program_as_ltlf(p) + loop_formulas(p, unitary=True),
-            lam, p.alphabet, budget)
-        if ts != m_uni:
-            summary["unitary_loops_failures"] += 1
-            ok = False
-        if not ok:
+        failed = []
+        for mode in MODES:
+            models = enumerate_ltlf_models(
+                _target_formulas(p, mode), lam, p.alphabet, budget)
+            if mode != "completion":
+                if ts != models:
+                    failed.append(f"{mode}_failures")
+                continue
+            if not ts <= models:
+                failed.append("soundness_failures")
+            if tight and ts != models:
+                failed.append("completion_tight_failures")
+        for key in failed:
+            summary[key] += 1
+        if failed:
             summary["failing_seeds"].append(case_seed)
     summary["failures"] = (
         summary["completion_loops_failures"]
@@ -412,9 +407,7 @@ def _random_mask(rng: random.Random, atoms, lam: int, pivot: int,
     return TraceMask(base, pivot, tuple(extra))
 
 
-def run_lemma_suite(lemma: str, cases: int = 10_000, seed: int = 0,
-                    max_atoms: int = 3, max_depth: int = 4,
-                    max_lambda: int = 3) -> dict:
+def run_lemma_suite(lemma: str, cases: int = 10_000, seed: int = 0) -> dict:
     """Seeded batch for one of the masking lemmas.
 
     `lemma` is "support" or "pastocc".  Returns checked/skipped/failure
@@ -422,35 +415,32 @@ def run_lemma_suite(lemma: str, cases: int = 10_000, seed: int = 0,
     """
     if lemma not in ("support", "pastocc"):
         raise ValueError(f"unknown lemma {lemma!r}")
+    support = lemma == "support"
     rng = random.Random(seed)
-    atoms = _ATOM_POOL[:max_atoms]
+    atoms = _ATOM_POOL[:3]
     summary = {"lemma": lemma, "cases": cases, "seed": seed,
                "checked": 0, "skipped": 0, "failures": 0}
     for _ in range(cases):
-        lam = rng.randint(1, max_lambda)
+        lam = rng.randint(1, 3)
         m = random_httrace(rng, atoms, lam)
-        f = random_past_formula(rng, atoms, rng.randint(0, max_depth))
+        f = random_past_formula(rng, atoms, rng.randint(0, 4))
         pivot = rng.randrange(lam)
-        if lemma == "support":
-            loop = frozenset(rng.sample(atoms, rng.randint(0, len(atoms))))
-            pivot_atoms = _pick_mask_atoms(rng, f, atoms, loop,
-                                           present_only=False)
-            mask = _random_mask(rng, atoms, lam, pivot, pivot_atoms, loop)
-            try:
-                ok = check_lemma_support(f, loop, m, mask)
-            except PreconditionSkipped:
-                summary["skipped"] += 1
-                continue
-        else:
-            pivot_atoms = _pick_mask_atoms(rng, f, atoms, frozenset(),
-                                           present_only=True)
-            mask = _random_mask(rng, atoms, lam, pivot, pivot_atoms,
-                                frozenset())
-            try:
+        # The support lemma masks a random loop; the past-occurrence
+        # lemma has no loop, so its mask base is empty.
+        base = frozenset()
+        if support:
+            base = frozenset(rng.sample(atoms, rng.randint(0, len(atoms))))
+        pivot_atoms = _pick_mask_atoms(rng, f, atoms, base,
+                                       present_only=not support)
+        mask = _random_mask(rng, atoms, lam, pivot, pivot_atoms, base)
+        try:
+            if support:
+                ok = check_lemma_support(f, base, m, mask)
+            else:
                 ok = check_lemma_pastocc(f, m, mask)
-            except PreconditionSkipped:
-                summary["skipped"] += 1
-                continue
+        except PreconditionSkipped:
+            summary["skipped"] += 1
+            continue
         summary["checked"] += 1
         if not ok:
             summary["failures"] += 1
@@ -458,9 +448,7 @@ def run_lemma_suite(lemma: str, cases: int = 10_000, seed: int = 0,
     return summary
 
 
-def run_semantics_suite(cases: int = 10_000, seed: int = 0,
-                        max_atoms: int = 3, max_depth: int = 5,
-                        max_lambda: int = 4) -> dict:
+def run_semantics_suite(cases: int = 10_000, seed: int = 0) -> dict:
     """Three-valued correspondence and since/trigger unfolding batch.
 
     Per case: the three-valued value must be 2 exactly on here
@@ -469,15 +457,15 @@ def run_semantics_suite(cases: int = 10_000, seed: int = 0,
     previous) must agree with the direct connectives.
     """
     rng = random.Random(seed)
-    atoms = _ATOM_POOL[:max_atoms]
+    atoms = _ATOM_POOL[:3]
     summary = {"cases": cases, "seed": seed,
                "three_valued_failures": 0, "unfolding_failures": 0}
     for _ in range(cases):
-        lam = rng.randint(1, max_lambda)
+        lam = rng.randint(1, 4)
         m = random_httrace(rng, atoms, lam)
         total = HTTrace.total(m.t)
         k = rng.randrange(lam)
-        f = random_past_formula(rng, atoms, rng.randint(0, max_depth))
+        f = random_past_formula(rng, atoms, rng.randint(0, 5))
         value = three_valued(m, k, f)
         if ((value == 2) != ht_sat(m, k, f)
                 or (value != 0) != ht_sat(total, k, f)):

@@ -74,6 +74,13 @@ class TestModels:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("command", ["models", "verify"])
+    def test_budget_long_trace_exit_3(self, capsys, p1_file, command):
+        # 2^(4 * 100,000) candidates: too many digits to print in decimal.
+        code, out, err = run(capsys, command, p1_file, "--length", "100000")
+        assert (code, out) == (3, "")
+        assert "budget" in err
+
     def test_alphabet_must_cover(self, capsys, p1_file):
         code, _, err = run(capsys, "models", p1_file, "--length", "1",
                            "--alphabet", "load")
@@ -208,6 +215,32 @@ class TestDeepNesting:
     def test_at_the_limit(self, capsys, tmp_path, argv):
         half = MAX_NESTING // 2
         body = "(c; " * half + "not " * half + "b" + ")" * half
+        path = self.write(tmp_path, body)
+        code, _, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, err) == (0, "")
+
+    @staticmethod
+    def chain(op, operators):
+        return f" {op} ".join(["c"] * (operators + 1))
+
+    @pytest.mark.parametrize("op", ["since", "trigger"])
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_chain_past_the_limit(self, capsys, tmp_path, argv, op):
+        path = self.write(tmp_path, self.chain(op, 2000))
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, out) == (1, "")
+        # Each operator of the chain is one level: the 101st fails.
+        column = len("b :- ") + MAX_NESTING * len(f"c {op} ") + len("c ") + 1
+        assert err.startswith(f"{path}:2:{column}: error: ")
+
+    @pytest.mark.parametrize("shape", ["since", "trigger", "parenthesised"])
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_chain_at_the_limit(self, capsys, tmp_path, argv, shape):
+        if shape == "parenthesised":
+            half = MAX_NESTING // 2
+            body = "(" * half + self.chain("since", half) + ")" * half
+        else:
+            body = self.chain(shape, MAX_NESTING)
         path = self.write(tmp_path, body)
         code, _, err = run(capsys, argv[0], path, *argv[1:])
         assert (code, err) == (0, "")
@@ -672,6 +705,55 @@ def test_golden_search_output(capsys, tmp_path, program, command):
     want_code, doc = GOLDEN_SEARCH[program, command]
     assert code == want_code
     assert out == json.dumps(doc, indent=2) + "\n"
+
+
+# Exact stdout of `fuzz --cases 50 --seed 5` (all suites), recorded before
+# the correspondence suite read each mode through one table.
+GOLDEN_FUZZ = {
+    "correspondence": {
+        "cases": 50,
+        "seed": 5,
+        "tight_cases": 11,
+        "completion_loops_failures": 0,
+        "unitary_loops_failures": 0,
+        "completion_tight_failures": 0,
+        "soundness_failures": 0,
+        "failing_seeds": [],
+        "failures": 0,
+    },
+    "lemma_pastocc": {
+        "lemma": "pastocc",
+        "cases": 50,
+        "seed": 5,
+        "checked": 43,
+        "skipped": 7,
+        "failures": 0,
+        "skip_rate": 0.14,
+    },
+    "lemma_support": {
+        "lemma": "support",
+        "cases": 50,
+        "seed": 5,
+        "checked": 49,
+        "skipped": 1,
+        "failures": 0,
+        "skip_rate": 0.02,
+    },
+    "semantics": {
+        "cases": 50,
+        "seed": 5,
+        "three_valued_failures": 0,
+        "unfolding_failures": 0,
+        "failures": 0,
+    },
+    "failures": 0,
+}
+
+
+def test_golden_fuzz_output(capsys):
+    code, out, _ = run(capsys, "fuzz", "--cases", "50", "--seed", "5")
+    assert code == 0
+    assert out == json.dumps(GOLDEN_FUZZ, indent=2) + "\n"
 
 
 class TestVerify:

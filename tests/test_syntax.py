@@ -92,12 +92,12 @@ class TestExpand:
 class TestOccurrences:
     def test_rule3_body(self):
         body = parse_formula("shoot, (not unload since load)")
-        occs = {(o.atom, o.polarity, o.presentness)
+        occs = {(o.atom, o.presentness, o.negated)
                 for o in classify_occurrences(body)}
         assert occs == {
-            ("shoot", "positive", "present"),
-            ("unload", "negative", "present"),
-            ("load", "positive", "present"),
+            ("shoot", "present", False),
+            ("unload", "present", True),
+            ("load", "present", False),
         }
 
     def test_previous_makes_past(self):
@@ -108,7 +108,6 @@ class TestOccurrences:
     def test_double_negation_positive_but_in_scope(self):
         f = Not(Not(AtomRef("a")))
         (occ,) = classify_occurrences(f)
-        assert occ.polarity == "positive"
         assert occ.presentness == "present"
         assert occ.negated
 
@@ -133,8 +132,7 @@ class TestOccurrences:
         def listing(g, negs, prevs):
             tp = type(g)
             if tp is AtomRef:
-                return [(g.name, "negative" if negs % 2 else "positive",
-                         "past" if prevs else "present", negs > 0)]
+                return [(g.name, "past" if prevs else "present", negs > 0)]
             if tp is Falsum:
                 return []
             if tp is Not:
@@ -143,7 +141,7 @@ class TestOccurrences:
                 return listing(g.arg, negs, prevs + 1)
             return listing(g.lhs, negs, prevs) + listing(g.rhs, negs, prevs)
 
-        assert [(o.atom, o.polarity, o.presentness, o.negated)
+        assert [(o.atom, o.presentness, o.negated)
                 for o in classify_occurrences(f)] == listing(f, 0, 0)
 
 
