@@ -17,9 +17,8 @@ from .syntax import (
     Always, And, Atom, AtomRef, ExtFormula, FALSUM, Falsum, FinalConst,
     FINAL_CONST, Iff, Implies, INITIAL_CONST, InitialConst, Not, Occurrence,
     Or, PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, VERUM,
-    Verum, WeakNextAlways, atoms_of, classify_occurrences, format,
-    format_formula, format_program, format_rule, head_disjunction,
-    is_past_formula,
+    Verum, WeakNextAlways, atoms_of, classify_occurrences, format_formula,
+    format_program, format_rule, head_disjunction, is_past_formula,
 )
 from .parser import parse_formula, parse_program
 from .tht import (
@@ -28,8 +27,7 @@ from .tht import (
 )
 from .ltlf import enumerate_ltlf_models, ltlf_sat
 from .depgraph import (
-    DepGraph, Loop, dependency_graph, enumerate_loops, is_tight,
-    section_graphs,
+    DepGraph, dependency_graph, enumerate_loops, is_tight, section_graphs,
 )
 from .transform import (
     completion, completion_atom, external_support, loop_formulas,

@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 usage, parse or unreadable-input error, or
 output pipe closed early, 2 verification mismatch or fuzz
 counterexample, 3 candidate budget or loop-enumeration component cap
 exceeded.
+
+Models range over the program's own alphabet, the atoms its rules
+mention: an atom no rule mentions is in no stable model.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import os
 import sys
 
 from .errors import BudgetExceeded, ParseError, PptError, SccTooLarge
-from .syntax import atoms_of, format_formula
+from .syntax import format_formula
 from .parser import parse_program
 from .tht import enumerate_ts_models, models_to_json
 from .depgraph import enumerate_loops, is_tight, section_graphs
@@ -38,21 +41,6 @@ def _read_source(path: str) -> tuple[str, str]:
         return handle.read(), path
 
 
-def _alphabet(args, program):
-    if getattr(args, "alphabet", None) is None:
-        return program.alphabet
-    names = frozenset(n.strip() for n in args.alphabet.split(",") if n.strip())
-    missing = atoms_of(program) - names
-    if missing:
-        raise _Usage("--alphabet must cover the program atoms "
-                     f"(missing: {', '.join(sorted(missing))})")
-    return names
-
-
-class _Usage(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # Bad usage exits 1 like other bad input; 2 means a mismatch.
@@ -60,10 +48,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-class _Exit(Exception):
-    def __init__(self, code: int):
-        super().__init__(code)
-        self.code = code
+class _Fail(Exception):
+    """Bad input: `main` prints the one-line message and returns 1."""
 
 
 def _emit(obj) -> None:
@@ -73,16 +59,13 @@ def _emit(obj) -> None:
 def _load(args):
     try:
         source, name = _read_source(args.file)
-    except OSError as err:
-        print(f"error: cannot read {args.file}: {err.strerror or err}",
-              file=sys.stderr)
-        raise _Exit(1)
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise _Fail(f"error: cannot read {args.file}: {reason}")
     try:
         return parse_program(source)
     except ParseError as err:
-        print(f"{name}:{err.line}:{err.column}: error: {err.message}",
-              file=sys.stderr)
-        raise _Exit(1)
+        raise _Fail(f"{name}:{err.line}:{err.column}: error: {err.message}")
 
 
 def _cmd_check(args) -> int:
@@ -109,8 +92,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_models(args) -> int:
     program = _load(args)
-    models = enumerate_ts_models(program, args.length, _alphabet(args, program),
-                                 args.budget)
+    models = enumerate_ts_models(program, args.length, budget=args.budget)
     _emit(models_to_json(models, args.length))
     return 0
 
@@ -133,12 +115,12 @@ def _cmd_loops(args) -> int:
     found = {g.section.value: enumerate_loops(g, args.unitary)
              for g in section_graphs(program)}
     if args.json:
-        _emit({name: [sorted(loop.atoms) for loop in loops]
+        _emit({name: [sorted(loop) for loop in loops]
                for name, loops in found.items()})
         return 0
     for name, loops in found.items():
         for loop in loops:
-            print(f"{name}: {{{', '.join(sorted(loop.atoms))}}}")
+            print(f"{name}: {{{', '.join(sorted(loop))}}}")
     return 0
 
 
@@ -172,7 +154,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     if args.cases < 0:
-        raise _Usage(f"--cases must be nonnegative, got {args.cases}")
+        raise _Fail(f"error: --cases must be nonnegative, got {args.cases}")
     results = {}
     failures = 0
     if args.suite in ("correspondence", "all"):
@@ -213,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = add("models", _cmd_models, "enumerate temporal stable models")
     file_arg(cmd)
     cmd.add_argument("--length", type=int, required=True)
-    cmd.add_argument("--alphabet", help="comma-separated atoms")
     cmd.add_argument("--budget", type=int)
 
     cmd = add("graph", _cmd_graph, "print the dependency graphs")
@@ -271,18 +252,13 @@ def main(argv=None) -> int:
         # again; see "Note on SIGPIPE" in the `signal` documentation.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except _Exit as err:
-        return err.code
-    except _Usage as err:
-        print(f"error: {err}", file=sys.stderr)
+    except _Fail as err:
+        print(err, file=sys.stderr)
         return 1
     except (BudgetExceeded, SccTooLarge) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except PptError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (PptError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,8 @@ sections have separate graphs; final rules have no heads and therefore
 no graph of their own.
 
 A loop is a nonempty atom set whose induced subgraph is strongly
-connected; in the default regime singleton loops additionally need a
+connected, returned as a frozenset of atoms; its section is that of
+its graph.  In the default regime singleton loops additionally need a
 self-edge, while the unitary regime admits every singleton.  A program
 is tight when neither section graph has a loop in the default regime,
 that is neither a self-edge nor a strongly connected component of two
@@ -29,7 +30,7 @@ from .syntax import (
 )
 
 __all__ = [
-    "SCC_CAP", "DepGraph", "Loop", "dependency_graph", "section_graphs",
+    "SCC_CAP", "DepGraph", "dependency_graph", "section_graphs",
     "enumerate_loops", "is_tight",
 ]
 
@@ -46,15 +47,6 @@ class DepGraph:
         for a, b in self.edges:
             if a not in self.vertices or b not in self.vertices:
                 raise ValueError(f"edge ({a}, {b}) leaves the vertex set")
-
-
-@dataclass(frozen=True, slots=True)
-class Loop:
-    atoms: frozenset[Atom]
-    section: RuleKind | None = None
-
-    def sort_key(self) -> tuple:
-        return tuple(sorted(self.atoms))
 
 
 def dependency_graph(rules: Sequence[Rule], alphabet: Iterable[Atom] | None = None,
@@ -169,8 +161,10 @@ def _strongly_connected(subset: tuple[Atom, ...],
     return reach(succ) == members and reach(pred) == members
 
 
-def enumerate_loops(g: DepGraph, unitary: bool = False) -> tuple[Loop, ...]:
-    """All loops of a graph in canonical (sorted) order.
+def enumerate_loops(g: DepGraph,
+                    unitary: bool = False) -> tuple[frozenset[Atom], ...]:
+    """All loops of a graph as atom sets, in canonical order: sorted by
+    their sorted atoms.
 
     Loops of size two or more are strongly connected subsets of a single
     SCC, which must not exceed the cap.  Singletons need a self-edge in
@@ -186,7 +180,7 @@ def enumerate_loops(g: DepGraph, unitary: bool = False) -> tuple[Loop, ...]:
             raise SccTooLarge(
                 f"component of size {len(component)} exceeds cap {SCC_CAP}")
     self_edges = {a for a, b in g.edges if a == b}
-    loops = [Loop(frozenset((vertex,)), g.section)
+    loops = [frozenset((vertex,))
              for vertex in sorted(g.vertices)
              if unitary or vertex in self_edges]
     for component in sccs:
@@ -198,8 +192,8 @@ def enumerate_loops(g: DepGraph, unitary: bool = False) -> tuple[Loop, ...]:
             if len(subset) < 2:
                 continue
             if _strongly_connected(subset, succ, pred):
-                loops.append(Loop(frozenset(subset), g.section))
-    return tuple(sorted(loops, key=Loop.sort_key))
+                loops.append(frozenset(subset))
+    return tuple(sorted(loops, key=sorted))
 
 
 def is_tight(p: Program) -> bool:

@@ -35,7 +35,7 @@ __all__ = [
     "Occurrence", "PRESENT", "PAST",
     "is_past_formula", "classify_occurrences", "formula_atoms", "atoms_of",
     "is_literal_conjunction", "head_disjunction", "or_chain",
-    "format", "format_formula", "format_rule", "format_program",
+    "format_formula", "format_rule", "format_program",
 ]
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -488,12 +488,3 @@ def format_program(p: Program) -> str:
             section = rule.kind
         lines.append(format_rule(rule))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def format(x) -> str:
-    """Canonical text of a formula, rule or program."""
-    if isinstance(x, Program):
-        return format_program(x)
-    if isinstance(x, Rule):
-        return format_rule(x)
-    return format_formula(x)

@@ -8,9 +8,10 @@ point.  On total traces the semantics collapses to the classical one.
 Rule checks read each rule through its classical formula
 (`transform.rule_formula`), required on both sides.
 
-A total trace T is a temporal stable model of a program when <T, T> is
-a model and no strictly smaller H yields a model <H, T>;
-`enumerate_ts_models` finds them with the search of `ppt.progression`.
+A total trace T over the program's alphabet is a temporal stable model
+of the program when <T, T> is a model and no strictly smaller H yields
+a model <H, T>; `enumerate_ts_models` finds them with the search of
+`ppt.progression`.
 
 The checks of one given trace evaluate formulas to time bitmasks (bit k
 set when the formula holds at point k), with since/trigger computed by
@@ -140,16 +141,26 @@ class _BitEvaluator:
         if hit is not None:
             return hit
         tp = type(f)
+        if tp is And or tp is Or:
+            # The left spine of a chain is combined in a loop, innermost
+            # node first, so that long chains need no recursion on length.
+            spine = [f]
+            f = f.lhs
+            while (type(f) is And or type(f) is Or) and (id(f), total) not in memo:
+                spine.append(f)
+                f = f.lhs
+            bits = self.eval(f, total)
+            for node in reversed(spine):
+                rhs = self.eval(node.rhs, total)
+                bits = bits & rhs if type(node) is And else bits | rhs
+                memo[(id(node), total)] = bits
+            return bits
         if tp is AtomRef:
             bits = (self.t if total else self.h).get(f.name, 0)
         elif tp is Falsum:
             bits = 0
         elif tp is Not:
             bits = self.full & ~self.eval(f.arg, True)
-        elif tp is And:
-            bits = self.eval(f.lhs, total) & self.eval(f.rhs, total)
-        elif tp is Or:
-            bits = self.eval(f.lhs, total) | self.eval(f.rhs, total)
         elif tp is Previous:
             bits = (self.eval(f.arg, total) << 1) & self.full
         elif tp is Since:
@@ -240,14 +251,18 @@ def is_ht_model(m: HTTrace, p: Program) -> bool:
 # Stable-model enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_ts_models(p: Program, lam: int, alphabet=None,
+def enumerate_ts_models(p: Program, lam: int, *,
                         budget: int | None = None) -> set[Trace]:
     """All temporal stable models of the program at the given length,
-    from the search of `ppt.progression`; the budget bounds the
-    2^(n*lam) candidate traces, n the alphabet size."""
-    names = p.alphabet if alphabet is None else alphabet
+    over its alphabet, from the search of `ppt.progression`; the budget
+    bounds the 2^(n*lam) candidate traces, n the alphabet size.
+
+    An atom no rule mentions is false in every stable model, so a wider
+    alphabet, `Program(p.rules, alphabet)`, changes only the candidate
+    count that the budget bounds.
+    """
     return {Trace(states) for states in
-            search(program_as_ltlf(p), lam, names, budget, minimal=True)}
+            search(program_as_ltlf(p), lam, p.alphabet, budget, minimal=True)}
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +288,20 @@ def three_valued(m: HTTrace, k: int, f) -> int:
         if hit is not None:
             return hit
         tp = type(g)
+        if tp is And or tp is Or:
+            # A chain's left spine is combined in a loop, as in
+            # `_BitEvaluator.eval`.
+            spine = [g]
+            g = g.lhs
+            while (type(g) is And or type(g) is Or) and (id(g), j) not in memo:
+                spine.append(g)
+                g = g.lhs
+            out = val(g, j)
+            for node in reversed(spine):
+                rhs = val(node.rhs, j)
+                out = min(out, rhs) if type(node) is And else max(out, rhs)
+                memo[(id(node), j)] = out
+            return out
         if tp is Falsum:
             out = 0
         elif tp is AtomRef:
@@ -284,10 +313,6 @@ def three_valued(m: HTTrace, k: int, f) -> int:
                 out = 0
         elif tp is Not:
             out = 2 if val(g.arg, j) == 0 else 0
-        elif tp is And:
-            out = min(val(g.lhs, j), val(g.rhs, j))
-        elif tp is Or:
-            out = max(val(g.lhs, j), val(g.rhs, j))
         elif tp is Previous:
             out = 0 if j == 0 else val(g.arg, j - 1)
         elif tp is Since:

@@ -185,9 +185,9 @@ def sourced_loop_formulas(p: Program, unitary: bool = False) -> Sourced:
         section = graph.section
         rules = p.initial if section is RuleKind.INITIAL else p.dynamic
         for loop in enumerate_loops(graph, unitary):
-            atoms = sorted(loop.atoms)
+            atoms = sorted(loop)
             body = Implies(or_chain([AtomRef(a) for a in atoms], FALSUM),
-                           external_support(rules, loop.atoms))
+                           external_support(rules, loop))
             if section is RuleKind.DYNAMIC:
                 body = WeakNextAlways(body)
             out.append((body, f"{section.value} loop {{{', '.join(atoms)}}}"))

@@ -110,20 +110,17 @@ def _violations(f: PastFormula, atoms: frozenset[Atom],
     return bad
 
 
-def check_lemma_support(f: PastFormula, loop, m: HTTrace,
-                        mask: TraceMask) -> bool:
-    """Masked satisfaction of f versus satisfaction of its support form.
+def check_lemma_support(f: PastFormula, m: HTTrace, mask: TraceMask) -> bool:
+    """Masked satisfaction of f versus satisfaction of its support form,
+    the loop being the mask's base.
 
     Requires every positive occurrence of a masked atom outside the loop
     to sit under a negation; otherwise the instance is skipped.
     """
-    loop = frozenset(loop)
-    if loop != mask.base:
-        raise ValueError("mask base must equal the loop")
-    checked = mask.extra[mask.pivot] - loop
+    checked = mask.extra[mask.pivot] - mask.base
     if _violations(f, checked, present_only=False):
         raise PreconditionSkipped
-    lhs = ht_sat(m, mask.pivot, support_transform(f, loop))
+    lhs = ht_sat(m, mask.pivot, support_transform(f, mask.base))
     rhs = ht_sat(mask_trace(m, mask), mask.pivot, f)
     return lhs == rhs
 
@@ -166,7 +163,6 @@ class GenConfig:
     max_atoms: int = 3
     max_rules: int = 6
     max_body_depth: int = 3
-    lambda_range: tuple[int, int] = (1, 3)
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_atoms <= 4:
@@ -175,9 +171,6 @@ class GenConfig:
             raise ValueError("max_rules must be within [0, 8]")
         if not 0 <= self.max_body_depth <= 4:
             raise ValueError("max_body_depth must be within [0, 4]")
-        lo, hi = self.lambda_range
-        if not 1 <= lo <= hi <= 4:
-            raise ValueError("lambda_range must be within [1, 4]")
 
 
 def random_past_formula(rng: random.Random, atoms, depth: int) -> PastFormula:
@@ -306,7 +299,7 @@ def verify_correspondence(p: Program, lam: int, mode: str,
                           budget: int | None = None) -> Report:
     """Compare stable models against the chosen translation's models."""
     formulas = _target_formulas(p, mode)
-    lhs = enumerate_ts_models(p, lam, p.alphabet, budget)
+    lhs = enumerate_ts_models(p, lam, budget=budget)
     rhs = enumerate_ltlf_models(formulas, lam, p.alphabet, budget)
     witnesses = sorted(lhs ^ rhs, key=Trace.sort_key)[:MAX_WITNESSES]
     return Report(
@@ -349,9 +342,9 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0,
         cfg = GenConfig(seed=case_seed)
         p = random_program(cfg)
         p = Program(p.rules, frozenset(_ATOM_POOL[:cfg.max_atoms]))
-        lam = random.Random(case_seed ^ 0x5EED).randint(*cfg.lambda_range)
+        lam = random.Random(case_seed ^ 0x5EED).randint(1, 3)
 
-        ts = enumerate_ts_models(p, lam, p.alphabet, budget)
+        ts = enumerate_ts_models(p, lam, budget=budget)
         tight = is_tight(p)
         if tight:
             summary["tight_cases"] += 1
@@ -435,7 +428,7 @@ def run_lemma_suite(lemma: str, cases: int = 10_000, seed: int = 0) -> dict:
         mask = _random_mask(rng, atoms, lam, pivot, pivot_atoms, base)
         try:
             if support:
-                ok = check_lemma_support(f, base, m, mask)
+                ok = check_lemma_support(f, m, mask)
             else:
                 ok = check_lemma_pastocc(f, m, mask)
         except PreconditionSkipped:

@@ -1,26 +1,15 @@
+from pathlib import Path
+
 import pytest
 
 from ppt import Trace, parse_program
 
-P1_TEXT = """\
-load.
-#dynamic.
-shoot | load | unload.
-dead :- shoot, (not unload since load).
-shoot :- dead.
-#final.
-:- not dead.
-"""
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
-# P1 without the choice rule: the shoot/dead cycle has no external support.
-P2_TEXT = """\
-load.
-#dynamic.
-dead :- shoot, (not unload since load).
-shoot :- dead.
-#final.
-:- not dead.
-"""
+# The paper's P1, and P2: P1 without the choice rule, so that the
+# shoot/dead cycle has no external support.
+P1_TEXT = (EXAMPLES / "p1.ppt").read_text(encoding="utf-8")
+P2_TEXT = (EXAMPLES / "p2.ppt").read_text(encoding="utf-8")
 
 TARGET = Trace.of(["load"], ["shoot", "dead"])
 

@@ -52,9 +52,9 @@ def test_criterion_03_completion_alone_is_unsound_for_cycles(p2):
 def test_criterion_04_loop_inventories(p1):
     init_graph = dependency_graph(p1.initial, p1.alphabet, RuleKind.INITIAL)
     dyn_graph = dependency_graph(p1.dynamic, p1.alphabet, RuleKind.DYNAMIC)
-    plain_init = {l.atoms for l in enumerate_loops(init_graph)}
-    plain_dyn = {l.atoms for l in enumerate_loops(dyn_graph)}
-    unitary_dyn = {l.atoms for l in enumerate_loops(dyn_graph, unitary=True)}
+    plain_init = set(enumerate_loops(init_graph))
+    plain_dyn = set(enumerate_loops(dyn_graph))
+    unitary_dyn = set(enumerate_loops(dyn_graph, unitary=True))
     ok = (plain_init == set()
           and plain_dyn == {LOOP}
           and unitary_dyn == {frozenset({"load"}), frozenset({"unload"}),

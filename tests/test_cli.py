@@ -81,20 +81,6 @@ class TestModels:
         assert (code, out) == (3, "")
         assert "budget" in err
 
-    def test_alphabet_must_cover(self, capsys, p1_file):
-        code, _, err = run(capsys, "models", p1_file, "--length", "1",
-                           "--alphabet", "load")
-        assert code == 1
-        assert "cover" in err
-
-    def test_wider_alphabet(self, capsys, tmp_path):
-        path = tmp_path / "fact.ppt"
-        path.write_text("a.\n")
-        code, out, _ = run(capsys, "models", str(path), "--length", "1",
-                           "--alphabet", "a,b")
-        assert code == 0
-        assert json.loads(out)["models"] == [[["a"]]]
-
 
 class TestUsageErrors:
     """Bad command lines exit 1 with argparse's message; 2 is reserved
@@ -106,6 +92,7 @@ class TestUsageErrors:
         ["frobnicate"],
         [],
         ["fuzz", "--cases", "x"],
+        ["models", "{file}", "--length", "2", "--alphabet", "a"],
     ])
     def test_exit_1(self, capsys, p1_file, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -259,6 +246,22 @@ class TestUnreadableInput:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: cannot read {tmp_path}: ")
+
+    def test_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.ppt"
+        path.write_bytes(b"a.\n\xff\n")
+        code, out, err = run(capsys, "models", str(path), "--length", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec ")
+        assert err.count("\n") == 1
+
+    def test_not_utf8_stdin(self, capsys, monkeypatch):
+        import io
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"\xff"), encoding="utf-8"))
+        code, out, err = run(capsys, "check", "-")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read -: 'utf-8' codec ")
 
 
 class TestGraphAndLoops:

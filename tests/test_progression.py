@@ -41,8 +41,8 @@ def test_matches_oracle_on_random_programs():
     mismatches = []
     for seed in range(3000):
         p, alphabet, lam = _random_case(seed, max_candidate_bits=11)
-        if enumerate_ts_models(p, lam, alphabet) != brute_force_ts_models(
-                p, lam, alphabet):
+        if enumerate_ts_models(Program(p.rules, alphabet), lam) != \
+                brute_force_ts_models(p, lam, alphabet):
             mismatches.append(seed)
     assert mismatches == []
 
@@ -70,13 +70,13 @@ def test_matches_oracle_at_the_largest_sizes(atoms, lam, cases):
     for seed in range(cases):
         p = random_program(GenConfig(seed=seed, max_atoms=atoms, max_rules=8,
                                      max_body_depth=4))
-        assert enumerate_ts_models(p, lam, alphabet) == brute_force_ts_models(
-            p, lam, alphabet)
+        assert enumerate_ts_models(Program(p.rules, alphabet), lam) == \
+            brute_force_ts_models(p, lam, alphabet)
 
 
 def _both(text: str, lam: int, alphabet=None) -> set[Trace]:
     p = parse_program(text)
-    models = enumerate_ts_models(p, lam, alphabet)
+    models = enumerate_ts_models(Program(p.rules, alphabet), lam)
     assert models == brute_force_ts_models(p, lam, alphabet)
     return models
 

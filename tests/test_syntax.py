@@ -3,8 +3,9 @@ from hypothesis import given, strategies as st
 
 from ppt import (
     And, AtomRef, FALSUM, Falsum, Not, Or, Previous, Program, Rule, RuleKind,
-    Since, Trigger, atoms_of, classify_occurrences, format, format_formula,
-    is_past_formula, parse_formula, parse_program,
+    Since, Trigger, atoms_of, classify_occurrences, format_formula,
+    format_program, format_rule, is_past_formula, parse_formula,
+    parse_program,
 )
 from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION
 
@@ -151,16 +152,16 @@ class TestFormat:
         assert format_formula(f) == "(not unload since load)"
 
     def test_rule_rendering(self, p1):
-        assert format(p1.rules[2]) == "dead :- shoot, (not unload since load)."
+        assert format_rule(p1.rules[2]) == "dead :- shoot, (not unload since load)."
 
     def test_final_constraint_rendering(self, p1):
-        assert format(p1.rules[4]) == ":- not dead."
+        assert format_rule(p1.rules[4]) == ":- not dead."
 
     def test_fact_rendering(self, p1):
-        assert format(p1.rules[0]) == "load."
+        assert format_rule(p1.rules[0]) == "load."
 
     def test_program_sections(self, p1):
-        text = format(p1)
+        text = format_program(p1)
         assert text.splitlines()[1] == "#dynamic."
         assert "#final." in text
 

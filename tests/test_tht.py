@@ -12,8 +12,8 @@ import pytest
 from ppt import (
     And, AtomRef, BudgetExceeded, FALSUM, HTTrace, Not, Or, Previous,
     Program, Rule, RuleKind, Since, Trace, Trigger, enumerate_ts_models,
-    ht_sat, is_ht_model, models_to_json, parse_formula, parse_program,
-    rule_sat, three_valued,
+    ht_sat, is_ht_model, ltlf_sat, models_to_json, parse_formula,
+    parse_program, rule_sat, three_valued,
 )
 from ppt.syntax import CORE_TRUE, Falsum, INITIAL_EXPANSION
 from ppt.verify import (
@@ -158,7 +158,7 @@ class TestEnumerate:
 
     def test_single_fact(self):
         p = parse_program("a.")
-        assert enumerate_ts_models(p, 1, {"a"}) == {Trace.of(["a"])}
+        assert enumerate_ts_models(p, 1) == {Trace.of(["a"])}
 
     def test_budget(self, p1):
         with pytest.raises(BudgetExceeded):
@@ -166,7 +166,12 @@ class TestEnumerate:
 
     def test_alphabet_must_cover(self, p1):
         with pytest.raises(ValueError):
-            enumerate_ts_models(p1, 2, {"load"})
+            Program(p1.rules, {"load"})
+
+    def test_budget_is_keyword_only(self, p1):
+        # The search's alphabet is the program's; only `budget` follows.
+        with pytest.raises(TypeError):
+            enumerate_ts_models(p1, 2, p1.alphabet)
 
     def test_stability_implies_modelhood(self, p1):
         for trace in enumerate_ts_models(p1, 3):
@@ -177,6 +182,29 @@ class TestEnumerate:
         p = parse_program("a; b.")
         models = enumerate_ts_models(p, 1)
         assert models == {Trace.of(["a"]), Trace.of(["b"])}
+
+
+class TestDeepChain:
+    """A rule body of 5,000 conjuncts, beyond Python's default recursion
+    limit: the single-trace checks combine a chain in a loop."""
+
+    def test_single_trace_checks(self):
+        body = AtomRef("a")
+        for _ in range(5000):
+            body = And(body, Previous(AtomRef("a")))
+        rule = Rule(RuleKind.DYNAMIC, ("b",), body, 1)
+        p = Program((Rule(RuleKind.INITIAL, ("a",), CORE_TRUE, 0), rule))
+        t = Trace.of(["a"], ["a", "b"])
+        m = HTTrace.total(t)
+        assert ht_sat(m, 1, body) is True
+        assert three_valued(m, 1, body) == 2
+        assert ltlf_sat(t, 1, body) is True
+        assert rule_sat(m, rule) is True
+        assert is_ht_model(m, p) is True
+        here = HTTrace(Trace.of(["a"], ["b"]), t)
+        assert ht_sat(here, 1, body) is False
+        assert three_valued(here, 1, body) == 1
+        assert rule_sat(here, rule) is True
 
 
 class TestThreeValued:
