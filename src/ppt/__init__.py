@@ -10,15 +10,14 @@ with the stable-model semantics.
 """
 
 from .errors import (
-    BudgetExceeded, LengthMismatch, MixedSection, ParseError, PptError,
-    RestrictionError, SccTooLarge, UnknownAtom,
+    BudgetExceeded, ParseError, PptError, RestrictionError, SccTooLarge,
 )
 from .syntax import (
     Always, And, Atom, AtomRef, ExtFormula, FALSUM, Falsum, FinalConst,
-    FINAL_CONST, Iff, Implies, INITIAL_CONST, InitialConst, Not, Occurrence,
-    Or, PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, VERUM,
-    Verum, WeakNextAlways, atoms_of, classify_occurrences, format_formula,
-    format_program, format_rule, head_disjunction, is_past_formula,
+    FINAL_CONST, Iff, Implies, INITIAL_CONST, InitialConst, Not, Or,
+    PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, VERUM,
+    Verum, WeakNextAlways, atoms_of, format_formula, format_program,
+    format_rule, head_disjunction, is_past_formula, positive_atoms,
 )
 from .parser import parse_formula, parse_program
 from .tht import (

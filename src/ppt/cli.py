@@ -159,7 +159,7 @@ def _cmd_fuzz(args) -> int:
     failures = 0
     if args.suite in ("correspondence", "all"):
         results["correspondence"] = run_correspondence_suite(
-            args.cases, args.seed, budget=args.budget)
+            args.cases, args.seed)
         failures += results["correspondence"]["failures"]
     if args.suite in ("lemmas", "all"):
         for lemma in ("pastocc", "support"):
@@ -234,7 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--seed", type=int, default=0)
     cmd.add_argument("--suite", choices=("correspondence", "lemmas",
                                          "semantics", "all"), default="all")
-    cmd.add_argument("--budget", type=int)
 
     return top
 

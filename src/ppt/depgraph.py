@@ -1,8 +1,10 @@
 """Positive dependency graphs, loops and tightness.
 
 An edge (a, b) records that some rule can derive a from a positive,
-present occurrence of b: a is in the rule head and b occurs in the body
-outside every negation and outside every `prev`.  Initial and dynamic
+present occurrence of b: a is in the rule head and b is in
+`positive_atoms(body, present_only=True)`, that is b occurs in the body
+outside every negation and outside every `prev`.  Rules from two
+sections in one call raise `ValueError`.  Initial and dynamic
 sections have separate graphs; final rules have no heads and therefore
 no graph of their own.
 
@@ -24,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import MixedSection, SccTooLarge
+from .errors import SccTooLarge
 from .syntax import (
-    Atom, Program, Rule, RuleKind, classify_occurrences, PRESENT,
+    Atom, Program, Rule, RuleKind, formula_atoms, positive_atoms,
 )
 
 __all__ = [
@@ -59,7 +61,7 @@ def dependency_graph(rules: Sequence[Rule], alphabet: Iterable[Atom] | None = No
     kinds = {r.kind for r in rules}
     if len(kinds) > 1:
         names = ", ".join(sorted(k.value for k in kinds))
-        raise MixedSection(f"rules come from multiple sections: {names}")
+        raise ValueError(f"rules come from multiple sections: {names}")
     if section is None and kinds:
         section = next(iter(kinds))
 
@@ -67,12 +69,8 @@ def dependency_graph(rules: Sequence[Rule], alphabet: Iterable[Atom] | None = No
     edges: set[tuple[Atom, Atom]] = set()
     for rule in rules:
         vertices.update(rule.head)
-        occurrences = classify_occurrences(rule.body)
-        vertices.update(occ.atom for occ in occurrences)
-        # Occurrences with zero enclosing negations are positive; only
-        # those, and only present ones, support a derivation.
-        supports = {occ.atom for occ in occurrences
-                    if occ.presentness == PRESENT and not occ.negated}
+        vertices.update(formula_atoms(rule.body))
+        supports = positive_atoms(rule.body, present_only=True)
         for head_atom in rule.head:
             for body_atom in supports:
                 edges.add((head_atom, body_atom))

@@ -1,10 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types for parse errors, exceeded budgets and exceeded caps.
+
+A bad argument to a library function (an atom outside the alphabet,
+rules from two sections where one is needed, traces of unequal length)
+raises the built-in `ValueError` instead.
+"""
 
 from __future__ import annotations
 
 
 class PptError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of the exception types this package defines."""
 
 
 class ParseError(PptError):
@@ -38,21 +43,9 @@ class RestrictionError(ParseError):
     """
 
 
-class MixedSection(PptError):
-    """A rule set that must come from a single section mixes sections."""
-
-
-class UnknownAtom(PptError):
-    """An atom outside the program alphabet was requested."""
-
-
 class BudgetExceeded(PptError):
     """The candidate-trace space is larger than the configured budget."""
 
 
 class SccTooLarge(PptError):
     """A strongly connected component exceeds the loop-enumeration cap."""
-
-
-class LengthMismatch(PptError):
-    """Two traces that must have equal length do not."""

@@ -4,6 +4,8 @@ A program is a sequence of rules grouped by section directives
 (`#initial.`, `#dynamic.`, `#final.`); the section before any directive
 is initial.  Rules are `head.`, `head :- body.` or `:- body.` where the
 head is a `|`-separated atom disjunction.  `%` starts a line comment.
+One leading byte-order mark (U+FEFF) is dropped before tokenizing, so
+line-1 columns count as if it were absent.
 
 Body grammar, in ascending precedence:
 
@@ -87,6 +89,7 @@ class _Token:
 
 
 def _tokenize(src: str) -> list[_Token]:
+    src = src.removeprefix("\ufeff")
     tokens: list[_Token] = []
     pos = 0
     line = 1

@@ -75,21 +75,14 @@ def placement(f) -> tuple[object, int, bool]:
     return f, 0, False
 
 
-# 2^e has at most 4,300 decimal digits, the most Python prints by
-# default, exactly when e is at most this.
-_MAX_DECIMAL_EXPONENT = 14_284
-
-
 def _check_budget(n_atoms: int, lam: int, budget: int | None) -> None:
     budget = DEFAULT_BUDGET if budget is None else budget
     # The 2^e candidates exceed a budget b >= 1 exactly when
     # e >= b.bit_length(), so the count itself is never built to compare.
     exponent = n_atoms * lam
     if budget < 1 or exponent >= budget.bit_length():
-        count = (str(1 << exponent) if exponent <= _MAX_DECIMAL_EXPONENT
-                 else f"2^{exponent}")
         raise BudgetExceeded(
-            f"{count} candidate traces exceed the budget of {budget}")
+            f"2^{exponent} candidate traces exceed the budget of {budget}")
 
 
 def _flatten(formulas: Iterable, index: dict[str, int]):

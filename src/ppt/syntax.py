@@ -32,8 +32,7 @@ __all__ = [
     "FALSUM", "VERUM", "INITIAL_CONST", "FINAL_CONST", "CORE_TRUE",
     "INITIAL_EXPANSION",
     "RuleKind", "Rule", "Program",
-    "Occurrence", "PRESENT", "PAST",
-    "is_past_formula", "classify_occurrences", "formula_atoms", "atoms_of",
+    "is_past_formula", "positive_atoms", "formula_atoms", "atoms_of",
     "is_literal_conjunction", "head_disjunction", "or_chain",
     "format_formula", "format_rule", "format_program",
 ]
@@ -206,49 +205,36 @@ def formula_atoms(f) -> frozenset[Atom]:
 
 
 # ---------------------------------------------------------------------------
-# Occurrence analysis
+# Positive occurrences
 # ---------------------------------------------------------------------------
 
-PRESENT = "present"
-PAST = "past"
+def positive_atoms(f: PastFormula, present_only: bool = False) -> frozenset[Atom]:
+    """Atoms with an occurrence in a core formula under no negation.
 
-
-@dataclass(frozen=True, slots=True)
-class Occurrence:
-    """One atom occurrence inside a formula.
-
-    Presentness is past exactly when the occurrence sits under a
-    Previous node.  `negated` is true under at least one negation; the
-    positive occurrences of the paper are exactly the ones that are not
-    negated, whatever the number of enclosing negations.
+    These are the paper's positive occurrences, whatever the number of
+    enclosing negations.  With `present_only` the occurrence must also
+    be under no Previous node: the present and positive occurrences that
+    give the dependency graph its edges.  Raises `ValueError` on a node
+    outside the core language anywhere in `f`, under a negation too.
     """
-
-    atom: Atom
-    presentness: str
-    negated: bool
-
-
-def classify_occurrences(f: PastFormula) -> tuple[Occurrence, ...]:
-    """All atom occurrences of a core formula, in left-to-right order."""
-    out: list[Occurrence] = []
-    stack: list[tuple] = [(f, False, PRESENT)]
+    names = set()
+    stack = [(f, True)]
     while stack:
-        node, negated, presentness = stack.pop()
+        node, positive = stack.pop()
         tp = type(node)
         if tp is AtomRef:
-            out.append(Occurrence(node.name, presentness, negated))
-        elif tp is Falsum:
-            pass
+            if positive:
+                names.add(node.name)
         elif tp is Not:
-            stack.append((node.arg, True, presentness))
+            stack.append((node.arg, False))
         elif tp is Previous:
-            stack.append((node.arg, negated, PAST))
+            stack.append((node.arg, positive and not present_only))
         elif tp in (And, Or, Since, Trigger):
-            stack.append((node.rhs, negated, presentness))
-            stack.append((node.lhs, negated, presentness))
-        else:
+            stack.append((node.lhs, positive))
+            stack.append((node.rhs, positive))
+        elif tp is not Falsum:
             raise ValueError(f"not a core past formula: {node!r}")
-    return tuple(out)
+    return frozenset(names)
 
 
 # ---------------------------------------------------------------------------

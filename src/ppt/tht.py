@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import LengthMismatch
 from .progression import DEFAULT_BUDGET, placement, search
 from .syntax import (
     And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst, Not, Or,
@@ -87,7 +86,7 @@ class HTTrace:
 
     def __post_init__(self) -> None:
         if len(self.h) != len(self.t):
-            raise LengthMismatch(
+            raise ValueError(
                 f"here has length {len(self.h)}, there has length {len(self.t)}")
         for k, (hk, tk) in enumerate(zip(self.h, self.t)):
             if not hk <= tk:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import MixedSection, UnknownAtom
 from .syntax import (
     Always, And, Atom, AtomRef, CORE_TRUE, ExtFormula, FALSUM, FINAL_CONST,
     Falsum, Iff, Implies, INITIAL_CONST, INITIAL_EXPANSION, Not, Or,
@@ -105,7 +104,7 @@ def external_support(rules: Sequence[Rule], loop: Iterable[Atom]) -> PastFormula
     head atoms outside the loop; false when no rule qualifies.
     """
     if len({r.kind for r in rules}) > 1:
-        raise MixedSection("external support needs rules from one section")
+        raise ValueError("external support needs rules from one section")
     loop = frozenset(loop)
     disjuncts = [
         _support_term(r, loop, support_transform(r.body, loop))
@@ -124,7 +123,7 @@ def completion_atom(p: Program, atom: Atom) -> ExtFormula:
     no supporting rule at all gets a plain false.
     """
     if atom not in p.alphabet:
-        raise UnknownAtom(f"{atom!r} is not in the program alphabet")
+        raise ValueError(f"{atom!r} is not in the program alphabet")
     initial_parts = [
         And(INITIAL_CONST, _support_term(r, frozenset((atom,)), r.body))
         for r in p.initial if atom in r.head

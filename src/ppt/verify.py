@@ -11,9 +11,11 @@ the classical models of one of its translations:
 
 The lemma checkers validate the two masking facts behind the loop
 machinery: removing atoms from the here-trace does not change
-satisfaction when the removed atoms only occur negated (present and
-positive occurrences for the plain lemma, positive occurrences outside
-the loop for the support lemma).
+satisfaction when the removed atoms only occur negated.  Each
+precondition is a `syntax.positive_atoms` query: no masked atom may be
+in `positive_atoms(f, present_only=True)` for the plain lemma, and no
+masked atom outside the loop in `positive_atoms(f)` for the support
+lemma.
 
 The random generators are deterministic per seed, and the `run_*_suite`
 helpers drive seeded batches for the command line and the test suite.
@@ -27,11 +29,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import LengthMismatch
 from .syntax import (
     And, Atom, AtomRef, CORE_TRUE, FALSUM, INITIAL_EXPANSION, Not, Or,
     PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger,
-    classify_occurrences, format_program, PRESENT,
+    format_program, positive_atoms,
 )
 from .tht import HTTrace, Trace, enumerate_ts_models, ht_sat, three_valued
 from .ltlf import enumerate_ltlf_models
@@ -91,23 +92,10 @@ class TraceMask:
 def mask_trace(m: HTTrace, mask: TraceMask) -> HTTrace:
     """Remove the masked atoms from the here-trace, pointwise."""
     if len(mask.extra) != len(m):
-        raise LengthMismatch(
+        raise ValueError(
             f"mask has length {len(mask.extra)}, trace has length {len(m)}")
     here = Trace(tuple(hk - xk for hk, xk in zip(m.h, mask.extra)))
     return HTTrace(here, m.t)
-
-
-def _violations(f: PastFormula, atoms: frozenset[Atom],
-                present_only: bool) -> set[Atom]:
-    bad = set()
-    for occ in classify_occurrences(f):
-        if occ.atom not in atoms:
-            continue
-        if present_only and occ.presentness != PRESENT:
-            continue
-        if not occ.negated:
-            bad.add(occ.atom)
-    return bad
 
 
 def check_lemma_support(f: PastFormula, m: HTTrace, mask: TraceMask) -> bool:
@@ -118,7 +106,7 @@ def check_lemma_support(f: PastFormula, m: HTTrace, mask: TraceMask) -> bool:
     to sit under a negation; otherwise the instance is skipped.
     """
     checked = mask.extra[mask.pivot] - mask.base
-    if _violations(f, checked, present_only=False):
+    if positive_atoms(f) & checked:
         raise PreconditionSkipped
     lhs = ht_sat(m, mask.pivot, support_transform(f, mask.base))
     rhs = ht_sat(mask_trace(m, mask), mask.pivot, f)
@@ -131,7 +119,7 @@ def check_lemma_pastocc(f: PastFormula, m: HTTrace, mask: TraceMask) -> bool:
     Requires every present and positive occurrence of a masked atom to
     sit under a negation; otherwise the instance is skipped.
     """
-    if _violations(f, mask.extra[mask.pivot], present_only=True):
+    if positive_atoms(f, present_only=True) & mask.extra[mask.pivot]:
         raise PreconditionSkipped
     lhs = ht_sat(m, mask.pivot, f)
     rhs = ht_sat(mask_trace(m, mask), mask.pivot, f)
@@ -318,8 +306,7 @@ def verify_correspondence(p: Program, lam: int, mode: str,
 # Batch suites
 # ---------------------------------------------------------------------------
 
-def run_correspondence_suite(cases: int = 500, seed: int = 0,
-                             budget: int | None = None) -> dict:
+def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
     """Seeded correspondence batch over random programs.
 
     Checks, per case and per mode: stable models always within the
@@ -344,14 +331,14 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0,
         p = Program(p.rules, frozenset(_ATOM_POOL[:cfg.max_atoms]))
         lam = random.Random(case_seed ^ 0x5EED).randint(1, 3)
 
-        ts = enumerate_ts_models(p, lam, budget=budget)
+        ts = enumerate_ts_models(p, lam)
         tight = is_tight(p)
         if tight:
             summary["tight_cases"] += 1
         failed = []
         for mode in MODES:
             models = enumerate_ltlf_models(
-                _target_formulas(p, mode), lam, p.alphabet, budget)
+                _target_formulas(p, mode), lam, p.alphabet)
             if mode != "completion":
                 if ts != models:
                     failed.append(f"{mode}_failures")
@@ -381,7 +368,7 @@ def _pick_mask_atoms(rng: random.Random, f: PastFormula, atoms,
     if roll < 0.35:
         return base
     if roll < 0.85:
-        unsafe = _violations(f, atoms - base, present_only)
+        unsafe = positive_atoms(f, present_only) & (atoms - base)
         safe = sorted(atoms - base - unsafe)
         picked = rng.sample(safe, rng.randint(0, len(safe)))
         return base | frozenset(picked)

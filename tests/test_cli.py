@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -53,6 +54,19 @@ class TestCheck:
         assert code == 1
         assert ":1:6:" in err
 
+    def test_byte_order_mark(self, capsys, tmp_path, p1_file):
+        path = tmp_path / "bom.ppt"
+        path.write_text("\ufeff" + P1_TEXT, encoding="utf-8")
+        code, out, _ = run(capsys, "check", str(path))
+        assert (code, out) == (0, run(capsys, "check", p1_file)[1])
+
+    def test_byte_order_mark_keeps_line_1_columns(self, capsys, tmp_path):
+        bad = tmp_path / "bad.ppt"
+        bad.write_text("\ufeffa :- since.\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{bad}:1:6: error: ")
+
     def test_stdin(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("a.\n"))
@@ -72,11 +86,11 @@ class TestModels:
         code, _, err = run(capsys, "models", p1_file, "--length", "2",
                            "--budget", "10")
         assert code == 3
-        assert "budget" in err
+        assert err == "error: 2^8 candidate traces exceed the budget of 10\n"
 
     @pytest.mark.parametrize("command", ["models", "verify"])
     def test_budget_long_trace_exit_3(self, capsys, p1_file, command):
-        # 2^(4 * 100,000) candidates: too many digits to print in decimal.
+        # 2^(4 * 100,000) candidates, named by their exponent.
         code, out, err = run(capsys, command, p1_file, "--length", "100000")
         assert (code, out) == (3, "")
         assert "budget" in err
@@ -93,6 +107,7 @@ class TestUsageErrors:
         [],
         ["fuzz", "--cases", "x"],
         ["models", "{file}", "--length", "2", "--alphabet", "a"],
+        ["fuzz", "--budget", "5"],
     ])
     def test_exit_1(self, capsys, p1_file, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -757,6 +772,21 @@ def test_golden_fuzz_output(capsys):
     code, out, _ = run(capsys, "fuzz", "--cases", "50", "--seed", "5")
     assert code == 0
     assert out == json.dumps(GOLDEN_FUZZ, indent=2) + "\n"
+
+
+# SHA-256 of the exact stdout of `fuzz --cases 200 --seed S` (all suites),
+# recorded before the occurrence records became one `positive_atoms` query.
+GOLDEN_FUZZ_SHA256 = {
+    0: "bd9de2f79702030249eb3312bc293bcbf94dd99030a91eb9baec6bb608b171bb",
+    7: "d39f2c922abecd57ead0774ab95766e0d10716dee4637c7776fc7e7adbbf9544",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_FUZZ_SHA256))
+def test_golden_fuzz_digest(capsys, seed):
+    code, out, _ = run(capsys, "fuzz", "--cases", "200", "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FUZZ_SHA256[seed]
 
 
 class TestVerify:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ppt import (
-    DepGraph, MixedSection, RuleKind, SccTooLarge, dependency_graph,
+    DepGraph, RuleKind, SccTooLarge, dependency_graph,
     enumerate_loops, is_tight, parse_program, section_graphs,
 )
 from ppt.depgraph import SCC_CAP
@@ -43,7 +43,7 @@ class TestDependencyGraph:
         assert g.edges == frozenset({("a", "b"), ("a", "c")})
 
     def test_mixed_sections_rejected(self, p1):
-        with pytest.raises(MixedSection):
+        with pytest.raises(ValueError, match="multiple sections: dynamic, initial"):
             dependency_graph(p1.rules[:2])
 
 

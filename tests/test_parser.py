@@ -33,6 +33,10 @@ class TestProgramParsing:
         p = parse_program("% leading comment\n\na.  % trailing\n")
         assert len(p.rules) == 1
 
+    def test_byte_order_mark_dropped(self, p1):
+        assert parse_program("\ufeff" + format_program(p1)) == p1
+        assert parse_formula("\ufeffa since b") == parse_formula("a since b")
+
     def test_head_disjunction_synonyms(self):
         for sep in ("|", ";", "or"):
             p = parse_program(f"a {sep} b.")
@@ -100,6 +104,11 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse_program("a :- b,\n  since c.")
         assert (err.value.line, err.value.column) == (2, 3)
+
+    def test_only_one_byte_order_mark_dropped(self):
+        with pytest.raises(ParseError) as err:
+            parse_program("\ufeff\ufeffa.")
+        assert (err.value.line, err.value.column) == (1, 1)
 
     def test_positions_within_bounds(self):
         sources = ["", "a", "a :-", "a :- b", "x.\ny.\nz", "(", "a :- (b."]

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ppt import (
-    And, AtomRef, FALSUM, Falsum, Not, Or, Previous, Program, Rule, RuleKind,
-    Since, Trigger, atoms_of, classify_occurrences, format_formula,
+    And, AtomRef, FALSUM, Falsum, INITIAL_CONST, Not, Or, Previous, Program,
+    Rule, RuleKind, Since, Trigger, VERUM, atoms_of, format_formula,
     format_program, format_rule, is_past_formula, parse_formula,
-    parse_program,
+    parse_program, positive_atoms,
 )
 from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION
 
@@ -90,50 +90,35 @@ class TestExpand:
         assert (node, depth) == (AtomRef("a"), 5000)
 
 
-class TestOccurrences:
+class TestPositiveAtoms:
     def test_rule3_body(self):
         body = parse_formula("shoot, (not unload since load)")
-        occs = {(o.atom, o.presentness, o.negated)
-                for o in classify_occurrences(body)}
-        assert occs == {
-            ("shoot", "present", False),
-            ("unload", "present", True),
-            ("load", "present", False),
-        }
+        assert positive_atoms(body) == {"shoot", "load"}
+        assert positive_atoms(body, present_only=True) == {"shoot", "load"}
 
     def test_previous_makes_past(self):
         body = parse_formula("b, prev c")
-        occs = {(o.atom, o.presentness) for o in classify_occurrences(body)}
-        assert occs == {("b", "present"), ("c", "past")}
+        assert positive_atoms(body) == {"b", "c"}
+        assert positive_atoms(body, present_only=True) == {"b"}
 
-    def test_double_negation_positive_but_in_scope(self):
-        f = Not(Not(AtomRef("a")))
-        (occ,) = classify_occurrences(f)
-        assert occ.presentness == "present"
-        assert occ.negated
+    def test_double_negation_is_not_positive(self):
+        assert positive_atoms(Not(Not(AtomRef("a")))) == frozenset()
 
-    @given(past_formulas)
-    def test_counts_leaves(self, f):
-        def leaves_of(g):
-            tp = type(g)
-            if tp is AtomRef:
-                return 1
-            if tp is Falsum:
-                return 0
-            if tp in (Not, Previous):
-                return leaves_of(g.arg)
-            return leaves_of(g.lhs) + leaves_of(g.rhs)
-
-        assert len(classify_occurrences(f)) == leaves_of(f)
+    @pytest.mark.parametrize("f", [
+        VERUM, And(AtomRef("a"), Not(Previous(INITIAL_CONST)))])
+    def test_rejects_extended_nodes_under_negation_too(self, f):
+        with pytest.raises(ValueError, match="not a core past formula"):
+            positive_atoms(f)
 
     @given(past_formulas)
-    def test_past_iff_path_crosses_previous(self, f):
+    def test_matches_recursive_listing(self, f):
         # Independent listing, by plain recursion over the tree, of every
-        # occurrence with the negations and Previous nodes above it.
+        # occurrence with the numbers of negations and Previous nodes
+        # above it.
         def listing(g, negs, prevs):
             tp = type(g)
             if tp is AtomRef:
-                return [(g.name, "past" if prevs else "present", negs > 0)]
+                return [(g.name, negs, prevs)]
             if tp is Falsum:
                 return []
             if tp is Not:
@@ -142,8 +127,12 @@ class TestOccurrences:
                 return listing(g.arg, negs, prevs + 1)
             return listing(g.lhs, negs, prevs) + listing(g.rhs, negs, prevs)
 
-        assert [(o.atom, o.presentness, o.negated)
-                for o in classify_occurrences(f)] == listing(f, 0, 0)
+        occurrences = listing(f, 0, 0)
+        assert positive_atoms(f) == {
+            name for name, negs, _ in occurrences if negs == 0}
+        assert positive_atoms(f, present_only=True) == {
+            name for name, negs, prevs in occurrences
+            if negs == 0 and prevs == 0}
 
 
 class TestFormat:

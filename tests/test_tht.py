@@ -265,8 +265,7 @@ class TestTraces:
             HTTrace(Trace.of(["a"]), Trace.of([]))
 
     def test_ht_requires_equal_length(self):
-        from ppt import LengthMismatch
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="here has length 1, there has length 2"):
             HTTrace(Trace.of([]), Trace.of([], []))
 
     def test_models_json_sorted(self):

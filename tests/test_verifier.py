@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ppt import (
-    AtomRef, GenConfig, HTTrace, LengthMismatch, Not, PreconditionSkipped,
+    AtomRef, GenConfig, HTTrace, Not, PreconditionSkipped,
     Previous, Program, Trace, TraceMask, check_lemma_pastocc,
     check_lemma_support, format_program, mask_trace, parse_program,
     random_program, run_correspondence_suite, run_lemma_suite,
@@ -51,7 +51,7 @@ class TestTraceMask:
     def test_length_mismatch(self):
         m = HTTrace.total(Trace.of(["a"]))
         mask = TraceMask(frozenset(), 0, (frozenset(), frozenset()))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="mask has length 2, trace has length 1"):
             mask_trace(m, mask)
 
     def test_nonempty_before_pivot_rejected(self):
