@@ -20,9 +20,10 @@ from .syntax import (
     format_rule, head_disjunction, is_past_formula, positive_atoms,
 )
 from .parser import parse_formula, parse_program
+from .progression import DEFAULT_BUDGET
 from .tht import (
-    DEFAULT_BUDGET, HTTrace, Trace, enumerate_ts_models, ht_sat, is_ht_model,
-    models_to_json, rule_sat, three_valued,
+    HTTrace, Trace, enumerate_ts_models, ht_sat, is_ht_model, models_to_json,
+    rule_sat, three_valued,
 )
 from .ltlf import enumerate_ltlf_models, ltlf_sat
 from .depgraph import (

@@ -3,8 +3,9 @@
 An edge (a, b) records that some rule can derive a from a positive,
 present occurrence of b: a is in the rule head and b is in
 `positive_atoms(body, present_only=True)`, that is b occurs in the body
-outside every negation and outside every `prev`.  Rules from two
-sections in one call raise `ValueError`.  Initial and dynamic
+outside every negation and outside every `prev`.  A graph belongs to
+one section of one program: its vertices are the program alphabet and
+its edges come from the rules of that section.  Initial and dynamic
 sections have separate graphs; final rules have no heads and therefore
 no graph of their own.
 
@@ -24,12 +25,9 @@ enumeration and has no cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .errors import SccTooLarge
-from .syntax import (
-    Atom, Program, Rule, RuleKind, formula_atoms, positive_atoms,
-)
+from .syntax import Atom, Program, RuleKind, positive_atoms
 
 __all__ = [
     "SCC_CAP", "DepGraph", "dependency_graph", "section_graphs",
@@ -51,36 +49,20 @@ class DepGraph:
                 raise ValueError(f"edge ({a}, {b}) leaves the vertex set")
 
 
-def dependency_graph(rules: Sequence[Rule], alphabet: Iterable[Atom] | None = None,
-                     section: RuleKind | None = None) -> DepGraph:
-    """Positive dependency graph of a single-section rule set.
-
-    Vertices default to the atoms occurring in the rules; pass the
-    program alphabet to make them the full alphabet.
-    """
-    kinds = {r.kind for r in rules}
-    if len(kinds) > 1:
-        names = ", ".join(sorted(k.value for k in kinds))
-        raise ValueError(f"rules come from multiple sections: {names}")
-    if section is None and kinds:
-        section = next(iter(kinds))
-
-    vertices: set[Atom] = set() if alphabet is None else set(alphabet)
+def dependency_graph(p: Program, section: RuleKind) -> DepGraph:
+    """Positive dependency graph of one section of a program, over its alphabet."""
     edges: set[tuple[Atom, Atom]] = set()
-    for rule in rules:
-        vertices.update(rule.head)
-        vertices.update(formula_atoms(rule.body))
-        supports = positive_atoms(rule.body, present_only=True)
-        for head_atom in rule.head:
-            for body_atom in supports:
-                edges.add((head_atom, body_atom))
-    return DepGraph(frozenset(vertices), frozenset(edges), section)
+    for rule in p.rules:
+        if rule.kind is section:
+            supports = positive_atoms(rule.body, present_only=True)
+            edges.update((h, b) for h in rule.head for b in supports)
+    return DepGraph(p.alphabet, frozenset(edges), section)
 
 
 def section_graphs(p: Program) -> tuple[DepGraph, DepGraph]:
-    """The initial and dynamic graphs of a program, over its alphabet."""
-    return (dependency_graph(p.initial, p.alphabet, RuleKind.INITIAL),
-            dependency_graph(p.dynamic, p.alphabet, RuleKind.DYNAMIC))
+    """The initial and dynamic graphs of a program."""
+    return (dependency_graph(p, RuleKind.INITIAL),
+            dependency_graph(p, RuleKind.DYNAMIC))
 
 
 def _successors(g: DepGraph) -> dict[Atom, list[Atom]]:

@@ -1,8 +1,7 @@
 """Exception types for parse errors, exceeded budgets and exceeded caps.
 
 A bad argument to a library function (an atom outside the alphabet,
-rules from two sections where one is needed, traces of unequal length)
-raises the built-in `ValueError` instead.
+traces of unequal length) raises the built-in `ValueError` instead.
 """
 
 from __future__ import annotations
@@ -16,23 +15,15 @@ class ParseError(PptError):
     """Syntax error in a `.ppt` source text.
 
     `line` and `column` are 1-based and point at the first character of
-    the offending token.  `expected` lists token descriptions that would
-    have been accepted at that position.
+    the offending token.  `message` says what was expected there and what
+    was found, where the parser knows both.
     """
 
-    def __init__(self, line: int, column: int, message: str,
-                 expected: tuple[str, ...] = ()):
+    def __init__(self, line: int, column: int, message: str):
         self.line = line
         self.column = column
         self.message = message
-        self.expected = tuple(expected)
-        super().__init__(str(self))
-
-    def __str__(self) -> str:
-        text = f"line {self.line}, column {self.column}: {self.message}"
-        if self.expected:
-            text += " (expected " + " or ".join(self.expected) + ")"
-        return text
+        super().__init__(f"line {line}, column {column}: {message}")
 
 
 class RestrictionError(ParseError):

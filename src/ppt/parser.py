@@ -140,14 +140,17 @@ class _Parser:
             return True
         return False
 
-    def fail(self, message: str, *expected: str):
+    def found(self) -> str:
         tok = self.peek()
-        raise ParseError(tok.line, tok.column, message, tuple(expected))
+        return "end of input" if tok.kind == "eof" else repr(tok.text)
 
-    def expect(self, text: str, *expected: str) -> _Token:
+    def fail(self, message: str):
+        tok = self.peek()
+        raise ParseError(tok.line, tok.column, message)
+
+    def expect(self, text: str) -> _Token:
         if not self.at(text):
-            shown = self.peek().text or "end of input"
-            self.fail(f"unexpected {shown!r}", *(expected or (repr(text),)))
+            self.fail(f"expected {text!r}, found {self.found()}")
         return self.advance()
 
     def nested(self, parse):
@@ -165,14 +168,12 @@ class _Parser:
     def atom_name(self) -> str:
         tok = self.peek()
         if tok.kind != "ident":
-            self.fail(f"expected an atom, found {tok.text or 'end of input'!r}",
-                      "atom")
+            self.fail(f"expected an atom, found {self.found()}")
         if tok.text in _RESERVED:
-            self.fail(f"reserved word {tok.text!r} cannot be used as an atom",
-                      "atom")
+            self.fail(f"reserved word {tok.text!r} cannot be used as an atom")
         if not ATOM_RE.match(tok.text):
             self.fail(f"invalid atom name {tok.text!r} "
-                      "(must match [a-z][A-Za-z0-9_]*)", "atom")
+                      "(must match [a-z][A-Za-z0-9_]*)")
         self.advance()
         return tok.text
 
@@ -180,15 +181,14 @@ class _Parser:
         tok = self.peek()
         if self.at("("):
             inner = self.nested(self.disjunction)
-            self.expect(")", "')'")
+            self.expect(")")
             return inner
         if tok.kind == "ident":
             if tok.text in _CONSTANTS:
                 self.advance()
                 return _CONSTANTS[tok.text]
             return AtomRef(self.atom_name())
-        self.fail(f"expected a formula, found {tok.text or 'end of input'!r}",
-                  "atom", "'('", "'not'", "'true'", "'false'")
+        self.fail(f"expected a formula, found {self.found()}")
 
     def unary(self):
         tok = self.peek()
@@ -227,17 +227,17 @@ class _Parser:
         return tuple(atoms)
 
     def directive(self) -> RuleKind:
-        self.expect("#", "'#'")
+        self.advance()  # the '#' that `program` saw
         tok = self.peek()
         names = {k.value: k for k in RuleKind}
         if tok.kind != "ident" or tok.text not in names:
-            self.fail("expected a section name",
-                      "'initial'", "'dynamic'", "'final'")
+            self.fail("expected a section name (initial, dynamic or final), "
+                      f"found {self.found()}")
         self.advance()
-        self.expect(".", "'.'")
+        self.expect(".")
         return names[tok.text]
 
-    def rule(self, section: RuleKind, index: int) -> Rule:
+    def rule(self, section: RuleKind) -> Rule:
         start = self.peek()
         head: tuple[str, ...] = ()
         if not self.at(":-"):
@@ -248,7 +248,7 @@ class _Parser:
             body = self.disjunction()
         else:
             body = CORE_TRUE
-        self.expect(".", "'.'")
+        self.expect(".")
 
         if section is RuleKind.FINAL and head:
             raise RestrictionError(start.line, start.column,
@@ -258,7 +258,7 @@ class _Parser:
                 body_tok.line, body_tok.column,
                 f"{section.value} rule bodies must be conjunctions of "
                 "regular literals")
-        return Rule(section, head, body, index)
+        return Rule(section, head, body)
 
     def program(self) -> Program:
         rules: list[Rule] = []
@@ -267,14 +267,13 @@ class _Parser:
             if self.at("#"):
                 section = self.directive()
             else:
-                rules.append(self.rule(section, len(rules)))
+                rules.append(self.rule(section))
         return Program(tuple(rules))
 
     def formula(self):
         body = self.disjunction()
         if self.peek().kind != "eof":
-            self.fail(f"unexpected {self.peek().text!r} after formula",
-                      "end of input")
+            self.fail(f"expected end of input, found {self.found()}")
         return body
 
 

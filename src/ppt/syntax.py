@@ -277,13 +277,13 @@ class Rule:
     The head is an ordered atom disjunction; an empty head denotes a
     constraint.  Initial and final rule bodies must be conjunctions of
     regular literals; dynamic bodies may be any core past formula.
-    Final rules never have a head.
+    Final rules never have a head.  Within a program a rule is named by
+    its index in `Program.rules`.
     """
 
     kind: RuleKind
     head: tuple[Atom, ...]
     body: PastFormula
-    source_index: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "head", tuple(self.head))
@@ -370,7 +370,6 @@ _PREC_OR = 2
 _PREC_AND = 3
 _PREC_TEMPORAL = 4
 _PREC_UNARY = 5
-_PREC_PRIMARY = 6
 
 _UNARY_KEYWORD = {Not: "not", Previous: "prev"}
 

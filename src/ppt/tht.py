@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .progression import DEFAULT_BUDGET, placement, search
+from .progression import placement, search
 from .syntax import (
     And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst, Not, Or,
     Previous, Program, Rule, Since, Trigger, Verum, is_past_formula,
@@ -35,7 +35,7 @@ from .syntax import (
 from .transform import program_as_ltlf, rule_formula
 
 __all__ = [
-    "DEFAULT_BUDGET", "Trace", "HTTrace",
+    "Trace", "HTTrace",
     "ht_sat", "formula_sat", "rule_sat", "is_ht_model",
     "enumerate_ts_models", "three_valued", "models_to_json",
 ]

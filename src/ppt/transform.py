@@ -17,8 +17,8 @@ traces:
 
 Each translation is written once, as a `sourced_*` function returning
 (formula, source) pairs; the source names what produced the formula:
-`atom x`, `rule i` or a loop such as `initial loop {a, b}`.  The plain
-functions drop the sources.
+`atom x`, `rule i` (the rule at index i of `Program.rules`) or a loop
+such as `initial loop {a, b}`.  The plain functions drop the sources.
 
 Emission is canonical and unsimplified; `simplify` applies a fixed set
 of truth-constant rewrites when shorter output is wanted.
@@ -26,7 +26,7 @@ of truth-constant rewrites when shorter output is wanted.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .syntax import (
     Always, And, Atom, AtomRef, CORE_TRUE, ExtFormula, FALSUM, FINAL_CONST,
@@ -96,20 +96,20 @@ def _support_term(rule: Rule, excluded: frozenset[Atom],
     return term
 
 
-def external_support(rules: Sequence[Rule], loop: Iterable[Atom]) -> PastFormula:
-    """External support formula of an atom set over a single-section rule set.
+def external_support(p: Program, section: RuleKind,
+                     loop: Iterable[Atom]) -> PastFormula:
+    """External support formula of an atom set within one section of a program.
 
-    Disjunction, in source order, over the rules whose head meets the
-    loop, of the transformed body conjoined with the negations of the
-    head atoms outside the loop; false when no rule qualifies.
+    Disjunction, in program order, over the rules of that section whose
+    head meets the loop, of the transformed body conjoined with the
+    negations of the head atoms outside the loop; false when no rule
+    qualifies.
     """
-    if len({r.kind for r in rules}) > 1:
-        raise ValueError("external support needs rules from one section")
     loop = frozenset(loop)
     disjuncts = [
         _support_term(r, loop, support_transform(r.body, loop))
-        for r in sorted(rules, key=lambda r: r.source_index)
-        if loop.intersection(r.head)
+        for r in p.rules
+        if r.kind is section and loop.intersection(r.head)
     ]
     return or_chain(disjuncts, FALSUM)
 
@@ -118,7 +118,7 @@ def completion_atom(p: Program, atom: Atom) -> ExtFormula:
     """The completion biconditional of one alphabet atom.
 
     The right-hand side disjoins the initial supports (guarded by `I`)
-    and the dynamic supports (guarded by `not I`), in source order; a
+    and the dynamic supports (guarded by `not I`), in program order; a
     section with no supporting rule contributes false, and an atom with
     no supporting rule at all gets a plain false.
     """
@@ -159,17 +159,16 @@ def sourced_completion(p: Program) -> Sourced:
     """Temporal completion: atom biconditionals, then carried constraints."""
     out = [(completion_atom(p, atom), f"atom {atom}")
            for atom in sorted(p.alphabet)]
-    constraints = [r for r in p.rules
-                   if r.kind is not RuleKind.FINAL and not r.head]
-    constraints.extend(p.final)
-    out.extend((rule_formula(r), f"rule {r.source_index}")
-               for r in constraints)
+    # Headless initial and dynamic rules, then the final rules.
+    constraints = sorted(((i, r) for i, r in enumerate(p.rules) if not r.head),
+                         key=lambda ir: ir[1].kind is RuleKind.FINAL)
+    out.extend((rule_formula(r), f"rule {i}") for i, r in constraints)
     return out
 
 
 def sourced_program_as_ltlf(p: Program) -> Sourced:
-    """The rules themselves read classically, in source order."""
-    return [(rule_formula(r), f"rule {r.source_index}") for r in p.rules]
+    """The rules themselves read classically, in program order."""
+    return [(rule_formula(r), f"rule {i}") for i, r in enumerate(p.rules)]
 
 
 def sourced_loop_formulas(p: Program, unitary: bool = False) -> Sourced:
@@ -182,11 +181,10 @@ def sourced_loop_formulas(p: Program, unitary: bool = False) -> Sourced:
     out: Sourced = []
     for graph in section_graphs(p):
         section = graph.section
-        rules = p.initial if section is RuleKind.INITIAL else p.dynamic
         for loop in enumerate_loops(graph, unitary):
             atoms = sorted(loop)
             body = Implies(or_chain([AtomRef(a) for a in atoms], FALSUM),
-                           external_support(rules, loop))
+                           external_support(p, section, loop))
             if section is RuleKind.DYNAMIC:
                 body = WeakNextAlways(body)
             out.append((body, f"{section.value} loop {{{', '.join(atoms)}}}"))

@@ -212,7 +212,7 @@ def random_program(cfg: GenConfig) -> Program:
     atoms = _ATOM_POOL[:cfg.max_atoms]
     count = 0 if cfg.max_rules == 0 else rng.randint(1, cfg.max_rules)
     rules = []
-    for index in range(count):
+    for _ in range(count):
         kind = rng.choices(
             (RuleKind.INITIAL, RuleKind.DYNAMIC, RuleKind.FINAL),
             (35, 50, 15))[0]
@@ -226,7 +226,7 @@ def random_program(cfg: GenConfig) -> Program:
                 rng, atoms, rng.randint(0, cfg.max_body_depth))
         else:
             body = _random_literal_body(rng, atoms)
-        rules.append(Rule(kind, head, body, index))
+        rules.append(Rule(kind, head, body))
     return Program(tuple(rules))
 
 

@@ -50,8 +50,8 @@ def test_criterion_03_completion_alone_is_unsound_for_cycles(p2):
 
 
 def test_criterion_04_loop_inventories(p1):
-    init_graph = dependency_graph(p1.initial, p1.alphabet, RuleKind.INITIAL)
-    dyn_graph = dependency_graph(p1.dynamic, p1.alphabet, RuleKind.DYNAMIC)
+    init_graph = dependency_graph(p1, RuleKind.INITIAL)
+    dyn_graph = dependency_graph(p1, RuleKind.DYNAMIC)
     plain_init = set(enumerate_loops(init_graph))
     plain_dyn = set(enumerate_loops(dyn_graph))
     unitary_dyn = set(enumerate_loops(dyn_graph, unitary=True))
@@ -64,8 +64,8 @@ def test_criterion_04_loop_inventories(p1):
 
 
 def test_criterion_05_external_support_goldens(p1, p2):
-    es2 = simplify(external_support(p2.dynamic, LOOP))
-    es1 = simplify(external_support(p1.dynamic, LOOP))
+    es2 = simplify(external_support(p2, RuleKind.DYNAMIC, LOOP))
+    es1 = simplify(external_support(p1, RuleKind.DYNAMIC, LOOP))
     ok = (es2 == FALSUM
           and es1 == And(Not(AtomRef("load")), Not(AtomRef("unload"))))
     verdict(5, ok, "external support collapses to false / "

@@ -54,6 +54,20 @@ class TestCheck:
         assert code == 1
         assert ":1:6:" in err
 
+    @pytest.mark.parametrize("src, position, message", [
+        ("a :- b", "1:7", "expected '.', found end of input"),
+        ("a :- (b.", "1:8", "expected ')', found '.'"),
+        ("#foo.", "1:2", "expected a section name (initial, dynamic or "
+                         "final), found 'foo'"),
+    ], ids=["missing_dot", "missing_paren", "unknown_section"])
+    def test_parse_error_says_what_was_expected(self, capsys, tmp_path, src,
+                                                position, message):
+        bad = tmp_path / "bad.ppt"
+        bad.write_text(src)
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"{bad}:{position}: error: {message}\n"
+
     def test_byte_order_mark(self, capsys, tmp_path, p1_file):
         path = tmp_path / "bom.ppt"
         path.write_text("\ufeff" + P1_TEXT, encoding="utf-8")

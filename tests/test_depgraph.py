@@ -10,11 +10,11 @@ from ppt.depgraph import SCC_CAP
 
 
 def _dyn_graph(p):
-    return dependency_graph(p.dynamic, p.alphabet, RuleKind.DYNAMIC)
+    return dependency_graph(p, RuleKind.DYNAMIC)
 
 
 def _init_graph(p):
-    return dependency_graph(p.initial, p.alphabet, RuleKind.INITIAL)
+    return dependency_graph(p, RuleKind.INITIAL)
 
 
 class TestDependencyGraph:
@@ -29,22 +29,18 @@ class TestDependencyGraph:
 
     def test_previous_breaks_edge(self):
         p = parse_program("#dynamic. a :- b, prev c.")
-        g = dependency_graph(p.dynamic)
+        g = _dyn_graph(p)
         assert g.edges == frozenset({("a", "b")})
 
     def test_negation_breaks_edge(self):
         p = parse_program("#dynamic. a :- b, not c, not not d.")
-        g = dependency_graph(p.dynamic)
+        g = _dyn_graph(p)
         assert g.edges == frozenset({("a", "b")})
 
     def test_since_keeps_present_parts(self):
         p = parse_program("#dynamic. a :- (b since c).")
-        g = dependency_graph(p.dynamic)
+        g = _dyn_graph(p)
         assert g.edges == frozenset({("a", "b"), ("a", "c")})
-
-    def test_mixed_sections_rejected(self, p1):
-        with pytest.raises(ValueError, match="multiple sections: dynamic, initial"):
-            dependency_graph(p1.rules[:2])
 
 
 class TestLoops:
@@ -63,7 +59,7 @@ class TestLoops:
 
     def test_self_loop_is_plain_loop(self):
         p = parse_program("#dynamic. a :- a.")
-        loops = enumerate_loops(dependency_graph(p.dynamic))
+        loops = enumerate_loops(_dyn_graph(p))
         assert set(loops) == {frozenset({"a"})}
 
     def test_plain_subset_of_unitary(self, p1):
@@ -79,7 +75,7 @@ class TestLoops:
         p = parse_program("#dynamic. " + " ".join(
             f"a{i} :- a{(i + 1) % size}." for i in range(size)))
         with pytest.raises(SccTooLarge, match=f"size {size} exceeds"):
-            enumerate_loops(dependency_graph(p.dynamic))
+            enumerate_loops(_dyn_graph(p))
 
 
 class TestTightness:

@@ -1,5 +1,6 @@
-"""Module hygiene of the `ppt` package: public names resolve, and no
-module reaches into a sibling's private names."""
+"""Module hygiene of the `ppt` package: public names resolve, no module
+reaches into a sibling's private names, and every private module-level
+name is read in its own module."""
 
 import ast
 import importlib
@@ -39,6 +40,28 @@ def test_package_reexports_exist():
     for module, name in pairs:
         assert hasattr(importlib.import_module(f"ppt.{module}"), name), (module, name)
         assert hasattr(ppt, name), name
+
+
+def _private_definitions(tree):
+    """Private names bound at module level by a def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_private_names_are_read(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert [n for n in _private_definitions(tree) if n not in read] == []
 
 
 @pytest.mark.parametrize("name", MODULES + ["__init__"])

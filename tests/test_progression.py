@@ -125,6 +125,6 @@ class TestEdgeCases:
         body = CORE_TRUE
         for _ in range(5000):
             body = And(body, Previous(AtomRef("a")))
-        p = Program((Rule(RuleKind.INITIAL, ("a",), CORE_TRUE, 0),
-                     Rule(RuleKind.DYNAMIC, ("b",), body, 1)))
+        p = Program((Rule(RuleKind.INITIAL, ("a",), CORE_TRUE),
+                     Rule(RuleKind.DYNAMIC, ("b",), body)))
         assert enumerate_ts_models(p, 2) == {Trace.of(["a"], ["b"])}

@@ -170,25 +170,28 @@ class TestProgramModel:
         assert atoms_of(parse_program("a.")) == frozenset({"a"})
 
     def test_partitions_preserve_order(self, p1):
-        assert [r.source_index for r in p1.initial] == [0]
-        assert [r.source_index for r in p1.dynamic] == [1, 2, 3]
-        assert [r.source_index for r in p1.final] == [4]
+        def at(*positions):
+            return tuple(p1.rules[i] for i in positions)
+
+        assert p1.initial == at(0)
+        assert p1.dynamic == at(1, 2, 3)
+        assert p1.final == at(4)
 
     def test_head_order_is_source_order(self, p1):
         assert p1.rules[1].head == ("shoot", "load", "unload")
 
     def test_alphabet_must_cover_rules(self):
-        rule = Rule(RuleKind.INITIAL, ("a",), CORE_TRUE, 0)
+        rule = Rule(RuleKind.INITIAL, ("a",), CORE_TRUE)
         with pytest.raises(ValueError):
             Program((rule,), frozenset({"b"}))
 
     def test_final_rule_head_rejected(self):
         with pytest.raises(ValueError):
-            Rule(RuleKind.FINAL, ("a",), CORE_TRUE, 0)
+            Rule(RuleKind.FINAL, ("a",), CORE_TRUE)
 
     def test_initial_body_restriction(self):
         with pytest.raises(ValueError):
-            Rule(RuleKind.INITIAL, ("a",), Since(AtomRef("b"), AtomRef("c")), 0)
+            Rule(RuleKind.INITIAL, ("a",), Since(AtomRef("b"), AtomRef("c")))
 
     def test_bad_atom_name(self):
         with pytest.raises(ValueError):

@@ -192,8 +192,8 @@ class TestDeepChain:
         body = AtomRef("a")
         for _ in range(5000):
             body = And(body, Previous(AtomRef("a")))
-        rule = Rule(RuleKind.DYNAMIC, ("b",), body, 1)
-        p = Program((Rule(RuleKind.INITIAL, ("a",), CORE_TRUE, 0), rule))
+        rule = Rule(RuleKind.DYNAMIC, ("b",), body)
+        p = Program((Rule(RuleKind.INITIAL, ("a",), CORE_TRUE), rule))
         t = Trace.of(["a"], ["a", "b"])
         m = HTTrace.total(t)
         assert ht_sat(m, 1, body) is True

@@ -7,7 +7,8 @@ from ppt import (
     Since, Trace, Trigger, VERUM, WeakNextAlways, completion, completion_atom,
     enumerate_ltlf_models, enumerate_ts_models, external_support,
     format_formula, ht_sat, loop_formulas, ltlf_sat, parse_formula,
-    parse_program, positive_atoms, program_as_ltlf, simplify, sourced_completion, sourced_loop_formulas,
+    parse_program, positive_atoms, Program, program_as_ltlf, Rule, RuleKind,
+    simplify, sourced_completion, sourced_loop_formulas,
     sourced_program_as_ltlf, support_transform,
 )
 from ppt.syntax import CORE_TRUE, FINAL_CONST, INITIAL_CONST
@@ -68,18 +69,25 @@ class TestSupportTransform:
 
 class TestExternalSupport:
     def test_p2_loop_has_no_support(self, p2):
-        assert simplify(external_support(p2.dynamic, L)) == FALSUM
+        assert simplify(external_support(p2, RuleKind.DYNAMIC, L)) == FALSUM
 
     def test_p1_loop_supported_by_choice(self, p1):
-        got = simplify(external_support(p1.dynamic, L))
+        got = simplify(external_support(p1, RuleKind.DYNAMIC, L))
         assert got == And(Not(AtomRef("load")), Not(AtomRef("unload")))
 
     def test_disjoint_heads_give_false(self, p1):
-        assert external_support(p1.dynamic, frozenset({"zzz"})) == FALSUM
+        assert external_support(p1, RuleKind.DYNAMIC,
+                                frozenset({"zzz"})) == FALSUM
 
-    def test_mixed_sections_rejected(self, p1):
-        with pytest.raises(ValueError, match="needs rules from one section"):
-            external_support(p1.rules, L)
+    def test_disjuncts_follow_program_order(self):
+        c = Rule(RuleKind.DYNAMIC, ("a",), AtomRef("c"))
+        d = Rule(RuleKind.DYNAMIC, ("a",), AtomRef("d"))
+        skipped = Rule(RuleKind.INITIAL, ("a",), AtomRef("e"))
+        loop = frozenset({"a"})
+        assert external_support(Program((d, skipped, c)), RuleKind.DYNAMIC,
+                                loop) == Or(AtomRef("d"), AtomRef("c"))
+        assert external_support(Program((c, skipped, d)), RuleKind.DYNAMIC,
+                                loop) == Or(AtomRef("c"), AtomRef("d"))
 
 
 class TestCompletionAtom:
@@ -227,6 +235,17 @@ class TestCompileUnit:
         p = parse_program(":- a.\n:- a.\nb :- a.")
         assert [s for _, s in sourced_completion(p)][-2:] == ["rule 0",
                                                                "rule 1"]
+
+    def test_hand_built_program_labels_positions(self):
+        p = Program((Rule(RuleKind.INITIAL, ("a",), CORE_TRUE),
+                     Rule(RuleKind.DYNAMIC, ("b",), AtomRef("a"))))
+        assert [s for _, s in sourced_program_as_ltlf(p)] == ["rule 0",
+                                                               "rule 1"]
+
+    def test_sliced_program_labels_new_positions(self):
+        q = parse_program("a.\n:- a.")
+        assert [s for _, s in sourced_completion(Program(q.rules[1:]))] == [
+            "atom a", "rule 0"]
 
 
 class TestLemmaSupportInstance:
