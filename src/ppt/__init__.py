@@ -5,7 +5,7 @@ present and whose bodies may use arbitrary past temporal formulas.
 It compiles programs into classical finite-trace formulas (temporal
 completion, loop formulas, and the unitary-cycle regime that subsumes
 completion), enumerates stable models and classical models with one
-state-by-state search, and machine-checks that the translations agree
+layered search, and machine-checks that the translations agree
 with the stable-model semantics.
 """
 

@@ -25,6 +25,11 @@ class ParseError(PptError):
         self.message = message
         super().__init__(f"line {line}, column {column}: {message}")
 
+    def __reduce__(self):
+        # The inherited reduction would call __init__ with the one
+        # formatted string above.
+        return type(self), (self.line, self.column, self.message)
+
 
 class RestrictionError(ParseError):
     """Well-formed syntax that violates a rule-form restriction.

@@ -1,4 +1,4 @@
-"""One state-by-state model search for both sides of the correspondence.
+"""One layered model search for both sides of the correspondence.
 
 It reads the formulas the compiler emits: past formulas in which `I`,
 `F`, `true`, `->` and `<->` are classical, under a top wrapper read by
@@ -10,7 +10,7 @@ classical side keeps every survivor.  The stable side searches the rules
 read as formulas (`transform.program_as_ltlf`), the rules of point k
 being the formulas required there, and also tests minimality:
 
-    Lemma.  A total trace T is a temporal stable model iff <T, T> is a
+    Lemma 1.  A total trace T is a temporal stable model iff <T, T> is a
     model and no point k has an H_k strictly inside T_k such that the
     rules of point k hold on <H, T>, where H = T at every other point.
 
@@ -24,18 +24,51 @@ H restricted to that range, so they hold there.
 
 A rule `body -> head` read classically on the here side, negation
 reading T, holds exactly when it holds on <H, T>, as <T, T> is a model.
-The test costs the sum over k of 2^|T_k| here-states, not 2^|T|.
+
+Prefixes that share their past are merged.  The carried slots are the
+argument of each `prev` node and each `since` and `trigger` node itself:
+the values at point k that point k + 1 reads.  The carried vector of a
+prefix is the total value of each carried slot at its last point.
+
+    Lemma 2.  Which states may follow a nonempty prefix, which of them
+    pass the minimality test, and the carried vector each gives, depend
+    only on the prefix's carried vector and on whether the next point
+    is the last.  So the models that extend a prefix of length k + 1
+    depend only on k and its carried vector.
+
+Proof.  At point k + 1 a node's value is computed from its children
+there, the state there and, for `prev`, `since` and `trigger` only, the
+total values at k of the carried slots; `I` is false there and `F`
+reads whether k + 1 is the last point.  By induction over the node
+array, the total values at k + 1 are functions of the state, the
+carried vector at k and that bit, and so are the survivors (the
+required formulas hold) and their carried vectors.  The here pass at
+k + 1 reads the same slots at k (H = T before k + 1) and, through
+negation, the total values at k + 1, so the minimality verdict is such
+a function too.  The second sentence follows by induction on the number
+of points left.
+
+So the search is a forward pass over layers: layer k holds the carried
+vectors reachable at point k, and the moves out of a vector are
+computed once per vector and phase (middle or last point) and shared by
+every layer.  A backward pass drops the moves that cannot reach the
+last point, and the models are read off as the paths.  With c carried
+slots there are at most 1 + 2^(c+1) total passes, each over 2^n states
+(n = alphabet size), and the minimality test costs at most 3^n
+here-states per total pass, however many prefixes share the vector.
+The layers cost lam times the moves of one layer, and reading off costs
+the size of the output.
 
 All formulas are flattened once into one post-order node array.  The
 value of a node at point k depends on its children at k and on total
 values at k - 1.  Values are computed as ints over candidate states: in
 the total pass bit s is the value when the state at k is s, for all
-2^n states at once (n = alphabet size).  On the stable side each
-surviving state s then gets one here pass over the 2^|s| subsets of s,
-where atoms take their values from the subset, negation reads the total
-values at k, and previous, since and trigger read the total values at
-k - 1 (H = T before k).  Previous is false at point 0, but the trigger
-carry starts out true.
+2^n states at once.  On the stable side each surviving state s then
+gets one here pass over the 2^|s| subsets of s, where atoms take their
+values from the subset, negation reads the total values at k, and
+previous, since and trigger read the total values at k - 1 (H = T
+before k).  Previous is false at point 0, but the trigger carry starts
+out true.
 """
 
 from __future__ import annotations
@@ -86,7 +119,8 @@ def _check_budget(n_atoms: int, lam: int, budget: int | None) -> None:
 
 
 def _flatten(formulas: Iterable, index: dict[str, int]):
-    """Post-order node array for all formulas, and the slot of each.
+    """Post-order node array for all formulas, the slot of each, and the
+    carried slots in ascending order.
 
     A node is (opcode, a, b): the atom index in `a` for atoms, child
     slots in `a` (and `b` for binary nodes, lhs first) otherwise.
@@ -95,11 +129,13 @@ def _flatten(formulas: Iterable, index: dict[str, int]):
     slots: dict[int, int] = {}
     nodes: list[tuple[int, int, int]] = []
     roots = []
+    carried: set[int] = set()
     for formula in formulas:
         stack = [(formula, False)]
         while stack:
             f, expanded = stack.pop()
-            if id(f) in slots:
+            key = id(f)
+            if key in slots:
                 continue
             op = _OPCODES.get(type(f))
             if op is None:
@@ -114,15 +150,19 @@ def _flatten(formulas: Iterable, index: dict[str, int]):
                     stack += ((f, True), (f.arg, False))
                     continue
                 node = (op, slots[id(f.arg)], 0)
+                if op == _PREV:
+                    carried.add(node[1])
             else:
                 if not expanded:
                     stack += ((f, True), (f.rhs, False), (f.lhs, False))
                     continue
                 node = (op, slots[id(f.lhs)], slots[id(f.rhs)])
-            slots[id(f)] = len(nodes)
+                if op == _SINCE or op == _TRIGGER:
+                    carried.add(len(nodes))
+            slots[key] = len(nodes)
             nodes.append(node)
         roots.append(slots[id(formula)])
-    return nodes, roots
+    return nodes, roots, sorted(carried)
 
 
 def _atom_vectors(count: int, width: int) -> list[int]:
@@ -208,8 +248,9 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
     atoms = tuple(sorted(names))
     placed = [placement(f) for f in formulas]
     try:
-        nodes, roots = _flatten([g for g, _, _ in placed],
-                                {name: j for j, name in enumerate(atoms)})
+        nodes, roots, carried = _flatten(
+            [g for g, _, _ in placed],
+            {name: j for j, name in enumerate(atoms)})
     except KeyError:
         used = frozenset().union(*(formula_atoms(g) for g, _, _ in placed))
         missing = ", ".join(sorted(used - names))
@@ -246,32 +287,74 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
         return True
 
     sets: dict[int, frozenset[str]] = {}
-    found = []
-    stack: list[tuple[int, object, object]] = [(0, None, None)]
-    while stack:
-        k, before, prefix = stack.pop()
-        required = later if k else at_start
-        at_end = k == last
+    moves: dict[tuple[object, bool], list] = {}
+
+    def step(key, at_end: bool) -> list[tuple[frozenset[str], tuple]]:
+        # (state, carried vector) of each state that may follow a point
+        # with carried vector `key`, or start the trace when key is None.
+        if key is None:
+            before = None
+            required = at_start
+        else:
+            before = [0] * len(nodes)
+            for slot, value in zip(carried, key):
+                before[slot] = value
+            required = later
         vals = _evaluate(nodes, atom_vecs, full, before, None, at_end)
         ok = full
         for root in required:
             ok &= vals[root]
+        carried_vals = [vals[slot] for slot in carried]
+        out = []
         for s in _members(ok):
-            there = [v >> s & 1 for v in vals]
-            if minimal and s and smaller_here_state(required, s, before,
-                                                    there, at_end):
+            if minimal and s and smaller_here_state(
+                    required, s, before, [v >> s & 1 for v in vals], at_end):
                 continue
-            cell = (s, prefix)
-            if k < last:
-                stack.append((k + 1, there, cell))
-                continue
-            states = []
-            while cell is not None:
-                state = cell[0]
-                if state not in sets:
-                    sets[state] = frozenset(
-                        a for j, a in enumerate(atoms) if state >> j & 1)
-                states.append(sets[state])
-                cell = cell[1]
-            found.append(tuple(reversed(states)))
+            if s not in sets:
+                sets[s] = frozenset(
+                    a for j, a in enumerate(atoms) if s >> j & 1)
+            out.append((sets[s], tuple([v >> s & 1 for v in carried_vals])))
+        return out
+
+    if not last:
+        return [(state,) for state, _ in step(None, True)]
+    # Forward: layer k maps each carried vector reachable at point k to
+    # its moves, computed once per vector and phase (Lemma 2).
+    layers = [{None: step(None, False)}]
+    for k in range(1, lam):
+        at_end = k == last
+        layer: dict[tuple, list] = {}
+        for out in layers[-1].values():
+            for _, key in out:
+                if key not in layer:
+                    if (key, at_end) not in moves:
+                        moves[key, at_end] = step(key, at_end)
+                    layer[key] = moves[key, at_end]
+        layers.append(layer)
+    # Backward: keep only the moves into vectors that reach the last point.
+    live = {key for key, out in layers[last].items() if out}
+    for layer in reversed(layers[:last]):
+        for key, out in layer.items():
+            layer[key] = [move for move in out if move[1] in live]
+        live = {key for key, out in layer.items() if out}
+
+    # The models are the paths, in depth-first order: the state at the
+    # last point ascending, every earlier one descending.
+    found: list[tuple[frozenset[str], ...]] = []
+    path: list[frozenset[str]] = []
+    todo = [reversed(layers[0][None])]
+    while todo:
+        move = next(todo[-1], None)
+        if move is None:
+            todo.pop()
+            continue
+        state, key = move
+        k = len(todo) - 1
+        del path[k:]
+        path.append(state)
+        if k + 1 < last:
+            todo.append(reversed(layers[k + 1][key]))
+        else:
+            head = tuple(path)
+            found += [head + (end,) for end, _ in layers[last][key]]
     return found

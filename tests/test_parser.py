@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from ppt import (
@@ -124,6 +126,17 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse_program("trigger.")
         assert "reserved" in err.value.message
+
+    @pytest.mark.parametrize("src, kind", [
+        ("a :- b", ParseError), ("#final. a :- b.", RestrictionError)])
+    def test_pickle_round_trip(self, src, kind):
+        with pytest.raises(kind) as err:
+            parse_program(src)
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert type(copy) is kind
+        assert (copy.line, copy.column, copy.message) == \
+            (err.value.line, err.value.column, err.value.message)
+        assert str(copy) == str(err.value)
 
 
 class TestRoundTrip:

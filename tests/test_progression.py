@@ -128,3 +128,31 @@ class TestEdgeCases:
         p = Program((Rule(RuleKind.INITIAL, ("a",), CORE_TRUE),
                      Rule(RuleKind.DYNAMIC, ("b",), body)))
         assert enumerate_ts_models(p, 2) == {Trace.of(["a"], ["b"])}
+
+
+class TestBeyondTheOracle:
+    """Model counts known in closed form, up to lengths the brute-force
+    oracle cannot reach."""
+
+    @pytest.mark.parametrize("lam", range(2, 13))
+    def test_p1_stable_model_count(self, p1, lam):
+        # Point 0 loads, the last point shoots a loaded gun, and each of
+        # the m = lam - 2 points between picks one of shoot, load and
+        # unload.  The gun is still loaded after them in L(m) ways, with
+        # L(0) = 1 and L(m) = 2 L(m - 1) + (3^(m - 1) - L(m - 1)): shoot
+        # and load keep a loaded gun loaded, and load also loads an empty
+        # one.  So L(m) = (3^m - 1) / 2 + 1.
+        models = enumerate_ts_models(p1, lam, budget=1 << (4 * lam))
+        assert len(models) == (3 ** (lam - 2) - 1) // 2 + 1
+
+    def test_choice_pairs_at_length_seven(self):
+        pairs = "".join(f"x{i} :- not nx{i}.\nnx{i} :- not x{i}.\n"
+                        for i in range(2))
+        p = parse_program(pairs + "#dynamic.\n" + pairs)
+        budget = 1 << 28
+        stable = enumerate_ts_models(p, 7, budget=budget)
+        unitary = enumerate_ltlf_models(
+            program_as_ltlf(p) + loop_formulas(p, unitary=True), 7,
+            p.alphabet, budget)
+        assert len(stable) == 2 ** 14
+        assert unitary == stable
