@@ -22,8 +22,8 @@ from .syntax import (
 from .parser import parse_formula, parse_program
 from .progression import DEFAULT_BUDGET
 from .tht import (
-    HTTrace, Trace, enumerate_ts_models, ht_sat, is_ht_model, models_to_json,
-    rule_sat, three_valued,
+    HTTrace, Trace, enumerate_ts_models, ht_sat, is_ht_model, rule_sat,
+    three_valued,
 )
 from .ltlf import enumerate_ltlf_models, ltlf_sat
 from .depgraph import (

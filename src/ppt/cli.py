@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage, parse or unreadable-input error, or
 output pipe closed early, 2 verification mismatch or fuzz
-counterexample, 3 candidate budget or loop-enumeration component cap
+counterexample, 3 search work budget or loop-enumeration component cap
 exceeded.
 
 Models range over the program's own alphabet, the atoms its rules
@@ -19,7 +19,7 @@ import sys
 from .errors import BudgetExceeded, ParseError, PptError, SccTooLarge
 from .syntax import format_formula
 from .parser import parse_program
-from .tht import enumerate_ts_models, models_to_json
+from .tht import enumerate_ts_models
 from .depgraph import enumerate_loops, is_tight, section_graphs
 from .transform import (
     simplify, sourced_completion, sourced_loop_formulas,
@@ -93,7 +93,8 @@ def _cmd_check(args) -> int:
 def _cmd_models(args) -> int:
     program = _load(args)
     models = enumerate_ts_models(program, args.length, budget=args.budget)
-    _emit(models_to_json(models, args.length))
+    _emit({"length": args.length,
+           "models": [t.to_lists() for t in models]})
     return 0
 
 

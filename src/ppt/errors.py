@@ -40,7 +40,8 @@ class RestrictionError(ParseError):
 
 
 class BudgetExceeded(PptError):
-    """The candidate-trace space is larger than the configured budget."""
+    """A model search needs more work units than its budget; the message
+    names the point it had reached."""
 
 
 class SccTooLarge(PptError):

@@ -3,7 +3,8 @@
 The target side of the compilation, two-valued: past connectives read as
 on total HT-traces, `I` true only at the first point, `F` only at the
 last.  Models come from the search of `ppt.progression` without its
-minimality test; `ltlf_sat` checks one trace through `tht.formula_sat`.
+minimality test, in its canonical order; `ltlf_sat` checks one trace
+through `tht.formula_sat`.
 Both reject an `always` or `wnext_always` below the top of a formula.
 """
 
@@ -23,6 +24,7 @@ def ltlf_sat(t: Trace, k: int, f) -> bool:
 
 
 def enumerate_ltlf_models(fs: Iterable, lam: int, alphabet,
-                          budget: int | None = None) -> set[Trace]:
-    """All total traces over the alphabet satisfying every formula at 0."""
-    return {Trace(states) for states in search(fs, lam, alphabet, budget)}
+                          budget: int | None = None) -> tuple[Trace, ...]:
+    """All total traces over the alphabet satisfying every formula at 0,
+    in canonical order."""
+    return tuple(map(Trace, search(fs, lam, alphabet, budget)))

@@ -27,7 +27,16 @@ core formulas:
 Parentheses, unary operators and the operators of a `since`/`trigger`
 chain each count one level of nesting, up to `MAX_NESTING` levels;
 deeper input raises :class:`ParseError` at the first token past the
-limit.  Initial and final rule bodies must be conjunctions of regular
+limit.  A chain that opens a parenthesised group shares the group's
+level with its first operator, so `(a since b)`, the printed form of a
+since, costs one level like `a since b`.  A body whose printed text
+would nest deeper (`syntax.format_nesting`) raises :class:`ParseError`
+at its first token, so the text `format_formula` prints from a parsed
+formula always parses back to it.  This happens where a chain has a
+deep operand before its last operator, which the printer's parentheses
+put deeper than the chain does, or where sugar sits near the limit and
+its core spelling is deeper than the sugar (`initially` is three
+levels).  Initial and final rule bodies must be conjunctions of regular
 literals and final rules must have empty heads; violations raise
 :class:`RestrictionError`.
 """
@@ -40,7 +49,8 @@ from dataclasses import dataclass
 from .errors import ParseError, RestrictionError
 from .syntax import (
     ATOM_RE, And, AtomRef, CORE_TRUE, FALSUM, INITIAL_EXPANSION, Not, Or,
-    Previous, Program, Rule, RuleKind, Since, Trigger, is_literal_conjunction,
+    Previous, Program, Rule, RuleKind, Since, Trigger, format_nesting,
+    is_literal_conjunction,
 )
 
 __all__ = ["MAX_NESTING", "parse_program", "parse_formula"]
@@ -196,11 +206,25 @@ class _Parser:
             return _UNARY_OPS[tok.text](self.nested(self.unary))
         return self.primary()
 
+    def body(self):
+        start = self.peek()
+        body = self.disjunction()
+        if format_nesting(body) > MAX_NESTING:
+            raise ParseError(start.line, start.column,
+                             f"formula nested deeper than {MAX_NESTING} "
+                             "levels when printed")
+        return body
+
     def temporal(self):
         # A chain nests to the left, one level per operator, so each
-        # operator counts against the limit until the chain ends.
+        # operator counts against the limit until the chain ends.  A
+        # chain that opens a group shares the group's level, as in the
+        # printed `(a since b)`.
+        opens_group = self.tokens[self.pos - 1].text == "("
         left = self.unary()
         outer = self.depth
+        if opens_group:
+            self.depth -= 1
         while self.at("since") or self.at("trigger"):
             op = Since if self.at("since") else Trigger
             left = op(left, self.nested(self.unary))
@@ -245,7 +269,7 @@ class _Parser:
         body_tok = self.peek()
         if self.eat(":-"):
             body_tok = self.peek()
-            body = self.disjunction()
+            body = self.body()
         else:
             body = CORE_TRUE
         self.expect(".")
@@ -271,7 +295,7 @@ class _Parser:
         return Program(tuple(rules))
 
     def formula(self):
-        body = self.disjunction()
+        body = self.body()
         if self.peek().kind != "eof":
             self.fail(f"expected end of input, found {self.found()}")
         return body

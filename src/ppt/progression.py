@@ -52,12 +52,27 @@ So the search is a forward pass over layers: layer k holds the carried
 vectors reachable at point k, and the moves out of a vector are
 computed once per vector and phase (middle or last point) and shared by
 every layer.  A backward pass drops the moves that cannot reach the
-last point, and the models are read off as the paths.  With c carried
-slots there are at most 1 + 2^(c+1) total passes, each over 2^n states
-(n = alphabet size), and the minimality test costs at most 3^n
-here-states per total pass, however many prefixes share the vector.
-The layers cost lam times the moves of one layer, and reading off costs
-the size of the output.
+last point, and the models are read off as the paths.
+
+The moves out of a vector are sorted by their states, each read as its
+sorted tuple of atoms, and the read-off walks them depth first.  A
+trace determines its path, as a state and the carried vector before it
+give the carried vector after it, so the paths are distinct, and
+paths of equal length visited that way come out in lexicographic
+order: the canonical order of model sets, with no sort.
+
+With c carried slots there are at most 1 + 2^(c+1) total passes, each
+over 2^n states (n = alphabet size), and the minimality test costs at
+most 3^n here-states per total pass, however many prefixes share the
+vector.  The layers cost lam times the moves of one layer, and reading
+off costs the size of the output.  The budget counts work units before
+the work is done: lam up front, one per layer; 2^n per total pass;
+2^n per state that survives a total pass, which pays for reading its
+bits out of the 2^n-bit values and for its here pass; one per move
+walked into a layer; and lam per model read off.  A count of the
+2^(n*lam) candidate traces would refuse long traces that the layers
+make cheap, yet admit a short trace over a wide alphabet whose
+survivors each cost 2^n.
 
 All formulas are flattened once into one post-order node array.  The
 value of a node at point k depends on its children at k and on total
@@ -108,16 +123,6 @@ def placement(f) -> tuple[object, int, bool]:
     return f, 0, False
 
 
-def _check_budget(n_atoms: int, lam: int, budget: int | None) -> None:
-    budget = DEFAULT_BUDGET if budget is None else budget
-    # The 2^e candidates exceed a budget b >= 1 exactly when
-    # e >= b.bit_length(), so the count itself is never built to compare.
-    exponent = n_atoms * lam
-    if budget < 1 or exponent >= budget.bit_length():
-        raise BudgetExceeded(
-            f"2^{exponent} candidate traces exceed the budget of {budget}")
-
-
 def _flatten(formulas: Iterable, index: dict[str, int]):
     """Post-order node array for all formulas, the slot of each, and the
     carried slots in ascending order.
@@ -165,8 +170,10 @@ def _flatten(formulas: Iterable, index: dict[str, int]):
     return nodes, roots, sorted(carried)
 
 
-def _atom_vectors(count: int, width: int) -> list[int]:
-    """Bit s of vector j is set when state s contains atom j."""
+def _atom_vectors(count: int) -> list[int]:
+    """Bit s of vector j is set when state s contains atom j, for the
+    2^count states."""
+    width = 1 << count
     vectors = []
     for j in range(count):
         period = 2 << j
@@ -238,8 +245,13 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
            minimal: bool = False) -> list[tuple[frozenset[str], ...]]:
     """Every trace of length `lam` over the alphabet, as a tuple of states,
     that satisfies each formula where its wrapper requires it and, with
-    `minimal` (the stable side), passes the minimality test.  The budget
-    bounds the 2^(n*lam) candidate traces, n the alphabet size."""
+    `minimal` (the stable side), passes the minimality test.
+
+    The traces come in canonical order, each state read as its sorted
+    tuple of atoms.  The budget bounds the work units of the cost model
+    in the module docstring; past it, `BudgetExceeded` names the point
+    reached.
+    """
     if lam < 1:
         raise ValueError("trace length must be at least 1")
     names = frozenset(alphabet)
@@ -255,15 +267,32 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
         used = frozenset().union(*(formula_atoms(g) for g, _, _ in placed))
         missing = ", ".join(sorted(used - names))
         raise ValueError(f"alphabet does not cover atoms: {missing}") from None
-    _check_budget(len(atoms), lam, budget)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    spent = 0
+    found: list[tuple[frozenset[str], ...]] = []
+    last = lam - 1
+
+    def charge(units: int, point: int) -> None:
+        # Called before the work it pays for, so that no 2^n-bit value
+        # is built past the budget.
+        nonlocal spent
+        spent += units
+        if spent > budget:
+            raise BudgetExceeded(
+                f"search work exceeds the budget of {budget} units at "
+                f"point {point} of {lam}, with {len(found)} models read off")
+
+    charge(lam, 0)
     # `placement` yields first = 1 only together with onward.
     at_start = [r for r, (_, first, _) in zip(roots, placed) if not first]
     later = [r for r, (_, _, onward) in zip(roots, placed) if onward]
     width = 1 << len(atoms)
-    full = (1 << width) - 1
-    atom_vecs = _atom_vectors(len(atoms), width)
-    subset_atoms: dict[int, list[int]] = {}
-    last = lam - 1
+    ranked: dict[int, list[int]] = {}
+
+    def atom_vectors(count: int) -> list[int]:
+        if count not in ranked:
+            ranked[count] = _atom_vectors(count)
+        return ranked[count]
 
     def smaller_here_state(required, s: int, before, there,
                            at_end: bool) -> bool:
@@ -271,12 +300,9 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
         # r-th atom of s, so the subset index all-ones is s itself.
         members = [j for j in range(len(atoms)) if s >> j & 1]
         size = len(members)
-        ranked = subset_atoms.get(size)
-        if ranked is None:
-            ranked = subset_atoms[size] = _atom_vectors(size, 1 << size)
         here_atoms = [0] * len(atoms)
-        for r, j in enumerate(members):
-            here_atoms[j] = ranked[r]
+        for j, vec in zip(members, atom_vectors(size)):
+            here_atoms[j] = vec
         here_full = (1 << (1 << size)) - 1
         vals = _evaluate(nodes, here_atoms, here_full, before, there, at_end)
         ok = here_full >> 1
@@ -286,12 +312,14 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
                 return False
         return True
 
-    sets: dict[int, frozenset[str]] = {}
+    sets: dict[int, tuple[tuple[str, ...], frozenset[str]]] = {}
     moves: dict[tuple[object, bool], list] = {}
 
-    def step(key, at_end: bool) -> list[tuple[frozenset[str], tuple]]:
-        # (state, carried vector) of each state that may follow a point
-        # with carried vector `key`, or start the trace when key is None.
+    def step(key, at_end: bool, point: int) -> list[tuple]:
+        # (atom tuple, state, carried vector) of each state that may
+        # follow a point with carried vector `key`, or start the trace
+        # when key is None, in the order of the atom tuples.
+        charge(width, point)
         if key is None:
             before = None
             required = at_start
@@ -300,10 +328,13 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
             for slot, value in zip(carried, key):
                 before[slot] = value
             required = later
-        vals = _evaluate(nodes, atom_vecs, full, before, None, at_end)
+        full = (1 << width) - 1
+        vals = _evaluate(nodes, atom_vectors(len(atoms)), full, before, None,
+                         at_end)
         ok = full
         for root in required:
             ok &= vals[root]
+        charge(width * ok.bit_count(), point)
         carried_vals = [vals[slot] for slot in carried]
         out = []
         for s in _members(ok):
@@ -311,50 +342,55 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
                     required, s, before, [v >> s & 1 for v in vals], at_end):
                 continue
             if s not in sets:
-                sets[s] = frozenset(
-                    a for j, a in enumerate(atoms) if s >> j & 1)
-            out.append((sets[s], tuple([v >> s & 1 for v in carried_vals])))
+                state = tuple(a for j, a in enumerate(atoms) if s >> j & 1)
+                sets[s] = state, frozenset(state)
+            out.append((*sets[s], tuple([v >> s & 1 for v in carried_vals])))
+        out.sort(key=lambda move: move[0])
         return out
 
     if not last:
-        return [(state,) for state, _ in step(None, True)]
+        out = step(None, True, 0)
+        charge(len(out), 0)
+        return [(state,) for _, state, _ in out]
     # Forward: layer k maps each carried vector reachable at point k to
     # its moves, computed once per vector and phase (Lemma 2).
-    layers = [{None: step(None, False)}]
+    layers = [{None: step(None, False, 0)}]
     for k in range(1, lam):
         at_end = k == last
         layer: dict[tuple, list] = {}
         for out in layers[-1].values():
-            for _, key in out:
+            charge(len(out), k)
+            for _, _, key in out:
                 if key not in layer:
                     if (key, at_end) not in moves:
-                        moves[key, at_end] = step(key, at_end)
+                        moves[key, at_end] = step(key, at_end, k)
                     layer[key] = moves[key, at_end]
         layers.append(layer)
     # Backward: keep only the moves into vectors that reach the last point.
     live = {key for key, out in layers[last].items() if out}
     for layer in reversed(layers[:last]):
         for key, out in layer.items():
-            layer[key] = [move for move in out if move[1] in live]
+            layer[key] = [move for move in out if move[2] in live]
         live = {key for key, out in layer.items() if out}
 
-    # The models are the paths, in depth-first order: the state at the
-    # last point ascending, every earlier one descending.
-    found: list[tuple[frozenset[str], ...]] = []
+    # The models are the paths, read depth first over sorted moves: in
+    # lexicographic order, as equal-length paths are.
     path: list[frozenset[str]] = []
-    todo = [reversed(layers[0][None])]
+    todo = [iter(layers[0][None])]
     while todo:
         move = next(todo[-1], None)
         if move is None:
             todo.pop()
             continue
-        state, key = move
+        _, state, key = move
         k = len(todo) - 1
         del path[k:]
         path.append(state)
         if k + 1 < last:
-            todo.append(reversed(layers[k + 1][key]))
+            todo.append(iter(layers[k + 1][key]))
         else:
+            ends = layers[last][key]
+            charge(lam * len(ends), last)
             head = tuple(path)
-            found += [head + (end,) for end, _ in layers[last][key]]
+            found += [head + (end,) for _, end, _ in ends]
     return found

@@ -34,7 +34,7 @@ __all__ = [
     "RuleKind", "Rule", "Program",
     "is_past_formula", "positive_atoms", "formula_atoms", "atoms_of",
     "is_literal_conjunction", "head_disjunction", "or_chain",
-    "format_formula", "format_rule", "format_program",
+    "format_formula", "format_nesting", "format_rule", "format_program",
 ]
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -429,6 +429,31 @@ def _render(f, ctx: int) -> str:
 
 def _wrap(text: str, prec: int, ctx: int) -> str:
     return f"({text})" if prec < ctx else text
+
+
+def format_nesting(f) -> int:
+    """Levels of nesting in `format_formula(f)` of a core formula, as the
+    parser counts them: a unary operator, a since or trigger inside its
+    parentheses, and any other pair of parentheses each count one."""
+    return _nesting(f, 0)
+
+
+def _nesting(f, ctx: int) -> int:
+    # Follows `_render`, which puts parentheses where it does.
+    tp = type(f)
+    if tp is Not or tp is Previous:
+        return 1 + _nesting(f.arg, _PREC_UNARY)
+    if tp is Since or tp is Trigger:
+        return 1 + max(_nesting(f.lhs, _PREC_UNARY),
+                       _nesting(f.rhs, _PREC_UNARY))
+    if tp is And or tp is Or:
+        prec = _PREC_AND if tp is And else _PREC_OR
+        depth = 0
+        while type(f) is tp:
+            depth = max(depth, _nesting(f.rhs, prec + 1))
+            f = f.lhs
+        return max(depth, _nesting(f, prec)) + (prec < ctx)
+    return 0
 
 
 def _flatten_left(f, tp) -> list:

@@ -11,7 +11,7 @@ Rule checks read each rule through its classical formula
 A total trace T over the program's alphabet is a temporal stable model
 of the program when <T, T> is a model and no strictly smaller H yields
 a model <H, T>; `enumerate_ts_models` finds them with the search of
-`ppt.progression`.
+`ppt.progression`, in the canonical order it emits.
 
 The checks of one given trace evaluate formulas to time bitmasks (bit k
 set when the formula holds at point k), with since/trigger computed by
@@ -37,7 +37,7 @@ from .transform import program_as_ltlf, rule_formula
 __all__ = [
     "Trace", "HTTrace",
     "ht_sat", "formula_sat", "rule_sat", "is_ht_model",
-    "enumerate_ts_models", "three_valued", "models_to_json",
+    "enumerate_ts_models", "three_valued",
 ]
 
 
@@ -72,9 +72,6 @@ class Trace:
 
     def to_lists(self) -> list[list[str]]:
         return [sorted(state) for state in self.states]
-
-    def sort_key(self) -> tuple:
-        return tuple(tuple(sorted(state)) for state in self.states)
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,17 +248,18 @@ def is_ht_model(m: HTTrace, p: Program) -> bool:
 # ---------------------------------------------------------------------------
 
 def enumerate_ts_models(p: Program, lam: int, *,
-                        budget: int | None = None) -> set[Trace]:
+                        budget: int | None = None) -> tuple[Trace, ...]:
     """All temporal stable models of the program at the given length,
-    over its alphabet, from the search of `ppt.progression`; the budget
-    bounds the 2^(n*lam) candidate traces, n the alphabet size.
+    over its alphabet, in canonical order (each state read as its sorted
+    tuple of atoms), from the search of `ppt.progression`; the budget
+    bounds the work units of its cost model.
 
     An atom no rule mentions is false in every stable model, so a wider
-    alphabet, `Program(p.rules, alphabet)`, changes only the candidate
-    count that the budget bounds.
+    alphabet, `Program(p.rules, alphabet)`, gives the same models at the
+    cost of 2^n-state passes over a larger n.
     """
-    return {Trace(states) for states in
-            search(program_as_ltlf(p), lam, p.alphabet, budget, minimal=True)}
+    return tuple(map(Trace, search(program_as_ltlf(p), lam, p.alphabet,
+                                   budget, minimal=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +328,3 @@ def three_valued(m: HTTrace, k: int, f) -> int:
         return out
 
     return val(f, k)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def models_to_json(models: Iterable[Trace], lam: int) -> dict:
-    """JSON document for a model set, traces in canonical sorted order."""
-    ordered = sorted(models, key=Trace.sort_key)
-    return {"length": lam, "models": [t.to_lists() for t in ordered]}

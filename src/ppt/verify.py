@@ -289,15 +289,15 @@ def verify_correspondence(p: Program, lam: int, mode: str,
     formulas = _target_formulas(p, mode)
     lhs = enumerate_ts_models(p, lam, budget=budget)
     rhs = enumerate_ltlf_models(formulas, lam, p.alphabet, budget)
-    witnesses = sorted(lhs ^ rhs, key=Trace.sort_key)[:MAX_WITNESSES]
+    witnesses = sorted(set(lhs) ^ set(rhs), key=Trace.to_lists)
     return Report(
         program=p,
         length=lam,
         mode=mode,
-        lhs=tuple(sorted(lhs, key=Trace.sort_key)),
-        rhs=tuple(sorted(rhs, key=Trace.sort_key)),
+        lhs=lhs,
+        rhs=rhs,
         equal=lhs == rhs,
-        witnesses=tuple(witnesses),
+        witnesses=tuple(witnesses[:MAX_WITNESSES]),
         tight=is_tight(p) if mode == "completion" else None,
     )
 
@@ -343,7 +343,7 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
                 if ts != models:
                     failed.append(f"{mode}_failures")
                 continue
-            if not ts <= models:
+            if not set(ts) <= set(models):
                 failed.append("soundness_failures")
             if tight and ts != models:
                 failed.append("completion_tight_failures")

@@ -15,9 +15,21 @@ Both share the bitmask evaluator with `ppt.tht` but none of the
 state-by-state search of `ppt.progression`, which they check.
 """
 
-from ppt import Always, HTTrace, Program, Rule, RuleKind, Trace, WeakNextAlways
-from ppt.progression import _check_budget
+from ppt import (
+    Always, BudgetExceeded, DEFAULT_BUDGET, HTTrace, Program, Rule, RuleKind,
+    Trace, WeakNextAlways,
+)
 from ppt.tht import _BitEvaluator, _evaluator
+
+
+def _check_budget(n_atoms: int, lam: int, budget: int | None) -> None:
+    budget = DEFAULT_BUDGET if budget is None else budget
+    # The 2^e candidates exceed a budget b >= 1 exactly when
+    # e >= b.bit_length(), so the count itself is never built to compare.
+    exponent = n_atoms * lam
+    if budget < 1 or exponent >= budget.bit_length():
+        raise BudgetExceeded(
+            f"2^{exponent} candidate traces exceed the budget of {budget}")
 
 
 def _bits_to_trace(flat: int, atoms: tuple[str, ...], lam: int) -> Trace:

@@ -100,11 +100,14 @@ class TestModels:
         code, _, err = run(capsys, "models", p1_file, "--length", "2",
                            "--budget", "10")
         assert code == 3
-        assert err == "error: 2^8 candidate traces exceed the budget of 10\n"
+        # Two units for the layers, then 16 for the first pass over the
+        # 2^4 states.
+        assert err == ("error: search work exceeds the budget of 10 units "
+                       "at point 0 of 2, with 0 models read off\n")
 
     @pytest.mark.parametrize("command", ["models", "verify"])
     def test_budget_long_trace_exit_3(self, capsys, p1_file, command):
-        # 2^(4 * 100,000) candidates, named by their exponent.
+        # Each model read off costs 100,000 units.
         code, out, err = run(capsys, command, p1_file, "--length", "100000")
         assert (code, out) == (3, "")
         assert "budget" in err

@@ -1,12 +1,37 @@
+import functools
 import pickle
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ppt import (
     And, AtomRef, Not, ParseError, RestrictionError, RuleKind, Since,
-    format_program, parse_formula, parse_program,
+    format_formula, format_program, parse_formula, parse_program,
 )
+from ppt.parser import MAX_NESTING
 from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION, Falsum
+
+chain_operators = st.integers(1, MAX_NESTING).flatmap(
+    lambda n: st.lists(st.sampled_from(("since", "trigger")),
+                       min_size=n, max_size=n))
+
+# Each wrapper puts a body one or more levels deeper; a list of them
+# around a leaf reaches past the limit, mixing sugar, chains and groups.
+_WRAPPERS = ("not {}", "prev {}", "wprev {}", "always_before {}",
+             "eventually_before {}", "({})", "({}; a)", "b, ({})",
+             "{} since b", "a trigger {}", "{} since b trigger c",
+             "({} since b)")
+deep_bodies = st.builds(
+    lambda leaf, wrappers: functools.reduce(
+        lambda text, wrapper: wrapper.format(text), wrappers, leaf),
+    st.sampled_from(("a", "b", "true", "false", "initially")),
+    st.integers(0, MAX_NESTING + 10).flatmap(
+        lambda n: st.lists(st.sampled_from(_WRAPPERS), min_size=n,
+                           max_size=n)))
+wide_programs = st.lists(deep_bodies, min_size=1, max_size=12).map(
+    lambda bodies: "a.\n#dynamic.\n" + "".join(
+        f"h{i} | a :- {body}.\n" for i, body in enumerate(bodies))
+    + "#final.\n:- not a, b.\n")
 
 
 class TestProgramParsing:
@@ -153,4 +178,20 @@ class TestRoundTrip:
 
     def test_body_with_true_conjunct(self):
         p = parse_program("a :- b, true.")
+        assert parse_program(format_program(p)) == p
+
+    @given(chain_operators)
+    @example(["since"] * MAX_NESTING)
+    def test_chain(self, operators):
+        # The printer puts each operator in its own parentheses.
+        f = parse_formula("a" + "".join(f" {op} b" for op in operators))
+        assert parse_formula(format_formula(f)) == f
+
+    @given(wide_programs)
+    def test_deep_and_wide_programs(self, text):
+        try:
+            p = parse_program(text)
+        except ParseError as err:
+            assert "nested deeper than" in err.message
+            return
         assert parse_program(format_program(p)) == p

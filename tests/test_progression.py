@@ -37,12 +37,17 @@ def _random_case(seed: int, max_candidate_bits: int):
     return p, frozenset(alphabet), lam
 
 
+def _canonical(models) -> tuple[Trace, ...]:
+    """An oracle's model set in the order the search emits."""
+    return tuple(sorted(models, key=Trace.to_lists))
+
+
 def test_matches_oracle_on_random_programs():
     mismatches = []
     for seed in range(3000):
         p, alphabet, lam = _random_case(seed, max_candidate_bits=11)
         if enumerate_ts_models(Program(p.rules, alphabet), lam) != \
-                brute_force_ts_models(p, lam, alphabet):
+                _canonical(brute_force_ts_models(p, lam, alphabet)):
             mismatches.append(seed)
     assert mismatches == []
 
@@ -58,7 +63,8 @@ def test_classical_search_matches_oracle_on_random_programs():
                         program_as_ltlf(p) + loop_formulas(p, unitary=True)]
         found = [enumerate_ltlf_models(fs, lam, alphabet)
                  for fs in translations]
-        if found != brute_force_ltlf_models(translations, lam, alphabet):
+        if found != [_canonical(models) for models in
+                     brute_force_ltlf_models(translations, lam, alphabet)]:
             mismatches.append(seed)
     assert mismatches == []
 
@@ -71,13 +77,13 @@ def test_matches_oracle_at_the_largest_sizes(atoms, lam, cases):
         p = random_program(GenConfig(seed=seed, max_atoms=atoms, max_rules=8,
                                      max_body_depth=4))
         assert enumerate_ts_models(Program(p.rules, alphabet), lam) == \
-            brute_force_ts_models(p, lam, alphabet)
+            _canonical(brute_force_ts_models(p, lam, alphabet))
 
 
-def _both(text: str, lam: int, alphabet=None) -> set[Trace]:
+def _both(text: str, lam: int, alphabet=None) -> tuple[Trace, ...]:
     p = parse_program(text)
     models = enumerate_ts_models(Program(p.rules, alphabet), lam)
-    assert models == brute_force_ts_models(p, lam, alphabet)
+    assert models == _canonical(brute_force_ts_models(p, lam, alphabet))
     return models
 
 
@@ -86,40 +92,47 @@ class TestEdgeCases:
         # The trigger carry starts true, so the trigger holds at point 0
         # exactly when c does, and prev reads that value at point 1.
         text = "#dynamic.\na :- prev (false trigger c).\n"
-        assert _both("c.\n" + text, 2) == {Trace.of(["c"], ["a"])}
-        assert _both(text, 2, {"a", "c"}) == {Trace.of([], [])}
+        assert _both("c.\n" + text, 2) == (Trace.of(["c"], ["a"]),)
+        assert _both(text, 2, {"a", "c"}) == (Trace.of([], []),)
 
     def test_prev_is_false_at_point_zero_under_since(self):
         # The since carry at point 1 holds the body of the since at
         # point 0, where prev is false even over a trigger.
         text = "#dynamic.\na :- eventually_before prev always_before c.\n"
-        assert _both(text, 2, {"a", "c"}) == {Trace.of([], [])}
+        assert _both(text, 2, {"a", "c"}) == (Trace.of([], []),)
 
     def test_length_one(self):
         text = "a :- not b.\nb :- not a.\n#dynamic.\nc :- a.\n#final.\n:- b.\n"
-        assert _both(text, 1) == {Trace.of(["a"])}
+        assert _both(text, 1) == (Trace.of(["a"]),)
 
     def test_unmentioned_alphabet_atoms(self):
         models = _both("a.\n#dynamic.\nb :- prev a.\n", 3, {"a", "b", "z"})
-        assert models == {Trace.of(["a"], ["b"], [])}
+        assert models == (Trace.of(["a"], ["b"], []),)
 
     def test_dynamic_section_of_constraints_only(self):
         text = "a | b.\n#dynamic.\n:- prev a.\n"
-        assert _both(text, 2) == {Trace.of(["b"], [])}
-        assert _both(text, 1) == {Trace.of(["a"]), Trace.of(["b"])}
+        assert _both(text, 2) == (Trace.of(["b"], []),)
+        assert _both(text, 1) == (Trace.of(["a"]), Trace.of(["b"]))
 
-    def test_budget_guard_is_unchanged(self):
-        # Still 2^(n*lam) candidate traces, however few the search visits.
-        p = parse_program("a | b.\n#dynamic.\nc :- prev a.\nd :- c.\n")
-        for search in (enumerate_ts_models, brute_force_ts_models):
-            with pytest.raises(BudgetExceeded):
-                search(p, 3, budget=(1 << 12) - 1)
-        assert enumerate_ts_models(p, 3, budget=1 << 12) == \
-            brute_force_ts_models(p, 3, budget=1 << 12)
+    def test_budget_counts_work_done(self, p1):
+        # P1 at length 7 has 2^28 candidate traces, past the default
+        # budget of the oracle, which counts them, but the search does
+        # little work on them.
+        with pytest.raises(BudgetExceeded):
+            brute_force_ts_models(p1, 7)
+        assert len(enumerate_ts_models(p1, 7)) == 122
+        # At length 1 a dynamic 22-atom cycle has 2^22 candidates, but
+        # every state survives point 0, and each survivor is charged
+        # 2^22 units for its minimality test.
+        cycle = parse_program("#dynamic.\n" + "".join(
+            f"a{i} :- a{(i + 1) % 22}.\n" for i in range(22)))
+        with pytest.raises(BudgetExceeded, match="budget of 16777216 units "
+                                                 "at point 0 of 1,"):
+            enumerate_ts_models(cycle, 1)
 
     def test_long_trace_over_empty_alphabet(self):
-        assert enumerate_ts_models(Program(()), 5000) == {
-            Trace(tuple(frozenset() for _ in range(5000)))}
+        assert enumerate_ts_models(Program(()), 5000) == (
+            Trace(tuple(frozenset() for _ in range(5000))),)
 
     def test_deep_body_needs_no_recursion(self):
         body = CORE_TRUE
@@ -127,7 +140,7 @@ class TestEdgeCases:
             body = And(body, Previous(AtomRef("a")))
         p = Program((Rule(RuleKind.INITIAL, ("a",), CORE_TRUE),
                      Rule(RuleKind.DYNAMIC, ("b",), body)))
-        assert enumerate_ts_models(p, 2) == {Trace.of(["a"], ["b"])}
+        assert enumerate_ts_models(p, 2) == (Trace.of(["a"], ["b"]),)
 
 
 class TestBeyondTheOracle:
@@ -142,17 +155,16 @@ class TestBeyondTheOracle:
         # L(0) = 1 and L(m) = 2 L(m - 1) + (3^(m - 1) - L(m - 1)): shoot
         # and load keep a loaded gun loaded, and load also loads an empty
         # one.  So L(m) = (3^m - 1) / 2 + 1.
-        models = enumerate_ts_models(p1, lam, budget=1 << (4 * lam))
+        models = enumerate_ts_models(p1, lam)
         assert len(models) == (3 ** (lam - 2) - 1) // 2 + 1
 
     def test_choice_pairs_at_length_seven(self):
         pairs = "".join(f"x{i} :- not nx{i}.\nnx{i} :- not x{i}.\n"
                         for i in range(2))
         p = parse_program(pairs + "#dynamic.\n" + pairs)
-        budget = 1 << 28
-        stable = enumerate_ts_models(p, 7, budget=budget)
+        stable = enumerate_ts_models(p, 7)
         unitary = enumerate_ltlf_models(
             program_as_ltlf(p) + loop_formulas(p, unitary=True), 7,
-            p.alphabet, budget)
+            p.alphabet)
         assert len(stable) == 2 ** 14
         assert unitary == stable

@@ -12,8 +12,8 @@ import pytest
 from ppt import (
     And, AtomRef, BudgetExceeded, FALSUM, HTTrace, Not, Or, Previous,
     Program, Rule, RuleKind, Since, Trace, Trigger, enumerate_ts_models,
-    ht_sat, is_ht_model, ltlf_sat, models_to_json, parse_formula,
-    parse_program, rule_sat, three_valued,
+    ht_sat, is_ht_model, ltlf_sat, parse_formula, parse_program, rule_sat,
+    three_valued,
 )
 from ppt.syntax import CORE_TRUE, Falsum, INITIAL_EXPANSION
 from ppt.verify import (
@@ -151,14 +151,14 @@ class TestIsModel:
 
 class TestEnumerate:
     def test_p1_unique_model(self, p1):
-        assert enumerate_ts_models(p1, 2) == {TARGET}
+        assert enumerate_ts_models(p1, 2) == (TARGET,)
 
     def test_p2_no_models(self, p2):
-        assert enumerate_ts_models(p2, 2) == set()
+        assert enumerate_ts_models(p2, 2) == ()
 
     def test_single_fact(self):
         p = parse_program("a.")
-        assert enumerate_ts_models(p, 1) == {Trace.of(["a"])}
+        assert enumerate_ts_models(p, 1) == (Trace.of(["a"]),)
 
     def test_budget(self, p1):
         with pytest.raises(BudgetExceeded):
@@ -181,7 +181,7 @@ class TestEnumerate:
         # A choice program keeps only supported atoms.
         p = parse_program("a; b.")
         models = enumerate_ts_models(p, 1)
-        assert models == {Trace.of(["a"]), Trace.of(["b"])}
+        assert models == (Trace.of(["a"]), Trace.of(["b"]))
 
 
 class TestDeepChain:
@@ -267,8 +267,3 @@ class TestTraces:
     def test_ht_requires_equal_length(self):
         with pytest.raises(ValueError, match="here has length 1, there has length 2"):
             HTTrace(Trace.of([]), Trace.of([], []))
-
-    def test_models_json_sorted(self):
-        models = {Trace.of(["b"]), Trace.of(["a"]), Trace.of([])}
-        doc = models_to_json(models, 1)
-        assert doc == {"length": 1, "models": [[[]], [["a"]], [["b"]]]}

@@ -115,15 +115,15 @@ class TestCompletion:
     def test_p1_shape(self, p1):
         formulas = completion(p1)
         assert len(formulas) == 5  # four biconditionals plus the final rule
-        assert enumerate_ltlf_models(formulas, 2, p1.alphabet) == {TARGET}
+        assert enumerate_ltlf_models(formulas, 2, p1.alphabet) == (TARGET,)
 
     def test_empty_program_forces_all_false(self):
         from ppt import Program
         p = Program((), frozenset({"a"}))
         formulas = completion(p)
         assert formulas == [Always(Iff(AtomRef("a"), FALSUM))]
-        assert enumerate_ltlf_models(formulas, 2, {"a"}) == {
-            Trace.of([], [])}
+        assert enumerate_ltlf_models(formulas, 2, {"a"}) == (
+            Trace.of([], []),)
 
     def test_constraints_carried_over(self):
         p = parse_program("#dynamic. :- a.")
@@ -155,9 +155,9 @@ class TestLoopFormulas:
 
     def test_completion_plus_loops_matches_stable_models(self, p1, p2):
         cf1 = completion(p1) + loop_formulas(p1)
-        assert enumerate_ltlf_models(cf1, 2, p1.alphabet) == {TARGET}
+        assert enumerate_ltlf_models(cf1, 2, p1.alphabet) == (TARGET,)
         cf2 = completion(p2) + loop_formulas(p2)
-        assert enumerate_ltlf_models(cf2, 2, p2.alphabet) == set()
+        assert enumerate_ltlf_models(cf2, 2, p2.alphabet) == ()
 
 
 class TestProgramAsLtlf:
@@ -178,7 +178,7 @@ class TestProgramAsLtlf:
 
     def test_embedding_plus_unitary_loops_matches_stable_models(self, p1, p2):
         u1 = program_as_ltlf(p1) + loop_formulas(p1, unitary=True)
-        assert enumerate_ltlf_models(u1, 2, p1.alphabet) == {TARGET}
+        assert enumerate_ltlf_models(u1, 2, p1.alphabet) == (TARGET,)
         u2 = program_as_ltlf(p2) + loop_formulas(p2, unitary=True)
         assert enumerate_ltlf_models(u2, 2, p2.alphabet) == \
             enumerate_ts_models(p2, 2)
