@@ -7,11 +7,23 @@ exceeded.
 
 Models range over the program's own alphabet, the atoms its rules
 mention: an atom no rule mentions is in no stable model.
+
+JSON output is byte for byte `json.dumps(obj, indent=2)`, written
+key by key.  A model set (a top-level value that is a tuple of traces,
+from `models` and `verify`) is written trace by trace, each trace a
+join of per-state text chunks: a state's `indent=2` text at its fixed
+depth is rendered once per output and memoised.  Every other value goes
+through `json.dumps(value, indent=2)`, re-indented to its depth.  On
+Python 3.10 to 3.12, `indent=2` runs the pure-Python encoder once per
+atom, state and trace, which cost more than the search on large model
+sets.  Python 3.13 encodes `indent=2` in C; the chunks are not slower
+there.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,8 +64,33 @@ class _Fail(Exception):
     """Bad input: `main` prints the one-line message and returns 1."""
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=False))
+def _state_chunk(state: frozenset[str]) -> str:
+    """The `indent=2` text of a state at the depth of a model set's
+    states."""
+    return "      " + json.dumps(sorted(state), indent=2).replace(
+        "\n", "\n      ")
+
+
+def _emit(obj: dict) -> None:
+    """Print `obj` as `json.dumps(obj, indent=2)` would.  A top-level
+    value that is a tuple is a model set, a tuple of `Trace`s; see the
+    module docstring for how model sets are written."""
+    chunk = functools.cache(_state_chunk)
+    write = sys.stdout.write
+    sep = "{\n"
+    for key, value in obj.items():
+        write(f"{sep}  {json.dumps(key)}: ")
+        sep = ",\n"
+        if not (value and isinstance(value, tuple)):
+            # JSON strings hold no raw newline: each newline is layout.
+            write(json.dumps(value, indent=2).replace("\n", "\n  "))
+            continue
+        opening = "[\n    [\n"
+        for trace in value:
+            write(opening + ",\n".join(map(chunk, trace.states)))
+            opening = "\n    ],\n    [\n"
+        write("\n    ]\n  ]")
+    write("\n}\n")
 
 
 def _load(args):
@@ -66,6 +103,12 @@ def _load(args):
         return parse_program(source)
     except ParseError as err:
         raise _Fail(f"{name}:{err.line}:{err.column}: error: {err.message}")
+
+
+def _budget(args) -> int | None:
+    if args.budget is not None and args.budget < 0:
+        raise _Fail(f"error: --budget must be nonnegative, got {args.budget}")
+    return args.budget
 
 
 def _cmd_check(args) -> int:
@@ -91,10 +134,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_models(args) -> int:
+    budget = _budget(args)
     program = _load(args)
-    models = enumerate_ts_models(program, args.length, budget=args.budget)
-    _emit({"length": args.length,
-           "models": [t.to_lists() for t in models]})
+    models = enumerate_ts_models(program, args.length, budget=budget)
+    _emit({"length": args.length, "models": models})
     return 0
 
 
@@ -146,9 +189,10 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    budget = _budget(args)
     program = _load(args)
     report = verify_correspondence(program, args.length,
-                                   _MODE_ALIASES[args.mode], args.budget)
+                                   _MODE_ALIASES[args.mode], budget)
     _emit(report.to_json())
     return 0 if report.equal else 2
 

@@ -261,15 +261,21 @@ class Report:
     tight: bool | None = None
 
     def to_json(self) -> dict:
+        """The report as the `verify` command prints it.  The model sets
+        `ts_models`, `ltlf_models` and `witnesses` come back as `Trace`
+        tuples; the CLI writes each as a list of traces, each trace a
+        list of states and each state its sorted atoms.  `json.dumps`
+        cannot encode a `Trace`: map `Trace.to_lists` over these
+        first."""
         return {
             "program": format_program(self.program),
             "length": self.length,
             "mode": self.mode,
             "tight": self.tight,
             "equal": self.equal,
-            "ts_models": [t.to_lists() for t in self.lhs],
-            "ltlf_models": [t.to_lists() for t in self.rhs],
-            "witnesses": [t.to_lists() for t in self.witnesses],
+            "ts_models": self.lhs,
+            "ltlf_models": self.rhs,
+            "witnesses": self.witnesses,
         }
 
 

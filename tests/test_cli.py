@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,11 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ppt
 
-from ppt.cli import main
+from ppt import Trace
+from ppt.cli import _emit, main
 from ppt.parser import MAX_NESTING
+from ppt.verify import MODES
 
 from conftest import P1_TEXT, P2_TEXT
 
@@ -138,6 +143,20 @@ class TestUsageErrors:
         code, out, err = run(capsys, "fuzz", "--cases", "-3")
         assert (code, out) == (1, "")
         assert err == "error: --cases must be nonnegative, got -3\n"
+
+    @pytest.mark.parametrize("command", ["models", "verify"])
+    def test_negative_budget(self, capsys, p1_file, command):
+        code, out, err = run(capsys, command, p1_file, "--length", "2",
+                             "--budget", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: --budget must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("command", ["models", "verify"])
+    def test_zero_budget_exit_3(self, capsys, p1_file, command):
+        code, out, err = run(capsys, command, p1_file, "--length", "2",
+                             "--budget", "0")
+        assert (code, out) == (3, "")
+        assert "budget of 0 units" in err
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -740,6 +759,56 @@ def test_golden_search_output(capsys, tmp_path, program, command):
     want_code, doc = GOLDEN_SEARCH[program, command]
     assert code == want_code
     assert out == json.dumps(doc, indent=2) + "\n"
+
+
+# The model-set writer against `json.dumps(indent=2)` of the list form.
+_atoms = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True)
+
+
+def _model_sets(alphabet):
+    states = st.frozensets(st.sampled_from(alphabet))
+    traces = st.lists(states, min_size=1, max_size=4).map(Trace)
+    return st.lists(traces, max_size=30).map(tuple)
+
+
+def _payloads(alphabet):
+    model_sets = _model_sets(alphabet)
+    lengths = st.integers(1, 4)
+    return st.one_of(
+        st.fixed_dictionaries({"length": lengths, "models": model_sets}),
+        st.fixed_dictionaries({
+            "program": st.text(), "length": lengths,
+            "mode": st.sampled_from(MODES),
+            "tight": st.sampled_from((None, False, True)),
+            "equal": st.booleans(), "ts_models": model_sets,
+            "ltlf_models": model_sets, "witnesses": model_sets}))
+
+
+def _as_lists(payload: dict) -> dict:
+    return {key: [t.to_lists() for t in value]
+            if isinstance(value, tuple) else value
+            for key, value in payload.items()}
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(_atoms, min_size=1, max_size=6, unique=True).flatmap(
+    _payloads))
+@example({"length": 1, "models": ()})
+@example({"length": 2, "models": (Trace.of((), ()), Trace.of((), ["a"]))})
+def test_model_set_writer_matches_json_dumps(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(payload)
+    assert out.getvalue() == json.dumps(_as_lists(payload), indent=2) + "\n"
+
+
+def test_p1_models_length_10_digest(capsys, p1_file):
+    # Recorded with `json.dumps(indent=2)` before the model-set writer.
+    code, out, _ = run(capsys, "models", p1_file, "--length", "10")
+    assert code == 0
+    assert len(json.loads(out)["models"]) == 3281
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "83443d32e1e2af5d8e0dc17bce99fce594eb89c9fbbf8111603bb316fe4014f0")
 
 
 # Exact stdout of `fuzz --cases 50 --seed 5` (all suites), recorded before

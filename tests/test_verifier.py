@@ -145,7 +145,7 @@ class TestVerifyCorrespondence:
         doc = verify_correspondence(p2, 2, "completion").to_json()
         assert doc["equal"] is False
         assert doc["mode"] == "completion"
-        assert doc["witnesses"] == [[["load"], ["dead", "shoot"]]]
+        assert doc["witnesses"] == (Trace.of({"load"}, {"dead", "shoot"}),)
         assert isinstance(doc["program"], str)
 
     def test_unknown_mode(self, p1):
