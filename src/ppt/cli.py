@@ -8,16 +8,17 @@ exceeded.
 Models range over the program's own alphabet, the atoms its rules
 mention: an atom no rule mentions is in no stable model.
 
-JSON output is byte for byte `json.dumps(obj, indent=2)`, written
-key by key.  A model set (a top-level value that is a tuple of traces,
-from `models` and `verify`) is written trace by trace, each trace a
-join of per-state text chunks: a state's `indent=2` text at its fixed
-depth is rendered once per output and memoised.  Every other value goes
-through `json.dumps(value, indent=2)`, re-indented to its depth.  On
-Python 3.10 to 3.12, `indent=2` runs the pure-Python encoder once per
-atom, state and trace, which cost more than the search on large model
-sets.  Python 3.13 encodes `indent=2` in C; the chunks are not slower
-there.
+Each command builds its JSON payload itself, `verify` from the fields
+of its `Report`.  JSON output is byte for byte `json.dumps(obj,
+indent=2)`, written key by key.  A model set (a top-level value that is
+a tuple of traces, from `models` and `verify`) is written trace by
+trace, each trace a join of per-state text chunks: a state's
+`indent=2` text at its fixed depth is rendered once per output and
+memoised.  Every other value goes through `json.dumps(value,
+indent=2)`, re-indented to its depth.  On Python 3.10 to 3.12,
+`indent=2` runs the pure-Python encoder once per atom, state and
+trace, which cost more than the search on large model sets.  Python
+3.13 encodes `indent=2` in C; the chunks are not slower there.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import os
 import sys
 
 from .errors import BudgetExceeded, ParseError, PptError, SccTooLarge
-from .syntax import format_formula
+from .syntax import format_formula, format_program
 from .parser import parse_program
 from .tht import enumerate_ts_models
 from .depgraph import enumerate_loops, is_tight, section_graphs
@@ -193,7 +194,11 @@ def _cmd_verify(args) -> int:
     program = _load(args)
     report = verify_correspondence(program, args.length,
                                    _MODE_ALIASES[args.mode], budget)
-    _emit(report.to_json())
+    _emit({"program": format_program(report.program),
+           "length": report.length, "mode": report.mode,
+           "tight": report.tight, "equal": report.equal,
+           "ts_models": report.lhs, "ltlf_models": report.rhs,
+           "witnesses": report.witnesses})
     return 0 if report.equal else 2
 
 

@@ -19,9 +19,10 @@ lemma.
 
 The random generators are deterministic per seed, and the `run_*_suite`
 helpers drive seeded batches for the command line and the test suite.
-`verify_correspondence` and `run_correspondence_suite` both take each
-mode's translation from `_target_formulas`, which looks the translation
-functions up by name at call time.
+`verify_correspondence` and `run_correspondence_suite` share one check:
+each takes a mode's translation from `_target_formulas`, which looks the
+translation functions up by name at call time, and gets its verdicts
+from the `Report` that `_report` builds.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from .syntax import (
     And, Atom, AtomRef, CORE_TRUE, FALSUM, INITIAL_EXPANSION, Not, Or,
     PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger,
-    format_program, positive_atoms,
+    positive_atoms,
 )
 from .tht import HTTrace, Trace, enumerate_ts_models, ht_sat, three_valued
 from .ltlf import enumerate_ltlf_models
@@ -237,7 +238,8 @@ def random_httrace(rng: random.Random, atoms, lam: int) -> HTTrace:
     here = []
     for _ in range(lam):
         tk = frozenset(a for a in atoms if rng.random() < 0.5)
-        hk = frozenset(a for a in tk if rng.random() < 0.6)
+        # Sorted: a frozenset's order follows the hash seed.
+        hk = frozenset(a for a in sorted(tk) if rng.random() < 0.6)
         there.append(tk)
         here.append(hk)
     return HTTrace(Trace(tuple(here)), Trace(tuple(there)))
@@ -260,24 +262,6 @@ class Report:
     witnesses: tuple[Trace, ...]
     tight: bool | None = None
 
-    def to_json(self) -> dict:
-        """The report as the `verify` command prints it.  The model sets
-        `ts_models`, `ltlf_models` and `witnesses` come back as `Trace`
-        tuples; the CLI writes each as a list of traces, each trace a
-        list of states and each state its sorted atoms.  `json.dumps`
-        cannot encode a `Trace`: map `Trace.to_lists` over these
-        first."""
-        return {
-            "program": format_program(self.program),
-            "length": self.length,
-            "mode": self.mode,
-            "tight": self.tight,
-            "equal": self.equal,
-            "ts_models": self.lhs,
-            "ltlf_models": self.rhs,
-            "witnesses": self.witnesses,
-        }
-
 
 def _target_formulas(p: Program, mode: str) -> list:
     if mode == "completion":
@@ -289,11 +273,10 @@ def _target_formulas(p: Program, mode: str) -> list:
     raise ValueError(f"unknown mode {mode!r} (choose from {', '.join(MODES)})")
 
 
-def verify_correspondence(p: Program, lam: int, mode: str,
-                          budget: int | None = None) -> Report:
-    """Compare stable models against the chosen translation's models."""
-    formulas = _target_formulas(p, mode)
-    lhs = enumerate_ts_models(p, lam, budget=budget)
+def _report(p: Program, lam: int, mode: str, formulas: list,
+            lhs: tuple[Trace, ...], budget: int | None = None) -> Report:
+    """Compare the stable models `lhs` of `p` against the classical
+    models of `formulas`, its translation for `mode`."""
     rhs = enumerate_ltlf_models(formulas, lam, p.alphabet, budget)
     witnesses = sorted(set(lhs) ^ set(rhs), key=Trace.to_lists)
     return Report(
@@ -308,6 +291,16 @@ def verify_correspondence(p: Program, lam: int, mode: str,
     )
 
 
+def verify_correspondence(p: Program, lam: int, mode: str,
+                          budget: int | None = None) -> Report:
+    """Compare stable models against the chosen translation's models.
+    The translation is compiled first: a loop component past the cap
+    fails before either search can exceed its budget."""
+    formulas = _target_formulas(p, mode)
+    lhs = enumerate_ts_models(p, lam, budget=budget)
+    return _report(p, lam, mode, formulas, lhs, budget)
+
+
 # ---------------------------------------------------------------------------
 # Batch suites
 # ---------------------------------------------------------------------------
@@ -317,7 +310,8 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
 
     Checks, per case and per mode: stable models always within the
     completion models, completion equality whenever the program is
-    tight, and equality for the two loop-formula modes.
+    tight, and equality for the two loop-formula modes, each read off
+    that mode's `Report`.
     """
     rng = random.Random(seed)
     summary = {
@@ -337,22 +331,15 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
         p = Program(p.rules, frozenset(_ATOM_POOL[:cfg.max_atoms]))
         lam = random.Random(case_seed ^ 0x5EED).randint(1, 3)
 
-        ts = enumerate_ts_models(p, lam)
-        tight = is_tight(p)
-        if tight:
-            summary["tight_cases"] += 1
-        failed = []
-        for mode in MODES:
-            models = enumerate_ltlf_models(
-                _target_formulas(p, mode), lam, p.alphabet)
-            if mode != "completion":
-                if ts != models:
-                    failed.append(f"{mode}_failures")
-                continue
-            if not set(ts) <= set(models):
-                failed.append("soundness_failures")
-            if tight and ts != models:
-                failed.append("completion_tight_failures")
+        lhs = enumerate_ts_models(p, lam)
+        completed, *looped = (_report(p, lam, mode, _target_formulas(p, mode),
+                                      lhs) for mode in MODES)
+        summary["tight_cases"] += completed.tight
+        failed = [f"{r.mode}_failures" for r in looped if not r.equal]
+        if not set(lhs) <= set(completed.rhs):
+            failed.append("soundness_failures")
+        if completed.tight and not completed.equal:
+            failed.append("completion_tight_failures")
         for key in failed:
             summary[key] += 1
         if failed:

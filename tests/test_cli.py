@@ -412,6 +412,59 @@ class TestLargeCycle:
         assert out == ""
         assert err == "error: component of size 22 exceeds cap 20\n"
 
+    @pytest.mark.parametrize("mode, err", [
+        ("loops", "error: component of size 22 exceeds cap 20\n"),
+        ("unitary", "error: component of size 22 exceeds cap 20\n"),
+        ("completion", "error: search work exceeds the budget of 16777216 "
+                       "units at point 0 of 1, with 0 models read off\n"),
+    ], ids=("loops", "unitary", "completion"))
+    def test_verify_compiles_before_searching(self, capsys, tmp_path, mode,
+                                              err):
+        # Under `#dynamic.` the stable search also exceeds its budget at
+        # point 0; the loop modes fail on the cap first, because
+        # `verify` compiles the translation before either search.
+        path = tmp_path / "cycle.ppt"
+        path.write_text("#dynamic.\n" + "".join(
+            f"a{i} :- a{(i + 1) % 22}.\n" for i in range(22)))
+        assert run(capsys, "verify", str(path), "--length", "1",
+                   "--mode", mode) == (3, "", err)
+
+
+# Random token streams through stdin: every one must end in a result or
+# a diagnostic, never a traceback.  Whole rules are mixed in so that
+# about a third of the streams parse and reach the searches.
+_TOKENS = st.sampled_from((
+    "a", "b", "c", "d", "A_1", "_x", "not", "prev", "wprev", "since",
+    "trigger", "always_before", "eventually_before", "initially", "true",
+    "false", "and", "or", ":-", ".", ",", ";", "|", "(", ")", "#",
+    "#initial.", "#dynamic.", "#final.", "% note\n", "\ufeff", "\x00",
+    "\n", "9", "-", "\u00e9",
+))
+_RULES = st.sampled_from((
+    "a.", "b | c.", "a :- b.", "b :- prev a.", "c :- not d, a since b.",
+    "d :- c trigger a.", ":- not a.", "#dynamic.", "#final.",
+))
+_STREAMS = st.one_of(st.lists(_RULES, max_size=8),
+                     st.lists(st.one_of(_TOKENS, _RULES), max_size=30))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_STREAMS.map(" ".join))
+@example("\ufeffa.\n#dynamic.\nb :- prev a.\n")
+def test_cli_never_raises_past_main(text):
+    for argv in (["check", "-"], ["models", "-", "--length", "2"],
+                 ["verify", "-", "--length", "2", "--mode", "unitary"],
+                 ["complete", "-", "--simplify"], ["lf", "-", "--json"]):
+        stdin = sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        finally:
+            sys.stdin = stdin
+        assert code in (0, 1, 2, 3), (argv, code)
+
 
 def test_closed_pipe_exits_1_without_traceback(tmp_path):
     # Far more output than a pipe buffers, so the writer is still going

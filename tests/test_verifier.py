@@ -1,9 +1,14 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ppt.verify
+
 from ppt import (
-    AtomRef, GenConfig, HTTrace, Not, PreconditionSkipped,
+    FALSUM, Always, AtomRef, GenConfig, HTTrace, Not, PreconditionSkipped,
     Previous, Program, Trace, TraceMask, check_lemma_pastocc,
     check_lemma_support, format_program, mask_trace, parse_program,
     random_program, run_correspondence_suite, run_lemma_suite,
@@ -141,13 +146,6 @@ class TestVerifyCorrespondence:
                 report = verify_correspondence(program, 2, mode)
                 assert report.equal == (not report.witnesses)
 
-    def test_report_json(self, p2):
-        doc = verify_correspondence(p2, 2, "completion").to_json()
-        assert doc["equal"] is False
-        assert doc["mode"] == "completion"
-        assert doc["witnesses"] == (Trace.of({"load"}, {"dead", "shoot"}),)
-        assert isinstance(doc["program"], str)
-
     def test_unknown_mode(self, p1):
         with pytest.raises(ValueError):
             verify_correspondence(p1, 2, "bogus")
@@ -163,3 +161,76 @@ class TestSuites:
     def test_semantics_suite_small(self):
         out = run_semantics_suite(cases=500, seed=57)
         assert out["failures"] == 0
+
+
+# Counts of `run_correspondence_suite(cases=40, seed=56)` with a fault
+# injected into a translation, recorded while the suite ran its own
+# classical searches and comparisons.  Each fault must reach the
+# counters it breaks and no other.
+FAULTY_SUITE = {
+    "no loop formulas": {
+        "tight_cases": 17,
+        "completion_loops_failures": 6,
+        "unitary_loops_failures": 31,
+        "completion_tight_failures": 0,
+        "soundness_failures": 0,
+        "failing_seeds": [
+            4148591305, 3643475715, 2404133351, 49376573, 2034405272,
+            2805054262, 2247468241, 1293391134, 3297074869, 1806315313,
+            3037984277, 991863373, 1609270712, 2655218141, 290758416,
+            1448938859, 2762608497, 2464443562, 889989492, 96192647,
+            3260080042, 2459840080, 905852467, 3992853276, 2392234431,
+            587649124, 1652065429, 2920185740, 130333116, 3985340767,
+            668433591],
+        "failures": 37,
+    },
+    "unsatisfiable completion": {
+        "tight_cases": 17,
+        "completion_loops_failures": 26,
+        "unitary_loops_failures": 0,
+        "completion_tight_failures": 12,
+        "soundness_failures": 26,
+        "failing_seeds": [
+            4148591305, 2404133351, 49376573, 2034405272, 2805054262,
+            2247468241, 3297074869, 1806315313, 3037984277, 1609270712,
+            2655218141, 1448938859, 2762608497, 2464443562, 889989492,
+            96192647, 3260080042, 2459840080, 905852467, 3992853276,
+            587649124, 1652065429, 2920185740, 130333116, 3985340767,
+            668433591],
+        "failures": 64,
+    },
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTY_SUITE))
+def test_correspondence_suite_counts_injected_faults(monkeypatch, fault):
+    if fault == "no loop formulas":
+        monkeypatch.setattr(ppt.verify, "loop_formulas",
+                            lambda p, unitary=False: [])
+    else:
+        completion = ppt.verify.completion
+        monkeypatch.setattr(ppt.verify, "completion",
+                            lambda p: completion(p) + [Always(FALSUM)])
+    out = run_correspondence_suite(cases=40, seed=56)
+    assert out == {"cases": 40, "seed": 56, **FAULTY_SUITE[fault]}
+
+
+_HTTRACES = """
+import random
+from ppt.verify import random_httrace
+rng = random.Random(5)
+for _ in range(200):
+    m = random_httrace(rng, ("a", "b", "c"), 3)
+    print(m.h.to_lists(), m.t.to_lists())
+"""
+
+
+def test_random_httrace_ignores_hash_seed():
+    # `fuzz --seed S` must check the same instances in every process.
+    src = str(Path(ppt.__file__).resolve().parents[1])
+    outs = [subprocess.run(
+        [sys.executable, "-c", _HTTRACES], check=True, capture_output=True,
+        text=True, env={"PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "2")]
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 200
