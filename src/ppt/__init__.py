@@ -16,8 +16,9 @@ from .syntax import (
     Always, And, Atom, AtomRef, ExtFormula, FALSUM, Falsum, FinalConst,
     FINAL_CONST, Iff, Implies, INITIAL_CONST, InitialConst, Not, Or,
     PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, VERUM,
-    Verum, WeakNextAlways, atoms_of, format_formula, format_program,
-    format_rule, head_disjunction, is_past_formula, positive_atoms,
+    Verum, WeakNextAlways, atoms_of, format_formula, format_formulas,
+    format_program, format_rule, head_disjunction, is_past_formula,
+    positive_atoms,
 )
 from .parser import parse_formula, parse_program
 from .progression import DEFAULT_BUDGET
@@ -31,8 +32,8 @@ from .depgraph import (
 )
 from .transform import (
     completion, completion_atom, external_support, loop_formulas,
-    program_as_ltlf, simplify, sourced_completion, sourced_loop_formulas,
-    sourced_program_as_ltlf, support_transform,
+    program_as_ltlf, simplify, simplify_formulas, sourced_completion,
+    sourced_loop_formulas, sourced_program_as_ltlf, support_transform,
 )
 from .verify import (
     GenConfig, MODES, PreconditionSkipped, Report, TraceMask,

@@ -30,12 +30,12 @@ import os
 import sys
 
 from .errors import BudgetExceeded, ParseError, PptError, SccTooLarge
-from .syntax import format_formula, format_program
+from .syntax import format_formulas, format_program
 from .parser import parse_program
 from .tht import enumerate_ts_models
 from .depgraph import enumerate_loops, is_tight, section_graphs
 from .transform import (
-    simplify, sourced_completion, sourced_loop_formulas,
+    simplify_formulas, sourced_completion, sourced_loop_formulas,
     sourced_program_as_ltlf,
 )
 from .verify import (
@@ -178,14 +178,16 @@ def _cmd_compile(args) -> int:
         pairs = sourced_loop_formulas(program, args.unitary)
     else:
         pairs = sourced_program_as_ltlf(program)
+    formulas = [f for f, _ in pairs]
     if args.simplify:
-        pairs = [(simplify(f), source) for f, source in pairs]
+        formulas = simplify_formulas(formulas)
+    texts = format_formulas(formulas)
     if args.json:
-        _emit({"formulas": [{"formula": format_formula(f), "source": source}
-                            for f, source in pairs]})
+        _emit({"formulas": [{"formula": text, "source": source}
+                            for text, (_, source) in zip(texts, pairs)]})
     else:
-        for f, _ in pairs:
-            print(format_formula(f))
+        for text in texts:
+            print(text)
     return 0
 
 

@@ -121,24 +121,18 @@ def _tarjan_sccs(succ: dict[Atom, list[Atom]]) -> list[list[Atom]]:
     return sccs
 
 
-def _strongly_connected(subset: tuple[Atom, ...],
-                        succ: dict[Atom, list[Atom]],
-                        pred: dict[Atom, list[Atom]]) -> bool:
-    members = set(subset)
-    start = subset[0]
-
-    def reach(adj: dict[Atom, list[Atom]]) -> set[Atom]:
-        seen = {start}
-        frontier = [start]
+def _closure(start: int, adj: list[int], members: int) -> int:
+    # The vertices of `members` reachable from the bit `start` along `adj`.
+    seen = frontier = start
+    while frontier:
+        reached = 0
         while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w in members and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return seen
-
-    return reach(succ) == members and reach(pred) == members
+            low = frontier & -frontier
+            reached |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & members & ~seen
+        seen |= frontier
+    return seen
 
 
 def enumerate_loops(g: DepGraph,
@@ -149,11 +143,12 @@ def enumerate_loops(g: DepGraph,
     Loops of size two or more are strongly connected subsets of a single
     SCC, which must not exceed the cap.  Singletons need a self-edge in
     the default regime and are unconditional in the unitary regime.
+    Within a component of n atoms, a subset is an n-bit mask and each
+    atom's successors and predecessors in the component are masks too:
+    a subset is strongly connected when its lowest atom reaches all of
+    it both forwards and backwards.
     """
     succ = _successors(g)
-    pred: dict[Atom, list[Atom]] = {v: [] for v in succ}
-    for a, b in sorted(g.edges):
-        pred[b].append(a)
     sccs = _tarjan_sccs(succ)
     for component in sccs:
         if len(component) > SCC_CAP:
@@ -166,13 +161,23 @@ def enumerate_loops(g: DepGraph,
     for component in sccs:
         if len(component) < 2:
             continue
+        position = {atom: j for j, atom in enumerate(component)}
+        forward = [0] * len(component)
+        backward = [0] * len(component)
+        for j, atom in enumerate(component):
+            for b in succ[atom]:
+                k = position.get(b)
+                if k is not None:
+                    forward[j] |= 1 << k
+                    backward[k] |= 1 << j
         for mask in range(3, 1 << len(component)):
-            subset = tuple(component[j] for j in range(len(component))
-                           if mask >> j & 1)
-            if len(subset) < 2:
+            if mask & (mask - 1) == 0:
                 continue
-            if _strongly_connected(subset, succ, pred):
-                loops.append(frozenset(subset))
+            start = mask & -mask
+            if (_closure(start, forward, mask) == mask
+                    and _closure(start, backward, mask) == mask):
+                loops.append(frozenset(atom for j, atom in enumerate(component)
+                                       if mask >> j & 1))
     return tuple(sorted(loops, key=sorted))
 
 

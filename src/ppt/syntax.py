@@ -34,7 +34,8 @@ __all__ = [
     "RuleKind", "Rule", "Program",
     "is_past_formula", "positive_atoms", "formula_atoms", "atoms_of",
     "is_literal_conjunction", "head_disjunction", "or_chain",
-    "format_formula", "format_nesting", "format_rule", "format_program",
+    "format_formula", "format_formulas", "format_nesting", "format_rule",
+    "format_program",
 ]
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -381,10 +382,24 @@ def format_formula(f) -> str:
     print in the ASCII output dialect (``I``, ``F``, ``->``, ``<->``,
     ``always(...)``, ``wnext_always(...)``) and are not re-parseable.
     """
-    return _render(f, 0)
+    return format_formulas([f])[0]
 
 
-def _render(f, ctx: int) -> str:
+def format_formulas(fs: Iterable) -> list[str]:
+    """`format_formula` of each formula, in order.
+
+    A conjunction or disjunction object that sits as an element of a
+    conjunction or disjunction chain is rendered once per call and
+    context, however many formulas share it: the compiler shares its
+    support terms there.  The memo is keyed by object identity and
+    context and holds each object it keys, so no identity is reused
+    while it lives.
+    """
+    memo: dict = {}
+    return [_render(f, 0, memo) for f in fs]
+
+
+def _render(f, ctx: int, memo: dict) -> str:
     tp = type(f)
     if tp is AtomRef:
         return f.name
@@ -397,34 +412,48 @@ def _render(f, ctx: int) -> str:
     if tp is FinalConst:
         return "F"
     if tp is Always:
-        return f"always({_render(f.arg, 0)})"
+        return f"always({_render(f.arg, 0, memo)})"
     if tp is WeakNextAlways:
-        return f"wnext_always({_render(f.arg, 0)})"
+        return f"wnext_always({_render(f.arg, 0, memo)})"
     if tp in _UNARY_KEYWORD:
-        return _wrap(f"{_UNARY_KEYWORD[tp]} {_render(f.arg, _PREC_UNARY)}",
-                     _PREC_UNARY, ctx)
+        text = f"{_UNARY_KEYWORD[tp]} {_render(f.arg, _PREC_UNARY, memo)}"
+        return _wrap(text, _PREC_UNARY, ctx)
     if tp is Since or tp is Trigger:
         word = "since" if tp is Since else "trigger"
-        return (f"({_render(f.lhs, _PREC_UNARY)} {word} "
-                f"{_render(f.rhs, _PREC_UNARY)})")
+        return (f"({_render(f.lhs, _PREC_UNARY, memo)} {word} "
+                f"{_render(f.rhs, _PREC_UNARY, memo)})")
     if tp is And or tp is Or:
         # A left-nested chain prints without parentheses, so its spine is
         # walked in a loop and long bodies need no recursion on length.
         prec = _PREC_AND if tp is And else _PREC_OR
         parts = []
         while type(f) is tp:
-            parts.append(_render(f.rhs, prec + 1))
+            parts.append(_element(f.rhs, prec + 1, memo))
             f = f.lhs
-        parts.append(_render(f, prec))
+        parts.append(_element(f, prec, memo))
         parts.reverse()
         return _wrap((" and " if tp is And else " or ").join(parts), prec, ctx)
     if tp is Implies:
-        text = f"{_render(f.lhs, _PREC_IMPL + 1)} -> {_render(f.rhs, _PREC_IMPL + 1)}"
+        text = (f"{_render(f.lhs, _PREC_IMPL + 1, memo)} -> "
+                f"{_render(f.rhs, _PREC_IMPL + 1, memo)}")
         return _wrap(text, _PREC_IMPL, ctx)
     if tp is Iff:
-        text = f"{_render(f.lhs, _PREC_IMPL + 1)} <-> {_render(f.rhs, _PREC_IMPL + 1)}"
+        text = (f"{_render(f.lhs, _PREC_IMPL + 1, memo)} <-> "
+                f"{_render(f.rhs, _PREC_IMPL + 1, memo)}")
         return _wrap(text, _PREC_IMPL, ctx)
     raise TypeError(f"cannot format {f!r}")
+
+
+def _element(f, ctx: int, memo: dict) -> str:
+    # One element of an and/or chain; a conjunction or disjunction there
+    # is rendered once per (object, context).
+    if type(f) is not And and type(f) is not Or:
+        return _render(f, ctx, memo)
+    key = (id(f), ctx)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (f, _render(f, ctx, memo))
+    return hit[1]
 
 
 def _wrap(text: str, prec: int, ctx: int) -> str:
@@ -471,9 +500,11 @@ def _body_text(body: PastFormula) -> str:
     # between conjuncts, nested groups in the formula dialect.
     disjuncts = _flatten_left(body, Or)
     rendered = []
+    memo: dict = {}
     for d in disjuncts:
         conjuncts = _flatten_left(d, And)
-        rendered.append(", ".join(_render(c, _PREC_TEMPORAL) for c in conjuncts))
+        rendered.append(", ".join(_render(c, _PREC_TEMPORAL, memo)
+                                  for c in conjuncts))
     return "; ".join(rendered)
 
 

@@ -22,17 +22,31 @@ such as `initial loop {a, b}`.  The plain functions drop the sources.
 
 Emission is canonical and unsimplified; `simplify` applies a fixed set
 of truth-constant rewrites when shorter output is wanted.
+
+Cost model.  A section with R rules and a loop set of N loops has up
+to R*N support terms, one per loop and rule whose head meets the loop,
+but far fewer distinct ones: `sourced_loop_formulas` builds the term
+of rule r for loop L once per key (r, L & (P_r | head_r)), where P_r is
+`positive_atoms(r.body, present_only=True)`, and every later loop with
+that key reuses the same object.  The key is exact:
+`support_transform(B, L) = support_transform(B, L & P(B))`, since only
+the positive present atoms of B are struck, and the negated head atoms
+are those of head_r outside L, which depend only on L & head_r.  Rules
+are found through an index by head atom built once per section, which
+`sourced_completion` uses too.  `simplify_formulas` and
+`syntax.format_formulas` then do the work for a shared term once per
+list of formulas.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .syntax import (
     Always, And, Atom, AtomRef, CORE_TRUE, ExtFormula, FALSUM, FINAL_CONST,
     Falsum, Iff, Implies, INITIAL_CONST, INITIAL_EXPANSION, Not, Or,
     PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, Verum,
-    VERUM, WeakNextAlways, head_disjunction, or_chain,
+    VERUM, WeakNextAlways, head_disjunction, or_chain, positive_atoms,
 )
 from .depgraph import enumerate_loops, section_graphs
 
@@ -41,9 +55,14 @@ __all__ = [
     "rule_formula",
     "sourced_completion", "sourced_loop_formulas", "sourced_program_as_ltlf",
     "completion", "loop_formulas", "program_as_ltlf", "simplify",
+    "simplify_formulas",
 ]
 
 Sourced = list[tuple[ExtFormula, str]]
+
+# The rules of one section in program order, and for each atom the
+# positions in that list of the rules whose head holds it.
+_Section = tuple[list[Rule], dict[Atom, list[int]]]
 
 
 def support_transform(f: PastFormula, loop: Iterable[Atom]) -> PastFormula:
@@ -96,6 +115,48 @@ def _support_term(rule: Rule, excluded: frozenset[Atom],
     return term
 
 
+def _by_head(p: Program, section: RuleKind) -> _Section:
+    rules = [r for r in p.rules if r.kind is section]
+    index: dict[Atom, list[int]] = {}
+    for i, r in enumerate(rules):
+        for atom in set(r.head):
+            index.setdefault(atom, []).append(i)
+    return rules, index
+
+
+def _supports(p: Program,
+              section: RuleKind) -> Callable[[frozenset[Atom]], PastFormula]:
+    """The external support of a loop within one section, as a function
+    of the loop (a frozenset); see the module docstring for its memo."""
+    rules, index = _by_head(p, section)
+    # P_r | head_r per rule position, computed when the rule first
+    # supports a loop of two or more atoms: a one-atom loop, found
+    # through the head index, lies in head_r and is its own key.
+    strikable: dict[int, frozenset[Atom]] = {}
+    terms: dict[tuple[int, frozenset[Atom]], PastFormula] = {}
+
+    def support(loop: frozenset[Atom]) -> PastFormula:
+        disjuncts = []
+        for i in sorted({i for atom in loop for i in index.get(atom, ())}):
+            r = rules[i]
+            struck = loop
+            if len(loop) > 1:
+                atoms = strikable.get(i)
+                if atoms is None:
+                    atoms = strikable[i] = positive_atoms(
+                        r.body, present_only=True).union(r.head)
+                struck = loop & atoms
+            key = (i, struck)
+            term = terms.get(key)
+            if term is None:
+                term = terms[key] = _support_term(
+                    r, loop, support_transform(r.body, loop))
+            disjuncts.append(term)
+        return or_chain(disjuncts, FALSUM)
+
+    return support
+
+
 def external_support(p: Program, section: RuleKind,
                      loop: Iterable[Atom]) -> PastFormula:
     """External support formula of an atom set within one section of a program.
@@ -105,13 +166,28 @@ def external_support(p: Program, section: RuleKind,
     negations of the head atoms outside the loop; false when no rule
     qualifies.
     """
-    loop = frozenset(loop)
-    disjuncts = [
-        _support_term(r, loop, support_transform(r.body, loop))
-        for r in p.rules
-        if r.kind is section and loop.intersection(r.head)
-    ]
-    return or_chain(disjuncts, FALSUM)
+    return _supports(p, section)(frozenset(loop))
+
+
+def _guarded(guard: ExtFormula, section: _Section,
+             atom: Atom) -> list[ExtFormula]:
+    # The supports of `atom` in one section, each conjoined with `guard`.
+    rules, index = section
+    excluded = frozenset((atom,))
+    return [And(guard, _support_term(rules[i], excluded, rules[i].body))
+            for i in index.get(atom, ())]
+
+
+def _completion_atom(atom: Atom, initial: _Section,
+                     dynamic: _Section) -> ExtFormula:
+    initial_parts = _guarded(INITIAL_CONST, initial, atom)
+    dynamic_parts = _guarded(Not(INITIAL_CONST), dynamic, atom)
+    if not initial_parts and not dynamic_parts:
+        rhs: ExtFormula = FALSUM
+    else:
+        rhs = Or(or_chain(initial_parts, FALSUM),
+                 or_chain(dynamic_parts, FALSUM))
+    return Always(Iff(AtomRef(atom), rhs))
 
 
 def completion_atom(p: Program, atom: Atom) -> ExtFormula:
@@ -124,20 +200,8 @@ def completion_atom(p: Program, atom: Atom) -> ExtFormula:
     """
     if atom not in p.alphabet:
         raise ValueError(f"{atom!r} is not in the program alphabet")
-    initial_parts = [
-        And(INITIAL_CONST, _support_term(r, frozenset((atom,)), r.body))
-        for r in p.initial if atom in r.head
-    ]
-    dynamic_parts = [
-        And(Not(INITIAL_CONST), _support_term(r, frozenset((atom,)), r.body))
-        for r in p.dynamic if atom in r.head
-    ]
-    if not initial_parts and not dynamic_parts:
-        rhs: ExtFormula = FALSUM
-    else:
-        rhs = Or(or_chain(initial_parts, FALSUM),
-                 or_chain(dynamic_parts, FALSUM))
-    return Always(Iff(AtomRef(atom), rhs))
+    return _completion_atom(atom, _by_head(p, RuleKind.INITIAL),
+                            _by_head(p, RuleKind.DYNAMIC))
 
 
 def rule_formula(rule: Rule) -> ExtFormula:
@@ -157,7 +221,9 @@ def rule_formula(rule: Rule) -> ExtFormula:
 
 def sourced_completion(p: Program) -> Sourced:
     """Temporal completion: atom biconditionals, then carried constraints."""
-    out = [(completion_atom(p, atom), f"atom {atom}")
+    initial = _by_head(p, RuleKind.INITIAL)
+    dynamic = _by_head(p, RuleKind.DYNAMIC)
+    out = [(_completion_atom(atom, initial, dynamic), f"atom {atom}")
            for atom in sorted(p.alphabet)]
     # Headless initial and dynamic rules, then the final rules.
     constraints = sorted(((i, r) for i, r in enumerate(p.rules) if not r.head),
@@ -181,10 +247,15 @@ def sourced_loop_formulas(p: Program, unitary: bool = False) -> Sourced:
     out: Sourced = []
     for graph in section_graphs(p):
         section = graph.section
-        for loop in enumerate_loops(graph, unitary):
+        loops = enumerate_loops(graph, unitary)
+        if not loops:
+            continue
+        support = _supports(p, section)
+        refs = {atom: AtomRef(atom) for atom in frozenset().union(*loops)}
+        for loop in loops:
             atoms = sorted(loop)
-            body = Implies(or_chain([AtomRef(a) for a in atoms], FALSUM),
-                           external_support(p, section, loop))
+            body = Implies(or_chain([refs[a] for a in atoms], FALSUM),
+                           support(loop))
             if section is RuleKind.DYNAMIC:
                 body = WeakNextAlways(body)
             out.append((body, f"{section.value} loop {{{', '.join(atoms)}}}"))
@@ -218,6 +289,24 @@ def simplify(f: ExtFormula) -> ExtFormula:
     not-false and not-true flip.  Everything else is preserved, so the
     result stays semantically equivalent connective by connective.
     """
+    return simplify_formulas([f])[0]
+
+
+def simplify_formulas(fs: Iterable[ExtFormula]) -> list[ExtFormula]:
+    """`simplify` of each formula, in order.
+
+    A conjunction or disjunction object that sits as an element of a
+    conjunction or disjunction chain is simplified once per call,
+    however many formulas share it, as the support terms of
+    `sourced_loop_formulas` do; every later occurrence gets the same
+    result object.  The memo is keyed by object identity and holds each
+    object it keys, so no identity is reused while it lives.
+    """
+    memo: dict = {}
+    return [_simplify(f, memo) for f in fs]
+
+
+def _simplify(f: ExtFormula, memo: dict) -> ExtFormula:
     tp = type(f)
     if tp is And or tp is Or:
         # The left spine of a chain is simplified in a loop, innermost
@@ -226,9 +315,16 @@ def simplify(f: ExtFormula) -> ExtFormula:
         while type(f) is And or type(f) is Or:
             spine.append(f)
             f = f.lhs
-        out = simplify(f)
+        out = _simplify(f, memo)
         for node in reversed(spine):
-            rhs = simplify(node.rhs)
+            rhs = node.rhs
+            if type(rhs) is And or type(rhs) is Or:
+                hit = memo.get(id(rhs))
+                if hit is None:
+                    hit = memo[id(rhs)] = (rhs, _simplify(rhs, memo))
+                rhs = hit[1]
+            else:
+                rhs = _simplify(rhs, memo)
             if type(node) is And:
                 if type(out) is Falsum or type(rhs) is Falsum:
                     out = FALSUM
@@ -246,18 +342,17 @@ def simplify(f: ExtFormula) -> ExtFormula:
                        else Or(out, rhs))
         return out
     if tp is Not:
-        arg = simplify(f.arg)
+        arg = _simplify(f.arg, memo)
         if type(arg) is Falsum:
             return VERUM
         if type(arg) is Verum:
             return FALSUM
         return f if arg is f.arg else Not(arg)
     if tp in (Previous, Always, WeakNextAlways):
-        arg = simplify(f.arg)
+        arg = _simplify(f.arg, memo)
         return f if arg is f.arg else tp(arg)
     if tp in (Since, Trigger, Implies, Iff):
-        lhs = simplify(f.lhs)
-        rhs = simplify(f.rhs)
+        lhs = _simplify(f.lhs, memo)
+        rhs = _simplify(f.rhs, memo)
         return f if lhs is f.lhs and rhs is f.rhs else tp(lhs, rhs)
     return f
-

@@ -263,14 +263,20 @@ class Report:
     tight: bool | None = None
 
 
-def _target_formulas(p: Program, mode: str) -> list:
-    if mode == "completion":
-        return completion(p)
-    if mode == "completion_loops":
-        return completion(p) + loop_formulas(p, unitary=False)
+def _target_formulas(p: Program, mode: str,
+                     completed: list | None = None) -> list:
+    """The translation of `p` for `mode`; `completed`, when given, is
+    `completion(p)`, built once for several modes."""
     if mode == "unitary_loops":
         return program_as_ltlf(p) + loop_formulas(p, unitary=True)
-    raise ValueError(f"unknown mode {mode!r} (choose from {', '.join(MODES)})")
+    if mode not in MODES:
+        raise ValueError(
+            f"unknown mode {mode!r} (choose from {', '.join(MODES)})")
+    if completed is None:
+        completed = completion(p)
+    if mode == "completion":
+        return completed
+    return completed + loop_formulas(p, unitary=False)
 
 
 def _report(p: Program, lam: int, mode: str, formulas: list,
@@ -332,8 +338,10 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
         lam = random.Random(case_seed ^ 0x5EED).randint(1, 3)
 
         lhs = enumerate_ts_models(p, lam)
-        completed, *looped = (_report(p, lam, mode, _target_formulas(p, mode),
-                                      lhs) for mode in MODES)
+        formulas = completion(p)
+        completed, *looped = (
+            _report(p, lam, mode, _target_formulas(p, mode, formulas), lhs)
+            for mode in MODES)
         summary["tight_cases"] += completed.tight
         failed = [f"{r.mode}_failures" for r in looped if not r.equal]
         if not set(lhs) <= set(completed.rhs):

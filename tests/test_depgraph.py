@@ -152,3 +152,54 @@ class TestOracle:
             for unitary in (False, True):
                 got = set(enumerate_loops(g, unitary))
                 assert got == _oracle_loops(vertices, edges, unitary)
+
+
+def _set_based_loops(g, unitary):
+    """Loops by set-based reach: a subset of two or more atoms is a loop
+    when its first atom reaches all of it over successor sets and over
+    predecessor sets, both restricted to the subset."""
+    succ = {v: {b for a, b in g.edges if a == v} for v in g.vertices}
+    pred = {v: {a for a, b in g.edges if b == v} for v in g.vertices}
+
+    def reach(start, adj, members):
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            for w in adj[frontier.pop()] & members - seen:
+                seen.add(w)
+                frontier.append(w)
+        return seen
+
+    vertices = sorted(g.vertices)
+    loops = [frozenset((v,)) for v in vertices
+             if unitary or (v, v) in g.edges]
+    for mask in range(1, 1 << len(vertices)):
+        members = {v for j, v in enumerate(vertices) if mask >> j & 1}
+        if len(members) < 2:
+            continue
+        start = min(members)
+        if (reach(start, succ, members) == members
+                and reach(start, pred, members) == members):
+            loops.append(frozenset(members))
+    return tuple(sorted(loops, key=sorted))
+
+
+class TestBitmaskLoops:
+    def test_random_graphs_match_set_based_reach(self):
+        rng = random.Random(61)
+        names = [f"v{j}" for j in range(10)]
+        for _ in range(80):
+            vertices = frozenset(rng.sample(names, rng.randint(1, 10)))
+            density = rng.choice((0.15, 0.3, 0.5))
+            edges = frozenset((v, w) for v in vertices for w in vertices
+                              if rng.random() < density)
+            g = DepGraph(vertices, edges)
+            for unitary in (False, True):
+                assert enumerate_loops(g, unitary) == \
+                    _set_based_loops(g, unitary)
+
+    def test_two_components_keep_canonical_order(self):
+        p = parse_program("#dynamic. a :- b. b :- a. c :- d. d :- c. "
+                          "a :- c. b :- b.")
+        assert enumerate_loops(_dyn_graph(p)) == (
+            frozenset("ab"), frozenset("b"), frozenset("cd"))

@@ -1,6 +1,8 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppt import (
     Always, And, AtomRef, FALSUM, HTTrace, Iff, Implies, Not, Or, Previous,
@@ -8,11 +10,18 @@ from ppt import (
     enumerate_ltlf_models, enumerate_ts_models, external_support,
     format_formula, ht_sat, loop_formulas, ltlf_sat, parse_formula,
     parse_program, positive_atoms, Program, program_as_ltlf, Rule, RuleKind,
-    simplify, sourced_completion, sourced_loop_formulas,
+    simplify, simplify_formulas, sourced_completion, sourced_loop_formulas,
     sourced_program_as_ltlf, support_transform,
 )
-from ppt.syntax import CORE_TRUE, FINAL_CONST, INITIAL_CONST
-from ppt.verify import TraceMask, mask_trace, random_httrace, random_past_formula
+from ppt.cli import main
+from ppt.depgraph import enumerate_loops, section_graphs
+from ppt.syntax import (
+    CORE_TRUE, FINAL_CONST, INITIAL_CONST, format_formulas, or_chain,
+)
+from ppt.verify import (
+    GenConfig, TraceMask, mask_trace, random_httrace, random_past_formula,
+    random_program,
+)
 
 from conftest import TARGET
 
@@ -271,3 +280,82 @@ class TestLemmaSupportInstance:
             assert lhs == rhs
             checked += 1
         assert checked == 500
+
+
+def _unshared(f):
+    """A copy of f in which no node object occurs twice."""
+    if not dataclasses.is_dataclass(f) or type(f) is AtomRef:
+        return f
+    return type(f)(*(_unshared(getattr(f, field.name))
+                     for field in dataclasses.fields(f)))
+
+
+class TestSharedTerms:
+    """The compiler shares support terms between loops; sharing must
+    give the same formulas, texts and simplifications as no sharing."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_loop_formulas_match_one_loop_at_a_time(self, seed, unitary):
+        p = random_program(GenConfig(seed=seed, max_atoms=4, max_rules=8))
+        want = []
+        for graph in section_graphs(p):
+            for loop in enumerate_loops(graph, unitary):
+                f = Implies(or_chain([AtomRef(a) for a in sorted(loop)],
+                                     FALSUM),
+                            external_support(p, graph.section, loop))
+                if graph.section is RuleKind.DYNAMIC:
+                    f = WeakNextAlways(f)
+                want.append(f)
+        assert [f for f, _ in sourced_loop_formulas(p, unitary)] == want
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_completion_matches_one_atom_at_a_time(self, seed):
+        p = random_program(GenConfig(seed=seed, max_atoms=4, max_rules=8))
+        atoms = sorted(p.alphabet)
+        got = [f for f, _ in sourced_completion(p)][:len(atoms)]
+        assert got == [completion_atom(p, a) for a in atoms]
+
+    # One object as an element of an `and` chain and of an `or` chain:
+    # `a and b` is parenthesised in the first and bare in the second,
+    # `a or b` the other way round only at the left of an `and`.
+    CONJ = And(AtomRef("a"), Or(VERUM, AtomRef("b")))
+    DISJ = Or(Not(FALSUM), AtomRef("b"))
+
+    def _shared(self):
+        c = AtomRef("c")
+        return [And(c, self.CONJ), Or(c, self.CONJ), Or(self.CONJ, c),
+                And(self.DISJ, c), Or(c, self.DISJ), And(c, self.DISJ),
+                Implies(self.CONJ, Or(And(c, self.CONJ), self.DISJ))]
+
+    def test_render_per_context(self):
+        shared = self._shared()
+        copies = [_unshared(f) for f in shared]
+        texts = format_formulas(shared)
+        assert texts == format_formulas(copies)
+        assert texts == [format_formula(f) for f in copies]
+        assert texts[:2] == ["c and (a and (true or b))",
+                             "c or a and (true or b)"]
+
+    def test_simplify_shared_equals_copied(self):
+        shared = self._shared()
+        copies = [_unshared(f) for f in shared]
+        got = simplify_formulas(shared)
+        assert got == simplify_formulas(copies)
+        assert got == [simplify(f) for f in copies]
+        assert format_formulas(got) == [format_formula(simplify(f))
+                                        for f in copies]
+
+    def test_no_state_outlives_a_command(self, tmp_path, capsys):
+        path = tmp_path / "p.ppt"
+        path.write_text("#dynamic. a | b :- c, not d. c :- a. c :- b.\n"
+                        "d :- c, (a since b).\n", encoding="utf-8")
+        f = self._shared()[-1]
+        before = format_formula(f), simplify(f), format_formula(simplify(f))
+        for command in ("lf", "complete"):
+            assert main([command, str(path), "--simplify", "--json"]) == 0
+        assert main(["lf", str(path), "--unitary"]) == 0
+        capsys.readouterr()
+        assert (format_formula(f), simplify(f),
+                format_formula(simplify(f))) == before
