@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -49,7 +50,13 @@ _MODE_ALIASES = {"completion": "completion", "loops": "completion_loops",
 
 def _read_source(path: str) -> tuple[str, str]:
     if path == "-":
-        return sys.stdin.read(), "<stdin>"
+        # Decoded as `open` decodes a file (strict UTF-8, universal
+        # newlines), not by the interpreter's stdin settings.
+        if sys.stdin is None:
+            raise OSError("stdin is closed")
+        data = io.BytesIO(sys.stdin.buffer.read())
+        with io.TextIOWrapper(data, encoding="utf-8") as handle:
+            return handle.read(), "<stdin>"
     with open(path, encoding="utf-8") as handle:
         return handle.read(), path
 

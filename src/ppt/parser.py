@@ -36,39 +36,35 @@ formula always parses back to it.  This happens where a chain has a
 deep operand before its last operator, which the printer's parentheses
 put deeper than the chain does, or where sugar sits near the limit and
 its core spelling is deeper than the sugar (`initially` is three
-levels).  Initial and final rule bodies must be conjunctions of regular
-literals and final rules must have empty heads; violations raise
-:class:`RestrictionError`.
+levels).
+
+The tokenizer keeps each token as its text and its offset in the
+source; whitespace and comments make no tokens, and the end of input is
+the empty text.  An error's line and column are computed from its
+offset only when it is raised.  The section restrictions (initial and
+final rule bodies are conjunctions of regular literals, final rules
+have empty heads) are decided by `syntax.Rule`: the parser raises its
+message as a :class:`RestrictionError` at the rule for a final rule's
+head and at the body otherwise.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError, RestrictionError
 from .syntax import (
     ATOM_RE, And, AtomRef, CORE_TRUE, FALSUM, INITIAL_EXPANSION, Not, Or,
-    Previous, Program, Rule, RuleKind, Since, Trigger, format_nesting,
-    is_literal_conjunction,
+    Previous, Program, RESERVED_WORDS, Rule, RuleKind, Since, Trigger,
+    format_nesting,
 )
 
 __all__ = ["MAX_NESTING", "parse_program", "parse_formula"]
 
+# A token is the text the group captures, after any whitespace and
+# comments; at a character no token starts with, the group is empty.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
-      | (?P<arrow>:-)
-      | (?P<punct>[,;|().#])
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
-
-_RESERVED = frozenset({
-    "not", "prev", "wprev", "since", "trigger", "always_before",
-    "eventually_before", "initially", "true", "false", "and", "or",
-})
+    r"(?:\s+|%[^\n]*)*(:-|[,;|().#]|[A-Za-z_][A-Za-z0-9_]*)?")
 
 _UNARY_OPS = {
     "not": Not,
@@ -84,90 +80,73 @@ _CONSTANTS = {
     "initially": INITIAL_EXPANSION,
 }
 
+_SECTIONS = {k.value: k for k in RuleKind}
+
 # Each level of nesting costs the recursive descent a few Python frames,
 # and the printer and compiler recurse on it too; this bound keeps every
 # one of them far below the interpreter's recursion limit.
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # "arrow", "punct", "ident", "eof"
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(src: str) -> list[_Token]:
-    src = src.removeprefix("\ufeff")
-    tokens: list[_Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(src)
-    while pos < n:
-        match = _TOKEN_RE.match(src, pos)
-        if match is None:
-            raise ParseError(line, pos - line_start + 1,
-                             f"unexpected character {src[pos]!r}")
-        kind = match.lastgroup
-        text = match.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, text, line, pos - line_start + 1))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + text.rindex("\n") + 1
-        pos = match.end()
-    tokens.append(_Token("eof", "", line, n - line_start + 1))
-    return tokens
-
-
 class _Parser:
     def __init__(self, src: str):
-        self.tokens = _tokenize(src)
+        self.src = src = src.removeprefix("\ufeff")
+        # The tokens as parallel lists of texts and source offsets,
+        # ending with the empty text at the end of the input.
+        self.texts: list[str] = []
+        self.offsets: list[int] = []
+        match = _TOKEN_RE.match
+        pos = 0
+        while True:
+            token = match(src, pos)
+            pos = token.end()
+            if token.lastindex is None:
+                break
+            self.texts.append(token.group(1))
+            self.offsets.append(token.start(1))
+        if pos < len(src):
+            raise ParseError(*self.position(pos),
+                             f"unexpected character {src[pos]!r}")
+        self.texts.append("")
+        self.offsets.append(pos)
         self.pos = 0
         self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def peek(self) -> str:
+        return self.texts[self.pos]
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.text == text and tok.kind != "eof"
+        return self.texts[self.pos] == text
 
     def eat(self, text: str) -> bool:
-        if self.at(text):
+        if self.texts[self.pos] == text:
             self.pos += 1
             return True
         return False
 
     def found(self) -> str:
-        tok = self.peek()
-        return "end of input" if tok.kind == "eof" else repr(tok.text)
+        text = self.peek()
+        return repr(text) if text else "end of input"
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """The 1-based line and column of a source offset."""
+        line_start = self.src.rfind("\n", 0, offset) + 1
+        return self.src.count("\n", 0, offset) + 1, offset - line_start + 1
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(tok.line, tok.column, message)
+        raise ParseError(*self.position(self.offsets[self.pos]), message)
 
-    def expect(self, text: str) -> _Token:
-        if not self.at(text):
+    def expect(self, text: str) -> None:
+        if not self.eat(text):
             self.fail(f"expected {text!r}, found {self.found()}")
-        return self.advance()
 
     def nested(self, parse):
         """Consume an opening token, then run `parse` one level deeper."""
         if self.depth == MAX_NESTING:
             self.fail(f"formula nested deeper than {MAX_NESTING} levels")
-        self.advance()
+        self.pos += 1
         self.depth += 1
         inner = parse()
         self.depth -= 1
@@ -176,41 +155,41 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def atom_name(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
+        text = self.peek()
+        if not text.isidentifier():
             self.fail(f"expected an atom, found {self.found()}")
-        if tok.text in _RESERVED:
-            self.fail(f"reserved word {tok.text!r} cannot be used as an atom")
-        if not ATOM_RE.match(tok.text):
-            self.fail(f"invalid atom name {tok.text!r} "
+        if text in RESERVED_WORDS:
+            self.fail(f"reserved word {text!r} cannot be used as an atom")
+        if not ATOM_RE.match(text):
+            self.fail(f"invalid atom name {text!r} "
                       "(must match [a-z][A-Za-z0-9_]*)")
-        self.advance()
-        return tok.text
+        self.pos += 1
+        return text
 
     def primary(self):
-        tok = self.peek()
-        if self.at("("):
+        text = self.peek()
+        if text == "(":
             inner = self.nested(self.disjunction)
             self.expect(")")
             return inner
-        if tok.kind == "ident":
-            if tok.text in _CONSTANTS:
-                self.advance()
-                return _CONSTANTS[tok.text]
+        if text in _CONSTANTS:
+            self.pos += 1
+            return _CONSTANTS[text]
+        if text.isidentifier():
             return AtomRef(self.atom_name())
         self.fail(f"expected a formula, found {self.found()}")
 
     def unary(self):
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text in _UNARY_OPS:
-            return _UNARY_OPS[tok.text](self.nested(self.unary))
+        op = _UNARY_OPS.get(self.peek())
+        if op is not None:
+            return op(self.nested(self.unary))
         return self.primary()
 
     def body(self):
-        start = self.peek()
+        start = self.offsets[self.pos]
         body = self.disjunction()
         if format_nesting(body) > MAX_NESTING:
-            raise ParseError(start.line, start.column,
+            raise ParseError(*self.position(start),
                              f"formula nested deeper than {MAX_NESTING} "
                              "levels when printed")
         return body
@@ -220,7 +199,7 @@ class _Parser:
         # operator counts against the limit until the chain ends.  A
         # chain that opens a group shares the group's level, as in the
         # printed `(a since b)`.
-        opens_group = self.tokens[self.pos - 1].text == "("
+        opens_group = self.texts[self.pos - 1] == "("
         left = self.unary()
         outer = self.depth
         if opens_group:
@@ -251,43 +230,36 @@ class _Parser:
         return tuple(atoms)
 
     def directive(self) -> RuleKind:
-        self.advance()  # the '#' that `program` saw
-        tok = self.peek()
-        names = {k.value: k for k in RuleKind}
-        if tok.kind != "ident" or tok.text not in names:
+        self.pos += 1  # the '#' that `program` saw
+        section = _SECTIONS.get(self.peek())
+        if section is None:
             self.fail("expected a section name (initial, dynamic or final), "
                       f"found {self.found()}")
-        self.advance()
+        self.pos += 1
         self.expect(".")
-        return names[tok.text]
+        return section
 
     def rule(self, section: RuleKind) -> Rule:
-        start = self.peek()
+        start = body_start = self.offsets[self.pos]
         head: tuple[str, ...] = ()
         if not self.at(":-"):
             head = self.head()
-        body_tok = self.peek()
+        body = CORE_TRUE
         if self.eat(":-"):
-            body_tok = self.peek()
+            body_start = self.offsets[self.pos]
             body = self.body()
-        else:
-            body = CORE_TRUE
         self.expect(".")
-
-        if section is RuleKind.FINAL and head:
-            raise RestrictionError(start.line, start.column,
-                                   "final rules cannot have a head")
-        if section is not RuleKind.DYNAMIC and not is_literal_conjunction(body):
-            raise RestrictionError(
-                body_tok.line, body_tok.column,
-                f"{section.value} rule bodies must be conjunctions of "
-                "regular literals")
-        return Rule(section, head, body)
+        try:
+            return Rule(section, head, body)
+        except ValueError as err:
+            # A section restriction: `Rule` says which, the parser where.
+            at = start if section is RuleKind.FINAL and head else body_start
+            raise RestrictionError(*self.position(at), str(err)) from None
 
     def program(self) -> Program:
         rules: list[Rule] = []
         section = RuleKind.INITIAL
-        while self.peek().kind != "eof":
+        while self.peek():
             if self.at("#"):
                 section = self.directive()
             else:
@@ -296,7 +268,7 @@ class _Parser:
 
     def formula(self):
         body = self.body()
-        if self.peek().kind != "eof":
+        if self.peek():
             self.fail(f"expected end of input, found {self.found()}")
         return body
 

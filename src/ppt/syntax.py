@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Iterable, Union
 
 __all__ = [
-    "ATOM_RE", "Atom", "validate_atom",
+    "ATOM_RE", "RESERVED_WORDS", "Atom", "validate_atom",
     "Falsum", "AtomRef", "Not", "And", "Or", "Previous", "Since", "Trigger",
     "Verum", "InitialConst", "FinalConst", "Implies", "Iff", "Always",
     "WeakNextAlways", "PastFormula", "ExtFormula",
@@ -40,6 +40,12 @@ __all__ = [
 
 ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
+# Keywords of the concrete syntax; an atom so named would not parse back.
+RESERVED_WORDS = frozenset({
+    "not", "prev", "wprev", "since", "trigger", "always_before",
+    "eventually_before", "initially", "true", "false", "and", "or",
+})
+
 Atom = str
 
 
@@ -47,6 +53,8 @@ def validate_atom(name: str) -> str:
     """Check that `name` is a legal atom identifier and return it."""
     if not isinstance(name, str) or not ATOM_RE.match(name):
         raise ValueError(f"invalid atom name: {name!r}")
+    if name in RESERVED_WORDS:
+        raise ValueError(f"reserved word {name!r} cannot be used as an atom")
     return name
 
 

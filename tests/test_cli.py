@@ -34,6 +34,11 @@ def p2_file(tmp_path):
     return str(path)
 
 
+def _stdin(text):
+    """A text stream over the UTF-8 bytes of `text`, as `sys.stdin` is."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -87,8 +92,7 @@ class TestCheck:
         assert err.startswith(f"{bad}:1:6: error: ")
 
     def test_stdin(self, capsys, monkeypatch):
-        import io
-        monkeypatch.setattr("sys.stdin", io.StringIO("a.\n"))
+        monkeypatch.setattr("sys.stdin", _stdin("a.\n"))
         code, out, _ = run(capsys, "check", "-")
         assert code == 0
         assert "1 rules" in out
@@ -315,6 +319,57 @@ class TestUnreadableInput:
         assert err.startswith("error: cannot read -: 'utf-8' codec ")
 
 
+def _env(**extra):
+    """The environment of a new interpreter that imports this `ppt`."""
+    return dict(os.environ, **extra,
+                PYTHONPATH=str(Path(ppt.__file__).resolve().parents[1]))
+
+
+def _cli(argv, stdin=None, **env):
+    """Exit code, stdout and stderr of `ppt ARGV` in a new interpreter,
+    with the bytes `stdin` on its standard input."""
+    proc = subprocess.run([sys.executable, "-m", "ppt.cli", *argv],
+                          input=stdin, capture_output=True, env=_env(**env),
+                          timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestStdinReadAsFile:
+    # `-` decodes its bytes as a file is read, strict UTF-8 with
+    # universal newlines, whatever the interpreter's stdin settings.
+
+    @pytest.mark.parametrize("data, err, stdin_name", [
+        (b"a :- b\xff.", "error: cannot read {}: 'utf-8' codec can't "
+         "decode byte 0xff in position 6: invalid start byte\n", "-"),
+        (b"a.\rb $.", "{}:2:3: error: unexpected character '$'\n",
+         "<stdin>"),
+    ], ids=["invalid_utf8", "carriage_return"])
+    def test_bad_input(self, tmp_path, data, err, stdin_name):
+        path = tmp_path / "bad.ppt"
+        path.write_bytes(data)
+        assert _cli(["check", str(path)]) == \
+            (1, b"", err.format(path).encode())
+        assert _cli(["check", "-"], data, PYTHONUTF8="1") == \
+            (1, b"", err.format(stdin_name).encode())
+
+    def test_byte_order_mark_under_latin_1(self, tmp_path):
+        path = tmp_path / "bom.ppt"
+        data = "\ufeff".encode() + P1_TEXT.encode()
+        path.write_bytes(data)
+        expected = _cli(["check", str(path)])
+        assert expected[0] == 0
+        assert _cli(["check", "-"], data, PYTHONIOENCODING="latin-1") == \
+            expected
+
+    def test_closed_stdin(self):
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m ppt.cli check - <&-', sys.executable],
+            capture_output=True, env=_env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.startswith(b"error: cannot read -: ")
+        assert b"Traceback" not in proc.stderr
+
+
 class TestGraphAndLoops:
     def test_graph_lines(self, capsys, p1_file):
         code, out, _ = run(capsys, "graph", p1_file)
@@ -456,7 +511,7 @@ def test_cli_never_raises_past_main(text):
                  ["verify", "-", "--length", "2", "--mode", "unitary"],
                  ["complete", "-", "--simplify"], ["lf", "-", "--json"]):
         stdin = sys.stdin
-        sys.stdin = io.StringIO(text)
+        sys.stdin = _stdin(text)
         try:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):

@@ -2,7 +2,7 @@ import functools
 import pickle
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ppt import (
     And, AtomRef, Not, ParseError, RestrictionError, RuleKind, Since,
@@ -10,6 +10,7 @@ from ppt import (
 )
 from ppt.parser import MAX_NESTING
 from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION, Falsum
+from ppt.verify import GenConfig, random_program
 
 chain_operators = st.integers(1, MAX_NESTING).flatmap(
     lambda n: st.lists(st.sampled_from(("since", "trigger")),
@@ -136,6 +137,57 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse_program("\ufeff\ufeffa.")
         assert (err.value.line, err.value.column) == (1, 1)
+
+    @pytest.mark.parametrize("src, kind, message, line, column", [
+        ("a.\nb.\nc $.", ParseError, "unexpected character '$'", 3, 3),
+        ("a.\r\nb.\r\nc $.", ParseError, "unexpected character '$'", 3, 3),
+        ("a.\n\tb :-\n\t\tc, \x01.", ParseError,
+         "unexpected character '\\x01'", 3, 6),
+        ("% note $\na é.", ParseError, "unexpected character 'é'",
+         2, 3),
+        ("\ufeffa :- b $.", ParseError, "unexpected character '$'", 1, 8),
+        ("a :- b", ParseError, "expected '.', found end of input", 1, 7),
+        ("a :- b\n", ParseError, "expected '.', found end of input", 2, 1),
+        ("a.\n#final.\n  b :- c.", RestrictionError,
+         "final rules cannot have a head", 3, 3),
+        ("a :-\n  prev b.", RestrictionError,
+         "initial rule bodies must be conjunctions of regular literals",
+         2, 3),
+        ("#final.\n:- b,\n not not c.", RestrictionError,
+         "final rule bodies must be conjunctions of regular literals", 2, 4),
+        ("#dynamic.\nh :- " + "(" * (MAX_NESTING + 1) + "b"
+         + ")" * (MAX_NESTING + 1) + ".", ParseError,
+         f"formula nested deeper than {MAX_NESTING} levels", 2,
+         6 + MAX_NESTING),
+        ("#dynamic.\nh :-\n   " + "not " * (MAX_NESTING - 1) + "initially.",
+         ParseError,
+         f"formula nested deeper than {MAX_NESTING} levels when printed",
+         3, 4),
+    ])
+    def test_error_position(self, src, kind, message, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_program(src)
+        assert type(err.value) is kind
+        assert (err.value.message, err.value.line, err.value.column) == \
+            (message, line, column)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(("$", "\x01", "é")),
+           st.booleans(), st.data())
+    def test_inserted_character_position(self, seed, char, crlf, data):
+        text = format_program(random_program(GenConfig(seed=seed)))
+        if crlf:
+            text = text.replace("\n", "\r\n")
+        # Anywhere but inside `:-`, whose `:` would then come first.
+        offset = data.draw(st.sampled_from([
+            i for i in range(len(text) + 1) if text[i - 1:i + 1] != ":-"]))
+        with pytest.raises(ParseError) as err:
+            parse_program(text[:offset] + char + text[offset:])
+        line = text.count("\n", 0, offset) + 1
+        column = offset - text.rfind("\n", 0, offset)
+        assert type(err.value) is ParseError
+        assert (err.value.message, err.value.line, err.value.column) == \
+            (f"unexpected character {char!r}", line, column)
 
     def test_positions_within_bounds(self):
         sources = ["", "a", "a :-", "a :- b", "x.\ny.\nz", "(", "a :- (b."]

@@ -9,6 +9,7 @@ from ppt import (
     completion, enumerate_ltlf_models, enumerate_ts_models, loop_formulas,
     parse_program, program_as_ltlf,
 )
+from ppt.progression import search
 from ppt.syntax import CORE_TRUE
 from ppt.verify import GenConfig, random_program
 
@@ -133,6 +134,10 @@ class TestEdgeCases:
     def test_long_trace_over_empty_alphabet(self):
         assert enumerate_ts_models(Program(()), 5000) == (
             Trace(tuple(frozenset() for _ in range(5000))),)
+
+    def test_reserved_word_is_no_alphabet_atom(self):
+        with pytest.raises(ValueError, match="reserved word"):
+            search([], 1, {"a", "since"})
 
     def test_deep_body_needs_no_recursion(self):
         body = CORE_TRUE

@@ -196,3 +196,14 @@ class TestProgramModel:
     def test_bad_atom_name(self):
         with pytest.raises(ValueError):
             AtomRef("Bad")
+
+    @pytest.mark.parametrize("word", ["since", "true", "not", "prev", "or"])
+    def test_reserved_word_is_no_atom(self, word):
+        # A reserved word as an atom would print text that does not
+        # parse back.
+        with pytest.raises(ValueError, match="reserved word"):
+            AtomRef(word)
+        with pytest.raises(ValueError, match="reserved word"):
+            Rule(RuleKind.INITIAL, (word,), CORE_TRUE)
+        with pytest.raises(ValueError, match="reserved word"):
+            Program((), frozenset({"a", word}))
