@@ -95,7 +95,7 @@ def _emit(obj: dict) -> None:
             continue
         opening = "[\n    [\n"
         for trace in value:
-            write(opening + ",\n".join(map(chunk, trace.states)))
+            write(opening + ",\n".join(map(chunk, trace)))
             opening = "\n    ],\n    [\n"
         write("\n    ]\n  ]")
     write("\n}\n")

@@ -52,7 +52,7 @@ So the search is a forward pass over layers: layer k holds the carried
 vectors reachable at point k, and the moves out of a vector are
 computed once per vector and phase (middle or last point) and shared by
 every layer.  A backward pass drops the moves that cannot reach the
-last point, and the models are read off as the paths.
+last point, and one read-off at every length takes the paths as models.
 
 The moves out of a vector are sorted by their states, each read as its
 sorted tuple of atoms, and the read-off walks them depth first.  A
@@ -69,10 +69,10 @@ off costs the size of the output.  The budget counts work units before
 the work is done: lam up front, one per layer; 2^n per total pass;
 2^n per state that survives a total pass, which pays for reading its
 bits out of the 2^n-bit values and for its here pass; one per move
-walked into a layer; and lam per model read off.  A count of the
-2^(n*lam) candidate traces would refuse long traces that the layers
-make cheap, yet admit a short trace over a wide alphabet whose
-survivors each cost 2^n.
+walked into a layer; and lam per model, before it is read off.  A
+count of the 2^(n*lam) candidate traces would refuse long traces that
+the layers make cheap, yet admit a short trace over a wide alphabet
+whose survivors each cost 2^n.
 
 All formulas are flattened once into one post-order node array.  The
 value of a node at point k depends on its children at k and on total
@@ -254,6 +254,8 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
     """
     if lam < 1:
         raise ValueError("trace length must be at least 1")
+    if isinstance(alphabet, str):
+        raise ValueError("an alphabet is a collection of atoms, not a string")
     names = frozenset(alphabet)
     for name in names:
         validate_atom(name)
@@ -348,13 +350,9 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
         out.sort(key=lambda move: move[0])
         return out
 
-    if not last:
-        out = step(None, True, 0)
-        charge(len(out), 0)
-        return [(state,) for _, state, _ in out]
     # Forward: layer k maps each carried vector reachable at point k to
     # its moves, computed once per vector and phase (Lemma 2).
-    layers = [{None: step(None, False, 0)}]
+    layers = [{None: step(None, last == 0, 0)}]
     for k in range(1, lam):
         at_end = k == last
         layer: dict[tuple, list] = {}
@@ -384,13 +382,10 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
             continue
         _, state, key = move
         k = len(todo) - 1
-        del path[k:]
-        path.append(state)
-        if k + 1 < last:
+        path[k:] = [state]
+        if k < last:
             todo.append(iter(layers[k + 1][key]))
         else:
-            ends = layers[last][key]
-            charge(lam * len(ends), last)
-            head = tuple(path)
-            found += [head + (end,) for _, end, _ in ends]
+            charge(lam, last)
+            found.append(tuple(path))
     return found

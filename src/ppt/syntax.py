@@ -324,6 +324,8 @@ class Program:
         occurring = atoms_of(self)
         if self.alphabet is None:
             object.__setattr__(self, "alphabet", occurring)
+        elif isinstance(self.alphabet, str):
+            raise ValueError("an alphabet is a collection of atoms, not a string")
         else:
             object.__setattr__(self, "alphabet", frozenset(self.alphabet))
             for name in self.alphabet:

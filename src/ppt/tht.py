@@ -8,6 +8,9 @@ point.  On total traces the semantics collapses to the classical one.
 Rule checks read each rule through its classical formula
 (`transform.rule_formula`), required on both sides.
 
+A trace is a tuple of frozensets of atoms: compare traces with `==`,
+sort them with `key=Trace.to_lists`; `Trace.of` refuses strings.
+
 A total trace T over the program's alphabet is a temporal stable model
 of the program when <T, T> is a model and no strictly smaller H yields
 a model <H, T>; `enumerate_ts_models` finds them with the search of
@@ -25,7 +28,7 @@ independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .progression import placement, search
 from .syntax import (
@@ -45,33 +48,28 @@ __all__ = [
 # Traces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Trace:
-    """A finite trace: a nonempty sequence of atom sets."""
+class Trace(tuple):
+    """A finite trace: a nonempty tuple of frozensets of atoms, equal to,
+    hashing like and printed as the plain tuple.  `<` compares states by
+    inclusion, so sort with `key=Trace.to_lists`.  `Trace.of` refuses a
+    string as a state."""
 
-    states: tuple[frozenset[str], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states",
-                           tuple(frozenset(s) for s in self.states))
-        if not self.states:
+    def __new__(cls, states: Iterable[Iterable[str]]) -> "Trace":
+        trace = super().__new__(cls, map(frozenset, states))
+        if not trace:
             raise ValueError("traces must have length at least 1")
+        return trace
 
     @classmethod
     def of(cls, *states: Iterable[str]) -> "Trace":
-        return cls(tuple(frozenset(s) for s in states))
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __getitem__(self, k: int) -> frozenset[str]:
-        return self.states[k]
-
-    def __iter__(self) -> Iterator[frozenset[str]]:
-        return iter(self.states)
+        if any(isinstance(state, str) for state in states):
+            raise ValueError("a state is a collection of atoms, not a string")
+        return cls(states)
 
     def to_lists(self) -> list[list[str]]:
-        return [sorted(state) for state in self.states]
+        return [sorted(state) for state in self]
 
 
 @dataclass(frozen=True, slots=True)

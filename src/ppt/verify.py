@@ -95,7 +95,7 @@ def mask_trace(m: HTTrace, mask: TraceMask) -> HTTrace:
     if len(mask.extra) != len(m):
         raise ValueError(
             f"mask has length {len(mask.extra)}, trace has length {len(m)}")
-    here = Trace(tuple(hk - xk for hk, xk in zip(m.h, mask.extra)))
+    here = Trace(hk - xk for hk, xk in zip(m.h, mask.extra))
     return HTTrace(here, m.t)
 
 

@@ -114,6 +114,19 @@ class TestModels:
         assert err == ("error: search work exceeds the budget of 10 units "
                        "at point 0 of 2, with 0 models read off\n")
 
+    def test_length_one_in_canonical_order(self, capsys, tmp_path):
+        # P1 and P2 have no model at length 1; two independent choices
+        # have four, each state read as its sorted tuple of atoms.
+        pairs = "".join(f"x{i} :- not nx{i}.\nnx{i} :- not x{i}.\n"
+                        for i in range(2))
+        path = tmp_path / "choice.ppt"
+        path.write_text(pairs + "#dynamic.\n" + pairs)
+        code, out, _ = run(capsys, "models", str(path), "--length", "1")
+        assert code == 0
+        assert out == json.dumps({"length": 1, "models": [
+            [["nx0", "nx1"]], [["nx0", "x1"]], [["nx1", "x0"]],
+            [["x0", "x1"]]]}, indent=2) + "\n"
+
     @pytest.mark.parametrize("command", ["models", "verify"])
     def test_budget_long_trace_exit_3(self, capsys, p1_file, command):
         # Each model read off costs 100,000 units.
@@ -708,6 +721,36 @@ PROGRAM_TEXT = {
     ),
 }
 GOLDEN_SEARCH = {
+    ('P1', 'models --length 1'): (0, {
+        'length': 1,
+        'models': []}),
+    ('P1', 'verify --length 1 --mode completion'): (0, {
+        'program': PROGRAM_TEXT['P1'],
+        'length': 1,
+        'mode': 'completion',
+        'tight': False,
+        'equal': True,
+        'ts_models': [],
+        'ltlf_models': [],
+        'witnesses': []}),
+    ('P1', 'verify --length 1 --mode loops'): (0, {
+        'program': PROGRAM_TEXT['P1'],
+        'length': 1,
+        'mode': 'completion_loops',
+        'tight': None,
+        'equal': True,
+        'ts_models': [],
+        'ltlf_models': [],
+        'witnesses': []}),
+    ('P1', 'verify --length 1 --mode unitary'): (0, {
+        'program': PROGRAM_TEXT['P1'],
+        'length': 1,
+        'mode': 'unitary_loops',
+        'tight': None,
+        'equal': True,
+        'ts_models': [],
+        'ltlf_models': [],
+        'witnesses': []}),
     ('P1', 'models --length 2'): (0, {
         'length': 2,
         'models': [
@@ -788,6 +831,36 @@ GOLDEN_SEARCH = {
         'ltlf_models': [
             [['load'], ['dead', 'shoot'], ['dead', 'shoot']],
             [['load'], ['load'], ['dead', 'shoot']]],
+        'witnesses': []}),
+    ('P2', 'models --length 1'): (0, {
+        'length': 1,
+        'models': []}),
+    ('P2', 'verify --length 1 --mode completion'): (0, {
+        'program': PROGRAM_TEXT['P2'],
+        'length': 1,
+        'mode': 'completion',
+        'tight': False,
+        'equal': True,
+        'ts_models': [],
+        'ltlf_models': [],
+        'witnesses': []}),
+    ('P2', 'verify --length 1 --mode loops'): (0, {
+        'program': PROGRAM_TEXT['P2'],
+        'length': 1,
+        'mode': 'completion_loops',
+        'tight': None,
+        'equal': True,
+        'ts_models': [],
+        'ltlf_models': [],
+        'witnesses': []}),
+    ('P2', 'verify --length 1 --mode unitary'): (0, {
+        'program': PROGRAM_TEXT['P2'],
+        'length': 1,
+        'mode': 'unitary_loops',
+        'tight': None,
+        'equal': True,
+        'ts_models': [],
+        'ltlf_models': [],
         'witnesses': []}),
     ('P2', 'models --length 2'): (0, {
         'length': 2,

@@ -131,6 +131,14 @@ class TestEdgeCases:
                                                  "at point 0 of 1,"):
             enumerate_ts_models(cycle, 1)
 
+    def test_budget_message_counts_models_read_off(self):
+        # Each model read off is charged before it is appended: the
+        # fourth model of two choices at length 1 does not fit.
+        p = parse_program(CHOICE2_TEXT)
+        with pytest.raises(BudgetExceeded, match="at point 0 of 1, with 3 "
+                                                 "models read off"):
+            enumerate_ts_models(p, 1, budget=164)
+
     def test_long_trace_over_empty_alphabet(self):
         assert enumerate_ts_models(Program(()), 5000) == (
             Trace(tuple(frozenset() for _ in range(5000))),)
@@ -146,6 +154,35 @@ class TestEdgeCases:
         p = Program((Rule(RuleKind.INITIAL, ("a",), CORE_TRUE),
                      Rule(RuleKind.DYNAMIC, ("b",), body)))
         assert enumerate_ts_models(p, 2) == (Trace.of(["a"], ["b"]),)
+
+
+CHOICE_PAIRS = "".join(f"x{i} :- not nx{i}.\nnx{i} :- not x{i}.\n"
+                       for i in range(2))
+CHOICE2_TEXT = CHOICE_PAIRS + "#dynamic.\n" + CHOICE_PAIRS
+
+# The smallest budget each search passes, per length 1, 2, 3, 5, 8: the
+# stable side, then the classical side on the completion.
+LEAST_BUDGETS = {
+    "P1": ((81, 229, 461, 699, 3570), (17, 69, 157, 299, 3170)),
+    "choice2": ((165, 358, 683, 5621, 524804), (85, 198, 443, 5381, 524564)),
+}
+
+
+@pytest.mark.parametrize("side", ["stable", "completion"])
+@pytest.mark.parametrize("name", sorted(LEAST_BUDGETS))
+def test_least_budgets(p1, name, side):
+    p = p1 if name == "P1" else parse_program(CHOICE2_TEXT)
+    cf = completion(p)
+    stable, classical = LEAST_BUDGETS[name]
+    for lam, least in zip((1, 2, 3, 5, 8),
+                          stable if side == "stable" else classical):
+        def run(budget):
+            if side == "stable":
+                return enumerate_ts_models(p, lam, budget=budget)
+            return enumerate_ltlf_models(cf, lam, p.alphabet, budget=budget)
+        run(least)
+        with pytest.raises(BudgetExceeded):
+            run(least - 1)
 
 
 class TestBeyondTheOracle:
@@ -164,9 +201,7 @@ class TestBeyondTheOracle:
         assert len(models) == (3 ** (lam - 2) - 1) // 2 + 1
 
     def test_choice_pairs_at_length_seven(self):
-        pairs = "".join(f"x{i} :- not nx{i}.\nnx{i} :- not x{i}.\n"
-                        for i in range(2))
-        p = parse_program(pairs + "#dynamic.\n" + pairs)
+        p = parse_program(CHOICE2_TEXT)
         stable = enumerate_ts_models(p, 7)
         unitary = enumerate_ltlf_models(
             program_as_ltlf(p) + loop_formulas(p, unitary=True), 7,

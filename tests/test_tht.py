@@ -5,6 +5,7 @@ the oracle below follows the quantified satisfaction clauses directly,
 so the two implementations are independent routes to the same relation.
 """
 
+import pickle
 import random
 
 import pytest
@@ -259,6 +260,44 @@ class TestTraces:
     def test_length_one_minimum(self):
         with pytest.raises(ValueError):
             Trace(())
+
+    def test_is_a_tuple_of_frozensets(self):
+        t = Trace.of(["a"], [], ["b", "c"])
+        assert isinstance(t, tuple) and Trace.__slots__ == ()
+        assert t == (frozenset({"a"}), frozenset(), frozenset({"b", "c"}))
+        assert repr(t) == repr(tuple(t))
+        assert not hasattr(t, "__dict__")
+
+    def test_search_traces_equal_and_hash_like_built_ones(self):
+        p = parse_program("a; b.\n#dynamic.\nc :- prev a.\n")
+        built = (Trace.of(["a"], ["c"]), Trace.of(["b"], []))
+        found = enumerate_ts_models(p, 2)
+        assert found == built
+        assert [hash(t) for t in found] == [hash(t) for t in built]
+        assert set(found) == set(built)
+
+    def test_states_are_coerced(self):
+        want = Trace.of(["a"], ["a", "b"])
+        assert Trace([["a"], ["b", "a"]]) == want
+        assert Trace(state for state in (("a",), ["a", "b"])) == want
+        assert all(type(state) is frozenset for state in Trace([["a"]]))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        t = Trace.of(["a"], [], ["b", "c"])
+        back = pickle.loads(pickle.dumps(t, protocol))
+        assert type(back) is Trace and back == t
+
+    def test_canonical_order_needs_to_lists(self):
+        # Tuple order compares states by inclusion: {b} and {a, c} are
+        # incomparable, so `sorted` alone leaves them as given.
+        ts = [Trace.of(["b"]), Trace.of(["a", "c"])]
+        assert sorted(ts) == ts
+        assert sorted(ts, key=Trace.to_lists) == ts[::-1]
+
+    def test_a_string_is_no_state(self):
+        with pytest.raises(ValueError, match="not a string"):
+            Trace.of("load", "dead")
 
     def test_ht_requires_subset(self):
         with pytest.raises(ValueError):
