@@ -41,7 +41,9 @@ levels).
 The tokenizer keeps each token as its text and its offset in the
 source; whitespace and comments make no tokens, and the end of input is
 the empty text.  An error's line and column are computed from its
-offset only when it is raised.  The section restrictions (initial and
+offset only when it is raised.  A parse makes one `AtomRef` per atom
+name and returns it for every occurrence of the name; parsed formulas
+still compare by structure.  The section restrictions (initial and
 final rule bodies are conjunctions of regular literals, final rules
 have empty heads) are decided by `syntax.Rule`: the parser raises its
 message as a :class:`RestrictionError` at the rule for a final rule's
@@ -111,6 +113,8 @@ class _Parser:
         self.offsets.append(pos)
         self.pos = 0
         self.depth = 0
+        # One AtomRef per atom name: a name seen before was validated.
+        self.refs: dict[str, AtomRef] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -168,6 +172,10 @@ class _Parser:
 
     def primary(self):
         text = self.peek()
+        ref = self.refs.get(text)
+        if ref is not None:
+            self.pos += 1
+            return ref
         if text == "(":
             inner = self.nested(self.disjunction)
             self.expect(")")
@@ -176,7 +184,8 @@ class _Parser:
             self.pos += 1
             return _CONSTANTS[text]
         if text.isidentifier():
-            return AtomRef(self.atom_name())
+            ref = self.refs[text] = AtomRef(self.atom_name())
+            return ref
         self.fail(f"expected a formula, found {self.found()}")
 
     def unary(self):

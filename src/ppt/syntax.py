@@ -401,9 +401,10 @@ def format_formulas(fs: Iterable) -> list[str]:
     A conjunction or disjunction object that sits as an element of a
     conjunction or disjunction chain is rendered once per call and
     context, however many formulas share it: the compiler shares its
-    support terms there.  The memo is keyed by object identity and
-    context and holds each object it keys, so no identity is reused
-    while it lives.
+    support terms there.  An atom or false element is written inline in
+    the chain loop.  The memo is keyed by object identity and context
+    and holds each object it keys, so no identity is reused while it
+    lives.
     """
     memo: dict = {}
     return [_render(f, 0, memo) for f in fs]
@@ -435,12 +436,32 @@ def _render(f, ctx: int, memo: dict) -> str:
     if tp is And or tp is Or:
         # A left-nested chain prints without parentheses, so its spine is
         # walked in a loop and long bodies need no recursion on length.
+        # Every element renders one level above the chain's own: the
+        # first is not of the chain's connective, the only node whose
+        # text differs between the two levels.  A leaf is written inline,
+        # and a conjunction or disjunction rendered once per (object,
+        # context).
         prec = _PREC_AND if tp is And else _PREC_OR
+        inner = prec + 1
         parts = []
-        while type(f) is tp:
-            parts.append(_element(f.rhs, prec + 1, memo))
-            f = f.lhs
-        parts.append(_element(f, prec, memo))
+        while f is not None:
+            if type(f) is tp:
+                g, f = f.rhs, f.lhs
+            else:
+                g, f = f, None
+            tg = type(g)
+            if tg is AtomRef:
+                parts.append(g.name)
+            elif tg is Falsum:
+                parts.append("false")
+            elif tg is And or tg is Or:
+                key = (id(g), inner)
+                hit = memo.get(key)
+                if hit is None:
+                    hit = memo[key] = (g, _render(g, inner, memo))
+                parts.append(hit[1])
+            else:
+                parts.append(_render(g, inner, memo))
         parts.reverse()
         return _wrap((" and " if tp is And else " or ").join(parts), prec, ctx)
     if tp is Implies:
@@ -452,18 +473,6 @@ def _render(f, ctx: int, memo: dict) -> str:
                 f"{_render(f.rhs, _PREC_IMPL + 1, memo)}")
         return _wrap(text, _PREC_IMPL, ctx)
     raise TypeError(f"cannot format {f!r}")
-
-
-def _element(f, ctx: int, memo: dict) -> str:
-    # One element of an and/or chain; a conjunction or disjunction there
-    # is rendered once per (object, context).
-    if type(f) is not And and type(f) is not Or:
-        return _render(f, ctx, memo)
-    key = (id(f), ctx)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = (f, _render(f, ctx, memo))
-    return hit[1]
 
 
 def _wrap(text: str, prec: int, ctx: int) -> str:

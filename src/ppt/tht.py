@@ -116,17 +116,20 @@ class _BitEvaluator:
     Negation always recurses on the total side; the other extended
     connectives are classical on either side.  The wrappers `always`
     and `wnext_always` are read by `formula_sat`, not evaluated here.
+    With `core`, every node outside the core language is refused, as
+    `eval` visits every node of a formula it is given.
     """
 
-    __slots__ = ("h", "t", "lam", "full", "memo")
+    __slots__ = ("h", "t", "lam", "full", "memo", "core")
 
     def __init__(self, h_bits: dict[str, int], t_bits: dict[str, int],
-                 lam: int, memo: dict | None = None):
+                 lam: int, memo: dict | None = None, core: bool = False):
         self.h = h_bits
         self.t = t_bits
         self.lam = lam
         self.full = (1 << lam) - 1
         self.memo = {} if memo is None else memo
+        self.core = core
 
     def eval(self, f, total: bool) -> int:
         key = (id(f), total)
@@ -179,6 +182,8 @@ class _BitEvaluator:
         return bits
 
     def _eval_extended(self, f, tp, total: bool) -> int:
+        if self.core:
+            raise ValueError("ht_sat only accepts core past formulas")
         if tp is Verum:
             return self.full
         if tp is InitialConst:
@@ -193,10 +198,10 @@ class _BitEvaluator:
             f"cannot evaluate {tp.__name__} below the top of a formula")
 
 
-def _evaluator(m: HTTrace) -> _BitEvaluator:
+def _evaluator(m: HTTrace, core: bool = False) -> _BitEvaluator:
     t_bits = _trace_bits(m.t)
     h_bits = t_bits if m.h == m.t else _trace_bits(m.h)
-    return _BitEvaluator(h_bits, t_bits, len(m))
+    return _BitEvaluator(h_bits, t_bits, len(m), core=core)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +212,7 @@ def ht_sat(m: HTTrace, k: int, f) -> bool:
     """Satisfaction of a core past formula at point k of an HT-trace."""
     if not 0 <= k < len(m):
         raise IndexError(f"time point {k} outside [0, {len(m)})")
-    if not is_past_formula(f):
-        raise ValueError("ht_sat only accepts core past formulas")
-    ev = _evaluator(m)
+    ev = _evaluator(m, core=True)
     return bool(ev.eval(f, ev.h is ev.t) >> k & 1)
 
 

@@ -31,11 +31,14 @@ of rule r for loop L once per key (r, L & (P_r | head_r)), where P_r is
 that key reuses the same object.  The key is exact:
 `support_transform(B, L) = support_transform(B, L & P(B))`, since only
 the positive present atoms of B are struck, and the negated head atoms
-are those of head_r outside L, which depend only on L & head_r.  Rules
-are found through an index by head atom built once per section, which
-`sourced_completion` uses too.  `simplify_formulas` and
-`syntax.format_formulas` then do the work for a shared term once per
-list of formulas.
+are those of head_r outside L, which depend only on L & head_r.  Atom
+sets in keys are bitmasks, one bit per alphabet atom; an atom outside
+the alphabet is in no P_r or head_r and gets no bit.  The mask of
+P_r | head_r is computed when rule r first meets a loop.  Rules are
+found through an index by head atom built once per section, which
+`sourced_completion` uses too, and one `AtomRef` per atom serves every
+formula of a call.  `simplify_formulas` and `syntax.format_formulas`
+then do the work for a shared term once per list of formulas.
 """
 
 from __future__ import annotations
@@ -107,12 +110,18 @@ def support_transform(f: PastFormula, loop: Iterable[Atom]) -> PastFormula:
 
 
 def _support_term(rule: Rule, excluded: frozenset[Atom],
-                  body: PastFormula) -> PastFormula:
+                  body: PastFormula,
+                  refs: dict[Atom, AtomRef]) -> PastFormula:
     term = body
     for atom in rule.head:
         if atom not in excluded:
-            term = And(term, Not(AtomRef(atom)))
+            term = And(term, Not(refs[atom]))
     return term
+
+
+def _atom_refs(p: Program) -> dict[Atom, AtomRef]:
+    # One AtomRef per alphabet atom, shared by the formulas of one call.
+    return {atom: AtomRef(atom) for atom in p.alphabet}
 
 
 def _by_head(p: Program, section: RuleKind) -> _Section:
@@ -124,35 +133,39 @@ def _by_head(p: Program, section: RuleKind) -> _Section:
     return rules, index
 
 
-def _supports(p: Program,
-              section: RuleKind) -> Callable[[frozenset[Atom]], PastFormula]:
+def _supports(p: Program, section: RuleKind, refs: dict[Atom, AtomRef]
+              ) -> Callable[[frozenset[Atom]], PastFormula]:
     """The external support of a loop within one section, as a function
     of the loop (a frozenset); see the module docstring for its memo."""
     rules, index = _by_head(p, section)
-    # P_r | head_r per rule position, computed when the rule first
-    # supports a loop of two or more atoms: a one-atom loop, found
-    # through the head index, lies in head_r and is its own key.
-    strikable: dict[int, frozenset[Atom]] = {}
-    terms: dict[tuple[int, frozenset[Atom]], PastFormula] = {}
+    bit = {atom: 1 << j for j, atom in enumerate(sorted(p.alphabet))}
+    # Per rule position, once the rule first meets a loop: the mask of
+    # P_r | head_r, and the rule's terms keyed by the loop's mask within it.
+    slots: list[tuple[int, dict[int, PastFormula]] | None]
+    slots = [None] * len(rules)
 
     def support(loop: frozenset[Atom]) -> PastFormula:
-        disjuncts = []
-        for i in sorted({i for atom in loop for i in index.get(atom, ())}):
-            r = rules[i]
-            struck = loop
-            if len(loop) > 1:
-                atoms = strikable.get(i)
-                if atoms is None:
-                    atoms = strikable[i] = positive_atoms(
-                        r.body, present_only=True).union(r.head)
-                struck = loop & atoms
-            key = (i, struck)
-            term = terms.get(key)
+        mask = 0
+        for atom in loop:
+            mask |= bit.get(atom, 0)
+        out = None
+        for i in sorted(set().union(*(index.get(atom, ()) for atom in loop))):
+            slot = slots[i]
+            if slot is None:
+                r = rules[i]
+                strikable = 0
+                for atom in positive_atoms(r.body,
+                                           present_only=True).union(r.head):
+                    strikable |= bit[atom]
+                slot = slots[i] = (strikable, {})
+            strikable, terms = slot
+            term = terms.get(mask & strikable)
             if term is None:
-                term = terms[key] = _support_term(
-                    r, loop, support_transform(r.body, loop))
-            disjuncts.append(term)
-        return or_chain(disjuncts, FALSUM)
+                r = rules[i]
+                term = terms[mask & strikable] = _support_term(
+                    r, loop, support_transform(r.body, loop), refs)
+            out = term if out is None else Or(out, term)
+        return FALSUM if out is None else out
 
     return support
 
@@ -166,28 +179,28 @@ def external_support(p: Program, section: RuleKind,
     negations of the head atoms outside the loop; false when no rule
     qualifies.
     """
-    return _supports(p, section)(frozenset(loop))
+    return _supports(p, section, _atom_refs(p))(frozenset(loop))
 
 
-def _guarded(guard: ExtFormula, section: _Section,
-             atom: Atom) -> list[ExtFormula]:
+def _guarded(guard: ExtFormula, section: _Section, atom: Atom,
+             refs: dict[Atom, AtomRef]) -> list[ExtFormula]:
     # The supports of `atom` in one section, each conjoined with `guard`.
     rules, index = section
     excluded = frozenset((atom,))
-    return [And(guard, _support_term(rules[i], excluded, rules[i].body))
+    return [And(guard, _support_term(rules[i], excluded, rules[i].body, refs))
             for i in index.get(atom, ())]
 
 
-def _completion_atom(atom: Atom, initial: _Section,
-                     dynamic: _Section) -> ExtFormula:
-    initial_parts = _guarded(INITIAL_CONST, initial, atom)
-    dynamic_parts = _guarded(Not(INITIAL_CONST), dynamic, atom)
+def _completion_atom(atom: Atom, initial: _Section, dynamic: _Section,
+                     refs: dict[Atom, AtomRef]) -> ExtFormula:
+    initial_parts = _guarded(INITIAL_CONST, initial, atom, refs)
+    dynamic_parts = _guarded(Not(INITIAL_CONST), dynamic, atom, refs)
     if not initial_parts and not dynamic_parts:
         rhs: ExtFormula = FALSUM
     else:
         rhs = Or(or_chain(initial_parts, FALSUM),
                  or_chain(dynamic_parts, FALSUM))
-    return Always(Iff(AtomRef(atom), rhs))
+    return Always(Iff(refs[atom], rhs))
 
 
 def completion_atom(p: Program, atom: Atom) -> ExtFormula:
@@ -201,7 +214,7 @@ def completion_atom(p: Program, atom: Atom) -> ExtFormula:
     if atom not in p.alphabet:
         raise ValueError(f"{atom!r} is not in the program alphabet")
     return _completion_atom(atom, _by_head(p, RuleKind.INITIAL),
-                            _by_head(p, RuleKind.DYNAMIC))
+                            _by_head(p, RuleKind.DYNAMIC), _atom_refs(p))
 
 
 def rule_formula(rule: Rule) -> ExtFormula:
@@ -223,7 +236,8 @@ def sourced_completion(p: Program) -> Sourced:
     """Temporal completion: atom biconditionals, then carried constraints."""
     initial = _by_head(p, RuleKind.INITIAL)
     dynamic = _by_head(p, RuleKind.DYNAMIC)
-    out = [(_completion_atom(atom, initial, dynamic), f"atom {atom}")
+    refs = _atom_refs(p)
+    out = [(_completion_atom(atom, initial, dynamic, refs), f"atom {atom}")
            for atom in sorted(p.alphabet)]
     # Headless initial and dynamic rules, then the final rules.
     constraints = sorted(((i, r) for i, r in enumerate(p.rules) if not r.head),
@@ -245,13 +259,13 @@ def sourced_loop_formulas(p: Program, unitary: bool = False) -> Sourced:
     section.
     """
     out: Sourced = []
+    refs = _atom_refs(p)
     for graph in section_graphs(p):
         section = graph.section
         loops = enumerate_loops(graph, unitary)
         if not loops:
             continue
-        support = _supports(p, section)
-        refs = {atom: AtomRef(atom) for atom in frozenset().union(*loops)}
+        support = _supports(p, section, refs)
         for loop in loops:
             atoms = sorted(loop)
             body = Implies(or_chain([refs[a] for a in atoms], FALSUM),
@@ -299,8 +313,10 @@ def simplify_formulas(fs: Iterable[ExtFormula]) -> list[ExtFormula]:
     conjunction or disjunction chain is simplified once per call,
     however many formulas share it, as the support terms of
     `sourced_loop_formulas` do; every later occurrence gets the same
-    result object.  The memo is keyed by object identity and holds each
-    object it keys, so no identity is reused while it lives.
+    result object.  An atom or false element is its own result and is
+    handled inline in the chain loop.  The memo is keyed by object
+    identity and holds each object it keys, so no identity is reused
+    while it lives.
     """
     memo: dict = {}
     return [_simplify(f, memo) for f in fs]
@@ -308,24 +324,31 @@ def simplify_formulas(fs: Iterable[ExtFormula]) -> list[ExtFormula]:
 
 def _simplify(f: ExtFormula, memo: dict) -> ExtFormula:
     tp = type(f)
+    if tp is AtomRef or tp is Falsum:
+        return f
     if tp is And or tp is Or:
-        # The left spine of a chain is simplified in a loop, innermost
-        # node first, so that long bodies need no recursion on length.
+        # The left spine of a chain is walked in a loop, so that long
+        # bodies need no recursion on length.  Its elements are folded
+        # into the chain's unit (true for and, false for or), first
+        # element first; a leaf is its own result, and a conjunction or
+        # disjunction is looked up in the memo.
         spine = []
-        while type(f) is And or type(f) is Or:
+        while type(f) is tp:
             spine.append(f)
             f = f.lhs
-        out = _simplify(f, memo)
+        spine.append(None)  # stands for the first element, f
+        out = VERUM if tp is And else FALSUM
         for node in reversed(spine):
-            rhs = node.rhs
-            if type(rhs) is And or type(rhs) is Or:
+            rhs = f if node is None else node.rhs
+            rt = type(rhs)
+            if rt is And or rt is Or:
                 hit = memo.get(id(rhs))
                 if hit is None:
                     hit = memo[id(rhs)] = (rhs, _simplify(rhs, memo))
                 rhs = hit[1]
-            else:
+            elif rt is not AtomRef and rt is not Falsum:
                 rhs = _simplify(rhs, memo)
-            if type(node) is And:
+            if tp is And:
                 if type(out) is Falsum or type(rhs) is Falsum:
                     out = FALSUM
                 elif type(out) is Verum:

@@ -27,6 +27,7 @@ from the `Report` that `_report` builds.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -143,6 +144,14 @@ _WEIGHTS = (
 # At most this many negations on any path of a random body.
 _MAX_NEGATIONS = 2
 
+# The connectives a random body may pick, and their cumulative weights,
+# with and without `not` (past the negation limit).
+_OPTIONS = tuple(name for name, _ in _WEIGHTS)
+_CUM_WEIGHTS = tuple(itertools.accumulate(w for _, w in _WEIGHTS))
+_OPTIONS_NO_NOT = tuple(name for name in _OPTIONS if name != "not")
+_CUM_WEIGHTS_NO_NOT = tuple(itertools.accumulate(
+    w for name, w in _WEIGHTS if name != "not"))
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -165,8 +174,6 @@ class GenConfig:
 def random_past_formula(rng: random.Random, atoms, depth: int) -> PastFormula:
     """A random core past formula of at most the given depth."""
     atoms = tuple(atoms)
-    names = [name for name, _ in _WEIGHTS]
-    table = dict(_WEIGHTS)
 
     def leaf() -> PastFormula:
         if rng.random() < 0.08:
@@ -176,9 +183,11 @@ def random_past_formula(rng: random.Random, atoms, depth: int) -> PastFormula:
     def build(d: int, negs: int) -> PastFormula:
         if d <= 0:
             return leaf()
-        options = [n for n in names
-                   if n != "not" or negs < _MAX_NEGATIONS]
-        pick = rng.choices(options, [table[n] for n in options])[0]
+        if negs < _MAX_NEGATIONS:
+            pick = rng.choices(_OPTIONS, cum_weights=_CUM_WEIGHTS)[0]
+        else:
+            pick = rng.choices(_OPTIONS_NO_NOT,
+                               cum_weights=_CUM_WEIGHTS_NO_NOT)[0]
         if pick == "leaf":
             return leaf()
         if pick == "not":

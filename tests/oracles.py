@@ -13,13 +13,36 @@ itself rather than through `ppt.progression.placement`.
 
 Both share the bitmask evaluator with `ppt.tht` but none of the
 state-by-state search of `ppt.progression`, which they check.
+
+`external_support_by_definition` writes the external support of a loop
+straight from the paper, with no index and no memo, for the compiler's
+shared support terms to be checked against.
 """
 
 from ppt import (
-    Always, BudgetExceeded, DEFAULT_BUDGET, HTTrace, Program, Rule, RuleKind,
-    Trace, WeakNextAlways,
+    Always, And, AtomRef, BudgetExceeded, DEFAULT_BUDGET, FALSUM, HTTrace,
+    Not, Or, Program, Rule, RuleKind, Trace, WeakNextAlways,
+    support_transform,
 )
 from ppt.tht import _BitEvaluator, _evaluator
+
+
+def external_support_by_definition(p: Program, section: RuleKind, loop):
+    """The disjunction, left-nested and in program order, over the rules
+    of the section whose head meets the loop, of the rule's body with
+    the loop struck out, conjoined with `not h` for each head atom h
+    outside the loop; false when no rule qualifies."""
+    loop = frozenset(loop)
+    out = None
+    for r in p.rules:
+        if r.kind is not section or not loop & set(r.head):
+            continue
+        term = support_transform(r.body, loop)
+        for h in r.head:
+            if h not in loop:
+                term = And(term, Not(AtomRef(h)))
+        out = term if out is None else Or(out, term)
+    return FALSUM if out is None else out
 
 
 def _check_budget(n_atoms: int, lam: int, budget: int | None) -> None:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ppt import (
-    And, AtomRef, Not, ParseError, RestrictionError, RuleKind, Since,
-    format_formula, format_program, parse_formula, parse_program,
+    And, AtomRef, Not, Or, ParseError, Previous, Program, RestrictionError,
+    Rule, RuleKind, Since, format_formula, format_program, parse_formula,
+    parse_program,
 )
 from ppt.parser import MAX_NESTING
 from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION, Falsum
@@ -93,6 +94,48 @@ class TestProgramParsing:
     def test_restriction_error_is_parse_error(self):
         with pytest.raises(ParseError):
             parse_program("#final. a :- b.")
+
+
+class TestSharedAtoms:
+    SRC = "a | b :- c, not a.\n#dynamic.\nc :- prev (a since c); b.\n"
+
+    @staticmethod
+    def _refs(p):
+        out = []
+        for r in p.rules:
+            stack = [r.body]
+            while stack:
+                f = stack.pop()
+                if type(f) is AtomRef:
+                    out.append(f)
+                stack.extend(getattr(f, name) for name in ("arg", "lhs", "rhs")
+                             if hasattr(f, name))
+        return out
+
+    def test_one_object_per_atom_name(self):
+        refs = self._refs(parse_program(self.SRC))
+        assert len(refs) == 5
+        assert len({id(ref) for ref in refs}) == 3
+
+    def test_parses_share_no_atom(self):
+        first, second = parse_program(self.SRC), parse_program(self.SRC)
+        assert first == second
+        assert not ({id(ref) for ref in self._refs(first)}
+                    & {id(ref) for ref in self._refs(second)})
+
+    def test_equal_to_built_and_pickled(self):
+        p = parse_program(self.SRC)
+        built = Program((
+            Rule(RuleKind.INITIAL, ("a", "b"),
+                 And(AtomRef("c"), Not(AtomRef("a")))),
+            Rule(RuleKind.DYNAMIC, ("c",),
+                 Or(Previous(Since(AtomRef("a"), AtomRef("c"))),
+                    AtomRef("b")))))
+        assert p == built
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p
+        assert len({id(ref) for ref in self._refs(copy)}) == 3
+        assert format_program(copy) == self.SRC
 
 
 class TestFormulaParsing:

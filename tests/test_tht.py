@@ -16,7 +16,10 @@ from ppt import (
     ht_sat, is_ht_model, ltlf_sat, parse_formula, parse_program, rule_sat,
     three_valued,
 )
-from ppt.syntax import CORE_TRUE, Falsum, INITIAL_EXPANSION
+from ppt.syntax import (
+    Always, CORE_TRUE, Falsum, INITIAL_CONST, INITIAL_EXPANSION, Implies,
+    VERUM,
+)
 from ppt.verify import (
     GenConfig, random_httrace, random_past_formula, random_program,
 )
@@ -80,6 +83,24 @@ class TestHtSat:
             ht_sat(m, 1, AtomRef("a"))
         with pytest.raises(IndexError):
             ht_sat(m, -1, AtomRef("a"))
+
+    # Nodes outside the core language, and places a walk that stopped
+    # early could miss them: under a negation (read on the total side),
+    # a previous (at point 0 too), a trigger's rhs, a false conjunct.
+    @pytest.mark.parametrize("bad", [
+        Implies(AtomRef("a"), FALSUM), VERUM, INITIAL_CONST,
+        Always(AtomRef("a"))])
+    @pytest.mark.parametrize("wrap", [
+        lambda f: f, Not, Previous, lambda f: Trigger(AtomRef("a"), f),
+        lambda f: Not(Previous(Trigger(FALSUM, f))),
+        lambda f: And(FALSUM, f)])
+    @pytest.mark.parametrize("m", [
+        HTTrace.total(Trace.of(["a"])),
+        HTTrace(Trace.of([], ["a"]), Trace.of(["a"], ["a"]))])
+    def test_refuses_extended_nodes(self, bad, wrap, m):
+        with pytest.raises(ValueError,
+                           match="^ht_sat only accepts core past formulas$"):
+            ht_sat(m, 0, wrap(bad))
 
     def test_oracle_agreement(self):
         rng = random.Random(42)
@@ -216,6 +237,13 @@ class TestThreeValued:
     def test_negation_of_between(self):
         m = HTTrace(Trace.of([]), Trace.of(["a"]))
         assert three_valued(m, 0, Not(AtomRef("a"))) == 0
+
+    def test_refuses_extended_nodes(self):
+        # At i = j the min/max clauses of since never read its lhs.
+        m = HTTrace.total(Trace.of(["c"]))
+        with pytest.raises(ValueError, match="three_valued only accepts"):
+            three_valued(m, 0, Since(Implies(AtomRef("a"), AtomRef("b")),
+                                     AtomRef("c")))
 
     def test_total_traces_never_give_one(self):
         rng = random.Random(44)

@@ -24,6 +24,7 @@ from ppt.verify import (
 )
 
 from conftest import TARGET
+from oracles import external_support_by_definition
 
 L = frozenset({"shoot", "dead"})
 
@@ -87,6 +88,17 @@ class TestExternalSupport:
     def test_disjoint_heads_give_false(self, p1):
         assert external_support(p1, RuleKind.DYNAMIC,
                                 frozenset({"zzz"})) == FALSUM
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.data())
+    def test_any_atom_set_matches_definition(self, seed, data):
+        # Not only loops: any set, atoms outside the alphabet included.
+        p = random_program(GenConfig(seed=seed, max_atoms=4, max_rules=8))
+        atoms = st.sampled_from(sorted(p.alphabet | {"zzz"}))
+        for section in (RuleKind.INITIAL, RuleKind.DYNAMIC):
+            atom_set = data.draw(st.frozensets(atoms))
+            assert external_support(p, section, atom_set) == \
+                external_support_by_definition(p, section, atom_set)
 
     def test_disjuncts_follow_program_order(self):
         c = Rule(RuleKind.DYNAMIC, ("a",), AtomRef("c"))
@@ -294,20 +306,56 @@ class TestSharedTerms:
     """The compiler shares support terms between loops; sharing must
     give the same formulas, texts and simplifications as no sharing."""
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
-    def test_loop_formulas_match_one_loop_at_a_time(self, seed, unitary):
-        p = random_program(GenConfig(seed=seed, max_atoms=4, max_rules=8))
+    @staticmethod
+    def _check_against_definition(p, unitary):
         want = []
         for graph in section_graphs(p):
             for loop in enumerate_loops(graph, unitary):
                 f = Implies(or_chain([AtomRef(a) for a in sorted(loop)],
                                      FALSUM),
-                            external_support(p, graph.section, loop))
+                            external_support_by_definition(
+                                p, graph.section, loop))
                 if graph.section is RuleKind.DYNAMIC:
                     f = WeakNextAlways(f)
                 want.append(f)
-        assert [f for f, _ in sourced_loop_formulas(p, unitary)] == want
+        got = [f for f, _ in sourced_loop_formulas(p, unitary)]
+        assert got == want
+        assert format_formulas(got) == [format_formula(f) for f in want]
+        simplified = simplify_formulas(got)
+        assert simplified == [simplify(f) for f in want]
+        assert format_formulas(simplified) == [format_formula(simplify(f))
+                                               for f in want]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_loop_formulas_match_one_loop_at_a_time(self, seed, unitary):
+        p = random_program(GenConfig(seed=seed, max_atoms=4, max_rules=8))
+        self._check_against_definition(p, unitary)
+
+    # A 7-atom positive component (a to g) with disjunctive heads, an
+    # atom x outside it that shares their heads, and since, prev and
+    # not in the bodies; the initial section has a 2-atom loop.
+    SEVEN = """
+        a | b :- c.  c :- a, not d.
+        #dynamic.
+        a | b :- g, not d.
+        b :- a, (c since e).
+        c | d :- b, prev f.
+        d :- c, not a.
+        e | x :- d, (f since prev a).
+        f :- e; g, not x.
+        g | a :- f, (a trigger b).
+        a :- g, prev (a since b).
+        x :- prev x.
+    """
+
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_loop_formulas_match_definition_on_a_large_component(
+            self, unitary):
+        p = parse_program(self.SEVEN)
+        loops = enumerate_loops(section_graphs(p)[1])
+        assert max(map(len, loops)) == 7
+        self._check_against_definition(p, unitary)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
