@@ -31,9 +31,9 @@ from .depgraph import (
     DepGraph, dependency_graph, enumerate_loops, is_tight, section_graphs,
 )
 from .transform import (
-    completion, completion_atom, external_support, loop_formulas,
-    program_as_ltlf, simplify, simplify_formulas, sourced_completion,
-    sourced_loop_formulas, sourced_program_as_ltlf, support_transform,
+    completion, external_support, loop_formulas, program_as_ltlf, simplify,
+    simplify_formulas, sourced_completion, sourced_loop_formulas,
+    sourced_program_as_ltlf, support_transform,
 )
 from .verify import (
     GenConfig, MODES, PreconditionSkipped, Report, TraceMask,

@@ -44,9 +44,19 @@ class DepGraph:
     section: RuleKind | None = None
 
     def __post_init__(self) -> None:
-        for a, b in self.edges:
-            if a not in self.vertices or b not in self.vertices:
+        if isinstance(self.vertices, str):
+            raise ValueError("a vertex set is a collection of atoms, not a string")
+        vertices = frozenset(self.vertices)
+        edges = []
+        for edge in self.edges:
+            if isinstance(edge, str) or len(edge) != 2:
+                raise ValueError(f"edge {edge!r} is not a pair of atoms")
+            a, b = edge
+            if a not in vertices or b not in vertices:
                 raise ValueError(f"edge ({a}, {b}) leaves the vertex set")
+            edges.append((a, b))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", frozenset(edges))
 
 
 def dependency_graph(p: Program, section: RuleKind) -> DepGraph:

@@ -15,10 +15,12 @@ traces:
 * `program_as_ltlf`: the rules read as formulas (`rule_formula`), as
   the stable-model search and the rule checks of `ppt.tht` read them.
 
-Each translation is written once, as a `sourced_*` function returning
+Each translation has one builder, a `sourced_*` function returning
 (formula, source) pairs; the source names what produced the formula:
 `atom x`, `rule i` (the rule at index i of `Program.rules`) or a loop
-such as `initial loop {a, b}`.  The plain functions drop the sources.
+such as `initial loop {a, b}`.  The plain functions drop the sources,
+and one atom's biconditional is the `atom x` entry of
+`sourced_completion`.
 
 Emission is canonical and unsimplified; `simplify` applies a fixed set
 of truth-constant rewrites when shorter output is wanted.
@@ -54,8 +56,7 @@ from .syntax import (
 from .depgraph import enumerate_loops, section_graphs
 
 __all__ = [
-    "support_transform", "external_support", "completion_atom",
-    "rule_formula",
+    "support_transform", "external_support", "rule_formula",
     "sourced_completion", "sourced_loop_formulas", "sourced_program_as_ltlf",
     "completion", "loop_formulas", "program_as_ltlf", "simplify",
     "simplify_formulas",
@@ -182,41 +183,6 @@ def external_support(p: Program, section: RuleKind,
     return _supports(p, section, _atom_refs(p))(frozenset(loop))
 
 
-def _guarded(guard: ExtFormula, section: _Section, atom: Atom,
-             refs: dict[Atom, AtomRef]) -> list[ExtFormula]:
-    # The supports of `atom` in one section, each conjoined with `guard`.
-    rules, index = section
-    excluded = frozenset((atom,))
-    return [And(guard, _support_term(rules[i], excluded, rules[i].body, refs))
-            for i in index.get(atom, ())]
-
-
-def _completion_atom(atom: Atom, initial: _Section, dynamic: _Section,
-                     refs: dict[Atom, AtomRef]) -> ExtFormula:
-    initial_parts = _guarded(INITIAL_CONST, initial, atom, refs)
-    dynamic_parts = _guarded(Not(INITIAL_CONST), dynamic, atom, refs)
-    if not initial_parts and not dynamic_parts:
-        rhs: ExtFormula = FALSUM
-    else:
-        rhs = Or(or_chain(initial_parts, FALSUM),
-                 or_chain(dynamic_parts, FALSUM))
-    return Always(Iff(refs[atom], rhs))
-
-
-def completion_atom(p: Program, atom: Atom) -> ExtFormula:
-    """The completion biconditional of one alphabet atom.
-
-    The right-hand side disjoins the initial supports (guarded by `I`)
-    and the dynamic supports (guarded by `not I`), in program order; a
-    section with no supporting rule contributes false, and an atom with
-    no supporting rule at all gets a plain false.
-    """
-    if atom not in p.alphabet:
-        raise ValueError(f"{atom!r} is not in the program alphabet")
-    return _completion_atom(atom, _by_head(p, RuleKind.INITIAL),
-                            _by_head(p, RuleKind.DYNAMIC), _atom_refs(p))
-
-
 def rule_formula(rule: Rule) -> ExtFormula:
     """One rule read as a classical formula, wrapped where it applies."""
     if rule.kind is RuleKind.FINAL:
@@ -233,13 +199,30 @@ def rule_formula(rule: Rule) -> ExtFormula:
 
 
 def sourced_completion(p: Program) -> Sourced:
-    """Temporal completion: atom biconditionals, then carried constraints."""
-    initial = _by_head(p, RuleKind.INITIAL)
-    dynamic = _by_head(p, RuleKind.DYNAMIC)
+    """Temporal completion: atom biconditionals, then carried constraints.
+
+    Each alphabet atom x, in sorted order, gets `always(x <-> rhs)`,
+    sourced `atom x`.  The right-hand side disjoins the initial supports
+    (guarded by `I`) and the dynamic supports (guarded by `not I`), in
+    program order, a support being a rule body conjoined with `not h`
+    for each other head atom h; a section with no supporting rule
+    contributes false, and an atom with no supporting rule at all gets
+    a plain false.  Headless initial and dynamic rules, then the final
+    rules, follow as `rule i`, read as `rule_formula` reads them.
+    """
     refs = _atom_refs(p)
-    out = [(_completion_atom(atom, initial, dynamic, refs), f"atom {atom}")
-           for atom in sorted(p.alphabet)]
-    # Headless initial and dynamic rules, then the final rules.
+    sections = ((INITIAL_CONST, _by_head(p, RuleKind.INITIAL)),
+                (Not(INITIAL_CONST), _by_head(p, RuleKind.DYNAMIC)))
+    out: Sourced = []
+    for atom in sorted(p.alphabet):
+        excluded = frozenset((atom,))
+        initial, dynamic = (
+            [And(guard, _support_term(rules[i], excluded, rules[i].body, refs))
+             for i in index.get(atom, ())]
+            for guard, (rules, index) in sections)
+        rhs = (Or(or_chain(initial, FALSUM), or_chain(dynamic, FALSUM))
+               if initial or dynamic else FALSUM)
+        out.append((Always(Iff(refs[atom], rhs)), f"atom {atom}"))
     constraints = sorted(((i, r) for i, r in enumerate(p.rules) if not r.head),
                          key=lambda ir: ir[1].kind is RuleKind.FINAL)
     out.extend((rule_formula(r), f"rule {i}") for i, r in constraints)

@@ -16,13 +16,16 @@ state-by-state search of `ppt.progression`, which they check.
 
 `external_support_by_definition` writes the external support of a loop
 straight from the paper, with no index and no memo, for the compiler's
-shared support terms to be checked against.
+shared support terms to be checked against.  `completion_by_definition`
+writes the temporal completion the same way, with no index, fresh
+`AtomRef`s and the constraints read from each rule's head and body
+rather than through `rule_formula`, for `sourced_completion`.
 """
 
 from ppt import (
-    Always, And, AtomRef, BudgetExceeded, DEFAULT_BUDGET, FALSUM, HTTrace,
-    Not, Or, Program, Rule, RuleKind, Trace, WeakNextAlways,
-    support_transform,
+    Always, And, AtomRef, BudgetExceeded, DEFAULT_BUDGET, FALSUM, FINAL_CONST,
+    HTTrace, Iff, Implies, INITIAL_CONST, Not, Or, Program, Rule, RuleKind,
+    Trace, WeakNextAlways, support_transform,
 )
 from ppt.tht import _BitEvaluator, _evaluator
 
@@ -43,6 +46,54 @@ def external_support_by_definition(p: Program, section: RuleKind, loop):
                 term = And(term, Not(AtomRef(h)))
         out = term if out is None else Or(out, term)
     return FALSUM if out is None else out
+
+
+def completion_by_definition(p: Program) -> list:
+    """The temporal completion as (formula, source) pairs.
+
+    For each alphabet atom x, in sorted order, `always(x <-> rhs)`
+    sourced `atom x`.  A support of x is a rule with x in its head, in
+    program order, read as its body conjoined, left-nested, with `not h`
+    for each other head atom h in head order.  rhs is a plain false when
+    x has no support; otherwise it is the left-nested disjunction of the
+    initial supports, each as `I and support`, or of `not I and support`
+    over the dynamic ones, each section's disjunction false when it has
+    none.  Then each headless initial or dynamic rule i, in program
+    order, sourced `rule i`: `body -> false`, under `wnext_always` when
+    dynamic; then each final rule i as `always(F -> (body -> false))`.
+    """
+    out = []
+    for x in sorted(p.alphabet):
+        sides = []
+        for section, guard in ((RuleKind.INITIAL, INITIAL_CONST),
+                               (RuleKind.DYNAMIC, Not(INITIAL_CONST))):
+            side = None
+            for r in p.rules:
+                if r.kind is not section or x not in r.head:
+                    continue
+                term = r.body
+                for h in r.head:
+                    if h != x:
+                        term = And(term, Not(AtomRef(h)))
+                term = And(guard, term)
+                side = term if side is None else Or(side, term)
+            sides.append(side)
+        if sides == [None, None]:
+            rhs = FALSUM
+        else:
+            rhs = Or(*(FALSUM if side is None else side for side in sides))
+        out.append((Always(Iff(AtomRef(x), rhs)), f"atom {x}"))
+    for final in (False, True):
+        for i, r in enumerate(p.rules):
+            if r.head or (r.kind is RuleKind.FINAL) is not final:
+                continue
+            f = Implies(r.body, FALSUM)
+            if r.kind is RuleKind.DYNAMIC:
+                f = WeakNextAlways(f)
+            elif final:
+                f = Always(Implies(FINAL_CONST, f))
+            out.append((f, f"rule {i}"))
+    return out
 
 
 def _check_budget(n_atoms: int, lam: int, budget: int | None) -> None:

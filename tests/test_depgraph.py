@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -41,6 +42,34 @@ class TestDependencyGraph:
         p = parse_program("#dynamic. a :- (b since c).")
         g = _dyn_graph(p)
         assert g.edges == frozenset({("a", "b"), ("a", "c")})
+
+
+class TestDepGraphValue:
+    """A graph holds frozensets, whatever collections it is built from."""
+
+    def test_built_from_a_set_and_a_list(self):
+        g = DepGraph({"a", "b"}, [("a", "b"), ("b", "a")])
+        frozen = DepGraph(frozenset({"a", "b"}),
+                          frozenset({("a", "b"), ("b", "a")}))
+        assert g == frozen
+        assert hash(g) == hash(frozen)
+        assert type(g.vertices) is frozenset and type(g.edges) is frozenset
+
+    def test_list_edges_become_tuples(self):
+        g = DepGraph(["a", "b"], [["a", "b"]])
+        assert g.edges == frozenset({("a", "b")})
+        assert enumerate_loops(g, unitary=True) == (frozenset("a"),
+                                                   frozenset("b"))
+
+    @pytest.mark.parametrize("edge", [("a", "b", "a"), ("a",), "ab"])
+    def test_edge_that_is_not_a_pair(self, edge):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"edge {edge!r} is not a pair")):
+            DepGraph({"a", "b"}, [edge])
+
+    def test_string_vertex_set(self):
+        with pytest.raises(ValueError, match="not a string"):
+            DepGraph("ab", [])
 
 
 class TestLoops:

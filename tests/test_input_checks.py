@@ -1,0 +1,65 @@
+"""Input checks that no other in-process test reaches: each bad input
+raises its documented exception type with its message."""
+
+import re
+
+import pytest
+
+from ppt import (
+    Always, AtomRef, DepGraph, HTTrace, ParseError, Rule, RuleKind, Trace,
+    enumerate_ltlf_models, format_formula, parse_formula, support_transform,
+    three_valued,
+)
+from ppt.verify import GenConfig, TraceMask, run_lemma_suite
+
+_ONE_POINT = HTTrace.total(Trace.of(["a"]))
+
+# (id, call, exception type, the whole message as a regular expression)
+CASES = [
+    ("rule-body-not-core",
+     lambda: Rule(RuleKind.DYNAMIC, ("a",), Always(AtomRef("b"))),
+     ValueError, re.escape("rule body must be a core past formula")),
+    ("formula-trailing-input", lambda: parse_formula("a b"), ParseError,
+     re.escape("line 1, column 3: expected end of input, found 'b'")),
+    ("edge-leaves-vertex-set",
+     lambda: DepGraph(frozenset({"a"}), frozenset({("a", "b")})),
+     ValueError, re.escape("edge (a, b) leaves the vertex set")),
+    ("three-valued-point-past-end",
+     lambda: three_valued(_ONE_POINT, 1, AtomRef("a")),
+     IndexError, re.escape("time point 1 outside [0, 1)")),
+    ("three-valued-negative-point",
+     lambda: three_valued(_ONE_POINT, -1, AtomRef("a")),
+     IndexError, re.escape("time point -1 outside [0, 1)")),
+    ("support-transform-not-core",
+     lambda: support_transform(Always(AtomRef("a")), {"a"}), ValueError,
+     re.escape("not a core past formula: Always(arg=AtomRef(name='a'))")),
+    ("gen-max-rules-high", lambda: GenConfig(max_rules=9),
+     ValueError, re.escape("max_rules must be within [0, 8]")),
+    ("gen-max-rules-negative", lambda: GenConfig(max_rules=-1),
+     ValueError, re.escape("max_rules must be within [0, 8]")),
+    ("gen-max-body-depth-high", lambda: GenConfig(max_body_depth=5),
+     ValueError, re.escape("max_body_depth must be within [0, 4]")),
+    ("gen-max-body-depth-negative", lambda: GenConfig(max_body_depth=-1),
+     ValueError, re.escape("max_body_depth must be within [0, 4]")),
+    ("mask-pivot-outside",
+     lambda: TraceMask(frozenset(), 2, (frozenset(), frozenset())),
+     ValueError, re.escape("pivot 2 outside the mask")),
+    ("mask-pivot-negative", lambda: TraceMask(frozenset(), -1, (frozenset(),)),
+     ValueError, re.escape("pivot -1 outside the mask")),
+    ("unknown-lemma", lambda: run_lemma_suite("x"),
+     ValueError, re.escape("unknown lemma 'x'")),
+    ("ltlf-length-zero", lambda: enumerate_ltlf_models([], 0, []),
+     ValueError, re.escape("trace length must be at least 1")),
+    ("format-non-formula", lambda: format_formula(object()),
+     TypeError, r"cannot format <object object at 0x[0-9a-f]+>"),
+]
+
+
+@pytest.mark.parametrize("call, error, message",
+                         [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_bad_input_is_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert re.fullmatch(message, str(info.value))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ppt import (
     Always, And, AtomRef, FALSUM, HTTrace, Iff, Implies, Not, Or, Previous,
-    Since, Trace, Trigger, VERUM, WeakNextAlways, completion, completion_atom,
+    Since, Trace, Trigger, VERUM, WeakNextAlways, completion,
     enumerate_ltlf_models, enumerate_ts_models, external_support,
     format_formula, ht_sat, loop_formulas, ltlf_sat, parse_formula,
     parse_program, positive_atoms, Program, program_as_ltlf, Rule, RuleKind,
@@ -24,7 +24,7 @@ from ppt.verify import (
 )
 
 from conftest import TARGET
-from oracles import external_support_by_definition
+from oracles import completion_by_definition, external_support_by_definition
 
 L = frozenset({"shoot", "dead"})
 
@@ -111,25 +111,27 @@ class TestExternalSupport:
                                 loop) == Or(AtomRef("c"), AtomRef("d"))
 
 
+def _atom_entry(p, atom):
+    """The completion biconditional of one atom: its `atom x` entry."""
+    (f,) = [f for f, source in sourced_completion(p)
+            if source == f"atom {atom}"]
+    return f
+
+
 class TestCompletionAtom:
     def test_p1_dead(self, p1):
         body = parse_formula("shoot, (not unload since load)")
-        got = completion_atom(p1, "dead")
+        got = _atom_entry(p1, "dead")
         assert got == Always(Iff(AtomRef("dead"),
                                  Or(FALSUM, And(Not(INITIAL_CONST), body))))
 
     def test_p2_unload_is_bare_false(self, p2):
-        assert completion_atom(p2, "unload") == Always(Iff(AtomRef("unload"),
-                                                           FALSUM))
+        assert _atom_entry(p2, "unload") == Always(Iff(AtomRef("unload"),
+                                                       FALSUM))
 
     def test_p2_load_simplifies_to_initial(self, p2):
-        got = simplify(completion_atom(p2, "load"))
+        got = simplify(_atom_entry(p2, "load"))
         assert got == Always(Iff(AtomRef("load"), INITIAL_CONST))
-
-    def test_unknown_atom(self, p1):
-        with pytest.raises(ValueError,
-                           match="'zzz' is not in the program alphabet"):
-            completion_atom(p1, "zzz")
 
 
 class TestCompletion:
@@ -219,6 +221,32 @@ class TestSimplify:
 
     def test_not_false(self):
         assert simplify(CORE_TRUE) == VERUM
+
+    def test_not_not_false(self):
+        assert simplify(Not(Not(FALSUM))) == FALSUM
+
+    @staticmethod
+    def _translations(p):
+        return {"completion": completion(p),
+                "loops": completion(p) + loop_formulas(p),
+                "unitary": program_as_ltlf(p) + loop_formulas(p, unitary=True)}
+
+    def test_search_gives_the_same_models_on_examples(self, p1, p2):
+        for p in (p1, p2):
+            for fs in self._translations(p).values():
+                for lam in (1, 2, 3):
+                    assert enumerate_ltlf_models(
+                        simplify_formulas(fs), lam, p.alphabet) == \
+                        enumerate_ltlf_models(fs, lam, p.alphabet)
+
+    def test_search_gives_the_same_models_on_random_programs(self):
+        for seed in range(100):
+            p = random_program(GenConfig(seed=seed, max_atoms=4, max_rules=8))
+            lam = seed % 3 + 1
+            for name, fs in self._translations(p).items():
+                assert enumerate_ltlf_models(
+                    simplify_formulas(fs), lam, p.alphabet) == \
+                    enumerate_ltlf_models(fs, lam, p.alphabet), (seed, name)
 
     def test_preserves_semantics(self):
         rng = random.Random(52)
@@ -357,13 +385,49 @@ class TestSharedTerms:
         assert max(map(len, loops)) == 7
         self._check_against_definition(p, unitary)
 
+    @staticmethod
+    def _check_completion_against_definition(p):
+        got = sourced_completion(p)
+        want = completion_by_definition(p)
+        assert got == want
+        got = [f for f, _ in got]
+        want = [f for f, _ in want]
+        assert format_formulas(got) == [format_formula(f) for f in want]
+        simplified = simplify_formulas(got)
+        assert simplified == [simplify(f) for f in want]
+        assert format_formulas(simplified) == [format_formula(simplify(f))
+                                               for f in want]
+
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1))
-    def test_completion_matches_one_atom_at_a_time(self, seed):
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_completion_matches_one_atom_at_a_time(self, seed, widen):
         p = random_program(GenConfig(seed=seed, max_atoms=4, max_rules=8))
-        atoms = sorted(p.alphabet)
-        got = [f for f, _ in sourced_completion(p)][:len(atoms)]
-        assert got == [completion_atom(p, a) for a in atoms]
+        if widen:
+            p = Program(p.rules, p.alphabet | {"idle"})
+        self._check_completion_against_definition(p)
+
+    def test_completion_matches_definition_on_the_examples(self, p1, p2):
+        # P1's choice rule has an unsorted three-atom head.
+        self._check_completion_against_definition(p1)
+        self._check_completion_against_definition(p2)
+
+    def test_completion_matches_definition_across_sections(self):
+        # Sections interleave in program order, heads are unsorted, and
+        # constraints of every kind sit between the rules.
+        p = Program((
+            Rule(RuleKind.DYNAMIC, ("c", "a"), AtomRef("b")),
+            Rule(RuleKind.FINAL, (), AtomRef("a")),
+            Rule(RuleKind.INITIAL, ("b", "a"), CORE_TRUE),
+            Rule(RuleKind.DYNAMIC, (), Previous(AtomRef("c"))),
+            Rule(RuleKind.INITIAL, ("a",), Not(AtomRef("c"))),
+            Rule(RuleKind.INITIAL, (), AtomRef("b")),
+            Rule(RuleKind.DYNAMIC, ("a", "b", "c"), Since(AtomRef("a"),
+                                                          AtomRef("c"))),
+        ), frozenset({"a", "b", "c", "d"}))
+        self._check_completion_against_definition(p)
+        assert [s for _, s in sourced_completion(p)] == [
+            "atom a", "atom b", "atom c", "atom d",
+            "rule 3", "rule 5", "rule 1"]
 
     # One object as an element of an `and` chain and of an `or` chain:
     # `a and b` is parenthesised in the first and bare in the second,
