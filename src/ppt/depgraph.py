@@ -17,9 +17,12 @@ is tight when neither section graph has a loop in the default regime,
 that is neither a self-edge nor a strongly connected component of two
 or more atoms (such a component is itself a loop).
 
-Loop enumeration tries every subset of a component, so it refuses
-components larger than the fixed `SCC_CAP`; tightness needs no
-enumeration and has no cap.
+One primitive serves components, tightness and loops: `_closure`, the
+set of vertices a bitmask reaches inside a member mask.  Components
+cost at most one forward and one backward closure each, and each
+closure visits only the vertices it reaches.  Loop enumeration tries
+every subset of a component, so it refuses components larger than the
+fixed `SCC_CAP`; tightness needs no enumeration and has no cap.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SccTooLarge
-from .syntax import Atom, Program, RuleKind, positive_atoms
+from .syntax import Atom, Program, RuleKind, positive_atoms, validate_atom
 
 __all__ = [
     "SCC_CAP", "DepGraph", "dependency_graph", "section_graphs",
@@ -47,6 +50,8 @@ class DepGraph:
         if isinstance(self.vertices, str):
             raise ValueError("a vertex set is a collection of atoms, not a string")
         vertices = frozenset(self.vertices)
+        for vertex in vertices:
+            validate_atom(vertex)
         edges = []
         for edge in self.edges:
             if isinstance(edge, str) or len(edge) != 2:
@@ -75,60 +80,17 @@ def section_graphs(p: Program) -> tuple[DepGraph, DepGraph]:
             dependency_graph(p, RuleKind.DYNAMIC))
 
 
-def _successors(g: DepGraph) -> dict[Atom, list[Atom]]:
-    succ: dict[Atom, list[Atom]] = {v: [] for v in sorted(g.vertices)}
-    for a, b in sorted(g.edges):
-        succ[a].append(b)
-    return succ
-
-
-def _tarjan_sccs(succ: dict[Atom, list[Atom]]) -> list[list[Atom]]:
-    # Iterative Tarjan; components come out in a deterministic order.
-    index: dict[Atom, int] = {}
-    lowlink: dict[Atom, int] = {}
-    on_stack: set[Atom] = set()
-    stack: list[Atom] = []
-    counter = 0
-    sccs: list[list[Atom]] = []
-
-    for root in succ:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(component))
-    return sccs
+def _adjacency(g: DepGraph) -> tuple[list[Atom], list[int], list[int]]:
+    # The sorted vertices, and for vertex j the masks of its successors
+    # and of its predecessors over bit positions in that order.
+    vertices = sorted(g.vertices)
+    position = {atom: j for j, atom in enumerate(vertices)}
+    forward = [0] * len(vertices)
+    backward = [0] * len(vertices)
+    for a, b in g.edges:
+        forward[position[a]] |= 1 << position[b]
+        backward[position[b]] |= 1 << position[a]
+    return vertices, forward, backward
 
 
 def _closure(start: int, adj: list[int], members: int) -> int:
@@ -145,48 +107,70 @@ def _closure(start: int, adj: list[int], members: int) -> int:
     return seen
 
 
+def _components(forward: list[int], backward: list[int]) -> list[int]:
+    """The strongly connected components as vertex masks, in the order
+    of their lowest vertices.
+
+    Each step takes the lowest vertex v not yet placed, closes it
+    forwards over the unplaced vertices U, and closes it backwards over
+    that forward closure F.  This is v's component C exactly.  The
+    placed vertices are whole components, so U is a union of
+    components and contains C.  A path between two vertices of C runs
+    inside C, since every vertex on it reaches and is reached by both
+    ends; so C lies in F, and each w in C reaches v inside F.
+    Conversely a vertex of the result is reached from v (it is in F)
+    and reaches v, so it is in C.
+    """
+    components = []
+    unplaced = (1 << len(forward)) - 1
+    while unplaced:
+        start = unplaced & -unplaced
+        component = _closure(start, backward, _closure(start, forward, unplaced))
+        components.append(component)
+        unplaced ^= component
+    return components
+
+
 def enumerate_loops(g: DepGraph,
                     unitary: bool = False) -> tuple[frozenset[Atom], ...]:
     """All loops of a graph as atom sets, in canonical order: sorted by
     their sorted atoms.
 
     Loops of size two or more are strongly connected subsets of a single
-    SCC, which must not exceed the cap.  Singletons need a self-edge in
-    the default regime and are unconditional in the unitary regime.
-    Within a component of n atoms, a subset is an n-bit mask and each
-    atom's successors and predecessors in the component are masks too:
-    a subset is strongly connected when its lowest atom reaches all of
-    it both forwards and backwards.
+    component, and no component may exceed the cap.  The cap error names
+    the first oversize component in the order of the components' smallest
+    atoms.  Singletons need a self-edge in the default regime and are
+    unconditional in the unitary regime.  Within a component of n atoms,
+    a subset is an n-bit mask and each atom's successors and predecessors
+    in the component are masks too: a subset is strongly connected when
+    its lowest atom reaches all of it both forwards and backwards.
     """
-    succ = _successors(g)
-    sccs = _tarjan_sccs(succ)
-    for component in sccs:
-        if len(component) > SCC_CAP:
+    vertices, forward, backward = _adjacency(g)
+    components = _components(forward, backward)
+    for scc in components:
+        if scc.bit_count() > SCC_CAP:
             raise SccTooLarge(
-                f"component of size {len(component)} exceeds cap {SCC_CAP}")
-    self_edges = {a for a, b in g.edges if a == b}
-    loops = [frozenset((vertex,))
-             for vertex in sorted(g.vertices)
-             if unitary or vertex in self_edges]
-    for component in sccs:
-        if len(component) < 2:
+                f"component of size {scc.bit_count()} exceeds cap {SCC_CAP}")
+    loops = [frozenset((vertex,)) for j, vertex in enumerate(vertices)
+             if unitary or forward[j] >> j & 1]
+    for scc in components:
+        if scc & (scc - 1) == 0:
             continue
-        position = {atom: j for j, atom in enumerate(component)}
-        forward = [0] * len(component)
-        backward = [0] * len(component)
-        for j, atom in enumerate(component):
-            for b in succ[atom]:
-                k = position.get(b)
-                if k is not None:
-                    forward[j] |= 1 << k
-                    backward[k] |= 1 << j
+        component = [j for j in range(len(vertices)) if scc >> j & 1]
+        succ = [0] * len(component)
+        pred = [0] * len(component)
+        for j, v in enumerate(component):
+            for k, w in enumerate(component):
+                if forward[v] >> w & 1:
+                    succ[j] |= 1 << k
+                    pred[k] |= 1 << j
         for mask in range(3, 1 << len(component)):
             if mask & (mask - 1) == 0:
                 continue
             start = mask & -mask
-            if (_closure(start, forward, mask) == mask
-                    and _closure(start, backward, mask) == mask):
-                loops.append(frozenset(atom for j, atom in enumerate(component)
+            if (_closure(start, succ, mask) == mask
+                    and _closure(start, pred, mask) == mask):
+                loops.append(frozenset(vertices[v] for j, v in enumerate(component)
                                        if mask >> j & 1))
     return tuple(sorted(loops, key=sorted))
 
@@ -196,6 +180,7 @@ def is_tight(p: Program) -> bool:
     for g in section_graphs(p):
         if any(a == b for a, b in g.edges):
             return False
-        if any(len(c) > 1 for c in _tarjan_sccs(_successors(g))):
+        _, forward, backward = _adjacency(g)
+        if any(c & (c - 1) for c in _components(forward, backward)):
             return False
     return True

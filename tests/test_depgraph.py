@@ -100,10 +100,20 @@ class TestLoops:
                                    if (a, a) not in g.edges}
 
     def test_scc_cap(self):
+        def cycle(name, size):
+            return " ".join(f"{name}{i:02} :- {name}{(i + 1) % size:02}."
+                            for i in range(size))
+
         size = SCC_CAP + 1
-        p = parse_program("#dynamic. " + " ".join(
-            f"a{i} :- a{(i + 1) % size}." for i in range(size)))
+        p = parse_program(f"#dynamic. {cycle('a', size)}")
         with pytest.raises(SccTooLarge, match=f"size {size} exceeds"):
+            enumerate_loops(_dyn_graph(p))
+        # When the 21-atom cycle reaches a 22-atom one, the error names
+        # the component with the smallest atom, not the larger one.
+        p = parse_program(f"#dynamic. {cycle('a', 21)} a00 :- b00. "
+                          f"{cycle('b', 22)}")
+        with pytest.raises(SccTooLarge,
+                           match=f"^component of size 21 exceeds cap {SCC_CAP}$"):
             enumerate_loops(_dyn_graph(p))
 
 
@@ -122,16 +132,45 @@ class TestTightness:
 
     def test_tight_agrees_with_loop_enumeration(self):
         rng = random.Random(54)
-        atoms = ("a", "b", "c", "d")
+        names = [f"v{j}" for j in range(12)]
+
+        def rules(atoms):
+            # One- and two-atom positive bodies, each with a negated atom.
+            return " ".join(
+                f"{rng.choice(atoms)} :- {', '.join(rng.choices(atoms, k=k))}"
+                f", not {rng.choice(atoms)}."
+                for k in rng.choices((1, 2), k=rng.randint(0, len(atoms))))
+
         for _ in range(300):
-            rules = " ".join(
-                f"{rng.choice(atoms)} :- {rng.choice(atoms)}."
-                for _ in range(rng.randint(0, 5)))
-            p = parse_program(rules + " #dynamic. " + " ".join(
-                f"{rng.choice(atoms)} :- {rng.choice(atoms)}, not "
-                f"{rng.choice(atoms)}." for _ in range(rng.randint(0, 5))))
-            has_loop = any(enumerate_loops(g) for g in section_graphs(p))
+            atoms = names[:rng.randint(1, 12)]
+            p = parse_program(f"{rules(atoms)} #dynamic. {rules(atoms)}")
+            graphs = section_graphs(p)
+            has_loop = any(enumerate_loops(g) for g in graphs)
             assert is_tight(p) is not has_loop
+            assert is_tight(p) is _tight_by_reach(graphs)
+
+
+def _tight_by_reach(graphs):
+    """No self-edge, and no two distinct atoms reach each other, by
+    set-based search over the edges of each graph."""
+    for g in graphs:
+        def reach(start):
+            seen, frontier = set(), [start]
+            while frontier:
+                v = frontier.pop()
+                for a, b in g.edges:
+                    if a == v and b not in seen:
+                        seen.add(b)
+                        frontier.append(b)
+            return seen
+
+        if any(a == b for a, b in g.edges):
+            return False
+        reached = {v: reach(v) for v in g.vertices}
+        if any(a != b and b in reached[a] and a in reached[b]
+               for a in g.vertices for b in g.vertices):
+            return False
+    return True
 
 
 def _oracle_loops(vertices, edges, unitary):

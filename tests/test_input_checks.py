@@ -21,6 +21,10 @@ CASES = [
      ValueError, re.escape("rule body must be a core past formula")),
     ("formula-trailing-input", lambda: parse_formula("a b"), ParseError,
      re.escape("line 1, column 3: expected end of input, found 'b'")),
+    ("vertex-not-a-string", lambda: DepGraph({"a", 1}, []),
+     ValueError, re.escape("invalid atom name: 1")),
+    ("vertex-not-an-atom", lambda: DepGraph({"A", "b"}, [("A", "b")]),
+     ValueError, re.escape("invalid atom name: 'A'")),
     ("edge-leaves-vertex-set",
      lambda: DepGraph(frozenset({"a"}), frozenset({("a", "b")})),
      ValueError, re.escape("edge (a, b) leaves the vertex set")),
