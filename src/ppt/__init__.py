@@ -21,10 +21,9 @@ from .syntax import (
     positive_atoms,
 )
 from .parser import parse_formula, parse_program
-from .progression import DEFAULT_BUDGET
+from .progression import DEFAULT_BUDGET, Trace
 from .tht import (
-    HTTrace, Trace, enumerate_ts_models, ht_sat, is_ht_model, rule_sat,
-    three_valued,
+    HTTrace, enumerate_ts_models, ht_sat, is_ht_model, rule_sat, three_valued,
 )
 from .ltlf import enumerate_ltlf_models, ltlf_sat
 from .depgraph import (

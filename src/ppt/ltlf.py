@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .progression import search
-from .tht import HTTrace, Trace, formula_sat
+from .progression import Trace, search
+from .tht import HTTrace, formula_sat
 
 __all__ = ["ltlf_sat", "enumerate_ltlf_models"]
 
@@ -27,4 +27,4 @@ def enumerate_ltlf_models(fs: Iterable, lam: int, alphabet,
                           budget: int | None = None) -> tuple[Trace, ...]:
     """All total traces over the alphabet satisfying every formula at 0,
     in canonical order."""
-    return tuple(map(Trace, search(fs, lam, alphabet, budget)))
+    return search(fs, lam, alphabet, budget)

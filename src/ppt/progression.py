@@ -52,7 +52,9 @@ So the search is a forward pass over layers: layer k holds the carried
 vectors reachable at point k, and the moves out of a vector are
 computed once per vector and phase (middle or last point) and shared by
 every layer.  A backward pass drops the moves that cannot reach the
-last point, and one read-off at every length takes the paths as models.
+last point, and one read-off at every length takes the paths as models:
+each is built once, as a `Trace`, and the enumerators of `ppt.tht` and
+`ppt.ltlf` return the search's tuple as it is.
 
 The moves out of a vector are sorted by their states, each read as its
 sorted tuple of atoms, and the read-off walks them depth first.  A
@@ -97,7 +99,7 @@ from .syntax import (
     validate_atom,
 )
 
-__all__ = ["DEFAULT_BUDGET", "placement", "search"]
+__all__ = ["DEFAULT_BUDGET", "Trace", "placement", "search"]
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -107,6 +109,35 @@ _OPCODES = {Falsum: _FALSE, Verum: _TRUE, AtomRef: _ATOM, Not: _NOT,
             And: _AND, Or: _OR, Previous: _PREV, Since: _SINCE,
             Trigger: _TRIGGER, InitialConst: _INITIAL, FinalConst: _FINAL,
             Implies: _IMPLIES, Iff: _IFF}
+
+
+class Trace(tuple):
+    """A finite trace: a nonempty tuple of frozensets of atoms, equal to,
+    hashing like and printed as the plain tuple.  `<` compares states by
+    inclusion, so sort with `key=Trace.to_lists`.  A string is refused
+    as a state."""
+
+    __slots__ = ()
+
+    def __new__(cls, states: Iterable[Iterable[str]]) -> "Trace":
+        if type(states) is cls:
+            # Checked when built and immutable: as `tuple(t)` is t.
+            return states
+        states = tuple(states)
+        for state in states:
+            if isinstance(state, str):
+                raise ValueError(
+                    "a state is a collection of atoms, not a string")
+        if not states:
+            raise ValueError("traces must have length at least 1")
+        return super().__new__(cls, map(frozenset, states))
+
+    @classmethod
+    def of(cls, *states: Iterable[str]) -> "Trace":
+        return cls(states)
+
+    def to_lists(self) -> list[list[str]]:
+        return [sorted(state) for state in self]
 
 
 def placement(f) -> tuple[object, int, bool]:
@@ -242,10 +273,10 @@ def _members(mask: int) -> list[int]:
 
 
 def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
-           minimal: bool = False) -> list[tuple[frozenset[str], ...]]:
-    """Every trace of length `lam` over the alphabet, as a tuple of states,
-    that satisfies each formula where its wrapper requires it and, with
-    `minimal` (the stable side), passes the minimality test.
+           minimal: bool = False) -> tuple[Trace, ...]:
+    """Every trace of length `lam` over the alphabet that satisfies each
+    formula where its wrapper requires it and, with `minimal` (the
+    stable side), passes the minimality test.
 
     The traces come in canonical order, each state read as its sorted
     tuple of atoms.  The budget bounds the work units of the cost model
@@ -271,7 +302,7 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
         raise ValueError(f"alphabet does not cover atoms: {missing}") from None
     budget = DEFAULT_BUDGET if budget is None else budget
     spent = 0
-    found: list[tuple[frozenset[str], ...]] = []
+    found: list[Trace] = []
     last = lam - 1
 
     def charge(units: int, point: int) -> None:
@@ -387,5 +418,7 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
             todo.append(iter(layers[k + 1][key]))
         else:
             charge(lam, last)
-            found.append(tuple(path))
-    return found
+            # The path holds the frozensets of `sets` and lam >= 1, so
+            # `Trace.__new__` would have nothing to coerce or check.
+            found.append(tuple.__new__(Trace, path))
+    return tuple(found)

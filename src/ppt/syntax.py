@@ -295,7 +295,8 @@ class Rule:
     body: PastFormula
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "head", tuple(self.head))
+        head = self.head
+        object.__setattr__(self, "head", tuple(head))
         for name in self.head:
             validate_atom(name)
         if not is_past_formula(self.body):
@@ -305,6 +306,9 @@ class Rule:
         if self.kind is not RuleKind.DYNAMIC and not is_literal_conjunction(self.body):
             raise ValueError(
                 f"{self.kind.value} rule bodies must be conjunctions of regular literals")
+        # Checked last, so that a head refused above keeps its message.
+        if isinstance(head, str):
+            raise ValueError("a rule head is a collection of atoms, not a string")
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,8 +8,10 @@ point.  On total traces the semantics collapses to the classical one.
 Rule checks read each rule through its classical formula
 (`transform.rule_formula`), required on both sides.
 
-A trace is a tuple of frozensets of atoms: compare traces with `==`,
-sort them with `key=Trace.to_lists`; `Trace.of` refuses strings.
+A trace is a tuple of frozensets of atoms, a `Trace` of
+`ppt.progression`, whose search builds each model once: compare traces
+with `==`, sort them with `key=Trace.to_lists`.  `Trace`, `Trace.of`
+and both sides of an `HTTrace` refuse a string as a state.
 
 A total trace T over the program's alphabet is a temporal stable model
 of the program when <T, T> is a model and no strictly smaller H yields
@@ -28,9 +30,8 @@ independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .progression import placement, search
+from .progression import Trace, placement, search
 from .syntax import (
     And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst, Not, Or,
     Previous, Program, Rule, Since, Trigger, Verum, is_past_formula,
@@ -44,42 +45,17 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# Traces
-# ---------------------------------------------------------------------------
-
-class Trace(tuple):
-    """A finite trace: a nonempty tuple of frozensets of atoms, equal to,
-    hashing like and printed as the plain tuple.  `<` compares states by
-    inclusion, so sort with `key=Trace.to_lists`.  `Trace.of` refuses a
-    string as a state."""
-
-    __slots__ = ()
-
-    def __new__(cls, states: Iterable[Iterable[str]]) -> "Trace":
-        trace = super().__new__(cls, map(frozenset, states))
-        if not trace:
-            raise ValueError("traces must have length at least 1")
-        return trace
-
-    @classmethod
-    def of(cls, *states: Iterable[str]) -> "Trace":
-        if any(isinstance(state, str) for state in states):
-            raise ValueError("a state is a collection of atoms, not a string")
-        return cls(states)
-
-    def to_lists(self) -> list[list[str]]:
-        return [sorted(state) for state in self]
-
-
 @dataclass(frozen=True, slots=True)
 class HTTrace:
-    """An HT-trace: here and there traces with H_k a subset of T_k."""
+    """An HT-trace: here and there traces with H_k a subset of T_k,
+    each side built with `Trace`."""
 
     h: Trace
     t: Trace
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "h", Trace(self.h))
+        object.__setattr__(self, "t", Trace(self.t))
         if len(self.h) != len(self.t):
             raise ValueError(
                 f"here has length {len(self.h)}, there has length {len(self.t)}")
@@ -259,8 +235,7 @@ def enumerate_ts_models(p: Program, lam: int, *,
     alphabet, `Program(p.rules, alphabet)`, gives the same models at the
     cost of 2^n-state passes over a larger n.
     """
-    return tuple(map(Trace, search(program_as_ltlf(p), lam, p.alphabet,
-                                   budget, minimal=True)))
+    return search(program_as_ltlf(p), lam, p.alphabet, budget, minimal=True)
 
 
 # ---------------------------------------------------------------------------

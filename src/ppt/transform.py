@@ -81,7 +81,7 @@ def support_transform(f: PastFormula, loop: Iterable[Atom]) -> PastFormula:
     when conjunction and disjunction swap roles.  The since clause keeps
     the strong previous, whose conjoined unfolding is already exact.
     """
-    loop = frozenset(loop)
+    loop_in, loop = loop, frozenset(loop)
 
     def walk(g):
         tp = type(g)
@@ -107,7 +107,11 @@ def support_transform(f: PastFormula, loop: Iterable[Atom]) -> PastFormula:
             return Or(walk(g.rhs), And(walk(g.lhs), Previous(g)))
         raise ValueError(f"not a core past formula: {g!r}")
 
-    return walk(f)
+    out = walk(f)
+    # Checked last, so that a formula refused by `walk` keeps its message.
+    if isinstance(loop_in, str):
+        raise ValueError("a loop is a collection of atoms, not a string")
+    return out
 
 
 def _support_term(rule: Rule, excluded: frozenset[Atom],
@@ -180,6 +184,8 @@ def external_support(p: Program, section: RuleKind,
     negations of the head atoms outside the loop; false when no rule
     qualifies.
     """
+    if isinstance(loop, str):
+        raise ValueError("a loop is a collection of atoms, not a string")
     return _supports(p, section, _atom_refs(p))(frozenset(loop))
 
 

@@ -36,7 +36,8 @@ from .syntax import (
     PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger,
     positive_atoms,
 )
-from .tht import HTTrace, Trace, enumerate_ts_models, ht_sat, three_valued
+from .progression import Trace
+from .tht import HTTrace, enumerate_ts_models, ht_sat, three_valued
 from .ltlf import enumerate_ltlf_models
 from .depgraph import is_tight
 from .transform import completion, loop_formulas, program_as_ltlf, support_transform
@@ -79,9 +80,9 @@ class TraceMask:
     extra: tuple[frozenset[Atom], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base", frozenset(self.base))
-        object.__setattr__(self, "extra",
-                           tuple(frozenset(s) for s in self.extra))
+        base, extra = self.base, tuple(self.extra)
+        object.__setattr__(self, "base", frozenset(base))
+        object.__setattr__(self, "extra", tuple(frozenset(s) for s in extra))
         if not 0 <= self.pivot < len(self.extra):
             raise ValueError(f"pivot {self.pivot} outside the mask")
         for t in range(self.pivot):
@@ -89,6 +90,11 @@ class TraceMask:
                 raise ValueError(f"mask must be empty before the pivot (point {t})")
         if not self.base <= self.extra[self.pivot]:
             raise ValueError("mask at the pivot must contain the base set")
+        # Checked last, so that a mask refused above keeps its message.
+        if isinstance(base, str):
+            raise ValueError("a mask base is a collection of atoms, not a string")
+        if any(isinstance(s, str) for s in extra):
+            raise ValueError("a state is a collection of atoms, not a string")
 
 
 def mask_trace(m: HTTrace, mask: TraceMask) -> HTTrace:
@@ -96,8 +102,7 @@ def mask_trace(m: HTTrace, mask: TraceMask) -> HTTrace:
     if len(mask.extra) != len(m):
         raise ValueError(
             f"mask has length {len(mask.extra)}, trace has length {len(m)}")
-    here = Trace(hk - xk for hk, xk in zip(m.h, mask.extra))
-    return HTTrace(here, m.t)
+    return HTTrace([hk - xk for hk, xk in zip(m.h, mask.extra)], m.t)
 
 
 def check_lemma_support(f: PastFormula, m: HTTrace, mask: TraceMask) -> bool:
@@ -251,7 +256,7 @@ def random_httrace(rng: random.Random, atoms, lam: int) -> HTTrace:
         hk = frozenset(a for a in sorted(tk) if rng.random() < 0.6)
         there.append(tk)
         here.append(hk)
-    return HTTrace(Trace(tuple(here)), Trace(tuple(there)))
+    return HTTrace(here, there)
 
 
 # ---------------------------------------------------------------------------

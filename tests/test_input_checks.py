@@ -7,9 +7,10 @@ import pytest
 
 from ppt import (
     Always, AtomRef, DepGraph, HTTrace, ParseError, Rule, RuleKind, Trace,
-    enumerate_ltlf_models, format_formula, parse_formula, support_transform,
-    three_valued,
+    enumerate_ltlf_models, external_support, format_formula, ltlf_sat,
+    parse_formula, parse_program, support_transform, three_valued,
 )
+from ppt.syntax import CORE_TRUE
 from ppt.verify import GenConfig, TraceMask, run_lemma_suite
 
 _ONE_POINT = HTTrace.total(Trace.of(["a"]))
@@ -56,6 +57,32 @@ CASES = [
      ValueError, re.escape("trace length must be at least 1")),
     ("format-non-formula", lambda: format_formula(object()),
      TypeError, r"cannot format <object object at 0x[0-9a-f]+>"),
+    # A string where a collection of atoms is read: its letters are not
+    # taken as one-letter atoms.
+    ("trace-string-state", lambda: Trace(["ab", "c"]),
+     ValueError, re.escape("a state is a collection of atoms, not a string")),
+    ("httrace-string-sides", lambda: HTTrace(("a",), ("b",)),
+     ValueError, re.escape("a state is a collection of atoms, not a string")),
+    ("ltlf-sat-string-state", lambda: ltlf_sat(("ab",), 0, AtomRef("a")),
+     ValueError, re.escape("a state is a collection of atoms, not a string")),
+    ("rule-head-string",
+     lambda: Rule(RuleKind.INITIAL, "load", CORE_TRUE), ValueError,
+     re.escape("a rule head is a collection of atoms, not a string")),
+    # A head refused before keeps its message.
+    ("rule-head-string-bad-atom",
+     lambda: Rule(RuleKind.INITIAL, "Load", CORE_TRUE),
+     ValueError, re.escape("invalid atom name: 'L'")),
+    ("support-transform-string-loop",
+     lambda: support_transform(AtomRef("load"), "load"), ValueError,
+     re.escape("a loop is a collection of atoms, not a string")),
+    ("external-support-string-loop",
+     lambda: external_support(parse_program("load."), RuleKind.INITIAL,
+                              "load"), ValueError,
+     re.escape("a loop is a collection of atoms, not a string")),
+    ("mask-string-base", lambda: TraceMask("ab", 0, ("ab",)), ValueError,
+     re.escape("a mask base is a collection of atoms, not a string")),
+    ("mask-string-state", lambda: TraceMask(frozenset(), 0, ("ab",)),
+     ValueError, re.escape("a state is a collection of atoms, not a string")),
 ]
 
 
@@ -67,3 +94,11 @@ def test_bad_input_is_refused(call, error, message):
         call()
     assert type(info.value) is error
     assert re.fullmatch(message, str(info.value))
+
+
+def test_httrace_sides_are_traces():
+    # Lists of sets were kept as given, and the HT-trace did not hash.
+    m = HTTrace([{"a"}], [{"a", "b"}])
+    assert type(m.h) is Trace and type(m.t) is Trace
+    assert m == HTTrace(Trace.of(["a"]), Trace.of(["a", "b"]))
+    assert hash(m) == hash(HTTrace(Trace.of(["a"]), Trace.of(["a", "b"])))

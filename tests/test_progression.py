@@ -1,6 +1,8 @@
 """The state-by-state search, on both sides, against brute-force oracles."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -154,6 +156,36 @@ class TestEdgeCases:
         p = Program((Rule(RuleKind.INITIAL, ("a",), CORE_TRUE),
                      Rule(RuleKind.DYNAMIC, ("b",), body)))
         assert enumerate_ts_models(p, 2) == (Trace.of(["a"], ["b"]),)
+
+
+class TestOneBuildPerModel:
+    """The search reads each model off as a `Trace`, and the enumerators
+    return its tuple as it is."""
+
+    def test_search_returns_a_tuple_of_traces(self, p1):
+        models = search(program_as_ltlf(p1), 3, p1.alphabet, minimal=True)
+        assert type(models) is tuple and len(models) == 2
+        assert all(type(model) is Trace for model in models)
+        assert models == enumerate_ts_models(p1, 3)
+
+    @pytest.mark.parametrize("side", ["stable", "classical"])
+    def test_peak_memory_is_near_the_result(self, p1, side):
+        # A second copy of each model, built while the first lives,
+        # would take the peak to about 1.9 times what the result holds.
+        fs = completion(p1) + loop_formulas(p1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            if side == "stable":
+                models = enumerate_ts_models(p1, 12)
+            else:
+                models = enumerate_ltlf_models(fs, 12, p1.alphabet)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(models) == 29525
+        assert peak - base <= 1.5 * (held - base)
 
 
 CHOICE_PAIRS = "".join(f"x{i} :- not nx{i}.\nnx{i} :- not x{i}.\n"

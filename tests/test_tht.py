@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import ppt
 from ppt import (
     And, AtomRef, BudgetExceeded, FALSUM, HTTrace, Not, Or, Previous,
     Program, Rule, RuleKind, Since, Trace, Trigger, enumerate_ts_models,
@@ -309,12 +310,23 @@ class TestTraces:
         assert Trace([["a"], ["b", "a"]]) == want
         assert Trace(state for state in (("a",), ["a", "b"])) == want
         assert all(type(state) is frozenset for state in Trace([["a"]]))
+        assert Trace(want) is want
 
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickle_round_trip(self, protocol):
         t = Trace.of(["a"], [], ["b", "c"])
         back = pickle.loads(pickle.dumps(t, protocol))
         assert type(back) is Trace and back == t
+
+    def test_pickle_naming_tht_trace_still_loads(self):
+        # Written at protocol 0 while `Trace` was defined in `ppt.tht`.
+        old = (b"ccopy_reg\n_reconstructor\np0\n(cppt.tht\nTrace\np1\n"
+               b"c__builtin__\ntuple\np2\n(c__builtin__\nfrozenset\np3\n"
+               b"((lp4\nVa\np5\naVb\np6\natp7\nRp8\ng3\n((lp9\ntp10\n"
+               b"Rp11\ntp12\ntp13\nRp14\n.")
+        back = pickle.loads(old)
+        assert type(back) is Trace and back == Trace.of(["a", "b"], [])
+        assert ppt.tht.Trace is Trace is ppt.progression.Trace
 
     def test_canonical_order_needs_to_lists(self):
         # Tuple order compares states by inclusion: {b} and {a, c} are
