@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SccTooLarge
-from .syntax import Atom, Program, RuleKind, positive_atoms, validate_atom
+from .syntax import Atom, Program, RuleKind, atom_tuple, positive_atoms
 
 __all__ = [
     "SCC_CAP", "DepGraph", "dependency_graph", "section_graphs",
@@ -47,11 +47,7 @@ class DepGraph:
     section: RuleKind | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.vertices, str):
-            raise ValueError("a vertex set is a collection of atoms, not a string")
-        vertices = frozenset(self.vertices)
-        for vertex in vertices:
-            validate_atom(vertex)
+        vertices = frozenset(atom_tuple(self.vertices, "a vertex set"))
         edges = []
         for edge in self.edges:
             if isinstance(edge, str) or len(edge) != 2:

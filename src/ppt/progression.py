@@ -95,8 +95,8 @@ from typing import Iterable
 from .errors import BudgetExceeded
 from .syntax import (
     Always, And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst,
-    Not, Or, Previous, Since, Trigger, Verum, WeakNextAlways, formula_atoms,
-    validate_atom,
+    Not, Or, Previous, Since, Trigger, Verum, WeakNextAlways, atom_tuple,
+    formula_atoms,
 )
 
 __all__ = ["DEFAULT_BUDGET", "Trace", "placement", "search"]
@@ -114,8 +114,8 @@ _OPCODES = {Falsum: _FALSE, Verum: _TRUE, AtomRef: _ATOM, Not: _NOT,
 class Trace(tuple):
     """A finite trace: a nonempty tuple of frozensets of atoms, equal to,
     hashing like and printed as the plain tuple.  `<` compares states by
-    inclusion, so sort with `key=Trace.to_lists`.  A string is refused
-    as a state."""
+    inclusion, so sort with `key=Trace.to_lists`.  Each state is read
+    by `syntax.atom_tuple`."""
 
     __slots__ = ()
 
@@ -123,14 +123,11 @@ class Trace(tuple):
         if type(states) is cls:
             # Checked when built and immutable: as `tuple(t)` is t.
             return states
-        states = tuple(states)
-        for state in states:
-            if isinstance(state, str):
-                raise ValueError(
-                    "a state is a collection of atoms, not a string")
+        states = tuple(frozenset(atom_tuple(state, "a state"))
+                       for state in states)
         if not states:
             raise ValueError("traces must have length at least 1")
-        return super().__new__(cls, map(frozenset, states))
+        return super().__new__(cls, states)
 
     @classmethod
     def of(cls, *states: Iterable[str]) -> "Trace":
@@ -285,11 +282,7 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
     """
     if lam < 1:
         raise ValueError("trace length must be at least 1")
-    if isinstance(alphabet, str):
-        raise ValueError("an alphabet is a collection of atoms, not a string")
-    names = frozenset(alphabet)
-    for name in names:
-        validate_atom(name)
+    names = frozenset(atom_tuple(alphabet, "an alphabet"))
     atoms = tuple(sorted(names))
     placed = [placement(f) for f in formulas]
     try:

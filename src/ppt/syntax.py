@@ -15,6 +15,11 @@ classically.
 
 All node classes are immutable and hashable, so formulas can be shared,
 memoised and used as dictionary keys freely.
+
+Every collection of atoms a caller gives (an alphabet, a trace state, a
+rule head, a loop, a mask, a vertex set, an atom pool) is read by
+`atom_tuple`, the one place that checks atom names and refuses a string
+where its letters would be taken for one-letter atoms.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from enum import Enum
 from typing import Iterable, Union
 
 __all__ = [
-    "ATOM_RE", "RESERVED_WORDS", "Atom", "validate_atom",
+    "ATOM_RE", "RESERVED_WORDS", "Atom", "validate_atom", "atom_tuple",
     "Falsum", "AtomRef", "Not", "And", "Or", "Previous", "Since", "Trigger",
     "Verum", "InitialConst", "FinalConst", "Implies", "Iff", "Always",
     "WeakNextAlways", "PastFormula", "ExtFormula",
@@ -56,6 +61,18 @@ def validate_atom(name: str) -> str:
     if name in RESERVED_WORDS:
         raise ValueError(f"reserved word {name!r} cannot be used as an atom")
     return name
+
+
+def atom_tuple(value: Iterable[Atom], what: str) -> tuple[Atom, ...]:
+    """The atoms of `value` in their given order, each checked by
+    `validate_atom` in `repr` order, so that an error names the same atom
+    whatever the hash seed; a string `value` is then refused as `what`."""
+    names = tuple(value)
+    for name in sorted(names, key=repr):
+        validate_atom(name)
+    if isinstance(value, str):
+        raise ValueError(f"{what} is a collection of atoms, not a string")
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +312,7 @@ class Rule:
     body: PastFormula
 
     def __post_init__(self) -> None:
-        head = self.head
-        object.__setattr__(self, "head", tuple(head))
-        for name in self.head:
-            validate_atom(name)
+        object.__setattr__(self, "head", atom_tuple(self.head, "a rule head"))
         if not is_past_formula(self.body):
             raise ValueError("rule body must be a core past formula")
         if self.kind is RuleKind.FINAL and self.head:
@@ -306,9 +320,6 @@ class Rule:
         if self.kind is not RuleKind.DYNAMIC and not is_literal_conjunction(self.body):
             raise ValueError(
                 f"{self.kind.value} rule bodies must be conjunctions of regular literals")
-        # Checked last, so that a head refused above keeps its message.
-        if isinstance(head, str):
-            raise ValueError("a rule head is a collection of atoms, not a string")
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,12 +339,9 @@ class Program:
         occurring = atoms_of(self)
         if self.alphabet is None:
             object.__setattr__(self, "alphabet", occurring)
-        elif isinstance(self.alphabet, str):
-            raise ValueError("an alphabet is a collection of atoms, not a string")
         else:
-            object.__setattr__(self, "alphabet", frozenset(self.alphabet))
-            for name in self.alphabet:
-                validate_atom(name)
+            object.__setattr__(self, "alphabet", frozenset(
+                atom_tuple(self.alphabet, "an alphabet")))
             if not occurring <= self.alphabet:
                 missing = ", ".join(sorted(occurring - self.alphabet))
                 raise ValueError(f"alphabet is missing occurring atoms: {missing}")

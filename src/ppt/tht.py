@@ -11,7 +11,7 @@ Rule checks read each rule through its classical formula
 A trace is a tuple of frozensets of atoms, a `Trace` of
 `ppt.progression`, whose search builds each model once: compare traces
 with `==`, sort them with `key=Trace.to_lists`.  `Trace`, `Trace.of`
-and both sides of an `HTTrace` refuse a string as a state.
+and both sides of an `HTTrace` read each state with `syntax.atom_tuple`.
 
 A total trace T over the program's alphabet is a temporal stable model
 of the program when <T, T> is a model and no strictly smaller H yields
@@ -198,7 +198,10 @@ def formula_sat(m: HTTrace, k: int, f) -> bool:
     classical, negation reading T, and both sides required."""
     if not 0 <= k < len(m):
         raise IndexError(f"time point {k} outside [0, {len(m)})")
-    ev = _evaluator(m)
+    return _holds(_evaluator(m), k, f)
+
+
+def _holds(ev: _BitEvaluator, k: int, f) -> bool:
     g, first, onward = placement(f)
     bits = ev.eval(g, True)
     if ev.h is not ev.t:
@@ -217,7 +220,8 @@ def rule_sat(m: HTTrace, rule: Rule) -> bool:
 
 def is_ht_model(m: HTTrace, p: Program) -> bool:
     """True when the HT-trace satisfies every rule of the program."""
-    return all(formula_sat(m, 0, f) for f in program_as_ltlf(p))
+    ev = _evaluator(m)
+    return all(_holds(ev, 0, f) for f in program_as_ltlf(p))
 
 
 # ---------------------------------------------------------------------------

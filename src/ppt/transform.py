@@ -51,7 +51,8 @@ from .syntax import (
     Always, And, Atom, AtomRef, CORE_TRUE, ExtFormula, FALSUM, FINAL_CONST,
     Falsum, Iff, Implies, INITIAL_CONST, INITIAL_EXPANSION, Not, Or,
     PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, Verum,
-    VERUM, WeakNextAlways, head_disjunction, or_chain, positive_atoms,
+    VERUM, WeakNextAlways, atom_tuple, head_disjunction, or_chain,
+    positive_atoms,
 )
 from .depgraph import enumerate_loops, section_graphs
 
@@ -81,8 +82,11 @@ def support_transform(f: PastFormula, loop: Iterable[Atom]) -> PastFormula:
     when conjunction and disjunction swap roles.  The since clause keeps
     the strong previous, whose conjoined unfolding is already exact.
     """
-    loop_in, loop = loop, frozenset(loop)
+    return _strike(f, frozenset(atom_tuple(loop, "a loop")))
 
+
+def _strike(f: PastFormula, loop: frozenset[Atom]) -> PastFormula:
+    # `support_transform` on a loop already read by `atom_tuple`.
     def walk(g):
         tp = type(g)
         if tp is AtomRef:
@@ -107,11 +111,7 @@ def support_transform(f: PastFormula, loop: Iterable[Atom]) -> PastFormula:
             return Or(walk(g.rhs), And(walk(g.lhs), Previous(g)))
         raise ValueError(f"not a core past formula: {g!r}")
 
-    out = walk(f)
-    # Checked last, so that a formula refused by `walk` keeps its message.
-    if isinstance(loop_in, str):
-        raise ValueError("a loop is a collection of atoms, not a string")
-    return out
+    return walk(f)
 
 
 def _support_term(rule: Rule, excluded: frozenset[Atom],
@@ -168,7 +168,7 @@ def _supports(p: Program, section: RuleKind, refs: dict[Atom, AtomRef]
             if term is None:
                 r = rules[i]
                 term = terms[mask & strikable] = _support_term(
-                    r, loop, support_transform(r.body, loop), refs)
+                    r, loop, _strike(r.body, loop), refs)
             out = term if out is None else Or(out, term)
         return FALSUM if out is None else out
 
@@ -184,9 +184,8 @@ def external_support(p: Program, section: RuleKind,
     negations of the head atoms outside the loop; false when no rule
     qualifies.
     """
-    if isinstance(loop, str):
-        raise ValueError("a loop is a collection of atoms, not a string")
-    return _supports(p, section, _atom_refs(p))(frozenset(loop))
+    return _supports(p, section, _atom_refs(p))(
+        frozenset(atom_tuple(loop, "a loop")))
 
 
 def rule_formula(rule: Rule) -> ExtFormula:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .syntax import (
     And, Atom, AtomRef, CORE_TRUE, FALSUM, INITIAL_EXPANSION, Not, Or,
     PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger,
-    positive_atoms,
+    atom_tuple, positive_atoms,
 )
 from .progression import Trace
 from .tht import HTTrace, enumerate_ts_models, ht_sat, three_valued
@@ -80,9 +80,10 @@ class TraceMask:
     extra: tuple[frozenset[Atom], ...]
 
     def __post_init__(self) -> None:
-        base, extra = self.base, tuple(self.extra)
-        object.__setattr__(self, "base", frozenset(base))
-        object.__setattr__(self, "extra", tuple(frozenset(s) for s in extra))
+        object.__setattr__(self, "base", frozenset(
+            atom_tuple(self.base, "a mask base")))
+        object.__setattr__(self, "extra", tuple(
+            frozenset(atom_tuple(s, "a state")) for s in self.extra))
         if not 0 <= self.pivot < len(self.extra):
             raise ValueError(f"pivot {self.pivot} outside the mask")
         for t in range(self.pivot):
@@ -90,11 +91,6 @@ class TraceMask:
                 raise ValueError(f"mask must be empty before the pivot (point {t})")
         if not self.base <= self.extra[self.pivot]:
             raise ValueError("mask at the pivot must contain the base set")
-        # Checked last, so that a mask refused above keeps its message.
-        if isinstance(base, str):
-            raise ValueError("a mask base is a collection of atoms, not a string")
-        if any(isinstance(s, str) for s in extra):
-            raise ValueError("a state is a collection of atoms, not a string")
 
 
 def mask_trace(m: HTTrace, mask: TraceMask) -> HTTrace:
@@ -178,7 +174,7 @@ class GenConfig:
 
 def random_past_formula(rng: random.Random, atoms, depth: int) -> PastFormula:
     """A random core past formula of at most the given depth."""
-    atoms = tuple(atoms)
+    atoms = atom_tuple(atoms, "an atom pool")
 
     def leaf() -> PastFormula:
         if rng.random() < 0.08:
@@ -247,7 +243,7 @@ def random_program(cfg: GenConfig) -> Program:
 
 def random_httrace(rng: random.Random, atoms, lam: int) -> HTTrace:
     """A random HT-trace over the atoms, uniform pointwise H within T."""
-    atoms = tuple(atoms)
+    atoms = atom_tuple(atoms, "an atom pool")
     there = []
     here = []
     for _ in range(lam):

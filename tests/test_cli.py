@@ -15,6 +15,7 @@ import ppt
 from ppt import Trace
 from ppt.cli import _emit, main
 from ppt.parser import MAX_NESTING
+from ppt.syntax import RESERVED_WORDS
 from ppt.verify import MODES
 
 from conftest import P1_TEXT, P2_TEXT
@@ -943,7 +944,9 @@ def test_golden_search_output(capsys, tmp_path, program, command):
 
 
 # The model-set writer against `json.dumps(indent=2)` of the list form.
-_atoms = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True)
+# State names are atoms, as a `Trace` requires.
+_atoms = st.from_regex(r"[a-z][A-Za-z0-9_]*", fullmatch=True).filter(
+    lambda name: name not in RESERVED_WORDS)
 
 
 def _model_sets(alphabet):

@@ -67,10 +67,6 @@ class TestDepGraphValue:
                            match=re.escape(f"edge {edge!r} is not a pair")):
             DepGraph({"a", "b"}, [edge])
 
-    def test_string_vertex_set(self):
-        with pytest.raises(ValueError, match="not a string"):
-            DepGraph("ab", [])
-
 
 class TestLoops:
     def test_p1_dynamic_plain(self, p1):

@@ -1,17 +1,25 @@
 """Input checks that no other in-process test reaches: each bad input
 raises its documented exception type with its message."""
 
+import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ppt
 from ppt import (
-    Always, AtomRef, DepGraph, HTTrace, ParseError, Rule, RuleKind, Trace,
-    enumerate_ltlf_models, external_support, format_formula, ltlf_sat,
-    parse_formula, parse_program, support_transform, three_valued,
+    Always, AtomRef, DepGraph, HTTrace, ParseError, Program, Rule, RuleKind,
+    Trace, enumerate_ltlf_models, external_support, format_formula,
+    ltlf_sat, parse_formula, parse_program, support_transform, three_valued,
 )
 from ppt.syntax import CORE_TRUE
-from ppt.verify import GenConfig, TraceMask, run_lemma_suite
+from ppt.verify import (
+    GenConfig, TraceMask, random_httrace, random_past_formula,
+    run_lemma_suite,
+)
 
 _ONE_POINT = HTTrace.total(Trace.of(["a"]))
 
@@ -57,10 +65,27 @@ CASES = [
      ValueError, re.escape("trace length must be at least 1")),
     ("format-non-formula", lambda: format_formula(object()),
      TypeError, r"cannot format <object object at 0x[0-9a-f]+>"),
+    ("trace-state-not-an-atom", lambda: Trace.of(["A"]),
+     ValueError, re.escape("invalid atom name: 'A'")),
     # A string where a collection of atoms is read: its letters are not
     # taken as one-letter atoms.
     ("trace-string-state", lambda: Trace(["ab", "c"]),
      ValueError, re.escape("a state is a collection of atoms, not a string")),
+    ("trace-of-string-states", lambda: Trace.of("load", "dead"),
+     ValueError, re.escape("a state is a collection of atoms, not a string")),
+    ("program-string-alphabet", lambda: Program((), "ab"), ValueError,
+     re.escape("an alphabet is a collection of atoms, not a string")),
+    ("ltlf-string-alphabet", lambda: enumerate_ltlf_models([], 1, "load"),
+     ValueError,
+     re.escape("an alphabet is a collection of atoms, not a string")),
+    ("vertex-set-string", lambda: DepGraph("ab", []), ValueError,
+     re.escape("a vertex set is a collection of atoms, not a string")),
+    ("random-httrace-string-pool",
+     lambda: random_httrace(random.Random(1), "ab", 2), ValueError,
+     re.escape("an atom pool is a collection of atoms, not a string")),
+    ("random-formula-string-pool",
+     lambda: random_past_formula(random.Random(1), "ab", 2), ValueError,
+     re.escape("an atom pool is a collection of atoms, not a string")),
     ("httrace-string-sides", lambda: HTTrace(("a",), ("b",)),
      ValueError, re.escape("a state is a collection of atoms, not a string")),
     ("ltlf-sat-string-state", lambda: ltlf_sat(("ab",), 0, AtomRef("a")),
@@ -102,3 +127,22 @@ def test_httrace_sides_are_traces():
     assert type(m.h) is Trace and type(m.t) is Trace
     assert m == HTTrace(Trace.of(["a"]), Trace.of(["a", "b"]))
     assert hash(m) == hash(HTTrace(Trace.of(["a"]), Trace.of(["a", "b"])))
+
+
+# Each call fails on one of three bad names in a set.
+_SET_REFUSALS = [
+    "from ppt import Program; Program((), {'Ab', 'Cd', 'Ef'})",
+    "from ppt import DepGraph; DepGraph({'Ab', 'Cd', 'Ef'}, [])",
+]
+
+
+@pytest.mark.parametrize("code", _SET_REFUSALS, ids=["program", "depgraph"])
+def test_refusal_names_the_same_atom_under_any_hash_seed(code):
+    # The bad name reported was the first in the set's hash order.
+    src = str(Path(ppt.__file__).resolve().parents[1])
+    errs = [subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": src, "PYTHONHASHSEED": seed}).stderr
+        for seed in ("1", "2")]
+    assert errs[0] == errs[1]
+    assert errs[0].splitlines()[-1] == "ValueError: invalid atom name: 'Ab'"

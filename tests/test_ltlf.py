@@ -100,11 +100,6 @@ class TestEnumerate:
         right = enumerate_ltlf_models(fs[2:], 2, {"a", "b"})
         assert both == tuple(t for t in left if t in right)
 
-    def test_a_string_is_no_alphabet(self):
-        # Not the 16 traces over the atoms l, o, a and d.
-        with pytest.raises(ValueError, match="not a string"):
-            enumerate_ltlf_models([], 1, "load")
-
     def test_alphabet_must_cover_formulas(self):
         with pytest.raises(ValueError):
             enumerate_ltlf_models([AtomRef("z")], 1, {"a"})

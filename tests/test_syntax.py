@@ -185,11 +185,6 @@ class TestProgramModel:
         with pytest.raises(ValueError):
             Program((rule,), frozenset({"b"}))
 
-    def test_a_string_is_no_alphabet(self):
-        # Not the atoms a and b.
-        with pytest.raises(ValueError, match="not a string"):
-            Program((), "ab")
-
     def test_final_rule_head_rejected(self):
         with pytest.raises(ValueError):
             Rule(RuleKind.FINAL, ("a",), CORE_TRUE)

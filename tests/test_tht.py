@@ -154,6 +154,20 @@ class TestIsModel:
         m = HTTrace.total(Trace.of(["a"], []))
         assert is_ht_model(m, Program(())) is True
 
+    def test_each_trace_is_read_once(self, p1, monkeypatch):
+        # Into bitmasks, for all formulas of the program together.
+        read = []
+        trace_bits = ppt.tht._trace_bits
+        monkeypatch.setattr(ppt.tht, "_trace_bits",
+                            lambda t: read.append(t) or trace_bits(t))
+        assert is_ht_model(HTTrace.total(TARGET), p1) is True
+        assert len(read) == 1
+        read.clear()
+        m = HTTrace(Trace.of(["load"], ["dead", "shoot"]),
+                    Trace.of(["load"], ["dead", "load", "shoot"]))
+        assert is_ht_model(m, p1) is True
+        assert len(read) == 2
+
     def test_agrees_with_direct_rule_check(self):
         # The package reads each rule through its classical formula; the
         # oracle reads heads and bodies.
@@ -334,10 +348,6 @@ class TestTraces:
         ts = [Trace.of(["b"]), Trace.of(["a", "c"])]
         assert sorted(ts) == ts
         assert sorted(ts, key=Trace.to_lists) == ts[::-1]
-
-    def test_a_string_is_no_state(self):
-        with pytest.raises(ValueError, match="not a string"):
-            Trace.of("load", "dead")
 
     def test_ht_requires_subset(self):
         with pytest.raises(ValueError):
