@@ -25,7 +25,7 @@ where its letters would be taken for one-letter atoms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Union
 
@@ -54,6 +54,12 @@ RESERVED_WORDS = frozenset({
 Atom = str
 
 
+def _is_atom(name) -> bool:
+    # The test `validate_atom` makes, without its messages.
+    return (isinstance(name, str) and ATOM_RE.match(name) is not None
+            and name not in RESERVED_WORDS)
+
+
 def validate_atom(name: str) -> str:
     """Check that `name` is a legal atom identifier and return it."""
     if not isinstance(name, str) or not ATOM_RE.match(name):
@@ -65,11 +71,17 @@ def validate_atom(name: str) -> str:
 
 def atom_tuple(value: Iterable[Atom], what: str) -> tuple[Atom, ...]:
     """The atoms of `value` in their given order, each checked by
-    `validate_atom` in `repr` order, so that an error names the same atom
-    whatever the hash seed; a string `value` is then refused as `what`."""
+    `validate_atom`; a string `value` is then refused as `what`.
+
+    The names are checked in their given order and, only when one
+    fails, validated again in `repr` order, so that the error names the
+    same atom whatever the hash seed and valid names are never sorted.
+    """
     names = tuple(value)
-    for name in sorted(names, key=repr):
-        validate_atom(name)
+    for name in names:
+        if not _is_atom(name):
+            for bad in sorted(names, key=repr):
+                validate_atom(bad)
     if isinstance(value, str):
         raise ValueError(f"{what} is a collection of atoms, not a string")
     return names
@@ -193,7 +205,6 @@ FINAL_CONST = FinalConst()
 CORE_TRUE = Not(FALSUM)
 INITIAL_EXPANSION = Not(Previous(Not(FALSUM)))
 
-_PAST_TYPES = (Falsum, AtomRef, Not, And, Or, Previous, Since, Trigger)
 _UNARY_TYPES = (Not, Previous, Always, WeakNextAlways)
 _BINARY_TYPES = (And, Or, Since, Trigger, Implies, Iff)
 
@@ -206,15 +217,29 @@ def _children(f) -> tuple:
     return ()
 
 
-def is_past_formula(f) -> bool:
-    """True when `f` uses only the core past connectives."""
+def _core_atoms(f) -> set[Atom] | None:
+    """The atoms of a core past formula; None when `f` has a node outside
+    the core language anywhere."""
+    names = set()
     stack = [f]
     while stack:
         node = stack.pop()
-        if type(node) not in _PAST_TYPES:
-            return False
-        stack.extend(_children(node))
-    return True
+        tp = type(node)
+        if tp is AtomRef:
+            names.add(node.name)
+        elif tp is And or tp is Or or tp is Since or tp is Trigger:
+            stack.append(node.lhs)
+            stack.append(node.rhs)
+        elif tp is Not or tp is Previous:
+            stack.append(node.arg)
+        elif tp is not Falsum:
+            return None
+    return names
+
+
+def is_past_formula(f) -> bool:
+    """True when `f` uses only the core past connectives."""
+    return _core_atoms(f) is not None
 
 
 def formula_atoms(f) -> frozenset[Atom]:
@@ -305,16 +330,24 @@ class Rule:
     regular literals; dynamic bodies may be any core past formula.
     Final rules never have a head.  Within a program a rule is named by
     its index in `Program.rules`.
+
+    `atoms` holds the atoms of the head and the body.  It is computed
+    by the one walk of the body that also refuses any node outside the
+    core language, and it takes no part in `repr`, `==` or `hash`.
     """
 
     kind: RuleKind
     head: tuple[Atom, ...]
     body: PastFormula
+    atoms: frozenset[Atom] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "head", atom_tuple(self.head, "a rule head"))
-        if not is_past_formula(self.body):
+        names = _core_atoms(self.body)
+        if names is None:
             raise ValueError("rule body must be a core past formula")
+        names.update(self.head)
+        object.__setattr__(self, "atoms", frozenset(names))
         if self.kind is RuleKind.FINAL and self.head:
             raise ValueError("final rules cannot have a head")
         if self.kind is not RuleKind.DYNAMIC and not is_literal_conjunction(self.body):
@@ -361,11 +394,7 @@ class Program:
 
 def atoms_of(p: Program) -> frozenset[Atom]:
     """Exactly the atoms occurring in rule heads or bodies."""
-    names: set[Atom] = set()
-    for r in p.rules:
-        names.update(r.head)
-        names.update(formula_atoms(r.body))
-    return frozenset(names)
+    return frozenset().union(*(r.atoms for r in p.rules))
 
 
 def or_chain(parts: Iterable, empty) -> object:

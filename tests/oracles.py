@@ -20,14 +20,66 @@ shared support terms to be checked against.  `completion_by_definition`
 writes the temporal completion the same way, with no index, fresh
 `AtomRef`s and the constraints read from each rule's head and body
 rather than through `rule_formula`, for `sourced_completion`.
+
+`tokens_by_match` tokenizes by matching one token at a time, for the
+parser's two whole-source regex calls to be checked against.
+`core_atoms_by_definition` reads a formula's nodes through
+`dataclasses.fields`, for the one walk of a rule body in `syntax`.
 """
+
+import dataclasses
+import re
 
 from ppt import (
     Always, And, AtomRef, BudgetExceeded, DEFAULT_BUDGET, FALSUM, FINAL_CONST,
-    HTTrace, Iff, Implies, INITIAL_CONST, Not, Or, Program, Rule, RuleKind,
-    Trace, WeakNextAlways, support_transform,
+    Falsum, HTTrace, Iff, Implies, INITIAL_CONST, Not, Or, Previous, Program,
+    Rule, RuleKind, Since, Trace, Trigger, WeakNextAlways, support_transform,
 )
 from ppt.tht import _BitEvaluator, _evaluator
+
+# A token is the text the group captures, after any whitespace and
+# comments; at a character no token starts with, the group is empty.
+_TOKEN_RE = re.compile(
+    r"(?:\s+|%[^\n]*)*(:-|[,;|().#]|[A-Za-z_][A-Za-z0-9_]*)?")
+
+_CORE_TYPES = (Falsum, AtomRef, Not, And, Or, Previous, Since, Trigger)
+
+
+def tokens_by_match(src: str):
+    """`(texts, offsets, bad)` of `src` after one leading byte-order
+    mark: the token texts, ending with the empty text at the end of the
+    input, and their offsets; `bad` is the offset of the first character
+    no token starts with, and None when there is none."""
+    src = src.removeprefix("\ufeff")
+    texts, offsets = [], []
+    pos = 0
+    while True:
+        token = _TOKEN_RE.match(src, pos)
+        pos = token.end()
+        if token.lastindex is None:
+            break
+        texts.append(token.group(1))
+        offsets.append(token.start(1))
+    texts.append("")
+    offsets.append(pos)
+    return texts, offsets, pos if pos < len(src) else None
+
+
+def core_atoms_by_definition(f):
+    """The set of atoms of `f` when every node of it is of a core past
+    formula type, and None otherwise, read through each node's dataclass
+    fields."""
+    if type(f) not in _CORE_TYPES:
+        return None
+    if type(f) is AtomRef:
+        return {f.name}
+    atoms = set()
+    for field in dataclasses.fields(f):
+        sub = core_atoms_by_definition(getattr(f, field.name))
+        if sub is None:
+            return None
+        atoms |= sub
+    return atoms
 
 
 def external_support_by_definition(p: Program, section: RuleKind, loop):

@@ -11,11 +11,12 @@ import pytest
 
 import ppt
 from ppt import (
-    Always, AtomRef, DepGraph, HTTrace, ParseError, Program, Rule, RuleKind,
-    Trace, enumerate_ltlf_models, external_support, format_formula,
-    ltlf_sat, parse_formula, parse_program, support_transform, three_valued,
+    Always, And, AtomRef, DepGraph, HTTrace, ParseError, Previous, Program,
+    Rule, RuleKind, Trace, enumerate_ltlf_models, external_support,
+    format_formula, ltlf_sat, parse_formula, parse_program,
+    support_transform, three_valued,
 )
-from ppt.syntax import CORE_TRUE
+from ppt.syntax import CORE_TRUE, VERUM
 from ppt.verify import (
     GenConfig, TraceMask, random_httrace, random_past_formula,
     run_lemma_suite,
@@ -27,6 +28,11 @@ _ONE_POINT = HTTrace.total(Trace.of(["a"]))
 CASES = [
     ("rule-body-not-core",
      lambda: Rule(RuleKind.DYNAMIC, ("a",), Always(AtomRef("b"))),
+     ValueError, re.escape("rule body must be a core past formula")),
+    # A leaf outside the core language below the top.
+    ("rule-body-not-core-below-top",
+     lambda: Rule(RuleKind.DYNAMIC, ("a",),
+                  And(AtomRef("b"), Previous(VERUM))),
      ValueError, re.escape("rule body must be a core past formula")),
     ("formula-trailing-input", lambda: parse_formula("a b"), ParseError,
      re.escape("line 1, column 3: expected end of input, found 'b'")),
@@ -97,6 +103,10 @@ CASES = [
     ("rule-head-string-bad-atom",
      lambda: Rule(RuleKind.INITIAL, "Load", CORE_TRUE),
      ValueError, re.escape("invalid atom name: 'L'")),
+    # The first bad name in `repr` order, not in the given order.
+    ("rule-head-bad-atoms",
+     lambda: Rule(RuleKind.INITIAL, ("Cd", "Ab", "b"), CORE_TRUE),
+     ValueError, re.escape("invalid atom name: 'Ab'")),
     ("support-transform-string-loop",
      lambda: support_transform(AtomRef("load"), "load"), ValueError,
      re.escape("a loop is a collection of atoms, not a string")),

@@ -9,9 +9,11 @@ from ppt import (
     Rule, RuleKind, Since, format_formula, format_program, parse_formula,
     parse_program,
 )
-from ppt.parser import MAX_NESTING
+from ppt.parser import MAX_NESTING, _Parser
 from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION, Falsum
 from ppt.verify import GenConfig, random_program
+
+from oracles import tokens_by_match
 
 chain_operators = st.integers(1, MAX_NESTING).flatmap(
     lambda n: st.lists(st.sampled_from(("since", "trigger")),
@@ -257,6 +259,46 @@ class TestErrors:
         assert (copy.line, copy.column, copy.message) == \
             (err.value.line, err.value.column, err.value.message)
         assert str(copy) == str(err.value)
+
+
+# Pieces of source text: tokens, whitespace that `\s` reads and the line
+# count does not (`\x0c`, `\xa0`, `\u2028`), and comments with and
+# without their newline.  Stray characters are inserted among them; a
+# digit or `:` may join its neighbour into a token.
+_FRAGMENTS = (
+    "a", "b1", "_x", "Ab", "not", "since", ":-", ",", ";", "|", "(", ")",
+    ".", "#", " ", "\n", "\r\n", "\t", "\x0c", "\xa0", "\u2028",
+    "% note\n", "% a :- $", "%",
+)
+_STRAYS = ("$", "\x01", "é", "\ufeff", "1", ":", "-")
+
+
+class TestTokenizer:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.booleans(), st.lists(st.sampled_from(_FRAGMENTS), max_size=24),
+           st.lists(st.tuples(st.integers(0, 24), st.sampled_from(_STRAYS)),
+                    max_size=2))
+    def test_matches_one_token_at_a_time(self, bom, fragments, strays):
+        for index, char in strays:
+            fragments.insert(index, char)
+        src = "\ufeff" * bom + "".join(fragments)
+        texts, offsets, bad = tokens_by_match(src)
+        text = src.removeprefix("\ufeff")
+
+        def position(offset):
+            return (text.count("\n", 0, offset) + 1,
+                    offset - text.rfind("\n", 0, offset))
+
+        if bad is None:
+            parser = _Parser(src)
+            assert parser.texts == texts
+            assert [parser.token_position(i) for i in range(len(texts))] \
+                == [position(offset) for offset in offsets]
+        else:
+            with pytest.raises(ParseError) as err:
+                _Parser(src)
+            assert (err.value.message, err.value.line, err.value.column) \
+                == (f"unexpected character {text[bad]!r}", *position(bad))
 
 
 class TestRoundTrip:

@@ -1,13 +1,19 @@
+import dataclasses
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ppt import (
-    And, AtomRef, FALSUM, Falsum, INITIAL_CONST, Not, Or, Previous, Program,
-    Rule, RuleKind, Since, Trigger, VERUM, atoms_of, format_formula,
-    format_program, format_rule, is_past_formula, parse_formula,
-    parse_program, positive_atoms,
+    Always, And, AtomRef, FALSUM, FINAL_CONST, Falsum, INITIAL_CONST, Iff,
+    Implies, Not, Or, Previous, Program, Rule, RuleKind, Since, Trigger,
+    VERUM, WeakNextAlways, atoms_of, format_formula, format_program,
+    format_rule, is_past_formula, parse_formula, parse_program,
+    positive_atoms, random_past_formula,
 )
 from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION
+
+from oracles import core_atoms_by_definition
 
 atoms = st.sampled_from(("a", "b", "c"))
 leaves = st.one_of(st.builds(AtomRef, atoms), st.just(FALSUM))
@@ -157,6 +163,50 @@ class TestFormat:
     @given(past_formulas)
     def test_formula_round_trip(self, f):
         assert parse_formula(format_formula(f)) == f
+
+
+# Nodes outside the core language, and places to put one below the top:
+# under prev and on either side of since and trigger.
+_EXTENDED = (VERUM, INITIAL_CONST, FINAL_CONST,
+             Implies(AtomRef("a"), FALSUM), Iff(AtomRef("b"), AtomRef("d")),
+             Always(AtomRef("d")), WeakNextAlways(Not(AtomRef("a"))))
+_HOLDERS = (lambda x, g: Previous(x), lambda x, g: Since(x, g),
+            lambda x, g: Since(g, x), lambda x, g: Trigger(x, g),
+            lambda x, g: Trigger(g, x))
+
+
+def _splice(rng, f, node):
+    """`f` with one subformula, at a random depth, replaced by `node`."""
+    names = [name for name in ("arg", "lhs", "rhs") if hasattr(f, name)]
+    if not names or rng.random() < 0.3:
+        return node
+    name = rng.choice(names)
+    return dataclasses.replace(
+        f, **{name: _splice(rng, getattr(f, name), node)})
+
+
+class TestOneWalk:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_rule_matches_reference(self, seed):
+        rng = random.Random(seed)
+        body = random_past_formula(rng, ("a", "b", "c"), rng.randint(0, 4))
+        if rng.random() < 0.7:
+            holder = rng.choice(_HOLDERS)
+            node = holder(rng.choice(_EXTENDED), random_past_formula(
+                rng, ("b", "c"), rng.randint(0, 2)))
+            body = _splice(rng, body, node)
+        head = tuple(rng.sample(("a", "d", "e"), rng.randint(0, 2)))
+        expected = core_atoms_by_definition(body)
+        assert is_past_formula(body) is (expected is not None)
+        if expected is None:
+            with pytest.raises(ValueError) as err:
+                Rule(RuleKind.DYNAMIC, head, body)
+            assert str(err.value) == "rule body must be a core past formula"
+            return
+        rule = Rule(RuleKind.DYNAMIC, head, body)
+        assert rule.atoms == expected | set(head)
+        assert Program((rule,)).alphabet == rule.atoms
 
 
 class TestProgramModel:
