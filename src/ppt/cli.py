@@ -201,10 +201,10 @@ def _cmd_compile(args) -> int:
 def _cmd_verify(args) -> int:
     budget = _budget(args)
     program = _load(args)
-    report = verify_correspondence(program, args.length,
-                                   _MODE_ALIASES[args.mode], budget)
-    _emit({"program": format_program(report.program),
-           "length": report.length, "mode": report.mode,
+    mode = _MODE_ALIASES[args.mode]
+    report = verify_correspondence(program, args.length, mode, budget)
+    _emit({"program": format_program(program),
+           "length": args.length, "mode": mode,
            "tight": report.tight, "equal": report.equal,
            "ts_models": report.lhs, "ltlf_models": report.rhs,
            "witnesses": report.witnesses})

@@ -30,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SccTooLarge
-from .syntax import Atom, Program, RuleKind, atom_tuple, positive_atoms
+from .syntax import (
+    Atom, Program, RuleKind, atom_tuple, instance_of, positive_atoms,
+)
 
 __all__ = [
     "SCC_CAP", "DepGraph", "dependency_graph", "section_graphs",
@@ -48,12 +50,17 @@ class DepGraph:
 
     def __post_init__(self) -> None:
         vertices = frozenset(atom_tuple(self.vertices, "a vertex set"))
+        if self.section is not None:
+            instance_of(self.section, RuleKind, "a section")
         edges = []
         for edge in self.edges:
-            if isinstance(edge, str) or len(edge) != 2:
+            if not isinstance(edge, (tuple, list)) or len(edge) != 2:
                 raise ValueError(f"edge {edge!r} is not a pair of atoms")
             a, b = edge
-            if a not in vertices or b not in vertices:
+            # Every vertex is a str, so anything else, hashable or not,
+            # is outside the set.
+            if not (isinstance(a, str) and a in vertices
+                    and isinstance(b, str) and b in vertices):
                 raise ValueError(f"edge ({a}, {b}) leaves the vertex set")
             edges.append((a, b))
         object.__setattr__(self, "vertices", vertices)

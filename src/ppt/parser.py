@@ -87,6 +87,8 @@ _UNARY_OPS = {
     "eventually_before": lambda f: Since(CORE_TRUE, f),
 }
 
+_BINARY_OPS = {"since": Since, "trigger": Trigger}
+
 _CONSTANTS = {
     "true": CORE_TRUE,
     "false": FALSUM,
@@ -128,8 +130,8 @@ class _Parser:
     def at(self, text: str) -> bool:
         return self.texts[self.pos] == text
 
-    def eat(self, text: str) -> bool:
-        if self.texts[self.pos] == text:
+    def eat(self, *texts: str) -> bool:
+        if self.texts[self.pos] in texts:
             self.pos += 1
             return True
         return False
@@ -188,7 +190,7 @@ class _Parser:
         return text
 
     def primary(self):
-        text = self.peek()
+        text = self.texts[self.pos]
         ref = self.refs.get(text)
         if ref is not None:
             self.pos += 1
@@ -206,7 +208,7 @@ class _Parser:
         self.fail(f"expected a formula, found {self.found()}")
 
     def unary(self):
-        op = _UNARY_OPS.get(self.peek())
+        op = _UNARY_OPS.get(self.texts[self.pos])
         if op is not None:
             return op(self.nested(self.unary))
         return self.primary()
@@ -229,8 +231,7 @@ class _Parser:
         outer = self.depth
         if opens_group:
             self.depth -= 1
-        while self.at("since") or self.at("trigger"):
-            op = Since if self.at("since") else Trigger
+        while (op := _BINARY_OPS.get(self.texts[self.pos])) is not None:
             left = op(left, self.nested(self.unary))
             self.depth += 1
         self.depth = outer
@@ -238,19 +239,19 @@ class _Parser:
 
     def conjunction(self):
         left = self.temporal()
-        while self.eat(",") or self.eat("and"):
+        while self.eat(",", "and"):
             left = And(left, self.temporal())
         return left
 
     def disjunction(self):
         left = self.conjunction()
-        while self.eat(";") or self.eat("or"):
+        while self.eat(";", "or"):
             left = Or(left, self.conjunction())
         return left
 
     def head(self) -> tuple[str, ...]:
         atoms = [self.atom_name()]
-        while self.eat("|") or self.eat(";") or self.eat("or"):
+        while self.eat("|", ";", "or"):
             atoms.append(self.atom_name())
         return tuple(atoms)
 

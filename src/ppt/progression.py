@@ -76,7 +76,11 @@ count of the 2^(n*lam) candidate traces would refuse long traces that
 the layers make cheap, yet admit a short trace over a wide alphabet
 whose survivors each cost 2^n.
 
-All formulas are flattened once into one post-order node array.  The
+All formulas are compiled by one walk, `_flatten`, into one post-order
+node array.  The walk reads each wrapper with `placement` and indexes
+each atom as it meets it.  A wrapper below the top is refused there and
+then; the atoms the alphabet does not cover are named, sorted, once the
+walk ends, so a formula list with both faults reports the wrapper.  The
 value of a node at point k depends on its children at k and on total
 values at k - 1.  Values are computed as ints over candidate states: in
 the total pass bit s is the value when the state at k is s, for all
@@ -90,13 +94,13 @@ out true.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 from .errors import BudgetExceeded
 from .syntax import (
     Always, And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst,
     Not, Or, Previous, Since, Trigger, Verum, WeakNextAlways, atom_tuple,
-    formula_atoms,
 )
 
 __all__ = ["DEFAULT_BUDGET", "Trace", "placement", "search"]
@@ -152,19 +156,25 @@ def placement(f) -> tuple[object, int, bool]:
 
 
 def _flatten(formulas: Iterable, index: dict[str, int]):
-    """Post-order node array for all formulas, the slot of each, and the
-    carried slots in ascending order.
+    """Compile the emitted formulas in one walk (see the module
+    docstring): the post-order node array, the roots required at point 0,
+    the roots required from point 1 on, and the carried slots, ascending.
 
     A node is (opcode, a, b): the atom index in `a` for atoms, child
     slots in `a` (and `b` for binary nodes, lhs first) otherwise.
-    Subformulas shared by identity get one slot.
+    Subformulas shared by identity get one slot.  Slots are keyed by
+    `id`, so every formula is held until the walk ends: a formula freed
+    mid-walk could hand its address to a later node.
     """
+    formulas = tuple(formulas)
     slots: dict[int, int] = {}
     nodes: list[tuple[int, int, int]] = []
-    roots = []
+    at_start, later = [], []
     carried: set[int] = set()
+    missing: set[str] = set()
     for formula in formulas:
-        stack = [(formula, False)]
+        g, first, onward = placement(formula)
+        stack = [(g, False)]
         while stack:
             f, expanded = stack.pop()
             key = id(f)
@@ -175,7 +185,10 @@ def _flatten(formulas: Iterable, index: dict[str, int]):
                 raise ValueError(f"cannot evaluate {type(f).__name__} "
                                  "below the top of a formula")
             if op == _ATOM:
-                node = (op, index[f.name], 0)
+                j = index.get(f.name)
+                if j is None:
+                    missing.add(f.name)
+                node = (op, j, 0)
             elif op in (_FALSE, _TRUE, _INITIAL, _FINAL):
                 node = (op, 0, 0)
             elif op == _NOT or op == _PREV:
@@ -194,8 +207,15 @@ def _flatten(formulas: Iterable, index: dict[str, int]):
                     carried.add(len(nodes))
             slots[key] = len(nodes)
             nodes.append(node)
-        roots.append(slots[id(formula)])
-    return nodes, roots, sorted(carried)
+        # `placement` yields first = 1 only together with onward.
+        if not first:
+            at_start.append(slots[id(g)])
+        if onward:
+            later.append(slots[id(g)])
+    if missing:
+        raise ValueError("alphabet does not cover atoms: "
+                         + ", ".join(sorted(missing)))
+    return nodes, at_start, later, sorted(carried)
 
 
 def _atom_vectors(count: int) -> list[int]:
@@ -282,17 +302,9 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
     """
     if lam < 1:
         raise ValueError("trace length must be at least 1")
-    names = frozenset(atom_tuple(alphabet, "an alphabet"))
-    atoms = tuple(sorted(names))
-    placed = [placement(f) for f in formulas]
-    try:
-        nodes, roots, carried = _flatten(
-            [g for g, _, _ in placed],
-            {name: j for j, name in enumerate(atoms)})
-    except KeyError:
-        used = frozenset().union(*(formula_atoms(g) for g, _, _ in placed))
-        missing = ", ".join(sorted(used - names))
-        raise ValueError(f"alphabet does not cover atoms: {missing}") from None
+    atoms = tuple(sorted(frozenset(atom_tuple(alphabet, "an alphabet"))))
+    nodes, at_start, later, carried = _flatten(
+        formulas, {name: j for j, name in enumerate(atoms)})
     budget = DEFAULT_BUDGET if budget is None else budget
     spent = 0
     found: list[Trace] = []
@@ -309,22 +321,14 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
                 f"point {point} of {lam}, with {len(found)} models read off")
 
     charge(lam, 0)
-    # `placement` yields first = 1 only together with onward.
-    at_start = [r for r, (_, first, _) in zip(roots, placed) if not first]
-    later = [r for r, (_, _, onward) in zip(roots, placed) if onward]
     width = 1 << len(atoms)
-    ranked: dict[int, list[int]] = {}
-
-    def atom_vectors(count: int) -> list[int]:
-        if count not in ranked:
-            ranked[count] = _atom_vectors(count)
-        return ranked[count]
+    atom_vectors = functools.cache(_atom_vectors)
 
     def smaller_here_state(required, s: int, before, there,
                            at_end: bool) -> bool:
         # Atoms of s are ranked: bit r of a subset index stands for the
         # r-th atom of s, so the subset index all-ones is s itself.
-        members = [j for j in range(len(atoms)) if s >> j & 1]
+        members = _members(s)
         size = len(members)
         here_atoms = [0] * len(atoms)
         for j, vec in zip(members, atom_vectors(size)):
@@ -368,7 +372,7 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
                     required, s, before, [v >> s & 1 for v in vals], at_end):
                 continue
             if s not in sets:
-                state = tuple(a for j, a in enumerate(atoms) if s >> j & 1)
+                state = tuple([atoms[j] for j in _members(s)])
                 sets[s] = state, frozenset(state)
             out.append((*sets[s], tuple([v >> s & 1 for v in carried_vals])))
         out.sort(key=lambda move: move[0])

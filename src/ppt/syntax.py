@@ -19,7 +19,8 @@ memoised and used as dictionary keys freely.
 Every collection of atoms a caller gives (an alphabet, a trace state, a
 rule head, a loop, a mask, a vertex set, an atom pool) is read by
 `atom_tuple`, the one place that checks atom names and refuses a string
-where its letters would be taken for one-letter atoms.
+where its letters would be taken for one-letter atoms.  A rule kind, a
+section or a program rule of another type is refused by `instance_of`.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from typing import Iterable, Union
 
 __all__ = [
     "ATOM_RE", "RESERVED_WORDS", "Atom", "validate_atom", "atom_tuple",
+    "instance_of",
     "Falsum", "AtomRef", "Not", "And", "Or", "Previous", "Since", "Trigger",
     "Verum", "InitialConst", "FinalConst", "Implies", "Iff", "Always",
     "WeakNextAlways", "PastFormula", "ExtFormula",
     "FALSUM", "VERUM", "INITIAL_CONST", "FINAL_CONST", "CORE_TRUE",
     "INITIAL_EXPANSION",
     "RuleKind", "Rule", "Program",
-    "is_past_formula", "positive_atoms", "formula_atoms", "atoms_of",
+    "is_past_formula", "positive_atoms", "atoms_of",
     "is_literal_conjunction", "head_disjunction", "or_chain",
     "format_formula", "format_formulas", "format_nesting", "format_rule",
     "format_program",
@@ -85,6 +87,13 @@ def atom_tuple(value: Iterable[Atom], what: str) -> tuple[Atom, ...]:
     if isinstance(value, str):
         raise ValueError(f"{what} is a collection of atoms, not a string")
     return names
+
+
+def instance_of(value, cls: type, what: str):
+    """`value` when it is a `cls`; anything else is refused as `what`."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{what} must be a {cls.__name__}, not {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +214,6 @@ FINAL_CONST = FinalConst()
 CORE_TRUE = Not(FALSUM)
 INITIAL_EXPANSION = Not(Previous(Not(FALSUM)))
 
-_UNARY_TYPES = (Not, Previous, Always, WeakNextAlways)
-_BINARY_TYPES = (And, Or, Since, Trigger, Implies, Iff)
-
-
-def _children(f) -> tuple:
-    if isinstance(f, _UNARY_TYPES):
-        return (f.arg,)
-    if isinstance(f, _BINARY_TYPES):
-        return (f.lhs, f.rhs)
-    return ()
-
-
 def _core_atoms(f) -> set[Atom] | None:
     """The atoms of a core past formula; None when `f` has a node outside
     the core language anywhere."""
@@ -240,19 +237,6 @@ def _core_atoms(f) -> set[Atom] | None:
 def is_past_formula(f) -> bool:
     """True when `f` uses only the core past connectives."""
     return _core_atoms(f) is not None
-
-
-def formula_atoms(f) -> frozenset[Atom]:
-    """Atoms occurring anywhere in the formula."""
-    names = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if type(node) is AtomRef:
-            names.add(node.name)
-        else:
-            stack.extend(_children(node))
-    return frozenset(names)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +326,7 @@ class Rule:
     atoms: frozenset[Atom] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        instance_of(self.kind, RuleKind, "a rule kind")
         object.__setattr__(self, "head", atom_tuple(self.head, "a rule head"))
         names = _core_atoms(self.body)
         if names is None:
@@ -368,7 +353,8 @@ class Program:
     alphabet: frozenset[Atom] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "rules", tuple(
+            instance_of(r, Rule, "a program rule") for r in self.rules))
         occurring = atoms_of(self)
         if self.alphabet is None:
             object.__setattr__(self, "alphabet", occurring)

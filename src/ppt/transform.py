@@ -51,8 +51,8 @@ from .syntax import (
     Always, And, Atom, AtomRef, CORE_TRUE, ExtFormula, FALSUM, FINAL_CONST,
     Falsum, Iff, Implies, INITIAL_CONST, INITIAL_EXPANSION, Not, Or,
     PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, Verum,
-    VERUM, WeakNextAlways, atom_tuple, head_disjunction, or_chain,
-    positive_atoms,
+    VERUM, WeakNextAlways, atom_tuple, head_disjunction, instance_of,
+    or_chain, positive_atoms,
 )
 from .depgraph import enumerate_loops, section_graphs
 
@@ -184,6 +184,7 @@ def external_support(p: Program, section: RuleKind,
     negations of the head atoms outside the loop; false when no rule
     qualifies.
     """
+    instance_of(section, RuleKind, "a section")
     return _supports(p, section, _atom_refs(p))(
         frozenset(atom_tuple(loop, "a loop")))
 

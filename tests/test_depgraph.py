@@ -61,7 +61,7 @@ class TestDepGraphValue:
         assert enumerate_loops(g, unitary=True) == (frozenset("a"),
                                                    frozenset("b"))
 
-    @pytest.mark.parametrize("edge", [("a", "b", "a"), ("a",), "ab"])
+    @pytest.mark.parametrize("edge", [("a", "b", "a"), ("a",), "ab", 5])
     def test_edge_that_is_not_a_pair(self, edge):
         with pytest.raises(ValueError,
                            match=re.escape(f"edge {edge!r} is not a pair")):

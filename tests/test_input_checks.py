@@ -11,9 +11,9 @@ import pytest
 
 import ppt
 from ppt import (
-    Always, And, AtomRef, DepGraph, HTTrace, ParseError, Previous, Program,
-    Rule, RuleKind, Trace, enumerate_ltlf_models, external_support,
-    format_formula, ltlf_sat, parse_formula, parse_program,
+    Always, And, AtomRef, DepGraph, HTTrace, Or, ParseError, Previous,
+    Program, Rule, RuleKind, Trace, dependency_graph, enumerate_ltlf_models,
+    external_support, format_formula, ltlf_sat, parse_formula, parse_program,
     support_transform, three_valued,
 )
 from ppt.syntax import CORE_TRUE, VERUM
@@ -23,6 +23,7 @@ from ppt.verify import (
 )
 
 _ONE_POINT = HTTrace.total(Trace.of(["a"]))
+_LOOP = "a :- b. b :- a."
 
 # (id, call, exception type, the whole message as a regular expression)
 CASES = [
@@ -118,6 +119,48 @@ CASES = [
      re.escape("a mask base is a collection of atoms, not a string")),
     ("mask-string-state", lambda: TraceMask(frozenset(), 0, ("ab",)),
      ValueError, re.escape("a state is a collection of atoms, not a string")),
+    # A kind or section spelled as its string: the rule was built and
+    # then dropped from `Program.initial`, or failed on `kind.value`.
+    ("rule-string-kind",
+     lambda: Rule("initial", ("a",), AtomRef("b")), ValueError,
+     re.escape("a rule kind must be a RuleKind, not 'initial'")),
+    ("rule-string-kind-dynamic",
+     lambda: Rule("dynamic", ("a",), Previous(AtomRef("b"))), ValueError,
+     re.escape("a rule kind must be a RuleKind, not 'dynamic'")),
+    # The loop had no support, and the graph no edges.
+    ("external-support-string-section",
+     lambda: external_support(parse_program(_LOOP), "initial", {"a", "b"}),
+     ValueError, re.escape("a section must be a RuleKind, not 'initial'")),
+    ("dependency-graph-string-section",
+     lambda: dependency_graph(parse_program(_LOOP), "initial"),
+     ValueError, re.escape("a section must be a RuleKind, not 'initial'")),
+    ("depgraph-string-section", lambda: DepGraph({"a"}, [], "dynamic"),
+     ValueError, re.escape("a section must be a RuleKind, not 'dynamic'")),
+    ("edge-unhashable-end", lambda: DepGraph({"a"}, [("a", ["b"])]),
+     ValueError, re.escape("edge (a, ['b']) leaves the vertex set")),
+    ("program-rule-not-a-rule", lambda: Program((5,)),
+     ValueError, re.escape("a program rule must be a Rule, not 5")),
+    # The search names every uncovered atom, sorted, not the first met.
+    ("ltlf-alphabet-misses-atoms",
+     lambda: enumerate_ltlf_models(
+         [Or(AtomRef("c"), AtomRef("b")), AtomRef("a")], 1, ["a"]),
+     ValueError, re.escape("alphabet does not cover atoms: b, c")),
+    ("ltlf-wrapper-below-top",
+     lambda: enumerate_ltlf_models(
+         [And(AtomRef("a"), Always(AtomRef("a")))], 1, ["a"]),
+     ValueError,
+     re.escape("cannot evaluate Always below the top of a formula")),
+    # Both faults: the wrapper is reported, whichever the walk meets first.
+    ("ltlf-uncovered-atom-then-wrapper",
+     lambda: enumerate_ltlf_models(
+         [And(AtomRef("b"), Always(AtomRef("a")))], 1, ["a"]),
+     ValueError,
+     re.escape("cannot evaluate Always below the top of a formula")),
+    ("ltlf-wrapper-then-uncovered-atom",
+     lambda: enumerate_ltlf_models(
+         [And(Always(AtomRef("a")), AtomRef("b"))], 1, ["a"]),
+     ValueError,
+     re.escape("cannot evaluate Always below the top of a formula")),
 ]
 
 

@@ -1,6 +1,6 @@
 """Module hygiene of the `ppt` package: public names resolve, no module
 reaches into a sibling's private names, and every private module-level
-name is read in its own module."""
+name and every imported name is read in its own module."""
 
 import ast
 import importlib
@@ -56,12 +56,34 @@ def _private_definitions(tree):
         yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
 
 
+def _names_read(tree):
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_private_names_are_read(name):
     tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read = _names_read(tree)
     assert [n for n in _private_definitions(tree) if n not in read] == []
+
+
+def _imported_names(tree):
+    """The names bound by the module's imports, `__future__` left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name).partition(".")[0]
+                        for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imported_names_are_read(name):
+    # `__init__` imports only to re-export, so it is left out.
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    read = _names_read(tree)
+    assert [n for n in _imported_names(tree) if n not in read] == []
 
 
 @pytest.mark.parametrize("name", MODULES + ["__init__"])

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from ppt import (
-    And, AtomRef, BudgetExceeded, Previous, Program, Rule, RuleKind, Trace,
+    And, AtomRef, BudgetExceeded, Not, Previous, Program, Rule, RuleKind, Trace,
     completion, enumerate_ltlf_models, enumerate_ts_models, loop_formulas,
     parse_program, program_as_ltlf,
 )
@@ -53,6 +53,17 @@ def test_matches_oracle_on_random_programs():
                 _canonical(brute_force_ts_models(p, lam, alphabet)):
             mismatches.append(seed)
     assert mismatches == []
+
+
+def test_formulas_from_a_generator_read_as_from_a_list():
+    # Subformulas are keyed by identity; a formula freed during the walk
+    # let a later one reuse its address and read as the freed formula.
+    names = "abcdefgh"
+    expected = enumerate_ltlf_models(
+        [Not(AtomRef(n)) for n in names], 1, list(names))
+    assert expected == (Trace.of([]),)
+    assert enumerate_ltlf_models(
+        (Not(AtomRef(n)) for n in names), 1, list(names)) == expected
 
 
 def test_classical_search_matches_oracle_on_random_programs():
