@@ -8,6 +8,14 @@ exceeded.
 Models range over the program's own alphabet, the atoms its rules
 mention: an atom no rule mentions is in no stable model.
 
+Each command is declared once, in `_COMMANDS`: its handler, its help
+and the names of its arguments, whose `add_argument` keywords are in
+`_ARGUMENTS`.  `main` refuses a negative `--budget` or `--cases`, then
+reads the program if the command takes a file, then calls the handler.
+The bench tracer swaps the functions this module imports from the other
+layers for wrappers, so the tables reach them only through a handler
+or a lambda, which looks the name up when it is called.
+
 Each command builds its JSON payload itself, `verify` from the fields
 of its `Report`.  JSON output is byte for byte `json.dumps(obj,
 indent=2)`, written key by key.  A model set (a top-level value that is
@@ -101,26 +109,19 @@ def _emit(obj: dict) -> None:
     write("\n}\n")
 
 
-def _load(args):
+def _load(path: str):
     try:
-        source, name = _read_source(args.file)
+        source, name = _read_source(path)
     except (OSError, UnicodeDecodeError) as err:
         reason = getattr(err, "strerror", None) or err
-        raise _Fail(f"error: cannot read {args.file}: {reason}")
+        raise _Fail(f"error: cannot read {path}: {reason}")
     try:
         return parse_program(source)
     except ParseError as err:
         raise _Fail(f"{name}:{err.line}:{err.column}: error: {err.message}")
 
 
-def _budget(args) -> int | None:
-    if args.budget is not None and args.budget < 0:
-        raise _Fail(f"error: --budget must be nonnegative, got {args.budget}")
-    return args.budget
-
-
-def _cmd_check(args) -> int:
-    program = _load(args)
+def _cmd_check(program, args) -> int:
     tight = is_tight(program)
     info = {
         "rules": len(program.rules),
@@ -141,16 +142,13 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_models(args) -> int:
-    budget = _budget(args)
-    program = _load(args)
-    models = enumerate_ts_models(program, args.length, budget=budget)
+def _cmd_models(program, args) -> int:
+    models = enumerate_ts_models(program, args.length, budget=args.budget)
     _emit({"length": args.length, "models": models})
     return 0
 
 
-def _cmd_graph(args) -> int:
-    program = _load(args)
+def _cmd_graph(program, args) -> int:
     graphs = section_graphs(program)
     if args.json:
         _emit({g.section.value: sorted([a, b] for a, b in g.edges)
@@ -162,8 +160,7 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-def _cmd_loops(args) -> int:
-    program = _load(args)
+def _cmd_loops(program, args) -> int:
     found = {g.section.value: enumerate_loops(g, args.unitary)
              for g in section_graphs(program)}
     if args.json:
@@ -176,15 +173,9 @@ def _cmd_loops(args) -> int:
     return 0
 
 
-def _cmd_compile(args) -> int:
-    """`complete`, `lf` and `embed`: build and print one translation."""
-    program = _load(args)
-    if args.command == "complete":
-        pairs = sourced_completion(program)
-    elif args.command == "lf":
-        pairs = sourced_loop_formulas(program, args.unitary)
-    else:
-        pairs = sourced_program_as_ltlf(program)
+def _cmd_compile(pairs, args) -> int:
+    """`complete`, `lf` and `embed`: print one translation, given as
+    (formula, source) pairs."""
     formulas = [f for f, _ in pairs]
     if args.simplify:
         formulas = simplify_formulas(formulas)
@@ -198,11 +189,9 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    budget = _budget(args)
-    program = _load(args)
+def _cmd_verify(program, args) -> int:
     mode = _MODE_ALIASES[args.mode]
-    report = verify_correspondence(program, args.length, mode, budget)
+    report = verify_correspondence(program, args.length, mode, args.budget)
     _emit({"program": format_program(program),
            "length": args.length, "mode": mode,
            "tight": report.tight, "equal": report.equal,
@@ -211,26 +200,62 @@ def _cmd_verify(args) -> int:
     return 0 if report.equal else 2
 
 
-def _cmd_fuzz(args) -> int:
-    if args.cases < 0:
-        raise _Fail(f"error: --cases must be nonnegative, got {args.cases}")
+def _cmd_fuzz(_, args) -> int:
     results = {}
-    failures = 0
     if args.suite in ("correspondence", "all"):
         results["correspondence"] = run_correspondence_suite(
             args.cases, args.seed)
-        failures += results["correspondence"]["failures"]
     if args.suite in ("lemmas", "all"):
         for lemma in ("pastocc", "support"):
             results[f"lemma_{lemma}"] = run_lemma_suite(lemma, args.cases,
                                                         args.seed)
-            failures += results[f"lemma_{lemma}"]["failures"]
     if args.suite in ("semantics", "all"):
         results["semantics"] = run_semantics_suite(args.cases, args.seed)
-        failures += results["semantics"]["failures"]
-    results["failures"] = failures
+    results["failures"] = sum(r["failures"] for r in results.values())
     _emit(results)
-    return 0 if failures == 0 else 2
+    return 0 if results["failures"] == 0 else 2
+
+
+_ARGUMENTS = {
+    "file": {"help": "input .ppt file, or - for stdin"},
+    "--length": {"type": int, "required": True},
+    "--mode": {"choices": sorted(_MODE_ALIASES), "default": "loops"},
+    "--budget": {"type": int},
+    "--unitary": {"action": "store_true"},
+    "--simplify": {"action": "store_true"},
+    "--json": {"action": "store_true"},
+    "--cases": {"type": int, "default": 200},
+    "--seed": {"type": int, "default": 0},
+    "--suite": {"choices": ("correspondence", "lemmas", "semantics", "all"),
+                "default": "all"},
+}
+
+# `program` is None for a command without `file`.
+_COMMANDS = {
+    "check": (_cmd_check, "parse a program and report tightness",
+              ("file", "--json")),
+    "models": (_cmd_models, "enumerate temporal stable models",
+               ("file", "--length", "--budget")),
+    "graph": (_cmd_graph, "print the dependency graphs", ("file", "--json")),
+    "loops": (_cmd_loops, "enumerate loops per section",
+              ("file", "--unitary", "--json")),
+    "complete": (lambda program, args: _cmd_compile(
+                     sourced_completion(program), args),
+                 "print the temporal completion",
+                 ("file", "--simplify", "--json")),
+    "lf": (lambda program, args: _cmd_compile(
+               sourced_loop_formulas(program, args.unitary), args),
+           "print the loop formulas",
+           ("file", "--unitary", "--simplify", "--json")),
+    "embed": (lambda program, args: _cmd_compile(
+                  sourced_program_as_ltlf(program), args),
+              "print the rules as classical formulas",
+              ("file", "--simplify", "--json")),
+    "verify": (_cmd_verify, "check a correspondence on one program",
+               ("file", "--length", "--mode", "--budget")),
+    "fuzz": (_cmd_fuzz, "run the randomized suites",
+             ("--cases", "--seed", "--suite")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -238,70 +263,23 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ppt",
         description="Past-present temporal logic programs over finite traces.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(func=func)
-        return cmd
-
-    def file_arg(cmd):
-        cmd.add_argument("file", help="input .ppt file, or - for stdin")
-
-    cmd = add("check", _cmd_check, "parse a program and report tightness")
-    file_arg(cmd)
-    cmd.add_argument("--json", action="store_true")
-
-    cmd = add("models", _cmd_models, "enumerate temporal stable models")
-    file_arg(cmd)
-    cmd.add_argument("--length", type=int, required=True)
-    cmd.add_argument("--budget", type=int)
-
-    cmd = add("graph", _cmd_graph, "print the dependency graphs")
-    file_arg(cmd)
-    cmd.add_argument("--json", action="store_true")
-
-    cmd = add("loops", _cmd_loops, "enumerate loops per section")
-    file_arg(cmd)
-    cmd.add_argument("--unitary", action="store_true")
-    cmd.add_argument("--json", action="store_true")
-
-    cmd = add("complete", _cmd_compile, "print the temporal completion")
-    file_arg(cmd)
-    cmd.add_argument("--simplify", action="store_true")
-    cmd.add_argument("--json", action="store_true")
-
-    cmd = add("lf", _cmd_compile, "print the loop formulas")
-    file_arg(cmd)
-    cmd.add_argument("--unitary", action="store_true")
-    cmd.add_argument("--simplify", action="store_true")
-    cmd.add_argument("--json", action="store_true")
-
-    cmd = add("embed", _cmd_compile, "print the rules as classical formulas")
-    file_arg(cmd)
-    cmd.add_argument("--simplify", action="store_true")
-    cmd.add_argument("--json", action="store_true")
-
-    cmd = add("verify", _cmd_verify, "check a correspondence on one program")
-    file_arg(cmd)
-    cmd.add_argument("--length", type=int, required=True)
-    cmd.add_argument("--mode", choices=sorted(_MODE_ALIASES),
-                     default="loops")
-    cmd.add_argument("--budget", type=int)
-
-    cmd = add("fuzz", _cmd_fuzz, "run the randomized suites")
-    cmd.add_argument("--cases", type=int, default=200)
-    cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--suite", choices=("correspondence", "lemmas",
-                                         "semantics", "all"), default="all")
-
+    for command, (_, help_text, names) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        for name in names:
+            cmd.add_argument(name, **_ARGUMENTS[name])
     return top
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler, _, names = _COMMANDS[args.command]
     try:
-        code = args.func(args)
+        for flag in ("budget", "cases"):
+            count = getattr(args, flag, None)
+            if count is not None and count < 0:
+                raise _Fail(f"error: --{flag} must be nonnegative, got {count}")
+        program = _load(args.file) if "file" in names else None
+        code = handler(program, args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

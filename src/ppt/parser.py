@@ -124,12 +124,6 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> str:
-        return self.texts[self.pos]
-
-    def at(self, text: str) -> bool:
-        return self.texts[self.pos] == text
-
     def eat(self, *texts: str) -> bool:
         if self.texts[self.pos] in texts:
             self.pos += 1
@@ -137,7 +131,7 @@ class _Parser:
         return False
 
     def found(self) -> str:
-        text = self.peek()
+        text = self.texts[self.pos]
         return repr(text) if text else "end of input"
 
     def position(self, offset: int) -> tuple[int, int]:
@@ -178,7 +172,7 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def atom_name(self) -> str:
-        text = self.peek()
+        text = self.texts[self.pos]
         if not text.isidentifier():
             self.fail(f"expected an atom, found {self.found()}")
         if text in RESERVED_WORDS:
@@ -257,7 +251,7 @@ class _Parser:
 
     def directive(self) -> RuleKind:
         self.pos += 1  # the '#' that `program` saw
-        section = _SECTIONS.get(self.peek())
+        section = _SECTIONS.get(self.texts[self.pos])
         if section is None:
             self.fail("expected a section name (initial, dynamic or final), "
                       f"found {self.found()}")
@@ -268,7 +262,7 @@ class _Parser:
     def rule(self, section: RuleKind) -> Rule:
         start = body_start = self.pos
         head: tuple[str, ...] = ()
-        if not self.at(":-"):
+        if self.texts[self.pos] != ":-":
             head = self.head()
         body = CORE_TRUE
         if self.eat(":-"):
@@ -286,8 +280,8 @@ class _Parser:
     def program(self) -> Program:
         rules: list[Rule] = []
         section = RuleKind.INITIAL
-        while self.peek():
-            if self.at("#"):
+        while text := self.texts[self.pos]:
+            if text == "#":
                 section = self.directive()
             else:
                 rules.append(self.rule(section))
@@ -295,7 +289,7 @@ class _Parser:
 
     def formula(self):
         body = self.body()
-        if self.peek():
+        if self.texts[self.pos]:
             self.fail(f"expected end of input, found {self.found()}")
         return body
 

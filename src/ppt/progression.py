@@ -300,6 +300,8 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
     in the module docstring; past it, `BudgetExceeded` names the point
     reached.
     """
+    if not isinstance(lam, int):
+        raise ValueError(f"trace length must be an int, not {lam!r}")
     if lam < 1:
         raise ValueError("trace length must be at least 1")
     atoms = tuple(sorted(frozenset(atom_tuple(alphabet, "an alphabet"))))

@@ -184,10 +184,16 @@ def _evaluator(m: HTTrace, core: bool = False) -> _BitEvaluator:
 # Satisfaction
 # ---------------------------------------------------------------------------
 
-def ht_sat(m: HTTrace, k: int, f) -> bool:
-    """Satisfaction of a core past formula at point k of an HT-trace."""
+def _check_point(m: HTTrace, k: int) -> None:
+    if not isinstance(k, int):
+        raise ValueError(f"time point must be an int, not {k!r}")
     if not 0 <= k < len(m):
         raise IndexError(f"time point {k} outside [0, {len(m)})")
+
+
+def ht_sat(m: HTTrace, k: int, f) -> bool:
+    """Satisfaction of a core past formula at point k of an HT-trace."""
+    _check_point(m, k)
     ev = _evaluator(m, core=True)
     return bool(ev.eval(f, ev.h is ev.t) >> k & 1)
 
@@ -196,8 +202,7 @@ def formula_sat(m: HTTrace, k: int, f) -> bool:
     """Satisfaction of an emitted formula at point k of an HT-trace:
     its wrapper read by `progression.placement`, the connectives below
     classical, negation reading T, and both sides required."""
-    if not 0 <= k < len(m):
-        raise IndexError(f"time point {k} outside [0, {len(m)})")
+    _check_point(m, k)
     return _holds(_evaluator(m), k, f)
 
 
@@ -253,8 +258,7 @@ def three_valued(m: HTTrace, k: int, f) -> int:
     satisfaction on <T, T>.  Conjunction and disjunction are min and
     max; since and trigger follow the quantified min/max presentation.
     """
-    if not 0 <= k < len(m):
-        raise IndexError(f"time point {k} outside [0, {len(m)})")
+    _check_point(m, k)
     if not is_past_formula(f):
         raise ValueError("three_valued only accepts core past formulas")
     memo: dict[tuple[int, int], int] = {}

@@ -175,6 +175,8 @@ class GenConfig:
 def random_past_formula(rng: random.Random, atoms, depth: int) -> PastFormula:
     """A random core past formula of at most the given depth."""
     atoms = atom_tuple(atoms, "an atom pool")
+    if not atoms:
+        raise ValueError("an atom pool must not be empty")
 
     def leaf() -> PastFormula:
         if rng.random() < 0.08:
@@ -316,6 +318,11 @@ def verify_correspondence(p: Program, lam: int, mode: str,
 # Batch suites
 # ---------------------------------------------------------------------------
 
+def _check_cases(cases: int) -> None:
+    if not isinstance(cases, int) or cases < 0:
+        raise ValueError(f"cases must be a nonnegative int, got {cases!r}")
+
+
 def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
     """Seeded correspondence batch over random programs.
 
@@ -324,6 +331,7 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
     tight, and equality for the two loop-formula modes, each read off
     that mode's `Report`.
     """
+    _check_cases(cases)
     rng = random.Random(seed)
     summary = {
         "cases": cases,
@@ -402,6 +410,7 @@ def run_lemma_suite(lemma: str, cases: int = 10_000, seed: int = 0) -> dict:
     """
     if lemma not in ("support", "pastocc"):
         raise ValueError(f"unknown lemma {lemma!r}")
+    _check_cases(cases)
     support = lemma == "support"
     rng = random.Random(seed)
     atoms = _ATOM_POOL[:3]
@@ -443,6 +452,7 @@ def run_semantics_suite(cases: int = 10_000, seed: int = 0) -> dict:
     one-step unfoldings of since (with previous) and trigger (with weak
     previous) must agree with the direct connectives.
     """
+    _check_cases(cases)
     rng = random.Random(seed)
     atoms = _ATOM_POOL[:3]
     summary = {"cases": cases, "seed": seed,

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ppt
 
-from ppt import Trace
+from ppt import Trace, cli
 from ppt.cli import _emit, main
 from ppt.parser import MAX_NESTING
 from ppt.syntax import RESERVED_WORDS
@@ -162,9 +163,16 @@ class TestUsageErrors:
         assert (code, out) == (1, "")
         assert err == "error: --cases must be nonnegative, got -3\n"
 
-    @pytest.mark.parametrize("command", ["models", "verify"])
-    def test_negative_budget(self, capsys, p1_file, command):
-        code, out, err = run(capsys, command, p1_file, "--length", "2",
+    # The counts are checked before the file is read: a missing file
+    # with a negative budget is reported as the budget.
+    @pytest.mark.parametrize("command, missing", [
+        ("models", False), ("verify", False), ("models", True),
+        ("verify", True),
+    ], ids=["models", "verify", "models-missing-file", "verify-missing-file"])
+    def test_negative_budget(self, capsys, tmp_path, p1_file, command,
+                             missing):
+        path = str(tmp_path / "missing.ppt") if missing else p1_file
+        code, out, err = run(capsys, command, path, "--length", "2",
                              "--budget", "-1")
         assert (code, out) == (1, "")
         assert err == "error: --budget must be nonnegative, got -1\n"
@@ -175,6 +183,57 @@ class TestUsageErrors:
                              "--budget", "0")
         assert (code, out) == (3, "")
         assert "budget of 0 units" in err
+
+    def test_arguments_of_each_command(self):
+        # Each command's help and arguments in order, read as data from
+        # the parser: option strings, dest, type, default, required,
+        # choices and help.
+        file = ((), "file", None, None, True, None,
+                "input .ppt file, or - for stdin")
+        flag = {
+            "json": (("--json",), "json", None, False, False, None, None),
+            "unitary": (("--unitary",), "unitary", None, False, False, None,
+                        None),
+            "simplify": (("--simplify",), "simplify", None, False, False,
+                         None, None),
+            "length": (("--length",), "length", int, None, True, None, None),
+            "budget": (("--budget",), "budget", int, None, False, None, None),
+        }
+        expected = [
+            ("check", "parse a program and report tightness",
+             [file, flag["json"]]),
+            ("models", "enumerate temporal stable models",
+             [file, flag["length"], flag["budget"]]),
+            ("graph", "print the dependency graphs", [file, flag["json"]]),
+            ("loops", "enumerate loops per section",
+             [file, flag["unitary"], flag["json"]]),
+            ("complete", "print the temporal completion",
+             [file, flag["simplify"], flag["json"]]),
+            ("lf", "print the loop formulas",
+             [file, flag["unitary"], flag["simplify"], flag["json"]]),
+            ("embed", "print the rules as classical formulas",
+             [file, flag["simplify"], flag["json"]]),
+            ("verify", "check a correspondence on one program",
+             [file, flag["length"],
+              (("--mode",), "mode", None, "loops", False,
+               ["completion", "loops", "unitary"], None),
+              flag["budget"]]),
+            ("fuzz", "run the randomized suites",
+             [(("--cases",), "cases", int, 200, False, None, None),
+              (("--seed",), "seed", int, 0, False, None, None),
+              (("--suite",), "suite", None, "all", False,
+               ("correspondence", "lemmas", "semantics", "all"), None)]),
+        ]
+        sub = next(action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        found = []
+        for choice in sub._choices_actions:
+            actions = sub.choices[choice.dest]._actions
+            assert isinstance(actions[0], argparse._HelpAction)
+            found.append((choice.dest, choice.help, [
+                (tuple(a.option_strings), a.dest, a.type, a.default,
+                 a.required, a.choices, a.help) for a in actions[1:]]))
+        assert found == expected
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -13,13 +13,14 @@ import ppt
 from ppt import (
     Always, And, AtomRef, DepGraph, HTTrace, Or, ParseError, Previous,
     Program, Rule, RuleKind, Trace, dependency_graph, enumerate_ltlf_models,
-    external_support, format_formula, ltlf_sat, parse_formula, parse_program,
-    support_transform, three_valued,
+    enumerate_ts_models, external_support, format_formula, ht_sat, ltlf_sat,
+    parse_formula, parse_program, support_transform, three_valued,
+    verify_correspondence,
 )
 from ppt.syntax import CORE_TRUE, VERUM
 from ppt.verify import (
     GenConfig, TraceMask, random_httrace, random_past_formula,
-    run_lemma_suite,
+    run_correspondence_suite, run_lemma_suite, run_semantics_suite,
 )
 
 _ONE_POINT = HTTrace.total(Trace.of(["a"]))
@@ -161,6 +162,35 @@ CASES = [
          [And(Always(AtomRef("a")), AtomRef("b"))], 1, ["a"]),
      ValueError,
      re.escape("cannot evaluate Always below the top of a formula")),
+    # A length or time point of the wrong type: a stray TypeError.
+    ("ltlf-float-length", lambda: enumerate_ltlf_models([], 2.0, ["a"]),
+     ValueError, re.escape("trace length must be an int, not 2.0")),
+    ("ts-string-length",
+     lambda: enumerate_ts_models(parse_program("a."), "3"),
+     ValueError, re.escape("trace length must be an int, not '3'")),
+    ("verify-float-length",
+     lambda: verify_correspondence(Program(()), 1.5, "completion"),
+     ValueError, re.escape("trace length must be an int, not 1.5")),
+    ("ht-sat-float-point", lambda: ht_sat(_ONE_POINT, 0.0, AtomRef("a")),
+     ValueError, re.escape("time point must be an int, not 0.0")),
+    ("three-valued-float-point",
+     lambda: three_valued(_ONE_POINT, 0.0, AtomRef("a")),
+     ValueError, re.escape("time point must be an int, not 0.0")),
+    ("ltlf-sat-string-point",
+     lambda: ltlf_sat(Trace.of(["a"]), "0", AtomRef("a")),
+     ValueError, re.escape("time point must be an int, not '0'")),
+    # An IndexError from `rng.choice`.
+    ("random-formula-empty-pool",
+     lambda: random_past_formula(random.Random(1), [], 3), ValueError,
+     re.escape("an atom pool must not be empty")),
+    # A summary with a negative `cases` and a `skip_rate` of -0.0.
+    ("correspondence-suite-negative-cases",
+     lambda: run_correspondence_suite(-1), ValueError,
+     re.escape("cases must be a nonnegative int, got -1")),
+    ("lemma-suite-negative-cases", lambda: run_lemma_suite("support", -2),
+     ValueError, re.escape("cases must be a nonnegative int, got -2")),
+    ("semantics-suite-negative-cases", lambda: run_semantics_suite(-2),
+     ValueError, re.escape("cases must be a nonnegative int, got -2")),
 ]
 
 
