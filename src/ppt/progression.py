@@ -42,10 +42,10 @@ total values at k of the carried slots; `I` is false there and `F`
 reads whether k + 1 is the last point.  By induction over the node
 array, the total values at k + 1 are functions of the state, the
 carried vector at k and that bit, and so are the survivors (the
-required formulas hold) and their carried vectors.  The here pass at
-k + 1 reads the same slots at k (H = T before k + 1) and, through
-negation, the total values at k + 1, so the minimality verdict is such
-a function too.  The second sentence follows by induction on the number
+required formulas hold) and their carried vectors.  The minimality
+test at k + 1 reads the same slots at k (H = T before k + 1) and,
+through negation, the total values at k + 1, so its verdict is such a
+function too.  The second sentence follows by induction on the number
 of points left.
 
 So the search is a forward pass over layers: layer k holds the carried
@@ -63,14 +63,62 @@ give the carried vector after it, so the paths are distinct, and
 paths of equal length visited that way come out in lexicographic
 order: the canonical order of model sets, with no sort.
 
+Where each rule of a point has one head atom, minimality is a least
+fixpoint: the temporal form of "a stable model of a normal program is
+the least model of its reduct" (Gelfond and Lifschitz, ICLP 1988).  A
+required root is normal when it is an atom (a fact), `body -> a` (a
+rule), or `body -> false` or `F -> (body -> false)` (a constraint),
+and every node of its body is core: an atom, `false`, `not`, `and`,
+`or`, `prev`, `since` or `trigger`.  This is decided once per search
+for the roots of point 0 and for those of the later points; a point
+with any other root, such as an `or` head, keeps the subset pass.
+
+    Lemma 3.  Let the roots of point k be normal, T a trace on which
+    they hold at k, and H = T before k.  Then T_k passes the test of
+    Lemma 1 iff T_k is the least fixpoint of the map G that takes H_k
+    to the facts of point k and the heads of its rules whose body
+    holds at k on <H, T>.
+
+Proof.  The here-value at k of a core past body is monotone in H_k:
+atoms read H_k, `and`, `or`, `since` and `trigger` are monotone in
+their arguments at k, negation reads T, and `prev` and the carries of
+`since` and `trigger` read T before k.  So G is monotone and has a
+least fixpoint, reached from the empty state.  A constraint that holds
+on <T, T> holds on <H, T> for every H_k within T_k, by persistence.
+So for such H_k the rules of point k hold on <H, T> iff G(H_k) is
+within H_k, and these states are closed under intersection.  The least
+fixpoint is the least state whose image lies within it (Knaster and
+Tarski), and G(T_k) is within T_k, as the rules hold on <T, T>; so some
+H_k strictly inside T_k passes iff the least fixpoint is not T_k.
+
+The fixpoint runs over all 2^n candidate states at once, with one int
+H_j per atom whose bit s says whether atom j is in the iterate at
+candidate s.  H_j starts at 0; each round is one `_evaluate` with the
+H ints as atom values and negation reading the total pass, and sets
+H_j to the OR of the bodies of the rules with head j (all ones for a
+fact), until no H_j changes.  An iterate grows at most n times, so at
+most n + 1 rounds run.  The survivors that pass are those where every
+H_j equals the atom vector of j, and only they are read out.
+
+A round costs what one survivor's subset pass is charged, so the gain
+depends on how many states survive the total pass.  A normal point
+takes the fixpoint only when its survivors outnumber the n + 1 rounds
+(`_fixpoint_pays`); with no more, as where a chain of positive rules
+leaves one state, it keeps the subset pass, and its charges are those
+of a point that is not normal.
+
 With c carried slots there are at most 1 + 2^(c+1) total passes, each
-over 2^n states (n = alphabet size), and the minimality test costs at
-most 3^n here-states per total pass, however many prefixes share the
-vector.  The layers cost lam times the moves of one layer, and reading
-off costs the size of the output.  The budget counts work units before
-the work is done: lam up front, one per layer; 2^n per total pass;
-2^n per state that survives a total pass, which pays for reading its
-bits out of the 2^n-bit values and for its here pass; one per move
+over 2^n states (n = alphabet size), however many prefixes share a
+vector.  On the stable side a point that takes the fixpoint adds at
+most n + 1 rounds over the same 2^n states; any other point gives each
+surviving state s a subset pass over the 2^|s| subsets of s, up to 3^n
+here-states per total pass.  The layers cost lam times the moves of one
+layer, and reading off costs the size of the output.  The budget counts
+work units before the work is done: lam up front, one per layer; 2^n
+per total pass; 2^n per fixpoint round; 2^n per state read out of a
+total pass, which pays for reading its carried bits out of the 2^n-bit
+values and, at a point that keeps the subset pass, for its here values
+and its subset pass, so there every survivor is charged; one per move
 walked into a layer; and lam per model, before it is read off.  A
 count of the 2^(n*lam) candidate traces would refuse long traces that
 the layers make cheap, yet admit a short trace over a wide alphabet
@@ -84,12 +132,13 @@ walk ends, so a formula list with both faults reports the wrapper.  The
 value of a node at point k depends on its children at k and on total
 values at k - 1.  Values are computed as ints over candidate states: in
 the total pass bit s is the value when the state at k is s, for all
-2^n states at once.  On the stable side each surviving state s then
-gets one here pass over the 2^|s| subsets of s, where atoms take their
-values from the subset, negation reads the total values at k, and
-previous, since and trigger read the total values at k - 1 (H = T
-before k).  Previous is false at point 0, but the trigger carry starts
-out true.
+2^n states at once.  A fixpoint round computes values over the same
+candidates, and a subset pass over the subsets of one state: atoms
+take their values from the iterate or the subset, negation reads the
+total values at k as `full ^ there[a]`, and previous, since and trigger
+read the total values at k - 1 (H = T before k).  The subset pass hands
+`there` as all ones or 0 per node, the total bit of its state.
+Previous is false at point 0, but the trigger carry starts out true.
 """
 
 from __future__ import annotations
@@ -240,20 +289,18 @@ def _evaluate(nodes, atoms: list[int], full: int, before, there,
     `before` holds the total values at the previous point, or is None at
     point 0; `at_end` says whether this is the last point.  `there` is
     None in the total pass; in a here pass it holds the total values at
-    this point, which negation reads.
+    this point over the same candidates, which negation reads.
     """
     vals: list[int] = []
     push = vals.append
+    negated = vals if there is None else there
     for i, (op, a, b) in enumerate(nodes):
         if op == _AND:
             push(vals[a] & vals[b])
         elif op == _ATOM:
             push(atoms[a])
         elif op == _NOT:
-            if there is None:
-                push(full ^ vals[a])
-            else:
-                push(0 if there[a] else full)
+            push(full ^ negated[a])
         elif op == _OR:
             push(vals[a] | vals[b])
         elif op == _IMPLIES:
@@ -283,6 +330,48 @@ def _evaluate(nodes, atoms: list[int], full: int, before, there,
     return vals
 
 
+def _normal_rules(nodes, roots):
+    """(head atom, body slot) of each rule among the roots, with body None
+    for a fact and constraints left out; None when some root is none of
+    these or has a body outside the core language (see Lemma 3)."""
+    core: list[bool] = []
+    for op, a, b in nodes:
+        if op == _ATOM or op == _FALSE:
+            core.append(True)
+        elif op == _NOT or op == _PREV:
+            core.append(core[a])
+        else:
+            core.append(op in (_AND, _OR, _SINCE, _TRIGGER)
+                        and core[a] and core[b])
+    rules = []
+    for root in roots:
+        op, a, b = nodes[root]
+        if op == _ATOM:
+            rules.append((a, None))
+            continue
+        if op == _IMPLIES and nodes[a][0] == _FINAL:
+            # The final rule F -> (body -> false).
+            op, a, b = nodes[b]
+            if op != _IMPLIES or nodes[b][0] != _FALSE:
+                return None
+        if op != _IMPLIES or not core[a]:
+            return None
+        head_op, j, _ = nodes[b]
+        if head_op == _ATOM:
+            rules.append((j, a))
+        elif head_op != _FALSE:
+            return None
+    return rules
+
+
+def _fixpoint_pays(survivors: int, n: int) -> bool:
+    """Whether a normal point takes the least fixpoint rather than the
+    subset pass: when its survivors outnumber the n + 1 rounds that the
+    fixpoint runs at most, as each round is charged what one survivor's
+    subset pass is."""
+    return survivors > n + 1
+
+
 def _members(mask: int) -> list[int]:
     """Positions of the set bits of a nonnegative int, ascending."""
     digits = bin(mask)[:1:-1]
@@ -304,10 +393,13 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
         raise ValueError(f"trace length must be an int, not {lam!r}")
     if lam < 1:
         raise ValueError("trace length must be at least 1")
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    elif not isinstance(budget, int) or budget < 0:
+        raise ValueError(f"budget must be a nonnegative int, got {budget!r}")
     atoms = tuple(sorted(frozenset(atom_tuple(alphabet, "an alphabet"))))
     nodes, at_start, later, carried = _flatten(
         formulas, {name: j for j, name in enumerate(atoms)})
-    budget = DEFAULT_BUDGET if budget is None else budget
     spent = 0
     found: list[Trace] = []
     last = lam - 1
@@ -326,7 +418,7 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
     width = 1 << len(atoms)
     atom_vectors = functools.cache(_atom_vectors)
 
-    def smaller_here_state(required, s: int, before, there,
+    def smaller_here_state(required, s: int, before, total,
                            at_end: bool) -> bool:
         # Atoms of s are ranked: bit r of a subset index stands for the
         # r-th atom of s, so the subset index all-ones is s itself.
@@ -336,6 +428,7 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
         for j, vec in zip(members, atom_vectors(size)):
             here_atoms[j] = vec
         here_full = (1 << (1 << size)) - 1
+        there = [here_full if v >> s & 1 else 0 for v in total]
         vals = _evaluate(nodes, here_atoms, here_full, before, there, at_end)
         ok = here_full >> 1
         for root in required:
@@ -344,6 +437,29 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
                 return False
         return True
 
+    def least_fixpoint(rules, full: int, before, vals, at_end: bool,
+                       point: int) -> list[int]:
+        # Lemma 3: bit s of entry j is set when atom j is in the least
+        # here-state of the rules at candidate s.
+        # G is monotone, so the iterates settle within n + 1 rounds.
+        here = [0] * len(atoms)
+        for _ in range(len(atoms) + 1):
+            charge(width, point)
+            here_vals = _evaluate(nodes, here, full, before, vals, at_end)
+            heads = [0] * len(atoms)
+            for j, body in rules:
+                heads[j] |= full if body is None else here_vals[body]
+            if heads == here:
+                break
+            here = heads
+        return here
+
+    # On the stable side, the rules of point 0 and of the later points
+    # where all roots are normal, or None where they are not (Lemma 3).
+    start_rules = later_rules = None
+    if minimal:
+        start_rules = _normal_rules(nodes, at_start)
+        later_rules = _normal_rules(nodes, later)
     sets: dict[int, tuple[tuple[str, ...], frozenset[str]]] = {}
     moves: dict[tuple[object, bool], list] = {}
 
@@ -354,24 +470,34 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
         charge(width, point)
         if key is None:
             before = None
-            required = at_start
+            required, rules = at_start, start_rules
         else:
             before = [0] * len(nodes)
             for slot, value in zip(carried, key):
                 before[slot] = value
-            required = later
+            required, rules = later, later_rules
         full = (1 << width) - 1
-        vals = _evaluate(nodes, atom_vectors(len(atoms)), full, before, None,
-                         at_end)
+        vectors = atom_vectors(len(atoms))
+        vals = _evaluate(nodes, vectors, full, before, None, at_end)
         ok = full
         for root in required:
             ok &= vals[root]
-        charge(width * ok.bit_count(), point)
+        survivors = ok.bit_count()
+        fixpoint = rules is not None and _fixpoint_pays(survivors, len(atoms))
+        if fixpoint:
+            least = least_fixpoint(rules, full, before, vals, at_end, point)
+            for here, vec in zip(least, vectors):
+                ok &= ~(here ^ vec)
+            survivors = ok.bit_count()
+        # 2^n per state still surviving: it pays for reading the state
+        # out and, where the subset pass runs, for that pass too.
+        charge(width * survivors, point)
+        subset_pass = minimal and not fixpoint
         carried_vals = [vals[slot] for slot in carried]
         out = []
         for s in _members(ok):
-            if minimal and s and smaller_here_state(
-                    required, s, before, [v >> s & 1 for v in vals], at_end):
+            if subset_pass and s and smaller_here_state(
+                    required, s, before, vals, at_end):
                 continue
             if s not in sets:
                 state = tuple([atoms[j] for j in _members(s)])

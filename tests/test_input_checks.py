@@ -179,6 +179,23 @@ CASES = [
     ("ltlf-sat-string-point",
      lambda: ltlf_sat(Trace.of(["a"]), "0", AtomRef("a")),
      ValueError, re.escape("time point must be an int, not '0'")),
+    # A budget that is not a nonnegative int: a BudgetExceeded naming
+    # it, or a stray TypeError from the first charge.
+    ("ts-negative-budget",
+     lambda: enumerate_ts_models(parse_program("a."), 1, budget=-1),
+     ValueError, re.escape("budget must be a nonnegative int, got -1")),
+    ("ltlf-negative-budget",
+     lambda: enumerate_ltlf_models([], 1, ["a"], -3),
+     ValueError, re.escape("budget must be a nonnegative int, got -3")),
+    ("ts-float-budget",
+     lambda: enumerate_ts_models(parse_program("a."), 1, budget=2.5),
+     ValueError, re.escape("budget must be a nonnegative int, got 2.5")),
+    ("ltlf-string-budget",
+     lambda: enumerate_ltlf_models([], 1, ["a"], "10"),
+     ValueError, re.escape("budget must be a nonnegative int, got '10'")),
+    ("verify-negative-budget",
+     lambda: verify_correspondence(Program(()), 1, "completion", -1),
+     ValueError, re.escape("budget must be a nonnegative int, got -1")),
     # An IndexError from `rng.choice`.
     ("random-formula-empty-pool",
      lambda: random_past_formula(random.Random(1), [], 3), ValueError,

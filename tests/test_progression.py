@@ -6,14 +6,15 @@ import tracemalloc
 
 import pytest
 
+import ppt.progression
 from ppt import (
-    And, AtomRef, BudgetExceeded, Not, Previous, Program, Rule, RuleKind, Trace,
-    completion, enumerate_ltlf_models, enumerate_ts_models, loop_formulas,
-    parse_program, program_as_ltlf,
+    Always, And, AtomRef, BudgetExceeded, Implies, Not, Previous, Program,
+    Rule, RuleKind, Trace, WeakNextAlways, completion, enumerate_ltlf_models,
+    enumerate_ts_models, loop_formulas, parse_program, program_as_ltlf,
 )
 from ppt.progression import search
-from ppt.syntax import CORE_TRUE
-from ppt.verify import GenConfig, random_program
+from ppt.syntax import CORE_TRUE, FALSUM, FINAL_CONST
+from ppt.verify import GenConfig, random_past_formula, random_program
 
 from oracles import brute_force_ltlf_models, brute_force_ts_models
 
@@ -83,6 +84,56 @@ def test_classical_search_matches_oracle_on_random_programs():
     assert mismatches == []
 
 
+def _random_normal_case(seed: int):
+    """Formulas in the shapes `transform.rule_formula` gives a fact, a
+    rule with one head atom, a constraint and a final rule, each body a
+    random core past formula, under a random top wrapper; with up to 6
+    atoms and a length of up to 3."""
+    rng = random.Random(seed)
+    atoms = ("a", "b", "c", "d", "e", "f")[:rng.randint(1, 6)]
+    formulas = []
+    for _ in range(rng.randint(0, 8)):
+        body = random_past_formula(rng, atoms, rng.randint(0, 3))
+        shape = rng.choices(("fact", "rule", "constraint", "final"),
+                            (10, 60, 15, 15))[0]
+        if shape == "final":
+            formulas.append(
+                Always(Implies(FINAL_CONST, Implies(body, FALSUM))))
+            continue
+        if shape == "fact":
+            core = AtomRef(rng.choice(atoms))
+        elif shape == "rule":
+            core = Implies(body, AtomRef(rng.choice(atoms)))
+        else:
+            core = Implies(body, FALSUM)
+        wrapper = rng.choice((None, WeakNextAlways, Always))
+        formulas.append(core if wrapper is None else wrapper(core))
+    return formulas, atoms, rng.randint(1, 3)
+
+
+def test_least_fixpoint_keeps_what_the_subset_pass_keeps(monkeypatch):
+    # Lemma 3: where every root is normal, the least fixpoint of the
+    # rules keeps exactly the states that have no smaller here-state.
+    # Each normal point is sent to the fixpoint whatever its survivors,
+    # then every point to the subset pass.
+    cases = [_random_normal_case(seed) for seed in range(2000)]
+
+    def stable_models():
+        return [search(fs, lam, atoms, minimal=True)
+                for fs, atoms, lam in cases]
+
+    found = stable_models()
+    monkeypatch.setattr(ppt.progression, "_fixpoint_pays", lambda *_: True)
+    by_fixpoint = stable_models()
+    # Minimality rejects a classical model in most of the cases whose
+    # classical models are few enough to list quickly.
+    assert sum(models != search(fs, lam, atoms) for models, (fs, atoms, lam)
+               in zip(by_fixpoint, cases) if len(atoms) * lam <= 8) > 800
+    monkeypatch.setattr(ppt.progression, "_normal_rules",
+                        lambda nodes, roots: None)
+    assert found == by_fixpoint == stable_models()
+
+
 @pytest.mark.parametrize("atoms, lam, cases",
                          [(3, 4, 24), (4, 3, 24), (4, 4, 4)])
 def test_matches_oracle_at_the_largest_sizes(atoms, lam, cases):
@@ -135,14 +186,18 @@ class TestEdgeCases:
         with pytest.raises(BudgetExceeded):
             brute_force_ts_models(p1, 7)
         assert len(enumerate_ts_models(p1, 7)) == 122
-        # At length 1 a dynamic 22-atom cycle has 2^22 candidates, but
-        # every state survives point 0, and each survivor is charged
-        # 2^22 units for its minimality test.
-        cycle = parse_program("#dynamic.\n" + "".join(
-            f"a{i} :- a{(i + 1) % 22}.\n" for i in range(22)))
+        # At length 1 a dynamic 22-atom cycle has 2^22 candidates, and
+        # every state survives point 0, which requires no rule; the
+        # least fixpoint tests them all in one round of 2^22 units.
+        cycle = "#dynamic.\n" + "".join(f"a{i} :- a{(i + 1) % 22}.\n"
+                                        for i in range(22))
+        assert enumerate_ts_models(parse_program(cycle), 1) == (
+            Trace.of([]),)
+        # A disjunctive fact at point 0 sends it to the subset pass: 3/4
+        # of the states survive, each charged 2^22 units for its pass.
         with pytest.raises(BudgetExceeded, match="budget of 16777216 units "
                                                  "at point 0 of 1,"):
-            enumerate_ts_models(cycle, 1)
+            enumerate_ts_models(parse_program("a0 | a1.\n" + cycle), 1)
 
     def test_budget_message_counts_models_read_off(self):
         # Each model read off is charged before it is appended: the
@@ -150,7 +205,7 @@ class TestEdgeCases:
         p = parse_program(CHOICE2_TEXT)
         with pytest.raises(BudgetExceeded, match="at point 0 of 1, with 3 "
                                                  "models read off"):
-            enumerate_ts_models(p, 1, budget=164)
+            enumerate_ts_models(p, 1, budget=116)
 
     def test_long_trace_over_empty_alphabet(self):
         assert enumerate_ts_models(Program(()), 5000) == (
@@ -206,8 +261,8 @@ CHOICE2_TEXT = CHOICE_PAIRS + "#dynamic.\n" + CHOICE_PAIRS
 # The smallest budget each search passes, per length 1, 2, 3, 5, 8: the
 # stable side, then the classical side on the completion.
 LEAST_BUDGETS = {
-    "P1": ((81, 229, 461, 699, 3570), (17, 69, 157, 299, 3170)),
-    "choice2": ((165, 358, 683, 5621, 524804), (85, 198, 443, 5381, 524564)),
+    "P1": ((81, 149, 381, 619, 3490), (17, 69, 157, 299, 3170)),
+    "choice2": ((117, 262, 539, 5477, 524660), (85, 198, 443, 5381, 524564)),
 }
 
 
@@ -251,3 +306,36 @@ class TestBeyondTheOracle:
             p.alphabet)
         assert len(stable) == 2 ** 14
         assert unitary == stable
+
+    def test_wide_dynamic_cycle(self):
+        # Only the empty state is founded at each point.  Point 0
+        # requires no rule, so all 2^20 states survive and one fixpoint
+        # round tests them; at point 1 only the empty and the full state
+        # survive, and each takes the subset pass.  Each point costs a
+        # few passes over 2^20 states, well within the default budget.
+        cycle = parse_program("#dynamic.\n" + "".join(
+            f"a{i} :- a{(i + 1) % 20}.\n" for i in range(20)))
+        assert enumerate_ts_models(cycle, 2) == (Trace.of([], []),)
+
+    def test_wide_chain_with_one_survivor(self):
+        # One state survives the total pass, so the point keeps the
+        # subset pass rather than n + 1 fixpoint rounds: the length, the
+        # total pass, the survivor's pass with its read-out, and the
+        # model, 2^21 + 2 units under the default budget of 2^24.
+        chain = parse_program("a0.\n" + "".join(
+            f"a{i} :- a{i - 1}.\n" for i in range(1, 20)))
+        model = (Trace.of([f"a{i}" for i in range(20)]),)
+        assert enumerate_ts_models(chain, 1) == model
+        assert enumerate_ts_models(chain, 1, budget=2 ** 21 + 2) == model
+        with pytest.raises(BudgetExceeded):
+            enumerate_ts_models(chain, 1, budget=2 ** 21 + 1)
+
+    def test_eight_choices_at_length_one(self):
+        # 16 atoms: a total pass, two fixpoint rounds and 256 read-offs
+        # at 2^16 units each, and one unit up front and per model; more
+        # than the default budget of 2^24.
+        pairs = "".join(f"x{i} :- not nx{i}.\nnx{i} :- not x{i}.\n"
+                        for i in range(8))
+        models = enumerate_ts_models(parse_program(pairs), 1,
+                                     budget=259 * 2 ** 16 + 257)
+        assert len(models) == 256
