@@ -69,9 +69,8 @@ the least model of its reduct" (Gelfond and Lifschitz, ICLP 1988).  A
 required root is normal when it is an atom (a fact), `body -> a` (a
 rule), or `body -> false` or `F -> (body -> false)` (a constraint),
 and every node of its body is core: an atom, `false`, `not`, `and`,
-`or`, `prev`, `since` or `trigger`.  This is decided once per search
-for the roots of point 0 and for those of the later points; a point
-with any other root, such as an `or` head, keeps the subset pass.
+`or`, `prev`, `since` or `trigger`.  A point with any other root, such
+as an `or` head, keeps the subset pass.
 
     Lemma 3.  Let the roots of point k be normal, T a trace on which
     they hold at k, and H = T before k.  Then T_k passes the test of
@@ -100,29 +99,31 @@ fact), until no H_j changes.  An iterate grows at most n times, so at
 most n + 1 rounds run.  The survivors that pass are those where every
 H_j equals the atom vector of j, and only they are read out.
 
-A round costs what one survivor's subset pass is charged, so the gain
-depends on how many states survive the total pass.  A normal point
-takes the fixpoint only when its survivors outnumber the n + 1 rounds
-(`_fixpoint_pays`); with no more, as where a chain of positive rules
-leaves one state, it keeps the subset pass, and its charges are those
-of a point that is not normal.
+So a point runs a total pass over the 2^n states, then the minimality
+test of its phase, picked once per search: `keep_all` on the classical
+side, `least_fixpoint` where the roots are normal, else `subset_pass`
+(Lemma 1, state by state).  Each takes the mask of the survivors of the
+total pass and returns the mask of those that pass.  A fixpoint round
+costs what one survivor's subset pass does, so `least_fixpoint` hands a
+point with at most n + 1 survivors, as where a chain of positive rules
+leaves one state, to `subset_pass` (`_fixpoint_pays`).
 
-With c carried slots there are at most 1 + 2^(c+1) total passes, each
-over 2^n states (n = alphabet size), however many prefixes share a
-vector.  On the stable side a point that takes the fixpoint adds at
-most n + 1 rounds over the same 2^n states; any other point gives each
-surviving state s a subset pass over the 2^|s| subsets of s, up to 3^n
-here-states per total pass.  The layers cost lam times the moves of one
-layer, and reading off costs the size of the output.  The budget counts
-work units before the work is done: lam up front, one per layer; 2^n
-per total pass; 2^n per fixpoint round; 2^n per state read out of a
-total pass, which pays for reading its carried bits out of the 2^n-bit
-values and, at a point that keeps the subset pass, for its here values
-and its subset pass, so there every survivor is charged; one per move
-walked into a layer; and lam per model, before it is read off.  A
-count of the 2^(n*lam) candidate traces would refuse long traces that
-the layers make cheap, yet admit a short trace over a wide alphabet
-whose survivors each cost 2^n.
+With c carried slots there are at most 1 + 2^(c+1) total passes,
+however many prefixes share a vector; the layers cost lam times the
+moves of one layer, and reading off costs the size of the output.  The
+budget counts work units before the work is done: lam up front, one per
+layer; 2^n per total pass; one per move walked into a layer; lam per
+model, before it is read off; and what the tests charge, where 2^n per
+state pays for reading its carried bits out of 2^n-bit values:
+
+    keep_all        2^n per survivor;
+    subset_pass     2^n per survivor, before its passes over the 2^|s|
+                    subsets of each survivor s, up to 3^n in all;
+    least_fixpoint  2^n per round, then 2^n per state it keeps.
+
+A count of the 2^(n*lam) candidate traces would refuse long traces
+that the layers make cheap, yet admit a short trace over a wide
+alphabet whose survivors each cost 2^n.
 
 All formulas are compiled by one walk, `_flatten`, into one post-order
 node array.  The walk reads each wrapper with `placement` and indexes
@@ -286,10 +287,11 @@ def _evaluate(nodes, atoms: list[int], full: int, before, there,
               at_end: bool) -> list[int]:
     """Node values over a set of candidate states at one point.
 
-    `before` holds the total values at the previous point, or is None at
-    point 0; `at_end` says whether this is the last point.  `there` is
-    None in the total pass; in a here pass it holds the total values at
-    this point over the same candidates, which negation reads.
+    `before` maps each carried slot to its total value at the previous
+    point, or is None at point 0; `at_end` says whether this is the last
+    point.  `there` is None in the total pass; in a here pass it holds
+    the total values at this point over the same candidates, which
+    negation reads.
     """
     vals: list[int] = []
     push = vals.append
@@ -389,13 +391,13 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
     in the module docstring; past it, `BudgetExceeded` names the point
     reached.
     """
-    if not isinstance(lam, int):
+    if type(lam) is not int:
         raise ValueError(f"trace length must be an int, not {lam!r}")
     if lam < 1:
         raise ValueError("trace length must be at least 1")
     if budget is None:
         budget = DEFAULT_BUDGET
-    elif not isinstance(budget, int) or budget < 0:
+    elif type(budget) is not int or budget < 0:
         raise ValueError(f"budget must be a nonnegative int, got {budget!r}")
     atoms = tuple(sorted(frozenset(atom_tuple(alphabet, "an alphabet"))))
     nodes, at_start, later, carried = _flatten(
@@ -418,48 +420,64 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
     width = 1 << len(atoms)
     atom_vectors = functools.cache(_atom_vectors)
 
-    def smaller_here_state(required, s: int, before, total,
-                           at_end: bool) -> bool:
-        # Atoms of s are ranked: bit r of a subset index stands for the
-        # r-th atom of s, so the subset index all-ones is s itself.
-        members = _members(s)
-        size = len(members)
-        here_atoms = [0] * len(atoms)
-        for j, vec in zip(members, atom_vectors(size)):
-            here_atoms[j] = vec
-        here_full = (1 << (1 << size)) - 1
-        there = [here_full if v >> s & 1 else 0 for v in total]
-        vals = _evaluate(nodes, here_atoms, here_full, before, there, at_end)
-        ok = here_full >> 1
-        for root in required:
-            ok &= vals[root]
-            if not ok:
-                return False
-        return True
+    # The minimality tests and their charges (see the module docstring).
+    def keep_all(ok, required, rules, before, total, at_end, point):
+        charge(width * ok.bit_count(), point)
+        return ok
 
-    def least_fixpoint(rules, full: int, before, vals, at_end: bool,
-                       point: int) -> list[int]:
-        # Lemma 3: bit s of entry j is set when atom j is in the least
-        # here-state of the rules at candidate s.
-        # G is monotone, so the iterates settle within n + 1 rounds.
+    def subset_pass(ok, required, rules, before, total, at_end, point):
+        # Lemma 1, state by state.  The empty state has no smaller
+        # here-state.  Atoms of s are ranked: bit r of a subset index
+        # stands for the r-th atom of s, so the index all-ones is s.
+        charge(width * ok.bit_count(), point)
+        for s in _members(ok & -2):
+            members = _members(s)
+            here_atoms = [0] * len(atoms)
+            for j, vec in zip(members, atom_vectors(len(members))):
+                here_atoms[j] = vec
+            here_full = (1 << (1 << len(members))) - 1
+            there = [here_full if v >> s & 1 else 0 for v in total]
+            here_vals = _evaluate(nodes, here_atoms, here_full, before,
+                                  there, at_end)
+            smaller = here_full >> 1
+            for root in required:
+                smaller &= here_vals[root]
+            if smaller:
+                ok ^= 1 << s
+        return ok
+
+    def least_fixpoint(ok, required, rules, before, total, at_end, point):
+        # Lemma 3: bit s of here[j] is set when atom j is in the least
+        # here-state of the rules at candidate s.  G is monotone, so the
+        # iterates settle within n + 1 rounds.
+        if not _fixpoint_pays(ok.bit_count(), len(atoms)):
+            return subset_pass(ok, required, rules, before, total, at_end,
+                               point)
+        full = (1 << width) - 1
         here = [0] * len(atoms)
         for _ in range(len(atoms) + 1):
             charge(width, point)
-            here_vals = _evaluate(nodes, here, full, before, vals, at_end)
+            here_vals = _evaluate(nodes, here, full, before, total, at_end)
             heads = [0] * len(atoms)
             for j, body in rules:
                 heads[j] |= full if body is None else here_vals[body]
             if heads == here:
                 break
             here = heads
-        return here
+        for h, vec in zip(here, atom_vectors(len(atoms))):
+            ok &= ~(h ^ vec)
+        return keep_all(ok, required, rules, before, total, at_end, point)
 
-    # On the stable side, the rules of point 0 and of the later points
-    # where all roots are normal, or None where they are not (Lemma 3).
-    start_rules = later_rules = None
-    if minimal:
-        start_rules = _normal_rules(nodes, at_start)
-        later_rules = _normal_rules(nodes, later)
+    def phase(required):
+        # The roots of point 0 or of a later point, their normal rules
+        # (Lemma 3) on the stable side, and their minimality test.
+        if not minimal:
+            return required, None, keep_all
+        rules = _normal_rules(nodes, required)
+        return (required, rules,
+                subset_pass if rules is None else least_fixpoint)
+
+    phases = phase(at_start), phase(later)
     sets: dict[int, tuple[tuple[str, ...], frozenset[str]]] = {}
     moves: dict[tuple[object, bool], list] = {}
 
@@ -468,37 +486,18 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
         # follow a point with carried vector `key`, or start the trace
         # when key is None, in the order of the atom tuples.
         charge(width, point)
-        if key is None:
-            before = None
-            required, rules = at_start, start_rules
-        else:
-            before = [0] * len(nodes)
-            for slot, value in zip(carried, key):
-                before[slot] = value
-            required, rules = later, later_rules
+        before = None if key is None else dict(zip(carried, key))
+        required, rules, test = phases[key is not None]
         full = (1 << width) - 1
-        vectors = atom_vectors(len(atoms))
-        vals = _evaluate(nodes, vectors, full, before, None, at_end)
+        vals = _evaluate(nodes, atom_vectors(len(atoms)), full, before, None,
+                         at_end)
         ok = full
         for root in required:
             ok &= vals[root]
-        survivors = ok.bit_count()
-        fixpoint = rules is not None and _fixpoint_pays(survivors, len(atoms))
-        if fixpoint:
-            least = least_fixpoint(rules, full, before, vals, at_end, point)
-            for here, vec in zip(least, vectors):
-                ok &= ~(here ^ vec)
-            survivors = ok.bit_count()
-        # 2^n per state still surviving: it pays for reading the state
-        # out and, where the subset pass runs, for that pass too.
-        charge(width * survivors, point)
-        subset_pass = minimal and not fixpoint
+        ok = test(ok, required, rules, before, vals, at_end, point)
         carried_vals = [vals[slot] for slot in carried]
         out = []
         for s in _members(ok):
-            if subset_pass and s and smaller_here_state(
-                    required, s, before, vals, at_end):
-                continue
             if s not in sets:
                 state = tuple([atoms[j] for j in _members(s)])
                 sets[s] = state, frozenset(state)

@@ -185,7 +185,7 @@ def _evaluator(m: HTTrace, core: bool = False) -> _BitEvaluator:
 # ---------------------------------------------------------------------------
 
 def _check_point(m: HTTrace, k: int) -> None:
-    if not isinstance(k, int):
+    if type(k) is not int:
         raise ValueError(f"time point must be an int, not {k!r}")
     if not 0 <= k < len(m):
         raise IndexError(f"time point {k} outside [0, {len(m)})")

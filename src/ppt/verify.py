@@ -319,7 +319,7 @@ def verify_correspondence(p: Program, lam: int, mode: str,
 # ---------------------------------------------------------------------------
 
 def _check_cases(cases: int) -> None:
-    if not isinstance(cases, int) or cases < 0:
+    if type(cases) is not int or cases < 0:
         raise ValueError(f"cases must be a nonnegative int, got {cases!r}")
 
 

@@ -179,6 +179,16 @@ CASES = [
     ("ltlf-sat-string-point",
      lambda: ltlf_sat(Trace.of(["a"]), "0", AtomRef("a")),
      ValueError, re.escape("time point must be an int, not '0'")),
+    # A bool is an int to `isinstance`: True was read as length 1 and
+    # False as point 0.
+    ("ts-bool-length",
+     lambda: enumerate_ts_models(parse_program("a."), True),
+     ValueError, re.escape("trace length must be an int, not True")),
+    ("verify-bool-length",
+     lambda: verify_correspondence(Program(()), True, "completion"),
+     ValueError, re.escape("trace length must be an int, not True")),
+    ("ht-sat-bool-point", lambda: ht_sat(_ONE_POINT, False, AtomRef("a")),
+     ValueError, re.escape("time point must be an int, not False")),
     # A budget that is not a nonnegative int: a BudgetExceeded naming
     # it, or a stray TypeError from the first charge.
     ("ts-negative-budget",
@@ -196,6 +206,10 @@ CASES = [
     ("verify-negative-budget",
      lambda: verify_correspondence(Program(()), 1, "completion", -1),
      ValueError, re.escape("budget must be a nonnegative int, got -1")),
+    # A BudgetExceeded at the first charge: "the budget of False units".
+    ("ts-bool-budget",
+     lambda: enumerate_ts_models(parse_program("a."), 2, budget=False),
+     ValueError, re.escape("budget must be a nonnegative int, got False")),
     # An IndexError from `rng.choice`.
     ("random-formula-empty-pool",
      lambda: random_past_formula(random.Random(1), [], 3), ValueError,
@@ -208,6 +222,10 @@ CASES = [
      ValueError, re.escape("cases must be a nonnegative int, got -2")),
     ("semantics-suite-negative-cases", lambda: run_semantics_suite(-2),
      ValueError, re.escape("cases must be a nonnegative int, got -2")),
+    # Run as one case and reported as `"cases": true`.
+    ("correspondence-suite-bool-cases",
+     lambda: run_correspondence_suite(True), ValueError,
+     re.escape("cases must be a nonnegative int, got True")),
 ]
 
 
