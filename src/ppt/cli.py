@@ -10,9 +10,13 @@ mention: an atom no rule mentions is in no stable model.
 
 Each command is declared once, in `_COMMANDS`: its handler, its help
 and the names of its arguments, whose `add_argument` keywords are in
-`_ARGUMENTS`.  `main` refuses a negative `--budget` or `--cases`, then
-reads the program if the command takes a file, then calls the handler.
-The bench tracer swaps the functions this module imports from the other
+`_ARGUMENTS`.  `main` builds the top parser and only the subparser of
+the command that `argv` names first, or the full parser, with every
+subparser, when `argv` does not start with a command name (`ppt`, `ppt
+--help`, an unknown command); help, usage and errors are the same bytes
+either way.  It refuses a negative `--budget` or `--cases`, then reads
+the program if the command takes a file, then calls the handler.  The
+bench tracer swaps the functions this module imports from the other
 layers for wrappers, so the tables reach them only through a handler
 or a lambda, which looks the name up when it is called.
 
@@ -258,20 +262,31 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only=None) -> argparse.ArgumentParser:
+    """The top parser with the subparser of the command `only`, or of
+    every command when `only` is None."""
     top = _Parser(
         prog="ppt",
         description="Past-present temporal logic programs over finite traces.")
-    sub = top.add_subparsers(dest="command", required=True)
+    # With one subparser built, the metavar keeps every command in the
+    # usage line.  The full parser sets none: a metavar would also
+    # replace the name `command` in its "required" and "invalid choice"
+    # errors.
+    sub = top.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{" + ",".join(_COMMANDS) + "}")
     for command, (_, help_text, names) in _COMMANDS.items():
-        cmd = sub.add_parser(command, help=help_text)
-        for name in names:
-            cmd.add_argument(name, **_ARGUMENTS[name])
+        if only in (None, command):
+            cmd = sub.add_parser(command, help=help_text)
+            for name in names:
+                cmd.add_argument(name, **_ARGUMENTS[name])
     return top
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(only).parse_args(argv)
     handler, _, names = _COMMANDS[args.command]
     try:
         for flag in ("budget", "cases"):

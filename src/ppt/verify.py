@@ -164,12 +164,13 @@ class GenConfig:
     max_body_depth: int = 3
 
     def __post_init__(self) -> None:
-        if not 1 <= self.max_atoms <= 4:
-            raise ValueError("max_atoms must be within [1, 4]")
-        if not 0 <= self.max_rules <= 8:
-            raise ValueError("max_rules must be within [0, 8]")
-        if not 0 <= self.max_body_depth <= 4:
-            raise ValueError("max_body_depth must be within [0, 4]")
+        for name, low, high in (("max_atoms", 1, 4), ("max_rules", 0, 8),
+                                ("max_body_depth", 0, 4)):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, not {value!r}")
+            if not low <= value <= high:
+                raise ValueError(f"{name} must be within [{low}, {high}]")
 
 
 def random_past_formula(rng: random.Random, atoms, depth: int) -> PastFormula:

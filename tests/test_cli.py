@@ -242,6 +242,109 @@ class TestUsageErrors:
         assert "usage: ppt" in capsys.readouterr().out
 
 
+class _Built(Exception):
+    """Raised in place of parsing, carrying the parser `main` built."""
+
+
+def _parse(parser, argv):
+    """stdout, stderr, exit code and `vars` of the namespace of parsing
+    `argv` with `parser`: the code is None when parsing returns, the
+    namespace when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    code = namespace = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exit_info:
+            code = exit_info.code
+    return out.getvalue(), err.getvalue(), code, namespace
+
+
+class TestOneCommandParser:
+    """`main` builds only the subparser of the command that `argv` names
+    first; what it prints, its exit code and its namespace are those of
+    the full parser, on Python 3.10 to 3.13, where argparse's wording
+    differs."""
+
+    ARGVS = [
+        ["--help"], *([command, "--help"] for command in cli._COMMANDS),
+        [], ["frobnicate"], ["mod"],
+        ["--", "models", "{file}", "--length", "2"],
+        # The top parser reports unrecognized arguments with its usage.
+        ["models", "{file}", "--length", "2", "--extra"],
+        ["check", "{file}", "extra"],
+        ["fuzz", "--budget", "5"],
+        ["verify", "{file}", "--length", "2", "--mode", "nope"],
+        ["fuzz", "--suite", "nope"],
+        ["models", "{file}"], ["check"], ["models", "--length", "2"],
+        ["models", "{file}", "--length"], ["fuzz", "--seed"],
+        ["verify", "{file}", "--length", "x"],
+        ["models", "{file}", "--len", "2"],
+        ["verify", "{file}", "--length=3", "--mode", "unitary"],
+        ["lf", "{file}", "--unitary", "--json"], ["fuzz", "--cases", "3"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS,
+                             ids=lambda argv: " ".join(argv) or "none")
+    def test_same_as_full_parser(self, monkeypatch, p1_file, argv):
+        argv = [arg.format(file=p1_file) for arg in argv]
+        build = cli._build_parser
+
+        def built(only=None):
+            raise _Built(build(only))
+
+        monkeypatch.setattr(cli, "_build_parser", built)
+        with pytest.raises(_Built) as info:
+            main(argv)
+        parser = info.value.args[0]
+        assert _parse(parser, argv) == _parse(build(), argv)
+
+    # The usage line lists every command, and the errors of the full
+    # parser name the subparsers action `command`.
+    @pytest.mark.parametrize("argv, error", [
+        (["models", "{file}", "--length", "2", "--extra"],
+         "ppt: error: unrecognized arguments: --extra"),
+        ([], "ppt: error: the following arguments are required: command"),
+        (["frobnicate"],
+         "ppt: error: argument command: invalid choice: 'frobnicate' "),
+    ], ids=["unrecognized", "no-command", "unknown-command"])
+    def test_top_usage_and_error(self, capsys, p1_file, argv, error):
+        with pytest.raises(SystemExit):
+            main([arg.format(file=p1_file) for arg in argv])
+        usage, message = capsys.readouterr().err.splitlines()
+        assert usage == ("usage: ppt [-h] {check,models,graph,loops,complete,"
+                         "lf,embed,verify,fuzz} ...")
+        assert message.startswith(error)
+
+    @pytest.fixture
+    def subparsers(self, monkeypatch):
+        """The names of the subparsers built from here on."""
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        return names
+
+    def test_builds_one_subparser(self, capsys, p1_file, subparsers):
+        assert run(capsys, "models", p1_file, "--length", "2")[0] == 0
+        assert subparsers == ["models"]
+
+    def test_argv_from_sys_argv_or_a_tuple(self, capsys, monkeypatch,
+                                           p1_file, subparsers):
+        argv = ["models", p1_file, "--length", "2"]
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["ppt", *argv])
+        assert main() == expected[0]
+        assert capsys.readouterr() == expected[1:]
+        assert main(tuple(argv)) == expected[0]
+        assert capsys.readouterr() == expected[1:]
+        assert subparsers == ["models"] * 3
+
+
 class TestDeepBody:
     """A constraint of 2,000 conjuncts: twice Python's default recursion
     limit, so no walk over the body may recurse on its depth."""

@@ -54,6 +54,20 @@ CASES = [
     ("support-transform-not-core",
      lambda: support_transform(Always(AtomRef("a")), {"a"}), ValueError,
      re.escape("not a core past formula: Always(arg=AtomRef(name='a'))")),
+    # A bool or a float size was accepted, and a float failed later
+    # inside `random_program` with a stray TypeError.
+    ("gen-max-atoms-bool", lambda: GenConfig(max_atoms=True),
+     ValueError, re.escape("max_atoms must be an int, not True")),
+    ("gen-max-atoms-float", lambda: GenConfig(max_atoms=2.5),
+     ValueError, re.escape("max_atoms must be an int, not 2.5")),
+    ("gen-max-rules-bool", lambda: GenConfig(max_rules=True),
+     ValueError, re.escape("max_rules must be an int, not True")),
+    ("gen-max-rules-float", lambda: GenConfig(max_rules=2.5),
+     ValueError, re.escape("max_rules must be an int, not 2.5")),
+    ("gen-max-body-depth-bool", lambda: GenConfig(max_body_depth=True),
+     ValueError, re.escape("max_body_depth must be an int, not True")),
+    ("gen-max-body-depth-float", lambda: GenConfig(max_body_depth=2.5),
+     ValueError, re.escape("max_body_depth must be an int, not 2.5")),
     ("gen-max-rules-high", lambda: GenConfig(max_rules=9),
      ValueError, re.escape("max_rules must be within [0, 8]")),
     ("gen-max-rules-negative", lambda: GenConfig(max_rules=-1),
