@@ -2,12 +2,13 @@
 
 An edge (a, b) records that some rule can derive a from a positive,
 present occurrence of b: a is in the rule head and b is in
-`positive_atoms(body, present_only=True)`, that is b occurs in the body
-outside every negation and outside every `prev`.  A graph belongs to
-one section of one program: its vertices are the program alphabet and
-its edges come from the rules of that section.  Initial and dynamic
-sections have separate graphs; final rules have no heads and therefore
-no graph of their own.
+`Rule.positive_present`, that is b occurs in the body outside every
+negation and outside every `prev`.  The rule found that set when it was
+built, so no body is walked here.  A graph belongs to one section of
+one program: its vertices are the program alphabet and its edges come
+from the rules of that section.  Initial and dynamic sections have
+separate graphs; final rules have no heads and therefore no graph of
+their own.
 
 A loop is a nonempty atom set whose induced subgraph is strongly
 connected, returned as a frozenset of atoms; its section is that of
@@ -30,9 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SccTooLarge
-from .syntax import (
-    Atom, Program, RuleKind, atom_tuple, instance_of, positive_atoms,
-)
+from .syntax import Atom, Program, RuleKind, atom_tuple, instance_of
 
 __all__ = [
     "SCC_CAP", "DepGraph", "dependency_graph", "section_graphs",
@@ -72,8 +71,8 @@ def dependency_graph(p: Program, section: RuleKind) -> DepGraph:
     edges: set[tuple[Atom, Atom]] = set()
     for rule in p.rules:
         if rule.kind is section:
-            supports = positive_atoms(rule.body, present_only=True)
-            edges.update((h, b) for h in rule.head for b in supports)
+            edges.update((h, b) for h in rule.head
+                         for b in rule.positive_present)
     return DepGraph(p.alphabet, frozenset(edges), section)
 
 

@@ -380,6 +380,21 @@ def _members(mask: int) -> list[int]:
     return [s for s, digit in enumerate(digits) if digit == "1"]
 
 
+def check_limits(lam: int, budget: int | None) -> int:
+    """`budget`, or `DEFAULT_BUDGET` when it is None, for a search of
+    length `lam`; refuses a bad length or budget.  Shared with
+    `verify_correspondence`, but no part of the interface (`__all__`)."""
+    if type(lam) is not int:
+        raise ValueError(f"trace length must be an int, not {lam!r}")
+    if lam < 1:
+        raise ValueError("trace length must be at least 1")
+    if budget is None:
+        return DEFAULT_BUDGET
+    if type(budget) is not int or budget < 0:
+        raise ValueError(f"budget must be a nonnegative int, got {budget!r}")
+    return budget
+
+
 def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
            minimal: bool = False) -> tuple[Trace, ...]:
     """Every trace of length `lam` over the alphabet that satisfies each
@@ -391,14 +406,7 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
     in the module docstring; past it, `BudgetExceeded` names the point
     reached.
     """
-    if type(lam) is not int:
-        raise ValueError(f"trace length must be an int, not {lam!r}")
-    if lam < 1:
-        raise ValueError("trace length must be at least 1")
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    elif type(budget) is not int or budget < 0:
-        raise ValueError(f"budget must be a nonnegative int, got {budget!r}")
+    budget = check_limits(lam, budget)
     atoms = tuple(sorted(frozenset(atom_tuple(alphabet, "an alphabet"))))
     nodes, at_start, later, carried = _flatten(
         formulas, {name: j for j, name in enumerate(atoms)})

@@ -16,6 +16,12 @@ classically.
 All node classes are immutable and hashable, so formulas can be shared,
 memoised and used as dictionary keys freely.
 
+One walk of a core formula (`_walk`) collects its atoms, positive
+atoms and positive present atoms, tells whether it is a conjunction of
+regular literals and refuses a node outside the core language.  A
+`Rule` walks its body once; `positive_atoms` and `is_past_formula` run
+on the same walk.
+
 Every collection of atoms a caller gives (an alphabet, a trace state, a
 rule head, a loop, a mask, a vertex set, an atom pool) is read by
 `atom_tuple`, the one place that checks atom names and refuses a string
@@ -40,7 +46,7 @@ __all__ = [
     "INITIAL_EXPANSION",
     "RuleKind", "Rule", "Program",
     "is_past_formula", "positive_atoms", "atoms_of",
-    "is_literal_conjunction", "head_disjunction", "or_chain",
+    "head_disjunction", "or_chain",
     "format_formula", "format_formulas", "format_nesting", "format_rule",
     "format_program",
 ]
@@ -214,34 +220,56 @@ FINAL_CONST = FinalConst()
 CORE_TRUE = Not(FALSUM)
 INITIAL_EXPANSION = Not(Previous(Not(FALSUM)))
 
-def _core_atoms(f) -> set[Atom] | None:
-    """The atoms of a core past formula; None when `f` has a node outside
-    the core language anywhere."""
-    names = set()
-    stack = [f]
+# Places in a walk of a body, strongest first.  `and` keeps its place;
+# `or`, `since` and `trigger` leave the top conjunction spine, `prev`
+# the present and `not` the positive part.
+_SPINE, _PRESENT, _PAST, _NEGATED = 3, 2, 1, 0
+
+
+def _walk(f) -> tuple[set[Atom], set[Atom], set[Atom], bool]:
+    """The atoms of a core past formula, its positive atoms (under no
+    `not`), its positive present atoms (under no `prev` as well), and
+    whether it is a conjunction of regular literals: atoms, negated
+    atoms and `not false`, the image of an empty body, so that
+    re-parsing a formatted restricted body keeps its status.  Raises
+    `ValueError` on the first node outside the core language."""
+    names, positive, present = set(), set(), set()
+    literal = True
+    stack = [(f, _SPINE)]
     while stack:
-        node = stack.pop()
+        node, place = stack.pop()
         tp = type(node)
+        if place == _SPINE and tp is not And and tp is not AtomRef:
+            literal &= tp is Not and type(node.arg) in (AtomRef, Falsum)
         if tp is AtomRef:
             names.add(node.name)
-        elif tp is And or tp is Or or tp is Since or tp is Trigger:
-            stack.append(node.lhs)
-            stack.append(node.rhs)
-        elif tp is Not or tp is Previous:
-            stack.append(node.arg)
+            if place >= _PAST:
+                positive.add(node.name)
+            if place >= _PRESENT:
+                present.add(node.name)
+        elif tp is And:
+            stack.append((node.lhs, place))
+            stack.append((node.rhs, place))
+        elif tp is Not:
+            stack.append((node.arg, _NEGATED))
+        elif tp is Previous:
+            stack.append((node.arg, min(place, _PAST)))
+        elif tp is Or or tp is Since or tp is Trigger:
+            stack.append((node.lhs, min(place, _PRESENT)))
+            stack.append((node.rhs, min(place, _PRESENT)))
         elif tp is not Falsum:
-            return None
-    return names
+            raise ValueError(f"not a core past formula: {node!r}")
+    return names, positive, present, literal
 
 
 def is_past_formula(f) -> bool:
     """True when `f` uses only the core past connectives."""
-    return _core_atoms(f) is not None
+    try:
+        _walk(f)
+    except ValueError:
+        return False
+    return True
 
-
-# ---------------------------------------------------------------------------
-# Positive occurrences
-# ---------------------------------------------------------------------------
 
 def positive_atoms(f: PastFormula, present_only: bool = False) -> frozenset[Atom]:
     """Atoms with an occurrence in a core formula under no negation.
@@ -249,27 +277,11 @@ def positive_atoms(f: PastFormula, present_only: bool = False) -> frozenset[Atom
     These are the paper's positive occurrences, whatever the number of
     enclosing negations.  With `present_only` the occurrence must also
     be under no Previous node: the present and positive occurrences that
-    give the dependency graph its edges.  Raises `ValueError` on a node
+    a rule keeps as `Rule.positive_present`.  Raises `ValueError` on a node
     outside the core language anywhere in `f`, under a negation too.
     """
-    names = set()
-    stack = [(f, True)]
-    while stack:
-        node, positive = stack.pop()
-        tp = type(node)
-        if tp is AtomRef:
-            if positive:
-                names.add(node.name)
-        elif tp is Not:
-            stack.append((node.arg, False))
-        elif tp is Previous:
-            stack.append((node.arg, positive and not present_only))
-        elif tp in (And, Or, Since, Trigger):
-            stack.append((node.lhs, positive))
-            stack.append((node.rhs, positive))
-        elif tp is not Falsum:
-            raise ValueError(f"not a core past formula: {node!r}")
-    return frozenset(names)
+    _, positive, present, _ = _walk(f)
+    return frozenset(present if present_only else positive)
 
 
 # ---------------------------------------------------------------------------
@@ -282,29 +294,6 @@ class RuleKind(Enum):
     FINAL = "final"
 
 
-def is_literal_conjunction(f: PastFormula) -> bool:
-    """True for conjunctions of regular literals (in core form).
-
-    Accepted conjuncts are atoms, negated atoms and the core spelling of
-    true (`not false`, the image of an empty body), so that formatting
-    and re-parsing a restricted body never changes its status.
-    """
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        tp = type(node)
-        if tp is And:
-            stack.append(node.lhs)
-            stack.append(node.rhs)
-        elif tp is AtomRef:
-            pass
-        elif tp is Not and type(node.arg) in (AtomRef, Falsum):
-            pass
-        else:
-            return False
-    return True
-
-
 @dataclass(frozen=True, slots=True)
 class Rule:
     """One past-present rule.
@@ -315,27 +304,32 @@ class Rule:
     Final rules never have a head.  Within a program a rule is named by
     its index in `Program.rules`.
 
-    `atoms` holds the atoms of the head and the body.  It is computed
-    by the one walk of the body that also refuses any node outside the
-    core language, and it takes no part in `repr`, `==` or `hash`.
+    `atoms` (of head and body) and `positive_present` (the body atoms
+    under no `not` and no `prev`) come from the one walk of the body
+    that also refuses a non-core node and decides the restriction of
+    initial and final bodies; neither takes part in `repr`, `==`, `hash`.
     """
 
     kind: RuleKind
     head: tuple[Atom, ...]
     body: PastFormula
     atoms: frozenset[Atom] = field(init=False, repr=False, compare=False)
+    positive_present: frozenset[Atom] = field(init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self) -> None:
         instance_of(self.kind, RuleKind, "a rule kind")
         object.__setattr__(self, "head", atom_tuple(self.head, "a rule head"))
-        names = _core_atoms(self.body)
-        if names is None:
-            raise ValueError("rule body must be a core past formula")
+        try:
+            names, _, present, literal = _walk(self.body)
+        except ValueError:
+            raise ValueError("rule body must be a core past formula") from None
         names.update(self.head)
         object.__setattr__(self, "atoms", frozenset(names))
+        object.__setattr__(self, "positive_present", frozenset(present))
         if self.kind is RuleKind.FINAL and self.head:
             raise ValueError("final rules cannot have a head")
-        if self.kind is not RuleKind.DYNAMIC and not is_literal_conjunction(self.body):
+        if self.kind is not RuleKind.DYNAMIC and not literal:
             raise ValueError(
                 f"{self.kind.value} rule bodies must be conjunctions of regular literals")
 

@@ -29,17 +29,17 @@ Cost model.  A section with R rules and a loop set of N loops has up
 to R*N support terms, one per loop and rule whose head meets the loop,
 but far fewer distinct ones: `sourced_loop_formulas` builds the term
 of rule r for loop L once per key (r, L & (P_r | head_r)), where P_r is
-`positive_atoms(r.body, present_only=True)`, and every later loop with
-that key reuses the same object.  The key is exact:
+`r.positive_present`, and every later loop with that key reuses the
+same object.  The key is exact:
 `support_transform(B, L) = support_transform(B, L & P(B))`, since only
 the positive present atoms of B are struck, and the negated head atoms
 are those of head_r outside L, which depend only on L & head_r.  Atom
 sets in keys are bitmasks, one bit per alphabet atom; an atom outside
-the alphabet is in no P_r or head_r and gets no bit.  The mask of
-P_r | head_r is computed when rule r first meets a loop.  Rules are
-found through an index by head atom built once per section, which
-`sourced_completion` uses too, and one `AtomRef` per atom serves every
-formula of a call.  `simplify_formulas` and `syntax.format_formulas`
+the alphabet is in no P_r or head_r and gets no bit.  Rules are found
+through an index by head atom built once per section, which
+`sourced_completion` uses too, and the mask of P_r | head_r of each
+rule is computed with it; one `AtomRef` per atom serves every formula
+of a call.  `simplify_formulas` and `syntax.format_formulas`
 then do the work for a shared term once per list of formulas.
 """
 
@@ -52,7 +52,7 @@ from .syntax import (
     Falsum, Iff, Implies, INITIAL_CONST, INITIAL_EXPANSION, Not, Or,
     PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, Verum,
     VERUM, WeakNextAlways, atom_tuple, head_disjunction, instance_of,
-    or_chain, positive_atoms,
+    or_chain,
 )
 from .depgraph import enumerate_loops, section_graphs
 
@@ -144,10 +144,11 @@ def _supports(p: Program, section: RuleKind, refs: dict[Atom, AtomRef]
     of the loop (a frozenset); see the module docstring for its memo."""
     rules, index = _by_head(p, section)
     bit = {atom: 1 << j for j, atom in enumerate(sorted(p.alphabet))}
-    # Per rule position, once the rule first meets a loop: the mask of
-    # P_r | head_r, and the rule's terms keyed by the loop's mask within it.
-    slots: list[tuple[int, dict[int, PastFormula]] | None]
-    slots = [None] * len(rules)
+    # Per rule position: the mask of P_r | head_r, and the rule's terms
+    # keyed by the loop's mask within it.
+    strikable = [sum(bit[atom] for atom in r.positive_present.union(r.head))
+                 for r in rules]
+    terms: list[dict[int, PastFormula]] = [{} for _ in rules]
 
     def support(loop: frozenset[Atom]) -> PastFormula:
         mask = 0
@@ -155,19 +156,11 @@ def _supports(p: Program, section: RuleKind, refs: dict[Atom, AtomRef]
             mask |= bit.get(atom, 0)
         out = None
         for i in sorted(set().union(*(index.get(atom, ()) for atom in loop))):
-            slot = slots[i]
-            if slot is None:
-                r = rules[i]
-                strikable = 0
-                for atom in positive_atoms(r.body,
-                                           present_only=True).union(r.head):
-                    strikable |= bit[atom]
-                slot = slots[i] = (strikable, {})
-            strikable, terms = slot
-            term = terms.get(mask & strikable)
+            key = mask & strikable[i]
+            term = terms[i].get(key)
             if term is None:
                 r = rules[i]
-                term = terms[mask & strikable] = _support_term(
+                term = terms[i][key] = _support_term(
                     r, loop, _strike(r.body, loop), refs)
             out = term if out is None else Or(out, term)
         return FALSUM if out is None else out

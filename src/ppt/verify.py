@@ -36,7 +36,7 @@ from .syntax import (
     PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger,
     atom_tuple, positive_atoms,
 )
-from .progression import Trace
+from .progression import Trace, check_limits
 from .tht import HTTrace, enumerate_ts_models, ht_sat, three_valued
 from .ltlf import enumerate_ltlf_models
 from .depgraph import is_tight
@@ -308,8 +308,10 @@ def _report(p: Program, lam: int, mode: str, formulas: list,
 def verify_correspondence(p: Program, lam: int, mode: str,
                           budget: int | None = None) -> Report:
     """Compare stable models against the chosen translation's models.
-    The translation is compiled first: a loop component past the cap
-    fails before either search can exceed its budget."""
+    The length and budget are checked first, then the translation is
+    compiled: a loop component past the cap fails before either search
+    can exceed its budget."""
+    check_limits(lam, budget)
     formulas = _target_formulas(p, mode)
     lhs = enumerate_ts_models(p, lam, budget=budget)
     return _report(p, lam, mode, formulas, lhs, budget)

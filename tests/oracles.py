@@ -23,7 +23,8 @@ rather than through `rule_formula`, for `sourced_completion`.
 
 `tokens_by_match` tokenizes by matching one token at a time, for the
 parser's two whole-source regex calls to be checked against.
-`core_atoms_by_definition` reads a formula's nodes through
+`core_atoms_by_definition`, `positive_present_by_definition` and
+`literal_conjunction_by_definition` read a formula's nodes through
 `dataclasses.fields`, for the one walk of a rule body in `syntax`.
 """
 
@@ -80,6 +81,29 @@ def core_atoms_by_definition(f):
             return None
         atoms |= sub
     return atoms
+
+
+def positive_present_by_definition(f, negated=False, past=False):
+    """The atoms of a core formula with an occurrence under no `not`
+    and no `prev`, read through each node's dataclass fields."""
+    if type(f) is AtomRef:
+        return set() if negated or past else {f.name}
+    atoms = set()
+    for field in dataclasses.fields(f):
+        atoms |= positive_present_by_definition(
+            getattr(f, field.name), negated or type(f) is Not,
+            past or type(f) is Previous)
+    return atoms
+
+
+def literal_conjunction_by_definition(f):
+    """Whether a core formula is a conjunction of regular literals: of
+    atoms, negated atoms and `not false`."""
+    if type(f) is And:
+        return all(literal_conjunction_by_definition(getattr(f, field.name))
+                   for field in dataclasses.fields(f))
+    return type(f) is AtomRef or (type(f) is Not
+                                  and type(f.arg) in (AtomRef, Falsum))
 
 
 def external_support_by_definition(p: Program, section: RuleKind, loop):

@@ -667,6 +667,16 @@ class TestLargeCycle:
             assert report["equal"] is True
             assert report["ts_models"] == report["ltlf_models"] == [[[]]]
 
+    @pytest.mark.parametrize("mode", ["loops", "unitary", "completion"])
+    def test_verify_refuses_length_zero_before_compiling(self, capsys,
+                                                         cycle_file, mode):
+        # A bad length is bad usage in every mode, also where compiling
+        # the loop formulas would first meet the cap.
+        code, out, err = run(capsys, "verify", cycle_file, "--length", "0",
+                             "--mode", mode)
+        assert (code, out, err) == (
+            1, "", "error: trace length must be at least 1\n")
+
 
 # Random token streams through stdin: every one must end in a result or
 # a diagnostic, never a traceback.  Whole rules are mixed in so that

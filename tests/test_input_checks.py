@@ -25,6 +25,8 @@ from ppt.verify import (
 
 _ONE_POINT = HTTrace.total(Trace.of(["a"]))
 _LOOP = "a :- b. b :- a."
+# A positive cycle of 22 atoms, past the loop cap.
+_CYCLE = "".join(f"a{i} :- a{(i + 1) % 22}.\n" for i in range(22))
 
 # (id, call, exception type, the whole message as a regular expression)
 CASES = [
@@ -217,6 +219,16 @@ CASES = [
     ("ltlf-string-budget",
      lambda: enumerate_ltlf_models([], 1, ["a"], "10"),
      ValueError, re.escape("budget must be a nonnegative int, got '10'")),
+    # The length and budget are checked before the translation is
+    # compiled: this was `SccTooLarge` on the cycle's component.
+    ("verify-length-zero-before-cap",
+     lambda: verify_correspondence(parse_program(_CYCLE), 0,
+                                   "completion_loops"),
+     ValueError, re.escape("trace length must be at least 1")),
+    ("verify-negative-budget-before-cap",
+     lambda: verify_correspondence(parse_program(_CYCLE), 1,
+                                   "unitary_loops", -1),
+     ValueError, re.escape("budget must be a nonnegative int, got -1")),
     ("verify-negative-budget",
      lambda: verify_correspondence(Program(()), 1, "completion", -1),
      ValueError, re.escape("budget must be a nonnegative int, got -1")),

@@ -134,6 +134,20 @@ def test_least_fixpoint_keeps_what_the_subset_pass_keeps(monkeypatch):
     assert found == by_fixpoint == stable_models()
 
 
+@pytest.mark.parametrize("fixpoint", [False, True])
+def test_final_root_of_another_shape_is_not_a_normal_rule(monkeypatch,
+                                                          fixpoint):
+    # `always(F -> a)` requires a at the last point only.  It is not the
+    # final rule `F -> (body -> false)`, so no point is normal and every
+    # point takes the subset pass, also where the fixpoint would pay;
+    # read as the fact `a`, it would keep a at point 0 as well.
+    if fixpoint:
+        monkeypatch.setattr(ppt.progression, "_fixpoint_pays",
+                            lambda *_: True)
+    assert search([Always(Implies(FINAL_CONST, AtomRef("a")))], 2, {"a"},
+                  minimal=True) == (Trace.of([], ["a"]),)
+
+
 @pytest.mark.parametrize("atoms, lam, cases",
                          [(3, 4, 24), (4, 3, 24), (4, 4, 4)])
 def test_matches_oracle_at_the_largest_sizes(atoms, lam, cases):

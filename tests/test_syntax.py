@@ -13,7 +13,10 @@ from ppt import (
 )
 from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION
 
-from oracles import core_atoms_by_definition
+from oracles import (
+    core_atoms_by_definition, literal_conjunction_by_definition,
+    positive_present_by_definition,
+)
 
 atoms = st.sampled_from(("a", "b", "c"))
 leaves = st.one_of(st.builds(AtomRef, atoms), st.just(FALSUM))
@@ -206,7 +209,17 @@ class TestOneWalk:
             return
         rule = Rule(RuleKind.DYNAMIC, head, body)
         assert rule.atoms == expected | set(head)
+        assert rule.positive_present == positive_present_by_definition(body)
         assert Program((rule,)).alphabet == rule.atoms
+        if literal_conjunction_by_definition(body):
+            initial = Rule(RuleKind.INITIAL, head, body)
+            assert (initial.atoms, initial.positive_present) == (
+                rule.atoms, rule.positive_present)
+        else:
+            with pytest.raises(ValueError) as err:
+                Rule(RuleKind.INITIAL, head, body)
+            assert str(err.value) == ("initial rule bodies must be "
+                                      "conjunctions of regular literals")
 
 
 class TestProgramModel:

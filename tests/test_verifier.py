@@ -215,6 +215,59 @@ def test_correspondence_suite_counts_injected_faults(monkeypatch, fault):
     assert out == {"cases": 40, "seed": 56, **FAULTY_SUITE[fault]}
 
 
+def _masking_unchecked(f, m, mask):
+    # Either lemma with no precondition and no loop struck: masked
+    # satisfaction must equal plain satisfaction, which fails wherever a
+    # masked atom has a positive present occurrence that matters.
+    pivot = mask.pivot
+    return ppt.verify.ht_sat(m, pivot, f) == ppt.verify.ht_sat(
+        mask_trace(m, mask), pivot, f)
+
+
+# `run_lemma_suite(lemma, 300, seed=3)` with `_masking_unchecked` in
+# place of the lemma's check: every instance is checked, and the suite
+# counts the counterexamples.  Unfaulted, the same runs skip 20 and 11
+# instances and find no failure.
+FAULTY_LEMMAS = {
+    "pastocc": {"checked": 300, "skipped": 0, "failures": 7},
+    "support": {"checked": 300, "skipped": 0, "failures": 29},
+}
+
+
+@pytest.mark.parametrize("lemma", sorted(FAULTY_LEMMAS))
+def test_lemma_suite_counts_injected_faults(monkeypatch, lemma):
+    assert run_lemma_suite(lemma, 300, seed=3)["failures"] == 0
+    monkeypatch.setattr(ppt.verify, f"check_lemma_{lemma}", _masking_unchecked)
+    out = run_lemma_suite(lemma, 300, seed=3)
+    assert out == {"lemma": lemma, "cases": 300, "seed": 3,
+                   **FAULTY_LEMMAS[lemma], "skip_rate": 0.0}
+
+
+# `run_semantics_suite(300, seed=3)` with one fault each: the value 2
+# (here true) read as 1, and the trigger unfolded with the strong
+# previous, which is false at the first point.  Each reaches its own
+# counter and no other.
+FAULTY_SEMANTICS = {
+    "here read as total": {"three_valued_failures": 75,
+                           "unfolding_failures": 0, "failures": 75},
+    "strong previous": {"three_valued_failures": 0,
+                        "unfolding_failures": 36, "failures": 36},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTY_SEMANTICS))
+def test_semantics_suite_counts_injected_faults(monkeypatch, fault):
+    assert run_semantics_suite(300, seed=3)["failures"] == 0
+    if fault == "here read as total":
+        three_valued = ppt.verify.three_valued
+        monkeypatch.setattr(ppt.verify, "three_valued",
+                            lambda m, k, f: min(three_valued(m, k, f), 1))
+    else:
+        monkeypatch.setattr(ppt.verify, "INITIAL_EXPANSION", FALSUM)
+    out = run_semantics_suite(300, seed=3)
+    assert out == {"cases": 300, "seed": 3, **FAULTY_SEMANTICS[fault]}
+
+
 _HTTRACES = """
 import random
 from ppt.verify import random_httrace
