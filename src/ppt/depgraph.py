@@ -28,10 +28,12 @@ fixed `SCC_CAP`; tightness needs no enumeration and has no cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import SccTooLarge
-from .syntax import Atom, Program, RuleKind, atom_tuple, instance_of
+from .syntax import (
+    Atom, Program, RuleKind, Value, atom_tuple, instance_of, value_class,
+)
 
 __all__ = [
     "SCC_CAP", "DepGraph", "dependency_graph", "section_graphs",
@@ -41,18 +43,24 @@ __all__ = [
 SCC_CAP = 20
 
 
-@dataclass(frozen=True, slots=True)
-class DepGraph:
+@value_class
+class DepGraph(Value):
+    """The positive dependency graph of one section of a program (or of
+    no section): its vertices and its edges (a, b), each a pair of
+    vertices."""
+
     vertices: frozenset[Atom]
     edges: frozenset[tuple[Atom, Atom]]
     section: RuleKind | None = None
 
-    def __post_init__(self) -> None:
-        vertices = frozenset(atom_tuple(self.vertices, "a vertex set"))
-        if self.section is not None:
-            instance_of(self.section, RuleKind, "a section")
-        edges = []
-        for edge in self.edges:
+    def __init__(self, vertices: Iterable[Atom],
+                 edges: Iterable[tuple[Atom, Atom]],
+                 section: RuleKind | None = None) -> None:
+        vertices = frozenset(atom_tuple(vertices, "a vertex set"))
+        if section is not None:
+            instance_of(section, RuleKind, "a section")
+        pairs = []
+        for edge in edges:
             if not isinstance(edge, (tuple, list)) or len(edge) != 2:
                 raise ValueError(f"edge {edge!r} is not a pair of atoms")
             a, b = edge
@@ -61,9 +69,8 @@ class DepGraph:
             if not (isinstance(a, str) and a in vertices
                     and isinstance(b, str) and b in vertices):
                 raise ValueError(f"edge ({a}, {b}) leaves the vertex set")
-            edges.append((a, b))
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", frozenset(edges))
+            pairs.append((a, b))
+        self.__setstate__((vertices, frozenset(pairs), section))
 
 
 def dependency_graph(p: Program, section: RuleKind) -> DepGraph:

@@ -14,7 +14,14 @@ connectives never occur inside rule bodies; they are always evaluated
 classically.
 
 All node classes are immutable and hashable, so formulas can be shared,
-memoised and used as dictionary keys freely.
+memoised and used as dictionary keys freely.  They and the other value
+classes of `ppt` (`Rule`, `Program`, `tht.HTTrace`, `depgraph.DepGraph`
+and `verify`'s `TraceMask`, `GenConfig` and `Report`) are dataclasses
+declared by `value_class`, which take `==`, `hash`, `repr`,
+immutability and pickling from one hand-written base, `Value`, and
+write their own `__init__` (`_node` makes a node's).  The code
+generator of `dataclass` is avoided for start-up: it compiles and runs
+the source of six methods per class at import, about 0.7 ms a class.
 
 One walk of a core formula (`_walk`) collects its atoms, positive
 atoms and positive present atoms, tells whether it is a conjunction of
@@ -32,8 +39,9 @@ section or a program rule of another type is refused by `instance_of`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Union
 
 __all__ = [
@@ -103,58 +111,162 @@ def instance_of(value, cls: type, what: str):
 
 
 # ---------------------------------------------------------------------------
+# Value classes
+# ---------------------------------------------------------------------------
+
+class Value:
+    """The methods of every frozen value class of `ppt`, written once.
+
+    `==` holds between two instances of one class whose compared fields
+    are equal as tuples (so an identical pair of fields is not compared
+    again), `hash` is the hash of that tuple, and `repr` names the class
+    and its shown fields: what a frozen dataclass generates.  Assigning
+    or deleting an attribute raises `FrozenInstanceError`, so a class's
+    own `__init__` checks its arguments and then stores its fields with
+    `__setstate__`, `object.__setattr__` or, in a node, a slot
+    descriptor.  Pickling and copying carry every field, derived ones
+    too, and call no `__init__`.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        cls = self.__class__
+        if other.__class__ is cls:
+            return cls._key(self) == cls._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__class__._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return [getattr(self, name) for name in self._state]
+
+    def __setstate__(self, state):
+        for name, value in zip(self._state, state):
+            object.__setattr__(self, name, value)
+
+
+def value_class(cls=None, *, slots=True):
+    """Declare `cls`, a subclass of `Value`, a frozen value class.
+
+    `dataclass` runs with `init=False, repr=False, eq=False` and without
+    `frozen`, so it generates no method and `dataclasses.fields`,
+    `replace`, `is_dataclass` and `__match_args__` keep working.  Then
+    the tables the `Value` methods read are stored on the class: `_key`,
+    the function giving the tuple of an instance's compared fields,
+    `_shown`, the names `repr` prints, and `_state`, every field name in
+    order.  The class writes its own `__init__`, or `_node` makes it.
+    """
+    if cls is None:
+        return lambda cls: value_class(cls, slots=slots)
+    cls = dataclass(cls, init=False, repr=False, eq=False, slots=slots)
+    names = tuple(f.name for f in fields(cls) if f.compare)
+    if len(names) > 1:
+        cls._key = attrgetter(*names)
+    elif names:
+        get = attrgetter(*names)
+        cls._key = lambda value: (get(value),)
+    else:
+        cls._key = lambda value: ()
+    cls._shown = tuple(f.name for f in fields(cls) if f.repr)
+    cls._state = tuple(f.name for f in fields(cls))
+    return cls
+
+
+def _node(cls):
+    """`value_class` of a formula node.  A node whose fields are `arg`,
+    or `lhs` and `rhs`, gets an `__init__` that stores each argument
+    through the `__set__` of its slot descriptor, bound here once."""
+    cls = value_class(cls)
+    if cls._state == ("arg",):
+        set_arg = cls.arg.__set__
+
+        def __init__(self, arg):
+            set_arg(self, arg)
+    elif cls._state == ("lhs", "rhs"):
+        set_lhs, set_rhs = cls.lhs.__set__, cls.rhs.__set__
+
+        def __init__(self, lhs, rhs):
+            set_lhs(self, lhs)
+            set_rhs(self, rhs)
+    else:
+        return cls
+    __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = __init__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Formula nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Falsum:
+@_node
+class Falsum(Value):
     """The constant false."""
 
 
-@dataclass(frozen=True, slots=True)
-class AtomRef:
+@_node
+class AtomRef(Value):
     """An atom occurrence."""
 
     name: Atom
 
-    def __post_init__(self) -> None:
-        validate_atom(self.name)
+    def __init__(self, name: Atom) -> None:
+        _set_name(self, validate_atom(name))
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
+@_node
+class Not(Value):
+    """Negation: the argument is false on the total trace."""
+
     arg: "PastFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class And:
+@_node
+class And(Value):
+    """Conjunction."""
+
     lhs: "PastFormula"
     rhs: "PastFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
+@_node
+class Or(Value):
+    """Disjunction."""
+
     lhs: "PastFormula"
     rhs: "PastFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class Previous:
+@_node
+class Previous(Value):
     """True when the argument held at the preceding point; false at point 0."""
 
     arg: "PastFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class Since:
+@_node
+class Since(Value):
     """lhs has held ever since a point where rhs held."""
 
     lhs: "PastFormula"
     rhs: "PastFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class Trigger:
+@_node
+class Trigger(Value):
     """rhs has held from the start, or since just after lhs last held."""
 
     lhs: "PastFormula"
@@ -163,49 +275,55 @@ class Trigger:
 
 # Extended connectives for the compiler output language.
 
-@dataclass(frozen=True, slots=True)
-class Verum:
+@_node
+class Verum(Value):
     """The constant true; rule bodies spell it `not false`."""
 
 
-@dataclass(frozen=True, slots=True)
-class InitialConst:
+@_node
+class InitialConst(Value):
     """Constant true exactly at the first point of a trace; prints as ``I``.
 
     Rule bodies spell it `not prev not false` (`INITIAL_EXPANSION`).
     """
 
 
-@dataclass(frozen=True, slots=True)
-class FinalConst:
+@_node
+class FinalConst(Value):
     """Constant true exactly at the last point of a trace."""
 
 
-@dataclass(frozen=True, slots=True)
-class Implies:
+@_node
+class Implies(Value):
+    """Classical implication, in compiler output only."""
+
     lhs: "ExtFormula"
     rhs: "ExtFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class Iff:
+@_node
+class Iff(Value):
+    """Classical biconditional, in compiler output only."""
+
     lhs: "ExtFormula"
     rhs: "ExtFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class Always:
+@_node
+class Always(Value):
     """The argument holds from the evaluation point to the end of the trace."""
 
     arg: "ExtFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class WeakNextAlways:
+@_node
+class WeakNextAlways(Value):
     """The argument holds at every point strictly after the evaluation point."""
 
     arg: "ExtFormula"
 
+
+_set_name = AtomRef.name.__set__
 
 PastFormula = Union[Falsum, AtomRef, Not, And, Or, Previous, Since, Trigger]
 ExtFormula = Union[PastFormula, Verum, InitialConst, FinalConst, Implies,
@@ -294,8 +412,8 @@ class RuleKind(Enum):
     FINAL = "final"
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
+@value_class
+class Rule(Value):
     """One past-present rule.
 
     The head is an ordered atom disjunction; an empty head denotes a
@@ -317,25 +435,26 @@ class Rule:
     positive_present: frozenset[Atom] = field(init=False, repr=False,
                                               compare=False)
 
-    def __post_init__(self) -> None:
-        instance_of(self.kind, RuleKind, "a rule kind")
-        object.__setattr__(self, "head", atom_tuple(self.head, "a rule head"))
+    def __init__(self, kind: RuleKind, head: Iterable[Atom],
+                 body: PastFormula) -> None:
+        instance_of(kind, RuleKind, "a rule kind")
+        head = atom_tuple(head, "a rule head")
         try:
-            names, _, present, literal = _walk(self.body)
+            names, _, present, literal = _walk(body)
         except ValueError:
             raise ValueError("rule body must be a core past formula") from None
-        names.update(self.head)
-        object.__setattr__(self, "atoms", frozenset(names))
-        object.__setattr__(self, "positive_present", frozenset(present))
-        if self.kind is RuleKind.FINAL and self.head:
+        if kind is RuleKind.FINAL and head:
             raise ValueError("final rules cannot have a head")
-        if self.kind is not RuleKind.DYNAMIC and not literal:
+        if kind is not RuleKind.DYNAMIC and not literal:
             raise ValueError(
-                f"{self.kind.value} rule bodies must be conjunctions of regular literals")
+                f"{kind.value} rule bodies must be conjunctions of regular literals")
+        names.update(head)
+        self.__setstate__(
+            (kind, head, body, frozenset(names), frozenset(present)))
 
 
-@dataclass(frozen=True, slots=True)
-class Program:
+@value_class
+class Program(Value):
     """An ordered list of rules plus the ambient alphabet.
 
     The alphabet defaults to the atoms occurring in the rules and may be
@@ -346,18 +465,19 @@ class Program:
     rules: tuple[Rule, ...]
     alphabet: frozenset[Atom] = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
+    def __init__(self, rules: Iterable[Rule],
+                 alphabet: Iterable[Atom] | None = None) -> None:
         object.__setattr__(self, "rules", tuple(
-            instance_of(r, Rule, "a program rule") for r in self.rules))
+            instance_of(r, Rule, "a program rule") for r in rules))
         occurring = atoms_of(self)
-        if self.alphabet is None:
-            object.__setattr__(self, "alphabet", occurring)
+        if alphabet is None:
+            alphabet = occurring
         else:
-            object.__setattr__(self, "alphabet", frozenset(
-                atom_tuple(self.alphabet, "an alphabet")))
-            if not occurring <= self.alphabet:
-                missing = ", ".join(sorted(occurring - self.alphabet))
+            alphabet = frozenset(atom_tuple(alphabet, "an alphabet"))
+            if not occurring <= alphabet:
+                missing = ", ".join(sorted(occurring - alphabet))
                 raise ValueError(f"alphabet is missing occurring atoms: {missing}")
+        object.__setattr__(self, "alphabet", alphabet)
 
     @property
     def initial(self) -> tuple[Rule, ...]:

@@ -29,12 +29,13 @@ independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 from .progression import Trace, placement, search
 from .syntax import (
     And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst, Not, Or,
-    Previous, Program, Rule, Since, Trigger, Verum, is_past_formula,
+    Previous, Program, Rule, Since, Trigger, Value, Verum, is_past_formula,
+    value_class,
 )
 from .transform import program_as_ltlf, rule_formula
 
@@ -45,23 +46,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class HTTrace:
+@value_class
+class HTTrace(Value):
     """An HT-trace: here and there traces with H_k a subset of T_k,
     each side built with `Trace`."""
 
     h: Trace
     t: Trace
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "h", Trace(self.h))
-        object.__setattr__(self, "t", Trace(self.t))
-        if len(self.h) != len(self.t):
-            raise ValueError(
-                f"here has length {len(self.h)}, there has length {len(self.t)}")
-        for k, (hk, tk) in enumerate(zip(self.h, self.t)):
+    def __init__(self, h: Iterable, t: Iterable) -> None:
+        h, t = Trace(h), Trace(t)
+        if len(h) != len(t):
+            raise ValueError(f"here has length {len(h)}, there has length {len(t)}")
+        for k, (hk, tk) in enumerate(zip(h, t)):
             if not hk <= tk:
                 raise ValueError(f"H_{k} is not a subset of T_{k}")
+        self.__setstate__((h, t))
 
     @classmethod
     def total(cls, t: Trace) -> "HTTrace":

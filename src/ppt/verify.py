@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from typing import Iterable
 
 from .syntax import (
     And, Atom, AtomRef, CORE_TRUE, FALSUM, INITIAL_EXPANSION, Not, Or,
-    PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger,
-    atom_tuple, positive_atoms,
+    PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, Value,
+    atom_tuple, positive_atoms, value_class,
 )
 from .progression import Trace, check_limits
 from .tht import HTTrace, enumerate_ts_models, ht_sat, three_valued
@@ -66,8 +66,8 @@ class PreconditionSkipped(Exception):
 # Trace masking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class TraceMask:
+@value_class
+class TraceMask(Value):
     """Atoms to strike from the here-trace, pinned at a pivot point.
 
     The mask is empty strictly before the pivot and contains at least
@@ -79,18 +79,18 @@ class TraceMask:
     pivot: int
     extra: tuple[frozenset[Atom], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", frozenset(
-            atom_tuple(self.base, "a mask base")))
-        object.__setattr__(self, "extra", tuple(
-            frozenset(atom_tuple(s, "a state")) for s in self.extra))
-        if not 0 <= self.pivot < len(self.extra):
-            raise ValueError(f"pivot {self.pivot} outside the mask")
-        for t in range(self.pivot):
-            if self.extra[t]:
+    def __init__(self, base: Iterable[Atom], pivot: int,
+                 extra: Iterable[Iterable[Atom]]) -> None:
+        base = frozenset(atom_tuple(base, "a mask base"))
+        extra = tuple(frozenset(atom_tuple(s, "a state")) for s in extra)
+        if not 0 <= pivot < len(extra):
+            raise ValueError(f"pivot {pivot} outside the mask")
+        for t in range(pivot):
+            if extra[t]:
                 raise ValueError(f"mask must be empty before the pivot (point {t})")
-        if not self.base <= self.extra[self.pivot]:
+        if not base <= extra[pivot]:
             raise ValueError("mask at the pivot must contain the base set")
+        self.__setstate__((base, pivot, extra))
 
 
 def mask_trace(m: HTTrace, mask: TraceMask) -> HTTrace:
@@ -154,8 +154,8 @@ _CUM_WEIGHTS_NO_NOT = tuple(itertools.accumulate(
     w for name, w in _WEIGHTS if name != "not"))
 
 
-@dataclass(frozen=True)
-class GenConfig:
+@value_class(slots=False)
+class GenConfig(Value):
     """Deterministic program-generator settings."""
 
     seed: int = 0
@@ -163,14 +163,16 @@ class GenConfig:
     max_rules: int = 6
     max_body_depth: int = 3
 
-    def __post_init__(self) -> None:
-        for name, low, high in (("max_atoms", 1, 4), ("max_rules", 0, 8),
-                                ("max_body_depth", 0, 4)):
-            value = getattr(self, name)
+    def __init__(self, seed: int = 0, max_atoms: int = 3, max_rules: int = 6,
+                 max_body_depth: int = 3) -> None:
+        for name, value, low, high in (
+                ("max_atoms", max_atoms, 1, 4), ("max_rules", max_rules, 0, 8),
+                ("max_body_depth", max_body_depth, 0, 4)):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an int, not {value!r}")
             if not low <= value <= high:
                 raise ValueError(f"{name} must be within [{low}, {high}]")
+        self.__setstate__((seed, max_atoms, max_rules, max_body_depth))
 
 
 def random_past_formula(rng: random.Random, atoms, depth: int) -> PastFormula:
@@ -262,8 +264,8 @@ def random_httrace(rng: random.Random, atoms, lam: int) -> HTTrace:
 # Correspondence reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Report:
+@value_class(slots=False)
+class Report(Value):
     """Outcome of one correspondence check: its results only, as the
     caller holds the program, length and mode it asked about."""
 
@@ -272,6 +274,11 @@ class Report:
     equal: bool
     witnesses: tuple[Trace, ...]
     tight: bool | None = None
+
+    def __init__(self, lhs: tuple[Trace, ...], rhs: tuple[Trace, ...],
+                 equal: bool, witnesses: tuple[Trace, ...],
+                 tight: bool | None = None) -> None:
+        self.__setstate__((lhs, rhs, equal, witnesses, tight))
 
 
 def _target_formulas(p: Program, mode: str,

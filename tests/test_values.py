@@ -1,0 +1,234 @@
+"""The contract of the frozen value classes of `ppt`: the 15 formula
+nodes, `Rule`, `Program`, `HTTrace`, `DepGraph`, `TraceMask`,
+`GenConfig` and `Report`.  Each keeps the fields, text, equality, hash,
+immutability, pickling and slots that a frozen dataclass gave it, and
+none of its methods is code compiled from a string at import."""
+
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ppt
+from ppt import (
+    Always, And, AtomRef, DepGraph, FALSUM, Falsum, FinalConst, GenConfig,
+    HTTrace, Iff, Implies, InitialConst, Not, Or, Previous, Program, Report,
+    Rule, RuleKind, Since, Trace, TraceMask, Trigger, Verum, WeakNextAlways,
+)
+
+A, B = AtomRef("a"), AtomRef("b")
+RULE = Rule(RuleKind.DYNAMIC, ("a",), And(B, Not(Previous(A))))
+
+# One instance of each class, its field names, its text and its own
+# `__slots__` (None where the class keeps a `__dict__`).  Sets in these
+# texts have one element, so no text depends on the hash seed.
+CASES = [
+    (Falsum(), [], "Falsum()", ()),
+    (A, ["name"], "AtomRef(name='a')", ("name",)),
+    (Not(A), ["arg"], "Not(arg=AtomRef(name='a'))", ("arg",)),
+    (And(A, B), ["lhs", "rhs"],
+     "And(lhs=AtomRef(name='a'), rhs=AtomRef(name='b'))", ("lhs", "rhs")),
+    (Or(A, FALSUM), ["lhs", "rhs"],
+     "Or(lhs=AtomRef(name='a'), rhs=Falsum())", ("lhs", "rhs")),
+    (Previous(A), ["arg"], "Previous(arg=AtomRef(name='a'))", ("arg",)),
+    (Since(A, B), ["lhs", "rhs"],
+     "Since(lhs=AtomRef(name='a'), rhs=AtomRef(name='b'))", ("lhs", "rhs")),
+    (Trigger(B, A), ["lhs", "rhs"],
+     "Trigger(lhs=AtomRef(name='b'), rhs=AtomRef(name='a'))",
+     ("lhs", "rhs")),
+    (Verum(), [], "Verum()", ()),
+    (InitialConst(), [], "InitialConst()", ()),
+    (FinalConst(), [], "FinalConst()", ()),
+    (Implies(A, B), ["lhs", "rhs"],
+     "Implies(lhs=AtomRef(name='a'), rhs=AtomRef(name='b'))", ("lhs", "rhs")),
+    (Iff(B, A), ["lhs", "rhs"],
+     "Iff(lhs=AtomRef(name='b'), rhs=AtomRef(name='a'))", ("lhs", "rhs")),
+    (Always(Not(A)), ["arg"], "Always(arg=Not(arg=AtomRef(name='a')))",
+     ("arg",)),
+    (WeakNextAlways(A), ["arg"], "WeakNextAlways(arg=AtomRef(name='a'))",
+     ("arg",)),
+    (RULE,
+     ["kind", "head", "body", "atoms", "positive_present"],
+     "Rule(kind=<RuleKind.DYNAMIC: 'dynamic'>, head=('a',), "
+     "body=And(lhs=AtomRef(name='b'), rhs=Not(arg=Previous(arg=AtomRef(name='a')))))",
+     ("kind", "head", "body", "atoms", "positive_present")),
+    (Program((Rule(RuleKind.INITIAL, ("a",), Not(FALSUM)),), {"a"}),
+     ["rules", "alphabet"],
+     "Program(rules=(Rule(kind=<RuleKind.INITIAL: 'initial'>, head=('a',), "
+     "body=Not(arg=Falsum())),), alphabet=frozenset({'a'}))",
+     ("rules", "alphabet")),
+    (HTTrace([{"a"}, ()], [{"a"}, {"b"}]), ["h", "t"],
+     "HTTrace(h=(frozenset({'a'}), frozenset()), "
+     "t=(frozenset({'a'}), frozenset({'b'})))", ("h", "t")),
+    (DepGraph({"a"}, [("a", "a")], RuleKind.DYNAMIC),
+     ["vertices", "edges", "section"],
+     "DepGraph(vertices=frozenset({'a'}), edges=frozenset({('a', 'a')}), "
+     "section=<RuleKind.DYNAMIC: 'dynamic'>)",
+     ("vertices", "edges", "section")),
+    (TraceMask({"a"}, 1, [(), {"a"}]), ["base", "pivot", "extra"],
+     "TraceMask(base=frozenset({'a'}), pivot=1, "
+     "extra=(frozenset(), frozenset({'a'})))", ("base", "pivot", "extra")),
+    (GenConfig(seed=7, max_rules=2),
+     ["seed", "max_atoms", "max_rules", "max_body_depth"],
+     "GenConfig(seed=7, max_atoms=3, max_rules=2, max_body_depth=3)", None),
+    (Report((Trace.of(["a"]),), (), False, (Trace.of(["a"]),), True),
+     ["lhs", "rhs", "equal", "witnesses", "tight"],
+     "Report(lhs=((frozenset({'a'}),),), rhs=(), equal=False, "
+     "witnesses=((frozenset({'a'}),),), tight=True)", None),
+]
+
+VALUES = [case[0] for case in CASES]
+IDS = [type(x).__name__ for x in VALUES]
+
+
+def _compared(x):
+    return tuple(getattr(x, f.name) for f in dataclasses.fields(x) if f.compare)
+
+
+def _same(x, y):
+    """Same class and the same value in every field, derived ones too."""
+    return type(x) is type(y) and all(
+        getattr(x, f.name) == getattr(y, f.name) for f in dataclasses.fields(x))
+
+
+def test_every_value_class_is_covered():
+    classes = {type(x) for x in VALUES}
+    assert len(classes) == len(VALUES) == 22
+    assert {getattr(ppt, name) for name in IDS} == classes
+
+
+@pytest.mark.parametrize("x, names, text, slots", CASES, ids=IDS)
+def test_fields_text_and_slots(x, names, text, slots):
+    cls = type(x)
+    assert dataclasses.is_dataclass(x)
+    assert [f.name for f in dataclasses.fields(x)] == names
+    assert cls.__match_args__ == tuple(
+        f.name for f in dataclasses.fields(x) if f.init)
+    assert repr(x) == text
+    assert vars(cls).get("__slots__") == slots
+    assert hasattr(x, "__dict__") is (slots is None)
+
+
+@pytest.mark.parametrize("x", VALUES, ids=IDS)
+def test_equality_and_hash_read_the_compared_fields(x):
+    twin = copy.copy(x)
+    assert twin is not x and twin == x and not twin != x
+    assert hash(x) == hash(_compared(x)) == hash(twin)
+    assert x.__eq__(1) is NotImplemented
+    assert x.__eq__(_compared(x)) is NotImplemented
+    assert [y == x for y in VALUES] == [y is x for y in VALUES]
+
+
+def test_equality_needs_the_same_class():
+    assert And(A, B) != Or(A, B) and Since(A, B) != Trigger(A, B)
+    assert Implies(A, B) != Iff(A, B) and Not(A) != Previous(A)
+    assert Always(A) != WeakNextAlways(A) and Falsum() != Verum()
+    assert InitialConst() != FinalConst()
+    assert And(A, B) != And(B, A) and AtomRef("a") == A
+
+
+def test_rule_equality_ignores_derived_fields():
+    rule = Rule(RuleKind.DYNAMIC, ("a",), And(B, Not(A)))
+    twin = copy.copy(rule)
+    object.__setattr__(twin, "atoms", frozenset())
+    object.__setattr__(twin, "positive_present", frozenset({"x"}))
+    assert twin == rule and hash(twin) == hash(rule)
+    assert repr(twin) == repr(rule)
+    assert Rule(RuleKind.INITIAL, ("a",), And(B, Not(A))) != rule
+
+
+def test_shared_subterms_compare_by_identity_first():
+    # A chain of 200 levels whose two sides are one object: each level
+    # compares its field tuples, which take the identity shortcut.
+    f = A
+    for _ in range(200):
+        f = And(f, f)
+    assert f == And(f.lhs, f.rhs)
+
+
+@pytest.mark.parametrize("x", VALUES, ids=IDS)
+def test_fields_are_frozen(x):
+    for name in [f.name for f in dataclasses.fields(x)]:
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot assign to field '{name}'$"):
+            setattr(x, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot delete field '{name}'$"):
+            delattr(x, name)
+    assert _same(x, copy.copy(x))
+
+
+@pytest.mark.parametrize("x", VALUES, ids=IDS)
+def test_pickle_and_copy_round_trip(x):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(x, protocol))
+        assert _same(x, back) and back == x, protocol
+    assert _same(x, copy.copy(x))
+    deep = copy.deepcopy(x)
+    assert _same(x, deep) and hash(deep) == hash(x)
+
+
+@pytest.mark.parametrize("x", VALUES, ids=IDS)
+def test_replace_rebuilds_through_the_constructor(x):
+    back = dataclasses.replace(x)
+    assert _same(x, back) and back is not x
+
+
+def test_replace_validates_again():
+    with pytest.raises(ValueError,
+                       match="^reserved word 'not' cannot be used as an atom$"):
+        dataclasses.replace(A, name="not")
+    with pytest.raises(ValueError, match="^final rules cannot have a head$"):
+        dataclasses.replace(RULE, kind=RuleKind.FINAL)
+    with pytest.raises(ValueError, match=r"^max_rules must be within \[0, 8\]$"):
+        dataclasses.replace(GenConfig(), max_rules=9)
+    rule = dataclasses.replace(RULE, head=["b"], body=A)
+    assert rule.head == ("b",) and rule.atoms == {"a", "b"}
+    assert rule.positive_present == {"a"}
+
+
+# The methods a dataclass can generate, each compiled from a string.
+GENERATED = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__",
+             "__delattr__")
+
+
+@pytest.mark.parametrize("x", VALUES, ids=IDS)
+def test_nothing_is_generated(x):
+    cls = type(x)
+    for name in GENERATED:
+        code = getattr(getattr(cls, name), "__code__", None)
+        assert code is None or code.co_filename != "<string>", name
+    # A class without a docstring gets one made from its signature.
+    assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}(")
+
+
+# Run in a fresh interpreter that has already imported what `ppt` shares
+# with most programs; prints how many code objects compiled from a
+# string are executed while `ppt.cli` is imported.
+_COUNT_EXECS = """
+import argparse, dataclasses, enum, json, random, re, sys
+count = 0
+def hook(event, args):
+    global count
+    if event == "exec" and getattr(args[0], "co_filename", None) == "<string>":
+        count += 1
+sys.addaudithook(hook)
+import ppt.cli
+print(count)
+"""
+
+
+def test_import_executes_no_generated_code():
+    src = str(Path(ppt.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _COUNT_EXECS], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True)
+    # From 3.13 on, `dataclass` executes one compiled builder for every
+    # class it decorates, whatever that builder defines.
+    limit = 22 if sys.version_info >= (3, 13) else 0
+    assert int(done.stdout) <= limit
