@@ -126,9 +126,12 @@ that the layers make cheap, yet admit a short trace over a wide
 alphabet whose survivors each cost 2^n.
 
 All formulas are compiled by one walk, `_flatten`, into one post-order
-node array.  The walk reads each wrapper with `placement` and indexes
-each atom as it meets it.  A wrapper below the top is refused there and
-then; the atoms the alphabet does not cover are named, sorted, once the
+node array.  The walk reads each wrapper with `placement` and keys
+atoms by name, so one node serves every `AtomRef` object of an atom,
+and other nodes by identity.  It emits the node at the top of its
+stack once the children have slots, else pushes them over it, so no
+depth recurses.  A wrapper below the top is refused there and then;
+the atoms the alphabet does not cover are named, sorted, once the
 walk ends, so a formula list with both faults reports the wrapper.  The
 value of a node at point k depends on its children at k and on total
 values at k - 1.  Values are computed as ints over candidate states: in
@@ -159,10 +162,12 @@ DEFAULT_BUDGET = 1 << 24
 
 (_FALSE, _TRUE, _ATOM, _NOT, _AND, _OR, _PREV, _SINCE, _TRIGGER, _INITIAL,
  _FINAL, _IMPLIES, _IFF) = range(13)
-_OPCODES = {Falsum: _FALSE, Verum: _TRUE, AtomRef: _ATOM, Not: _NOT,
-            And: _AND, Or: _OR, Previous: _PREV, Since: _SINCE,
-            Trigger: _TRIGGER, InitialConst: _INITIAL, FinalConst: _FINAL,
-            Implies: _IMPLIES, Iff: _IFF}
+# Atoms are read before this table, by name.
+_OPCODES = {Falsum: _FALSE, Verum: _TRUE, Not: _NOT, And: _AND, Or: _OR,
+            Previous: _PREV, Since: _SINCE, Trigger: _TRIGGER,
+            InitialConst: _INITIAL, FinalConst: _FINAL, Implies: _IMPLIES,
+            Iff: _IFF}
+_BINARY = frozenset((_AND, _OR, _SINCE, _TRIGGER, _IMPLIES, _IFF))
 
 
 class Trace(tuple):
@@ -212,59 +217,75 @@ def _flatten(formulas: Iterable, index: dict[str, int]):
 
     A node is (opcode, a, b): the atom index in `a` for atoms, child
     slots in `a` (and `b` for binary nodes, lhs first) otherwise.
-    Subformulas shared by identity get one slot.  Slots are keyed by
-    `id`, so every formula is held until the walk ends: a formula freed
+    Atoms of one name get one slot, and so do subformulas shared by
+    identity.  Slots are keyed by name for atoms and by `id` for other
+    nodes, so every formula is held until the walk ends: a formula freed
     mid-walk could hand its address to a later node.
     """
     formulas = tuple(formulas)
-    slots: dict[int, int] = {}
+    slots: dict[str | int, int] = {}
     nodes: list[tuple[int, int, int]] = []
     at_start, later = [], []
     carried: set[int] = set()
-    missing: set[str] = set()
     for formula in formulas:
         g, first, onward = placement(formula)
-        stack = [(g, False)]
+        stack = [g]
         while stack:
-            f, expanded = stack.pop()
+            # The top is emitted once its children have slots; until
+            # then they are pushed over it, lhs on top.
+            f = stack[-1]
+            if type(f) is AtomRef:
+                stack.pop()
+                if f.name not in slots:
+                    slots[f.name] = len(nodes)
+                    nodes.append((_ATOM, index.get(f.name), 0))
+                continue
             key = id(f)
             if key in slots:
+                stack.pop()
                 continue
             op = _OPCODES.get(type(f))
-            if op is None:
-                raise ValueError(f"cannot evaluate {type(f).__name__} "
-                                 "below the top of a formula")
-            if op == _ATOM:
-                j = index.get(f.name)
-                if j is None:
-                    missing.add(f.name)
-                node = (op, j, 0)
-            elif op in (_FALSE, _TRUE, _INITIAL, _FINAL):
-                node = (op, 0, 0)
-            elif op == _NOT or op == _PREV:
-                if not expanded:
-                    stack += ((f, True), (f.arg, False))
+            if op in _BINARY:
+                lhs, rhs = f.lhs, f.rhs
+                a = slots.get(lhs.name if type(lhs) is AtomRef else id(lhs))
+                b = slots.get(rhs.name if type(rhs) is AtomRef else id(rhs))
+                if a is None or b is None:
+                    if b is None:
+                        stack.append(rhs)
+                    if a is None:
+                        stack.append(lhs)
                     continue
-                node = (op, slots[id(f.arg)], 0)
-                if op == _PREV:
-                    carried.add(node[1])
-            else:
-                if not expanded:
-                    stack += ((f, True), (f.rhs, False), (f.lhs, False))
-                    continue
-                node = (op, slots[id(f.lhs)], slots[id(f.rhs)])
+                node = (op, a, b)
                 if op == _SINCE or op == _TRIGGER:
                     carried.add(len(nodes))
+            elif op == _NOT or op == _PREV:
+                arg = f.arg
+                a = slots.get(arg.name if type(arg) is AtomRef else id(arg))
+                if a is None:
+                    stack.append(arg)
+                    continue
+                node = (op, a, 0)
+                if op == _PREV:
+                    carried.add(a)
+            elif op is None:
+                raise ValueError(f"cannot evaluate {type(f).__name__} "
+                                 "below the top of a formula")
+            else:
+                node = (op, 0, 0)
+            stack.pop()
             slots[key] = len(nodes)
             nodes.append(node)
+        root = slots[g.name if type(g) is AtomRef else id(g)]
         # `placement` yields first = 1 only together with onward.
         if not first:
-            at_start.append(slots[id(g)])
+            at_start.append(root)
         if onward:
-            later.append(slots[id(g)])
+            later.append(root)
+    missing = sorted(name for name in slots
+                     if type(name) is str and name not in index)
     if missing:
-        raise ValueError("alphabet does not cover atoms: "
-                         + ", ".join(sorted(missing)))
+        raise ValueError(
+            "alphabet does not cover atoms: " + ", ".join(missing))
     return nodes, at_start, later, sorted(carried)
 
 

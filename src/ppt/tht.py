@@ -174,7 +174,10 @@ class _BitEvaluator:
             f"cannot evaluate {tp.__name__} below the top of a formula")
 
 
-def _evaluator(m: HTTrace, core: bool = False) -> _BitEvaluator:
+def evaluator(m: HTTrace, core: bool = False) -> _BitEvaluator:
+    """A bit evaluator of m; its memo is keyed by `id`, so each formula
+    given to it must live as long as it does.  Shared with
+    `run_semantics_suite`, but no part of the interface (`__all__`)."""
     t_bits = _trace_bits(m.t)
     h_bits = t_bits if m.h == m.t else _trace_bits(m.h)
     return _BitEvaluator(h_bits, t_bits, len(m), core=core)
@@ -194,7 +197,7 @@ def _check_point(m: HTTrace, k: int) -> None:
 def ht_sat(m: HTTrace, k: int, f) -> bool:
     """Satisfaction of a core past formula at point k of an HT-trace."""
     _check_point(m, k)
-    ev = _evaluator(m, core=True)
+    ev = evaluator(m, core=True)
     return bool(ev.eval(f, ev.h is ev.t) >> k & 1)
 
 
@@ -203,7 +206,7 @@ def formula_sat(m: HTTrace, k: int, f) -> bool:
     its wrapper read by `progression.placement`, the connectives below
     classical, negation reading T, and both sides required."""
     _check_point(m, k)
-    return _holds(_evaluator(m), k, f)
+    return _holds(evaluator(m), k, f)
 
 
 def _holds(ev: _BitEvaluator, k: int, f) -> bool:
@@ -225,7 +228,7 @@ def rule_sat(m: HTTrace, rule: Rule) -> bool:
 
 def is_ht_model(m: HTTrace, p: Program) -> bool:
     """True when the HT-trace satisfies every rule of the program."""
-    ev = _evaluator(m)
+    ev = evaluator(m)
     return all(_holds(ev, 0, f) for f in program_as_ltlf(p))
 
 

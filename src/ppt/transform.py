@@ -12,6 +12,10 @@ traces:
   in `wnext_always`.  Loops are enumerated per strongly connected
   component, which fails with `SccTooLarge` beyond the fixed
   `depgraph.SCC_CAP`; the other two translations need no loops.
+  `loop_formula_regimes` builds both regimes from one enumeration of
+  the unitary loops and one support memo per section: the default
+  regime is that list without the singletons that have no self-edge,
+  and the two lists share their formula objects.
 * `program_as_ltlf`: the rules read as formulas (`rule_formula`), as
   the stable-model search and the rule checks of `ppt.tht` read them.
 
@@ -59,8 +63,8 @@ from .depgraph import enumerate_loops, section_graphs
 __all__ = [
     "support_transform", "external_support", "rule_formula",
     "sourced_completion", "sourced_loop_formulas", "sourced_program_as_ltlf",
-    "completion", "loop_formulas", "program_as_ltlf", "simplify",
-    "simplify_formulas",
+    "completion", "loop_formulas", "loop_formula_regimes", "program_as_ltlf",
+    "simplify", "simplify_formulas",
 ]
 
 Sourced = list[tuple[ExtFormula, str]]
@@ -233,14 +237,10 @@ def sourced_program_as_ltlf(p: Program) -> Sourced:
     return [(rule_formula(r), f"rule {i}") for i, r in enumerate(p.rules)]
 
 
-def sourced_loop_formulas(p: Program, unitary: bool = False) -> Sourced:
-    """One formula per loop: initial loops first, then dynamic loops.
-
-    Loops come out in canonical order; each formula states that the loop
-    disjunction implies the external support of the loop within its own
-    section.
-    """
-    out: Sourced = []
+def _loop_entries(p: Program, unitary: bool):
+    # ((formula, source), whether the loop is a default-regime loop) per
+    # loop of the regime, from one enumeration and one support memo per
+    # section; a default-regime enumeration yields only default loops.
     refs = _atom_refs(p)
     for graph in section_graphs(p):
         section = graph.section
@@ -254,8 +254,32 @@ def sourced_loop_formulas(p: Program, unitary: bool = False) -> Sourced:
                            support(loop))
             if section is RuleKind.DYNAMIC:
                 body = WeakNextAlways(body)
-            out.append((body, f"{section.value} loop {{{', '.join(atoms)}}}"))
-    return out
+            yield ((body, f"{section.value} loop {{{', '.join(atoms)}}}"),
+                   len(atoms) > 1 or (atoms[0], atoms[0]) in graph.edges)
+
+
+def sourced_loop_formulas(p: Program, unitary: bool = False) -> Sourced:
+    """One formula per loop: initial loops first, then dynamic loops.
+
+    Loops come out in canonical order; each formula states that the loop
+    disjunction implies the external support of the loop within its own
+    section.
+    """
+    return [entry for entry, _ in _loop_entries(p, unitary)]
+
+
+def loop_formula_regimes(p: Program
+                         ) -> tuple[list[ExtFormula], list[ExtFormula]]:
+    """`loop_formulas(p)` and `loop_formulas(p, unitary=True)`, from one
+    enumeration of the unitary loops: the default regime is that list
+    without the singletons that have no self-edge, and each of its
+    formulas is the unitary regime's object."""
+    default, unitary = [], []
+    for (f, _), kept in _loop_entries(p, True):
+        unitary.append(f)
+        if kept:
+            default.append(f)
+    return default, unitary
 
 
 def completion(p: Program) -> list[ExtFormula]:

@@ -22,7 +22,9 @@ helpers drive seeded batches for the command line and the test suite.
 `verify_correspondence` and `run_correspondence_suite` share one check:
 each takes a mode's translation from `_target_formulas`, which looks the
 translation functions up by name at call time, and gets its verdicts
-from the `Report` that `_report` builds.
+from the `Report` that `_report` builds.  The suite hands it the
+completion and both loop regimes, from one `loop_formula_regimes` call
+per case; `verify_correspondence` builds its mode's translation alone.
 """
 
 from __future__ import annotations
@@ -37,10 +39,13 @@ from .syntax import (
     atom_tuple, positive_atoms, value_class,
 )
 from .progression import Trace, check_limits
-from .tht import HTTrace, enumerate_ts_models, ht_sat, three_valued
+from .tht import HTTrace, enumerate_ts_models, evaluator, ht_sat, three_valued
 from .ltlf import enumerate_ltlf_models
 from .depgraph import is_tight
-from .transform import completion, loop_formulas, program_as_ltlf, support_transform
+from .transform import (
+    completion, loop_formula_regimes, loop_formulas, program_as_ltlf,
+    support_transform,
+)
 
 __all__ = [
     "PreconditionSkipped", "TraceMask", "Report", "GenConfig",
@@ -281,20 +286,22 @@ class Report(Value):
         self.__setstate__((lhs, rhs, equal, witnesses, tight))
 
 
-def _target_formulas(p: Program, mode: str,
-                     completed: list | None = None) -> list:
-    """The translation of `p` for `mode`; `completed`, when given, is
-    `completion(p)`, built once for several modes."""
-    if mode == "unitary_loops":
-        return program_as_ltlf(p) + loop_formulas(p, unitary=True)
+def _target_formulas(p: Program, mode: str, completed: list | None = None,
+                     regimes: tuple | None = None) -> list:
+    """The translation of `p` for `mode`.  `completed` and `regimes`,
+    when given, are `completion(p)` and `loop_formula_regimes(p)`, built
+    once for several modes."""
     if mode not in MODES:
         raise ValueError(
             f"unknown mode {mode!r} (choose from {', '.join(MODES)})")
+    unitary = mode == "unitary_loops"
+    loops = ([] if mode == "completion" else loop_formulas(p, unitary)
+             if regimes is None else regimes[unitary])
+    if unitary:
+        return program_as_ltlf(p) + loops
     if completed is None:
         completed = completion(p)
-    if mode == "completion":
-        return completed
-    return completed + loop_formulas(p, unitary=False)
+    return completed + loops
 
 
 def _report(p: Program, lam: int, mode: str, formulas: list,
@@ -361,9 +368,10 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
         lam = random.Random(case_seed ^ 0x5EED).randint(1, 3)
 
         lhs = enumerate_ts_models(p, lam)
-        formulas = completion(p)
+        formulas, regimes = completion(p), loop_formula_regimes(p)
         completed, *looped = (
-            _report(p, lam, mode, _target_formulas(p, mode, formulas), lhs)
+            _report(p, lam, mode,
+                    _target_formulas(p, mode, formulas, regimes), lhs)
             for mode in MODES)
         summary["tight_cases"] += completed.tight
         failed = [f"{mode}_failures"
@@ -470,12 +478,15 @@ def run_semantics_suite(cases: int = 10_000, seed: int = 0) -> dict:
     for _ in range(cases):
         lam = rng.randint(1, 4)
         m = random_httrace(rng, atoms, lam)
-        total = HTTrace.total(m.t)
         k = rng.randrange(lam)
+        # One evaluator of m serves every formula of the case, each held
+        # by a name while it lives; `eval(g, True)` reads <T, T>.
+        ev = evaluator(m, core=True)
+        bit = 1 << k
         f = random_past_formula(rng, atoms, rng.randint(0, 5))
         value = three_valued(m, k, f)
-        if ((value == 2) != ht_sat(m, k, f)
-                or (value != 0) != ht_sat(total, k, f)):
+        if ((value == 2) != bool(ev.eval(f, False) & bit)
+                or (value != 0) != bool(ev.eval(f, True) & bit)):
             summary["three_valued_failures"] += 1
         lhs = random_past_formula(rng, atoms, rng.randint(0, 2))
         rhs = random_past_formula(rng, atoms, rng.randint(0, 2))
@@ -484,12 +495,10 @@ def run_semantics_suite(cases: int = 10_000, seed: int = 0) -> dict:
         trigger = Trigger(lhs, rhs)
         trigger_unfolded = And(rhs, Or(lhs, Or(Previous(trigger),
                                                INITIAL_EXPANSION)))
-        for probe in (m, total):
-            if (ht_sat(probe, k, since) != ht_sat(probe, k, since_unfolded)
-                    or ht_sat(probe, k, trigger)
-                    != ht_sat(probe, k, trigger_unfolded)):
-                summary["unfolding_failures"] += 1
-                break
+        if any(((ev.eval(since, total) ^ ev.eval(since_unfolded, total))
+                | (ev.eval(trigger, total) ^ ev.eval(trigger_unfolded, total)))
+               & bit for total in (False, True)):
+            summary["unfolding_failures"] += 1
     summary["failures"] = (summary["three_valued_failures"]
                            + summary["unfolding_failures"])
     return summary

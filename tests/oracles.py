@@ -36,7 +36,7 @@ from ppt import (
     Falsum, HTTrace, Iff, Implies, INITIAL_CONST, Not, Or, Previous, Program,
     Rule, RuleKind, Since, Trace, Trigger, WeakNextAlways, support_transform,
 )
-from ppt.tht import _BitEvaluator, _evaluator
+from ppt.tht import _BitEvaluator, evaluator
 
 # A token is the text the group captures, after any whitespace and
 # comments; at a character no token starts with, the group is empty.
@@ -222,7 +222,7 @@ def _check_rule(ev: _BitEvaluator, rule: Rule, total_only: bool) -> bool:
 
 def rules_hold(m: HTTrace, p: Program) -> bool:
     """Every rule of p on the HT-trace, read from its head and body."""
-    ev = _evaluator(m)
+    ev = evaluator(m)
     return all(_check_rule(ev, r, ev.h is ev.t) for r in p.rules)
 
 

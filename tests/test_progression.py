@@ -8,11 +8,12 @@ import pytest
 
 import ppt.progression
 from ppt import (
-    Always, And, AtomRef, BudgetExceeded, Implies, Not, Previous, Program,
-    Rule, RuleKind, Trace, WeakNextAlways, completion, enumerate_ltlf_models,
-    enumerate_ts_models, loop_formulas, parse_program, program_as_ltlf,
+    Always, And, AtomRef, BudgetExceeded, Implies, Not, Or, Previous, Program,
+    Rule, RuleKind, Since, Trace, WeakNextAlways, completion,
+    enumerate_ltlf_models, enumerate_ts_models, loop_formulas, parse_program,
+    program_as_ltlf,
 )
-from ppt.progression import search
+from ppt.progression import _ATOM, _flatten, search
 from ppt.syntax import CORE_TRUE, FALSUM, FINAL_CONST
 from ppt.verify import GenConfig, random_past_formula, random_program
 
@@ -229,6 +230,26 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="reserved word"):
             search([], 1, {"a", "since"})
 
+    def test_deep_not_previous_nest_needs_no_recursion(self):
+        # 10,000 nodes deep, required at every point: each trace of
+        # length 3 over {a} is checked layer by layer, point by point.
+        # One previous keeps the nest from being constant there.
+        f = AtomRef("a")
+        layers = [Previous if i == 5000 else Not for i in range(10_000)]
+        for layer in layers:
+            f = layer(f)
+        want = []
+        for bits in range(8):
+            vals = [bool(bits >> k & 1) for k in range(3)]
+            for layer in layers:
+                vals = ([False] + vals[:-1] if layer is Previous
+                        else [not v for v in vals])
+            if all(vals):
+                want.append(Trace([{"a"} if bits >> k & 1 else set()
+                                   for k in range(3)]))
+        assert 0 < len(want) < 8
+        assert search([Always(f)], 3, {"a"}) == _canonical(want)
+
     def test_deep_body_needs_no_recursion(self):
         body = CORE_TRUE
         for _ in range(5000):
@@ -359,3 +380,32 @@ class TestBeyondTheOracle:
         models = enumerate_ts_models(parse_program(pairs), 1,
                                      budget=259 * 2 ** 16 + 257)
         assert len(models) == 256
+
+
+class TestFlatten:
+    def test_one_atom_node_per_name(self):
+        # Fresh leaves, as the random programs build them: two of one
+        # name below one node, one met again later, one as a root.
+        formulas = [And(AtomRef("a"), AtomRef("a")),
+                    Or(AtomRef("b"), Not(AtomRef("a"))),
+                    Implies(Previous(AtomRef("b")), AtomRef("a")),
+                    AtomRef("b")]
+        nodes, at_start, _, _ = _flatten(formulas, {"a": 0, "b": 1})
+        atoms = [node for node in nodes if node[0] == _ATOM]
+        assert sorted(atoms) == [(_ATOM, 0, 0), (_ATOM, 1, 0)]
+        assert len(nodes) == 7
+        assert nodes[at_start[-1]] == (_ATOM, 1, 0)
+
+    def test_wrapper_below_the_top_is_refused_before_uncovered_atoms(self):
+        # The uncovered atom b is met first, twice, and the wrapper deep
+        # below a negation and a previous.
+        with pytest.raises(ValueError, match="cannot evaluate Always "
+                                             "below the top of a formula"):
+            _flatten([And(AtomRef("b"), Or(AtomRef("b"), Not(Previous(
+                Always(AtomRef("a"))))))], {"a": 0})
+
+    def test_uncovered_atoms_are_named_sorted(self):
+        with pytest.raises(ValueError, match="alphabet does not cover "
+                                             "atoms: b, c$"):
+            _flatten([Or(AtomRef("c"), AtomRef("b")),
+                      Since(AtomRef("c"), AtomRef("a"))], {"a": 0})

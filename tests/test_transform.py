@@ -15,6 +15,7 @@ from ppt import (
 )
 from ppt.cli import main
 from ppt.depgraph import enumerate_loops, section_graphs
+from ppt.transform import loop_formula_regimes
 from ppt.syntax import (
     CORE_TRUE, FINAL_CONST, INITIAL_CONST, format_formulas, or_chain,
 )
@@ -181,6 +182,46 @@ class TestLoopFormulas:
         assert enumerate_ltlf_models(cf1, 2, p1.alphabet) == (TARGET,)
         cf2 = completion(p2) + loop_formulas(p2)
         assert enumerate_ltlf_models(cf2, 2, p2.alphabet) == ()
+
+
+class TestLoopFormulaRegimes:
+    """Both regimes from one enumeration, against one call per regime."""
+
+    # The cycle program of the hash-seed check: a 6-atom positive
+    # component whose loops share terms, and atoms with no self-edge.
+    CYCLE = """
+        a | b :- c.  c :- a, not d.
+        #dynamic.
+        a | b :- f, not d.
+        b :- a, (c since e).
+        c | d :- b, prev f.
+        d :- c, not a.
+        e | x :- d, (f since prev a).
+        f :- e; b, not x.
+        a :- f, prev (a since b).
+        x :- prev x.
+    """
+
+    @staticmethod
+    def _check(p):
+        default, unitary = loop_formula_regimes(p)
+        assert default == loop_formulas(p)
+        assert unitary == loop_formulas(p, unitary=True)
+        # The default regime is a sublist of the unitary one, object for
+        # object and in order.
+        rest = iter(unitary)
+        assert all(any(f is g for g in rest) for f in default)
+
+    def test_random_programs(self):
+        for seed in range(300):
+            self._check(random_program(
+                GenConfig(seed=seed, max_atoms=4, max_rules=8)))
+
+    def test_examples_and_cycle(self, p1, p2):
+        for p in (p1, p2, parse_program(self.CYCLE)):
+            self._check(p)
+        default, unitary = loop_formula_regimes(parse_program(self.CYCLE))
+        assert 0 < len(default) < len(unitary)
 
 
 class TestProgramAsLtlf:

@@ -8,12 +8,11 @@ import pytest
 import ppt.verify
 
 from ppt import (
-    FALSUM, Always, AtomRef, GenConfig, HTTrace, Not, PreconditionSkipped,
-    Previous, Program, Trace, TraceMask, check_lemma_pastocc,
-    check_lemma_support, format_program, mask_trace, parse_program,
-    random_program, run_correspondence_suite, run_lemma_suite,
-    run_semantics_suite,
-    verify_correspondence,
+    FALSUM, MODES, Always, AtomRef, GenConfig, HTTrace, Not,
+    PreconditionSkipped, Previous, Program, Trace, TraceMask,
+    check_lemma_pastocc, check_lemma_support, format_program, is_tight,
+    mask_trace, parse_program, random_program, run_correspondence_suite,
+    run_lemma_suite, run_semantics_suite, verify_correspondence,
 )
 
 from conftest import TARGET
@@ -205,14 +204,57 @@ FAULTY_SUITE = {
 @pytest.mark.parametrize("fault", sorted(FAULTY_SUITE))
 def test_correspondence_suite_counts_injected_faults(monkeypatch, fault):
     if fault == "no loop formulas":
-        monkeypatch.setattr(ppt.verify, "loop_formulas",
-                            lambda p, unitary=False: [])
+        # The suite takes both regimes from one call.
+        monkeypatch.setattr(ppt.verify, "loop_formula_regimes",
+                            lambda p: ([], []))
     else:
         completion = ppt.verify.completion
         monkeypatch.setattr(ppt.verify, "completion",
                             lambda p: completion(p) + [Always(FALSUM)])
     out = run_correspondence_suite(cases=40, seed=56)
     assert out == {"cases": 40, "seed": 56, **FAULTY_SUITE[fault]}
+
+
+@pytest.mark.parametrize("fault", [None, "no loop formulas"])
+def test_correspondence_suite_matches_the_public_path(monkeypatch, fault):
+    # Each counter of the suite, recomputed case by case from
+    # `verify_correspondence` in each mode and from `is_tight`; the
+    # injected fault drops the loop formulas from both paths.
+    if fault:
+        monkeypatch.setattr(ppt.verify, "loop_formula_regimes",
+                            lambda p: ([], []))
+        monkeypatch.setattr(ppt.verify, "loop_formulas",
+                            lambda p, unitary=False: [])
+    want = {"cases": 100, "seed": 8, "tight_cases": 0,
+            "completion_loops_failures": 0, "unitary_loops_failures": 0,
+            "completion_tight_failures": 0, "soundness_failures": 0,
+            "failing_seeds": []}
+    rng = random.Random(8)
+    for _ in range(100):
+        case_seed = rng.getrandbits(32)
+        cfg = GenConfig(seed=case_seed)
+        p = random_program(cfg)
+        p = Program(p.rules, frozenset("abcd"[:cfg.max_atoms]))
+        lam = random.Random(case_seed ^ 0x5EED).randint(1, 3)
+        completed, *looped = (verify_correspondence(p, lam, mode)
+                              for mode in MODES)
+        tight = is_tight(p)
+        assert completed.tight is tight
+        want["tight_cases"] += tight
+        failed = [f"{mode}_failures"
+                  for mode, r in zip(MODES[1:], looped) if not r.equal]
+        if not set(completed.lhs) <= set(completed.rhs):
+            failed.append("soundness_failures")
+        if tight and not completed.equal:
+            failed.append("completion_tight_failures")
+        for key in failed:
+            want[key] += 1
+        if failed:
+            want["failing_seeds"].append(case_seed)
+    want["failures"] = sum(want[key] for key in want
+                           if key.endswith("_failures"))
+    assert (want["failures"] > 0) == bool(fault)
+    assert run_correspondence_suite(cases=100, seed=8) == want
 
 
 def _masking_unchecked(f, m, mask):
