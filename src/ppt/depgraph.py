@@ -14,21 +14,21 @@ A loop is a nonempty atom set whose induced subgraph is strongly
 connected, returned as a frozenset of atoms; its section is that of
 its graph.  In the default regime singleton loops additionally need a
 self-edge, while the unitary regime admits every singleton.  A program
-is tight when neither section graph has a loop in the default regime,
-that is neither a self-edge nor a strongly connected component of two
-or more atoms (such a component is itself a loop).
+is tight when neither section graph has a loop in the default regime.
 
-One primitive serves components, tightness and loops: `_closure`, the
-set of vertices a bitmask reaches inside a member mask.  Components
-cost at most one forward and one backward closure each, and each
-closure visits only the vertices it reaches.  Loop enumeration tries
-every subset of a component, so it refuses components larger than the
-fixed `SCC_CAP`; tightness needs no enumeration and has no cap.
+One walk serves loops and tightness: `_loops` tries the subsets of
+each component, whole component first, as masks over the graph's own
+vertex numbering, and tests them with `_closure`, the set of vertices
+a bitmask reaches inside a member mask.  Components cost at most one
+forward and one backward closure each.  Loop enumeration walks every
+subset, so it refuses components larger than the fixed `SCC_CAP`.
+Tightness stops at the first loop, and a component of two or more
+atoms is itself the first loop of its walk, so it has no cap.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import SccTooLarge
 from .syntax import (
@@ -140,56 +140,51 @@ def _components(forward: list[int], backward: list[int]) -> list[int]:
     return components
 
 
+def _loops(forward: list[int], backward: list[int], components: list[int],
+           unitary: bool) -> Iterator[int]:
+    # Each component's loops as vertex masks, whole component first: a
+    # singleton with a self-edge (any singleton if unitary), or a larger
+    # subset whose lowest vertex reaches all of it both ways inside it.
+    for scc in components:
+        sub = scc
+        while sub:
+            start = sub & -sub
+            if sub == start:
+                if unitary or forward[start.bit_length() - 1] & start:
+                    yield sub
+            elif (_closure(start, forward, sub) == sub
+                    and _closure(start, backward, sub) == sub):
+                yield sub
+            sub = (sub - 1) & scc
+
+
 def enumerate_loops(g: DepGraph,
                     unitary: bool = False) -> tuple[frozenset[Atom], ...]:
     """All loops of a graph as atom sets, in canonical order: sorted by
-    their sorted atoms.
-
-    Loops of size two or more are strongly connected subsets of a single
-    component, and no component may exceed the cap.  The cap error names
-    the first oversize component in the order of the components' smallest
-    atoms.  Singletons need a self-edge in the default regime and are
-    unconditional in the unitary regime.  Within a component of n atoms,
-    a subset is an n-bit mask and each atom's successors and predecessors
-    in the component are masks too: a subset is strongly connected when
-    its lowest atom reaches all of it both forwards and backwards.
-    """
+    their sorted atoms.  Every loop lies inside one component, and no
+    component may exceed the cap: the error names the first oversize
+    component in the order of the components' smallest atoms."""
     vertices, forward, backward = _adjacency(g)
     components = _components(forward, backward)
     for scc in components:
         if scc.bit_count() > SCC_CAP:
             raise SccTooLarge(
                 f"component of size {scc.bit_count()} exceeds cap {SCC_CAP}")
-    loops = [frozenset((vertex,)) for j, vertex in enumerate(vertices)
-             if unitary or forward[j] >> j & 1]
-    for scc in components:
-        if scc & (scc - 1) == 0:
-            continue
-        component = [j for j in range(len(vertices)) if scc >> j & 1]
-        succ = [0] * len(component)
-        pred = [0] * len(component)
-        for j, v in enumerate(component):
-            for k, w in enumerate(component):
-                if forward[v] >> w & 1:
-                    succ[j] |= 1 << k
-                    pred[k] |= 1 << j
-        for mask in range(3, 1 << len(component)):
-            if mask & (mask - 1) == 0:
-                continue
-            start = mask & -mask
-            if (_closure(start, succ, mask) == mask
-                    and _closure(start, pred, mask) == mask):
-                loops.append(frozenset(vertices[v] for j, v in enumerate(component)
-                                       if mask >> j & 1))
-    return tuple(sorted(loops, key=sorted))
+    # A loop's atoms, read off in bit order, are sorted already.
+    loops = []
+    for mask in _loops(forward, backward, components, unitary):
+        atoms = []
+        while mask:
+            low = mask & -mask
+            atoms.append(vertices[low.bit_length() - 1])
+            mask ^= low
+        loops.append(atoms)
+    loops.sort()
+    return tuple(map(frozenset, loops))
 
 
 def is_tight(p: Program) -> bool:
     """True when neither section graph has a loop (default regime)."""
-    for g in section_graphs(p):
-        if any(a == b for a, b in g.edges):
-            return False
-        _, forward, backward = _adjacency(g)
-        if any(c & (c - 1) for c in _components(forward, backward)):
-            return False
-    return True
+    return not any(
+        any(_loops(forward, backward, _components(forward, backward), False))
+        for _, forward, backward in map(_adjacency, section_graphs(p)))

@@ -304,13 +304,11 @@ def three_valued(m: HTTrace, k: int, f) -> int:
                 min(val(g.rhs, i),
                     min((val(g.lhs, x) for x in range(i + 1, j + 1)), default=2))
                 for i in range(j + 1))
-        elif tp is Trigger:
+        else:  # Trigger: `is_past_formula` admitted no other node
             out = min(
                 max(val(g.rhs, i),
                     max((val(g.lhs, x) for x in range(i + 1, j + 1)), default=0))
                 for i in range(j + 1))
-        else:
-            raise ValueError(f"not a core past formula: {g!r}")
         memo[key] = out
         return out
 

@@ -60,6 +60,11 @@ MODES = ("completion", "completion_loops", "unitary_loops")
 MAX_WITNESSES = 5
 
 
+def _check_int(name: str, value) -> None:
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 class PreconditionSkipped(Exception):
     """A lemma instance whose syntactic precondition does not hold.
 
@@ -88,6 +93,7 @@ class TraceMask(Value):
                  extra: Iterable[Iterable[Atom]]) -> None:
         base = frozenset(atom_tuple(base, "a mask base"))
         extra = tuple(frozenset(atom_tuple(s, "a state")) for s in extra)
+        _check_int("pivot", pivot)
         if not 0 <= pivot < len(extra):
             raise ValueError(f"pivot {pivot} outside the mask")
         for t in range(pivot):
@@ -170,11 +176,11 @@ class GenConfig(Value):
 
     def __init__(self, seed: int = 0, max_atoms: int = 3, max_rules: int = 6,
                  max_body_depth: int = 3) -> None:
+        _check_int("seed", seed)
         for name, value, low, high in (
                 ("max_atoms", max_atoms, 1, 4), ("max_rules", max_rules, 0, 8),
                 ("max_body_depth", max_body_depth, 0, 4)):
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, not {value!r}")
+            _check_int(name, value)
             if not low <= value <= high:
                 raise ValueError(f"{name} must be within [{low}, {high}]")
         self.__setstate__((seed, max_atoms, max_rules, max_body_depth))
@@ -185,6 +191,7 @@ def random_past_formula(rng: random.Random, atoms, depth: int) -> PastFormula:
     atoms = atom_tuple(atoms, "an atom pool")
     if not atoms:
         raise ValueError("an atom pool must not be empty")
+    _check_int("depth", depth)
 
     def leaf() -> PastFormula:
         if rng.random() < 0.08:
@@ -254,6 +261,7 @@ def random_program(cfg: GenConfig) -> Program:
 def random_httrace(rng: random.Random, atoms, lam: int) -> HTTrace:
     """A random HT-trace over the atoms, uniform pointwise H within T."""
     atoms = atom_tuple(atoms, "an atom pool")
+    _check_int("trace length", lam)
     there = []
     here = []
     for _ in range(lam):
@@ -335,9 +343,10 @@ def verify_correspondence(p: Program, lam: int, mode: str,
 # Batch suites
 # ---------------------------------------------------------------------------
 
-def _check_cases(cases: int) -> None:
+def _check_suite(cases: int, seed: int) -> None:
     if type(cases) is not int or cases < 0:
         raise ValueError(f"cases must be a nonnegative int, got {cases!r}")
+    _check_int("seed", seed)
 
 
 def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
@@ -348,7 +357,7 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
     tight, and equality for the two loop-formula modes, each read off
     that mode's `Report`.
     """
-    _check_cases(cases)
+    _check_suite(cases, seed)
     rng = random.Random(seed)
     summary = {
         "cases": cases,
@@ -395,19 +404,16 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
 def _pick_mask_atoms(rng: random.Random, f: PastFormula, atoms,
                      base: frozenset[Atom], present_only: bool) -> frozenset[Atom]:
     # Mix construction strategies so that most instances meet the lemma
-    # precondition while some exercise the skip path.
-    atoms = frozenset(atoms)
+    # precondition while some exercise the skip path: the base alone, the
+    # base and atoms the precondition allows, or the base and any atoms.
     roll = rng.random()
     if roll < 0.35:
         return base
+    pool = frozenset(atoms) - base
     if roll < 0.85:
-        unsafe = positive_atoms(f, present_only) & (atoms - base)
-        safe = sorted(atoms - base - unsafe)
-        picked = rng.sample(safe, rng.randint(0, len(safe)))
-        return base | frozenset(picked)
-    extras = sorted(atoms - base)
-    picked = rng.sample(extras, rng.randint(0, len(extras)))
-    return base | frozenset(picked)
+        pool -= positive_atoms(f, present_only)
+    pool = sorted(pool)
+    return base | frozenset(rng.sample(pool, rng.randint(0, len(pool))))
 
 
 def _random_mask(rng: random.Random, atoms, lam: int, pivot: int,
@@ -428,7 +434,7 @@ def run_lemma_suite(lemma: str, cases: int = 10_000, seed: int = 0) -> dict:
     """
     if lemma not in ("support", "pastocc"):
         raise ValueError(f"unknown lemma {lemma!r}")
-    _check_cases(cases)
+    _check_suite(cases, seed)
     support = lemma == "support"
     rng = random.Random(seed)
     atoms = _ATOM_POOL[:3]
@@ -470,7 +476,7 @@ def run_semantics_suite(cases: int = 10_000, seed: int = 0) -> dict:
     one-step unfoldings of since (with previous) and trigger (with weak
     previous) must agree with the direct connectives.
     """
-    _check_cases(cases)
+    _check_suite(cases, seed)
     rng = random.Random(seed)
     atoms = _ATOM_POOL[:3]
     summary = {"cases": cases, "seed": seed,

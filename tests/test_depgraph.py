@@ -7,6 +7,7 @@ from ppt import (
     DepGraph, RuleKind, SccTooLarge, dependency_graph,
     enumerate_loops, is_tight, parse_program, section_graphs,
 )
+from ppt import depgraph
 from ppt.depgraph import SCC_CAP
 
 
@@ -144,6 +145,39 @@ class TestTightness:
             has_loop = any(enumerate_loops(g) for g in graphs)
             assert is_tight(p) is not has_loop
             assert is_tight(p) is _tight_by_reach(graphs)
+
+
+class TestTightnessWalk:
+    """Tightness stops at the first loop: it never walks the subsets of
+    a component, so a component past the cap costs it nothing."""
+
+    @pytest.mark.parametrize("cycle", [True, False], ids=["cycle", "chain"])
+    def test_tightness_never_enumerates_subsets(self, monkeypatch, cycle):
+        size = 2 * SCC_CAP
+        rules = " ".join(f"a{i:02} :- a{(i + 1) % size:02}."
+                         for i in range(size if cycle else size - 1))
+        p = parse_program(f"#dynamic. {rules}")
+        # Components: one per atom in the initial graph, which has no
+        # edges; one (the cycle) or one per atom (the chain) in the
+        # dynamic graph.  Each costs at most two closures, and the walk
+        # two more per graph.
+        limit = (2 * size + 2) + (2 * (1 if cycle else size) + 2)
+        calls = 0
+        closure = depgraph._closure
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            assert calls <= limit, "tightness walked a component's subsets"
+            return closure(*args)
+
+        monkeypatch.setattr(depgraph, "_closure", counting)
+        assert is_tight(p) is not cycle
+        assert 0 < calls <= limit
+        monkeypatch.undo()
+        if cycle:
+            with pytest.raises(SccTooLarge, match=f"size {size} exceeds"):
+                enumerate_loops(_dyn_graph(p))
 
 
 def _tight_by_reach(graphs):

@@ -1,6 +1,7 @@
 """Input checks that no other in-process test reaches: each bad input
 raises its documented exception type with its message."""
 
+import functools
 import random
 import re
 import subprocess
@@ -27,6 +28,13 @@ _ONE_POINT = HTTrace.total(Trace.of(["a"]))
 _LOOP = "a :- b. b :- a."
 # A positive cycle of 22 atoms, past the loop cap.
 _CYCLE = "".join(f"a{i} :- a{(i + 1) % 22}.\n" for i in range(22))
+
+# Each suite, run for one case at a given seed.
+_SUITES = (
+    ("correspondence", lambda seed: run_correspondence_suite(1, seed)),
+    ("lemma", lambda seed: run_lemma_suite("support", 1, seed)),
+    ("semantics", lambda seed: run_semantics_suite(1, seed)),
+)
 
 # (id, call, exception type, the whole message as a regular expression)
 CASES = [
@@ -252,6 +260,40 @@ CASES = [
     ("correspondence-suite-bool-cases",
      lambda: run_correspondence_suite(True), ValueError,
      re.escape("cases must be a nonnegative int, got True")),
+    # A seed of None drew a new program on each call, and a list failed
+    # inside `random` with a TypeError.
+    ("gen-seed-none", lambda: GenConfig(seed=None),
+     ValueError, re.escape("seed must be an int, not None")),
+    ("gen-seed-list", lambda: GenConfig(seed=[1]),
+     ValueError, re.escape("seed must be an int, not [1]")),
+    ("gen-seed-bool", lambda: GenConfig(seed=True),
+     ValueError, re.escape("seed must be an int, not True")),
+    # The suites ran, drawing from fresh entropy on None, and echoed the
+    # seed in their summary.
+    *((f"{name}-suite-{label}-seed", functools.partial(suite, seed),
+       ValueError, re.escape(f"seed must be an int, not {seed!r}"))
+      for name, suite in _SUITES
+      for label, seed in (("none", None), ("bool", True), ("float", 1.5),
+                          ("string", "x"))),
+    # A float failed with a stray TypeError, and True was read as 1.
+    ("mask-float-pivot",
+     lambda: TraceMask(frozenset(), 1.0, (frozenset(), frozenset())),
+     ValueError, re.escape("pivot must be an int, not 1.0")),
+    ("mask-bool-pivot",
+     lambda: TraceMask(frozenset(), True, (frozenset(), frozenset())),
+     ValueError, re.escape("pivot must be an int, not True")),
+    ("random-httrace-float-length",
+     lambda: random_httrace(random.Random(1), ["a"], 2.0), ValueError,
+     re.escape("trace length must be an int, not 2.0")),
+    ("random-httrace-bool-length",
+     lambda: random_httrace(random.Random(1), ["a"], True), ValueError,
+     re.escape("trace length must be an int, not True")),
+    ("random-formula-none-depth",
+     lambda: random_past_formula(random.Random(1), ["a"], None), ValueError,
+     re.escape("depth must be an int, not None")),
+    ("random-formula-bool-depth",
+     lambda: random_past_formula(random.Random(1), ["a"], True), ValueError,
+     re.escape("depth must be an int, not True")),
 ]
 
 

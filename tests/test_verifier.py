@@ -9,11 +9,13 @@ import ppt.verify
 
 from ppt import (
     FALSUM, MODES, Always, AtomRef, GenConfig, HTTrace, Not,
-    PreconditionSkipped, Previous, Program, Trace, TraceMask,
-    check_lemma_pastocc, check_lemma_support, format_program, is_tight,
-    mask_trace, parse_program, random_program, run_correspondence_suite,
+    PreconditionSkipped, Previous, Program, Rule, RuleKind, Since, Trace,
+    TraceMask, check_lemma_pastocc, check_lemma_support, completion,
+    enumerate_ts_models, format_program, is_tight, mask_trace,
+    parse_program, random_program, run_correspondence_suite,
     run_lemma_suite, run_semantics_suite, verify_correspondence,
 )
+from ppt.syntax import CORE_TRUE
 
 from conftest import TARGET
 
@@ -148,6 +150,26 @@ class TestVerifyCorrespondence:
     def test_unknown_mode(self, p1):
         with pytest.raises(ValueError):
             verify_correspondence(p1, 2, "bogus")
+
+    def test_since_nest_past_the_recursion_limit(self):
+        # The calls the README names as safe at any depth, on a body
+        # 3,000 `since` nodes deep.  `(x since b) since b` is `x since
+        # b`, so each result must be that of the one-node body.
+        def program(depth):
+            body = AtomRef("a")
+            for _ in range(depth):
+                body = Since(body, AtomRef("b"))
+            return Program((Rule(RuleKind.INITIAL, ("b",), CORE_TRUE),
+                            Rule(RuleKind.DYNAMIC, ("a",), body)))
+
+        assert sys.getrecursionlimit() < 3000
+        deep, shallow = program(3000), program(1)
+        assert is_tight(deep) is is_tight(shallow) is False
+        assert len(completion(deep)) == len(completion(shallow)) == 2
+        assert enumerate_ts_models(deep, 3) == enumerate_ts_models(shallow, 3)
+        report = verify_correspondence(deep, 3, "completion")
+        assert report == verify_correspondence(shallow, 3, "completion")
+        assert report.equal is False and len(report.witnesses) == 2
 
 
 class TestSuites:
