@@ -65,18 +65,18 @@ order: the canonical order of model sets, with no sort.
 
 Where each rule of a point has one head atom, minimality is a least
 fixpoint: the temporal form of "a stable model of a normal program is
-the least model of its reduct" (Gelfond and Lifschitz, ICLP 1988).  A
-required root is normal when it is an atom (a fact), `body -> a` (a
-rule), or `body -> false` or `F -> (body -> false)` (a constraint),
-and every node of its body is core: an atom, `false`, `not`, `and`,
-`or`, `prev`, `since` or `trigger`.  A point with any other root, such
-as an `or` head, keeps the subset pass.
+the least model of its reduct" (Gelfond and Lifschitz, ICLP 1988).  The
+rules of each point come from the program: `transform.rule_table` lists
+those of point 0 and those of the later points that have a head, each
+as (head, body), with body None for a fact; constraints and final rules
+enter no fixpoint, and every body is core, as `Rule` checks.  A point
+with a rule of another head, such as `a | b`, keeps the subset pass.
 
-    Lemma 3.  Let the roots of point k be normal, T a trace on which
-    they hold at k, and H = T before k.  Then T_k passes the test of
-    Lemma 1 iff T_k is the least fixpoint of the map G that takes H_k
-    to the facts of point k and the heads of its rules whose body
-    holds at k on <H, T>.
+    Lemma 3.  Let each rule of point k have one head atom, T a trace
+    on which the formulas required at k hold there, and H = T before
+    k.  Then T_k passes the test of Lemma 1 iff T_k is the least
+    fixpoint of the map G that takes H_k to the facts of point k and
+    the heads of its rules whose body holds at k on <H, T>.
 
 Proof.  The here-value at k of a core past body is monotone in H_k:
 atoms read H_k, `and`, `or`, `since` and `trigger` are monotone in
@@ -101,12 +101,13 @@ H_j equals the atom vector of j, and only they are read out.
 
 So a point runs a total pass over the 2^n states, then the minimality
 test of its phase, picked once per search: `keep_all` on the classical
-side, `least_fixpoint` where the roots are normal, else `subset_pass`
-(Lemma 1, state by state).  Each takes the mask of the survivors of the
-total pass and returns the mask of those that pass.  A fixpoint round
-costs what one survivor's subset pass does, so `least_fixpoint` hands a
-point with at most n + 1 survivors, as where a chain of positive rules
-leaves one state, to `subset_pass` (`_fixpoint_pays`).
+side, `least_fixpoint` where each rule has one head atom, else
+`subset_pass` (Lemma 1, state by state).  Each takes the mask of the
+survivors of the total pass and returns the mask of those that pass.
+A fixpoint round costs what one survivor's subset pass does, so
+`least_fixpoint` hands a point with at most n + 1 survivors, as where a
+chain of positive rules leaves one state, to `subset_pass`
+(`_fixpoint_pays`).
 
 With c carried slots there are at most 1 + 2^(c+1) total passes,
 however many prefixes share a vector; the layers cost lam times the
@@ -128,11 +129,12 @@ alphabet whose survivors each cost 2^n.
 All formulas are compiled by one walk, `_flatten`, into one post-order
 node array.  The walk reads each wrapper with `placement` and keys
 atoms by name, so one node serves every `AtomRef` object of an atom,
-and other nodes by identity.  It emits the node at the top of its
-stack once the children have slots, else pushes them over it, so no
-depth recurses.  A wrapper below the top is refused there and then;
-the atoms the alphabet does not cover are named, sorted, once the
-walk ends, so a formula list with both faults reports the wrapper.  The
+and other nodes by identity, as `search` finds each rule body.  It
+emits the node at the top of its stack once the children have slots,
+else pushes them over it, so no depth recurses.  A wrapper below the
+top, or an object that is no formula node, is refused there and then;
+the atoms the alphabet does not cover are named, sorted, once the walk
+ends, so a formula list with both faults reports the wrapper.  The
 value of a node at point k depends on its children at k and on total
 values at k - 1.  Values are computed as ints over candidate states: in
 the total pass bit s is the value when the state at k is s, for all
@@ -213,7 +215,8 @@ def placement(f) -> tuple[object, int, bool]:
 def _flatten(formulas: Iterable, index: dict[str, int]):
     """Compile the emitted formulas in one walk (see the module
     docstring): the post-order node array, the roots required at point 0,
-    the roots required from point 1 on, and the carried slots, ascending.
+    the roots required from point 1 on, the carried slots, ascending,
+    and the slot of each node by its key.
 
     A node is (opcode, a, b): the atom index in `a` for atoms, child
     slots in `a` (and `b` for binary nodes, lhs first) otherwise.
@@ -268,6 +271,8 @@ def _flatten(formulas: Iterable, index: dict[str, int]):
                 if op == _PREV:
                     carried.add(a)
             elif op is None:
+                if placement(f)[0] is f:  # it unwraps only a wrapper
+                    raise ValueError(f"not a formula: {f!r}")
                 raise ValueError(f"cannot evaluate {type(f).__name__} "
                                  "below the top of a formula")
             else:
@@ -286,7 +291,7 @@ def _flatten(formulas: Iterable, index: dict[str, int]):
     if missing:
         raise ValueError(
             "alphabet does not cover atoms: " + ", ".join(missing))
-    return nodes, at_start, later, sorted(carried)
+    return nodes, at_start, later, sorted(carried), slots
 
 
 def _atom_vectors(count: int) -> list[int]:
@@ -353,45 +358,11 @@ def _evaluate(nodes, atoms: list[int], full: int, before, there,
     return vals
 
 
-def _normal_rules(nodes, roots):
-    """(head atom, body slot) of each rule among the roots, with body None
-    for a fact and constraints left out; None when some root is none of
-    these or has a body outside the core language (see Lemma 3)."""
-    core: list[bool] = []
-    for op, a, b in nodes:
-        if op == _ATOM or op == _FALSE:
-            core.append(True)
-        elif op == _NOT or op == _PREV:
-            core.append(core[a])
-        else:
-            core.append(op in (_AND, _OR, _SINCE, _TRIGGER)
-                        and core[a] and core[b])
-    rules = []
-    for root in roots:
-        op, a, b = nodes[root]
-        if op == _ATOM:
-            rules.append((a, None))
-            continue
-        if op == _IMPLIES and nodes[a][0] == _FINAL:
-            # The final rule F -> (body -> false).
-            op, a, b = nodes[b]
-            if op != _IMPLIES or nodes[b][0] != _FALSE:
-                return None
-        if op != _IMPLIES or not core[a]:
-            return None
-        head_op, j, _ = nodes[b]
-        if head_op == _ATOM:
-            rules.append((j, a))
-        elif head_op != _FALSE:
-            return None
-    return rules
-
-
 def _fixpoint_pays(survivors: int, n: int) -> bool:
-    """Whether a normal point takes the least fixpoint rather than the
-    subset pass: when its survivors outnumber the n + 1 rounds that the
-    fixpoint runs at most, as each round is charged what one survivor's
-    subset pass is."""
+    """Whether a point of one-head rules takes the least fixpoint rather
+    than the subset pass: when its survivors outnumber the n + 1 rounds
+    that the fixpoint runs at most, as each round is charged what one
+    survivor's subset pass is."""
     return survivors > n + 1
 
 
@@ -417,20 +388,21 @@ def check_limits(lam: int, budget: int | None) -> int:
 
 
 def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
-           minimal: bool = False) -> tuple[Trace, ...]:
+           rules=None) -> tuple[Trace, ...]:
     """Every trace of length `lam` over the alphabet that satisfies each
-    formula where its wrapper requires it and, with `minimal` (the
-    stable side), passes the minimality test.
+    formula where its wrapper requires it and, on the stable side, passes
+    the minimality test.
 
-    The traces come in canonical order, each state read as its sorted
-    tuple of atoms.  The budget bounds the work units of the cost model
-    in the module docstring; past it, `BudgetExceeded` names the point
-    reached.
+    `rules` is None on the classical side and `transform.rule_table(p)`
+    on the stable side, where `formulas` are `program_as_ltlf(p)`.  The
+    traces come in canonical order, each state read as its sorted tuple
+    of atoms.  The budget bounds the work units of the cost model in the
+    module docstring; past it, `BudgetExceeded` names the point reached.
     """
     budget = check_limits(lam, budget)
     atoms = tuple(sorted(frozenset(atom_tuple(alphabet, "an alphabet"))))
-    nodes, at_start, later, carried = _flatten(
-        formulas, {name: j for j, name in enumerate(atoms)})
+    index = {name: j for j, name in enumerate(atoms)}
+    nodes, at_start, later, carried, slots = _flatten(formulas, index)
     spent = 0
     found: list[Trace] = []
     last = lam - 1
@@ -497,16 +469,21 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
             ok &= ~(h ^ vec)
         return keep_all(ok, required, rules, before, total, at_end, point)
 
-    def phase(required):
-        # The roots of point 0 or of a later point, their normal rules
-        # (Lemma 3) on the stable side, and their minimality test.
-        if not minimal:
+    def phase(required, table):
+        # The roots of point 0 or of a later point, the (head index, body
+        # slot) of its rules where each has one head atom (Lemma 3), and
+        # its minimality test.
+        if table is None:
             return required, None, keep_all
-        rules = _normal_rules(nodes, required)
-        return (required, rules,
-                subset_pass if rules is None else least_fixpoint)
+        if any(len(head) != 1 for head, _ in table):
+            return required, None, subset_pass
+        return required, [
+            (index[head[0]], body if body is None else
+             slots[body.name if type(body) is AtomRef else id(body)])
+            for head, body in table], least_fixpoint
 
-    phases = phase(at_start), phase(later)
+    phases = [phase(required, table) for required, table
+              in zip((at_start, later), rules or (None, None))]
     sets: dict[int, tuple[tuple[str, ...], frozenset[str]]] = {}
     moves: dict[tuple[object, bool], list] = {}
 

@@ -70,12 +70,6 @@ RESERVED_WORDS = frozenset({
 Atom = str
 
 
-def _is_atom(name) -> bool:
-    # The test `validate_atom` makes, without its messages.
-    return (isinstance(name, str) and ATOM_RE.match(name) is not None
-            and name not in RESERVED_WORDS)
-
-
 def validate_atom(name: str) -> str:
     """Check that `name` is a legal atom identifier and return it."""
     if not isinstance(name, str) or not ATOM_RE.match(name):
@@ -91,13 +85,19 @@ def atom_tuple(value: Iterable[Atom], what: str) -> tuple[Atom, ...]:
 
     The names are checked in their given order and, only when one
     fails, validated again in `repr` order, so that the error names the
-    same atom whatever the hash seed and valid names are never sorted.
+    same atom whatever the hash seed and valid names are never sorted;
+    no traceback shows the first failure, as its atom may follow it.
     """
     names = tuple(value)
-    for name in names:
-        if not _is_atom(name):
-            for bad in sorted(names, key=repr):
-                validate_atom(bad)
+    try:
+        for name in names:
+            validate_atom(name)
+    except ValueError:
+        for name in sorted(names, key=repr):
+            try:
+                validate_atom(name)
+            except ValueError as error:
+                raise error from None
     if isinstance(value, str):
         raise ValueError(f"{what} is a collection of atoms, not a string")
     return names

@@ -37,7 +37,7 @@ from .syntax import (
     Previous, Program, Rule, Since, Trigger, Value, Verum, is_past_formula,
     value_class,
 )
-from .transform import program_as_ltlf, rule_formula
+from .transform import program_as_ltlf, rule_formula, rule_table
 
 __all__ = [
     "Trace", "HTTrace",
@@ -170,6 +170,8 @@ class _BitEvaluator:
             return self.full & (~self.eval(f.lhs, total) | self.eval(f.rhs, total))
         if tp is Iff:
             return self.full & ~(self.eval(f.lhs, total) ^ self.eval(f.rhs, total))
+        if placement(f)[0] is f:  # it unwraps only a wrapper
+            raise ValueError(f"not a formula: {f!r}")
         raise ValueError(
             f"cannot evaluate {tp.__name__} below the top of a formula")
 
@@ -247,7 +249,8 @@ def enumerate_ts_models(p: Program, lam: int, *,
     alphabet, `Program(p.rules, alphabet)`, gives the same models at the
     cost of 2^n-state passes over a larger n.
     """
-    return search(program_as_ltlf(p), lam, p.alphabet, budget, minimal=True)
+    return search(program_as_ltlf(p), lam, p.alphabet, budget,
+                  rule_table(p))
 
 
 # ---------------------------------------------------------------------------

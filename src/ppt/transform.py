@@ -52,7 +52,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from .syntax import (
-    Always, And, Atom, AtomRef, CORE_TRUE, ExtFormula, FALSUM, FINAL_CONST,
+    Always, And, Atom, AtomRef, ExtFormula, FALSUM, FINAL_CONST,
     Falsum, Iff, Implies, INITIAL_CONST, INITIAL_EXPANSION, Not, Or,
     PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, Verum,
     VERUM, WeakNextAlways, atom_tuple, head_disjunction, instance_of,
@@ -186,19 +186,33 @@ def external_support(p: Program, section: RuleKind,
         frozenset(atom_tuple(loop, "a loop")))
 
 
+def _is_fact(rule: Rule) -> bool:
+    # A fact, a head under the body `not false` (`CORE_TRUE`), prints as
+    # its bare head; `true -> h` adds nothing.
+    body = rule.body
+    return bool(rule.head) and type(body) is Not and type(body.arg) is Falsum
+
+
 def rule_formula(rule: Rule) -> ExtFormula:
     """One rule read as a classical formula, wrapped where it applies."""
     if rule.kind is RuleKind.FINAL:
         return Always(Implies(FINAL_CONST, Implies(rule.body, FALSUM)))
     head = head_disjunction(rule)
-    # Facts print as their bare head; `true -> h` adds nothing.
-    if rule.head and rule.body == CORE_TRUE:
-        core: ExtFormula = head
-    else:
-        core = Implies(rule.body, head)
+    core: ExtFormula = head if _is_fact(rule) else Implies(rule.body, head)
     if rule.kind is RuleKind.DYNAMIC:
         return WeakNextAlways(core)
     return core
+
+
+def rule_table(p: Program) -> tuple[list, ...]:
+    """The initial and the dynamic rules that have a head, in program
+    order, each as (head, body), for the least fixpoint of
+    `progression.search`; the body is None for a fact, else the object
+    left of `rule_formula`'s `->`.  Not in `__all__`, like
+    `progression.check_limits`."""
+    return tuple([(r.head, None if _is_fact(r) else r.body)
+                  for r in p.rules if r.kind is kind and r.head]
+                 for kind in (RuleKind.INITIAL, RuleKind.DYNAMIC))
 
 
 def sourced_completion(p: Program) -> Sourced:

@@ -71,7 +71,11 @@ class TestCheck:
         ("a :- (b.", "1:8", "expected ')', found '.'"),
         ("#foo.", "1:2", "expected a section name (initial, dynamic or "
                          "final), found 'foo'"),
-    ], ids=["missing_dot", "missing_paren", "unknown_section"])
+        ("A.", "1:1",
+         "invalid atom name 'A' (must match [a-z][A-Za-z0-9_]*)"),
+        ("not.", "1:1", "reserved word 'not' cannot be used as an atom"),
+    ], ids=["missing_dot", "missing_paren", "unknown_section",
+            "invalid_atom", "reserved_atom"])
     def test_parse_error_says_what_was_expected(self, capsys, tmp_path, src,
                                                 position, message):
         bad = tmp_path / "bad.ppt"

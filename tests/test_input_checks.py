@@ -6,19 +6,22 @@ import random
 import re
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
 
 import ppt
 from ppt import (
-    Always, And, AtomRef, DepGraph, HTTrace, Or, ParseError, Previous,
+    Always, And, AtomRef, DepGraph, HTTrace, Not, Or, ParseError, Previous,
     Program, Rule, RuleKind, Trace, dependency_graph, enumerate_ltlf_models,
     enumerate_ts_models, external_support, format_formula, ht_sat, ltlf_sat,
     parse_formula, parse_program, support_transform, three_valued,
     verify_correspondence,
 )
+from ppt.progression import search
 from ppt.syntax import CORE_TRUE, VERUM
+from ppt.tht import formula_sat
 from ppt.verify import (
     GenConfig, TraceMask, random_httrace, random_past_formula,
     run_correspondence_suite, run_lemma_suite, run_semantics_suite,
@@ -186,6 +189,29 @@ CASES = [
          [And(Always(AtomRef("a")), AtomRef("b"))], 1, ["a"]),
      ValueError,
      re.escape("cannot evaluate Always below the top of a formula")),
+    # An object that is no formula node, at the top or below it, is
+    # named as such; a wrapper below the top keeps its message in the
+    # single-trace check as in the search.
+    ("search-string-formula", lambda: search(["a"], 1, {"a"}),
+     ValueError, re.escape("not a formula: 'a'")),
+    ("ltlf-string-formula",
+     lambda: enumerate_ltlf_models(["a"], 1, {"a"}),
+     ValueError, re.escape("not a formula: 'a'")),
+    ("ltlf-none-below-top",
+     lambda: enumerate_ltlf_models([Always(Not(None))], 1, {"a"}),
+     ValueError, re.escape("not a formula: None")),
+    ("formula-sat-string-formula",
+     lambda: formula_sat(_ONE_POINT, 0, "a"),
+     ValueError, re.escape("not a formula: 'a'")),
+    ("ltlf-sat-none-formula", lambda: ltlf_sat(Trace.of(["a"]), 0, None),
+     ValueError, re.escape("not a formula: None")),
+    ("ltlf-sat-string-below-top",
+     lambda: ltlf_sat(Trace.of(["a"]), 0, Or(AtomRef("a"), "b")),
+     ValueError, re.escape("not a formula: 'b'")),
+    ("ltlf-sat-wrapper-below-top",
+     lambda: ltlf_sat(Trace.of(["a"]), 0, Always(Always(AtomRef("a")))),
+     ValueError,
+     re.escape("cannot evaluate Always below the top of a formula")),
     # A length or time point of the wrong type: a stray TypeError.
     ("ltlf-float-length", lambda: enumerate_ltlf_models([], 2.0, ["a"]),
      ValueError, re.escape("trace length must be an int, not 2.0")),
@@ -332,3 +358,14 @@ def test_refusal_names_the_same_atom_under_any_hash_seed(code):
         for seed in ("1", "2")]
     assert errs[0] == errs[1]
     assert errs[0].splitlines()[-1] == "ValueError: invalid atom name: 'Ab'"
+
+
+def test_refusal_shows_no_earlier_failure():
+    # The names are checked in their given order first; the traceback of
+    # the error raised in `repr` order must not show that first failure,
+    # whose atom may follow the hash order.
+    with pytest.raises(ValueError) as info:
+        Rule(RuleKind.INITIAL, ("Cd", "Ab", "b"), CORE_TRUE)
+    shown = "".join(traceback.format_exception(
+        type(info.value), info.value, info.value.__traceback__))
+    assert "'Ab'" in shown and "'Cd'" not in shown

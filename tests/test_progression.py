@@ -9,13 +9,16 @@ import pytest
 import ppt.progression
 from ppt import (
     Always, And, AtomRef, BudgetExceeded, Implies, Not, Or, Previous, Program,
-    Rule, RuleKind, Since, Trace, WeakNextAlways, completion,
+    Rule, RuleKind, Since, Trace, completion,
     enumerate_ltlf_models, enumerate_ts_models, loop_formulas, parse_program,
     program_as_ltlf,
 )
 from ppt.progression import _ATOM, _flatten, search
-from ppt.syntax import CORE_TRUE, FALSUM, FINAL_CONST
-from ppt.verify import GenConfig, random_past_formula, random_program
+from ppt.syntax import CORE_TRUE
+from ppt.transform import rule_table
+from ppt.verify import (
+    GenConfig, _random_literal_body, random_past_formula, random_program,
+)
 
 from oracles import brute_force_ltlf_models, brute_force_ts_models
 
@@ -85,68 +88,51 @@ def test_classical_search_matches_oracle_on_random_programs():
     assert mismatches == []
 
 
-def _random_normal_case(seed: int):
-    """Formulas in the shapes `transform.rule_formula` gives a fact, a
-    rule with one head atom, a constraint and a final rule, each body a
-    random core past formula, under a random top wrapper; with up to 6
-    atoms and a length of up to 3."""
+def _random_normal_program(seed: int):
+    """A program whose rules have at most one head atom, and a length.
+
+    Facts, rules and constraints in the initial and dynamic sections,
+    and final rules, over up to 6 atoms, with a length of up to 3;
+    dynamic bodies are random core past formulas, the others
+    conjunctions of regular literals."""
     rng = random.Random(seed)
     atoms = ("a", "b", "c", "d", "e", "f")[:rng.randint(1, 6)]
-    formulas = []
+    rules = []
     for _ in range(rng.randint(0, 8)):
-        body = random_past_formula(rng, atoms, rng.randint(0, 3))
-        shape = rng.choices(("fact", "rule", "constraint", "final"),
-                            (10, 60, 15, 15))[0]
-        if shape == "final":
-            formulas.append(
-                Always(Implies(FINAL_CONST, Implies(body, FALSUM))))
-            continue
+        kind = rng.choices(tuple(RuleKind), (30, 55, 15))[0]
+        shape = "constraint" if kind is RuleKind.FINAL else rng.choices(
+            ("fact", "rule", "constraint"), (10, 70, 20))[0]
         if shape == "fact":
-            core = AtomRef(rng.choice(atoms))
-        elif shape == "rule":
-            core = Implies(body, AtomRef(rng.choice(atoms)))
+            body = CORE_TRUE
+        elif kind is RuleKind.DYNAMIC:
+            body = random_past_formula(rng, atoms, rng.randint(0, 3))
         else:
-            core = Implies(body, FALSUM)
-        wrapper = rng.choice((None, WeakNextAlways, Always))
-        formulas.append(core if wrapper is None else wrapper(core))
-    return formulas, atoms, rng.randint(1, 3)
+            body = _random_literal_body(rng, atoms)
+        head = () if shape == "constraint" else (rng.choice(atoms),)
+        rules.append(Rule(kind, head, body))
+    return Program(rules, atoms), rng.randint(1, 3)
 
 
 def test_least_fixpoint_keeps_what_the_subset_pass_keeps(monkeypatch):
-    # Lemma 3: where every root is normal, the least fixpoint of the
-    # rules keeps exactly the states that have no smaller here-state.
-    # Each normal point is sent to the fixpoint whatever its survivors,
-    # then every point to the subset pass.
-    cases = [_random_normal_case(seed) for seed in range(2000)]
+    # Lemma 3: where each rule of a point has one head atom, the least
+    # fixpoint of its rules keeps exactly the states that have no smaller
+    # here-state.  Every point is sent to the fixpoint whatever its
+    # survivors, then every point to the subset pass.
+    cases = [_random_normal_program(seed) for seed in range(2000)]
 
     def stable_models():
-        return [search(fs, lam, atoms, minimal=True)
-                for fs, atoms, lam in cases]
+        return [enumerate_ts_models(p, lam) for p, lam in cases]
 
     found = stable_models()
     monkeypatch.setattr(ppt.progression, "_fixpoint_pays", lambda *_: True)
     by_fixpoint = stable_models()
     # Minimality rejects a classical model in most of the cases whose
     # classical models are few enough to list quickly.
-    assert sum(models != search(fs, lam, atoms) for models, (fs, atoms, lam)
-               in zip(by_fixpoint, cases) if len(atoms) * lam <= 8) > 800
-    monkeypatch.setattr(ppt.progression, "_normal_rules",
-                        lambda nodes, roots: None)
+    assert sum(models != search(program_as_ltlf(p), lam, p.alphabet)
+               for models, (p, lam) in zip(by_fixpoint, cases)
+               if len(p.alphabet) * lam <= 8) > 800
+    monkeypatch.setattr(ppt.progression, "_fixpoint_pays", lambda *_: False)
     assert found == by_fixpoint == stable_models()
-
-
-@pytest.mark.parametrize("fixpoint", [False, True])
-def test_final_root_of_another_shape_is_not_a_normal_rule(monkeypatch,
-                                                          fixpoint):
-    # `always(F -> a)` requires a at the last point only.  It is not the
-    # final rule `F -> (body -> false)`, so no point is normal and every
-    # point takes the subset pass, also where the fixpoint would pay;
-    # read as the fact `a`, it would keep a at point 0 as well.
-    if fixpoint:
-        monkeypatch.setattr(ppt.progression, "_fixpoint_pays",
-                            lambda *_: True)
-    assert search([Always(Implies(FINAL_CONST, AtomRef("a")))], 2, {"a"},
-                  minimal=True) == (Trace.of([], ["a"]),)
 
 
 @pytest.mark.parametrize("atoms, lam, cases",
@@ -264,7 +250,8 @@ class TestOneBuildPerModel:
     return its tuple as it is."""
 
     def test_search_returns_a_tuple_of_traces(self, p1):
-        models = search(program_as_ltlf(p1), 3, p1.alphabet, minimal=True)
+        models = search(program_as_ltlf(p1), 3, p1.alphabet,
+                        rules=rule_table(p1))
         assert type(models) is tuple and len(models) == 2
         assert all(type(model) is Trace for model in models)
         assert models == enumerate_ts_models(p1, 3)
@@ -390,11 +377,12 @@ class TestFlatten:
                     Or(AtomRef("b"), Not(AtomRef("a"))),
                     Implies(Previous(AtomRef("b")), AtomRef("a")),
                     AtomRef("b")]
-        nodes, at_start, _, _ = _flatten(formulas, {"a": 0, "b": 1})
+        nodes, at_start, _, _, slots = _flatten(formulas, {"a": 0, "b": 1})
         atoms = [node for node in nodes if node[0] == _ATOM]
         assert sorted(atoms) == [(_ATOM, 0, 0), (_ATOM, 1, 0)]
         assert len(nodes) == 7
-        assert nodes[at_start[-1]] == (_ATOM, 1, 0)
+        assert nodes[at_start[-1]] == (_ATOM, 1, 0) == nodes[slots["b"]]
+        assert at_start == [slots[id(f)] for f in formulas[:3]] + [slots["b"]]
 
     def test_wrapper_below_the_top_is_refused_before_uncovered_atoms(self):
         # The uncovered atom b is met first, twice, and the wrapper deep

@@ -15,9 +15,10 @@ from ppt import (
 )
 from ppt.cli import main
 from ppt.depgraph import enumerate_loops, section_graphs
-from ppt.transform import loop_formula_regimes
+from ppt.transform import loop_formula_regimes, rule_table
 from ppt.syntax import (
-    CORE_TRUE, FINAL_CONST, INITIAL_CONST, format_formulas, or_chain,
+    CORE_TRUE, FINAL_CONST, INITIAL_CONST, format_formulas, head_disjunction,
+    or_chain,
 )
 from ppt.verify import (
     GenConfig, TraceMask, mask_trace, random_httrace, random_past_formula,
@@ -246,6 +247,46 @@ class TestProgramAsLtlf:
         u2 = program_as_ltlf(p2) + loop_formulas(p2, unitary=True)
         assert enumerate_ltlf_models(u2, 2, p2.alphabet) == \
             enumerate_ts_models(p2, 2)
+
+
+class TestRuleTable:
+    """The rules the stable search reads for its least fixpoint agree
+    with the formulas it compiles: `rule_table` lists the initial and
+    the dynamic rules that have a head, and each body it gives is the
+    very object left of the rule's `->`."""
+
+    @staticmethod
+    def _check(p):
+        formulas = program_as_ltlf(p)
+        for kind, table in zip((RuleKind.INITIAL, RuleKind.DYNAMIC),
+                               rule_table(p)):
+            listed = [i for i, r in enumerate(p.rules)
+                      if r.kind is kind and r.head]
+            assert [head for head, _ in table] == \
+                [p.rules[i].head for i in listed]
+            for (_, body), i in zip(table, listed):
+                f = formulas[i]
+                if kind is RuleKind.DYNAMIC:
+                    assert type(f) is WeakNextAlways
+                    f = f.arg
+                if body is None:
+                    assert p.rules[i].body == CORE_TRUE
+                    assert f == head_disjunction(p.rules[i])
+                else:
+                    assert type(f) is Implies and f.lhs is body
+
+    def test_random_programs(self):
+        for seed in range(300):
+            self._check(random_program(
+                GenConfig(seed=seed, max_atoms=4, max_rules=8)))
+
+    def test_examples_and_cycle(self, p1, p2):
+        for p in (p1, p2, parse_program(TestLoopFormulaRegimes.CYCLE)):
+            self._check(p)
+        initial, dynamic = rule_table(p1)
+        assert initial == [(("load",), None)]
+        assert dynamic[0] == (("shoot", "load", "unload"), None)
+        assert [head for head, _ in dynamic[1:]] == [("dead",), ("shoot",)]
 
 
 class TestSimplify:
