@@ -52,9 +52,9 @@ So the search is a forward pass over layers: layer k holds the carried
 vectors reachable at point k, and the moves out of a vector are
 computed once per vector and phase (middle or last point) and shared by
 every layer.  A backward pass drops the moves that cannot reach the
-last point, and one read-off at every length takes the paths as models:
-each is built once, as a `Trace`, and the enumerators of `ppt.tht` and
-`ppt.ltlf` return the search's tuple as it is.
+last point, copying only a list that loses one, and one read-off takes
+the paths as models: each is built once, as a `Trace`, and the
+enumerators of `ppt.tht` and `ppt.ltlf` return its tuple as it is.
 
 The moves out of a vector are sorted by their states, each read as its
 sorted tuple of atoms, and the read-off walks them depth first.  A
@@ -156,6 +156,7 @@ from .errors import BudgetExceeded
 from .syntax import (
     Always, And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst,
     Not, Or, Previous, Since, Trigger, Verum, WeakNextAlways, atom_tuple,
+    check_int,
 )
 
 __all__ = ["DEFAULT_BUDGET", "Trace", "placement", "search"]
@@ -376,9 +377,7 @@ def check_limits(lam: int, budget: int | None) -> int:
     """`budget`, or `DEFAULT_BUDGET` when it is None, for a search of
     length `lam`; refuses a bad length or budget.  Shared with
     `verify_correspondence`, but no part of the interface (`__all__`)."""
-    if type(lam) is not int:
-        raise ValueError(f"trace length must be an int, not {lam!r}")
-    if lam < 1:
+    if check_int(lam, "trace length") < 1:
         raise ValueError("trace length must be at least 1")
     if budget is None:
         return DEFAULT_BUDGET
@@ -394,7 +393,8 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
     the minimality test.
 
     `rules` is None on the classical side and `transform.rule_table(p)`
-    on the stable side, where `formulas` are `program_as_ltlf(p)`.  The
+    on the stable side, where `formulas` are `program_as_ltlf(p)`; a
+    `rules` of another length, head or body raises `ValueError`.  The
     traces come in canonical order, each state read as its sorted tuple
     of atoms.  The budget bounds the work units of the cost model in the
     module docstring; past it, `BudgetExceeded` names the point reached.
@@ -472,16 +472,23 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
     def phase(required, table):
         # The roots of point 0 or of a later point, the (head index, body
         # slot) of its rules where each has one head atom (Lemma 3), and
-        # its minimality test.
+        # its minimality test; a head or body the search lacks is refused.
         if table is None:
             return required, None, keep_all
         if any(len(head) != 1 for head, _ in table):
             return required, None, subset_pass
-        return required, [
-            (index[head[0]], body if body is None else
-             slots[body.name if type(body) is AtomRef else id(body)])
-            for head, body in table], least_fixpoint
+        pairs = []
+        for (atom,), body in table:
+            key = body.name if type(body) is AtomRef else id(body)
+            if atom not in index:
+                raise ValueError(f"rules: head {atom!r} is not in the alphabet")
+            if body is not None and key not in slots:
+                raise ValueError(f"rules: body {body!r} is in no formula")
+            pairs.append((index[atom], None if body is None else slots[key]))
+        return required, pairs, least_fixpoint
 
+    if rules is not None and len(rules) != 2:
+        raise ValueError(f"rules must hold 2 tables, not {len(rules)}")
     phases = [phase(required, table) for required, table
               in zip((at_start, later), rules or (None, None))]
     sets: dict[int, tuple[tuple[str, ...], frozenset[str]]] = {}
@@ -529,7 +536,8 @@ def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
     live = {key for key, out in layers[last].items() if out}
     for layer in reversed(layers[:last]):
         for key, out in layer.items():
-            layer[key] = [move for move in out if move[2] in live]
+            kept = [move for move in out if move[2] in live]
+            layer[key] = kept if len(kept) < len(out) else out
         live = {key for key, out in layer.items() if out}
 
     # The models are the paths, read depth first over sorted moves: in

@@ -26,14 +26,15 @@ the source of six methods per class at import, about 0.7 ms a class.
 One walk of a core formula (`_walk`) collects its atoms, positive
 atoms and positive present atoms, tells whether it is a conjunction of
 regular literals and refuses a node outside the core language.  A
-`Rule` walks its body once; `positive_atoms` and `is_past_formula` run
-on the same walk.
+`Rule` walks its body once; `positive_atoms`, `is_past_formula` and,
+through `positive_atoms`, `transform.support_transform` run on it.
 
 Every collection of atoms a caller gives (an alphabet, a trace state, a
 rule head, a loop, a mask, a vertex set, an atom pool) is read by
 `atom_tuple`, the one place that checks atom names and refuses a string
 where its letters would be taken for one-letter atoms.  A rule kind, a
-section or a program rule of another type is refused by `instance_of`.
+section or a program rule of another type is refused by `instance_of`,
+a non-int count by `check_int`; `is_fact` is the one test of a fact.
 """
 
 from __future__ import annotations
@@ -107,6 +108,13 @@ def instance_of(value, cls: type, what: str):
     """`value` when it is a `cls`; anything else is refused as `what`."""
     if not isinstance(value, cls):
         raise ValueError(f"{what} must be a {cls.__name__}, not {value!r}")
+    return value
+
+
+def check_int(value, what: str) -> int:
+    """`value` when it is an int and no bool; else refused as `what`."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, not {value!r}")
     return value
 
 
@@ -505,6 +513,12 @@ def or_chain(parts: Iterable, empty) -> object:
     return empty if out is None else out
 
 
+def is_fact(rule: Rule) -> bool:
+    """Whether `rule` is a head under the body `not false` (`CORE_TRUE`)."""
+    body = rule.body
+    return bool(rule.head) and type(body) is Not and type(body.arg) is Falsum
+
+
 def head_disjunction(rule: Rule) -> ExtFormula:
     """The head read as a formula; false for constraints."""
     return or_chain([AtomRef(a) for a in rule.head], FALSUM)
@@ -605,12 +619,9 @@ def _render(f, ctx: int, memo: dict) -> str:
                 parts.append(_render(g, inner, memo))
         parts.reverse()
         return _wrap((" and " if tp is And else " or ").join(parts), prec, ctx)
-    if tp is Implies:
-        text = (f"{_render(f.lhs, _PREC_IMPL + 1, memo)} -> "
-                f"{_render(f.rhs, _PREC_IMPL + 1, memo)}")
-        return _wrap(text, _PREC_IMPL, ctx)
-    if tp is Iff:
-        text = (f"{_render(f.lhs, _PREC_IMPL + 1, memo)} <-> "
+    if tp is Implies or tp is Iff:
+        arrow = "->" if tp is Implies else "<->"
+        text = (f"{_render(f.lhs, _PREC_IMPL + 1, memo)} {arrow} "
                 f"{_render(f.rhs, _PREC_IMPL + 1, memo)}")
         return _wrap(text, _PREC_IMPL, ctx)
     raise TypeError(f"cannot format {f!r}")
@@ -671,7 +682,7 @@ def _body_text(body: PastFormula) -> str:
 def format_rule(rule: Rule) -> str:
     """Canonical one-line text of a rule (without its section directive)."""
     head_text = " | ".join(rule.head)
-    if rule.body == CORE_TRUE and rule.head:
+    if is_fact(rule):
         return f"{head_text}."
     body_text = _body_text(rule.body)
     if not rule.head:

@@ -19,12 +19,12 @@ a model <H, T>; `enumerate_ts_models` finds them with the search of
 `ppt.progression`, in the canonical order it emits.
 
 The checks of one given trace evaluate formulas to time bitmasks (bit k
-set when the formula holds at point k), with since/trigger computed by
-their one-step recurrences: bit-parallel over the points of one trace,
-where the search is bit-parallel over candidate states.  The
-three-valued valuation below, by contrast, follows the quantified
-min/max presentation directly, so the two routes stay structurally
-independent.
+set when the formula holds at point k), since by its one-step
+recurrence and trigger by the same on complements: bit-parallel over
+the points of one trace, where the search is bit-parallel over
+candidate states.  The three-valued valuation below, by contrast,
+follows the quantified min/max presentation directly, so the two
+routes stay structurally independent.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from typing import Iterable
 from .progression import Trace, placement, search
 from .syntax import (
     And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst, Not, Or,
-    Previous, Program, Rule, Since, Trigger, Value, Verum, is_past_formula,
-    value_class,
+    Previous, Program, Rule, Since, Trigger, Value, Verum, check_int,
+    is_past_formula, value_class,
 )
 from .transform import program_as_ltlf, rule_formula, rule_table
 
@@ -136,22 +136,18 @@ class _BitEvaluator:
             bits = self.full & ~self.eval(f.arg, True)
         elif tp is Previous:
             bits = (self.eval(f.arg, total) << 1) & self.full
-        elif tp is Since:
-            a = self.eval(f.lhs, total)
-            b = self.eval(f.rhs, total)
+        elif tp is Since or tp is Trigger:
+            # On one side, trigger is the pointwise dual of since: the
+            # since recurrence on complemented arguments, complemented.
+            flip = 0 if tp is Since else self.full
+            a = self.eval(f.lhs, total) ^ flip
+            b = self.eval(f.rhs, total) ^ flip
             bits = 0
             cur = 0
             for k in range(self.lam):
                 cur = ((b >> k) | ((a >> k) & cur)) & 1
                 bits |= cur << k
-        elif tp is Trigger:
-            a = self.eval(f.lhs, total)
-            b = self.eval(f.rhs, total)
-            bits = 0
-            cur = 1
-            for k in range(self.lam):
-                cur = ((b >> k) & ((a >> k) | cur)) & 1
-                bits |= cur << k
+            bits ^= flip
         else:
             bits = self._eval_extended(f, tp, total)
         memo[key] = bits
@@ -190,9 +186,7 @@ def evaluator(m: HTTrace, core: bool = False) -> _BitEvaluator:
 # ---------------------------------------------------------------------------
 
 def _check_point(m: HTTrace, k: int) -> None:
-    if type(k) is not int:
-        raise ValueError(f"time point must be an int, not {k!r}")
-    if not 0 <= k < len(m):
+    if not 0 <= check_int(k, "time point") < len(m):
         raise IndexError(f"time point {k} outside [0, {len(m)})")
 
 

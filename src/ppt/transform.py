@@ -56,7 +56,7 @@ from .syntax import (
     Falsum, Iff, Implies, INITIAL_CONST, INITIAL_EXPANSION, Not, Or,
     PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, Verum,
     VERUM, WeakNextAlways, atom_tuple, head_disjunction, instance_of,
-    or_chain,
+    is_fact, or_chain, positive_atoms,
 )
 from .depgraph import enumerate_loops, section_graphs
 
@@ -85,12 +85,15 @@ def support_transform(f: PastFormula, loop: Iterable[Atom]) -> PastFormula:
     the weak form preserves that, mirroring how the boundary value flips
     when conjunction and disjunction swap roles.  The since clause keeps
     the strong previous, whose conjoined unfolding is already exact.
+    A node outside the core language anywhere in f is refused, as
+    `syntax.positive_atoms` refuses it.
     """
-    return _strike(f, frozenset(atom_tuple(loop, "a loop")))
+    loop = frozenset(atom_tuple(loop, "a loop"))
+    return _strike(f, loop & positive_atoms(f, present_only=True))
 
 
 def _strike(f: PastFormula, loop: frozenset[Atom]) -> PastFormula:
-    # `support_transform` on a loop already read by `atom_tuple`.
+    # `support_transform` of a core formula, its loop read by `atom_tuple`.
     def walk(g):
         tp = type(g)
         if tp is AtomRef:
@@ -111,9 +114,7 @@ def _strike(f: PastFormula, loop: frozenset[Atom]) -> PastFormula:
         if tp is Trigger:
             return And(walk(g.rhs),
                        Or(walk(g.lhs), Or(Previous(g), INITIAL_EXPANSION)))
-        if tp is Since:
-            return Or(walk(g.rhs), And(walk(g.lhs), Previous(g)))
-        raise ValueError(f"not a core past formula: {g!r}")
+        return Or(walk(g.rhs), And(walk(g.lhs), Previous(g)))  # since
 
     return walk(f)
 
@@ -186,19 +187,12 @@ def external_support(p: Program, section: RuleKind,
         frozenset(atom_tuple(loop, "a loop")))
 
 
-def _is_fact(rule: Rule) -> bool:
-    # A fact, a head under the body `not false` (`CORE_TRUE`), prints as
-    # its bare head; `true -> h` adds nothing.
-    body = rule.body
-    return bool(rule.head) and type(body) is Not and type(body.arg) is Falsum
-
-
 def rule_formula(rule: Rule) -> ExtFormula:
     """One rule read as a classical formula, wrapped where it applies."""
     if rule.kind is RuleKind.FINAL:
         return Always(Implies(FINAL_CONST, Implies(rule.body, FALSUM)))
     head = head_disjunction(rule)
-    core: ExtFormula = head if _is_fact(rule) else Implies(rule.body, head)
+    core: ExtFormula = head if is_fact(rule) else Implies(rule.body, head)
     if rule.kind is RuleKind.DYNAMIC:
         return WeakNextAlways(core)
     return core
@@ -210,7 +204,7 @@ def rule_table(p: Program) -> tuple[list, ...]:
     `progression.search`; the body is None for a fact, else the object
     left of `rule_formula`'s `->`.  Not in `__all__`, like
     `progression.check_limits`."""
-    return tuple([(r.head, None if _is_fact(r) else r.body)
+    return tuple([(r.head, None if is_fact(r) else r.body)
                   for r in p.rules if r.kind is kind and r.head]
                  for kind in (RuleKind.INITIAL, RuleKind.DYNAMIC))
 

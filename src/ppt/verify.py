@@ -36,7 +36,7 @@ from typing import Iterable
 from .syntax import (
     And, Atom, AtomRef, CORE_TRUE, FALSUM, INITIAL_EXPANSION, Not, Or,
     PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, Value,
-    atom_tuple, positive_atoms, value_class,
+    atom_tuple, check_int, positive_atoms, value_class,
 )
 from .progression import Trace, check_limits
 from .tht import HTTrace, enumerate_ts_models, evaluator, ht_sat, three_valued
@@ -58,11 +58,6 @@ __all__ = [
 MODES = ("completion", "completion_loops", "unitary_loops")
 
 MAX_WITNESSES = 5
-
-
-def _check_int(name: str, value) -> None:
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, not {value!r}")
 
 
 class PreconditionSkipped(Exception):
@@ -93,7 +88,7 @@ class TraceMask(Value):
                  extra: Iterable[Iterable[Atom]]) -> None:
         base = frozenset(atom_tuple(base, "a mask base"))
         extra = tuple(frozenset(atom_tuple(s, "a state")) for s in extra)
-        _check_int("pivot", pivot)
+        check_int(pivot, "pivot")
         if not 0 <= pivot < len(extra):
             raise ValueError(f"pivot {pivot} outside the mask")
         for t in range(pivot):
@@ -176,11 +171,11 @@ class GenConfig(Value):
 
     def __init__(self, seed: int = 0, max_atoms: int = 3, max_rules: int = 6,
                  max_body_depth: int = 3) -> None:
-        _check_int("seed", seed)
+        check_int(seed, "seed")
         for name, value, low, high in (
                 ("max_atoms", max_atoms, 1, 4), ("max_rules", max_rules, 0, 8),
                 ("max_body_depth", max_body_depth, 0, 4)):
-            _check_int(name, value)
+            check_int(value, name)
             if not low <= value <= high:
                 raise ValueError(f"{name} must be within [{low}, {high}]")
         self.__setstate__((seed, max_atoms, max_rules, max_body_depth))
@@ -191,7 +186,7 @@ def random_past_formula(rng: random.Random, atoms, depth: int) -> PastFormula:
     atoms = atom_tuple(atoms, "an atom pool")
     if not atoms:
         raise ValueError("an atom pool must not be empty")
-    _check_int("depth", depth)
+    check_int(depth, "depth")
 
     def leaf() -> PastFormula:
         if rng.random() < 0.08:
@@ -261,7 +256,7 @@ def random_program(cfg: GenConfig) -> Program:
 def random_httrace(rng: random.Random, atoms, lam: int) -> HTTrace:
     """A random HT-trace over the atoms, uniform pointwise H within T."""
     atoms = atom_tuple(atoms, "an atom pool")
-    _check_int("trace length", lam)
+    check_int(lam, "trace length")
     there = []
     here = []
     for _ in range(lam):
@@ -346,7 +341,7 @@ def verify_correspondence(p: Program, lam: int, mode: str,
 def _check_suite(cases: int, seed: int) -> None:
     if type(cases) is not int or cases < 0:
         raise ValueError(f"cases must be a nonnegative int, got {cases!r}")
-    _check_int("seed", seed)
+    check_int(seed, "seed")
 
 
 def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
@@ -393,11 +388,8 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
             summary[key] += 1
         if failed:
             summary["failing_seeds"].append(case_seed)
-    summary["failures"] = (
-        summary["completion_loops_failures"]
-        + summary["unitary_loops_failures"]
-        + summary["completion_tight_failures"]
-        + summary["soundness_failures"])
+    summary["failures"] = sum(count for key, count in summary.items()
+                              if key.endswith("_failures"))
     return summary
 
 
@@ -436,6 +428,7 @@ def run_lemma_suite(lemma: str, cases: int = 10_000, seed: int = 0) -> dict:
         raise ValueError(f"unknown lemma {lemma!r}")
     _check_suite(cases, seed)
     support = lemma == "support"
+    check = check_lemma_support if support else check_lemma_pastocc
     rng = random.Random(seed)
     atoms = _ATOM_POOL[:3]
     summary = {"lemma": lemma, "cases": cases, "seed": seed,
@@ -454,10 +447,7 @@ def run_lemma_suite(lemma: str, cases: int = 10_000, seed: int = 0) -> dict:
                                        present_only=not support)
         mask = _random_mask(rng, atoms, lam, pivot, pivot_atoms, base)
         try:
-            if support:
-                ok = check_lemma_support(f, m, mask)
-            else:
-                ok = check_lemma_pastocc(f, m, mask)
+            ok = check(f, m, mask)
         except PreconditionSkipped:
             summary["skipped"] += 1
             continue
@@ -505,6 +495,6 @@ def run_semantics_suite(cases: int = 10_000, seed: int = 0) -> dict:
                 | (ev.eval(trigger, total) ^ ev.eval(trigger_unfolded, total)))
                & bit for total in (False, True)):
             summary["unfolding_failures"] += 1
-    summary["failures"] = (summary["three_valued_failures"]
-                           + summary["unfolding_failures"])
+    summary["failures"] = sum(count for key, count in summary.items()
+                              if key.endswith("_failures"))
     return summary

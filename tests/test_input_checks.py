@@ -16,12 +16,13 @@ from ppt import (
     Always, And, AtomRef, DepGraph, HTTrace, Not, Or, ParseError, Previous,
     Program, Rule, RuleKind, Trace, dependency_graph, enumerate_ltlf_models,
     enumerate_ts_models, external_support, format_formula, ht_sat, ltlf_sat,
-    parse_formula, parse_program, support_transform, three_valued,
-    verify_correspondence,
+    parse_formula, parse_program, program_as_ltlf, support_transform,
+    three_valued, verify_correspondence,
 )
 from ppt.progression import search
 from ppt.syntax import CORE_TRUE, VERUM
 from ppt.tht import formula_sat
+from ppt.transform import rule_table
 from ppt.verify import (
     GenConfig, TraceMask, random_httrace, random_past_formula,
     run_correspondence_suite, run_lemma_suite, run_semantics_suite,
@@ -31,6 +32,7 @@ _ONE_POINT = HTTrace.total(Trace.of(["a"]))
 _LOOP = "a :- b. b :- a."
 # A positive cycle of 22 atoms, past the loop cap.
 _CYCLE = "".join(f"a{i} :- a{(i + 1) % 22}.\n" for i in range(22))
+_PREV_CYCLE = parse_program("a :- b. #dynamic. b :- prev a.")
 
 # Each suite, run for one case at a given seed.
 _SUITES = (
@@ -67,6 +69,17 @@ CASES = [
     ("support-transform-not-core",
      lambda: support_transform(Always(AtomRef("a")), {"a"}), ValueError,
      re.escape("not a core past formula: Always(arg=AtomRef(name='a'))")),
+    # A non-core node under `not` or `prev` was passed through, as the
+    # transformation never walks there.
+    ("support-transform-verum-under-not",
+     lambda: support_transform(Not(VERUM), {"a"}), ValueError,
+     re.escape("not a core past formula: Verum()")),
+    ("support-transform-none-under-prev",
+     lambda: support_transform(Previous(None), {"a"}), ValueError,
+     re.escape("not a core past formula: None")),
+    ("support-transform-string-under-not-not",
+     lambda: support_transform(Not(Not("junk")), {"a"}), ValueError,
+     re.escape("not a core past formula: 'junk'")),
     # A bool or a float size was accepted, and a float failed later
     # inside `random_program` with a stray TypeError.
     ("gen-max-atoms-bool", lambda: GenConfig(max_atoms=True),
@@ -194,6 +207,21 @@ CASES = [
     # single-trace check as in the search.
     ("search-string-formula", lambda: search(["a"], 1, {"a"}),
      ValueError, re.escape("not a formula: 'a'")),
+    # A `rules` that is not the rule table of the formulas: a KeyError
+    # for a body not compiled or a head outside the alphabet, and an
+    # IndexError for one table.
+    ("search-rules-body-not-compiled",
+     lambda: search([], 1, {"a", "b"},
+                    rules=rule_table(parse_program("a :- b."))),
+     ValueError, re.escape("rules: body AtomRef(name='b') is in no formula")),
+    ("search-rules-head-outside-alphabet",
+     lambda: search([], 1, {"a"},
+                    rules=rule_table(parse_program("b :- not a."))),
+     ValueError, re.escape("rules: head 'b' is not in the alphabet")),
+    ("search-rules-one-table",
+     lambda: search(program_as_ltlf(_PREV_CYCLE), 2, _PREV_CYCLE.alphabet,
+                    rules=[rule_table(_PREV_CYCLE)[0]]),
+     ValueError, re.escape("rules must hold 2 tables, not 1")),
     ("ltlf-string-formula",
      lambda: enumerate_ltlf_models(["a"], 1, {"a"}),
      ValueError, re.escape("not a formula: 'a'")),

@@ -15,10 +15,10 @@ from ppt import (
 )
 from ppt.cli import main
 from ppt.depgraph import enumerate_loops, section_graphs
-from ppt.transform import loop_formula_regimes, rule_table
+from ppt.transform import loop_formula_regimes, rule_formula, rule_table
 from ppt.syntax import (
-    CORE_TRUE, FINAL_CONST, INITIAL_CONST, format_formulas, head_disjunction,
-    or_chain,
+    CORE_TRUE, FINAL_CONST, INITIAL_CONST, Falsum, format_formulas,
+    format_rule, head_disjunction, or_chain,
 )
 from ppt.verify import (
     GenConfig, TraceMask, mask_trace, random_httrace, random_past_formula,
@@ -229,6 +229,18 @@ class TestProgramAsLtlf:
     def test_fact_is_bare_head(self):
         p = parse_program("a.")
         assert program_as_ltlf(p) == [AtomRef("a")]
+
+    def test_fact_with_a_fresh_body_is_bare_head(self):
+        # A fact is told by its node types, not by the identity of the
+        # parser's `CORE_TRUE`: both printers and the rule table agree.
+        for kind, embedded in ((RuleKind.INITIAL, "a"),
+                               (RuleKind.DYNAMIC, "wnext_always(a)")):
+            rule = Rule(kind, ("a",), Not(Falsum()))
+            p = Program((rule,))
+            assert format_rule(rule) == "a."
+            assert format_formula(rule_formula(rule)) == embedded
+            assert format_formulas(program_as_ltlf(p)) == [embedded]
+            assert [t for t in rule_table(p) if t] == [[(("a",), None)]]
 
     def test_rule_shapes(self, p1):
         formulas = program_as_ltlf(p1)
