@@ -156,7 +156,7 @@ from .errors import BudgetExceeded
 from .syntax import (
     Always, And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst,
     Not, Or, Previous, Since, Trigger, Verum, WeakNextAlways, atom_tuple,
-    check_int,
+    check_int, refuse_formula,
 )
 
 __all__ = ["DEFAULT_BUDGET", "Trace", "placement", "search"]
@@ -272,10 +272,7 @@ def _flatten(formulas: Iterable, index: dict[str, int]):
                 if op == _PREV:
                     carried.add(a)
             elif op is None:
-                if placement(f)[0] is f:  # it unwraps only a wrapper
-                    raise ValueError(f"not a formula: {f!r}")
-                raise ValueError(f"cannot evaluate {type(f).__name__} "
-                                 "below the top of a formula")
+                refuse_formula(f)
             else:
                 node = (op, 0, 0)
             stack.pop()

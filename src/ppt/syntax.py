@@ -34,7 +34,9 @@ rule head, a loop, a mask, a vertex set, an atom pool) is read by
 `atom_tuple`, the one place that checks atom names and refuses a string
 where its letters would be taken for one-letter atoms.  A rule kind, a
 section or a program rule of another type is refused by `instance_of`,
-a non-int count by `check_int`; `is_fact` is the one test of a fact.
+a non-int count by `check_int`, and a value that is no formula node, or
+a wrapper below the top, by `refuse_formula`, wherever a formula is
+walked; `is_fact` is the one test of a fact.
 """
 
 from __future__ import annotations
@@ -116,6 +118,16 @@ def check_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an int, not {value!r}")
     return value
+
+
+def refuse_formula(value):
+    """Refuse `value`, met where a formula node is read: a wrapper as
+    below the top of a formula, anything else as no formula."""
+    tp = type(value)
+    if tp is Always or tp is WeakNextAlways:
+        raise ValueError(
+            f"cannot evaluate {tp.__name__} below the top of a formula")
+    raise ValueError(f"not a formula: {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +550,9 @@ _PREC_TEMPORAL = 4
 _PREC_UNARY = 5
 
 _UNARY_KEYWORD = {Not: "not", Previous: "prev"}
+_CONSTANT_TEXT = {Falsum: "false", Verum: "true", InitialConst: "I",
+                  FinalConst: "F"}
+_WRAPPER_KEYWORD = {Always: "always", WeakNextAlways: "wnext_always"}
 
 
 def format_formula(f) -> str:
@@ -556,10 +571,9 @@ def format_formulas(fs: Iterable) -> list[str]:
     A conjunction or disjunction object that sits as an element of a
     conjunction or disjunction chain is rendered once per call and
     context, however many formulas share it: the compiler shares its
-    support terms there.  An atom or false element is written inline in
-    the chain loop.  The memo is keyed by object identity and context
-    and holds each object it keys, so no identity is reused while it
-    lives.
+    support terms there.  An atom element is written inline in the chain
+    loop.  The memo is keyed by object identity and context and holds
+    each object it keys, so no identity is reused while it lives.
     """
     memo: dict = {}
     return [_render(f, 0, memo) for f in fs]
@@ -569,18 +583,10 @@ def _render(f, ctx: int, memo: dict) -> str:
     tp = type(f)
     if tp is AtomRef:
         return f.name
-    if tp is Falsum:
-        return "false"
-    if tp is Verum:
-        return "true"
-    if tp is InitialConst:
-        return "I"
-    if tp is FinalConst:
-        return "F"
-    if tp is Always:
-        return f"always({_render(f.arg, 0, memo)})"
-    if tp is WeakNextAlways:
-        return f"wnext_always({_render(f.arg, 0, memo)})"
+    if tp in _CONSTANT_TEXT:
+        return _CONSTANT_TEXT[tp]
+    if tp in _WRAPPER_KEYWORD:
+        return f"{_WRAPPER_KEYWORD[tp]}({_render(f.arg, 0, memo)})"
     if tp in _UNARY_KEYWORD:
         text = f"{_UNARY_KEYWORD[tp]} {_render(f.arg, _PREC_UNARY, memo)}"
         return _wrap(text, _PREC_UNARY, ctx)
@@ -589,26 +595,20 @@ def _render(f, ctx: int, memo: dict) -> str:
         return (f"({_render(f.lhs, _PREC_UNARY, memo)} {word} "
                 f"{_render(f.rhs, _PREC_UNARY, memo)})")
     if tp is And or tp is Or:
-        # A left-nested chain prints without parentheses, so its spine is
-        # walked in a loop and long bodies need no recursion on length.
-        # Every element renders one level above the chain's own: the
-        # first is not of the chain's connective, the only node whose
-        # text differs between the two levels.  A leaf is written inline,
-        # and a conjunction or disjunction rendered once per (object,
-        # context).
+        # A left-nested chain prints without parentheses, so its elements
+        # are read off the spine in a loop and long bodies need no
+        # recursion on length.  Every element renders one level above the
+        # chain's own, as `_nesting` counts it: the two levels differ only
+        # for a node of the chain's connective, and the spine leaves none
+        # as an element.  An atom is written inline, and a conjunction or
+        # disjunction rendered once per (object, context).
         prec = _PREC_AND if tp is And else _PREC_OR
         inner = prec + 1
         parts = []
-        while f is not None:
-            if type(f) is tp:
-                g, f = f.rhs, f.lhs
-            else:
-                g, f = f, None
+        for g in _flatten_left(f, tp):
             tg = type(g)
             if tg is AtomRef:
                 parts.append(g.name)
-            elif tg is Falsum:
-                parts.append("false")
             elif tg is And or tg is Or:
                 key = (id(g), inner)
                 hit = memo.get(key)
@@ -617,7 +617,6 @@ def _render(f, ctx: int, memo: dict) -> str:
                 parts.append(hit[1])
             else:
                 parts.append(_render(g, inner, memo))
-        parts.reverse()
         return _wrap((" and " if tp is And else " or ").join(parts), prec, ctx)
     if tp is Implies or tp is Iff:
         arrow = "->" if tp is Implies else "<->"
@@ -639,7 +638,8 @@ def format_nesting(f) -> int:
 
 
 def _nesting(f, ctx: int) -> int:
-    # Follows `_render`, which puts parentheses where it does.
+    # Follows `_render`, which puts parentheses where it does: every
+    # element of a chain is counted one level above the chain's own.
     tp = type(f)
     if tp is Not or tp is Previous:
         return 1 + _nesting(f.arg, _PREC_UNARY)
@@ -648,11 +648,8 @@ def _nesting(f, ctx: int) -> int:
                        _nesting(f.rhs, _PREC_UNARY))
     if tp is And or tp is Or:
         prec = _PREC_AND if tp is And else _PREC_OR
-        depth = 0
-        while type(f) is tp:
-            depth = max(depth, _nesting(f.rhs, prec + 1))
-            f = f.lhs
-        return max(depth, _nesting(f, prec)) + (prec < ctx)
+        return (max([_nesting(g, prec + 1) for g in _flatten_left(f, tp)])
+                + (prec < ctx))
     return 0
 
 

@@ -35,7 +35,7 @@ from .progression import Trace, placement, search
 from .syntax import (
     And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst, Not, Or,
     Previous, Program, Rule, Since, Trigger, Value, Verum, check_int,
-    is_past_formula, value_class,
+    is_past_formula, refuse_formula, value_class,
 )
 from .transform import program_as_ltlf, rule_formula, rule_table
 
@@ -166,10 +166,7 @@ class _BitEvaluator:
             return self.full & (~self.eval(f.lhs, total) | self.eval(f.rhs, total))
         if tp is Iff:
             return self.full & ~(self.eval(f.lhs, total) ^ self.eval(f.rhs, total))
-        if placement(f)[0] is f:  # it unwraps only a wrapper
-            raise ValueError(f"not a formula: {f!r}")
-        raise ValueError(
-            f"cannot evaluate {tp.__name__} below the top of a formula")
+        refuse_formula(f)
 
 
 def evaluator(m: HTTrace, core: bool = False) -> _BitEvaluator:

@@ -53,10 +53,11 @@ from typing import Callable, Iterable
 
 from .syntax import (
     Always, And, Atom, AtomRef, ExtFormula, FALSUM, FINAL_CONST,
-    Falsum, Iff, Implies, INITIAL_CONST, INITIAL_EXPANSION, Not, Or,
-    PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, Verum,
-    VERUM, WeakNextAlways, atom_tuple, head_disjunction, instance_of,
-    is_fact, or_chain, positive_atoms,
+    Falsum, FinalConst, Iff, Implies, INITIAL_CONST, INITIAL_EXPANSION,
+    InitialConst, Not, Or, PastFormula, Previous, Program, Rule, RuleKind,
+    Since, Trigger, Verum, VERUM, WeakNextAlways, atom_tuple,
+    head_disjunction, instance_of, is_fact, or_chain, positive_atoms,
+    refuse_formula,
 )
 from .depgraph import enumerate_loops, section_graphs
 
@@ -111,12 +112,18 @@ def _strike(f: PastFormula, loop: frozenset[Atom]) -> PastFormula:
             for node in reversed(spine):
                 out = type(node)(out, walk(node.rhs))
             return out
-        if tp is Trigger:
-            return And(walk(g.rhs),
-                       Or(walk(g.lhs), Or(Previous(g), INITIAL_EXPANSION)))
-        return Or(walk(g.rhs), And(walk(g.lhs), Previous(g)))  # since
+        return unfold(g, walk(g.lhs), walk(g.rhs))  # since or trigger
 
     return walk(f)
+
+
+def unfold(g: Since | Trigger, lhs: PastFormula,
+           rhs: PastFormula) -> PastFormula:
+    """One step of the since or trigger `g`, with `lhs` and `rhs` at the
+    present point; shared with `run_semantics_suite`, outside `__all__`."""
+    if type(g) is Trigger:
+        return And(rhs, Or(lhs, Or(Previous(g), INITIAL_EXPANSION)))
+    return Or(rhs, And(lhs, Previous(g)))
 
 
 def _support_term(rule: Rule, excluded: frozenset[Atom],
@@ -315,7 +322,8 @@ def simplify(f: ExtFormula) -> ExtFormula:
     Only these rules are used (plus their mirror images): false-and
     collapses, true-and drops, false-or drops, true-or collapses,
     not-false and not-true flip.  Everything else is preserved, so the
-    result stays semantically equivalent connective by connective.
+    result stays semantically equivalent connective by connective.  A
+    value in f that is no formula node is refused with `ValueError`.
     """
     return simplify_formulas([f])[0]
 
@@ -344,14 +352,17 @@ def _simplify(f: ExtFormula, memo: dict) -> ExtFormula:
         # The left spine of a chain is walked in a loop, so that long
         # bodies need no recursion on length.  Its elements are folded
         # into the chain's unit (true for and, false for or), first
-        # element first; a leaf is its own result, and a conjunction or
-        # disjunction is looked up in the memo.
+        # element first, and its absorbing constant (false for and, true
+        # for or) absorbs the chain; a leaf is its own result, and a
+        # conjunction or disjunction is looked up in the memo.
+        unit, zero = (VERUM, FALSUM) if tp is And else (FALSUM, VERUM)
+        unit_tp, zero_tp = type(unit), type(zero)
         spine = []
         while type(f) is tp:
             spine.append(f)
             f = f.lhs
         spine.append(None)  # stands for the first element, f
-        out = VERUM if tp is And else FALSUM
+        out = unit
         for node in reversed(spine):
             rhs = f if node is None else node.rhs
             rt = type(rhs)
@@ -362,21 +373,13 @@ def _simplify(f: ExtFormula, memo: dict) -> ExtFormula:
                 rhs = hit[1]
             elif rt is not AtomRef and rt is not Falsum:
                 rhs = _simplify(rhs, memo)
-            if tp is And:
-                if type(out) is Falsum or type(rhs) is Falsum:
-                    out = FALSUM
-                elif type(out) is Verum:
-                    out = rhs
-                elif type(rhs) is not Verum:
-                    out = (node if out is node.lhs and rhs is node.rhs
-                           else And(out, rhs))
-            elif type(out) is Verum or type(rhs) is Verum:
-                out = VERUM
-            elif type(out) is Falsum:
+            if type(out) is zero_tp or type(rhs) is zero_tp:
+                out = zero
+            elif type(out) is unit_tp:
                 out = rhs
-            elif type(rhs) is not Falsum:
+            elif type(rhs) is not unit_tp:
                 out = (node if out is node.lhs and rhs is node.rhs
-                       else Or(out, rhs))
+                       else tp(out, rhs))
         return out
     if tp is Not:
         arg = _simplify(f.arg, memo)
@@ -392,4 +395,6 @@ def _simplify(f: ExtFormula, memo: dict) -> ExtFormula:
         lhs = _simplify(f.lhs, memo)
         rhs = _simplify(f.rhs, memo)
         return f if lhs is f.lhs and rhs is f.rhs else tp(lhs, rhs)
-    return f
+    if tp is Verum or tp is InitialConst or tp is FinalConst:
+        return f
+    refuse_formula(f)

@@ -23,6 +23,10 @@ rather than through `rule_formula`, for `sourced_completion`.
 
 `tokens_by_match` tokenizes by matching one token at a time, for the
 parser's two whole-source regex calls to be checked against.
+`nesting_by_spine` counts the levels of nesting of a printed core
+formula with the first element of a chain at the chain's own level and
+every other element one above, for `syntax.format_nesting`, which
+counts them all one above.
 `core_atoms_by_definition`, `positive_present_by_definition` and
 `literal_conjunction_by_definition` read a formula's nodes through
 `dataclasses.fields`, for the one walk of a rule body in `syntax`.
@@ -45,6 +49,9 @@ _TOKEN_RE = re.compile(
 
 _CORE_TYPES = (Falsum, AtomRef, Not, And, Or, Previous, Since, Trigger)
 
+# The printer's precedence levels (higher binds tighter).
+_OR, _AND, _UNARY = 2, 3, 5
+
 
 def tokens_by_match(src: str):
     """`(texts, offsets, bad)` of `src` after one leading byte-order
@@ -64,6 +71,26 @@ def tokens_by_match(src: str):
     texts.append("")
     offsets.append(pos)
     return texts, offsets, pos if pos < len(src) else None
+
+
+def nesting_by_spine(f, ctx=0):
+    """Levels of nesting in `format_formula(f)` of a core formula f at
+    precedence `ctx`: a unary operator, a since or trigger inside its
+    parentheses, and any other pair of parentheses each count one."""
+    tp = type(f)
+    if tp is Not or tp is Previous:
+        return 1 + nesting_by_spine(f.arg, _UNARY)
+    if tp is Since or tp is Trigger:
+        return 1 + max(nesting_by_spine(f.lhs, _UNARY),
+                       nesting_by_spine(f.rhs, _UNARY))
+    if tp is And or tp is Or:
+        prec = _AND if tp is And else _OR
+        depth = 0
+        while type(f) is tp:
+            depth = max(depth, nesting_by_spine(f.rhs, prec + 1))
+            f = f.lhs
+        return max(depth, nesting_by_spine(f, prec)) + (prec < ctx)
+    return 0
 
 
 def core_atoms_by_definition(f):

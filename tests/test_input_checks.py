@@ -13,11 +13,12 @@ import pytest
 
 import ppt
 from ppt import (
-    Always, And, AtomRef, DepGraph, HTTrace, Not, Or, ParseError, Previous,
-    Program, Rule, RuleKind, Trace, dependency_graph, enumerate_ltlf_models,
-    enumerate_ts_models, external_support, format_formula, ht_sat, ltlf_sat,
-    parse_formula, parse_program, program_as_ltlf, support_transform,
-    three_valued, verify_correspondence,
+    Always, And, AtomRef, DepGraph, FALSUM, HTTrace, Not, Or, ParseError,
+    Previous, Program, Rule, RuleKind, Trace, WeakNextAlways,
+    dependency_graph, enumerate_ltlf_models, enumerate_ts_models,
+    external_support, format_formula, ht_sat, ltlf_sat, parse_formula,
+    parse_program, program_as_ltlf, simplify, simplify_formulas,
+    support_transform, three_valued, verify_correspondence,
 )
 from ppt.progression import search
 from ppt.syntax import CORE_TRUE, VERUM
@@ -240,6 +241,20 @@ CASES = [
      lambda: ltlf_sat(Trace.of(["a"]), 0, Always(Always(AtomRef("a")))),
      ValueError,
      re.escape("cannot evaluate Always below the top of a formula")),
+    ("formula-sat-wrapper-below-top",
+     lambda: formula_sat(_ONE_POINT, 0, And(AtomRef("a"),
+                                             WeakNextAlways(AtomRef("a")))),
+     ValueError,
+     re.escape("cannot evaluate WeakNextAlways below the top of a formula")),
+    # `simplify` returned a non-formula unchanged, and one under a false
+    # conjunct was dropped.
+    ("simplify-none", lambda: simplify(None),
+     ValueError, re.escape("not a formula: None")),
+    ("simplify-formulas-int", lambda: simplify_formulas([1]),
+     ValueError, re.escape("not a formula: 1")),
+    ("simplify-string-beside-false",
+     lambda: simplify(And("junk", FALSUM)),
+     ValueError, re.escape("not a formula: 'junk'")),
     # A length or time point of the wrong type: a stray TypeError.
     ("ltlf-float-length", lambda: enumerate_ltlf_models([], 2.0, ["a"]),
      ValueError, re.escape("trace length must be an int, not 2.0")),

@@ -9,8 +9,10 @@ from ppt import (
     Rule, RuleKind, Since, format_formula, format_program, parse_formula,
     parse_program,
 )
-from ppt.parser import MAX_NESTING, _Parser
-from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION, Falsum
+from ppt.parser import (
+    MAX_NESTING, _BINARY_OPS, _CONSTANTS, _Parser, _UNARY_OPS,
+)
+from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION, RESERVED_WORDS, Falsum
 from ppt.verify import GenConfig, random_program
 
 from oracles import tokens_by_match
@@ -162,6 +164,12 @@ class TestFormulaParsing:
 
     def test_parens_override(self):
         assert parse_formula("a, (b; c)") != parse_formula("a, b; c")
+
+    def test_reserved_words_are_the_keywords(self):
+        # Exactly the words the parser reads as keywords are reserved,
+        # so that a keyword added to one of its tables is reserved too.
+        assert RESERVED_WORDS == {*_UNARY_OPS, *_BINARY_OPS, *_CONSTANTS,
+                                  "and", "or"}
 
 
 class TestErrors:

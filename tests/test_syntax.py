@@ -6,16 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from ppt import (
     Always, And, AtomRef, FALSUM, FINAL_CONST, Falsum, INITIAL_CONST, Iff,
-    Implies, Not, Or, Previous, Program, Rule, RuleKind, Since, Trigger,
-    VERUM, WeakNextAlways, atoms_of, format_formula, format_program,
+    Implies, Not, Or, ParseError, Previous, Program, Rule, RuleKind, Since,
+    Trigger, VERUM, WeakNextAlways, atoms_of, format_formula, format_program,
     format_rule, is_past_formula, parse_formula, parse_program,
     positive_atoms, random_past_formula,
 )
-from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION
+from ppt.parser import MAX_NESTING
+from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION, format_nesting
 
 from oracles import (
     core_atoms_by_definition, literal_conjunction_by_definition,
-    positive_present_by_definition,
+    nesting_by_spine, positive_present_by_definition,
 )
 
 atoms = st.sampled_from(("a", "b", "c"))
@@ -166,6 +167,53 @@ class TestFormat:
     @given(past_formulas)
     def test_formula_round_trip(self, f):
         assert parse_formula(format_formula(f)) == f
+
+
+class TestFormatNesting:
+    # (printed text, its levels of nesting)
+    @pytest.mark.parametrize("text, levels", [
+        # A chain whose first element is of the other connective.
+        ("(a or b) and c", 1),
+        ("(a or b) and (c or a) and b", 1),
+        ("a and b or c", 0),
+        ("(a or not b) and c", 2),
+        ("not (a or b)", 2),
+        ("not a or prev b", 1),
+        ("((a since b) since c)", 2),
+        ("(a since (b trigger prev c))", 3),
+        ("(not (a or b) since c)", 3),
+        # `wprev a` and `initially` in their core spelling.
+        ("prev a or not prev not false", 3),
+        ("not (prev a or not prev not false)", 5),
+        ("not prev not false", 3),
+    ])
+    def test_hand_cases(self, text, levels):
+        f = parse_formula(text)
+        assert format_formula(f) == text
+        assert format_nesting(f) == levels
+
+    # Sugar at the parser's limit: `not` k times over `initially` nests
+    # k + 3 levels when printed, over `wprev a` k + 4.
+    @pytest.mark.parametrize("sugar, levels", [("initially", 3),
+                                               ("wprev a", 4)])
+    def test_sugar_near_the_limit(self, sugar, levels):
+        text = "not " * (MAX_NESTING - levels) + sugar
+        f = parse_formula(text)
+        assert format_nesting(f) == MAX_NESTING
+        assert format_nesting(Not(f)) == MAX_NESTING + 1
+        with pytest.raises(ParseError, match="when printed"):
+            parse_formula("not " + text)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_matches_reference(self, seed):
+        rng = random.Random(seed)
+        f = random_past_formula(rng, ("a", "b", "c"), rng.randint(0, 6))
+        assert format_nesting(f) == nesting_by_spine(f)
+
+    @given(past_formulas)
+    def test_matches_reference_on_any_shape(self, f):
+        assert format_nesting(f) == nesting_by_spine(f)
 
 
 # Nodes outside the core language, and places to put one below the top:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import ppt.transform
 import ppt.verify
 
 from ppt import (
@@ -309,7 +310,8 @@ def test_lemma_suite_counts_injected_faults(monkeypatch, lemma):
 
 # `run_semantics_suite(300, seed=3)` with one fault each: the value 2
 # (here true) read as 1, and the trigger unfolded with the strong
-# previous, which is false at the first point.  Each reaches its own
+# previous, which is false at the first point, in `transform.unfold`,
+# the unfolding the support transformation emits.  Each reaches its own
 # counter and no other.
 FAULTY_SEMANTICS = {
     "here read as total": {"three_valued_failures": 75,
@@ -327,7 +329,7 @@ def test_semantics_suite_counts_injected_faults(monkeypatch, fault):
         monkeypatch.setattr(ppt.verify, "three_valued",
                             lambda m, k, f: min(three_valued(m, k, f), 1))
     else:
-        monkeypatch.setattr(ppt.verify, "INITIAL_EXPANSION", FALSUM)
+        monkeypatch.setattr(ppt.transform, "INITIAL_EXPANSION", FALSUM)
     out = run_semantics_suite(300, seed=3)
     assert out == {"cases": 300, "seed": 3, **FAULTY_SEMANTICS[fault]}
 
