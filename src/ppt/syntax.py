@@ -36,7 +36,8 @@ where its letters would be taken for one-letter atoms.  A rule kind, a
 section or a program rule of another type is refused by `instance_of`,
 a non-int count by `check_int`, and a value that is no formula node, or
 a wrapper below the top, by `refuse_formula`, wherever a formula is
-walked; `is_fact` is the one test of a fact.
+walked; `is_fact` is the one test of a fact, and `chain_elements` the
+one reader of an `and`/`or` chain, in a loop at any length.
 """
 
 from __future__ import annotations
@@ -605,7 +606,7 @@ def _render(f, ctx: int, memo: dict) -> str:
         prec = _PREC_AND if tp is And else _PREC_OR
         inner = prec + 1
         parts = []
-        for g in _flatten_left(f, tp):
+        for g in chain_elements(f, tp):
             tg = type(g)
             if tg is AtomRef:
                 parts.append(g.name)
@@ -648,12 +649,14 @@ def _nesting(f, ctx: int) -> int:
                        _nesting(f.rhs, _PREC_UNARY))
     if tp is And or tp is Or:
         prec = _PREC_AND if tp is And else _PREC_OR
-        return (max([_nesting(g, prec + 1) for g in _flatten_left(f, tp)])
+        return (max([_nesting(g, prec + 1) for g in chain_elements(f, tp)])
                 + (prec < ctx))
     return 0
 
 
-def _flatten_left(f, tp) -> list:
+def chain_elements(f, tp) -> list:
+    """The elements of the `tp` chain at f (`And` or `Or`), first to
+    last, read in a loop at any length: [f] when f is no `tp` node."""
     parts = []
     while type(f) is tp:
         parts.append(f.rhs)
@@ -666,11 +669,11 @@ def _flatten_left(f, tp) -> list:
 def _body_text(body: PastFormula) -> str:
     # Rule bodies print in clause style: `;` between disjuncts, `,`
     # between conjuncts, nested groups in the formula dialect.
-    disjuncts = _flatten_left(body, Or)
+    disjuncts = chain_elements(body, Or)
     rendered = []
     memo: dict = {}
     for d in disjuncts:
-        conjuncts = _flatten_left(d, And)
+        conjuncts = chain_elements(d, And)
         rendered.append(", ".join(_render(c, _PREC_TEMPORAL, memo)
                                   for c in conjuncts))
     return "; ".join(rendered)

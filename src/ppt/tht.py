@@ -34,8 +34,8 @@ from typing import Iterable
 from .progression import Trace, placement, search
 from .syntax import (
     And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst, Not, Or,
-    Previous, Program, Rule, Since, Trigger, Value, Verum, check_int,
-    is_past_formula, refuse_formula, value_class,
+    Previous, Program, Rule, Since, Trigger, Value, Verum, chain_elements,
+    check_int, is_past_formula, refuse_formula, value_class,
 )
 from .transform import program_as_ltlf, rule_formula, rule_table
 
@@ -114,21 +114,16 @@ class _BitEvaluator:
         if hit is not None:
             return hit
         tp = type(f)
-        if tp is And or tp is Or:
-            # The left spine of a chain is combined in a loop, innermost
-            # node first, so that long chains need no recursion on length.
-            spine = [f]
-            f = f.lhs
-            while (type(f) is And or type(f) is Or) and (id(f), total) not in memo:
-                spine.append(f)
-                f = f.lhs
-            bits = self.eval(f, total)
-            for node in reversed(spine):
-                rhs = self.eval(node.rhs, total)
-                bits = bits & rhs if type(node) is And else bits | rhs
-                memo[(id(node), total)] = bits
-            return bits
-        if tp is AtomRef:
+        if tp is And:
+            # A chain is read by `chain_elements`, with no recursion on length.
+            bits = self.full
+            for g in chain_elements(f, And):
+                bits &= self.eval(g, total)
+        elif tp is Or:
+            bits = 0
+            for g in chain_elements(f, Or):
+                bits |= self.eval(g, total)
+        elif tp is AtomRef:
             bits = (self.t if total else self.h).get(f.name, 0)
         elif tp is Falsum:
             bits = 0
@@ -267,20 +262,10 @@ def three_valued(m: HTTrace, k: int, f) -> int:
             return hit
         tp = type(g)
         if tp is And or tp is Or:
-            # A chain's left spine is combined in a loop, as in
-            # `_BitEvaluator.eval`.
-            spine = [g]
-            g = g.lhs
-            while (type(g) is And or type(g) is Or) and (id(g), j) not in memo:
-                spine.append(g)
-                g = g.lhs
-            out = val(g, j)
-            for node in reversed(spine):
-                rhs = val(node.rhs, j)
-                out = min(out, rhs) if type(node) is And else max(out, rhs)
-                memo[(id(node), j)] = out
-            return out
-        if tp is Falsum:
+            # A chain is read by `chain_elements`, as in `_BitEvaluator`.
+            out = (min if tp is And else max)(
+                [val(e, j) for e in chain_elements(g, tp)])
+        elif tp is Falsum:
             out = 0
         elif tp is AtomRef:
             if g.name in m.h[j]:

@@ -56,8 +56,8 @@ from .syntax import (
     Falsum, FinalConst, Iff, Implies, INITIAL_CONST, INITIAL_EXPANSION,
     InitialConst, Not, Or, PastFormula, Previous, Program, Rule, RuleKind,
     Since, Trigger, Verum, VERUM, WeakNextAlways, atom_tuple,
-    head_disjunction, instance_of, is_fact, or_chain, positive_atoms,
-    refuse_formula,
+    chain_elements, head_disjunction, instance_of, is_fact, or_chain,
+    positive_atoms, refuse_formula,
 )
 from .depgraph import enumerate_loops, section_graphs
 
@@ -102,15 +102,11 @@ def _strike(f: PastFormula, loop: frozenset[Atom]) -> PastFormula:
         if tp is Falsum or tp is Not or tp is Previous:
             return g
         if tp is And or tp is Or:
-            # Rebuild the left spine of a conjunction/disjunction chain
-            # in a loop, so that long bodies need no recursion on length.
-            spine = []
-            while type(g) is And or type(g) is Or:
-                spine.append(g)
-                g = g.lhs
-            out = walk(g)
-            for node in reversed(spine):
-                out = type(node)(out, walk(node.rhs))
+            # A chain is rebuilt from `chain_elements`, in a loop.
+            first, *rest = chain_elements(g, tp)
+            out = walk(first)
+            for e in rest:
+                out = tp(out, walk(e))
             return out
         return unfold(g, walk(g.lhs), walk(g.rhs))  # since or trigger
 

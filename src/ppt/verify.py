@@ -141,23 +141,23 @@ def check_lemma_pastocc(f: PastFormula, m: HTTrace, mask: TraceMask) -> bool:
 
 _ATOM_POOL = ("a", "b", "c", "d")
 
-# Connective weights for random bodies; temporal operators are favoured
-# so since/trigger/previous get real coverage.
+# Node class weights for random bodies, `None` for a leaf; temporal
+# operators are favoured so since/trigger/previous get real coverage.
 _WEIGHTS = (
-    ("since", 2), ("trigger", 2), ("prev", 2), ("and", 1), ("or", 1),
-    ("not", 1), ("leaf", 1),
+    (Since, 2), (Trigger, 2), (Previous, 2), (And, 1), (Or, 1), (Not, 1),
+    (None, 1),
 )
 
 # At most this many negations on any path of a random body.
 _MAX_NEGATIONS = 2
 
-# The connectives a random body may pick, and their cumulative weights,
-# with and without `not` (past the negation limit).
-_OPTIONS = tuple(name for name, _ in _WEIGHTS)
+# The classes a random body may pick, and their cumulative weights, with
+# and without `Not` (past the negation limit).
+_OPTIONS = tuple(cls for cls, _ in _WEIGHTS)
 _CUM_WEIGHTS = tuple(itertools.accumulate(w for _, w in _WEIGHTS))
-_OPTIONS_NO_NOT = tuple(name for name in _OPTIONS if name != "not")
+_OPTIONS_NO_NOT = tuple(cls for cls in _OPTIONS if cls is not Not)
 _CUM_WEIGHTS_NO_NOT = tuple(itertools.accumulate(
-    w for name, w in _WEIGHTS if name != "not"))
+    w for cls, w in _WEIGHTS if cls is not Not))
 
 
 @value_class(slots=False)
@@ -186,7 +186,8 @@ def random_past_formula(rng: random.Random, atoms, depth: int) -> PastFormula:
     atoms = atom_tuple(atoms, "an atom pool")
     if not atoms:
         raise ValueError("an atom pool must not be empty")
-    check_int(depth, "depth")
+    if check_int(depth, "depth") < 0:
+        raise ValueError("depth must be at least 0")
 
     def leaf() -> PastFormula:
         if rng.random() < 0.08:
@@ -201,19 +202,11 @@ def random_past_formula(rng: random.Random, atoms, depth: int) -> PastFormula:
         else:
             pick = rng.choices(_OPTIONS_NO_NOT,
                                cum_weights=_CUM_WEIGHTS_NO_NOT)[0]
-        if pick == "leaf":
+        if pick is None:
             return leaf()
-        if pick == "not":
-            return Not(build(d - 1, negs + 1))
-        if pick == "prev":
-            return Previous(build(d - 1, negs))
-        if pick == "and":
-            return And(build(d - 1, negs), build(d - 1, negs))
-        if pick == "or":
-            return Or(build(d - 1, negs), build(d - 1, negs))
-        if pick == "since":
-            return Since(build(d - 1, negs), build(d - 1, negs))
-        return Trigger(build(d - 1, negs), build(d - 1, negs))
+        if pick is Not or pick is Previous:
+            return pick(build(d - 1, negs + (pick is Not)))
+        return pick(build(d - 1, negs), build(d - 1, negs))
 
     return build(depth, 0)
 

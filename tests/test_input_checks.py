@@ -360,6 +360,9 @@ CASES = [
     ("random-formula-none-depth",
      lambda: random_past_formula(random.Random(1), ["a"], None), ValueError,
      re.escape("depth must be an int, not None")),
+    ("random-formula-negative-depth",
+     lambda: random_past_formula(random.Random(1), ["a", "b"], -3),
+     ValueError, re.escape("depth must be at least 0")),
     ("random-formula-bool-depth",
      lambda: random_past_formula(random.Random(1), ["a"], True), ValueError,
      re.escape("depth must be an int, not True")),

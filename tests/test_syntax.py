@@ -12,7 +12,9 @@ from ppt import (
     positive_atoms, random_past_formula,
 )
 from ppt.parser import MAX_NESTING
-from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION, format_nesting
+from ppt.syntax import (
+    CORE_TRUE, INITIAL_EXPANSION, chain_elements, format_nesting,
+)
 
 from oracles import (
     core_atoms_by_definition, literal_conjunction_by_definition,
@@ -167,6 +169,25 @@ class TestFormat:
     @given(past_formulas)
     def test_formula_round_trip(self, f):
         assert parse_formula(format_formula(f)) == f
+
+
+class TestChainElements:
+    def test_left_to_right(self):
+        a, b, c, d = (AtomRef(x) for x in "abcd")
+        f = Or(Or(Or(a, b), c), d)
+        assert chain_elements(f, Or) == [a, b, c, d]
+
+    def test_other_connective_is_one_element(self):
+        a, b, c, d = (AtomRef(x) for x in "abcd")
+        inner = Or(a, b)
+        f = And(And(inner, c), Or(c, d))
+        assert chain_elements(f, And) == [inner, c, Or(c, d)]
+        assert chain_elements(f, Or) == [f]
+
+    def test_non_chain_is_its_only_element(self):
+        f = Since(AtomRef("a"), And(AtomRef("b"), AtomRef("c")))
+        assert chain_elements(f, And) == [f]
+        assert chain_elements(FALSUM, Or) == [FALSUM]
 
 
 class TestFormatNesting:

@@ -14,12 +14,12 @@ import ppt
 from ppt import (
     And, AtomRef, BudgetExceeded, FALSUM, HTTrace, Not, Or, Previous,
     Program, Rule, RuleKind, Since, Trace, Trigger, enumerate_ts_models,
-    ht_sat, is_ht_model, ltlf_sat, parse_formula, parse_program, rule_sat,
-    three_valued,
+    format_formula, ht_sat, is_ht_model, ltlf_sat, parse_formula,
+    parse_program, rule_sat, simplify, support_transform, three_valued,
 )
 from ppt.syntax import (
     Always, CORE_TRUE, Falsum, INITIAL_CONST, INITIAL_EXPANSION, Implies,
-    VERUM,
+    VERUM, chain_elements,
 )
 from ppt.verify import (
     GenConfig, random_httrace, random_past_formula, random_program,
@@ -221,27 +221,55 @@ class TestEnumerate:
         assert models == (Trace.of(["a"]), Trace.of(["b"]))
 
 
+def deep_chain(tp, past):
+    """`a`, then 5,000 elements `prev past`, joined by `tp`: beyond
+    Python's default recursion limit when read by recursion."""
+    body = AtomRef("a")
+    for _ in range(5000):
+        body = tp(body, Previous(AtomRef(past)))
+    return body
+
+
 class TestDeepChain:
-    """A rule body of 5,000 conjuncts, beyond Python's default recursion
-    limit: the single-trace checks combine a chain in a loop."""
+    """A rule body of 5,000 conjuncts or disjuncts: the single-trace
+    checks, the support transformation, the printer and `simplify` read
+    a chain in a loop, through `chain_elements`.  `a` decides either
+    chain at point 1 of the traces below: every `prev a` of the
+    conjunction holds there, and no `prev c` of the disjunction."""
+
+    CHAINS = [(And, "a"), (Or, "c")]
 
     def test_single_trace_checks(self):
-        body = AtomRef("a")
-        for _ in range(5000):
-            body = And(body, Previous(AtomRef("a")))
-        rule = Rule(RuleKind.DYNAMIC, ("b",), body)
-        p = Program((Rule(RuleKind.INITIAL, ("a",), CORE_TRUE), rule))
-        t = Trace.of(["a"], ["a", "b"])
-        m = HTTrace.total(t)
-        assert ht_sat(m, 1, body) is True
-        assert three_valued(m, 1, body) == 2
-        assert ltlf_sat(t, 1, body) is True
-        assert rule_sat(m, rule) is True
-        assert is_ht_model(m, p) is True
-        here = HTTrace(Trace.of(["a"], ["b"]), t)
-        assert ht_sat(here, 1, body) is False
-        assert three_valued(here, 1, body) == 1
-        assert rule_sat(here, rule) is True
+        for tp, past in self.CHAINS:
+            body = deep_chain(tp, past)
+            rule = Rule(RuleKind.DYNAMIC, ("b",), body)
+            p = Program((Rule(RuleKind.INITIAL, ("a",), CORE_TRUE), rule))
+            t = Trace.of(["a"], ["a", "b"])
+            m = HTTrace.total(t)
+            assert ht_sat(m, 1, body) is True
+            assert three_valued(m, 1, body) == 2
+            assert ltlf_sat(t, 1, body) is True
+            assert rule_sat(m, rule) is True
+            assert is_ht_model(m, p) is True
+            here = HTTrace(Trace.of(["a"], ["b"]), t)
+            assert ht_sat(here, 1, body) is False
+            assert three_valued(here, 1, body) == 1
+            assert rule_sat(here, rule) is True
+
+    def test_compiler_layers(self):
+        for tp, past in self.CHAINS:
+            body = deep_chain(tp, past)
+            rest = chain_elements(body, tp)[1:]
+            joiner = " and " if tp is And else " or "
+            assert format_formula(body) == joiner.join(
+                ["a"] + [f"prev {past}"] * 5000)
+            assert simplify(body) is body
+            struck = support_transform(body, ["a"])
+            assert chain_elements(struck, tp) == [FALSUM] + rest
+            if tp is And:
+                assert simplify(struck) == FALSUM
+            else:
+                assert chain_elements(simplify(struck), Or) == rest
 
 
 class TestThreeValued:
