@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .progression import Trace, search
+from .progression import Trace, check_limits, compile, search
 from .tht import HTTrace, formula_sat
 
 __all__ = ["ltlf_sat", "enumerate_ltlf_models"]
@@ -26,5 +26,7 @@ def ltlf_sat(t: Trace, k: int, f) -> bool:
 def enumerate_ltlf_models(fs: Iterable, lam: int, alphabet,
                           budget: int | None = None) -> tuple[Trace, ...]:
     """All total traces over the alphabet satisfying every formula at 0,
-    in canonical order."""
-    return search(fs, lam, alphabet, budget)
+    in canonical order.  The length and budget are checked before the
+    formulas are compiled."""
+    check_limits(lam, budget)
+    return search(compile(fs, alphabet), lam, budget)

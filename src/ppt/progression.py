@@ -126,30 +126,36 @@ A count of the 2^(n*lam) candidate traces would refuse long traces
 that the layers make cheap, yet admit a short trace over a wide
 alphabet whose survivors each cost 2^n.
 
-All formulas are compiled by one walk, `_flatten`, into one post-order
-node array.  The walk reads each wrapper with `placement` and keys
-atoms by name, so one node serves every `AtomRef` object of an atom,
-and other nodes by identity, as `search` finds each rule body.  It
-emits the node at the top of its stack once the children have slots,
-else pushes them over it, so no depth recurses.  A wrapper below the
-top, or an object that is no formula node, is refused there and then;
-the atoms the alphabet does not cover are named, sorted, once the walk
-ends, so a formula list with both faults reports the wrapper.  The
-value of a node at point k depends on its children at k and on total
-values at k - 1.  Values are computed as ints over candidate states: in
-the total pass bit s is the value when the state at k is s, for all
-2^n states at once.  A fixpoint round computes values over the same
-candidates, and a subset pass over the subsets of one state: atoms
-take their values from the iterate or the subset, negation reads the
-total values at k as `full ^ there[a]`, and previous, since and trigger
-read the total values at k - 1 (H = T before k).  The subset pass hands
-`there` as all ones or 0 per node, the total bit of its state.
-Previous is false at point 0, but the trigger carry starts out true.
+The formulas are compiled by one walk into one post-order node array,
+which `search` reads as a `Compiled` value.  `compile` runs the walk
+once per base, and `Compiled.extend` continues it over more formulas on
+copies, so a base that several searches extend, such as the rules or
+the completion of a program under their loop formulas, is walked once.
+The walk reads each wrapper with `placement` and keys atoms by name, so
+one node serves every `AtomRef` object of an atom, and other nodes by
+identity, as `search` finds each rule body.  It emits the node at the
+top of its stack once the children have slots, else pushes them over
+it, so no depth recurses.  A wrapper below the top, or an object that
+is no formula node, is refused there and then; the atoms the alphabet
+does not cover are named, sorted, once the walk ends, so a formula list
+with both faults reports the wrapper.  The value of a node at point k
+depends on its children at k and on total values at k - 1.  Values are
+computed as ints over candidate states: in the total pass bit s is the
+value when the state at k is s, for all 2^n states at once.  A fixpoint
+round computes values over the same candidates, and a subset pass over
+the subsets of one state: atoms take their values from the iterate or
+the subset, negation reads the total values at k as `full ^ there[a]`,
+and previous, since and trigger read the total values at k - 1 (H = T
+before k).  The subset pass hands `there` as all ones or 0 per node,
+the total bit of its state.  Previous is false at point 0, but the
+trigger carry starts out true.
 """
 
 from __future__ import annotations
 
 import functools
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable
 
 from .errors import BudgetExceeded
@@ -159,7 +165,8 @@ from .syntax import (
     check_int, refuse_formula,
 )
 
-__all__ = ["DEFAULT_BUDGET", "Trace", "placement", "search"]
+__all__ = ["DEFAULT_BUDGET", "Compiled", "Trace", "compile", "placement",
+           "search"]
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -213,83 +220,121 @@ def placement(f) -> tuple[object, int, bool]:
     return f, 0, False
 
 
-def _flatten(formulas: Iterable, index: dict[str, int]):
-    """Compile the emitted formulas in one walk (see the module
-    docstring): the post-order node array, the roots required at point 0,
-    the roots required from point 1 on, the carried slots, ascending,
-    and the slot of each node by its key.
+class Compiled(tuple):
+    """Formulas compiled for `search` by one walk (see the module
+    docstring), made by `compile` and continued by `extend`.
+
+    A tuple of its fields, in this order: `atoms`, the alphabet sorted,
+    and `index`, the position of each atom; `formulas`, every formula
+    compiled; `nodes`, the post-order node array; `at_start`, the roots
+    required at point 0, and `later`, those required from point 1 on;
+    `carried`, the carried slots, ascending; and `slots`, the slot of
+    each node by its key.
 
     A node is (opcode, a, b): the atom index in `a` for atoms, child
     slots in `a` (and `b` for binary nodes, lhs first) otherwise.
     Atoms of one name get one slot, and so do subformulas shared by
     identity.  Slots are keyed by name for atoms and by `id` for other
-    nodes, so every formula is held until the walk ends: a formula freed
-    mid-walk could hand its address to a later node.
+    nodes, so the value holds every formula it compiled: one freed could
+    hand its address to a later node.  No field can change, so `extend`
+    walks on copies and the value it extends stays as it was.
     """
-    formulas = tuple(formulas)
-    slots: dict[str | int, int] = {}
-    nodes: list[tuple[int, int, int]] = []
-    at_start, later = [], []
-    carried: set[int] = set()
-    for formula in formulas:
-        g, first, onward = placement(formula)
-        stack = [g]
-        while stack:
-            # The top is emitted once its children have slots; until
-            # then they are pushed over it, lhs on top.
-            f = stack[-1]
-            if type(f) is AtomRef:
-                stack.pop()
-                if f.name not in slots:
-                    slots[f.name] = len(nodes)
-                    nodes.append((_ATOM, index.get(f.name), 0))
-                continue
-            key = id(f)
-            if key in slots:
-                stack.pop()
-                continue
-            op = _OPCODES.get(type(f))
-            if op in _BINARY:
-                lhs, rhs = f.lhs, f.rhs
-                a = slots.get(lhs.name if type(lhs) is AtomRef else id(lhs))
-                b = slots.get(rhs.name if type(rhs) is AtomRef else id(rhs))
-                if a is None or b is None:
-                    if b is None:
-                        stack.append(rhs)
+
+    __slots__ = ()
+    (atoms, index, formulas, nodes, at_start, later, carried,
+     slots) = (property(itemgetter(i)) for i in range(8))
+
+    def extend(self, more: Iterable) -> "Compiled":
+        """The formulas of this value followed by `more`, compiled as one
+        walk over all of them would compile them; the objects already
+        compiled keep their slots.
+
+        A wrapper below the top of a formula, or an object that is no
+        formula node, is refused where the walk meets it; the atoms the
+        alphabet does not cover are named, sorted, once the walk ends.
+        """
+        more = tuple(more)
+        if not more:
+            return self
+        atoms, index, formulas, nodes, at_start, later, carried, slots = self
+        slots = slots.copy()
+        nodes, at_start, later = list(nodes), list(at_start), list(later)
+        carried = set(carried)
+        missing = []
+        for formula in more:
+            g, first, onward = placement(formula)
+            stack = [g]
+            while stack:
+                # The top is emitted once its children have slots; until
+                # then they are pushed over it, lhs on top.
+                f = stack[-1]
+                if type(f) is AtomRef:
+                    stack.pop()
+                    if f.name not in slots:
+                        slots[f.name] = len(nodes)
+                        nodes.append((_ATOM, index.get(f.name), 0))
+                        if f.name not in index:
+                            missing.append(f.name)
+                    continue
+                key = id(f)
+                if key in slots:
+                    stack.pop()
+                    continue
+                op = _OPCODES.get(type(f))
+                if op in _BINARY:
+                    lhs, rhs = f.lhs, f.rhs
+                    a = slots.get(
+                        lhs.name if type(lhs) is AtomRef else id(lhs))
+                    b = slots.get(
+                        rhs.name if type(rhs) is AtomRef else id(rhs))
+                    if a is None or b is None:
+                        if b is None:
+                            stack.append(rhs)
+                        if a is None:
+                            stack.append(lhs)
+                        continue
+                    node = (op, a, b)
+                    if op == _SINCE or op == _TRIGGER:
+                        carried.add(len(nodes))
+                elif op == _NOT or op == _PREV:
+                    arg = f.arg
+                    a = slots.get(
+                        arg.name if type(arg) is AtomRef else id(arg))
                     if a is None:
-                        stack.append(lhs)
-                    continue
-                node = (op, a, b)
-                if op == _SINCE or op == _TRIGGER:
-                    carried.add(len(nodes))
-            elif op == _NOT or op == _PREV:
-                arg = f.arg
-                a = slots.get(arg.name if type(arg) is AtomRef else id(arg))
-                if a is None:
-                    stack.append(arg)
-                    continue
-                node = (op, a, 0)
-                if op == _PREV:
-                    carried.add(a)
-            elif op is None:
-                refuse_formula(f)
-            else:
-                node = (op, 0, 0)
-            stack.pop()
-            slots[key] = len(nodes)
-            nodes.append(node)
-        root = slots[g.name if type(g) is AtomRef else id(g)]
-        # `placement` yields first = 1 only together with onward.
-        if not first:
-            at_start.append(root)
-        if onward:
-            later.append(root)
-    missing = sorted(name for name in slots
-                     if type(name) is str and name not in index)
-    if missing:
-        raise ValueError(
-            "alphabet does not cover atoms: " + ", ".join(missing))
-    return nodes, at_start, later, sorted(carried), slots
+                        stack.append(arg)
+                        continue
+                    node = (op, a, 0)
+                    if op == _PREV:
+                        carried.add(a)
+                elif op is None:
+                    refuse_formula(f)
+                else:
+                    node = (op, 0, 0)
+                stack.pop()
+                slots[key] = len(nodes)
+                nodes.append(node)
+            root = slots[g.name if type(g) is AtomRef else id(g)]
+            # `placement` yields first = 1 only together with onward.
+            if not first:
+                at_start.append(root)
+            if onward:
+                later.append(root)
+        if missing:
+            raise ValueError(
+                "alphabet does not cover atoms: " + ", ".join(sorted(missing)))
+        return tuple.__new__(Compiled, (
+            atoms, index, formulas + more, tuple(nodes), tuple(at_start),
+            tuple(later), tuple(sorted(carried)), MappingProxyType(slots)))
+
+
+def compile(formulas: Iterable, alphabet) -> Compiled:
+    """The emitted formulas compiled for `search` over the alphabet, in
+    the walk of `Compiled.extend`, with its refusals."""
+    atoms = tuple(sorted(frozenset(atom_tuple(alphabet, "an alphabet"))))
+    index = MappingProxyType({name: j for j, name in enumerate(atoms)})
+    empty = tuple.__new__(Compiled, (atoms, index, (), (), (), (), (),
+                                     MappingProxyType({})))
+    return empty.extend(formulas)
 
 
 def _atom_vectors(count: int) -> list[int]:
@@ -373,7 +418,8 @@ def _members(mask: int) -> list[int]:
 def check_limits(lam: int, budget: int | None) -> int:
     """`budget`, or `DEFAULT_BUDGET` when it is None, for a search of
     length `lam`; refuses a bad length or budget.  Shared with
-    `verify_correspondence`, but no part of the interface (`__all__`)."""
+    `verify_correspondence` and `enumerate_ltlf_models`, which check
+    before they compile, but no part of the interface (`__all__`)."""
     if check_int(lam, "trace length") < 1:
         raise ValueError("trace length must be at least 1")
     if budget is None:
@@ -383,23 +429,26 @@ def check_limits(lam: int, budget: int | None) -> int:
     return budget
 
 
-def search(formulas: Iterable, lam: int, alphabet, budget: int | None = None,
+def search(compiled: Compiled, lam: int, budget: int | None = None,
            rules=None) -> tuple[Trace, ...]:
-    """Every trace of length `lam` over the alphabet that satisfies each
-    formula where its wrapper requires it and, on the stable side, passes
-    the minimality test.
+    """Every trace of length `lam` over the alphabet of `compiled` that
+    satisfies each formula compiled where its wrapper requires it and,
+    on the stable side, passes the minimality test.
 
     `rules` is None on the classical side and `transform.rule_table(p)`
-    on the stable side, where `formulas` are `program_as_ltlf(p)`; a
-    `rules` of another length, head or body raises `ValueError`.  The
-    traces come in canonical order, each state read as its sorted tuple
-    of atoms.  The budget bounds the work units of the cost model in the
-    module docstring; past it, `BudgetExceeded` names the point reached.
+    on the stable side, where `compiled` holds `program_as_ltlf(p)`
+    first; a `rules` of another length, head or body raises
+    `ValueError`.  The traces come in canonical order, each state read
+    as its sorted tuple of atoms.  The budget bounds the work units of
+    the cost model in the module docstring; past it, `BudgetExceeded`
+    names the point reached.
     """
     budget = check_limits(lam, budget)
-    atoms = tuple(sorted(frozenset(atom_tuple(alphabet, "an alphabet"))))
-    index = {name: j for j, name in enumerate(atoms)}
-    nodes, at_start, later, carried, slots = _flatten(formulas, index)
+    if type(compiled) is not Compiled:
+        raise ValueError(
+            "search reads formulas compiled by progression.compile, not a "
+            + type(compiled).__name__)
+    atoms, index, _, nodes, at_start, later, carried, slots = compiled
     spent = 0
     found: list[Trace] = []
     last = lam - 1

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .progression import Trace, placement, search
+from .progression import Trace, compile, placement, search
 from .syntax import (
     And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst, Not, Or,
     Previous, Program, Rule, Since, Trigger, Value, Verum, chain_elements,
@@ -235,7 +235,7 @@ def enumerate_ts_models(p: Program, lam: int, *,
     alphabet, `Program(p.rules, alphabet)`, gives the same models at the
     cost of 2^n-state passes over a larger n.
     """
-    return search(program_as_ltlf(p), lam, p.alphabet, budget,
+    return search(compile(program_as_ltlf(p), p.alphabet), lam, budget,
                   rule_table(p))
 
 

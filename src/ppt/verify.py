@@ -19,12 +19,15 @@ lemma.
 
 The random generators are deterministic per seed, and the `run_*_suite`
 helpers drive seeded batches for the command line and the test suite.
-`verify_correspondence` and `run_correspondence_suite` share one check:
-each takes a mode's translation from `_target_formulas`, which looks the
-translation functions up by name at call time, and gets its verdicts
-from the `Report` that `_report` builds.  The suite hands it the
-completion and both loop regimes, from one `loop_formula_regimes` call
-per case; `verify_correspondence` builds its mode's translation alone.
+`verify_correspondence` and `run_correspondence_suite` share one check,
+`_reports`, which looks the translation functions up by name at call
+time and builds the `Report` of each mode.  It compiles each base once
+per case (`progression.compile`), the rules read as formulas and the
+completion, searches the rules for the stable models, and searches each
+mode's translation as its base extended by the mode's loop formulas.
+The suite hands it both loop regimes, from one `loop_formula_regimes`
+call per case; `verify_correspondence` builds its mode's loop formulas
+alone.
 """
 
 from __future__ import annotations
@@ -38,13 +41,12 @@ from .syntax import (
     Program, Rule, RuleKind, Since, Trigger, Value, atom_tuple, check_int,
     positive_atoms, value_class,
 )
-from .progression import Trace, check_limits
-from .tht import HTTrace, enumerate_ts_models, evaluator, ht_sat, three_valued
-from .ltlf import enumerate_ltlf_models
+from .progression import Trace, check_limits, compile, search
+from .tht import HTTrace, evaluator, ht_sat, three_valued
 from .depgraph import is_tight
 from .transform import (
     completion, loop_formula_regimes, loop_formulas, program_as_ltlf,
-    support_transform, unfold,
+    rule_table, support_transform, unfold,
 )
 
 __all__ = [
@@ -282,49 +284,51 @@ class Report(Value):
         self.__setstate__((lhs, rhs, equal, witnesses, tight))
 
 
-def _target_formulas(p: Program, mode: str, completed: list | None = None,
-                     regimes: tuple | None = None) -> list:
-    """The translation of `p` for `mode`.  `completed` and `regimes`,
-    when given, are `completion(p)` and `loop_formula_regimes(p)`, built
-    once for several modes."""
-    if mode not in MODES:
-        raise ValueError(
-            f"unknown mode {mode!r} (choose from {', '.join(MODES)})")
-    unitary = mode == "unitary_loops"
-    loops = ([] if mode == "completion" else loop_formulas(p, unitary)
-             if regimes is None else regimes[unitary])
-    if unitary:
-        return program_as_ltlf(p) + loops
-    if completed is None:
-        completed = completion(p)
-    return completed + loops
-
-
-def _report(p: Program, lam: int, mode: str, formulas: list,
-            lhs: tuple[Trace, ...], budget: int | None = None) -> Report:
-    """Compare the stable models `lhs` of `p` against the classical
-    models of `formulas`, its translation for `mode`."""
-    rhs = enumerate_ltlf_models(formulas, lam, p.alphabet, budget)
-    witnesses = sorted(set(lhs) ^ set(rhs), key=Trace.to_lists)
-    return Report(
-        lhs=lhs,
-        rhs=rhs,
-        equal=lhs == rhs,
-        witnesses=tuple(witnesses[:MAX_WITNESSES]),
-        tight=is_tight(p) if mode == "completion" else None,
-    )
+def _reports(p: Program, lam: int, loops: dict,
+             budget: int | None = None) -> list[Report]:
+    """The report of each mode that `loops` maps to its loop formulas,
+    in order.  The rules read as formulas are compiled once, for the
+    stable side and as the base of `unitary_loops`; the completion, the
+    base of the other modes, is compiled once if one of them is asked
+    for.  Each mode's translation extends its base, and is searched
+    unless it is the translation of the mode before."""
+    rules = compile(program_as_ltlf(p), p.alphabet)
+    completed = (compile(completion(p), p.alphabet)
+                 if any(mode != "unitary_loops" for mode in loops) else None)
+    lhs = search(rules, lam, budget, rule_table(p))
+    reports = []
+    target = rhs = None
+    for mode, more in loops.items():
+        extended = (rules if mode == "unitary_loops" else completed).extend(
+            more)
+        # An empty extension is its base, so `completion_loops` without
+        # loop formulas reads the models that `completion` found.
+        if extended is not target:
+            target, rhs = extended, search(extended, lam, budget)
+        witnesses = sorted(set(lhs) ^ set(rhs), key=Trace.to_lists)
+        reports.append(Report(
+            lhs=lhs,
+            rhs=rhs,
+            equal=lhs == rhs,
+            witnesses=tuple(witnesses[:MAX_WITNESSES]),
+            tight=is_tight(p) if mode == "completion" else None,
+        ))
+    return reports
 
 
 def verify_correspondence(p: Program, lam: int, mode: str,
                           budget: int | None = None) -> Report:
     """Compare stable models against the chosen translation's models.
-    The length and budget are checked first, then the translation is
-    compiled: a loop component past the cap fails before either search
-    can exceed its budget."""
+    The length and budget are checked first, then the mode's loop
+    formulas are built: a loop component past the cap fails before
+    either search can exceed its budget."""
     check_limits(lam, budget)
-    formulas = _target_formulas(p, mode)
-    lhs = enumerate_ts_models(p, lam, budget=budget)
-    return _report(p, lam, mode, formulas, lhs, budget)
+    if mode not in MODES:
+        raise ValueError(
+            f"unknown mode {mode!r} (choose from {', '.join(MODES)})")
+    loops = ([] if mode == "completion"
+             else loop_formulas(p, mode == "unitary_loops"))
+    return _reports(p, lam, {mode: loops}, budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +368,13 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
         p = Program(p.rules, frozenset(_ATOM_POOL[:cfg.max_atoms]))
         lam = random.Random(case_seed ^ 0x5EED).randint(1, 3)
 
-        lhs = enumerate_ts_models(p, lam)
-        formulas, regimes = completion(p), loop_formula_regimes(p)
-        completed, *looped = (
-            _report(p, lam, mode,
-                    _target_formulas(p, mode, formulas, regimes), lhs)
-            for mode in MODES)
+        default, unitary = loop_formula_regimes(p)
+        completed, *looped = _reports(p, lam, dict(zip(
+            MODES, ([], default, unitary))))
         summary["tight_cases"] += completed.tight
         failed = [f"{mode}_failures"
                   for mode, r in zip(MODES[1:], looped) if not r.equal]
-        if not set(lhs) <= set(completed.rhs):
+        if not set(completed.lhs) <= set(completed.rhs):
             failed.append("soundness_failures")
         if completed.tight and not completed.equal:
             failed.append("completion_tight_failures")

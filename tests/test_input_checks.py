@@ -20,7 +20,7 @@ from ppt import (
     parse_program, program_as_ltlf, simplify, simplify_formulas,
     support_transform, three_valued, verify_correspondence,
 )
-from ppt.progression import search
+from ppt.progression import compile, search
 from ppt.syntax import CORE_TRUE, VERUM
 from ppt.tht import formula_sat
 from ppt.transform import rule_table
@@ -206,21 +206,26 @@ CASES = [
     # An object that is no formula node, at the top or below it, is
     # named as such; a wrapper below the top keeps its message in the
     # single-trace check as in the search.
-    ("search-string-formula", lambda: search(["a"], 1, {"a"}),
+    ("search-string-formula", lambda: search(compile(["a"], {"a"}), 1),
      ValueError, re.escape("not a formula: 'a'")),
+    # The search reads a compiled value only.
+    ("search-formula-list", lambda: search([], 1),
+     ValueError, re.escape("search reads formulas compiled by "
+                           "progression.compile, not a list")),
     # A `rules` that is not the rule table of the formulas: a KeyError
     # for a body not compiled or a head outside the alphabet, and an
     # IndexError for one table.
     ("search-rules-body-not-compiled",
-     lambda: search([], 1, {"a", "b"},
+     lambda: search(compile([], {"a", "b"}), 1,
                     rules=rule_table(parse_program("a :- b."))),
      ValueError, re.escape("rules: body AtomRef(name='b') is in no formula")),
     ("search-rules-head-outside-alphabet",
-     lambda: search([], 1, {"a"},
+     lambda: search(compile([], {"a"}), 1,
                     rules=rule_table(parse_program("b :- not a."))),
      ValueError, re.escape("rules: head 'b' is not in the alphabet")),
     ("search-rules-one-table",
-     lambda: search(program_as_ltlf(_PREV_CYCLE), 2, _PREV_CYCLE.alphabet,
+     lambda: search(compile(program_as_ltlf(_PREV_CYCLE),
+                            _PREV_CYCLE.alphabet), 2,
                     rules=[rule_table(_PREV_CYCLE)[0]]),
      ValueError, re.escape("rules must hold 2 tables, not 1")),
     ("ltlf-string-formula",

@@ -13,9 +13,9 @@ from ppt import (
     enumerate_ltlf_models, enumerate_ts_models, loop_formulas, parse_program,
     program_as_ltlf,
 )
-from ppt.progression import _ATOM, _flatten, search
+from ppt.progression import _ATOM, compile, search
 from ppt.syntax import CORE_TRUE
-from ppt.transform import rule_table
+from ppt.transform import loop_formula_regimes, rule_table
 from ppt.verify import (
     GenConfig, _random_literal_body, random_past_formula, random_program,
 )
@@ -69,6 +69,34 @@ def test_formulas_from_a_generator_read_as_from_a_list():
     assert expected == (Trace.of([]),)
     assert enumerate_ltlf_models(
         (Not(AtomRef(n)) for n in names), 1, list(names)) == expected
+
+
+def test_extension_holds_the_formulas_it_compiles():
+    # The `extend` counterpart of the test above: the negations of the
+    # base, freed, could hand their addresses to those of the extension,
+    # which would read as compiled.  The atoms are held here, so that
+    # only negations could be freed.  The base negates each of a to d
+    # 100 times; the extension negates them 100 times again, then each
+    # of e to h once.
+    names = "abcdefgh"
+    atoms = [AtomRef(n) for n in names]
+
+    def negations():
+        return (Not(atoms[i % 4 + 4 * (i >= 400)]) for i in range(404))
+
+    base = compile((Not(atoms[i % 4]) for i in range(400)), list(names))
+    gc.collect()
+    # Whether a freed address is handed out again depends on the state
+    # of the allocator, so the negations are also looked for among the
+    # live objects.
+    keys = {key for key in base.slots if type(key) is int}
+    assert len(keys) == 400
+    assert keys <= {id(f) for f in gc.get_objects() if type(f) is Not}
+    extended = base.extend(negations())
+    whole = compile([Not(atoms[i % 4]) for i in range(400)]
+                    + list(negations()), list(names))
+    assert extended.nodes == whole.nodes
+    assert search(extended, 1) == search(whole, 1) == (Trace.of([]),)
 
 
 def test_classical_search_matches_oracle_on_random_programs():
@@ -128,7 +156,7 @@ def test_least_fixpoint_keeps_what_the_subset_pass_keeps(monkeypatch):
     by_fixpoint = stable_models()
     # Minimality rejects a classical model in most of the cases whose
     # classical models are few enough to list quickly.
-    assert sum(models != search(program_as_ltlf(p), lam, p.alphabet)
+    assert sum(models != search(compile(program_as_ltlf(p), p.alphabet), lam)
                for models, (p, lam) in zip(by_fixpoint, cases)
                if len(p.alphabet) * lam <= 8) > 800
     monkeypatch.setattr(ppt.progression, "_fixpoint_pays", lambda *_: False)
@@ -214,7 +242,7 @@ class TestEdgeCases:
 
     def test_reserved_word_is_no_alphabet_atom(self):
         with pytest.raises(ValueError, match="reserved word"):
-            search([], 1, {"a", "since"})
+            compile([], {"a", "since"})
 
     def test_deep_not_previous_nest_needs_no_recursion(self):
         # 10,000 nodes deep, required at every point: each trace of
@@ -234,7 +262,7 @@ class TestEdgeCases:
                 want.append(Trace([{"a"} if bits >> k & 1 else set()
                                    for k in range(3)]))
         assert 0 < len(want) < 8
-        assert search([Always(f)], 3, {"a"}) == _canonical(want)
+        assert search(compile([Always(f)], {"a"}), 3) == _canonical(want)
 
     def test_deep_body_needs_no_recursion(self):
         body = CORE_TRUE
@@ -250,7 +278,7 @@ class TestOneBuildPerModel:
     return its tuple as it is."""
 
     def test_search_returns_a_tuple_of_traces(self, p1):
-        models = search(program_as_ltlf(p1), 3, p1.alphabet,
+        models = search(compile(program_as_ltlf(p1), p1.alphabet), 3,
                         rules=rule_table(p1))
         assert type(models) is tuple and len(models) == 2
         assert all(type(model) is Trace for model in models)
@@ -377,23 +405,86 @@ class TestFlatten:
                     Or(AtomRef("b"), Not(AtomRef("a"))),
                     Implies(Previous(AtomRef("b")), AtomRef("a")),
                     AtomRef("b")]
-        nodes, at_start, _, _, slots = _flatten(formulas, {"a": 0, "b": 1})
+        compiled = compile(formulas, {"a", "b"})
+        nodes, at_start, slots = (compiled.nodes, compiled.at_start,
+                                  compiled.slots)
         atoms = [node for node in nodes if node[0] == _ATOM]
         assert sorted(atoms) == [(_ATOM, 0, 0), (_ATOM, 1, 0)]
         assert len(nodes) == 7
         assert nodes[at_start[-1]] == (_ATOM, 1, 0) == nodes[slots["b"]]
-        assert at_start == [slots[id(f)] for f in formulas[:3]] + [slots["b"]]
+        assert list(at_start) == (
+            [slots[id(f)] for f in formulas[:3]] + [slots["b"]])
 
     def test_wrapper_below_the_top_is_refused_before_uncovered_atoms(self):
         # The uncovered atom b is met first, twice, and the wrapper deep
         # below a negation and a previous.
         with pytest.raises(ValueError, match="cannot evaluate Always "
                                              "below the top of a formula"):
-            _flatten([And(AtomRef("b"), Or(AtomRef("b"), Not(Previous(
-                Always(AtomRef("a"))))))], {"a": 0})
+            compile([And(AtomRef("b"), Or(AtomRef("b"), Not(Previous(
+                Always(AtomRef("a"))))))], {"a"})
 
     def test_uncovered_atoms_are_named_sorted(self):
         with pytest.raises(ValueError, match="alphabet does not cover "
                                              "atoms: b, c$"):
-            _flatten([Or(AtomRef("c"), AtomRef("b")),
-                      Since(AtomRef("c"), AtomRef("a"))], {"a": 0})
+            compile([Or(AtomRef("c"), AtomRef("b")),
+                     Since(AtomRef("c"), AtomRef("a"))], {"a"})
+
+
+def _extension_cases():
+    """(program, base, loop formulas, rules) of the suite's programs and
+    of programs at 4 atoms, 8 rules and depth 4: the rules read as
+    formulas with the unitary loop formulas and their rule table, and
+    the completion with the default loop formulas."""
+    for seed in range(150):
+        for cfg in (GenConfig(seed=seed),
+                    GenConfig(seed=seed, max_atoms=4, max_rules=8,
+                              max_body_depth=4)):
+            p = random_program(cfg)
+            p = Program(p.rules, frozenset(POOL[:cfg.max_atoms]))
+            default, unitary = loop_formula_regimes(p)
+            yield p, program_as_ltlf(p), unitary, rule_table(p)
+            yield p, completion(p), default, None
+
+
+def _fields(compiled):
+    return (compiled.nodes, compiled.at_start, compiled.later,
+            compiled.carried)
+
+
+class TestExtend:
+    def test_extension_compiles_as_one_walk(self):
+        # `compile(base).extend(loops)` against `compile(base + loops)`:
+        # the same nodes, roots and carried slots, and the same models;
+        # the base, searched again, is as it was.
+        carried = 0
+        for p, base, loops, rules in _extension_cases():
+            compiled = compile(base, p.alphabet)
+            before = [search(compiled, lam, rules=rules)
+                      for lam in (1, 2, 3)]
+            size = len(compiled.nodes)
+            extended = compiled.extend(loops)
+            whole = compile(base + loops, p.alphabet)
+            assert _fields(extended) == _fields(whole)
+            carried += bool(compiled.carried and loops)
+            for lam in (1, 2, 3):
+                assert search(extended, lam) == search(whole, lam)
+            assert len(compiled.nodes) == size
+            assert [search(compiled, lam, rules=rules)
+                    for lam in (1, 2, 3)] == before
+        # Most bases carry slots into a nonempty extension.
+        assert carried > 300
+
+    def test_extension_keeps_the_refusals_and_the_base(self):
+        compiled = compile([AtomRef("a")], {"a"})
+        with pytest.raises(ValueError, match="alphabet does not cover "
+                                             "atoms: b, c$"):
+            compiled.extend([Or(AtomRef("c"), AtomRef("b"))])
+        with pytest.raises(ValueError, match="cannot evaluate Always "
+                                             "below the top of a formula"):
+            compiled.extend([Not(Always(AtomRef("b")))])
+        with pytest.raises(ValueError, match="not a formula: 'a'"):
+            compiled.extend(["a"])
+        assert compiled.extend([]) is compiled
+        assert _fields(compiled) == (((_ATOM, 0, 0),), (0,), (), ())
+        assert search(compiled, 2) == (Trace.of(["a"], []),
+                                       Trace.of(["a"], ["a"]))
