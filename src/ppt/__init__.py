@@ -23,9 +23,9 @@ from .syntax import (
 from .parser import parse_formula, parse_program
 from .progression import DEFAULT_BUDGET, Trace
 from .tht import (
-    HTTrace, enumerate_ts_models, ht_sat, is_ht_model, rule_sat, three_valued,
+    HTTrace, enumerate_ltlf_models, enumerate_ts_models, ht_sat, is_ht_model,
+    ltlf_sat, rule_sat, three_valued,
 )
-from .ltlf import enumerate_ltlf_models, ltlf_sat
 from .depgraph import (
     DepGraph, dependency_graph, enumerate_loops, is_tight, section_graphs,
 )

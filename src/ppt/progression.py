@@ -53,8 +53,8 @@ vectors reachable at point k, and the moves out of a vector are
 computed once per vector and phase (middle or last point) and shared by
 every layer.  A backward pass drops the moves that cannot reach the
 last point, copying only a list that loses one, and one read-off takes
-the paths as models: each is built once, as a `Trace`, and the
-enumerators of `ppt.tht` and `ppt.ltlf` return its tuple as it is.
+the paths as models: each is built once, as a `Trace`, and both
+enumerators of `ppt.tht` return its tuple as it is.
 
 The moves out of a vector are sorted by their states, each read as its
 sorted tuple of atoms, and the read-off walks them depth first.  A
@@ -337,9 +337,11 @@ def compile(formulas: Iterable, alphabet) -> Compiled:
     return empty.extend(formulas)
 
 
-def _atom_vectors(count: int) -> list[int]:
+@functools.cache
+def _atom_vectors(count: int) -> tuple[int, ...]:
     """Bit s of vector j is set when state s contains atom j, for the
-    2^count states."""
+    2^count states.  Cached per count: a 22-atom search keeps 22 x 2^22
+    bits (12.3 MB) for its total pass, and less again for its subsets."""
     width = 1 << count
     vectors = []
     for j in range(count):
@@ -349,10 +351,10 @@ def _atom_vectors(count: int) -> list[int]:
             vec |= vec << period
             period <<= 1
         vectors.append(vec)
-    return vectors
+    return tuple(vectors)
 
 
-def _evaluate(nodes, atoms: list[int], full: int, before, there,
+def _evaluate(nodes, atoms, full: int, before, there,
               at_end: bool) -> list[int]:
     """Node values over a set of candidate states at one point.
 
@@ -418,8 +420,8 @@ def _members(mask: int) -> list[int]:
 def check_limits(lam: int, budget: int | None) -> int:
     """`budget`, or `DEFAULT_BUDGET` when it is None, for a search of
     length `lam`; refuses a bad length or budget.  Shared with
-    `verify_correspondence` and `enumerate_ltlf_models`, which check
-    before they compile, but no part of the interface (`__all__`)."""
+    `verify.verify_correspondence` and `tht.enumerate_ltlf_models`, which
+    check before they compile, but no part of the interface (`__all__`)."""
     if check_int(lam, "trace length") < 1:
         raise ValueError("trace length must be at least 1")
     if budget is None:
@@ -465,7 +467,6 @@ def search(compiled: Compiled, lam: int, budget: int | None = None,
 
     charge(lam, 0)
     width = 1 << len(atoms)
-    atom_vectors = functools.cache(_atom_vectors)
 
     # The minimality tests and their charges (see the module docstring).
     def keep_all(ok, required, rules, before, total, at_end, point):
@@ -480,7 +481,7 @@ def search(compiled: Compiled, lam: int, budget: int | None = None,
         for s in _members(ok & -2):
             members = _members(s)
             here_atoms = [0] * len(atoms)
-            for j, vec in zip(members, atom_vectors(len(members))):
+            for j, vec in zip(members, _atom_vectors(len(members))):
                 here_atoms[j] = vec
             here_full = (1 << (1 << len(members))) - 1
             there = [here_full if v >> s & 1 else 0 for v in total]
@@ -511,7 +512,7 @@ def search(compiled: Compiled, lam: int, budget: int | None = None,
             if heads == here:
                 break
             here = heads
-        for h, vec in zip(here, atom_vectors(len(atoms))):
+        for h, vec in zip(here, _atom_vectors(len(atoms))):
             ok &= ~(h ^ vec)
         return keep_all(ok, required, rules, before, total, at_end, point)
 
@@ -548,7 +549,7 @@ def search(compiled: Compiled, lam: int, budget: int | None = None,
         before = None if key is None else dict(zip(carried, key))
         required, rules, test = phases[key is not None]
         full = (1 << width) - 1
-        vals = _evaluate(nodes, atom_vectors(len(atoms)), full, before, None,
+        vals = _evaluate(nodes, _atom_vectors(len(atoms)), full, before, None,
                          at_end)
         ok = full
         for root in required:

@@ -1,4 +1,4 @@
-"""Here-and-there semantics over finite traces.
+"""Here-and-there semantics over finite traces, and the classical one.
 
 Satisfaction is evaluated over HT-traces, pairs <H, T> of equal-length
 traces with H_k a subset of T_k at every point.  Negation always
@@ -18,6 +18,12 @@ of the program when <T, T> is a model and no strictly smaller H yields
 a model <H, T>; `enumerate_ts_models` finds them with the search of
 `ppt.progression`, in the canonical order it emits.
 
+The classical side, the models of the compiler output, is this one on
+total traces <T, T>, with `I` true only at the first point and `F` only
+at the last: `ltlf_sat` checks one trace through `formula_sat`, and
+`enumerate_ltlf_models` keeps every trace the same search finds, with no
+minimality test.  Both refuse a wrapper below the top of a formula.
+
 The checks of one given trace evaluate formulas to time bitmasks (bit k
 set when the formula holds at point k), since by its one-step
 recurrence and trigger by the same on complements: bit-parallel over
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .progression import Trace, compile, placement, search
+from .progression import Trace, check_limits, compile, placement, search
 from .syntax import (
     And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst, Not, Or,
     Previous, Program, Rule, Since, Trigger, Value, Verum, chain_elements,
@@ -41,8 +47,8 @@ from .transform import program_as_ltlf, rule_formula, rule_table
 
 __all__ = [
     "Trace", "HTTrace",
-    "ht_sat", "formula_sat", "rule_sat", "is_ht_model",
-    "enumerate_ts_models", "three_valued",
+    "ht_sat", "formula_sat", "ltlf_sat", "rule_sat", "is_ht_model",
+    "enumerate_ts_models", "enumerate_ltlf_models", "three_valued",
 ]
 
 
@@ -197,6 +203,11 @@ def formula_sat(m: HTTrace, k: int, f) -> bool:
     return _holds(evaluator(m), k, f)
 
 
+def ltlf_sat(t: Trace, k: int, f) -> bool:
+    """Satisfaction of an extended formula at point k of a total trace."""
+    return formula_sat(HTTrace.total(t), k, f)
+
+
 def _holds(ev: _BitEvaluator, k: int, f) -> bool:
     g, first, onward = placement(f)
     bits = ev.eval(g, True)
@@ -221,7 +232,7 @@ def is_ht_model(m: HTTrace, p: Program) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Stable-model enumeration
+# Model enumeration
 # ---------------------------------------------------------------------------
 
 def enumerate_ts_models(p: Program, lam: int, *,
@@ -237,6 +248,15 @@ def enumerate_ts_models(p: Program, lam: int, *,
     """
     return search(compile(program_as_ltlf(p), p.alphabet), lam, budget,
                   rule_table(p))
+
+
+def enumerate_ltlf_models(fs: Iterable, lam: int, alphabet,
+                          budget: int | None = None) -> tuple[Trace, ...]:
+    """All total traces over the alphabet satisfying every formula at 0,
+    in canonical order.  The length and budget are checked before the
+    formulas are compiled."""
+    check_limits(lam, budget)
+    return search(compile(fs, alphabet), lam, budget)
 
 
 # ---------------------------------------------------------------------------

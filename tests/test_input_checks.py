@@ -311,6 +311,14 @@ CASES = [
      lambda: verify_correspondence(parse_program(_CYCLE), 1,
                                    "unitary_loops", -1),
      ValueError, re.escape("budget must be a nonnegative int, got -1")),
+    # The same order on the classical side: compiling these lists would
+    # refuse the string and the `None` below `not`.
+    ("ltlf-length-zero-before-compile",
+     lambda: enumerate_ltlf_models(["a"], 0, {"a"}),
+     ValueError, re.escape("trace length must be at least 1")),
+    ("ltlf-negative-budget-before-compile",
+     lambda: enumerate_ltlf_models([Always(Not(None))], 1, {"a"}, -1),
+     ValueError, re.escape("budget must be a nonnegative int, got -1")),
     ("verify-negative-budget",
      lambda: verify_correspondence(Program(()), 1, "completion", -1),
      ValueError, re.escape("budget must be a nonnegative int, got -1")),
