@@ -9,25 +9,23 @@ layered search, and machine-checks that the translations agree
 with the stable-model semantics.
 """
 
-from .errors import (
-    BudgetExceeded, ParseError, PptError, RestrictionError, SccTooLarge,
-)
 from .syntax import (
     Always, And, Atom, AtomRef, ExtFormula, FALSUM, Falsum, FinalConst,
     FINAL_CONST, Iff, Implies, INITIAL_CONST, InitialConst, Not, Or,
-    PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, VERUM,
-    Verum, WeakNextAlways, atoms_of, format_formula, format_formulas,
+    PastFormula, PptError, Previous, Program, Rule, RuleKind, Since, Trigger,
+    VERUM, Verum, WeakNextAlways, atoms_of, format_formula, format_formulas,
     format_program, format_rule, head_disjunction, is_past_formula,
     positive_atoms,
 )
-from .parser import parse_formula, parse_program
-from .progression import DEFAULT_BUDGET, Trace
+from .parser import ParseError, RestrictionError, parse_formula, parse_program
+from .progression import BudgetExceeded, DEFAULT_BUDGET, Trace
 from .tht import (
     HTTrace, enumerate_ltlf_models, enumerate_ts_models, ht_sat, is_ht_model,
     ltlf_sat, rule_sat, three_valued,
 )
 from .depgraph import (
-    DepGraph, dependency_graph, enumerate_loops, is_tight, section_graphs,
+    DepGraph, SccTooLarge, dependency_graph, enumerate_loops, is_tight,
+    section_graphs,
 )
 from .transform import (
     completion, external_support, loop_formulas, program_as_ltlf, simplify,

@@ -42,11 +42,11 @@ import json
 import os
 import sys
 
-from .errors import BudgetExceeded, ParseError, PptError, SccTooLarge
-from .syntax import format_formulas, format_program
-from .parser import parse_program
+from .syntax import PptError, format_formulas, format_program
+from .parser import ParseError, parse_program
+from .progression import BudgetExceeded
 from .tht import enumerate_ts_models
-from .depgraph import enumerate_loops, is_tight, section_graphs
+from .depgraph import SccTooLarge, enumerate_loops, is_tight, section_graphs
 from .transform import (
     simplify_formulas, sourced_completion, sourced_loop_formulas,
     sourced_program_as_ltlf,

@@ -30,17 +30,21 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import SccTooLarge
 from .syntax import (
-    Atom, Program, RuleKind, Value, atom_tuple, instance_of, value_class,
+    Atom, PptError, Program, RuleKind, Value, atom_tuple, instance_of,
+    value_class,
 )
 
 __all__ = [
-    "SCC_CAP", "DepGraph", "dependency_graph", "section_graphs",
+    "SCC_CAP", "SccTooLarge", "DepGraph", "dependency_graph", "section_graphs",
     "enumerate_loops", "is_tight",
 ]
 
 SCC_CAP = 20
+
+
+class SccTooLarge(PptError):
+    """A strongly connected component exceeds the loop-enumeration cap."""
 
 
 @value_class

@@ -58,14 +58,42 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError, RestrictionError
 from .syntax import (
     ATOM_RE, And, AtomRef, CORE_TRUE, FALSUM, INITIAL_EXPANSION, Not, Or,
-    Previous, Program, RESERVED_WORDS, Rule, RuleKind, Since, Trigger,
-    format_nesting,
+    PptError, Previous, Program, RESERVED_WORDS, Rule, RuleKind, Since,
+    Trigger, format_nesting,
 )
 
-__all__ = ["MAX_NESTING", "parse_program", "parse_formula"]
+__all__ = ["MAX_NESTING", "ParseError", "RestrictionError", "parse_program",
+           "parse_formula"]
+
+
+class ParseError(PptError):
+    """Syntax error in a `.ppt` source text.
+
+    `line` and `column` are 1-based and point at the first character of
+    the offending token.  `message` says what was expected there and what
+    was found, where the parser knows both.
+    """
+
+    def __init__(self, line: int, column: int, message: str):
+        self.line = line
+        self.column = column
+        self.message = message
+        super().__init__(f"line {line}, column {column}: {message}")
+
+    def __reduce__(self):
+        # The inherited reduction would call __init__ with the one
+        # formatted string above.
+        return type(self), (self.line, self.column, self.message)
+
+
+class RestrictionError(ParseError):
+    """Well-formed syntax that violates a rule-form restriction.
+
+    Raised when an initial or final rule body is not a conjunction of
+    regular literals, or when a final rule has a nonempty head.
+    """
 
 _SPACE = r"\s+|%[^\n]*"
 _TOKEN = r":-|[,;|().#]|[A-Za-z_][A-Za-z0-9_]*"

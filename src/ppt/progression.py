@@ -158,17 +158,21 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable
 
-from .errors import BudgetExceeded
 from .syntax import (
     Always, And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst,
-    Not, Or, Previous, Since, Trigger, Verum, WeakNextAlways, atom_tuple,
-    check_int, refuse_formula,
+    Not, Or, PptError, Previous, Since, Trigger, Verum, WeakNextAlways,
+    atom_tuple, check_int, refuse_formula,
 )
 
-__all__ = ["DEFAULT_BUDGET", "Compiled", "Trace", "compile", "placement",
-           "search"]
+__all__ = ["BudgetExceeded", "DEFAULT_BUDGET", "Compiled", "Trace",
+           "compile", "placement", "search"]
 
 DEFAULT_BUDGET = 1 << 24
+
+
+class BudgetExceeded(PptError):
+    """A model search needs more work units than its budget; the message
+    names the point it had reached."""
 
 (_FALSE, _TRUE, _ATOM, _NOT, _AND, _OR, _PREV, _SINCE, _TRIGGER, _INITIAL,
  _FINAL, _IMPLIES, _IFF) = range(13)

@@ -37,7 +37,12 @@ section or a program rule of another type is refused by `instance_of`,
 a non-int count by `check_int`, and a value that is no formula node, or
 a wrapper below the top, by `refuse_formula`, wherever a formula is
 walked; `is_fact` is the one test of a fact, and `chain_elements` the
-one reader of an `and`/`or` chain, in a loop at any length.
+one reader of an `and`/`or` chain, in a loop at any length.  A bad
+argument to a library function (an atom outside the alphabet, traces
+of unequal length) raises the built-in `ValueError`; `PptError` is the
+base of the exceptions each layer declares where it raises them:
+`parser.ParseError` and `RestrictionError`, `progression.BudgetExceeded`
+and `depgraph.SccTooLarge`.
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ from operator import attrgetter
 from typing import Iterable, Union
 
 __all__ = [
-    "ATOM_RE", "RESERVED_WORDS", "Atom", "validate_atom", "atom_tuple",
-    "instance_of",
+    "PptError", "ATOM_RE", "RESERVED_WORDS", "Atom", "validate_atom",
+    "atom_tuple", "instance_of",
     "Falsum", "AtomRef", "Not", "And", "Or", "Previous", "Since", "Trigger",
     "Verum", "InitialConst", "FinalConst", "Implies", "Iff", "Always",
     "WeakNextAlways", "PastFormula", "ExtFormula",
@@ -72,6 +77,10 @@ RESERVED_WORDS = frozenset({
 })
 
 Atom = str
+
+
+class PptError(Exception):
+    """Base class of the exception types this package defines."""
 
 
 def validate_atom(name: str) -> str:
@@ -141,12 +150,14 @@ class Value:
     `==` holds between two instances of one class whose compared fields
     are equal as tuples (so an identical pair of fields is not compared
     again), `hash` is the hash of that tuple, and `repr` names the class
-    and its shown fields: what a frozen dataclass generates.  Assigning
-    or deleting an attribute raises `FrozenInstanceError`, so a class's
-    own `__init__` checks its arguments and then stores its fields with
-    `__setstate__`, `object.__setattr__` or, in a node, a slot
-    descriptor.  Pickling and copying carry every field, derived ones
-    too, and call no `__init__`.
+    and its shown fields: what a frozen dataclass generates.  A node
+    that heads a left run of its own class compares and hashes by the
+    run's elements instead, and prints the same text in a loop (`_node`).
+    Assigning or deleting an attribute raises `FrozenInstanceError`, so
+    a class's own `__init__` checks its arguments and then stores its
+    fields with `__setstate__`, `object.__setattr__` or, in a node, a
+    slot descriptor.  Pickling and copying carry every field, derived
+    ones too, and call no `__init__`.
     """
 
     __slots__ = ()
@@ -209,7 +220,13 @@ def value_class(cls=None, *, slots=True):
 def _node(cls):
     """`value_class` of a formula node.  A node whose fields are `arg`,
     or `lhs` and `rhs`, gets an `__init__` that stores each argument
-    through the `__set__` of its slot descriptor, bound here once."""
+    through the `__set__` of its slot descriptor, bound here once.
+
+    A node with `lhs` and `rhs` whose `lhs` is of its own class heads a
+    left run, read by `chain_elements` in a loop: its compared tuple is
+    the run's elements, first to last, and its `repr` is written in one
+    pass, so `==`, `hash` and `repr` do not recurse on the run's length.
+    The text is the one field-by-field recursion writes."""
     cls = value_class(cls)
     if cls._state == ("arg",):
         set_arg = cls.arg.__set__
@@ -222,6 +239,20 @@ def _node(cls):
         def __init__(self, lhs, rhs):
             set_lhs(self, lhs)
             set_rhs(self, rhs)
+
+        def _key(self):
+            lhs = self.lhs
+            if type(lhs) is not cls:
+                return lhs, self.rhs
+            return tuple(chain_elements(self, cls))
+
+        def __repr__(self):
+            parts = chain_elements(self, cls)
+            return (f"{cls.__qualname__}(lhs=" * (len(parts) - 1)
+                    + repr(parts[0])
+                    + "".join([f", rhs={g!r})" for g in parts[1:]]))
+        cls._key = _key
+        cls.__repr__ = __repr__
     else:
         return cls
     __init__.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -655,8 +686,10 @@ def _nesting(f, ctx: int) -> int:
 
 
 def chain_elements(f, tp) -> list:
-    """The elements of the `tp` chain at f (`And` or `Or`), first to
-    last, read in a loop at any length: [f] when f is no `tp` node."""
+    """The elements of the left run of `tp` nodes at f, first to last,
+    read in a loop at any length: [f] when f is no `tp` node.  `tp` is
+    any node class with `lhs` and `rhs`; for `And` and `Or` this is the
+    chain the printer writes without parentheses."""
     parts = []
     while type(f) is tp:
         parts.append(f.rhs)

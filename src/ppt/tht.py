@@ -30,7 +30,9 @@ recurrence and trigger by the same on complements: bit-parallel over
 the points of one trace, where the search is bit-parallel over
 candidate states.  The three-valued valuation below, by contrast,
 follows the quantified min/max presentation directly, so the two
-routes stay structurally independent.
+routes stay structurally independent.  `ht_sat` and `three_valued`
+check the time point, then refuse a formula outside the core language
+with `is_past_formula`, before either evaluates it.
 """
 
 from __future__ import annotations
@@ -98,20 +100,17 @@ class _BitEvaluator:
     Negation always recurses on the total side; the other extended
     connectives are classical on either side.  The wrappers `always`
     and `wnext_always` are read by `formula_sat`, not evaluated here.
-    With `core`, every node outside the core language is refused, as
-    `eval` visits every node of a formula it is given.
     """
 
-    __slots__ = ("h", "t", "lam", "full", "memo", "core")
+    __slots__ = ("h", "t", "lam", "full", "memo")
 
     def __init__(self, h_bits: dict[str, int], t_bits: dict[str, int],
-                 lam: int, memo: dict | None = None, core: bool = False):
+                 lam: int, memo: dict | None = None):
         self.h = h_bits
         self.t = t_bits
         self.lam = lam
         self.full = (1 << lam) - 1
         self.memo = {} if memo is None else memo
-        self.core = core
 
     def eval(self, f, total: bool) -> int:
         key = (id(f), total)
@@ -155,8 +154,6 @@ class _BitEvaluator:
         return bits
 
     def _eval_extended(self, f, tp, total: bool) -> int:
-        if self.core:
-            raise ValueError("ht_sat only accepts core past formulas")
         if tp is Verum:
             return self.full
         if tp is InitialConst:
@@ -170,13 +167,13 @@ class _BitEvaluator:
         refuse_formula(f)
 
 
-def evaluator(m: HTTrace, core: bool = False) -> _BitEvaluator:
+def evaluator(m: HTTrace) -> _BitEvaluator:
     """A bit evaluator of m; its memo is keyed by `id`, so each formula
     given to it must live as long as it does.  Shared with
     `run_semantics_suite`, but no part of the interface (`__all__`)."""
     t_bits = _trace_bits(m.t)
     h_bits = t_bits if m.h == m.t else _trace_bits(m.h)
-    return _BitEvaluator(h_bits, t_bits, len(m), core=core)
+    return _BitEvaluator(h_bits, t_bits, len(m))
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +186,12 @@ def _check_point(m: HTTrace, k: int) -> None:
 
 
 def ht_sat(m: HTTrace, k: int, f) -> bool:
-    """Satisfaction of a core past formula at point k of an HT-trace."""
+    """Satisfaction of a core past formula at point k of an HT-trace;
+    the point is checked before the formula, as by `three_valued`."""
     _check_point(m, k)
-    ev = evaluator(m, core=True)
+    if not is_past_formula(f):
+        raise ValueError("ht_sat only accepts core past formulas")
+    ev = evaluator(m)
     return bool(ev.eval(f, ev.h is ev.t) >> k & 1)
 
 

@@ -472,7 +472,7 @@ def run_semantics_suite(cases: int = 10_000, seed: int = 0) -> dict:
         k = rng.randrange(lam)
         # One evaluator of m serves every formula of the case, each held
         # by a name while it lives; `eval(g, True)` reads <T, T>.
-        ev = evaluator(m, core=True)
+        ev = evaluator(m)
         bit = 1 << k
         f = random_past_formula(rng, atoms, rng.randint(0, 5))
         value = three_valued(m, k, f)

@@ -30,6 +30,9 @@ counts them all one above.
 `core_atoms_by_definition`, `positive_present_by_definition` and
 `literal_conjunction_by_definition` read a formula's nodes through
 `dataclasses.fields`, for the one walk of a rule body in `syntax`.
+`equal_by_fields` and `repr_by_fields` compare and print formulas by
+recursion over `dataclasses.fields`, as a frozen dataclass does, for
+the value classes, which read a run of one class in a loop.
 """
 
 import dataclasses
@@ -91,6 +94,27 @@ def nesting_by_spine(f, ctx=0):
             f = f.lhs
         return max(depth, nesting_by_spine(f, prec)) + (prec < ctx)
     return 0
+
+
+def equal_by_fields(x, y) -> bool:
+    """Whether two formulas are of one class and equal in every compared
+    field, by recursion over `dataclasses.fields`."""
+    if type(x) is not type(y):
+        return False
+    if not dataclasses.is_dataclass(x):
+        return x == y
+    return all(equal_by_fields(getattr(x, field.name), getattr(y, field.name))
+               for field in dataclasses.fields(x) if field.compare)
+
+
+def repr_by_fields(x) -> str:
+    """The `repr` a frozen dataclass gives a formula, by recursion over
+    `dataclasses.fields`."""
+    if not dataclasses.is_dataclass(x):
+        return repr(x)
+    shown = ", ".join(f"{field.name}={repr_by_fields(getattr(x, field.name))}"
+                      for field in dataclasses.fields(x) if field.repr)
+    return f"{type(x).__qualname__}({shown})"
 
 
 def core_atoms_by_definition(f):

@@ -377,6 +377,15 @@ class TestDeepBody:
         assert doc["equal"] is True
         assert doc["ltlf_models"] == self.MODELS
 
+    @pytest.mark.parametrize("argv", [
+        ["complete", "--simplify", "--json"], ["lf", "--unitary", "--simplify"],
+        ["embed", "--simplify"]])
+    def test_compile_simplified(self, capsys, deep_file, argv):
+        code, out, err = run(capsys, argv[0], deep_file, *argv[1:])
+        assert (code, err) == (0, "")
+        if argv[0] == "embed":
+            assert out == run(capsys, "embed", deep_file)[1]
+
 
 class TestDeepRuleBody:
     """A rule with a head and 2,000 conjuncts, which the compiler rewrites

@@ -13,8 +13,8 @@ import pytest
 
 import ppt
 from ppt import (
-    Always, And, AtomRef, DepGraph, FALSUM, HTTrace, Not, Or, ParseError,
-    Previous, Program, Rule, RuleKind, Trace, WeakNextAlways,
+    Always, And, AtomRef, DepGraph, FALSUM, HTTrace, Implies, Not, Or,
+    ParseError, Previous, Program, Rule, RuleKind, Trace, WeakNextAlways,
     dependency_graph, enumerate_ltlf_models, enumerate_ts_models,
     external_support, format_formula, ht_sat, ltlf_sat, parse_formula,
     parse_program, program_as_ltlf, simplify, simplify_formulas,
@@ -260,6 +260,10 @@ CASES = [
     ("simplify-string-beside-false",
      lambda: simplify(And("junk", FALSUM)),
      ValueError, re.escape("not a formula: 'junk'")),
+    # The elements after a chain's absorbing constant are still read.
+    ("simplify-string-after-false",
+     lambda: simplify(And(FALSUM, "junk")),
+     ValueError, re.escape("not a formula: 'junk'")),
     # A length or time point of the wrong type: a stray TypeError.
     ("ltlf-float-length", lambda: enumerate_ltlf_models([], 2.0, ["a"]),
      ValueError, re.escape("trace length must be an int, not 2.0")),
@@ -287,6 +291,10 @@ CASES = [
      ValueError, re.escape("trace length must be an int, not True")),
     ("ht-sat-bool-point", lambda: ht_sat(_ONE_POINT, False, AtomRef("a")),
      ValueError, re.escape("time point must be an int, not False")),
+    # The point is checked before the formula, as by `three_valued`.
+    ("ht-sat-point-before-formula",
+     lambda: ht_sat(_ONE_POINT, 5, Implies(AtomRef("a"), AtomRef("a"))),
+     IndexError, re.escape("time point 5 outside [0, 1)")),
     # A budget that is not a nonnegative int: a BudgetExceeded naming
     # it, or a stray TypeError from the first charge.
     ("ts-negative-budget",

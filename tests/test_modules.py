@@ -91,3 +91,20 @@ def test_no_private_sibling_imports(name):
     private = [(module, n) for module, n in _sibling_imports(PACKAGE / f"{name}.py")
                if n.startswith("_")]
     assert private == []
+
+
+@pytest.mark.parametrize("name, layer", [
+    ("PptError", "syntax"), ("ParseError", "parser"),
+    ("RestrictionError", "parser"), ("BudgetExceeded", "progression"),
+    ("SccTooLarge", "depgraph")])
+def test_each_exception_is_declared_by_the_layer_that_raises_it(name, layer):
+    module = importlib.import_module(f"ppt.{layer}")
+    cls = getattr(module, name)
+    assert getattr(ppt, name) is cls and name in module.__all__
+    assert cls.__module__ == module.__name__
+    assert issubclass(cls, ppt.PptError)
+
+
+def test_no_module_of_declarations_only():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("ppt.errors")

@@ -271,6 +271,16 @@ class TestDeepChain:
             else:
                 assert chain_elements(simplify(struck), Or) == rest
 
+    def test_values_compare_hash_and_print(self):
+        for tp, past in self.CHAINS:
+            body, twin = deep_chain(tp, past), deep_chain(tp, past)
+            assert body == twin and hash(body) == hash(twin)
+            assert body != tp(body.lhs, Previous(AtomRef("z")))
+            element = f"Previous(arg=AtomRef(name='{past}'))"
+            assert repr(body) == (
+                f"{tp.__name__}(lhs=" * 5000 + "AtomRef(name='a')"
+                + f", rhs={element})" * 5000)
+
 
 class TestThreeValued:
     def test_atom_between(self):

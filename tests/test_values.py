@@ -2,12 +2,17 @@
 nodes, `Rule`, `Program`, `HTTrace`, `DepGraph`, `TraceMask`,
 `GenConfig` and `Report`.  Each keeps the fields, text, equality, hash,
 immutability, pickling and slots that a frozen dataclass gave it, and
-none of its methods is code compiled from a string at import."""
+none of its methods is code compiled from a string at import.  The one
+exception is the hash of a node that heads a left run of its own class
+(`And(And(a, b), c)`): it is the hash of the run's elements, read in a
+loop, so that a long run compares, hashes and prints without recursion;
+its equality and text are still the dataclass's."""
 
 import copy
 import dataclasses
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +24,11 @@ from ppt import (
     Always, And, AtomRef, DepGraph, FALSUM, Falsum, FinalConst, GenConfig,
     HTTrace, Iff, Implies, InitialConst, Not, Or, Previous, Program, Report,
     Rule, RuleKind, Since, Trace, TraceMask, Trigger, Verum, WeakNextAlways,
+    format_formula, parse_formula, parse_program, random_past_formula,
 )
+from ppt.syntax import chain_elements
+
+from oracles import equal_by_fields, repr_by_fields
 
 A, B = AtomRef("a"), AtomRef("b")
 RULE = Rule(RuleKind.DYNAMIC, ("a",), And(B, Not(Previous(A))))
@@ -149,6 +158,82 @@ def test_shared_subterms_compare_by_identity_first():
     for _ in range(200):
         f = And(f, f)
     assert f == And(f.lhs, f.rhs)
+
+
+def test_a_long_parsed_chain_compares_hashes_and_prints():
+    # Parsed and accepted by every command, yet `==`, `hash` and `repr`
+    # of it recursed on its 2,000 conjuncts.
+    src = "a.\n#dynamic.\nb :- " + ", ".join(["prev a"] * 2000) + ".\n"
+    p, q = parse_program(src), parse_program(src)
+    other = parse_program(src.removesuffix("a.\n") + "b.\n")
+    assert p == q and not p != q
+    assert p != other and p.rules[1] != other.rules[1]
+    assert hash(p.rules[1]) == hash(q.rules[1])
+    prev_a = "Previous(arg=AtomRef(name='a'))"
+    body = "And(lhs=" * 1999 + prev_a + f", rhs={prev_a})" * 1999
+    assert repr(p.rules[1]) == (
+        "Rule(kind=<RuleKind.DYNAMIC: 'dynamic'>, head=('b',), "
+        f"body={body})")
+
+
+def _lengthened(rng):
+    """A random core formula lengthened by up to three runs of one
+    class each: and/or runs of up to 30 elements, since/trigger runs of
+    up to 12, so that the printed text parses back."""
+    f = random_past_formula(rng, ("a", "b", "c"), rng.randint(0, 3))
+    for _ in range(rng.randint(1, 3)):
+        tp = rng.choice((And, Or, Since, Trigger))
+        for _ in range(rng.randint(1, 30 if tp in (And, Or) else 12)):
+            f = tp(f, random_past_formula(rng, ("a", "b", "c"),
+                                          rng.randint(0, 2)))
+    return f
+
+
+def _renamed(f, index):
+    """f with its `index`-th atom occurrence, in pre-order, renamed `z`,
+    rebuilt through the constructors; no other node is shared with f."""
+    count = [index]
+
+    def build(g):
+        if type(g) is AtomRef:
+            count[0] -= 1
+            return AtomRef("z" if count[0] == -1 else g.name)
+        return type(g)(*[build(getattr(g, field.name))
+                         for field in dataclasses.fields(g)])
+    return build(f)
+
+
+def _nodes(f):
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(getattr(g, field.name) for field in dataclasses.fields(g)
+                     if type(g) is not AtomRef)
+
+
+def test_runs_agree_with_field_by_field_recursion():
+    rng = random.Random(38)
+    runs = 0
+    for _ in range(600):
+        f = _lengthened(rng)
+        runs += type(f.lhs) is type(f)
+        back = parse_formula(format_formula(f))
+        leaves = sum(type(g) is AtomRef for g in _nodes(f))
+        other = _renamed(f, rng.randrange(leaves)) if leaves else Not(f)
+        assert back is not f and back == f and not back != f
+        assert hash(back) == hash(f)
+        assert equal_by_fields(back, f)
+        assert other != f and not equal_by_fields(other, f)
+        assert repr(f) == repr_by_fields(f) == repr(back)
+        assert repr(other) == repr_by_fields(other)
+    assert runs > 300
+
+
+def test_a_run_hashes_as_its_elements():
+    f = And(And(And(A, B), Not(A)), B)
+    assert hash(f) == hash(tuple(chain_elements(f, And)))
+    assert hash(And(Or(A, B), A)) == hash((Or(A, B), A))
 
 
 @pytest.mark.parametrize("x", VALUES, ids=IDS)
