@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 usage, parse or unreadable-input error, or
 output pipe closed early, 2 verification mismatch or fuzz
 counterexample, 3 search work budget or loop-enumeration component cap
-exceeded.
+exceeded, or memory run out (a budget raised past what memory holds).
 
 Models range over the program's own alphabet, the atoms its rules
 mention: an atom no rule mentions is in no stable model.
@@ -308,6 +308,10 @@ def main(argv=None) -> int:
         return 1
     except (BudgetExceeded, SccTooLarge) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory; a smaller --budget stops the search "
+              "before it runs out", file=sys.stderr)
         return 3
     except (PptError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

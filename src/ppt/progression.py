@@ -7,8 +7,8 @@ point 1 on, anything else at point 0.  A past formula at point k reads
 only T[0..k], so traces grow one state at a time and a prefix is pruned
 as soon as a formula required at its last point fails there.  The
 classical side keeps every survivor.  The stable side searches the rules
-read as formulas (`transform.program_as_ltlf`), the rules of point k
-being the formulas required there, and also tests minimality:
+read as formulas (`compile_program`), the rules of point k being the
+formulas required there, and also tests minimality:
 
     Lemma 1.  A total trace T is a temporal stable model iff <T, T> is a
     model and no point k has an H_k strictly inside T_k such that the
@@ -66,11 +66,12 @@ order: the canonical order of model sets, with no sort.
 Where each rule of a point has one head atom, minimality is a least
 fixpoint: the temporal form of "a stable model of a normal program is
 the least model of its reduct" (Gelfond and Lifschitz, ICLP 1988).  The
-rules of each point come from the program: `transform.rule_table` lists
-those of point 0 and those of the later points that have a head, each
-as (head, body), with body None for a fact; constraints and final rules
-enter no fixpoint, and every body is core, as `Rule` checks.  A point
-with a rule of another head, such as `a | b`, keeps the subset pass.
+rules of each point come from the `Rule` objects that `compile_program`
+compiles: those of point 0 and those of the later points that have a
+head, each as (head, body slot), with body None for a fact; constraints
+and final rules enter no fixpoint, and every body is core, as `Rule`
+checks.  A point with a rule of another head, such as `a | b`, keeps
+the subset pass.
 
     Lemma 3.  Let each rule of point k have one head atom, T a trace
     on which the formulas required at k hold there, and H = T before
@@ -100,14 +101,14 @@ most n + 1 rounds run.  The survivors that pass are those where every
 H_j equals the atom vector of j, and only they are read out.
 
 So a point runs a total pass over the 2^n states, then the minimality
-test of its phase, picked once per search: `keep_all` on the classical
-side, `least_fixpoint` where each rule has one head atom, else
-`subset_pass` (Lemma 1, state by state).  Each takes the mask of the
-survivors of the total pass and returns the mask of those that pass.
-A fixpoint round costs what one survivor's subset pass does, so
-`least_fixpoint` hands a point with at most n + 1 survivors, as where a
-chain of positive rules leaves one state, to `subset_pass`
-(`_fixpoint_pays`).
+test that `Compiled.rules` gives its phase: none on the classical side,
+where `rules` is None and every survivor is kept; `least_fixpoint`
+where the phase has pairs; else `subset_pass` (Lemma 1, state by
+state).  Each test takes the mask of the survivors of the total pass
+and returns the mask of those that pass.  A fixpoint round costs what
+one survivor's subset pass does, so a point with at most n + 1
+survivors, as where a chain of positive rules leaves one state, takes
+`subset_pass` even where it has pairs (`_fixpoint_pays`).
 
 With c carried slots there are at most 1 + 2^(c+1) total passes,
 however many prefixes share a vector; the layers cost lam times the
@@ -117,7 +118,7 @@ layer; 2^n per total pass; one per move walked into a layer; lam per
 model, before it is read off; and what the tests charge, where 2^n per
 state pays for reading its carried bits out of 2^n-bit values:
 
-    keep_all        2^n per survivor;
+    no test         2^n per survivor (the classical side);
     subset_pass     2^n per survivor, before its passes over the 2^|s|
                     subsets of each survivor s, up to 3^n in all;
     least_fixpoint  2^n per round, then 2^n per state it keeps.
@@ -130,12 +131,13 @@ The formulas are compiled by one walk into one post-order node array,
 which `search` reads as a `Compiled` value.  `compile` runs the walk
 once per base, and `Compiled.extend` continues it over more formulas on
 copies, so a base that several searches extend, such as the rules or
-the completion of a program under their loop formulas, is walked once.
-The walk reads each wrapper with `placement` and keys atoms by name, so
-one node serves every `AtomRef` object of an atom, and other nodes by
-identity, as `search` finds each rule body.  It emits the node at the
-top of its stack once the children have slots, else pushes them over
-it, so no depth recurses.  A wrapper below the top, or an object that
+the completion of a program under their loop formulas, is walked once;
+an extension is searched classically.  The walk reads each wrapper with
+`placement` and keys atoms by name, so one node serves every `AtomRef`
+object of an atom, and other nodes by identity, as `compile_program`
+finds each rule body.  It emits the node at the top of its stack once
+the children have slots, else pushes them over it, so no depth
+recurses.  A wrapper below the top, or an object that
 is no formula node, is refused there and then; the atoms the alphabet
 does not cover are named, sorted, once the walk ends, so a formula list
 with both faults reports the wrapper.  The value of a node at point k
@@ -160,12 +162,13 @@ from typing import Iterable
 
 from .syntax import (
     Always, And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst,
-    Not, Or, PptError, Previous, Since, Trigger, Verum, WeakNextAlways,
-    atom_tuple, check_int, refuse_formula,
+    Not, Or, PptError, Previous, Program, RuleKind, Since, Trigger, Verum,
+    WeakNextAlways, atom_tuple, check_int, instance_of, is_fact,
+    refuse_formula, rule_formula,
 )
 
 __all__ = ["BudgetExceeded", "DEFAULT_BUDGET", "Compiled", "Trace",
-           "compile", "placement", "search"]
+           "compile", "compile_program", "placement", "search"]
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -226,14 +229,16 @@ def placement(f) -> tuple[object, int, bool]:
 
 class Compiled(tuple):
     """Formulas compiled for `search` by one walk (see the module
-    docstring), made by `compile` and continued by `extend`.
+    docstring), made by `compile` or `compile_program` and continued by
+    `extend`.
 
     A tuple of its fields, in this order: `atoms`, the alphabet sorted,
     and `index`, the position of each atom; `formulas`, every formula
     compiled; `nodes`, the post-order node array; `at_start`, the roots
     required at point 0, and `later`, those required from point 1 on;
-    `carried`, the carried slots, ascending; and `slots`, the slot of
-    each node by its key.
+    `carried`, the carried slots, ascending; `slots`, the slot of each
+    node by its key; and `rules`, None on the classical side, else the
+    pairs of `compile_program`.
 
     A node is (opcode, a, b): the atom index in `a` for atoms, child
     slots in `a` (and `b` for binary nodes, lhs first) otherwise.
@@ -245,22 +250,24 @@ class Compiled(tuple):
     """
 
     __slots__ = ()
-    (atoms, index, formulas, nodes, at_start, later, carried,
-     slots) = (property(itemgetter(i)) for i in range(8))
+    (atoms, index, formulas, nodes, at_start, later, carried, slots,
+     rules) = (property(itemgetter(i)) for i in range(9))
 
     def extend(self, more: Iterable) -> "Compiled":
         """The formulas of this value followed by `more`, compiled as one
-        walk over all of them would compile them; the objects already
-        compiled keep their slots.
+        walk over all of them would compile them, for the classical side
+        (`rules` None, `more` empty or not); the objects already compiled
+        keep their slots.
 
         A wrapper below the top of a formula, or an object that is no
         formula node, is refused where the walk meets it; the atoms the
         alphabet does not cover are named, sorted, once the walk ends.
         """
         more = tuple(more)
-        if not more:
+        if not more and self.rules is None:
             return self
-        atoms, index, formulas, nodes, at_start, later, carried, slots = self
+        atoms, index, formulas, nodes, at_start, later, carried, slots, _ = (
+            self)
         slots = slots.copy()
         nodes, at_start, later = list(nodes), list(at_start), list(later)
         carried = set(carried)
@@ -328,7 +335,8 @@ class Compiled(tuple):
                 "alphabet does not cover atoms: " + ", ".join(sorted(missing)))
         return tuple.__new__(Compiled, (
             atoms, index, formulas + more, tuple(nodes), tuple(at_start),
-            tuple(later), tuple(sorted(carried)), MappingProxyType(slots)))
+            tuple(later), tuple(sorted(carried)), MappingProxyType(slots),
+            None))
 
 
 def compile(formulas: Iterable, alphabet) -> Compiled:
@@ -337,8 +345,27 @@ def compile(formulas: Iterable, alphabet) -> Compiled:
     atoms = tuple(sorted(frozenset(atom_tuple(alphabet, "an alphabet"))))
     index = MappingProxyType({name: j for j, name in enumerate(atoms)})
     empty = tuple.__new__(Compiled, (atoms, index, (), (), (), (), (),
-                                     MappingProxyType({})))
+                                     MappingProxyType({}), None))
     return empty.extend(formulas)
+
+
+def compile_program(p: Program) -> Compiled:
+    """`compile` of the rules of `p` read as formulas (`rule_formula`),
+    for the stable side.  `rules` holds, for point 0 and for the later
+    points, the (head index, body slot) of each rule with a head, in
+    program order, body None for a fact; or None where one has several
+    head atoms (Lemma 3).  A body is the object left of the `->`."""
+    instance_of(p, Program, "the program")
+    compiled = compile([rule_formula(r) for r in p.rules], p.alphabet)
+    index, slots = compiled.index, compiled.slots
+    rules = []
+    for kind in (RuleKind.INITIAL, RuleKind.DYNAMIC):
+        headed = [r for r in p.rules if r.kind is kind and r.head]
+        rules.append(None if any(len(r.head) > 1 for r in headed) else tuple(
+            (index[r.head[0]], None if is_fact(r) else slots[
+                r.body.name if type(r.body) is AtomRef else id(r.body)])
+            for r in headed))
+    return tuple.__new__(Compiled, (*compiled[:8], tuple(rules)))
 
 
 @functools.cache
@@ -435,26 +462,24 @@ def check_limits(lam: int, budget: int | None) -> int:
     return budget
 
 
-def search(compiled: Compiled, lam: int, budget: int | None = None,
-           rules=None) -> tuple[Trace, ...]:
+def search(compiled: Compiled, lam: int,
+           budget: int | None = None) -> tuple[Trace, ...]:
     """Every trace of length `lam` over the alphabet of `compiled` that
     satisfies each formula compiled where its wrapper requires it and,
-    on the stable side, passes the minimality test.
+    where `compiled.rules` is not None (a `compile_program` value, not
+    extended), passes the minimality test.
 
-    `rules` is None on the classical side and `transform.rule_table(p)`
-    on the stable side, where `compiled` holds `program_as_ltlf(p)`
-    first; a `rules` of another length, head or body raises
-    `ValueError`.  The traces come in canonical order, each state read
-    as its sorted tuple of atoms.  The budget bounds the work units of
-    the cost model in the module docstring; past it, `BudgetExceeded`
-    names the point reached.
+    The traces come in canonical order, each state read as its sorted
+    tuple of atoms.  The budget bounds the work units of the cost model
+    in the module docstring; past it, `BudgetExceeded` names the point
+    reached.
     """
     budget = check_limits(lam, budget)
     if type(compiled) is not Compiled:
         raise ValueError(
             "search reads formulas compiled by progression.compile, not a "
             + type(compiled).__name__)
-    atoms, index, _, nodes, at_start, later, carried, slots = compiled
+    atoms, _, _, nodes, at_start, later, carried, _, rules = compiled
     spent = 0
     found: list[Trace] = []
     last = lam - 1
@@ -473,11 +498,7 @@ def search(compiled: Compiled, lam: int, budget: int | None = None,
     width = 1 << len(atoms)
 
     # The minimality tests and their charges (see the module docstring).
-    def keep_all(ok, required, rules, before, total, at_end, point):
-        charge(width * ok.bit_count(), point)
-        return ok
-
-    def subset_pass(ok, required, rules, before, total, at_end, point):
+    def subset_pass(ok, required, before, total, at_end, point):
         # Lemma 1, state by state.  The empty state has no smaller
         # here-state.  Atoms of s are ranked: bit r of a subset index
         # stands for the r-th atom of s, so the index all-ones is s.
@@ -498,50 +519,26 @@ def search(compiled: Compiled, lam: int, budget: int | None = None,
                 ok ^= 1 << s
         return ok
 
-    def least_fixpoint(ok, required, rules, before, total, at_end, point):
+    def least_fixpoint(ok, pairs, before, total, at_end, point):
         # Lemma 3: bit s of here[j] is set when atom j is in the least
         # here-state of the rules at candidate s.  G is monotone, so the
         # iterates settle within n + 1 rounds.
-        if not _fixpoint_pays(ok.bit_count(), len(atoms)):
-            return subset_pass(ok, required, rules, before, total, at_end,
-                               point)
         full = (1 << width) - 1
         here = [0] * len(atoms)
         for _ in range(len(atoms) + 1):
             charge(width, point)
             here_vals = _evaluate(nodes, here, full, before, total, at_end)
             heads = [0] * len(atoms)
-            for j, body in rules:
+            for j, body in pairs:
                 heads[j] |= full if body is None else here_vals[body]
             if heads == here:
                 break
             here = heads
         for h, vec in zip(here, _atom_vectors(len(atoms))):
             ok &= ~(h ^ vec)
-        return keep_all(ok, required, rules, before, total, at_end, point)
+        charge(width * ok.bit_count(), point)
+        return ok
 
-    def phase(required, table):
-        # The roots of point 0 or of a later point, the (head index, body
-        # slot) of its rules where each has one head atom (Lemma 3), and
-        # its minimality test; a head or body the search lacks is refused.
-        if table is None:
-            return required, None, keep_all
-        if any(len(head) != 1 for head, _ in table):
-            return required, None, subset_pass
-        pairs = []
-        for (atom,), body in table:
-            key = body.name if type(body) is AtomRef else id(body)
-            if atom not in index:
-                raise ValueError(f"rules: head {atom!r} is not in the alphabet")
-            if body is not None and key not in slots:
-                raise ValueError(f"rules: body {body!r} is in no formula")
-            pairs.append((index[atom], None if body is None else slots[key]))
-        return required, pairs, least_fixpoint
-
-    if rules is not None and len(rules) != 2:
-        raise ValueError(f"rules must hold 2 tables, not {len(rules)}")
-    phases = [phase(required, table) for required, table
-              in zip((at_start, later), rules or (None, None))]
     sets: dict[int, tuple[tuple[str, ...], frozenset[str]]] = {}
     moves: dict[tuple[object, bool], list] = {}
 
@@ -551,14 +548,20 @@ def search(compiled: Compiled, lam: int, budget: int | None = None,
         # when key is None, in the order of the atom tuples.
         charge(width, point)
         before = None if key is None else dict(zip(carried, key))
-        required, rules, test = phases[key is not None]
+        required = at_start if key is None else later
         full = (1 << width) - 1
         vals = _evaluate(nodes, _atom_vectors(len(atoms)), full, before, None,
                          at_end)
         ok = full
         for root in required:
             ok &= vals[root]
-        ok = test(ok, required, rules, before, vals, at_end, point)
+        pairs = None if rules is None else rules[key is not None]
+        if rules is None:
+            charge(width * ok.bit_count(), point)
+        elif pairs is not None and _fixpoint_pays(ok.bit_count(), len(atoms)):
+            ok = least_fixpoint(ok, pairs, before, vals, at_end, point)
+        else:
+            ok = subset_pass(ok, required, before, vals, at_end, point)
         carried_vals = [vals[slot] for slot in carried]
         out = []
         for s in _members(ok):

@@ -37,7 +37,8 @@ section or a program rule of another type is refused by `instance_of`,
 a non-int count by `check_int`, and a value that is no formula node, or
 a wrapper below the top, by `refuse_formula`, wherever a formula is
 walked; `is_fact` is the one test of a fact, and `chain_elements` the
-one reader of an `and`/`or` chain, in a loop at any length.  A bad
+one reader of an `and`/`or` chain, in a loop at any length, and
+`rule_formula` the one reading of a rule as a classical formula.  A bad
 argument to a library function (an atom outside the alphabet, traces
 of unequal length) raises the built-in `ValueError`; `PptError` is the
 base of the exceptions each layer declares where it raises them:
@@ -190,20 +191,18 @@ class Value:
             object.__setattr__(self, name, value)
 
 
-def value_class(cls=None, *, slots=True):
+def value_class(cls):
     """Declare `cls`, a subclass of `Value`, a frozen value class.
 
-    `dataclass` runs with `init=False, repr=False, eq=False` and without
-    `frozen`, so it generates no method and `dataclasses.fields`,
+    `dataclass` runs with `init=False, repr=False, eq=False, slots=True`
+    and without `frozen`, so it generates no method and `dataclasses.fields`,
     `replace`, `is_dataclass` and `__match_args__` keep working.  Then
     the tables the `Value` methods read are stored on the class: `_key`,
     the function giving the tuple of an instance's compared fields,
     `_shown`, the names `repr` prints, and `_state`, every field name in
     order.  The class writes its own `__init__`, or `_node` makes it.
     """
-    if cls is None:
-        return lambda cls: value_class(cls, slots=slots)
-    cls = dataclass(cls, init=False, repr=False, eq=False, slots=slots)
+    cls = dataclass(cls, init=False, repr=False, eq=False, slots=True)
     names = tuple(f.name for f in fields(cls) if f.compare)
     if len(names) > 1:
         cls._key = attrgetter(*names)
@@ -566,6 +565,17 @@ def is_fact(rule: Rule) -> bool:
 def head_disjunction(rule: Rule) -> ExtFormula:
     """The head read as a formula; false for constraints."""
     return or_chain([AtomRef(a) for a in rule.head], FALSUM)
+
+
+def rule_formula(rule: Rule) -> ExtFormula:
+    """One rule read as a classical formula, wrapped where it applies."""
+    if rule.kind is RuleKind.FINAL:
+        return Always(Implies(FINAL_CONST, Implies(rule.body, FALSUM)))
+    head = head_disjunction(rule)
+    core: ExtFormula = head if is_fact(rule) else Implies(rule.body, head)
+    if rule.kind is RuleKind.DYNAMIC:
+        return WeakNextAlways(core)
+    return core
 
 
 # ---------------------------------------------------------------------------

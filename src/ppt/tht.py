@@ -6,7 +6,7 @@ evaluates its argument on the total trace <T, T>; previous is false at
 point 0; since and trigger quantify over points up to the evaluation
 point.  On total traces the semantics collapses to the classical one.
 Rule checks read each rule through its classical formula
-(`transform.rule_formula`), required on both sides.
+(`syntax.rule_formula`), required on both sides.
 
 A trace is a tuple of frozensets of atoms, a `Trace` of
 `ppt.progression`, whose search builds each model once: compare traces
@@ -39,13 +39,15 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .progression import Trace, check_limits, compile, placement, search
+from .progression import (
+    Trace, check_limits, compile, compile_program, placement, search,
+)
 from .syntax import (
     And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst, Not, Or,
     Previous, Program, Rule, Since, Trigger, Value, Verum, chain_elements,
-    check_int, is_past_formula, refuse_formula, value_class,
+    check_int, is_past_formula, refuse_formula, rule_formula, value_class,
 )
-from .transform import program_as_ltlf, rule_formula, rule_table
+from .transform import program_as_ltlf
 
 __all__ = [
     "Trace", "HTTrace",
@@ -220,7 +222,7 @@ def _holds(ev: _BitEvaluator, k: int, f) -> bool:
 
 def rule_sat(m: HTTrace, rule: Rule) -> bool:
     """Satisfaction of one rule on an HT-trace, read through its formula
-    (`transform.rule_formula`): initial rules at point 0, dynamic rules
+    (`syntax.rule_formula`): initial rules at point 0, dynamic rules
     from 1 on, final rules (body false on T) at the last point."""
     return formula_sat(m, 0, rule_formula(rule))
 
@@ -239,15 +241,14 @@ def enumerate_ts_models(p: Program, lam: int, *,
                         budget: int | None = None) -> tuple[Trace, ...]:
     """All temporal stable models of the program at the given length,
     over its alphabet, in canonical order (each state read as its sorted
-    tuple of atoms), from the search of `ppt.progression`; the budget
-    bounds the work units of its cost model.
+    tuple of atoms), from `progression.search` of `compile_program(p)`;
+    the budget bounds the work units of its cost model.
 
     An atom no rule mentions is false in every stable model, so a wider
     alphabet, `Program(p.rules, alphabet)`, gives the same models at the
     cost of 2^n-state passes over a larger n.
     """
-    return search(compile(program_as_ltlf(p), p.alphabet), lam, budget,
-                  rule_table(p))
+    return search(compile_program(p), lam, budget)
 
 
 def enumerate_ltlf_models(fs: Iterable, lam: int, alphabet,

@@ -16,8 +16,9 @@ traces:
   the unitary loops and one support memo per section: the default
   regime is that list without the singletons that have no self-edge,
   and the two lists share their formula objects.
-* `program_as_ltlf`: the rules read as formulas (`rule_formula`), as
-  the stable-model search and the rule checks of `ppt.tht` read them.
+* `program_as_ltlf`: the rules read as formulas (`rule_formula`, from
+  `ppt.syntax`), as `progression.compile_program` compiles them for the
+  stable-model search and the rule checks of `ppt.tht` read them.
 
 Each translation has one builder, a `sourced_*` function returning
 (formula, source) pairs; the source names what produced the formula:
@@ -52,12 +53,11 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from .syntax import (
-    Always, And, Atom, AtomRef, ExtFormula, FALSUM, FINAL_CONST,
-    Falsum, FinalConst, Iff, Implies, INITIAL_CONST, INITIAL_EXPANSION,
-    InitialConst, Not, Or, PastFormula, Previous, Program, Rule, RuleKind,
-    Since, Trigger, Verum, VERUM, WeakNextAlways, atom_tuple,
-    chain_elements, head_disjunction, instance_of, is_fact, or_chain,
-    positive_atoms, refuse_formula,
+    Always, And, Atom, AtomRef, ExtFormula, FALSUM, Falsum, FinalConst,
+    Iff, Implies, INITIAL_CONST, INITIAL_EXPANSION, InitialConst, Not, Or,
+    PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, Verum,
+    VERUM, WeakNextAlways, atom_tuple, chain_elements, instance_of,
+    or_chain, positive_atoms, refuse_formula, rule_formula,
 )
 from .depgraph import enumerate_loops, section_graphs
 
@@ -188,28 +188,6 @@ def external_support(p: Program, section: RuleKind,
     instance_of(section, RuleKind, "a section")
     return _supports(p, section, _atom_refs(p))(
         frozenset(atom_tuple(loop, "a loop")))
-
-
-def rule_formula(rule: Rule) -> ExtFormula:
-    """One rule read as a classical formula, wrapped where it applies."""
-    if rule.kind is RuleKind.FINAL:
-        return Always(Implies(FINAL_CONST, Implies(rule.body, FALSUM)))
-    head = head_disjunction(rule)
-    core: ExtFormula = head if is_fact(rule) else Implies(rule.body, head)
-    if rule.kind is RuleKind.DYNAMIC:
-        return WeakNextAlways(core)
-    return core
-
-
-def rule_table(p: Program) -> tuple[list, ...]:
-    """The initial and the dynamic rules that have a head, in program
-    order, each as (head, body), for the least fixpoint of
-    `progression.search`; the body is None for a fact, else the object
-    left of `rule_formula`'s `->`.  Not in `__all__`, like
-    `progression.check_limits`."""
-    return tuple([(r.head, None if is_fact(r) else r.body)
-                  for r in p.rules if r.kind is kind and r.head]
-                 for kind in (RuleKind.INITIAL, RuleKind.DYNAMIC))
 
 
 def sourced_completion(p: Program) -> Sourced:

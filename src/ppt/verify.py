@@ -22,9 +22,10 @@ helpers drive seeded batches for the command line and the test suite.
 `verify_correspondence` and `run_correspondence_suite` share one check,
 `_reports`, which looks the translation functions up by name at call
 time and builds the `Report` of each mode.  It compiles each base once
-per case (`progression.compile`), the rules read as formulas and the
-completion, searches the rules for the stable models, and searches each
-mode's translation as its base extended by the mode's loop formulas.
+per case (`progression.compile_program` and `compile`), the program and
+the completion, searches the program for the stable models, and
+searches each mode's translation as its base extended by the mode's
+loop formulas.
 The suite hands it both loop regimes, from one `loop_formula_regimes`
 call per case; `verify_correspondence` builds its mode's loop formulas
 alone.
@@ -41,12 +42,12 @@ from .syntax import (
     Program, Rule, RuleKind, Since, Trigger, Value, atom_tuple, check_int,
     positive_atoms, value_class,
 )
-from .progression import Trace, check_limits, compile, search
+from .progression import Trace, check_limits, compile, compile_program, search
 from .tht import HTTrace, evaluator, ht_sat, three_valued
 from .depgraph import is_tight
 from .transform import (
-    completion, loop_formula_regimes, loop_formulas, program_as_ltlf,
-    rule_table, support_transform, unfold,
+    completion, loop_formula_regimes, loop_formulas, support_transform,
+    unfold,
 )
 
 __all__ = [
@@ -162,7 +163,7 @@ _CUM_WEIGHTS_NO_NOT = tuple(itertools.accumulate(
     w for cls, w in _WEIGHTS if cls is not Not))
 
 
-@value_class(slots=False)
+@value_class
 class GenConfig(Value):
     """Deterministic program-generator settings."""
 
@@ -267,7 +268,7 @@ def random_httrace(rng: random.Random, atoms, lam: int) -> HTTrace:
 # Correspondence reports
 # ---------------------------------------------------------------------------
 
-@value_class(slots=False)
+@value_class
 class Report(Value):
     """Outcome of one correspondence check: its results only, as the
     caller holds the program, length and mode it asked about."""
@@ -287,15 +288,15 @@ class Report(Value):
 def _reports(p: Program, lam: int, loops: dict,
              budget: int | None = None) -> list[Report]:
     """The report of each mode that `loops` maps to its loop formulas,
-    in order.  The rules read as formulas are compiled once, for the
-    stable side and as the base of `unitary_loops`; the completion, the
-    base of the other modes, is compiled once if one of them is asked
-    for.  Each mode's translation extends its base, and is searched
-    unless it is the translation of the mode before."""
-    rules = compile(program_as_ltlf(p), p.alphabet)
+    in order.  The program is compiled once, for the stable side and as
+    the base of `unitary_loops`; the completion, the base of the other
+    modes, is compiled once if one of them is asked for.  Each mode's
+    translation extends its base, and is searched classically unless it
+    is the translation of the mode before."""
+    rules = compile_program(p)
     completed = (compile(completion(p), p.alphabet)
                  if any(mode != "unitary_loops" for mode in loops) else None)
-    lhs = search(rules, lam, budget, rule_table(p))
+    lhs = search(rules, lam, budget)
     reports = []
     target = rhs = None
     for mode, more in loops.items():

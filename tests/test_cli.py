@@ -133,6 +133,19 @@ class TestModels:
             [["nx0", "nx1"]], [["nx0", "x1"]], [["nx1", "x0"]],
             [["x0", "x1"]]]}, indent=2) + "\n"
 
+    def test_out_of_memory_exit_3(self, capsys, monkeypatch, p1_file):
+        # A budget raised past what memory holds lets a search run out of
+        # it: one line of error, as for the budget, and no traceback.
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "enumerate_ts_models", exhausted)
+        code, out, err = run(capsys, "models", p1_file, "--length", "2")
+        assert (code, out) == (3, "")
+        assert err == ("error: out of memory; a smaller --budget stops the "
+                       "search before it runs out\n")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["models", "verify"])
     def test_budget_long_trace_exit_3(self, capsys, p1_file, command):
         # Each model read off costs 100,000 units.

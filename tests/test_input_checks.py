@@ -17,13 +17,12 @@ from ppt import (
     ParseError, Previous, Program, Rule, RuleKind, Trace, WeakNextAlways,
     dependency_graph, enumerate_ltlf_models, enumerate_ts_models,
     external_support, format_formula, ht_sat, ltlf_sat, parse_formula,
-    parse_program, program_as_ltlf, simplify, simplify_formulas,
-    support_transform, three_valued, verify_correspondence,
+    parse_program, simplify, simplify_formulas, support_transform,
+    three_valued, verify_correspondence,
 )
-from ppt.progression import compile, search
+from ppt.progression import compile, compile_program, search
 from ppt.syntax import CORE_TRUE, VERUM
 from ppt.tht import formula_sat
-from ppt.transform import rule_table
 from ppt.verify import (
     GenConfig, TraceMask, random_httrace, random_past_formula,
     run_correspondence_suite, run_lemma_suite, run_semantics_suite,
@@ -33,7 +32,6 @@ _ONE_POINT = HTTrace.total(Trace.of(["a"]))
 _LOOP = "a :- b. b :- a."
 # A positive cycle of 22 atoms, past the loop cap.
 _CYCLE = "".join(f"a{i} :- a{(i + 1) % 22}.\n" for i in range(22))
-_PREV_CYCLE = parse_program("a :- b. #dynamic. b :- prev a.")
 
 # Each suite, run for one case at a given seed.
 _SUITES = (
@@ -212,22 +210,10 @@ CASES = [
     ("search-formula-list", lambda: search([], 1),
      ValueError, re.escape("search reads formulas compiled by "
                            "progression.compile, not a list")),
-    # A `rules` that is not the rule table of the formulas: a KeyError
-    # for a body not compiled or a head outside the alphabet, and an
-    # IndexError for one table.
-    ("search-rules-body-not-compiled",
-     lambda: search(compile([], {"a", "b"}), 1,
-                    rules=rule_table(parse_program("a :- b."))),
-     ValueError, re.escape("rules: body AtomRef(name='b') is in no formula")),
-    ("search-rules-head-outside-alphabet",
-     lambda: search(compile([], {"a"}), 1,
-                    rules=rule_table(parse_program("b :- not a."))),
-     ValueError, re.escape("rules: head 'b' is not in the alphabet")),
-    ("search-rules-one-table",
-     lambda: search(compile(program_as_ltlf(_PREV_CYCLE),
-                            _PREV_CYCLE.alphabet), 2,
-                    rules=[rule_table(_PREV_CYCLE)[0]]),
-     ValueError, re.escape("rules must hold 2 tables, not 1")),
+    # The stable side is compiled from a `Program` only, not its text.
+    ("compile-program-text",
+     lambda: compile_program("a :- b."),
+     ValueError, re.escape("the program must be a Program, not 'a :- b.'")),
     ("ltlf-string-formula",
      lambda: enumerate_ltlf_models(["a"], 1, {"a"}),
      ValueError, re.escape("not a formula: 'a'")),

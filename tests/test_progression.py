@@ -13,9 +13,9 @@ from ppt import (
     enumerate_ltlf_models, enumerate_ts_models, loop_formulas, parse_program,
     program_as_ltlf,
 )
-from ppt.progression import _ATOM, compile, search
+from ppt.progression import _ATOM, compile, compile_program, search
 from ppt.syntax import CORE_TRUE
-from ppt.transform import loop_formula_regimes, rule_table
+from ppt.transform import loop_formula_regimes
 from ppt.verify import (
     GenConfig, _random_literal_body, random_past_formula, random_program,
 )
@@ -278,8 +278,7 @@ class TestOneBuildPerModel:
     return its tuple as it is."""
 
     def test_search_returns_a_tuple_of_traces(self, p1):
-        models = search(compile(program_as_ltlf(p1), p1.alphabet), 3,
-                        rules=rule_table(p1))
+        models = search(compile_program(p1), 3)
         assert type(models) is tuple and len(models) == 2
         assert all(type(model) is Trace for model in models)
         assert models == enumerate_ts_models(p1, 3)
@@ -431,10 +430,11 @@ class TestFlatten:
 
 
 def _extension_cases():
-    """(program, base, loop formulas, rules) of the suite's programs and
-    of programs at 4 atoms, 8 rules and depth 4: the rules read as
-    formulas with the unitary loop formulas and their rule table, and
-    the completion with the default loop formulas."""
+    """(program, base, loop formulas, compiled base) of the suite's
+    programs and of programs at 4 atoms, 8 rules and depth 4: the rules
+    read as formulas with the unitary loop formulas, compiled by
+    `compile_program`, and the completion with the default loop
+    formulas, compiled by `compile`."""
     for seed in range(150):
         for cfg in (GenConfig(seed=seed),
                     GenConfig(seed=seed, max_atoms=4, max_rules=8,
@@ -442,8 +442,9 @@ def _extension_cases():
             p = random_program(cfg)
             p = Program(p.rules, frozenset(POOL[:cfg.max_atoms]))
             default, unitary = loop_formula_regimes(p)
-            yield p, program_as_ltlf(p), unitary, rule_table(p)
-            yield p, completion(p), default, None
+            yield p, program_as_ltlf(p), unitary, compile_program(p)
+            cf = completion(p)
+            yield p, cf, default, compile(cf, p.alphabet)
 
 
 def _fields(compiled):
@@ -453,14 +454,13 @@ def _fields(compiled):
 
 class TestExtend:
     def test_extension_compiles_as_one_walk(self):
-        # `compile(base).extend(loops)` against `compile(base + loops)`:
-        # the same nodes, roots and carried slots, and the same models;
-        # the base, searched again, is as it was.
+        # The compiled base extended by `loops` against `compile(base +
+        # loops)`: the same nodes, roots and carried slots, and the same
+        # models, searched classically; the base, searched again, is as
+        # it was.
         carried = 0
-        for p, base, loops, rules in _extension_cases():
-            compiled = compile(base, p.alphabet)
-            before = [search(compiled, lam, rules=rules)
-                      for lam in (1, 2, 3)]
+        for p, base, loops, compiled in _extension_cases():
+            before = [search(compiled, lam) for lam in (1, 2, 3)]
             size = len(compiled.nodes)
             extended = compiled.extend(loops)
             whole = compile(base + loops, p.alphabet)
@@ -469,8 +469,7 @@ class TestExtend:
             for lam in (1, 2, 3):
                 assert search(extended, lam) == search(whole, lam)
             assert len(compiled.nodes) == size
-            assert [search(compiled, lam, rules=rules)
-                    for lam in (1, 2, 3)] == before
+            assert [search(compiled, lam) for lam in (1, 2, 3)] == before
         # Most bases carry slots into a nonempty extension.
         assert carried > 300
 

@@ -15,7 +15,8 @@ from ppt import (
 )
 from ppt.cli import main
 from ppt.depgraph import enumerate_loops, section_graphs
-from ppt.transform import loop_formula_regimes, rule_formula, rule_table
+from ppt.progression import compile, compile_program, search
+from ppt.transform import loop_formula_regimes, rule_formula
 from ppt.syntax import (
     CORE_TRUE, FINAL_CONST, INITIAL_CONST, Falsum, format_formulas,
     format_rule, head_disjunction, or_chain,
@@ -232,7 +233,8 @@ class TestProgramAsLtlf:
 
     def test_fact_with_a_fresh_body_is_bare_head(self):
         # A fact is told by its node types, not by the identity of the
-        # parser's `CORE_TRUE`: both printers and the rule table agree.
+        # parser's `CORE_TRUE`: both printers and the compiled rule
+        # pairs agree.
         for kind, embedded in ((RuleKind.INITIAL, "a"),
                                (RuleKind.DYNAMIC, "wnext_always(a)")):
             rule = Rule(kind, ("a",), Not(Falsum()))
@@ -240,7 +242,7 @@ class TestProgramAsLtlf:
             assert format_rule(rule) == "a."
             assert format_formula(rule_formula(rule)) == embedded
             assert format_formulas(program_as_ltlf(p)) == [embedded]
-            assert [t for t in rule_table(p) if t] == [[(("a",), None)]]
+            assert [t for t in compile_program(p).rules if t] == [((0, None),)]
 
     def test_rule_shapes(self, p1):
         formulas = program_as_ltlf(p1)
@@ -261,44 +263,87 @@ class TestProgramAsLtlf:
             enumerate_ts_models(p2, 2)
 
 
-class TestRuleTable:
-    """The rules the stable search reads for its least fixpoint agree
-    with the formulas it compiles: `rule_table` lists the initial and
-    the dynamic rules that have a head, and each body it gives is the
-    very object left of the rule's `->`."""
+class TestCompileProgram:
+    """`compile_program` compiles the rules read as formulas, as
+    `compile(program_as_ltlf(p), p.alphabet)` does, and reads the pairs
+    of the least fixpoint from the same rules: per section, the initial
+    and the dynamic rules that have a head, each as (head index, body
+    slot), where the body is the very object left of the rule's `->`."""
 
     @staticmethod
-    def _check(p):
-        formulas = program_as_ltlf(p)
-        for kind, table in zip((RuleKind.INITIAL, RuleKind.DYNAMIC),
-                               rule_table(p)):
+    def _check(p, seen):
+        compiled = compile_program(p)
+        whole = compile(program_as_ltlf(p), p.alphabet)
+        assert (compiled.nodes, compiled.at_start, compiled.later,
+                compiled.carried) == (whole.nodes, whole.at_start,
+                                      whole.later, whole.carried)
+        assert whole.rules is None and len(compiled.rules) == 2
+        for kind, pairs in zip((RuleKind.INITIAL, RuleKind.DYNAMIC),
+                               compiled.rules):
             listed = [i for i, r in enumerate(p.rules)
                       if r.kind is kind and r.head]
-            assert [head for head, _ in table] == \
-                [p.rules[i].head for i in listed]
-            for (_, body), i in zip(table, listed):
-                f = formulas[i]
+            if any(len(p.rules[i].head) > 1 for i in listed):
+                assert pairs is None
+                seen["disjunctive"] += 1
+                continue
+            assert [head for head, _ in pairs] == \
+                [compiled.index[p.rules[i].head[0]] for i in listed]
+            for (_, body), i in zip(pairs, listed):
+                f = compiled.formulas[i]
                 if kind is RuleKind.DYNAMIC:
                     assert type(f) is WeakNextAlways
                     f = f.arg
                 if body is None:
                     assert p.rules[i].body == CORE_TRUE
                     assert f == head_disjunction(p.rules[i])
+                    seen["fact"] += 1
                 else:
-                    assert type(f) is Implies and f.lhs is body
+                    assert type(f) is Implies and f.lhs is p.rules[i].body
+                    lhs = f.lhs
+                    assert body == compiled.slots[
+                        lhs.name if type(lhs) is AtomRef else id(lhs)]
+                    seen["body"] += 1
 
     def test_random_programs(self):
+        seen = dict.fromkeys(("disjunctive", "fact", "body"), 0)
         for seed in range(300):
             self._check(random_program(
-                GenConfig(seed=seed, max_atoms=4, max_rules=8)))
+                GenConfig(seed=seed, max_atoms=4, max_rules=8)), seen)
+        # Each kind of phase and pair is met many times.
+        assert min(seen.values()) > 20, seen
 
     def test_examples_and_cycle(self, p1, p2):
+        seen = dict.fromkeys(("disjunctive", "fact", "body"), 0)
         for p in (p1, p2, parse_program(TestLoopFormulaRegimes.CYCLE)):
-            self._check(p)
-        initial, dynamic = rule_table(p1)
-        assert initial == [(("load",), None)]
-        assert dynamic[0] == (("shoot", "load", "unload"), None)
-        assert [head for head, _ in dynamic[1:]] == [("dead",), ("shoot",)]
+            self._check(p, seen)
+        # P1's dynamic section has the disjunctive fact
+        # `shoot | load | unload`.
+        compiled = compile_program(p1)
+        assert compiled.rules == (((compiled.index["load"], None),), None)
+
+    def test_each_phase_reads_its_own_pairs(self):
+        # Point 0 has no founded atom, and the dynamic facts found both
+        # atoms at point 1.  All 4 states survive the total pass at point
+        # 0, so it takes the fixpoint, which the dynamic pairs would
+        # answer with {a, b}.
+        p = parse_program("a :- a.\nb :- b.\n#dynamic.\na.\nb.\n")
+        assert search(compile_program(p), 2) == (Trace.of([], ["a", "b"]),)
+
+    def test_extensions_search_classically(self):
+        # `a :- a.` has one stable model at length 1, the empty state,
+        # and two classical ones; an empty extension is classical too.
+        compiled = compile_program(parse_program("a :- a."))
+        assert search(compiled, 1) == (Trace.of([]),)
+        extended = compiled.extend([])
+        assert extended.rules is None
+        assert search(extended, 1) == (Trace.of([]), Trace.of(["a"]))
+        assert search(compiled, 1) == (Trace.of([]),)
+        for seed in range(100):
+            p = random_program(GenConfig(seed=seed))
+            classical = compile(program_as_ltlf(p), p.alphabet)
+            for lam in (1, 2):
+                assert search(compile_program(p).extend([]), lam) == \
+                    search(classical, lam)
 
 
 class TestSimplify:

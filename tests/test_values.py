@@ -34,7 +34,7 @@ A, B = AtomRef("a"), AtomRef("b")
 RULE = Rule(RuleKind.DYNAMIC, ("a",), And(B, Not(Previous(A))))
 
 # One instance of each class, its field names, its text and its own
-# `__slots__` (None where the class keeps a `__dict__`).  Sets in these
+# `__slots__`: every class keeps its fields in slots.  Sets in these
 # texts have one element, so no text depends on the hash seed.
 CASES = [
     (Falsum(), [], "Falsum()", ()),
@@ -84,11 +84,13 @@ CASES = [
      "extra=(frozenset(), frozenset({'a'})))", ("base", "pivot", "extra")),
     (GenConfig(seed=7, max_rules=2),
      ["seed", "max_atoms", "max_rules", "max_body_depth"],
-     "GenConfig(seed=7, max_atoms=3, max_rules=2, max_body_depth=3)", None),
+     "GenConfig(seed=7, max_atoms=3, max_rules=2, max_body_depth=3)",
+     ("seed", "max_atoms", "max_rules", "max_body_depth")),
     (Report((Trace.of(["a"]),), (), False, (Trace.of(["a"]),), True),
      ["lhs", "rhs", "equal", "witnesses", "tight"],
      "Report(lhs=((frozenset({'a'}),),), rhs=(), equal=False, "
-     "witnesses=((frozenset({'a'}),),), tight=True)", None),
+     "witnesses=((frozenset({'a'}),),), tight=True)",
+     ("lhs", "rhs", "equal", "witnesses", "tight")),
 ]
 
 VALUES = [case[0] for case in CASES]
@@ -120,7 +122,7 @@ def test_fields_text_and_slots(x, names, text, slots):
         f.name for f in dataclasses.fields(x) if f.init)
     assert repr(x) == text
     assert vars(cls).get("__slots__") == slots
-    assert hasattr(x, "__dict__") is (slots is None)
+    assert not hasattr(x, "__dict__")
 
 
 @pytest.mark.parametrize("x", VALUES, ids=IDS)
