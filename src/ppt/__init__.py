@@ -23,14 +23,11 @@ from .tht import (
     HTTrace, enumerate_ltlf_models, enumerate_ts_models, ht_sat, is_ht_model,
     ltlf_sat, rule_sat, three_valued,
 )
-from .depgraph import (
-    DepGraph, SccTooLarge, dependency_graph, enumerate_loops, is_tight,
-    section_graphs,
-)
 from .transform import (
-    completion, external_support, loop_formulas, program_as_ltlf, simplify,
-    simplify_formulas, sourced_completion, sourced_loop_formulas,
-    sourced_program_as_ltlf, support_transform,
+    DepGraph, SccTooLarge, completion, dependency_graph, enumerate_loops,
+    external_support, is_tight, loop_formulas, program_as_ltlf,
+    section_graphs, simplify, simplify_formulas, sourced_completion,
+    sourced_loop_formulas, sourced_program_as_ltlf, support_transform,
 )
 from .verify import (
     GenConfig, MODES, PreconditionSkipped, Report, TraceMask,

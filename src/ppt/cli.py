@@ -46,10 +46,9 @@ from .syntax import PptError, format_formulas, format_program
 from .parser import ParseError, parse_program
 from .progression import BudgetExceeded
 from .tht import enumerate_ts_models
-from .depgraph import SccTooLarge, enumerate_loops, is_tight, section_graphs
 from .transform import (
-    simplify_formulas, sourced_completion, sourced_loop_formulas,
-    sourced_program_as_ltlf,
+    SccTooLarge, enumerate_loops, is_tight, section_graphs, simplify_formulas,
+    sourced_completion, sourced_loop_formulas, sourced_program_as_ltlf,
 )
 from .verify import (
     run_correspondence_suite, run_lemma_suite, run_semantics_suite,

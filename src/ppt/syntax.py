@@ -15,7 +15,7 @@ classically.
 
 All node classes are immutable and hashable, so formulas can be shared,
 memoised and used as dictionary keys freely.  They and the other value
-classes of `ppt` (`Rule`, `Program`, `tht.HTTrace`, `depgraph.DepGraph`
+classes of `ppt` (`Rule`, `Program`, `tht.HTTrace`, `transform.DepGraph`
 and `verify`'s `TraceMask`, `GenConfig` and `Report`) are dataclasses
 declared by `value_class`, which take `==`, `hash`, `repr`,
 immutability and pickling from one hand-written base, `Value`, and
@@ -43,7 +43,7 @@ argument to a library function (an atom outside the alphabet, traces
 of unequal length) raises the built-in `ValueError`; `PptError` is the
 base of the exceptions each layer declares where it raises them:
 `parser.ParseError` and `RestrictionError`, `progression.BudgetExceeded`
-and `depgraph.SccTooLarge`.
+and `transform.SccTooLarge`.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum
+from functools import reduce
 from operator import attrgetter
 from typing import Iterable, Union
 
@@ -158,7 +159,7 @@ class Value:
     a class's own `__init__` checks its arguments and then stores its
     fields with `__setstate__`, `object.__setattr__` or, in a node, a
     slot descriptor.  Pickling and copying carry every field, derived
-    ones too, and call no `__init__`.
+    ones too, and call no `__init__` but a binary node's (`_node`).
     """
 
     __slots__ = ()
@@ -223,9 +224,11 @@ def _node(cls):
 
     A node with `lhs` and `rhs` whose `lhs` is of its own class heads a
     left run, read by `chain_elements` in a loop: its compared tuple is
-    the run's elements, first to last, and its `repr` is written in one
-    pass, so `==`, `hash` and `repr` do not recurse on the run's length.
-    The text is the one field-by-field recursion writes."""
+    the run's elements, first to last, its `repr` is written in one
+    pass, and it pickles and copies as a left fold (`reduce`) of its
+    class over those elements, so `==`, `hash`, `repr`, `pickle` and
+    `copy` do not recurse on the run's length.  The text is the one
+    field-by-field recursion writes."""
     cls = value_class(cls)
     if cls._state == ("arg",):
         set_arg = cls.arg.__set__
@@ -250,8 +253,12 @@ def _node(cls):
             return (f"{cls.__qualname__}(lhs=" * (len(parts) - 1)
                     + repr(parts[0])
                     + "".join([f", rhs={g!r})" for g in parts[1:]]))
+
+        def __reduce__(self):
+            return reduce, (cls, tuple(chain_elements(self, cls)))
         cls._key = _key
         cls.__repr__ = __repr__
+        cls.__reduce__ = __reduce__
     else:
         return cls
     __init__.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -675,7 +682,8 @@ def _wrap(text: str, prec: int, ctx: int) -> str:
 def format_nesting(f) -> int:
     """Levels of nesting in `format_formula(f)` of a core formula, as the
     parser counts them: a unary operator, a since or trigger inside its
-    parentheses, and any other pair of parentheses each count one."""
+    parentheses, and any other pair of parentheses each count one.  A
+    node outside the core language raises `ValueError`."""
     return _nesting(f, 0)
 
 
@@ -692,7 +700,9 @@ def _nesting(f, ctx: int) -> int:
         prec = _PREC_AND if tp is And else _PREC_OR
         return (max([_nesting(g, prec + 1) for g in chain_elements(f, tp)])
                 + (prec < ctx))
-    return 0
+    if tp is AtomRef or tp is Falsum:
+        return 0
+    raise ValueError(f"not a core past formula: {f!r}")
 
 
 def chain_elements(f, tp) -> list:

@@ -47,7 +47,6 @@ from .syntax import (
     Previous, Program, Rule, Since, Trigger, Value, Verum, chain_elements,
     check_int, is_past_formula, refuse_formula, rule_formula, value_class,
 )
-from .transform import program_as_ltlf
 
 __all__ = [
     "Trace", "HTTrace",
@@ -230,7 +229,9 @@ def rule_sat(m: HTTrace, rule: Rule) -> bool:
 def is_ht_model(m: HTTrace, p: Program) -> bool:
     """True when the HT-trace satisfies every rule of the program."""
     ev = evaluator(m)
-    return all(_holds(ev, 0, f) for f in program_as_ltlf(p))
+    # A list keeps each formula alive as long as the `id`-keyed memo.
+    formulas = [rule_formula(r) for r in p.rules]
+    return all(_holds(ev, 0, f) for f in formulas)
 
 
 # ---------------------------------------------------------------------------

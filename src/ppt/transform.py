@@ -1,4 +1,20 @@
-"""Compilation of past-present programs into extended formulas.
+"""Compilation of past-present programs into extended formulas, and
+the dependency graphs and loops that the loop formulas are built from.
+
+A section's dependency graph has the program alphabet as vertices and
+an edge (a, b) where a rule of the section has a in its head and b in
+`Rule.positive_present` (outside every `not` and `prev`, found when the
+rule was built); final rules have no heads and no graph.  A loop is a
+nonempty atom set whose atoms reach each other inside it, paths of
+length 0 allowed, so every singleton is one (the unitary regime); in
+the default regime a singleton needs a self-edge.  `_loops` decides the
+regime once: its one walk, over each component's subsets as masks
+(whole component first, tested with `_closure`), marks the
+default-regime loops for `enumerate_loops`, `is_tight` and the loop
+formulas.  A program is tight when no section graph has a marked loop.
+Enumerating loops refuses a component past `SCC_CAP` (`SccTooLarge`);
+tightness stops at the first marked loop, which a component of two or
+more atoms is, so it has no cap.
 
 Three translations are provided, all evaluated classically over total
 traces:
@@ -9,13 +25,11 @@ traces:
   carried over as constraints, read as `program_as_ltlf` reads them.
 * `loop_formulas`: for every loop of a section graph, the loop
   disjunction implies its external support, the dynamic schema wrapped
-  in `wnext_always`.  Loops are enumerated per strongly connected
-  component, which fails with `SccTooLarge` beyond the fixed
-  `depgraph.SCC_CAP`; the other two translations need no loops.
-  `loop_formula_regimes` builds both regimes from one enumeration of
-  the unitary loops and one support memo per section: the default
-  regime is that list without the singletons that have no self-edge,
-  and the two lists share their formula objects.
+  in `wnext_always`; the other two translations need no loops.
+  `loop_formula_regimes` builds both regimes from one walk of the
+  unitary loops and one support memo per section: the default regime
+  is that list without the loops `_loops` left unmarked, and the two
+  lists share their formula objects.
 * `program_as_ltlf`: the rules read as formulas (`rule_formula`, from
   `ppt.syntax`), as `progression.compile_program` compiles them for the
   stable-model search and the rule checks of `ppt.tht` read them.
@@ -50,22 +64,23 @@ then do the work for a shared term once per list of formulas.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .syntax import (
     Always, And, Atom, AtomRef, ExtFormula, FALSUM, Falsum, FinalConst,
     Iff, Implies, INITIAL_CONST, INITIAL_EXPANSION, InitialConst, Not, Or,
-    PastFormula, Previous, Program, Rule, RuleKind, Since, Trigger, Verum,
-    VERUM, WeakNextAlways, atom_tuple, chain_elements, instance_of,
-    or_chain, positive_atoms, refuse_formula, rule_formula,
+    PastFormula, PptError, Previous, Program, Rule, RuleKind, Since,
+    Trigger, Value, Verum, VERUM, WeakNextAlways, atom_tuple,
+    chain_elements, instance_of, or_chain, positive_atoms, refuse_formula,
+    rule_formula, value_class,
 )
-from .depgraph import enumerate_loops, section_graphs
 
 __all__ = [
     "support_transform", "external_support", "rule_formula",
     "sourced_completion", "sourced_loop_formulas", "sourced_program_as_ltlf",
     "completion", "loop_formulas", "loop_formula_regimes", "program_as_ltlf",
-    "simplify", "simplify_formulas",
+    "simplify", "simplify_formulas", "SCC_CAP", "SccTooLarge", "DepGraph",
+    "dependency_graph", "section_graphs", "enumerate_loops", "is_tight",
 ]
 
 Sourced = list[tuple[ExtFormula, str]]
@@ -227,24 +242,22 @@ def sourced_program_as_ltlf(p: Program) -> Sourced:
 
 
 def _loop_entries(p: Program, unitary: bool):
-    # ((formula, source), whether the loop is a default-regime loop) per
-    # loop of the regime, from one enumeration and one support memo per
-    # section; a default-regime enumeration yields only default loops.
+    # ((formula, source), default mark) per loop of the regime, from one
+    # walk and one support memo per section.
     refs = _atom_refs(p)
     for graph in section_graphs(p):
         section = graph.section
-        loops = enumerate_loops(graph, unitary)
+        loops = _sorted_loops(graph, unitary)
         if not loops:
             continue
         support = _supports(p, section, refs)
-        for loop in loops:
-            atoms = sorted(loop)
+        for atoms, default in loops:
             body = Implies(or_chain([refs[a] for a in atoms], FALSUM),
-                           support(loop))
+                           support(frozenset(atoms)))
             if section is RuleKind.DYNAMIC:
                 body = WeakNextAlways(body)
             yield ((body, f"{section.value} loop {{{', '.join(atoms)}}}"),
-                   len(atoms) > 1 or (atoms[0], atoms[0]) in graph.edges)
+                   default)
 
 
 def sourced_loop_formulas(p: Program, unitary: bool = False) -> Sourced:
@@ -378,3 +391,170 @@ def _simplify(f: ExtFormula, memo: dict) -> ExtFormula:
     if tp is Verum or tp is InitialConst or tp is FinalConst:
         return f
     refuse_formula(f)
+
+
+# ---------------------------------------------------------------------------
+# Dependency graphs and loops
+# ---------------------------------------------------------------------------
+
+SCC_CAP = 20
+
+
+class SccTooLarge(PptError):
+    """A strongly connected component exceeds the loop-enumeration cap."""
+
+
+@value_class
+class DepGraph(Value):
+    """The positive dependency graph of one section of a program (or of
+    no section): its vertices and its edges (a, b), each a pair of
+    vertices."""
+
+    vertices: frozenset[Atom]
+    edges: frozenset[tuple[Atom, Atom]]
+    section: RuleKind | None = None
+
+    def __init__(self, vertices: Iterable[Atom],
+                 edges: Iterable[tuple[Atom, Atom]],
+                 section: RuleKind | None = None) -> None:
+        vertices = frozenset(atom_tuple(vertices, "a vertex set"))
+        if section is not None:
+            instance_of(section, RuleKind, "a section")
+        pairs = []
+        for edge in edges:
+            if not isinstance(edge, (tuple, list)) or len(edge) != 2:
+                raise ValueError(f"edge {edge!r} is not a pair of atoms")
+            a, b = edge
+            # Every vertex is a str, so anything else, hashable or not,
+            # is outside the set.
+            if not (isinstance(a, str) and a in vertices
+                    and isinstance(b, str) and b in vertices):
+                raise ValueError(f"edge ({a}, {b}) leaves the vertex set")
+            pairs.append((a, b))
+        self.__setstate__((vertices, frozenset(pairs), section))
+
+
+def dependency_graph(p: Program, section: RuleKind) -> DepGraph:
+    """Positive dependency graph of one section of a program, over its alphabet."""
+    edges: set[tuple[Atom, Atom]] = set()
+    for rule in p.rules:
+        if rule.kind is section:
+            edges.update((h, b) for h in rule.head
+                         for b in rule.positive_present)
+    return DepGraph(p.alphabet, frozenset(edges), section)
+
+
+def section_graphs(p: Program) -> tuple[DepGraph, DepGraph]:
+    """The initial and dynamic graphs of a program."""
+    return (dependency_graph(p, RuleKind.INITIAL),
+            dependency_graph(p, RuleKind.DYNAMIC))
+
+
+def _adjacency(g: DepGraph) -> tuple[list[Atom], list[int], list[int]]:
+    # The sorted vertices, and for vertex j the masks of its successors
+    # and of its predecessors over bit positions in that order.
+    vertices = sorted(g.vertices)
+    position = {atom: j for j, atom in enumerate(vertices)}
+    forward = [0] * len(vertices)
+    backward = [0] * len(vertices)
+    for a, b in g.edges:
+        forward[position[a]] |= 1 << position[b]
+        backward[position[b]] |= 1 << position[a]
+    return vertices, forward, backward
+
+
+def _closure(start: int, adj: list[int], members: int) -> int:
+    # The vertices of `members` reachable from the bit `start` along `adj`.
+    seen = frontier = start
+    while frontier:
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & members & ~seen
+        seen |= frontier
+    return seen
+
+
+def _components(forward: list[int], backward: list[int]) -> list[int]:
+    """The strongly connected components as vertex masks, in the order
+    of their lowest vertices.
+
+    Each step takes the lowest vertex v not yet placed, closes it
+    forwards over the unplaced vertices U, and closes it backwards over
+    that forward closure F.  This is v's component C exactly.  The
+    placed vertices are whole components, so U is a union of
+    components and contains C.  A path between two vertices of C runs
+    inside C, since every vertex on it reaches and is reached by both
+    ends; so C lies in F, and each w in C reaches v inside F.
+    Conversely a vertex of the result is reached from v (it is in F)
+    and reaches v, so it is in C.
+    """
+    components = []
+    unplaced = (1 << len(forward)) - 1
+    while unplaced:
+        start = unplaced & -unplaced
+        component = _closure(start, backward, _closure(start, forward, unplaced))
+        components.append(component)
+        unplaced ^= component
+    return components
+
+
+def _loops(forward: list[int], backward: list[int],
+           components: list[int]) -> Iterator[tuple[int, bool]]:
+    # Each component's unitary loops as vertex masks, whole component
+    # first, each with its default mark: every singleton, marked when it
+    # has a self-edge, and every larger subset whose lowest vertex
+    # reaches all of it both ways inside it, always marked.
+    for scc in components:
+        sub = scc
+        while sub:
+            start = sub & -sub
+            if sub == start:
+                yield sub, bool(forward[start.bit_length() - 1] & start)
+            elif (_closure(start, forward, sub) == sub
+                    and _closure(start, backward, sub) == sub):
+                yield sub, True
+            sub = (sub - 1) & scc
+
+
+def _sorted_loops(g: DepGraph, unitary: bool) -> list[tuple[list[Atom], bool]]:
+    # The loops of a regime as (sorted atoms, default mark), sorted by
+    # their atoms.  No component may exceed the cap: the error names the
+    # first oversize one in the order of the components' smallest atoms.
+    vertices, forward, backward = _adjacency(g)
+    components = _components(forward, backward)
+    for scc in components:
+        if scc.bit_count() > SCC_CAP:
+            raise SccTooLarge(
+                f"component of size {scc.bit_count()} exceeds cap {SCC_CAP}")
+    # A loop's atoms, read off in bit order, are sorted already.
+    loops = []
+    for mask, default in _loops(forward, backward, components):
+        if unitary or default:
+            atoms = []
+            while mask:
+                low = mask & -mask
+                atoms.append(vertices[low.bit_length() - 1])
+                mask ^= low
+            loops.append((atoms, default))
+    loops.sort()
+    return loops
+
+
+def enumerate_loops(g: DepGraph,
+                    unitary: bool = False) -> tuple[frozenset[Atom], ...]:
+    """All loops of a graph as atom sets, in canonical order: sorted by
+    their sorted atoms.  Every loop lies inside one component, and a
+    component past `SCC_CAP` raises `SccTooLarge`."""
+    return tuple(frozenset(atoms) for atoms, _ in _sorted_loops(g, unitary))
+
+
+def is_tight(p: Program) -> bool:
+    """True when neither section graph has a default-regime loop."""
+    return not any(
+        default
+        for _, forward, backward in map(_adjacency, section_graphs(p))
+        for _, default in _loops(forward, backward,
+                                 _components(forward, backward)))

@@ -44,10 +44,9 @@ from .syntax import (
 )
 from .progression import Trace, check_limits, compile, compile_program, search
 from .tht import HTTrace, evaluator, ht_sat, three_valued
-from .depgraph import is_tight
 from .transform import (
-    completion, loop_formula_regimes, loop_formulas, support_transform,
-    unfold,
+    completion, is_tight, loop_formula_regimes, loop_formulas,
+    support_transform, unfold,
 )
 
 __all__ = [

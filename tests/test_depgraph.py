@@ -7,8 +7,8 @@ from ppt import (
     DepGraph, RuleKind, SccTooLarge, dependency_graph,
     enumerate_loops, is_tight, parse_program, section_graphs,
 )
-from ppt import depgraph
-from ppt.depgraph import SCC_CAP
+from ppt import transform as depgraph
+from ppt.transform import SCC_CAP
 
 
 def _dyn_graph(p):

@@ -21,7 +21,7 @@ from ppt import (
     three_valued, verify_correspondence,
 )
 from ppt.progression import compile, compile_program, search
-from ppt.syntax import CORE_TRUE, VERUM
+from ppt.syntax import CORE_TRUE, VERUM, format_nesting
 from ppt.tht import formula_sat
 from ppt.verify import (
     GenConfig, TraceMask, random_httrace, random_past_formula,
@@ -112,6 +112,13 @@ CASES = [
      ValueError, re.escape("trace length must be at least 1")),
     ("format-non-formula", lambda: format_formula(object()),
      TypeError, r"cannot format <object object at 0x[0-9a-f]+>"),
+    # What is no core formula counted as 0 levels of nesting.
+    ("format-nesting-none", lambda: format_nesting(None),
+     ValueError, re.escape("not a core past formula: None")),
+    ("format-nesting-int", lambda: format_nesting(1),
+     ValueError, re.escape("not a core past formula: 1")),
+    ("format-nesting-extended-under-not", lambda: format_nesting(Not(VERUM)),
+     ValueError, re.escape("not a core past formula: Verum()")),
     ("trace-state-not-an-atom", lambda: Trace.of(["A"]),
      ValueError, re.escape("invalid atom name: 'A'")),
     # A string where a collection of atoms is read: its letters are not

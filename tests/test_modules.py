@@ -96,7 +96,7 @@ def test_no_private_sibling_imports(name):
 @pytest.mark.parametrize("name, layer", [
     ("PptError", "syntax"), ("ParseError", "parser"),
     ("RestrictionError", "parser"), ("BudgetExceeded", "progression"),
-    ("SccTooLarge", "depgraph")])
+    ("SccTooLarge", "transform")])
 def test_each_exception_is_declared_by_the_layer_that_raises_it(name, layer):
     module = importlib.import_module(f"ppt.{layer}")
     cls = getattr(module, name)
@@ -108,3 +108,34 @@ def test_each_exception_is_declared_by_the_layer_that_raises_it(name, layer):
 def test_no_module_of_declarations_only():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("ppt.errors")
+
+
+# The sibling modules each module imports from: `syntax` at the bottom,
+# the compiler (`transform`) and the search (`progression`) side by side
+# on it, the here-and-there checks on the search alone, then `verify`
+# and `cli` on top.
+LAYERS = {
+    "syntax": set(),
+    "parser": {"syntax"},
+    "transform": {"syntax"},
+    "progression": {"syntax"},
+    "tht": {"syntax", "progression"},
+    "verify": {"syntax", "progression", "tht", "transform"},
+    "cli": {"syntax", "parser", "progression", "tht", "transform", "verify"},
+}
+
+
+def test_layering():
+    found = {name: {module for module, _ in _sibling_imports(PACKAGE / f"{name}.py")}
+             for name in MODULES}
+    assert found == LAYERS
+    assert sum(map(len, found.values())) == 15
+
+
+def test_graphs_and_loops_live_in_transform():
+    # Loops exist for the loop formulas, so the compiler owns them.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("ppt.depgraph")
+    for name in ("DepGraph", "SccTooLarge", "dependency_graph",
+                 "section_graphs", "enumerate_loops", "is_tight"):
+        assert getattr(ppt, name) is getattr(ppt.transform, name)

@@ -14,9 +14,10 @@ from ppt import (
     sourced_program_as_ltlf, support_transform,
 )
 from ppt.cli import main
-from ppt.depgraph import enumerate_loops, section_graphs
 from ppt.progression import compile, compile_program, search
-from ppt.transform import loop_formula_regimes, rule_formula
+from ppt.transform import (
+    enumerate_loops, loop_formula_regimes, rule_formula, section_graphs,
+)
 from ppt.syntax import (
     CORE_TRUE, FINAL_CONST, INITIAL_CONST, Falsum, format_formulas,
     format_rule, head_disjunction, or_chain,

@@ -178,6 +178,21 @@ def test_a_long_parsed_chain_compares_hashes_and_prints():
         f"body={body})")
 
 
+def test_a_long_parsed_chain_pickles_and_copies():
+    # `copy.copy` worked, but `pickle` and `copy.deepcopy` recursed on
+    # the 2,000 conjuncts, and on the 2,000 disjuncts of the constraint.
+    src = ("a.\n#dynamic.\nb :- " + ", ".join(["prev a"] * 2000)
+           + ".\n:- " + "; ".join(["c"] * 2000) + ".\n")
+    p = parse_program(src)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(p, protocol))
+        assert back == p and _same(back.rules[1], p.rules[1]), protocol
+    deep = copy.deepcopy(p)
+    assert deep == p and _same(deep.rules[2], p.rules[2])
+    assert deep.rules[1].body is not p.rules[1].body
+    assert copy.copy(p) == p
+
+
 def _lengthened(rng):
     """A random core formula lengthened by up to three runs of one
     class each: and/or runs of up to 30 elements, since/trigger runs of
