@@ -14,11 +14,16 @@ and the names of its arguments, whose `add_argument` keywords are in
 the command that `argv` names first, or the full parser, with every
 subparser, when `argv` does not start with a command name (`ppt`, `ppt
 --help`, an unknown command); help, usage and errors are the same bytes
-either way.  It refuses a negative `--budget` or `--cases`, then reads
-the program if the command takes a file, then calls the handler.  The
-bench tracer swaps the functions this module imports from the other
-layers for wrappers, so the tables reach them only through a handler
-or a lambda, which looks the name up when it is called.
+either way.  Each of these parsers is built once per process, the
+first time `main` needs it, and reused by later in-process calls:
+`parse_args` only reads a parser and writes the namespace it returns,
+`_Parser.error` prints and exits, and help and usage take the terminal
+width when they are formatted.  `main` refuses a negative `--budget`
+or `--cases`, then reads the program if the command takes a file, then
+calls the handler.  The bench tracer swaps the functions this module
+imports from the other layers for wrappers, so the tables reach them
+only through a handler or a lambda, which looks the name up when it is
+called.
 
 Each command builds its JSON payload itself, `verify` from the fields
 of its `Report`.  JSON output is byte for byte `json.dumps(obj,
@@ -62,9 +67,14 @@ _MODE_ALIASES = {"completion": "completion", "loops": "completion_loops",
 def _read_source(path: str) -> tuple[str, str]:
     if path == "-":
         # Decoded as `open` decodes a file (strict UTF-8, universal
-        # newlines), not by the interpreter's stdin settings.
+        # newlines), not by the interpreter's stdin settings.  A stdin
+        # with no `buffer`, such as an `io.StringIO`, is already text:
+        # only its newlines are translated.
         if sys.stdin is None:
             raise OSError("stdin is closed")
+        if not hasattr(sys.stdin, "buffer"):
+            return io.StringIO(sys.stdin.read(), newline=None).read(), \
+                "<stdin>"
         data = io.BytesIO(sys.stdin.buffer.read())
         with io.TextIOWrapper(data, encoding="utf-8") as handle:
             return handle.read(), "<stdin>"
@@ -261,9 +271,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser(only=None) -> argparse.ArgumentParser:
     """The top parser with the subparser of the command `only`, or of
-    every command when `only` is None."""
+    every command when `only` is None; built once per `only`."""
     top = _Parser(
         prog="ppt",
         description="Past-present temporal logic programs over finite traces.")

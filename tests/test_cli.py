@@ -277,6 +277,17 @@ def _parse(parser, argv):
     return out.getvalue(), err.getvalue(), code, namespace
 
 
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of `main(argv)`, the code from
+    `SystemExit` when argument parsing exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:
+        code = exit_info.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestOneCommandParser:
     """`main` builds only the subparser of the command that `argv` names
     first; what it prints, its exit code and its namespace are those of
@@ -334,7 +345,15 @@ class TestOneCommandParser:
         assert message.startswith(error)
 
     @pytest.fixture
-    def subparsers(self, monkeypatch):
+    def fresh_parsers(self):
+        """No parser cached, before and after the test, so that no test
+        sees the parsers another test built."""
+        cli._build_parser.cache_clear()
+        yield
+        cli._build_parser.cache_clear()
+
+    @pytest.fixture
+    def subparsers(self, monkeypatch, fresh_parsers):
         """The names of the subparsers built from here on."""
         names = []
         add_parser = argparse._SubParsersAction.add_parser
@@ -347,7 +366,8 @@ class TestOneCommandParser:
         return names
 
     def test_builds_one_subparser(self, capsys, p1_file, subparsers):
-        assert run(capsys, "models", p1_file, "--length", "2")[0] == 0
+        for _ in range(3):
+            assert run(capsys, "models", p1_file, "--length", "2")[0] == 0
         assert subparsers == ["models"]
 
     def test_argv_from_sys_argv_or_a_tuple(self, capsys, monkeypatch,
@@ -359,7 +379,67 @@ class TestOneCommandParser:
         assert capsys.readouterr() == expected[1:]
         assert main(tuple(argv)) == expected[0]
         assert capsys.readouterr() == expected[1:]
-        assert subparsers == ["models"] * 3
+        assert subparsers == ["models"]
+
+    def test_builds_each_parser_when_first_needed(self, capsys, p1_file,
+                                                  subparsers):
+        assert run(capsys, "models", p1_file, "--length", "2")[0] == 0
+        assert run(capsys, "check", p1_file)[0] == 0
+        assert run(capsys, "models", p1_file, "--length", "1")[0] == 0
+        assert subparsers == ["models", "check"]
+        # Only an argv that does not start with a command name builds
+        # the full parser, and it too is built once.
+        for argv in (["--help"], ["frobnicate"], []):
+            with pytest.raises(SystemExit):
+                main(argv)
+        capsys.readouterr()
+        assert subparsers == ["models", "check", *cli._COMMANDS]
+        assert cli._build_parser.cache_info().currsize == 3
+
+    def test_import_builds_no_parser(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def spy(self, *args, **kwargs):\n"
+                "    built.append(kwargs.get('prog'))\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = spy\n"
+                "import ppt.cli\n"
+                "print(len(built), ppt.cli._build_parser.cache_info()"
+                ".currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, env=_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, b"0 0\n", b"")
+
+    @pytest.mark.parametrize("argv", ARGVS,
+                             ids=lambda argv: " ".join(argv) or "none")
+    def test_repeated_calls_print_the_same_bytes(self, capsys, p1_file,
+                                                 fresh_parsers, argv):
+        # The first call builds the parser, the last reuses it after a
+        # different command has built and used its own.
+        argv = [arg.format(file=p1_file) for arg in argv]
+        between = (["fuzz", "--cases", "1"] if argv[:1] == ["check"]
+                   else ["check", p1_file])
+        cold = _outcome(capsys, argv)
+        assert _outcome(capsys, between)[0] == 0
+        assert _outcome(capsys, argv) == cold
+
+    def test_help_takes_the_width_when_printed(self, capsys, monkeypatch,
+                                               fresh_parsers):
+        # One cached parser prints each help as a fresh build does at
+        # the width of the moment.
+        argv = ["verify", "--help"]
+        texts = []
+        for columns in ("40", "120", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, err = _outcome(capsys, argv)
+            fresh = cli._build_parser.__wrapped__("verify")
+            assert _parse(fresh, argv) == (out, err, code, None)
+            texts.append(out)
+        assert cli._build_parser.cache_info().misses == 1
+        assert texts[0] == texts[2]
+        assert texts[0].count("\n") > texts[1].count("\n")
 
 
 class TestDeepBody:
@@ -562,6 +642,23 @@ class TestStdinReadAsFile:
         assert expected[0] == 0
         assert _cli(["check", "-"], data, PYTHONIOENCODING="latin-1") == \
             expected
+
+    # An in-process caller may set a text stream with no `buffer` as
+    # stdin: its text is read with newlines translated as `open` does.
+    @pytest.mark.parametrize("data, argv", [
+        ("a.\r\nb.\n", ["check", "--json"]),
+        ("a.\r\nb.\n", ["models", "--length", "2"]),
+        ("a.\rb $.", ["check"]),
+        ("a.\r\nb $.", ["check"]),
+    ], ids=["crlf-check", "crlf-models", "cr-error", "crlf-error"])
+    def test_text_stdin(self, capsys, monkeypatch, tmp_path, data, argv):
+        path = tmp_path / "text.ppt"
+        path.write_bytes(data.encode())
+        command, *rest = argv
+        expected = run(capsys, command, str(path), *rest)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(data))
+        code, out, err = run(capsys, command, "-", *rest)
+        assert (code, out, err.replace("<stdin>", str(path))) == expected
 
     def test_closed_stdin(self):
         proc = subprocess.run(
