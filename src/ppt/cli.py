@@ -10,20 +10,16 @@ mention: an atom no rule mentions is in no stable model.
 
 Each command is declared once, in `_COMMANDS`: its handler, its help
 and the names of its arguments, whose `add_argument` keywords are in
-`_ARGUMENTS`.  `main` builds the top parser and only the subparser of
-the command that `argv` names first, or the full parser, with every
-subparser, when `argv` does not start with a command name (`ppt`, `ppt
---help`, an unknown command); help, usage and errors are the same bytes
-either way.  Each of these parsers is built once per process, the
-first time `main` needs it, and reused by later in-process calls:
-`parse_args` only reads a parser and writes the namespace it returns,
-`_Parser.error` prints and exits, and help and usage take the terminal
-width when they are formatted.  `main` refuses a negative `--budget`
-or `--cases`, then reads the program if the command takes a file, then
-calls the handler.  The bench tracer swaps the functions this module
-imports from the other layers for wrappers, so the tables reach them
-only through a handler or a lambda, which looks the name up when it is
-called.
+`_ARGUMENTS`.  One parser, with every command's subparser, is built per
+process, the first time `main` runs, and every later in-process call
+reuses it, whatever its command: `parse_args` only reads the parser
+and writes the namespace it returns, `_Parser.error` prints and exits,
+and help and usage take the terminal width when they are formatted.
+`main` refuses a negative `--budget` or `--cases`, then reads the
+program if the command takes a file, then calls the handler.  The
+bench tracer swaps the functions this module imports from the other
+layers for wrappers, so the tables reach them only through a handler
+or a lambda, which looks the name up when it is called.
 
 Each command builds its JSON payload itself, `verify` from the fields
 of its `Report`.  JSON output is byte for byte `json.dumps(obj,
@@ -68,16 +64,14 @@ def _read_source(path: str) -> tuple[str, str]:
     if path == "-":
         # Decoded as `open` decodes a file (strict UTF-8, universal
         # newlines), not by the interpreter's stdin settings.  A stdin
-        # with no `buffer`, such as an `io.StringIO`, is already text:
-        # only its newlines are translated.
-        if sys.stdin is None:
+        # with no `buffer`, such as an `io.StringIO`, is already text;
+        # a closed one reads as a closed fd 0 does.
+        stdin = sys.stdin
+        if stdin is None or stdin.closed:
             raise OSError("stdin is closed")
-        if not hasattr(sys.stdin, "buffer"):
-            return io.StringIO(sys.stdin.read(), newline=None).read(), \
-                "<stdin>"
-        data = io.BytesIO(sys.stdin.buffer.read())
-        with io.TextIOWrapper(data, encoding="utf-8") as handle:
-            return handle.read(), "<stdin>"
+        buffer = getattr(stdin, "buffer", None)
+        text = stdin.read() if buffer is None else buffer.read().decode()
+        return io.StringIO(text, newline=None).read(), "<stdin>"
     with open(path, encoding="utf-8") as handle:
         return handle.read(), path
 
@@ -272,31 +266,20 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser(only=None) -> argparse.ArgumentParser:
-    """The top parser with the subparser of the command `only`, or of
-    every command when `only` is None; built once per `only`."""
+def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="ppt",
         description="Past-present temporal logic programs over finite traces.")
-    # With one subparser built, the metavar keeps every command in the
-    # usage line.  The full parser sets none: a metavar would also
-    # replace the name `command` in its "required" and "invalid choice"
-    # errors.
-    sub = top.add_subparsers(
-        dest="command", required=True,
-        metavar=None if only is None else "{" + ",".join(_COMMANDS) + "}")
+    sub = top.add_subparsers(dest="command", required=True)
     for command, (_, help_text, names) in _COMMANDS.items():
-        if only in (None, command):
-            cmd = sub.add_parser(command, help=help_text)
-            for name in names:
-                cmd.add_argument(name, **_ARGUMENTS[name])
+        cmd = sub.add_parser(command, help=help_text)
+        for name in names:
+            cmd.add_argument(name, **_ARGUMENTS[name])
     return top
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    only = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(only).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handler, _, names = _COMMANDS[args.command]
     try:
         for flag in ("budget", "cases"):

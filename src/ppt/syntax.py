@@ -672,7 +672,7 @@ def _render(f, ctx: int, memo: dict) -> str:
         text = (f"{_render(f.lhs, _PREC_IMPL + 1, memo)} {arrow} "
                 f"{_render(f.rhs, _PREC_IMPL + 1, memo)}")
         return _wrap(text, _PREC_IMPL, ctx)
-    raise TypeError(f"cannot format {f!r}")
+    refuse_formula(f)
 
 
 def _wrap(text: str, prec: int, ctx: int) -> str:

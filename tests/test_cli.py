@@ -259,10 +259,6 @@ class TestUsageErrors:
         assert "usage: ppt" in capsys.readouterr().out
 
 
-class _Built(Exception):
-    """Raised in place of parsing, carrying the parser `main` built."""
-
-
 def _parse(parser, argv):
     """stdout, stderr, exit code and `vars` of the namespace of parsing
     `argv` with `parser`: the code is None when parsing returns, the
@@ -288,11 +284,22 @@ def _outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
+# Run first in a new interpreter: `built` lists the `prog` of each
+# argument parser constructed from then on.
+_SPY_ON_PARSERS = ("import argparse\n"
+                   "built = []\n"
+                   "init = argparse.ArgumentParser.__init__\n"
+                   "def spy(self, *args, **kwargs):\n"
+                   "    built.append(kwargs.get('prog'))\n"
+                   "    init(self, *args, **kwargs)\n"
+                   "argparse.ArgumentParser.__init__ = spy\n")
+
+
 class TestOneCommandParser:
-    """`main` builds only the subparser of the command that `argv` names
-    first; what it prints, its exit code and its namespace are those of
-    the full parser, on Python 3.10 to 3.13, where argparse's wording
-    differs."""
+    """`main` parses every command line with one parser, which holds the
+    subparser of every command and is built once per process, the first
+    time `main` runs: its help, usage, errors and namespaces stay those
+    of a fresh build however many commands it has served."""
 
     ARGVS = [
         ["--help"], *([command, "--help"] for command in cli._COMMANDS),
@@ -312,23 +319,30 @@ class TestOneCommandParser:
         ["lf", "{file}", "--unitary", "--json"], ["fuzz", "--cases", "3"],
     ]
 
+    @staticmethod
+    def _between(argv, p1_file):
+        """A command line of another command than `argv`'s, that exits
+        0."""
+        return (["fuzz", "--cases", "1"] if argv[:1] == ["check"]
+                else ["check", p1_file])
+
     @pytest.mark.parametrize("argv", ARGVS,
                              ids=lambda argv: " ".join(argv) or "none")
-    def test_same_as_full_parser(self, monkeypatch, p1_file, argv):
+    def test_same_as_full_parser(self, capsys, p1_file, fresh_parsers,
+                                 argv):
+        # Once `main` has run `argv` and another command's line with the
+        # cached parser, that parser still parses both as a fresh build
+        # does, namespaces included.
         argv = [arg.format(file=p1_file) for arg in argv]
-        build = cli._build_parser
+        between = self._between(argv, p1_file)
+        _outcome(capsys, argv)
+        assert _outcome(capsys, between)[0] == 0
+        for line in (argv, between):
+            assert _parse(cli._build_parser(), line) == \
+                _parse(cli._build_parser.__wrapped__(), line)
 
-        def built(only=None):
-            raise _Built(build(only))
-
-        monkeypatch.setattr(cli, "_build_parser", built)
-        with pytest.raises(_Built) as info:
-            main(argv)
-        parser = info.value.args[0]
-        assert _parse(parser, argv) == _parse(build(), argv)
-
-    # The usage line lists every command, and the errors of the full
-    # parser name the subparsers action `command`.
+    # The usage line lists every command, and the errors name the
+    # subparsers action `command`.
     @pytest.mark.parametrize("argv, error", [
         (["models", "{file}", "--length", "2", "--extra"],
          "ppt: error: unrecognized arguments: --extra"),
@@ -347,7 +361,7 @@ class TestOneCommandParser:
     @pytest.fixture
     def fresh_parsers(self):
         """No parser cached, before and after the test, so that no test
-        sees the parsers another test built."""
+        sees the parser another test built."""
         cli._build_parser.cache_clear()
         yield
         cli._build_parser.cache_clear()
@@ -365,10 +379,10 @@ class TestOneCommandParser:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
         return names
 
-    def test_builds_one_subparser(self, capsys, p1_file, subparsers):
+    def test_builds_each_subparser_once(self, capsys, p1_file, subparsers):
         for _ in range(3):
             assert run(capsys, "models", p1_file, "--length", "2")[0] == 0
-        assert subparsers == ["models"]
+        assert subparsers == list(cli._COMMANDS)
 
     def test_argv_from_sys_argv_or_a_tuple(self, capsys, monkeypatch,
                                            p1_file, subparsers):
@@ -379,32 +393,27 @@ class TestOneCommandParser:
         assert capsys.readouterr() == expected[1:]
         assert main(tuple(argv)) == expected[0]
         assert capsys.readouterr() == expected[1:]
-        assert subparsers == ["models"]
+        assert subparsers == list(cli._COMMANDS)
 
-    def test_builds_each_parser_when_first_needed(self, capsys, p1_file,
-                                                  subparsers):
+    def test_builds_one_parser_when_first_needed(self, capsys, p1_file,
+                                                 subparsers):
+        assert cli._build_parser.cache_info().currsize == 0
         assert run(capsys, "models", p1_file, "--length", "2")[0] == 0
+        assert subparsers == list(cli._COMMANDS)
+        # Neither another command, nor a help, an unknown command or no
+        # command builds a second parser.
         assert run(capsys, "check", p1_file)[0] == 0
-        assert run(capsys, "models", p1_file, "--length", "1")[0] == 0
-        assert subparsers == ["models", "check"]
-        # Only an argv that does not start with a command name builds
-        # the full parser, and it too is built once.
         for argv in (["--help"], ["frobnicate"], []):
             with pytest.raises(SystemExit):
                 main(argv)
         capsys.readouterr()
-        assert subparsers == ["models", "check", *cli._COMMANDS]
-        assert cli._build_parser.cache_info().currsize == 3
+        assert subparsers == list(cli._COMMANDS)
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     def test_import_builds_no_parser(self):
-        code = ("import argparse\n"
-                "built = []\n"
-                "init = argparse.ArgumentParser.__init__\n"
-                "def spy(self, *args, **kwargs):\n"
-                "    built.append(kwargs.get('prog'))\n"
-                "    init(self, *args, **kwargs)\n"
-                "argparse.ArgumentParser.__init__ = spy\n"
-                "import ppt.cli\n"
+        code = (_SPY_ON_PARSERS
+                + "import ppt.cli\n"
                 "print(len(built), ppt.cli._build_parser.cache_info()"
                 ".currsize)\n")
         proc = subprocess.run([sys.executable, "-c", code],
@@ -412,17 +421,39 @@ class TestOneCommandParser:
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (0, b"0 0\n", b"")
 
+    def test_one_parser_per_process(self, p1_file):
+        # A new interpreter: `models` builds the top parser and the
+        # subparser of every command; `check`, a help and an unknown
+        # command build nothing more.
+        code = (_SPY_ON_PARSERS
+                + "import contextlib, io, sys\n"
+                "from ppt.cli import _build_parser, main\n"
+                "file = sys.argv[1]\n"
+                "for argv in (['models', file, '--length', '2'],\n"
+                "             ['check', file], ['--help'], ['frobnicate']):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+                "         contextlib.redirect_stderr(io.StringIO()):\n"
+                "        try:\n"
+                "            main(argv)\n"
+                "        except SystemExit:\n"
+                "            pass\n"
+                "    print(built, _build_parser.cache_info().misses)\n")
+        proc = subprocess.run([sys.executable, "-c", code, p1_file],
+                              capture_output=True, text=True, env=_env(),
+                              timeout=60)
+        progs = ["ppt", *(f"ppt {command}" for command in cli._COMMANDS)]
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, f"{progs} 1\n" * 4, "")
+
     @pytest.mark.parametrize("argv", ARGVS,
                              ids=lambda argv: " ".join(argv) or "none")
     def test_repeated_calls_print_the_same_bytes(self, capsys, p1_file,
                                                  fresh_parsers, argv):
         # The first call builds the parser, the last reuses it after a
-        # different command has built and used its own.
+        # different command has used it.
         argv = [arg.format(file=p1_file) for arg in argv]
-        between = (["fuzz", "--cases", "1"] if argv[:1] == ["check"]
-                   else ["check", p1_file])
         cold = _outcome(capsys, argv)
-        assert _outcome(capsys, between)[0] == 0
+        assert _outcome(capsys, self._between(argv, p1_file))[0] == 0
         assert _outcome(capsys, argv) == cold
 
     def test_help_takes_the_width_when_printed(self, capsys, monkeypatch,
@@ -434,7 +465,7 @@ class TestOneCommandParser:
         for columns in ("40", "120", "40"):
             monkeypatch.setenv("COLUMNS", columns)
             code, out, err = _outcome(capsys, argv)
-            fresh = cli._build_parser.__wrapped__("verify")
+            fresh = cli._build_parser.__wrapped__()
             assert _parse(fresh, argv) == (out, err, code, None)
             texts.append(out)
         assert cli._build_parser.cache_info().misses == 1
@@ -659,6 +690,19 @@ class TestStdinReadAsFile:
         monkeypatch.setattr(sys, "stdin", io.StringIO(data))
         code, out, err = run(capsys, command, "-", *rest)
         assert (code, out, err.replace("<stdin>", str(path))) == expected
+
+    # An in-process stdin that is closed, or None, reads as a closed fd
+    # 0 does.
+    @pytest.mark.parametrize("stdin", [
+        lambda: None, lambda: io.StringIO("a."), lambda: _stdin("a."),
+    ], ids=["none", "text", "bytes"])
+    def test_closed_stdin_in_process(self, capsys, monkeypatch, stdin):
+        stream = stdin()
+        if stream is not None:
+            stream.close()
+        monkeypatch.setattr(sys, "stdin", stream)
+        assert run(capsys, "check", "-") == \
+            (1, "", "error: cannot read -: stdin is closed\n")
 
     def test_closed_stdin(self):
         proc = subprocess.run(

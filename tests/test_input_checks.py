@@ -111,7 +111,7 @@ CASES = [
     ("ltlf-length-zero", lambda: enumerate_ltlf_models([], 0, []),
      ValueError, re.escape("trace length must be at least 1")),
     ("format-non-formula", lambda: format_formula(object()),
-     TypeError, r"cannot format <object object at 0x[0-9a-f]+>"),
+     ValueError, r"not a formula: <object object at 0x[0-9a-f]+>"),
     # What is no core formula counted as 0 levels of nesting.
     ("format-nesting-none", lambda: format_nesting(None),
      ValueError, re.escape("not a core past formula: None")),
