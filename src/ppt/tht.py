@@ -106,12 +106,12 @@ class _BitEvaluator:
     __slots__ = ("h", "t", "lam", "full", "memo")
 
     def __init__(self, h_bits: dict[str, int], t_bits: dict[str, int],
-                 lam: int, memo: dict | None = None):
+                 lam: int):
         self.h = h_bits
         self.t = t_bits
         self.lam = lam
         self.full = (1 << lam) - 1
-        self.memo = {} if memo is None else memo
+        self.memo = {}
 
     def eval(self, f, total: bool) -> int:
         key = (id(f), total)

@@ -19,16 +19,18 @@ lemma.
 
 The random generators are deterministic per seed, and the `run_*_suite`
 helpers drive seeded batches for the command line and the test suite.
-`verify_correspondence` and `run_correspondence_suite` share one check,
-`_reports`, which looks the translation functions up by name at call
-time and builds the `Report` of each mode.  It compiles each base once
-per case (`progression.compile_program` and `compile`), the program and
-the completion, searches the program for the stable models, and
-searches each mode's translation as its base extended by the mode's
-loop formulas.
-The suite hands it both loop regimes, from one `loop_formula_regimes`
-call per case; `verify_correspondence` builds its mode's loop formulas
-alone.
+`verify_correspondence` builds its mode's loop formulas, compiles the
+program once (`progression.compile_program`), for the stable side and
+as the base of `unitary_loops`, and compiles the completion (`compile`)
+only for the other two modes; it searches the program and its mode's
+base extended by the loop formulas.  `run_correspondence_suite` takes
+both loop regimes from one `loop_formula_regimes` call per case,
+compiles the program and the completion once each, searches the
+program, the completion, the completion extended by the default
+regime (when that regime is nonempty) and the program extended by the
+unitary regime, and counts its verdicts from the model tuples.  The
+test `test_correspondence_suite_matches_the_public_path` pins the
+suite's counters to `verify_correspondence` in each mode.
 """
 
 from __future__ import annotations
@@ -284,38 +286,6 @@ class Report(Value):
         self.__setstate__((lhs, rhs, equal, witnesses, tight))
 
 
-def _reports(p: Program, lam: int, loops: dict,
-             budget: int | None = None) -> list[Report]:
-    """The report of each mode that `loops` maps to its loop formulas,
-    in order.  The program is compiled once, for the stable side and as
-    the base of `unitary_loops`; the completion, the base of the other
-    modes, is compiled once if one of them is asked for.  Each mode's
-    translation extends its base, and is searched classically unless it
-    is the translation of the mode before."""
-    rules = compile_program(p)
-    completed = (compile(completion(p), p.alphabet)
-                 if any(mode != "unitary_loops" for mode in loops) else None)
-    lhs = search(rules, lam, budget)
-    reports = []
-    target = rhs = None
-    for mode, more in loops.items():
-        extended = (rules if mode == "unitary_loops" else completed).extend(
-            more)
-        # An empty extension is its base, so `completion_loops` without
-        # loop formulas reads the models that `completion` found.
-        if extended is not target:
-            target, rhs = extended, search(extended, lam, budget)
-        witnesses = sorted(set(lhs) ^ set(rhs), key=Trace.to_lists)
-        reports.append(Report(
-            lhs=lhs,
-            rhs=rhs,
-            equal=lhs == rhs,
-            witnesses=tuple(witnesses[:MAX_WITNESSES]),
-            tight=is_tight(p) if mode == "completion" else None,
-        ))
-    return reports
-
-
 def verify_correspondence(p: Program, lam: int, mode: str,
                           budget: int | None = None) -> Report:
     """Compare stable models against the chosen translation's models.
@@ -328,7 +298,19 @@ def verify_correspondence(p: Program, lam: int, mode: str,
             f"unknown mode {mode!r} (choose from {', '.join(MODES)})")
     loops = ([] if mode == "completion"
              else loop_formulas(p, mode == "unitary_loops"))
-    return _reports(p, lam, {mode: loops}, budget)[0]
+    rules = compile_program(p)
+    base = (rules if mode == "unitary_loops"
+            else compile(completion(p), p.alphabet))
+    lhs = search(rules, lam, budget)
+    rhs = search(base.extend(loops), lam, budget)
+    witnesses = sorted(set(lhs) ^ set(rhs), key=Trace.to_lists)
+    return Report(
+        lhs=lhs,
+        rhs=rhs,
+        equal=lhs == rhs,
+        witnesses=tuple(witnesses[:MAX_WITNESSES]),
+        tight=is_tight(p) if mode == "completion" else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +328,7 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
 
     Checks, per case and per mode: stable models always within the
     completion models, completion equality whenever the program is
-    tight, and equality for the two loop-formula modes, each read off
-    that mode's `Report`.
+    tight, and equality for the two loop-formula modes.
     """
     _check_suite(cases, seed)
     rng = random.Random(seed)
@@ -369,14 +350,22 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
         lam = random.Random(case_seed ^ 0x5EED).randint(1, 3)
 
         default, unitary = loop_formula_regimes(p)
-        completed, *looped = _reports(p, lam, dict(zip(
-            MODES, ([], default, unitary))))
-        summary["tight_cases"] += completed.tight
-        failed = [f"{mode}_failures"
-                  for mode, r in zip(MODES[1:], looped) if not r.equal]
-        if not set(completed.lhs) <= set(completed.rhs):
+        rules = compile_program(p)
+        completed = compile(completion(p), p.alphabet)
+        stable = search(rules, lam)
+        models = search(completed, lam)
+        tight = is_tight(p)
+        summary["tight_cases"] += tight
+        # Without loop formulas, `completion_loops` is the completion.
+        looped = search(completed.extend(default), lam) if default else models
+        failed = []
+        if looped != stable:
+            failed.append("completion_loops_failures")
+        if search(rules.extend(unitary), lam) != stable:
+            failed.append("unitary_loops_failures")
+        if not set(stable) <= set(models):
             failed.append("soundness_failures")
-        if completed.tight and not completed.equal:
+        if tight and models != stable:
             failed.append("completion_tight_failures")
         for key in failed:
             summary[key] += 1

@@ -295,7 +295,8 @@ def brute_force_ts_models(p: Program, lam: int, alphabet=None,
             sub = (sub - 1) & flat
             h_bits = {a: (sub >> (j * lam)) & lam_mask
                       for j, a in enumerate(atoms)}
-            ev_h = _BitEvaluator(h_bits, t_bits, lam, dict(total_memo))
+            ev_h = _BitEvaluator(h_bits, t_bits, lam)
+            ev_h.memo.update(total_memo)
             if all(_check_rule(ev_h, r, total_only=False) for r in rules):
                 stable = False
                 break

@@ -280,6 +280,51 @@ def test_correspondence_suite_matches_the_public_path(monkeypatch, fault):
     assert run_correspondence_suite(cases=100, seed=8) == want
 
 
+def _count_calls(monkeypatch, names):
+    # Wraps each name of `ppt.verify` so that its calls are counted.
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(ppt.verify, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(ppt.verify, name, counted)
+    return calls
+
+
+def test_correspondence_suite_shares_its_work(monkeypatch):
+    # Per case: one call for both loop regimes, the program and the
+    # completion compiled once each, and three searches, plus one for
+    # `completion_loops` when the default regime is nonempty.
+    calls = _count_calls(monkeypatch, ("compile_program", "compile",
+                                       "completion", "is_tight", "search"))
+    regimes = ppt.verify.loop_formula_regimes
+    nonempty = []
+
+    def recorded(p):
+        default, unitary = regimes(p)
+        nonempty.append(bool(default))
+        return default, unitary
+
+    monkeypatch.setattr(ppt.verify, "loop_formula_regimes", recorded)
+    run_correspondence_suite(cases=50, seed=3)
+    assert len(nonempty) == 50 and 0 < sum(nonempty) < 50
+    assert calls == {"compile_program": 50, "compile": 50, "completion": 50,
+                     "is_tight": 50, "search": 150 + sum(nonempty)}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_verify_correspondence_shares_its_work(monkeypatch, p1, mode):
+    # The program is compiled once, for the stable side and as the base
+    # of `unitary_loops`; the completion only for the other modes.
+    calls = _count_calls(monkeypatch, ("compile_program", "compile",
+                                       "completion", "search"))
+    verify_correspondence(p1, 2, mode)
+    compiled = int(mode != "unitary_loops")
+    assert calls == {"compile_program": 1, "compile": compiled,
+                     "completion": compiled, "search": 2}
+
+
 def _masking_unchecked(f, m, mask):
     # Either lemma with no precondition and no loop struck: masked
     # satisfaction must equal plain satisfaction, which fails wherever a
