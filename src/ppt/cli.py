@@ -8,30 +8,33 @@ exceeded, or memory run out (a budget raised past what memory holds).
 Models range over the program's own alphabet, the atoms its rules
 mention: an atom no rule mentions is in no stable model.
 
-Each command is declared once, in `_COMMANDS`: its handler, its help
-and the names of its arguments, whose `add_argument` keywords are in
-`_ARGUMENTS`.  One parser, with every command's subparser, is built per
+Each command is declared once, in `_COMMANDS`: its handler, its help,
+the names of its arguments, whose `add_argument` keywords are in
+`_ARGUMENTS`, and, if it takes `--json`, the renderer of its payload as
+the text lines printed without `--json` (None if it always prints
+JSON).  One parser, with every command's subparser, is built per
 process, the first time `main` runs, and every later in-process call
 reuses it, whatever its command: `parse_args` only reads the parser
 and writes the namespace it returns, `_Parser.error` prints and exits,
 and help and usage take the terminal width when they are formatted.
 `main` refuses a negative `--budget` or `--cases`, then reads the
-program if the command takes a file, then calls the handler.  The
-bench tracer swaps the functions this module imports from the other
-layers for wrappers, so the tables reach them only through a handler
-or a lambda, which looks the name up when it is called.
+program if the command takes a file, then calls the handler.  Each
+handler returns its payload; `main` prints it and reads exit 2 from a
+false `equal` or nonzero `failures`.  The bench tracer swaps the
+functions this module imports from the other layers for wrappers, so
+the tables reach them only through a handler or a lambda, which looks
+the name up when it is called.
 
-Each command builds its JSON payload itself, `verify` from the fields
-of its `Report`.  JSON output is byte for byte `json.dumps(obj,
-indent=2)`, written key by key.  A model set (a top-level value that is
-a tuple of traces, from `models` and `verify`) is written trace by
-trace, each trace a join of per-state text chunks: a state's
-`indent=2` text at its fixed depth is rendered once per output and
-memoised.  Every other value goes through `json.dumps(value,
-indent=2)`, re-indented to its depth.  On Python 3.10 to 3.12,
-`indent=2` runs the pure-Python encoder once per atom, state and
-trace, which cost more than the search on large model sets.  Python
-3.13 encodes `indent=2` in C; the chunks are not slower there.
+JSON output is byte for byte `json.dumps(obj, indent=2)`, written key
+by key.  A model set (a top-level value that is a tuple of traces,
+from `models` and `verify`) is written trace by trace, each trace a
+join of per-state text chunks: a state's `indent=2` text at its fixed
+depth is rendered once per output and memoised.  Every other value
+goes through `json.dumps(value, indent=2)`, re-indented to its depth.
+On Python 3.10 to 3.12, `indent=2` runs the pure-Python encoder once
+per atom, state and trace, which cost more than the search on large
+model sets.  Python 3.13 encodes `indent=2` in C; the chunks are not
+slower there.
 """
 
 from __future__ import annotations
@@ -128,86 +131,67 @@ def _load(path: str):
         raise _Fail(f"{name}:{err.line}:{err.column}: error: {err.message}")
 
 
-def _cmd_check(program, args) -> int:
-    tight = is_tight(program)
-    info = {
+def _cmd_check(program, args) -> dict:
+    return {
         "rules": len(program.rules),
         "initial": len(program.initial),
         "dynamic": len(program.dynamic),
         "final": len(program.final),
         "alphabet": sorted(program.alphabet),
-        "tight": tight,
+        "tight": is_tight(program),
     }
-    if args.json:
-        _emit(info)
-    else:
-        print(f"parsed {info['rules']} rules "
-              f"({info['initial']} initial, {info['dynamic']} dynamic, "
-              f"{info['final']} final); "
-              f"alphabet {{{', '.join(info['alphabet'])}}}; "
-              f"tight: {'yes' if tight else 'no'}")
-    return 0
 
 
-def _cmd_models(program, args) -> int:
+def _check_lines(info: dict) -> list[str]:
+    return [f"parsed {info['rules']} rules "
+            f"({info['initial']} initial, {info['dynamic']} dynamic, "
+            f"{info['final']} final); "
+            f"alphabet {{{', '.join(info['alphabet'])}}}; "
+            f"tight: {'yes' if info['tight'] else 'no'}"]
+
+
+def _cmd_models(program, args) -> dict:
     models = enumerate_ts_models(program, args.length, budget=args.budget)
-    _emit({"length": args.length, "models": models})
-    return 0
+    return {"length": args.length, "models": models}
 
 
-def _cmd_graph(program, args) -> int:
-    graphs = section_graphs(program)
-    if args.json:
-        _emit({g.section.value: sorted([a, b] for a, b in g.edges)
-               for g in graphs})
-        return 0
-    for graph in graphs:
-        for a, b in sorted(graph.edges):
-            print(f"{graph.section.value}: {a} -> {b}")
-    return 0
+def _cmd_graph(program, args) -> dict:
+    return {g.section.value: sorted([a, b] for a, b in g.edges)
+            for g in section_graphs(program)}
 
 
-def _cmd_loops(program, args) -> int:
-    found = {g.section.value: enumerate_loops(g, args.unitary)
-             for g in section_graphs(program)}
-    if args.json:
-        _emit({name: [sorted(loop) for loop in loops]
-               for name, loops in found.items()})
-        return 0
-    for name, loops in found.items():
-        for loop in loops:
-            print(f"{name}: {{{', '.join(sorted(loop))}}}")
-    return 0
+def _cmd_loops(program, args) -> dict:
+    return {g.section.value: [sorted(loop)
+                              for loop in enumerate_loops(g, args.unitary)]
+            for g in section_graphs(program)}
 
 
-def _cmd_compile(pairs, args) -> int:
-    """`complete`, `lf` and `embed`: print one translation, given as
+def _cmd_compile(pairs, args) -> dict:
+    """`complete`, `lf` and `embed`: one translation, given as
     (formula, source) pairs."""
     formulas = [f for f, _ in pairs]
     if args.simplify:
         formulas = simplify_formulas(formulas)
     texts = format_formulas(formulas)
-    if args.json:
-        _emit({"formulas": [{"formula": text, "source": source}
-                            for text, (_, source) in zip(texts, pairs)]})
-    else:
-        for text in texts:
-            print(text)
-    return 0
+    return {"formulas": [{"formula": text, "source": source}
+                         for text, (_, source) in zip(texts, pairs)]}
 
 
-def _cmd_verify(program, args) -> int:
+def _formula_lines(payload: dict) -> list[str]:
+    return [entry["formula"] for entry in payload["formulas"]]
+
+
+def _cmd_verify(program, args) -> dict:
     mode = _MODE_ALIASES[args.mode]
     report = verify_correspondence(program, args.length, mode, args.budget)
-    _emit({"program": format_program(program),
-           "length": args.length, "mode": mode,
-           "tight": report.tight, "equal": report.equal,
-           "ts_models": report.lhs, "ltlf_models": report.rhs,
-           "witnesses": report.witnesses})
-    return 0 if report.equal else 2
+    return {"program": format_program(program),
+            "length": args.length, "mode": mode,
+            "tight": report.tight, "equal": report.equal,
+            "ts_models": report.lhs, "ltlf_models": report.rhs,
+            "witnesses": report.witnesses}
 
 
-def _cmd_fuzz(_, args) -> int:
+def _cmd_fuzz(_, args) -> dict:
     results = {}
     if args.suite in ("correspondence", "all"):
         results["correspondence"] = run_correspondence_suite(
@@ -219,8 +203,7 @@ def _cmd_fuzz(_, args) -> int:
     if args.suite in ("semantics", "all"):
         results["semantics"] = run_semantics_suite(args.cases, args.seed)
     results["failures"] = sum(r["failures"] for r in results.values())
-    _emit(results)
-    return 0 if results["failures"] == 0 else 2
+    return results
 
 
 _ARGUMENTS = {
@@ -240,28 +223,34 @@ _ARGUMENTS = {
 # `program` is None for a command without `file`.
 _COMMANDS = {
     "check": (_cmd_check, "parse a program and report tightness",
-              ("file", "--json")),
+              ("file", "--json"), _check_lines),
     "models": (_cmd_models, "enumerate temporal stable models",
-               ("file", "--length", "--budget")),
-    "graph": (_cmd_graph, "print the dependency graphs", ("file", "--json")),
+               ("file", "--length", "--budget"), None),
+    "graph": (_cmd_graph, "print the dependency graphs", ("file", "--json"),
+              lambda graphs: [f"{section}: {a} -> {b}"
+                              for section, edges in graphs.items()
+                              for a, b in edges]),
     "loops": (_cmd_loops, "enumerate loops per section",
-              ("file", "--unitary", "--json")),
+              ("file", "--unitary", "--json"),
+              lambda found: [f"{section}: {{{', '.join(loop)}}}"
+                             for section, loops in found.items()
+                             for loop in loops]),
     "complete": (lambda program, args: _cmd_compile(
                      sourced_completion(program), args),
                  "print the temporal completion",
-                 ("file", "--simplify", "--json")),
+                 ("file", "--simplify", "--json"), _formula_lines),
     "lf": (lambda program, args: _cmd_compile(
                sourced_loop_formulas(program, args.unitary), args),
            "print the loop formulas",
-           ("file", "--unitary", "--simplify", "--json")),
+           ("file", "--unitary", "--simplify", "--json"), _formula_lines),
     "embed": (lambda program, args: _cmd_compile(
                   sourced_program_as_ltlf(program), args),
               "print the rules as classical formulas",
-              ("file", "--simplify", "--json")),
+              ("file", "--simplify", "--json"), _formula_lines),
     "verify": (_cmd_verify, "check a correspondence on one program",
-               ("file", "--length", "--mode", "--budget")),
+               ("file", "--length", "--mode", "--budget"), None),
     "fuzz": (_cmd_fuzz, "run the randomized suites",
-             ("--cases", "--seed", "--suite")),
+             ("--cases", "--seed", "--suite"), None),
 }
 
 
@@ -271,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ppt",
         description="Past-present temporal logic programs over finite traces.")
     sub = top.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, names) in _COMMANDS.items():
+    for command, (_, help_text, names, _) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=help_text)
         for name in names:
             cmd.add_argument(name, **_ARGUMENTS[name])
@@ -280,16 +269,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler, _, names = _COMMANDS[args.command]
+    handler, _, names, render = _COMMANDS[args.command]
     try:
         for flag in ("budget", "cases"):
             count = getattr(args, flag, None)
             if count is not None and count < 0:
                 raise _Fail(f"error: --{flag} must be nonnegative, got {count}")
         program = _load(args.file) if "file" in names else None
-        code = handler(program, args)
+        payload = handler(program, args)
+        if render is None or args.json:
+            _emit(payload)
+        else:
+            for line in render(payload):
+                print(line)
         sys.stdout.flush()
-        return code
+        return 2 if (payload.get("equal") is False
+                     or payload.get("failures")) else 0
     except BrokenPipeError:
         # The reader has gone (`ppt embed FILE | head -1`).  Point stdout
         # at devnull so that the flush at interpreter exit cannot raise

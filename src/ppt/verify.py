@@ -19,18 +19,19 @@ lemma.
 
 The random generators are deterministic per seed, and the `run_*_suite`
 helpers drive seeded batches for the command line and the test suite.
-`verify_correspondence` builds its mode's loop formulas, compiles the
-program once (`progression.compile_program`), for the stable side and
-as the base of `unitary_loops`, and compiles the completion (`compile`)
-only for the other two modes; it searches the program and its mode's
-base extended by the loop formulas.  `run_correspondence_suite` takes
-both loop regimes from one `loop_formula_regimes` call per case,
-compiles the program and the completion once each, searches the
-program, the completion, the completion extended by the default
-regime (when that regime is nonempty) and the program extended by the
-unitary regime, and counts its verdicts from the model tuples.  The
-test `test_correspondence_suite_matches_the_public_path` pins the
-suite's counters to `verify_correspondence` in each mode.
+`verify_correspondence` compiles the program once
+(`progression.compile_program`), for the stable side and as the base
+of `unitary_loops`, then builds its mode's loop formulas, and compiles
+the completion (`compile`) only for the other two modes; it searches
+the program and its mode's base extended by the loop formulas.
+`run_correspondence_suite` takes both loop regimes from one
+`loop_formula_regimes` call per case, compiles the program and the
+completion once each, searches the program, the completion, the
+completion extended by the default regime (when that regime is
+nonempty) and the program extended by the unitary regime, and counts
+its verdicts from the model tuples.  The test
+`test_correspondence_suite_matches_the_public_path` pins the suite's
+counters to `verify_correspondence` in each mode.
 """
 
 from __future__ import annotations
@@ -289,16 +290,18 @@ class Report(Value):
 def verify_correspondence(p: Program, lam: int, mode: str,
                           budget: int | None = None) -> Report:
     """Compare stable models against the chosen translation's models.
-    The length and budget are checked first, then the mode's loop
-    formulas are built: a loop component past the cap fails before
-    either search can exceed its budget."""
+    The length and budget are checked first, then the mode, then the
+    program, which is compiled before the mode's loop formulas are
+    built: a non-`Program` is refused alike in every mode, and a loop
+    component past the cap fails before either search can exceed its
+    budget."""
     check_limits(lam, budget)
     if mode not in MODES:
         raise ValueError(
             f"unknown mode {mode!r} (choose from {', '.join(MODES)})")
+    rules = compile_program(p)
     loops = ([] if mode == "completion"
              else loop_formulas(p, mode == "unitary_loops"))
-    rules = compile_program(p)
     base = (rules if mode == "unitary_loops"
             else compile(completion(p), p.alphabet))
     lhs = search(rules, lam, budget)

@@ -16,10 +16,11 @@ import ppt
 from ppt import Trace, cli
 from ppt.cli import _emit, main
 from ppt.parser import MAX_NESTING
-from ppt.syntax import RESERVED_WORDS
-from ppt.verify import MODES
+from ppt.syntax import RESERVED_WORDS, format_program
+from ppt.verify import MODES, GenConfig, random_program
 
 from conftest import P1_TEXT, P2_TEXT
+from test_verifier import _masking_unchecked
 
 
 @pytest.fixture
@@ -1439,3 +1440,76 @@ class TestFuzz:
                            "--suite", "semantics")
         assert code == 0
         assert "semantics" in json.loads(out)
+
+
+_THREE_VALUED = ppt.verify.three_valued
+
+# Each suite's fault, injected as in `tests/test_verifier.py`, with the
+# flags that run the suite and the failures `ppt fuzz` then reports.
+_FUZZ_FAULTS = {
+    "no loop formulas": (
+        ("correspondence", "40", "56"), "loop_formula_regimes",
+        lambda p: ([], []), 37),
+    "pastocc unchecked": (
+        ("lemmas", "300", "3"), "check_lemma_pastocc", _masking_unchecked, 7),
+    "support unchecked": (
+        ("lemmas", "300", "3"), "check_lemma_support", _masking_unchecked, 29),
+    "here read as total": (
+        ("semantics", "300", "3"), "three_valued",
+        lambda m, k, f: min(_THREE_VALUED(m, k, f), 1), 75),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FUZZ_FAULTS))
+def test_fuzz_counterexample_exits_2(capsys, monkeypatch, fault):
+    (suite, cases, seed), name, faulty, failures = _FUZZ_FAULTS[fault]
+    argv = ("fuzz", "--suite", suite, "--cases", cases, "--seed", seed)
+    code, out, _ = run(capsys, *argv)
+    assert (code, json.loads(out)["failures"]) == (0, 0)
+    monkeypatch.setattr(ppt.verify, name, faulty)
+    code, out, _ = run(capsys, *argv)
+    assert (code, json.loads(out)["failures"]) == (2, failures)
+
+
+def _render(command, doc):
+    """The text lines of a command, derived from its `--json` output."""
+    if command == "check":
+        return [f"parsed {doc['rules']} rules ({doc['initial']} initial, "
+                f"{doc['dynamic']} dynamic, {doc['final']} final); "
+                f"alphabet {{{', '.join(doc['alphabet'])}}}; "
+                f"tight: {'yes' if doc['tight'] else 'no'}"]
+    if command == "graph":
+        return [f"{section}: {a} -> {b}"
+                for section, edges in doc.items() for a, b in edges]
+    if command == "loops":
+        return ["%s: {%s}" % (section, ", ".join(loop))
+                for section, loops in doc.items() for loop in loops]
+    return [entry["formula"] for entry in doc["formulas"]]
+
+
+@pytest.fixture(scope="module")
+def random_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("random")
+    paths = []
+    for seed in range(200):
+        path = root / f"r{seed}.ppt"
+        path.write_text(format_program(random_program(GenConfig(
+            seed, max_atoms=4, max_rules=8, max_body_depth=4))))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("command", [
+    "check", "graph", "loops", "loops --unitary", "complete",
+    "complete --simplify", "embed", "embed --simplify", "lf",
+    "lf --unitary --simplify"])
+def test_text_form_renders_the_json_payload(capsys, random_files, command):
+    # The goldens pin both forms on P1 and P2 only.
+    name, *flags = command.split()
+    for path in random_files:
+        code, text, _ = run(capsys, name, path, *flags)
+        assert code == 0
+        code, out, _ = run(capsys, name, path, *flags, "--json")
+        assert code == 0
+        lines = _render(name, json.loads(out))
+        assert text == "".join(f"{line}\n" for line in lines), path

@@ -24,7 +24,7 @@ from ppt.progression import compile, compile_program, search
 from ppt.syntax import CORE_TRUE, VERUM, format_nesting
 from ppt.tht import formula_sat
 from ppt.verify import (
-    GenConfig, TraceMask, random_httrace, random_past_formula,
+    MODES, GenConfig, TraceMask, random_httrace, random_past_formula,
     run_correspondence_suite, run_lemma_suite, run_semantics_suite,
 )
 
@@ -323,6 +323,13 @@ CASES = [
     ("verify-negative-budget",
      lambda: verify_correspondence(Program(()), 1, "completion", -1),
      ValueError, re.escape("budget must be a nonnegative int, got -1")),
+    # A non-`Program` was refused by `compile_program` in `completion`
+    # mode only: the loop modes built their loop formulas first and
+    # failed there with an AttributeError.
+    *((f"verify-string-program-{mode}",
+       functools.partial(verify_correspondence, "x", 2, mode), ValueError,
+       re.escape("the program must be a Program, not 'x'"))
+      for mode in MODES),
     # A BudgetExceeded at the first charge: "the budget of False units".
     ("ts-bool-budget",
      lambda: enumerate_ts_models(parse_program("a."), 2, budget=False),
