@@ -555,12 +555,12 @@ def atoms_of(p: Program) -> frozenset[Atom]:
     return frozenset().union(*(r.atoms for r in p.rules))
 
 
-def or_chain(parts: Iterable, empty) -> object:
-    """Left-associated disjunction of `parts`; `empty` when there are none."""
+def or_chain(parts: Iterable) -> object:
+    """Left-associated disjunction of `parts`; `FALSUM` when there are none."""
     out = None
     for part in parts:
         out = part if out is None else Or(out, part)
-    return empty if out is None else out
+    return FALSUM if out is None else out
 
 
 def is_fact(rule: Rule) -> bool:
@@ -571,7 +571,7 @@ def is_fact(rule: Rule) -> bool:
 
 def head_disjunction(rule: Rule) -> ExtFormula:
     """The head read as a formula; false for constraints."""
-    return or_chain([AtomRef(a) for a in rule.head], FALSUM)
+    return or_chain([AtomRef(a) for a in rule.head])
 
 
 def rule_formula(rule: Rule) -> ExtFormula:

@@ -101,6 +101,7 @@ class _BitEvaluator:
     Negation always recurses on the total side; the other extended
     connectives are classical on either side.  The wrappers `always`
     and `wnext_always` are read by `formula_sat`, not evaluated here.
+    The memo holds each formula it keys by `id`, so no key goes stale.
     """
 
     __slots__ = ("h", "t", "lam", "full", "memo")
@@ -118,7 +119,7 @@ class _BitEvaluator:
         memo = self.memo
         hit = memo.get(key)
         if hit is not None:
-            return hit
+            return hit[1]
         tp = type(f)
         if tp is And:
             # A chain is read by `chain_elements`, with no recursion on length.
@@ -149,29 +150,25 @@ class _BitEvaluator:
                 cur = ((b >> k) | ((a >> k) & cur)) & 1
                 bits |= cur << k
             bits ^= flip
+        elif tp is Verum:
+            bits = self.full
+        elif tp is InitialConst:
+            bits = 1
+        elif tp is FinalConst:
+            bits = 1 << (self.lam - 1)
+        elif tp is Implies:
+            bits = self.full & (~self.eval(f.lhs, total) | self.eval(f.rhs, total))
+        elif tp is Iff:
+            bits = self.full & ~(self.eval(f.lhs, total) ^ self.eval(f.rhs, total))
         else:
-            bits = self._eval_extended(f, tp, total)
-        memo[key] = bits
+            refuse_formula(f)
+        memo[key] = (f, bits)
         return bits
-
-    def _eval_extended(self, f, tp, total: bool) -> int:
-        if tp is Verum:
-            return self.full
-        if tp is InitialConst:
-            return 1
-        if tp is FinalConst:
-            return 1 << (self.lam - 1)
-        if tp is Implies:
-            return self.full & (~self.eval(f.lhs, total) | self.eval(f.rhs, total))
-        if tp is Iff:
-            return self.full & ~(self.eval(f.lhs, total) ^ self.eval(f.rhs, total))
-        refuse_formula(f)
 
 
 def evaluator(m: HTTrace) -> _BitEvaluator:
-    """A bit evaluator of m; its memo is keyed by `id`, so each formula
-    given to it must live as long as it does.  Shared with
-    `run_semantics_suite`, but no part of the interface (`__all__`)."""
+    """A bit evaluator of m.  Shared with `run_semantics_suite`, but no
+    part of the interface (`__all__`)."""
     t_bits = _trace_bits(m.t)
     h_bits = t_bits if m.h == m.t else _trace_bits(m.h)
     return _BitEvaluator(h_bits, t_bits, len(m))
@@ -229,9 +226,7 @@ def rule_sat(m: HTTrace, rule: Rule) -> bool:
 def is_ht_model(m: HTTrace, p: Program) -> bool:
     """True when the HT-trace satisfies every rule of the program."""
     ev = evaluator(m)
-    # A list keeps each formula alive as long as the `id`-keyed memo.
-    formulas = [rule_formula(r) for r in p.rules]
-    return all(_holds(ev, 0, f) for f in formulas)
+    return all(_holds(ev, 0, rule_formula(r)) for r in p.rules)
 
 
 # ---------------------------------------------------------------------------

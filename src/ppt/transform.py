@@ -227,7 +227,7 @@ def sourced_completion(p: Program) -> Sourced:
             [And(guard, _support_term(rules[i], excluded, rules[i].body, refs))
              for i in index.get(atom, ())]
             for guard, (rules, index) in sections)
-        rhs = (Or(or_chain(initial, FALSUM), or_chain(dynamic, FALSUM))
+        rhs = (Or(or_chain(initial), or_chain(dynamic))
                if initial or dynamic else FALSUM)
         out.append((Always(Iff(refs[atom], rhs)), f"atom {atom}"))
     constraints = sorted(((i, r) for i, r in enumerate(p.rules) if not r.head),
@@ -252,7 +252,7 @@ def _loop_entries(p: Program, unitary: bool):
             continue
         support = _supports(p, section, refs)
         for atoms, default in loops:
-            body = Implies(or_chain([refs[a] for a in atoms], FALSUM),
+            body = Implies(or_chain([refs[a] for a in atoms]),
                            support(frozenset(atoms)))
             if section is RuleKind.DYNAMIC:
                 body = WeakNextAlways(body)

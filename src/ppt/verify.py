@@ -357,6 +357,9 @@ def run_correspondence_suite(cases: int = 500, seed: int = 0) -> dict:
         completed = compile(completion(p), p.alphabet)
         stable = search(rules, lam)
         models = search(completed, lam)
+        # Tightness is computed apart from the loop builder, not read as
+        # `not default`, so that a fault in the builder shows up as a
+        # loop-mode failure and not as a tightness failure.
         tight = is_tight(p)
         summary["tight_cases"] += tight
         # Without loop formulas, `completion_loops` is the completion.
@@ -462,8 +465,8 @@ def run_semantics_suite(cases: int = 10_000, seed: int = 0) -> dict:
         lam = rng.randint(1, 4)
         m = random_httrace(rng, atoms, lam)
         k = rng.randrange(lam)
-        # One evaluator of m serves every formula of the case, each held
-        # by a name while it lives; `eval(g, True)` reads <T, T>.
+        # One evaluator of m serves every formula of the case;
+        # `eval(g, True)` reads <T, T>.
         ev = evaluator(m)
         bit = 1 << k
         f = random_past_formula(rng, atoms, rng.randint(0, 5))

@@ -186,6 +186,25 @@ class TestIsModel:
         assert disagreements == []
 
 
+class TestEvaluatorReuse:
+    def test_one_evaluator_serves_formulas_freed_after_use(self):
+        # Rebinding f frees the previous formula, so later formulas reuse
+        # its nodes' ids; each must still get the bits of a fresh evaluator.
+        rng = random.Random(5)
+        atoms = ("a", "b", "c")
+        m = random_httrace(rng, atoms, 4)
+        assert m.h != m.t
+        ev = ppt.tht.evaluator(m)
+        stale = []
+        for i in range(5000):
+            f = random_past_formula(rng, atoms, rng.randint(0, 5))
+            fresh = ppt.tht.evaluator(m)
+            if any(ev.eval(f, total) != fresh.eval(f, total)
+                   for total in (False, True)):
+                stale.append(i)
+        assert stale == []
+
+
 class TestEnumerate:
     def test_p1_unique_model(self, p1):
         assert enumerate_ts_models(p1, 2) == (TARGET,)

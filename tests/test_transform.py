@@ -479,8 +479,7 @@ class TestSharedTerms:
         want = []
         for graph in section_graphs(p):
             for loop in enumerate_loops(graph, unitary):
-                f = Implies(or_chain([AtomRef(a) for a in sorted(loop)],
-                                     FALSUM),
+                f = Implies(or_chain([AtomRef(a) for a in sorted(loop)]),
                             external_support_by_definition(
                                 p, graph.section, loop))
                 if graph.section is RuleKind.DYNAMIC:
