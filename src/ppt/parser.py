@@ -38,20 +38,30 @@ put deeper than the chain does, or where sugar sits near the limit and
 its core spelling is deeper than the sugar (`initially` is three
 levels).
 
-The tokenizer reads the source in two regex passes.  A match of up to
-1024 tokens, spaces and comments at a time stops at the first character
-that none of them starts with, which is an error; then one `findall`
-reads the token texts.  Whitespace and comments make no tokens, and the
-end of input is the empty text.  The parser keeps token indexes, not
-source offsets: an error finds its token's offset by matching the
-tokens one at a time from the start, and its line and column from that
-offset, only when it is raised.  A parse makes one `AtomRef` per atom
-name and returns it for every occurrence of the name; parsed formulas
-still compare by structure.  The section restrictions (initial and
-final rule bodies are conjunctions of regular literals, final rules
-have empty heads) are decided by `syntax.Rule`: the parser raises its
-message as a :class:`RestrictionError` at the rule for a final rule's
-head and at the body otherwise.
+A body of `n` tokens prints at most `6n - 1` levels deep, so only a
+body with `6n > MAX_NESTING` is walked to count them.  Each level that
+`format_nesting` counts belongs to a distinct node on one path from the
+root to a leaf, and the leaf counts none, so the levels are fewer than
+the nodes of the body.  Each token builds at most 6 nodes (`wprev`
+builds an `or`, a `prev` and the 4 nodes of `initially`), so the body
+has at most `6n`.
+
+The tokenizer reads the source in one regex pass: one `findall` reads
+the text of each token after any whitespace and comments, and a
+character that starts no token is read as a text of its own, an error
+raised at the first such text.  Whitespace and comments make no
+tokens, and the end of input is the empty text.  The parser keeps
+token indexes, not source offsets: an error finds its token's offset
+by matching the tokens one at a time from the start, and its line and
+column from that offset, only when it is raised.
+
+A parse makes one `AtomRef` per atom name and returns it for every
+occurrence of the name; parsed formulas still compare by structure.
+The section restrictions (initial and final rule bodies are
+conjunctions of regular literals, final rules have empty heads) are
+decided by `syntax.Rule`: the parser raises its message as a
+:class:`RestrictionError` at the rule for a final rule's head and at
+the body otherwise.
 """
 
 from __future__ import annotations
@@ -98,14 +108,10 @@ class RestrictionError(ParseError):
 _SPACE = r"\s+|%[^\n]*"
 _TOKEN = r":-|[,;|().#]|[A-Za-z_][A-Za-z0-9_]*"
 # A token is the text the group captures, after any whitespace and
-# comments; at a character no token starts with, the group is empty.
-_TOKEN_RE = re.compile(rf"(?:{_SPACE})*({_TOKEN})?")
-# Up to 1024 tokens, spaces and comments; repeated, it stops at the
-# first character that none of them starts with.  Nothing follows the
-# repetition, so a match never backtracks, but the engine keeps a frame
-# per repetition: unbounded, they took the peak memory of parsing a
-# 340 KB program from 11 MB to 26 MB.
-_SOURCE_RE = re.compile(rf"(?:{_SPACE}|{_TOKEN}){{0,1024}}")
+# comments; where no token starts, the one character there is captured
+# alone, and at the end of the input the group is empty.
+_TOKEN_RE = re.compile(rf"(?:{_SPACE})*({_TOKEN}|.)?")
+_IS_TOKEN = re.compile(_TOKEN).fullmatch
 
 _UNARY_OPS = {
     "not": Not,
@@ -125,6 +131,9 @@ _CONSTANTS = {
 
 _SECTIONS = {k.value: k for k in RuleKind}
 
+_AND_TEXTS = frozenset({",", "and"})
+_OR_TEXTS = frozenset({";", "or"})
+
 # Each level of nesting costs the recursive descent a few Python frames,
 # and the printer and compiler recurse on it too; this bound keeps every
 # one of them far below the interpreter's recursion limit.
@@ -134,17 +143,16 @@ MAX_NESTING = 100
 class _Parser:
     def __init__(self, src: str):
         self.src = src = src.removeprefix("\ufeff")
-        end = 0
-        while (step := _SOURCE_RE.match(src, end).end()) > end:
-            end = step
-        if end < len(src):
-            raise ParseError(*self.position(end),
-                             f"unexpected character {src[end]!r}")
         # The token texts, ending with one empty text at the end of the
         # input; trailing space or a comment makes a match of its own.
         self.texts: list[str] = _TOKEN_RE.findall(src)
         if len(self.texts) > 1 and not self.texts[-2]:
             self.texts.pop()
+        strays = [text for text in set(self.texts)
+                  if text and not _IS_TOKEN(text)]
+        if strays:
+            index = min(map(self.texts.index, strays))
+            self.fail(f"unexpected character {self.texts[index]!r}", index)
         self.pos = 0
         self.depth = 0
         # One AtomRef per atom name: a name seen before was validated.
@@ -162,21 +170,17 @@ class _Parser:
         text = self.texts[self.pos]
         return repr(text) if text else "end of input"
 
-    def position(self, offset: int) -> tuple[int, int]:
-        """The 1-based line and column of a source offset."""
-        line_start = self.src.rfind("\n", 0, offset) + 1
-        return self.src.count("\n", 0, offset) + 1, offset - line_start + 1
-
     def token_position(self, index: int) -> tuple[int, int]:
-        """The line and column of token `index`, found by matching the
-        tokens before it one by one."""
-        match = _TOKEN_RE.match
+        """The 1-based line and column of token `index`, found by
+        matching the tokens before it one by one."""
+        src, match = self.src, _TOKEN_RE.match
         pos = 0
         for _ in range(index):
-            pos = match(self.src, pos).end()
-        token = match(self.src, pos)
-        return self.position(token.start(1) if token.lastindex
-                             else token.end())
+            pos = match(src, pos).end()
+        token = match(src, pos)
+        offset = token.start(1) if token.lastindex else token.end()
+        line_start = src.rfind("\n", 0, offset) + 1
+        return src.count("\n", 0, offset) + 1, offset - line_start + 1
 
     def fail(self, message: str, index: int | None = None):
         """Raise `message` at token `index`, by default the current one."""
@@ -201,6 +205,9 @@ class _Parser:
 
     def atom_name(self) -> str:
         text = self.texts[self.pos]
+        if text in self.refs:  # read as an atom before, and checked then
+            self.pos += 1
+            return text
         if not text.isidentifier():
             self.fail(f"expected an atom, found {self.found()}")
         if text in RESERVED_WORDS:
@@ -238,7 +245,9 @@ class _Parser:
     def body(self):
         start = self.pos
         body = self.disjunction()
-        if format_nesting(body) > MAX_NESTING:
+        # A short body cannot print too deep: see the module docstring.
+        if (6 * (self.pos - start) > MAX_NESTING
+                and format_nesting(body) > MAX_NESTING):
             self.fail(f"formula nested deeper than {MAX_NESTING} levels "
                       "when printed", start)
         return body
@@ -247,8 +256,14 @@ class _Parser:
         # A chain nests to the left, one level per operator, so each
         # operator counts against the limit until the chain ends.  A
         # chain that opens a group shares the group's level, as in the
-        # printed `(a since b)`.
-        opens_group = self.texts[self.pos - 1] == "("
+        # printed `(a since b)`.  An atom read before, with no chain
+        # after it, is returned at once.
+        texts, pos = self.texts, self.pos
+        ref = self.refs.get(texts[pos])
+        if ref is not None and texts[pos + 1] not in _BINARY_OPS:
+            self.pos = pos + 1
+            return ref
+        opens_group = texts[pos - 1] == "("
         left = self.unary()
         outer = self.depth
         if opens_group:
@@ -261,13 +276,15 @@ class _Parser:
 
     def conjunction(self):
         left = self.temporal()
-        while self.eat(",", "and"):
+        while self.texts[self.pos] in _AND_TEXTS:
+            self.pos += 1
             left = And(left, self.temporal())
         return left
 
     def disjunction(self):
         left = self.conjunction()
-        while self.eat(";", "or"):
+        while self.texts[self.pos] in _OR_TEXTS:
+            self.pos += 1
             left = Or(left, self.conjunction())
         return left
 

@@ -157,9 +157,11 @@ class Value:
     run's elements instead, and prints the same text in a loop (`_node`).
     Assigning or deleting an attribute raises `FrozenInstanceError`, so
     a class's own `__init__` checks its arguments and then stores its
-    fields with `__setstate__`, `object.__setattr__` or, in a node, a
-    slot descriptor.  Pickling and copying carry every field, derived
-    ones too, and call no `__init__` but a binary node's (`_node`).
+    fields with `__setstate__`, which calls the `__set__` of each
+    field's slot descriptor, bound once per class in `_setters`; the
+    `__init__` of a node or a `Program` calls those setters itself.
+    Pickling and copying carry every field, derived ones too, and call
+    no `__init__` but a binary node's (`_node`).
     """
 
     __slots__ = ()
@@ -188,8 +190,8 @@ class Value:
         return [getattr(self, name) for name in self._state]
 
     def __setstate__(self, state):
-        for name, value in zip(self._state, state):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, state):
+            set_field(self, value)
 
 
 def value_class(cls):
@@ -200,8 +202,10 @@ def value_class(cls):
     `replace`, `is_dataclass` and `__match_args__` keep working.  Then
     the tables the `Value` methods read are stored on the class: `_key`,
     the function giving the tuple of an instance's compared fields,
-    `_shown`, the names `repr` prints, and `_state`, every field name in
-    order.  The class writes its own `__init__`, or `_node` makes it.
+    `_shown`, the names `repr` prints, `_state`, every field name in
+    order, and `_setters`, the `__set__` of each field's slot descriptor
+    in that order.  The class writes its own `__init__`, or `_node`
+    makes it.
     """
     cls = dataclass(cls, init=False, repr=False, eq=False, slots=True)
     names = tuple(f.name for f in fields(cls) if f.compare)
@@ -214,13 +218,14 @@ def value_class(cls):
         cls._key = lambda value: ()
     cls._shown = tuple(f.name for f in fields(cls) if f.repr)
     cls._state = tuple(f.name for f in fields(cls))
+    cls._setters = tuple(getattr(cls, name).__set__ for name in cls._state)
     return cls
 
 
 def _node(cls):
     """`value_class` of a formula node.  A node whose fields are `arg`,
     or `lhs` and `rhs`, gets an `__init__` that stores each argument
-    through the `__set__` of its slot descriptor, bound here once.
+    through its field's setter in `_setters`.
 
     A node with `lhs` and `rhs` whose `lhs` is of its own class heads a
     left run, read by `chain_elements` in a loop: its compared tuple is
@@ -231,12 +236,12 @@ def _node(cls):
     field-by-field recursion writes."""
     cls = value_class(cls)
     if cls._state == ("arg",):
-        set_arg = cls.arg.__set__
+        set_arg, = cls._setters
 
         def __init__(self, arg):
             set_arg(self, arg)
     elif cls._state == ("lhs", "rhs"):
-        set_lhs, set_rhs = cls.lhs.__set__, cls.rhs.__set__
+        set_lhs, set_rhs = cls._setters
 
         def __init__(self, lhs, rhs):
             set_lhs(self, lhs)
@@ -381,7 +386,7 @@ class WeakNextAlways(Value):
     arg: "ExtFormula"
 
 
-_set_name = AtomRef.name.__set__
+_set_name, = AtomRef._setters
 
 PastFormula = Union[Falsum, AtomRef, Not, And, Or, Previous, Since, Trigger]
 ExtFormula = Union[PastFormula, Verum, InitialConst, FinalConst, Implies,
@@ -525,7 +530,8 @@ class Program(Value):
 
     def __init__(self, rules: Iterable[Rule],
                  alphabet: Iterable[Atom] | None = None) -> None:
-        object.__setattr__(self, "rules", tuple(
+        set_rules, set_alphabet = self._setters
+        set_rules(self, tuple(
             instance_of(r, Rule, "a program rule") for r in rules))
         occurring = atoms_of(self)
         if alphabet is None:
@@ -535,7 +541,7 @@ class Program(Value):
             if not occurring <= alphabet:
                 missing = ", ".join(sorted(occurring - alphabet))
                 raise ValueError(f"alphabet is missing occurring atoms: {missing}")
-        object.__setattr__(self, "alphabet", alphabet)
+        set_alphabet(self, alphabet)
 
     @property
     def initial(self) -> tuple[Rule, ...]:

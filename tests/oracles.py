@@ -22,7 +22,8 @@ writes the temporal completion the same way, with no index, fresh
 rather than through `rule_formula`, for `sourced_completion`.
 
 `tokens_by_match` tokenizes by matching one token at a time, for the
-parser's two whole-source regex calls to be checked against.
+parser's one whole-source regex call and its search for a stray
+character to be checked against.
 `nesting_by_spine` counts the levels of nesting of a printed core
 formula with the first element of a chain at the chain's own level and
 every other element one above, for `syntax.format_nesting`, which

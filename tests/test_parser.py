@@ -12,7 +12,9 @@ from ppt import (
 from ppt.parser import (
     MAX_NESTING, _BINARY_OPS, _CONSTANTS, _Parser, _UNARY_OPS,
 )
-from ppt.syntax import CORE_TRUE, INITIAL_EXPANSION, RESERVED_WORDS, Falsum
+from ppt.syntax import (
+    CORE_TRUE, INITIAL_EXPANSION, RESERVED_WORDS, Falsum, format_nesting,
+)
 from ppt.verify import GenConfig, random_program
 
 from oracles import tokens_by_match
@@ -34,6 +36,21 @@ deep_bodies = st.builds(
     st.integers(0, MAX_NESTING + 10).flatmap(
         lambda n: st.lists(st.sampled_from(_WRAPPERS), min_size=n,
                            max_size=n)))
+chain_bodies = chain_operators.map(
+    lambda operators: "a" + "".join(f" {op} b" for op in operators))
+# Bodies thick with sugar, whose core spelling has the most nodes per
+# token: `wprev`, `initially` and `true` under `not` and `prev`, and
+# every sugar inside chains.
+sugar_bodies = st.recursive(
+    st.sampled_from(("a", "true", "false", "initially")),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(("not", "prev", "wprev", "always_before",
+                                   "eventually_before")),
+                  inner).map(" ".join),
+        st.builds("({})".format, inner),
+        st.tuples(inner, st.sampled_from(("since", "trigger", ",", ";")),
+                  inner).map(" ".join)),
+    max_leaves=40)
 wide_programs = st.lists(deep_bodies, min_size=1, max_size=12).map(
     lambda bodies: "a.\n#dynamic.\n" + "".join(
         f"h{i} | a :- {body}.\n" for i, body in enumerate(bodies))
@@ -267,6 +284,37 @@ class TestErrors:
         assert (copy.line, copy.column, copy.message) == \
             (err.value.line, err.value.column, err.value.message)
         assert str(copy) == str(err.value)
+
+
+class TestPrintedNestingBound:
+    """A body of n tokens prints at most 6n - 1 levels deep, so the
+    parser walks only a body of more than MAX_NESTING / 6 tokens."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.one_of(deep_bodies, chain_bodies, sugar_bodies))
+    def test_six_levels_per_token(self, text):
+        reader = _Parser(text)
+        try:
+            body = reader.disjunction()
+        except ParseError as err:
+            assert "nested deeper than" in err.message
+            return
+        assert reader.texts[reader.pos] == ""
+        assert format_nesting(body) <= 6 * reader.pos - 1
+
+    def test_walk_only_past_the_bound(self, monkeypatch):
+        walked = []
+
+        def counted(f):
+            walked.append(f)
+            return format_nesting(f)
+
+        monkeypatch.setattr("ppt.parser.format_nesting", counted)
+        assert 6 * 16 <= MAX_NESTING < 6 * 17
+        parse_formula("not b" + ", b" * 7)  # 16 tokens
+        assert walked == []
+        body = parse_formula("b" + ", b" * 8)  # 17 tokens
+        assert walked == [body]
 
 
 # Pieces of source text: tokens, whitespace that `\s` reads and the line
