@@ -16,12 +16,14 @@ classically.
 All node classes are immutable and hashable, so formulas can be shared,
 memoised and used as dictionary keys freely.  They and the other value
 classes of `ppt` (`Rule`, `Program`, `tht.HTTrace`, `transform.DepGraph`
-and `verify`'s `TraceMask`, `GenConfig` and `Report`) are dataclasses
-declared by `value_class`, which take `==`, `hash`, `repr`,
-immutability and pickling from one hand-written base, `Value`, and
-write their own `__init__` (`_node` makes a node's).  The code
-generator of `dataclass` is avoided for start-up: it compiles and runs
-the source of six methods per class at import, about 0.7 ms a class.
+and `verify`'s `TraceMask`, `GenConfig` and `Report`) are declared by
+`value_class`, which reads a class's fields from its own annotations
+and keeps them in slots.  They take `==`, `hash`, `repr`, immutability
+and pickling from one hand-written base, `Value`, and write their own
+`__init__` (`_node` makes a node's).  `dataclasses` is not used: its
+code generator would compile and run the source of six methods per
+class at import, and the module imports `inspect`, costs paid at the
+start of every command.
 
 One walk of a core formula (`_walk`) collects its atoms, positive
 atoms and positive present atoms, tells whether it is a conjunction of
@@ -49,7 +51,6 @@ and `transform.SccTooLarge`.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from functools import reduce
 from operator import attrgetter
@@ -150,12 +151,14 @@ class Value:
     """The methods of every frozen value class of `ppt`, written once.
 
     `==` holds between two instances of one class whose compared fields
-    are equal as tuples (so an identical pair of fields is not compared
-    again), `hash` is the hash of that tuple, and `repr` names the class
-    and its shown fields: what a frozen dataclass generates.  A node
-    that heads a left run of its own class compares and hashes by the
-    run's elements instead, and prints the same text in a loop (`_node`).
-    Assigning or deleting an attribute raises `FrozenInstanceError`, so
+    (`__match_args__`: every field but those a class names in
+    `_derived`) are equal as tuples (so an identical pair of fields is
+    not compared again), `hash` is the hash of that tuple, and `repr`
+    names the class and those fields, as a frozen dataclass would.  A
+    node that heads a left run of its own class compares and hashes by
+    the run's elements instead, and prints the same text in a loop
+    (`_node`).  Assigning or deleting an attribute raises the
+    `FrozenInstanceError` of `dataclasses`, imported only then, so
     a class's own `__init__` checks its arguments and then stores its
     fields with `__setstate__`, which calls the `__set__` of each
     field's slot descriptor, bound once per class in `_setters`; the
@@ -165,6 +168,7 @@ class Value:
     """
 
     __slots__ = ()
+    _derived = ()
 
     def __eq__(self, other):
         cls = self.__class__
@@ -177,13 +181,15 @@ class Value:
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}"
-                          for name in self._shown)
+                          for name in self.__match_args__)
         return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __getstate__(self):
@@ -197,28 +203,32 @@ class Value:
 def value_class(cls):
     """Declare `cls`, a subclass of `Value`, a frozen value class.
 
-    `dataclass` runs with `init=False, repr=False, eq=False, slots=True`
-    and without `frozen`, so it generates no method and `dataclasses.fields`,
-    `replace`, `is_dataclass` and `__match_args__` keep working.  Then
-    the tables the `Value` methods read are stored on the class: `_key`,
-    the function giving the tuple of an instance's compared fields,
-    `_shown`, the names `repr` prints, `_state`, every field name in
-    order, and `_setters`, the `__set__` of each field's slot descriptor
-    in that order.  The class writes its own `__init__`, or `_node`
-    makes it.
+    Its fields are the names its own annotations declare, in order.  The
+    class is rebuilt with its fields as `__slots__`, as
+    `dataclass(slots=True)` rebuilds one.  Then the tables the `Value`
+    methods read are stored on the class: `__match_args__`, the compared
+    fields, which `repr` shows and the constructor takes, `_key`, the
+    function giving the tuple of their values, `_state`, every field
+    name in order, and `_setters`, the `__set__` of each field's slot
+    descriptor in that order.  The class writes its own `__init__`, or
+    `_node` makes it.
     """
-    cls = dataclass(cls, init=False, repr=False, eq=False, slots=True)
-    names = tuple(f.name for f in fields(cls) if f.compare)
-    if len(names) > 1:
-        cls._key = attrgetter(*names)
-    elif names:
-        get = attrgetter(*names)
+    names = tuple(cls.__annotations__)
+    namespace = dict(vars(cls), __slots__=names)
+    namespace.pop("__dict__", None)
+    namespace.pop("__weakref__", None)
+    cls = type(cls)(cls.__name__, cls.__bases__, namespace)
+    compared = tuple(name for name in names if name not in cls._derived)
+    if len(compared) > 1:
+        cls._key = attrgetter(*compared)
+    elif compared:
+        get = attrgetter(*compared)
         cls._key = lambda value: (get(value),)
     else:
         cls._key = lambda value: ()
-    cls._shown = tuple(f.name for f in fields(cls) if f.repr)
-    cls._state = tuple(f.name for f in fields(cls))
-    cls._setters = tuple(getattr(cls, name).__set__ for name in cls._state)
+    cls.__match_args__ = compared
+    cls._state = names
+    cls._setters = tuple(getattr(cls, name).__set__ for name in names)
     return cls
 
 
@@ -494,9 +504,9 @@ class Rule(Value):
     kind: RuleKind
     head: tuple[Atom, ...]
     body: PastFormula
-    atoms: frozenset[Atom] = field(init=False, repr=False, compare=False)
-    positive_present: frozenset[Atom] = field(init=False, repr=False,
-                                              compare=False)
+    atoms: frozenset[Atom]
+    positive_present: frozenset[Atom]
+    _derived = ("atoms", "positive_present")
 
     def __init__(self, kind: RuleKind, head: Iterable[Atom],
                  body: PastFormula) -> None:
@@ -526,7 +536,7 @@ class Program(Value):
     """
 
     rules: tuple[Rule, ...]
-    alphabet: frozenset[Atom] = None  # type: ignore[assignment]
+    alphabet: frozenset[Atom]
 
     def __init__(self, rules: Iterable[Rule],
                  alphabet: Iterable[Atom] | None = None) -> None:

@@ -412,7 +412,7 @@ class DepGraph(Value):
 
     vertices: frozenset[Atom]
     edges: frozenset[tuple[Atom, Atom]]
-    section: RuleKind | None = None
+    section: RuleKind | None
 
     def __init__(self, vertices: Iterable[Atom],
                  edges: Iterable[tuple[Atom, Atom]],

@@ -169,10 +169,10 @@ _CUM_WEIGHTS_NO_NOT = tuple(itertools.accumulate(
 class GenConfig(Value):
     """Deterministic program-generator settings."""
 
-    seed: int = 0
-    max_atoms: int = 3
-    max_rules: int = 6
-    max_body_depth: int = 3
+    seed: int
+    max_atoms: int
+    max_rules: int
+    max_body_depth: int
 
     def __init__(self, seed: int = 0, max_atoms: int = 3, max_rules: int = 6,
                  max_body_depth: int = 3) -> None:
@@ -279,7 +279,7 @@ class Report(Value):
     rhs: tuple[Trace, ...]
     equal: bool
     witnesses: tuple[Trace, ...]
-    tight: bool | None = None
+    tight: bool | None
 
     def __init__(self, lhs: tuple[Trace, ...], rhs: tuple[Trace, ...],
                  equal: bool, witnesses: tuple[Trace, ...],

@@ -29,14 +29,14 @@ formula with the first element of a chain at the chain's own level and
 every other element one above, for `syntax.format_nesting`, which
 counts them all one above.
 `core_atoms_by_definition`, `positive_present_by_definition` and
-`literal_conjunction_by_definition` read a formula's nodes through
-`dataclasses.fields`, for the one walk of a rule body in `syntax`.
+`literal_conjunction_by_definition` read a formula's nodes through each
+class's `__match_args__`, for the one walk of a rule body in `syntax`.
 `equal_by_fields` and `repr_by_fields` compare and print formulas by
-recursion over `dataclasses.fields`, as a frozen dataclass does, for
-the value classes, which read a run of one class in a loop.
+recursion over `__match_args__`, the compared and shown fields, as a
+frozen dataclass does, for the value classes, which read a run of one
+class in a loop.
 """
 
-import dataclasses
 import re
 
 from ppt import (
@@ -44,6 +44,7 @@ from ppt import (
     Falsum, HTTrace, Iff, Implies, INITIAL_CONST, Not, Or, Previous, Program,
     Rule, RuleKind, Since, Trace, Trigger, WeakNextAlways, support_transform,
 )
+from ppt.syntax import Value
 from ppt.tht import _BitEvaluator, evaluator
 
 # A token is the text the group captures, after any whitespace and
@@ -99,36 +100,36 @@ def nesting_by_spine(f, ctx=0):
 
 def equal_by_fields(x, y) -> bool:
     """Whether two formulas are of one class and equal in every compared
-    field, by recursion over `dataclasses.fields`."""
+    field, by recursion over `__match_args__`."""
     if type(x) is not type(y):
         return False
-    if not dataclasses.is_dataclass(x):
+    if not isinstance(x, Value):
         return x == y
-    return all(equal_by_fields(getattr(x, field.name), getattr(y, field.name))
-               for field in dataclasses.fields(x) if field.compare)
+    return all(equal_by_fields(getattr(x, name), getattr(y, name))
+               for name in type(x).__match_args__)
 
 
 def repr_by_fields(x) -> str:
     """The `repr` a frozen dataclass gives a formula, by recursion over
-    `dataclasses.fields`."""
-    if not dataclasses.is_dataclass(x):
+    `__match_args__`."""
+    if not isinstance(x, Value):
         return repr(x)
-    shown = ", ".join(f"{field.name}={repr_by_fields(getattr(x, field.name))}"
-                      for field in dataclasses.fields(x) if field.repr)
+    shown = ", ".join(f"{name}={repr_by_fields(getattr(x, name))}"
+                      for name in type(x).__match_args__)
     return f"{type(x).__qualname__}({shown})"
 
 
 def core_atoms_by_definition(f):
     """The set of atoms of `f` when every node of it is of a core past
-    formula type, and None otherwise, read through each node's dataclass
-    fields."""
+    formula type, and None otherwise, read through each node's
+    `__match_args__`."""
     if type(f) not in _CORE_TYPES:
         return None
     if type(f) is AtomRef:
         return {f.name}
     atoms = set()
-    for field in dataclasses.fields(f):
-        sub = core_atoms_by_definition(getattr(f, field.name))
+    for name in type(f).__match_args__:
+        sub = core_atoms_by_definition(getattr(f, name))
         if sub is None:
             return None
         atoms |= sub
@@ -137,13 +138,13 @@ def core_atoms_by_definition(f):
 
 def positive_present_by_definition(f, negated=False, past=False):
     """The atoms of a core formula with an occurrence under no `not`
-    and no `prev`, read through each node's dataclass fields."""
+    and no `prev`, read through each node's `__match_args__`."""
     if type(f) is AtomRef:
         return set() if negated or past else {f.name}
     atoms = set()
-    for field in dataclasses.fields(f):
+    for name in type(f).__match_args__:
         atoms |= positive_present_by_definition(
-            getattr(f, field.name), negated or type(f) is Not,
+            getattr(f, name), negated or type(f) is Not,
             past or type(f) is Previous)
     return atoms
 
@@ -152,8 +153,8 @@ def literal_conjunction_by_definition(f):
     """Whether a core formula is a conjunction of regular literals: of
     atoms, negated atoms and `not false`."""
     if type(f) is And:
-        return all(literal_conjunction_by_definition(getattr(f, field.name))
-                   for field in dataclasses.fields(f))
+        return all(literal_conjunction_by_definition(getattr(f, name))
+                   for name in type(f).__match_args__)
     return type(f) is AtomRef or (type(f) is Not
                                   and type(f.arg) in (AtomRef, Falsum))
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -19,7 +18,7 @@ from ppt.transform import (
     enumerate_loops, loop_formula_regimes, rule_formula, section_graphs,
 )
 from ppt.syntax import (
-    CORE_TRUE, FINAL_CONST, INITIAL_CONST, Falsum, format_formulas,
+    CORE_TRUE, FINAL_CONST, INITIAL_CONST, Falsum, Value, format_formulas,
     format_rule, head_disjunction, or_chain,
 )
 from ppt.verify import (
@@ -464,10 +463,22 @@ class TestLemmaSupportInstance:
 
 def _unshared(f):
     """A copy of f in which no node object occurs twice."""
-    if not dataclasses.is_dataclass(f) or type(f) is AtomRef:
+    if not isinstance(f, Value) or type(f) is AtomRef:
         return f
-    return type(f)(*(_unshared(getattr(f, field.name))
-                     for field in dataclasses.fields(f)))
+    return type(f)(*(_unshared(getattr(f, name))
+                     for name in type(f).__match_args__))
+
+
+def _compound_ids(f):
+    """The id of each visit to a node of f that has subformulas, in a
+    walk that enters a shared node once per occurrence."""
+    ids, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is not AtomRef and type(g).__match_args__:
+            ids.append(id(g))
+            stack.extend(getattr(g, name) for name in type(g).__match_args__)
+    return ids
 
 
 class TestSharedTerms:
@@ -579,6 +590,16 @@ class TestSharedTerms:
         return [And(c, self.CONJ), Or(c, self.CONJ), Or(self.CONJ, c),
                 And(self.DISJ, c), Or(c, self.DISJ), And(c, self.DISJ),
                 Implies(self.CONJ, Or(And(c, self.CONJ), self.DISJ))]
+
+    def test_unshared_copies_every_compound_node(self):
+        # The tests below check sharing against `_unshared` copies, so a
+        # copy must equal its formula and share no compound node with it
+        # or within itself, as the last formula here does.
+        for f in self._shared():
+            copy = _unshared(f)
+            ids = _compound_ids(copy)
+            assert copy == f and len(set(ids)) == len(ids)
+            assert not set(ids) & set(_compound_ids(f))
 
     def test_render_per_context(self):
         shared = self._shared()

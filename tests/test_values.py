@@ -1,12 +1,15 @@
 """The contract of the frozen value classes of `ppt`: the 15 formula
 nodes, `Rule`, `Program`, `HTTrace`, `DepGraph`, `TraceMask`,
 `GenConfig` and `Report`.  Each keeps the fields, text, equality, hash,
-immutability, pickling and slots that a frozen dataclass gave it, and
-none of its methods is code compiled from a string at import.  The one
-exception is the hash of a node that heads a left run of its own class
-(`And(And(a, b), c)`): it is the hash of the run's elements, read in a
-loop, so that a long run compares, hashes and prints without recursion;
-its equality and text are still the dataclass's."""
+immutability, pickling and slots that a frozen dataclass gave it, with
+its fields read from its own `__slots__` (all fields) and
+`__match_args__` (the compared, shown and constructor fields), and
+none of its methods is code compiled from a string at import, nor does
+importing them load `dataclasses`.  The one exception is the hash of a
+node that heads a left run of its own class (`And(And(a, b), c)`): it
+is the hash of the run's elements, read in a loop, so that a long run
+compares, hashes and prints without recursion; its equality and text
+are still the dataclass's."""
 
 import copy
 import dataclasses
@@ -26,7 +29,7 @@ from ppt import (
     Rule, RuleKind, Since, Trace, TraceMask, Trigger, Verum, WeakNextAlways,
     format_formula, parse_formula, parse_program, random_past_formula,
 )
-from ppt.syntax import chain_elements
+from ppt.syntax import Value, chain_elements
 
 from oracles import equal_by_fields, repr_by_fields
 
@@ -98,13 +101,13 @@ IDS = [type(x).__name__ for x in VALUES]
 
 
 def _compared(x):
-    return tuple(getattr(x, f.name) for f in dataclasses.fields(x) if f.compare)
+    return tuple(getattr(x, name) for name in type(x).__match_args__)
 
 
 def _same(x, y):
     """Same class and the same value in every field, derived ones too."""
     return type(x) is type(y) and all(
-        getattr(x, f.name) == getattr(y, f.name) for f in dataclasses.fields(x))
+        getattr(x, name) == getattr(y, name) for name in type(x).__slots__)
 
 
 def test_every_value_class_is_covered():
@@ -116,10 +119,12 @@ def test_every_value_class_is_covered():
 @pytest.mark.parametrize("x, names, text, slots", CASES, ids=IDS)
 def test_fields_text_and_slots(x, names, text, slots):
     cls = type(x)
-    assert dataclasses.is_dataclass(x)
-    assert [f.name for f in dataclasses.fields(x)] == names
-    assert cls.__match_args__ == tuple(
-        f.name for f in dataclasses.fields(x) if f.init)
+    assert isinstance(x, Value)
+    assert list(cls.__slots__) == names
+    # The constructor's parameters, after `self`; none for a constant.
+    init = getattr(cls.__init__, "__code__", None)
+    assert cls.__match_args__ == (
+        init.co_varnames[1:init.co_argcount] if init else ())
     assert repr(x) == text
     assert vars(cls).get("__slots__") == slots
     assert not hasattr(x, "__dict__")
@@ -215,8 +220,8 @@ def _renamed(f, index):
         if type(g) is AtomRef:
             count[0] -= 1
             return AtomRef("z" if count[0] == -1 else g.name)
-        return type(g)(*[build(getattr(g, field.name))
-                         for field in dataclasses.fields(g)])
+        return type(g)(*[build(getattr(g, name))
+                         for name in type(g).__match_args__])
     return build(f)
 
 
@@ -225,7 +230,7 @@ def _nodes(f):
     while stack:
         g = stack.pop()
         yield g
-        stack.extend(getattr(g, field.name) for field in dataclasses.fields(g)
+        stack.extend(getattr(g, name) for name in type(g).__match_args__
                      if type(g) is not AtomRef)
 
 
@@ -247,6 +252,18 @@ def test_runs_agree_with_field_by_field_recursion():
     assert runs > 300
 
 
+def test_field_readers_descend(monkeypatch):
+    # The checks above hold only if `equal_by_fields` and
+    # `repr_by_fields` read each node's fields instead of calling the
+    # `==` and `repr` they check.
+    monkeypatch.setattr(Not, "__eq__", lambda self, other: True)
+    monkeypatch.setattr(Not, "__repr__", lambda self: "Not()")
+    f, g = And(Not(A), B), And(Not(B), B)
+    assert f == g and not equal_by_fields(f, g)
+    assert repr(f) != repr_by_fields(f) == (
+        "And(lhs=Not(arg=AtomRef(name='a')), rhs=AtomRef(name='b'))")
+
+
 def test_a_run_hashes_as_its_elements():
     f = And(And(And(A, B), Not(A)), B)
     assert hash(f) == hash(tuple(chain_elements(f, And)))
@@ -255,7 +272,7 @@ def test_a_run_hashes_as_its_elements():
 
 @pytest.mark.parametrize("x", VALUES, ids=IDS)
 def test_fields_are_frozen(x):
-    for name in [f.name for f in dataclasses.fields(x)]:
+    for name in type(x).__slots__:
         with pytest.raises(dataclasses.FrozenInstanceError,
                            match=f"^cannot assign to field '{name}'$"):
             setattr(x, name, None)
@@ -275,21 +292,29 @@ def test_pickle_and_copy_round_trip(x):
     assert _same(x, deep) and hash(deep) == hash(x)
 
 
+def _replace(x, **changes):
+    """`x` rebuilt through its constructor from its `__match_args__`,
+    each passed by name, `changes` taking the place of some: what
+    `dataclasses.replace` does with a dataclass's init fields."""
+    fields = {name: getattr(x, name) for name in type(x).__match_args__}
+    return type(x)(**{**fields, **changes})
+
+
 @pytest.mark.parametrize("x", VALUES, ids=IDS)
 def test_replace_rebuilds_through_the_constructor(x):
-    back = dataclasses.replace(x)
+    back = _replace(x)
     assert _same(x, back) and back is not x
 
 
 def test_replace_validates_again():
     with pytest.raises(ValueError,
                        match="^reserved word 'not' cannot be used as an atom$"):
-        dataclasses.replace(A, name="not")
+        _replace(A, name="not")
     with pytest.raises(ValueError, match="^final rules cannot have a head$"):
-        dataclasses.replace(RULE, kind=RuleKind.FINAL)
+        _replace(RULE, kind=RuleKind.FINAL)
     with pytest.raises(ValueError, match=r"^max_rules must be within \[0, 8\]$"):
-        dataclasses.replace(GenConfig(), max_rules=9)
-    rule = dataclasses.replace(RULE, head=["b"], body=A)
+        _replace(GenConfig(), max_rules=9)
+    rule = _replace(RULE, head=["b"], body=A)
     assert rule.head == ("b",) and rule.atoms == {"a", "b"}
     assert rule.positive_present == {"a"}
 
@@ -309,11 +334,20 @@ def test_nothing_is_generated(x):
     assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}(")
 
 
+def _fresh(code):
+    """The stdout of `code` run in a fresh interpreter that imports
+    this checkout's `ppt`."""
+    src = str(Path(ppt.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+
+
 # Run in a fresh interpreter that has already imported what `ppt` shares
 # with most programs; prints how many code objects compiled from a
 # string are executed while `ppt.cli` is imported.
 _COUNT_EXECS = """
-import argparse, dataclasses, enum, json, random, re, sys
+import argparse, enum, json, random, re, sys
 count = 0
 def hook(event, args):
     global count
@@ -326,11 +360,25 @@ print(count)
 
 
 def test_import_executes_no_generated_code():
-    src = str(Path(ppt.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c", _COUNT_EXECS], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src}, check=True)
-    # From 3.13 on, `dataclass` executes one compiled builder for every
-    # class it decorates, whatever that builder defines.
-    limit = 22 if sys.version_info >= (3, 13) else 0
-    assert int(done.stdout) <= limit
+    assert int(_fresh(_COUNT_EXECS)) == 0
+
+
+# Prints the modules among `dataclasses` and `inspect` that importing
+# `ppt.cli` loads, of those not loaded before it (a site `.pth` file may
+# load either first), and then the module of the error that assigning
+# to a field raises.
+_NEW_MODULES = """
+import sys
+before = set(sys.modules)
+import ppt.cli
+print(sorted({"dataclasses", "inspect"} & set(sys.modules) - before))
+try:
+    ppt.AtomRef("a").name = "b"
+except Exception as error:
+    print(type(error).__module__, type(error).__name__)
+"""
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    assert _fresh(_NEW_MODULES).splitlines() == [
+        "[]", "dataclasses FrozenInstanceError"]

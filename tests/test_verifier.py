@@ -12,9 +12,10 @@ from ppt import (
     FALSUM, MODES, Always, AtomRef, GenConfig, HTTrace, Not,
     PreconditionSkipped, Previous, Program, Rule, RuleKind, Since, Trace,
     TraceMask, check_lemma_pastocc, check_lemma_support, completion,
-    enumerate_ts_models, format_program, is_tight, mask_trace,
-    parse_program, random_program, run_correspondence_suite,
-    run_lemma_suite, run_semantics_suite, verify_correspondence,
+    enumerate_ltlf_models, enumerate_ts_models, format_program,
+    is_past_formula, is_tight, mask_trace, parse_program, positive_atoms,
+    random_program, run_correspondence_suite, run_lemma_suite,
+    run_semantics_suite, verify_correspondence,
 )
 from ppt.syntax import CORE_TRUE
 
@@ -171,6 +172,35 @@ class TestVerifyCorrespondence:
         report = verify_correspondence(deep, 3, "completion")
         assert report == verify_correspondence(shallow, 3, "completion")
         assert report.equal is False and len(report.witnesses) == 2
+
+    def test_since_nest_through_rhs_past_the_recursion_limit(self):
+        # Every call the README names as safe at any depth, on a body
+        # 3,000 `since` nodes deep through their `rhs`, which is no left
+        # run of one class.  `b since (b since x)` is `b since x`, so
+        # each result must be that of the one-node body.
+        def program(depth):
+            body = AtomRef("a")
+            for _ in range(depth):
+                body = Since(AtomRef("b"), body)
+            rule = Rule(RuleKind.DYNAMIC, ("a",), body)
+            return body, Program((Rule(RuleKind.INITIAL, ("b",), CORE_TRUE),
+                                  rule))
+
+        assert sys.getrecursionlimit() < 3000
+        (body, deep), (_, shallow) = program(3000), program(1)
+        assert is_past_formula(body)
+        assert positive_atoms(body, present_only=True) == {"a", "b"}
+        assert deep.rules[1].positive_present == {"a", "b"}
+        assert is_tight(deep) is is_tight(shallow) is False
+        formulas = completion(deep)
+        assert len(formulas) == len(completion(shallow)) == 2
+        models = enumerate_ts_models(deep, 3)
+        assert models == enumerate_ts_models(shallow, 3) and len(models) == 1
+        assert enumerate_ltlf_models(formulas, 3, deep.alphabet) == (
+            enumerate_ltlf_models(completion(shallow), 3, shallow.alphabet))
+        report = verify_correspondence(deep, 3, "completion")
+        assert report == verify_correspondence(shallow, 3, "completion")
+        assert report.equal is False and len(report.witnesses) == 3
 
 
 class TestSuites:
