@@ -20,27 +20,38 @@ and help and usage take the terminal width when they are formatted.
 `main` refuses a negative `--budget` or `--cases`, then reads the
 program if the command takes a file, then calls the handler.  Each
 handler returns its payload; `main` prints it and reads exit 2 from a
-false `equal` or nonzero `failures`.  The bench tracer swaps the
+false `equal` or nonzero `failures`.  `main` pauses the cyclic
+collector for the call and leaves it as the caller had it on every
+exit: no call builds a reference cycle that grows with its input, so
+reference counting frees what a call allocates, and the collector
+would only rescan the values it builds.  The bench tracer swaps the
 functions this module imports from the other layers for wrappers, so
 the tables reach them only through a handler or a lambda, which looks
 the name up when it is called.
 
-JSON output is byte for byte `json.dumps(obj, indent=2)`, written key
-by key.  A model set (a top-level value that is a tuple of traces,
-from `models` and `verify`) is written trace by trace, each trace a
-join of per-state text chunks: a state's `indent=2` text at its fixed
-depth is rendered once per output and memoised.  Every other value
-goes through `json.dumps(value, indent=2)`, re-indented to its depth.
-On Python 3.10 to 3.12, `indent=2` runs the pure-Python encoder once
-per atom, state and trace, which cost more than the search on large
-model sets.  Python 3.13 encodes `indent=2` in C; the chunks are not
-slower there.
+JSON output is byte for byte `json.dumps(obj, indent=2)`.  A payload
+with no tuple value is printed by that one call.  A payload with a
+tuple value, a model set of `Trace`s (from `models` and `verify`), is
+written key by key.  A scalar or an empty container goes through
+`json.dumps` without `indent`, which runs json's C encoder.  A model set
+is written trace by trace, each trace a join of per-state chunks; a
+state's chunk is its atoms, each encoded by `json.dumps`, in the fixed
+layout of its depth, built once per output and memoised.  Any other
+value goes through `json.dumps(value, indent=2)`, re-indented to its
+depth.  No `indent=2` encoder is built per scalar, state or trace.  On
+Python 3.10 to 3.12, `indent=2` runs the pure-Python encoder, which
+builds a fresh `JSONEncoder` and mutually recursive closures on each
+call: a reference cycle of 33 objects that only the cyclic collector
+frees.  One such call per payload is constant garbage; one per state,
+trace or scalar grew with the model set and, on large model sets, cost
+more than the search.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import io
 import json
 import os
@@ -93,29 +104,37 @@ class _Fail(Exception):
 def _state_chunk(state: frozenset[str]) -> str:
     """The `indent=2` text of a state at the depth of a model set's
     states."""
-    return "      " + json.dumps(sorted(state), indent=2).replace(
-        "\n", "\n      ")
+    if not state:
+        return "      []"
+    return ("      [\n        "
+            + ",\n        ".join(map(json.dumps, sorted(state)))
+            + "\n      ]")
 
 
 def _emit(obj: dict) -> None:
     """Print `obj` as `json.dumps(obj, indent=2)` would.  A top-level
     value that is a tuple is a model set, a tuple of `Trace`s; see the
-    module docstring for how model sets are written."""
+    module docstring for which values go through which encoder."""
+    if not any(isinstance(value, tuple) for value in obj.values()):
+        print(json.dumps(obj, indent=2))
+        return
     chunk = functools.cache(_state_chunk)
     write = sys.stdout.write
     sep = "{\n"
     for key, value in obj.items():
         write(f"{sep}  {json.dumps(key)}: ")
         sep = ",\n"
-        if not (value and isinstance(value, tuple)):
+        if not (value and isinstance(value, (tuple, list, dict))):
+            write(json.dumps(value))
+        elif isinstance(value, tuple):
+            opening = "[\n    [\n"
+            for trace in value:
+                write(opening + ",\n".join(map(chunk, trace)))
+                opening = "\n    ],\n    [\n"
+            write("\n    ]\n  ]")
+        else:
             # JSON strings hold no raw newline: each newline is layout.
             write(json.dumps(value, indent=2).replace("\n", "\n  "))
-            continue
-        opening = "[\n    [\n"
-        for trace in value:
-            write(opening + ",\n".join(map(chunk, trace)))
-            opening = "\n    ],\n    [\n"
-        write("\n    ]\n  ]")
     write("\n}\n")
 
 
@@ -268,6 +287,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one `ppt` command line and return its exit code, with the
+    cyclic collector paused for the call (see the module docstring)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     args = _build_parser().parse_args(argv)
     handler, _, names, render = _COMMANDS[args.command]
     try:

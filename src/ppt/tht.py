@@ -270,42 +270,46 @@ def three_valued(m: HTTrace, k: int, f) -> int:
     _check_point(m, k)
     if not is_past_formula(f):
         raise ValueError("three_valued only accepts core past formulas")
-    memo: dict[tuple[int, int], int] = {}
+    return _three_valued(m, f, k, {})
 
-    def val(g, j: int) -> int:
-        key = (id(g), j)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        tp = type(g)
-        if tp is And or tp is Or:
-            # A chain is read by `chain_elements`, as in `_BitEvaluator`.
-            out = (min if tp is And else max)(
-                [val(e, j) for e in chain_elements(g, tp)])
-        elif tp is Falsum:
+
+def _three_valued(m: HTTrace, g, j: int,
+                  memo: dict[tuple[int, int], int]) -> int:
+    # `three_valued` of g at point j, memoised by (id(g), j) for one call.
+    # Module-level, as a recursive closure is a reference cycle.
+    key = (id(g), j)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    tp = type(g)
+    if tp is And or tp is Or:
+        # A chain is read by `chain_elements`, as in `_BitEvaluator`.
+        out = (min if tp is And else max)(
+            [_three_valued(m, e, j, memo) for e in chain_elements(g, tp)])
+    elif tp is Falsum:
+        out = 0
+    elif tp is AtomRef:
+        if g.name in m.h[j]:
+            out = 2
+        elif g.name in m.t[j]:
+            out = 1
+        else:
             out = 0
-        elif tp is AtomRef:
-            if g.name in m.h[j]:
-                out = 2
-            elif g.name in m.t[j]:
-                out = 1
-            else:
-                out = 0
-        elif tp is Not:
-            out = 2 if val(g.arg, j) == 0 else 0
-        elif tp is Previous:
-            out = 0 if j == 0 else val(g.arg, j - 1)
-        elif tp is Since:
-            out = max(
-                min(val(g.rhs, i),
-                    min((val(g.lhs, x) for x in range(i + 1, j + 1)), default=2))
-                for i in range(j + 1))
-        else:  # Trigger: `is_past_formula` admitted no other node
-            out = min(
-                max(val(g.rhs, i),
-                    max((val(g.lhs, x) for x in range(i + 1, j + 1)), default=0))
-                for i in range(j + 1))
-        memo[key] = out
-        return out
-
-    return val(f, k)
+    elif tp is Not:
+        out = 2 if _three_valued(m, g.arg, j, memo) == 0 else 0
+    elif tp is Previous:
+        out = 0 if j == 0 else _three_valued(m, g.arg, j - 1, memo)
+    elif tp is Since:
+        out = max(
+            min(_three_valued(m, g.rhs, i, memo),
+                min((_three_valued(m, g.lhs, x, memo)
+                     for x in range(i + 1, j + 1)), default=2))
+            for i in range(j + 1))
+    else:  # Trigger: `is_past_formula` admitted no other node
+        out = min(
+            max(_three_valued(m, g.rhs, i, memo),
+                max((_three_valued(m, g.lhs, x, memo)
+                     for x in range(i + 1, j + 1)), default=0))
+            for i in range(j + 1))
+    memo[key] = out
+    return out

@@ -108,24 +108,23 @@ def support_transform(f: PastFormula, loop: Iterable[Atom]) -> PastFormula:
     return _strike(f, loop & positive_atoms(f, present_only=True))
 
 
-def _strike(f: PastFormula, loop: frozenset[Atom]) -> PastFormula:
+def _strike(g: PastFormula, loop: frozenset[Atom]) -> PastFormula:
     # `support_transform` of a core formula, its loop read by `atom_tuple`.
-    def walk(g):
-        tp = type(g)
-        if tp is AtomRef:
-            return FALSUM if g.name in loop else g
-        if tp is Falsum or tp is Not or tp is Previous:
-            return g
-        if tp is And or tp is Or:
-            # A chain is rebuilt from `chain_elements`, in a loop.
-            first, *rest = chain_elements(g, tp)
-            out = walk(first)
-            for e in rest:
-                out = tp(out, walk(e))
-            return out
-        return unfold(g, walk(g.lhs), walk(g.rhs))  # since or trigger
-
-    return walk(f)
+    # Module-level, as a recursive closure is a reference cycle.
+    tp = type(g)
+    if tp is AtomRef:
+        return FALSUM if g.name in loop else g
+    if tp is Falsum or tp is Not or tp is Previous:
+        return g
+    if tp is And or tp is Or:
+        # A chain is rebuilt from `chain_elements`, in a loop.
+        first, *rest = chain_elements(g, tp)
+        out = _strike(first, loop)
+        for e in rest:
+            out = tp(out, _strike(e, loop))
+        return out
+    # Since or trigger.
+    return unfold(g, _strike(g.lhs, loop), _strike(g.rhs, loop))
 
 
 def unfold(g: Since | Trigger, lhs: PastFormula,

@@ -193,27 +193,32 @@ def random_past_formula(rng: random.Random, atoms, depth: int) -> PastFormula:
         raise ValueError("an atom pool must not be empty")
     if check_int(depth, "depth") < 0:
         raise ValueError("depth must be at least 0")
+    return _random_node(rng, atoms, depth, 0)
 
-    def leaf() -> PastFormula:
-        if rng.random() < 0.08:
-            return FALSUM
-        return AtomRef(rng.choice(atoms))
 
-    def build(d: int, negs: int) -> PastFormula:
-        if d <= 0:
-            return leaf()
-        if negs < _MAX_NEGATIONS:
-            pick = rng.choices(_OPTIONS, cum_weights=_CUM_WEIGHTS)[0]
-        else:
-            pick = rng.choices(_OPTIONS_NO_NOT,
-                               cum_weights=_CUM_WEIGHTS_NO_NOT)[0]
-        if pick is None:
-            return leaf()
-        if pick is Not or pick is Previous:
-            return pick(build(d - 1, negs + (pick is Not)))
-        return pick(build(d - 1, negs), build(d - 1, negs))
+# The builders of `random_past_formula`: module-level, as a recursive
+# closure is a reference cycle, which only the cyclic collector frees.
+def _random_leaf(rng: random.Random, atoms: tuple[str, ...]) -> PastFormula:
+    if rng.random() < 0.08:
+        return FALSUM
+    return AtomRef(rng.choice(atoms))
 
-    return build(depth, 0)
+
+def _random_node(rng: random.Random, atoms: tuple[str, ...], d: int,
+                 negs: int) -> PastFormula:
+    if d <= 0:
+        return _random_leaf(rng, atoms)
+    if negs < _MAX_NEGATIONS:
+        pick = rng.choices(_OPTIONS, cum_weights=_CUM_WEIGHTS)[0]
+    else:
+        pick = rng.choices(_OPTIONS_NO_NOT,
+                           cum_weights=_CUM_WEIGHTS_NO_NOT)[0]
+    if pick is None:
+        return _random_leaf(rng, atoms)
+    if pick is Not or pick is Previous:
+        return pick(_random_node(rng, atoms, d - 1, negs + (pick is Not)))
+    return pick(_random_node(rng, atoms, d - 1, negs),
+                _random_node(rng, atoms, d - 1, negs))
 
 
 def _random_literal_body(rng: random.Random, atoms) -> PastFormula:

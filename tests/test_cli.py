@@ -1,11 +1,14 @@
 import argparse
+import collections
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,7 @@ from ppt.parser import MAX_NESTING
 from ppt.syntax import RESERVED_WORDS, format_program
 from ppt.verify import MODES, GenConfig, random_program
 
-from conftest import P1_TEXT, P2_TEXT
+from conftest import EXAMPLES, P1_TEXT, P2_TEXT
 from test_verifier import _masking_unchecked
 
 
@@ -1331,6 +1334,216 @@ def test_model_set_writer_matches_json_dumps(payload):
     with contextlib.redirect_stdout(out):
         _emit(payload)
     assert out.getvalue() == json.dumps(_as_lists(payload), indent=2) + "\n"
+
+
+# Any payload `_emit` may be handed: scalars, strings with quotes,
+# backslashes, control characters and non-ASCII text, nested lists and
+# dicts, the empty tuple and model sets, at the top level in any mix.
+_texts = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7fé€😀'),
+                           st.characters()), max_size=8)
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _texts),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_texts, inner, max_size=4)),
+    max_leaves=12)
+
+
+def _any_payloads(alphabet):
+    values = st.one_of(_json_values, st.just(()), _model_sets(alphabet))
+    return st.dictionaries(_texts, values, max_size=6)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.lists(_atoms, min_size=1, max_size=4, unique=True).flatmap(
+    _any_payloads))
+@example({})
+@example({"a": (), "b": [], "c": {}, "d": ""})
+@example({"models": (Trace.of((), ["a"]),), "alphabet": ["a", "b"],
+          "nested": {"x": [1, {"y": None}]}, "quote": "\"\\\né"})
+def test_emit_matches_json_dumps(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(payload)
+    assert out.getvalue() == json.dumps(_as_lists(payload), indent=2) + "\n"
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+class TestCollectorPause:
+    """`main` pauses the cyclic collector for the call and leaves it as
+    the caller had it, on every way out."""
+
+    @pytest.fixture(params=(True, False), ids=("on", "off"))
+    def collector(self, request):
+        enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        try:
+            yield request.param
+        finally:
+            (gc.enable if enabled else gc.disable)()
+
+    @pytest.fixture
+    def cycle_file(self, tmp_path):
+        path = tmp_path / "cycle.ppt"
+        path.write_text("".join(f"a{i} :- a{(i + 1) % 22}.\n"
+                                for i in range(22)))
+        return str(path)
+
+    @staticmethod
+    def _exit(argv):
+        try:
+            return main(argv)
+        except SystemExit as exit_info:
+            return f"SystemExit({exit_info.code})"
+
+    @pytest.mark.parametrize("argv, code", [
+        (("check", "{p1}"), 0),
+        (("check", "{missing}"), 1),
+        (("fuzz", "--cases", "-1"), 1),
+        (("models", "{p1}", "--length", "2", "--extra"), "SystemExit(1)"),
+        (("frobnicate",), "SystemExit(1)"),
+        (("--help",), "SystemExit(0)"),
+        (("models", "--help"), "SystemExit(0)"),
+        (("verify", "{p2}", "--length", "2", "--mode", "completion"), 2),
+        (("models", "{p1}", "--length", "2", "--budget", "0"), 3),
+        (("lf", "{cycle}"), 3),
+    ], ids=("exit-0", "fail", "negative-cases", "usage", "unknown-command",
+            "help", "command-help", "mismatch", "budget", "scc-cap"))
+    def test_restored_on_exit(self, capsys, collector, p1_file, p2_file,
+                              cycle_file, tmp_path, argv, code):
+        files = {"p1": p1_file, "p2": p2_file, "cycle": cycle_file,
+                 "missing": str(tmp_path / "missing.ppt")}
+        assert self._exit([a.format(**files) for a in argv]) == code
+        assert gc.isenabled() is collector
+        capsys.readouterr()
+
+    def test_restored_on_a_closed_pipe(self, monkeypatch, collector,
+                                       p1_file):
+        fd = os.open(os.devnull, os.O_WRONLY)
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+            assert main(["embed", p1_file]) == 1
+        finally:
+            os.close(fd)
+        assert gc.isenabled() is collector
+
+    def test_paused_during_the_call(self, capsys, monkeypatch, collector,
+                                    p1_file):
+        seen = []
+        load = cli._load
+        monkeypatch.setattr(
+            cli, "_load", lambda path: seen.append(gc.isenabled())
+            or load(path))
+        assert main(["check", p1_file]) == 0
+        assert seen == [False]
+        capsys.readouterr()
+
+
+def _kind(obj) -> str:
+    # A function also gives its own name, so that a closure names its home.
+    kind = type(obj).__qualname__
+    if isinstance(obj, types.FunctionType):
+        kind += f" {obj.__qualname__}"
+    return kind
+
+
+def _cyclic_garbage(argv) -> tuple[int, collections.Counter]:
+    """How many objects `main(argv)`, run with the collector off, leaves
+    in reference cycles, and their types."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+        found = gc.collect()
+        kinds = collections.Counter(map(_kind, gc.garbage))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    return found, kinds
+
+
+@pytest.fixture(scope="module")
+def generated_file(tmp_path_factory):
+    """Bench `compile` program 0: 220 rules over six clusters of eight
+    atoms, with positive cycles, `since`, `prev` and disjunctive heads."""
+    bench = str(EXAMPLES.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        from pptbench.workloads import compile_program
+    finally:
+        sys.path.remove(bench)
+    path = tmp_path_factory.mktemp("generated") / "compile0.ppt"
+    path.write_text(compile_program(0))
+    return str(path)
+
+
+# The command lines of the workflow's "Repeated in-process commands" step
+# that read a program, with {} for the program and the example each
+# names.  On the generated program `models` and `verify` stop at the
+# search budget (exit 3).
+_GARBAGE_LINES = [(line, "p1") for line in (
+    "check {}", "check {} --json", "graph {}", "graph {} --json",
+    "loops {} --unitary", "loops {} --json", "complete {}",
+    "complete {} --simplify --json", "lf {} --json",
+    "lf {} --unitary --simplify", "embed {}", "embed {} --json",
+    "models {} --length 2 --extra")] + [
+    (line, program) for program in ("p1", "p2") for length in (2, 3, 4)
+    for line in [f"models {{}} --length {length}"] + [
+        f"verify {{}} --length {length} --mode {mode}"
+        for mode in ("completion", "loops", "unitary")]]
+
+
+def _garbage_differs(line, small, large) -> str:
+    (count, kinds), (other, other_kinds) = small, large
+    return (f"ppt {line}: {count} objects in reference cycles on the "
+            f"small input, {other} on the large one; only on the large "
+            f"one: {dict((other_kinds - kinds).most_common(8))}; only on "
+            f"the small one: {dict((kinds - other_kinds).most_common(8))}")
+
+
+@pytest.mark.parametrize("line, program", _GARBAGE_LINES,
+                         ids=[line.replace(" {}", "") + f" {program}"
+                              for line, program in _GARBAGE_LINES])
+def test_cyclic_garbage_does_not_grow_with_the_program(
+        line, program, p1_file, p2_file, generated_file):
+    # What a call leaves in reference cycles is freed only by the cyclic
+    # collector, which `main` pauses; it must not grow with the input.
+    small_file = {"p1": p1_file, "p2": p2_file}[program]
+    small, large = (_cyclic_garbage(line.format(path).split())
+                    for path in (small_file, generated_file))
+    assert small[0] == large[0], _garbage_differs(line, small, large)
+    if line.startswith(("models", "verify")) and "--extra" not in line:
+        longer = line.split()
+        longer[longer.index("--length") + 1] = "8"
+        large = _cyclic_garbage(longer[:1] + [small_file] + longer[2:])
+        assert small[0] == large[0], _garbage_differs(line, small, large)
+
+
+def test_cyclic_garbage_does_not_grow_with_the_fuzz_cases():
+    small, large = (_cyclic_garbage(["fuzz", "--cases", cases, "--seed", "1"])
+                    for cases in ("5", "100"))
+    assert small[0] == large[0], _garbage_differs("fuzz", small, large)
 
 
 def test_p1_models_length_10_digest(capsys, p1_file):
