@@ -320,7 +320,9 @@ def _main(argv) -> int:
         # The reader has gone (`ppt embed FILE | head -1`).  Point stdout
         # at devnull so that the flush at interpreter exit cannot raise
         # again; see "Note on SIGPIPE" in the `signal` documentation.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except _Fail as err:
         print(err, file=sys.stderr)

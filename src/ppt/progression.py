@@ -155,7 +155,6 @@ trigger carry starts out true.
 
 from __future__ import annotations
 
-import functools
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable
@@ -163,8 +162,8 @@ from typing import Iterable
 from .syntax import (
     Always, And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst,
     Not, Or, PptError, Previous, Program, RuleKind, Since, Trigger, Verum,
-    WeakNextAlways, atom_tuple, check_int, instance_of, is_fact,
-    refuse_formula, rule_formula,
+    WeakNextAlways, atom_tuple, atom_vectors, check_int, instance_of,
+    is_fact, refuse_formula, rule_formula,
 )
 
 __all__ = ["BudgetExceeded", "DEFAULT_BUDGET", "Compiled", "Trace",
@@ -368,23 +367,6 @@ def compile_program(p: Program) -> Compiled:
     return tuple.__new__(Compiled, (*compiled[:8], tuple(rules)))
 
 
-@functools.cache
-def _atom_vectors(count: int) -> tuple[int, ...]:
-    """Bit s of vector j is set when state s contains atom j, for the
-    2^count states.  Cached per count: a 22-atom search keeps 22 x 2^22
-    bits (12.3 MB) for its total pass, and less again for its subsets."""
-    width = 1 << count
-    vectors = []
-    for j in range(count):
-        period = 2 << j
-        vec = ((1 << (1 << j)) - 1) << (1 << j)
-        while period < width:
-            vec |= vec << period
-            period <<= 1
-        vectors.append(vec)
-    return tuple(vectors)
-
-
 def _evaluate(nodes, atoms, full: int, before, there,
               at_end: bool) -> list[int]:
     """Node values over a set of candidate states at one point.
@@ -506,7 +488,7 @@ def search(compiled: Compiled, lam: int,
         for s in _members(ok & -2):
             members = _members(s)
             here_atoms = [0] * len(atoms)
-            for j, vec in zip(members, _atom_vectors(len(members))):
+            for j, vec in zip(members, atom_vectors(len(members))):
                 here_atoms[j] = vec
             here_full = (1 << (1 << len(members))) - 1
             there = [here_full if v >> s & 1 else 0 for v in total]
@@ -534,7 +516,7 @@ def search(compiled: Compiled, lam: int,
             if heads == here:
                 break
             here = heads
-        for h, vec in zip(here, _atom_vectors(len(atoms))):
+        for h, vec in zip(here, atom_vectors(len(atoms))):
             ok &= ~(h ^ vec)
         charge(width * ok.bit_count(), point)
         return ok
@@ -550,7 +532,7 @@ def search(compiled: Compiled, lam: int,
         before = None if key is None else dict(zip(carried, key))
         required = at_start if key is None else later
         full = (1 << width) - 1
-        vals = _evaluate(nodes, _atom_vectors(len(atoms)), full, before, None,
+        vals = _evaluate(nodes, atom_vectors(len(atoms)), full, before, None,
                          at_end)
         ok = full
         for root in required:

@@ -40,10 +40,12 @@ a non-int count by `check_int`, and a value that is no formula node, or
 a wrapper below the top, by `refuse_formula`, wherever a formula is
 walked; `is_fact` is the one test of a fact, and `chain_elements` the
 one reader of an `and`/`or` chain, in a loop at any length, and
-`rule_formula` the one reading of a rule as a classical formula.  A bad
-argument to a library function (an atom outside the alphabet, traces
-of unequal length) raises the built-in `ValueError`; `PptError` is the
-base of the exceptions each layer declares where it raises them:
+`rule_formula` the one reading of a rule as a classical formula;
+`atom_vectors` lays out sets of atoms as bit vectors, the search's
+states and the loop walk's subsets alike.  A bad argument to a
+library function (an atom outside the alphabet, traces of unequal
+length) raises the built-in `ValueError`; `PptError` is the base of
+the exceptions each layer declares where it raises them:
 `parser.ParseError` and `RestrictionError`, `progression.BudgetExceeded`
 and `transform.SccTooLarge`.
 """
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from functools import reduce
+from functools import cache, reduce
 from operator import attrgetter
 from typing import Iterable, Union
 
@@ -733,6 +735,24 @@ def chain_elements(f, tp) -> list:
     parts.append(f)
     parts.reverse()
     return parts
+
+
+@cache
+def atom_vectors(count: int) -> tuple[int, ...]:
+    """Bit s of vector j is set when set s (a state of the search, a
+    subset of a component for the loop walk) contains atom j, for the
+    2^count sets.  Cached per count: a 22-atom search keeps 22 x 2^22
+    bits (12.3 MB) for its total pass, and less again for its subsets."""
+    width = 1 << count
+    vectors = []
+    for j in range(count):
+        period = 2 << j
+        vec = ((1 << (1 << j)) - 1) << (1 << j)
+        while period < width:
+            vec |= vec << period
+            period <<= 1
+        vectors.append(vec)
+    return tuple(vectors)
 
 
 def _body_text(body: PastFormula) -> str:

@@ -7,14 +7,14 @@ an edge (a, b) where a rule of the section has a in its head and b in
 rule was built); final rules have no heads and no graph.  A loop is a
 nonempty atom set whose atoms reach each other inside it, paths of
 length 0 allowed, so every singleton is one (the unitary regime); in
-the default regime a singleton needs a self-edge.  `_loops` decides the
-regime once: its one walk, over each component's subsets as masks
-(whole component first, tested with `_closure`), marks the
-default-regime loops for `enumerate_loops`, `is_tight` and the loop
-formulas.  A program is tight when no section graph has a marked loop.
-Enumerating loops refuses a component past `SCC_CAP` (`SccTooLarge`);
-tightness stops at the first marked loop, which a component of two or
-more atoms is, so it has no cap.
+the default regime a singleton needs a self-edge.  `_sorted_loops`
+decides the regime once: `_loops` tests all subsets of a component at
+once, one bit per subset, and `_sorted_loops` marks the default-regime
+loops among them for `enumerate_loops` and the loop formulas.
+Enumerating loops refuses a component past `SCC_CAP` (`SccTooLarge`).
+A program is tight when no section graph has a marked loop, that is,
+no component of two or more atoms and no self-edge; `is_tight` reads
+that off the components and walks no subsets, so it has no cap.
 
 Three translations are provided, all evaluated classically over total
 traces:
@@ -28,8 +28,8 @@ traces:
   in `wnext_always`; the other two translations need no loops.
   `loop_formula_regimes` builds both regimes from one walk of the
   unitary loops and one support memo per section: the default regime
-  is that list without the loops `_loops` left unmarked, and the two
-  lists share their formula objects.
+  is that list without the loops `_sorted_loops` left unmarked, and the
+  two lists share their formula objects.
 * `program_as_ltlf`: the rules read as formulas (`rule_formula`, from
   `ppt.syntax`), as `progression.compile_program` compiles them for the
   stable-model search and the rule checks of `ppt.tht` read them.
@@ -44,33 +44,49 @@ and one atom's biconditional is the `atom x` entry of
 Emission is canonical and unsimplified; `simplify` applies a fixed set
 of truth-constant rewrites when shorter output is wanted.
 
-Cost model.  A section with R rules and a loop set of N loops has up
-to R*N support terms, one per loop and rule whose head meets the loop,
-but far fewer distinct ones: `sourced_loop_formulas` builds the term
-of rule r for loop L once per key (r, L & (P_r | head_r)), where P_r is
+Cost model.  The walk of a component of n atoms goes through its 2^n
+subsets in 2^max(0, n - 12) blocks: the first 12 atoms vary within a
+block, laid out by `syntax.atom_vectors`, and the others are fixed by
+the block's number, so every vector has at most 4,096 bits.  In a
+block, forward and backward reach from each subset's lowest atom are
+propagated by ORs of whole vectors over the component's edges, masked
+by membership, until nothing changes; a subset is a loop when every
+member is reached both ways.  A loop's bit is decoded to its mask
+through two tables, one per half: 2^12 and 2^(n - 12) entries at most.
+A component of one atom is its one loop and is not walked.
+
+A section with R rules and a loop set of N loops has up to R*N
+support terms, one per loop and rule whose head meets the loop, but
+far fewer distinct ones: `sourced_loop_formulas` builds the term of
+rule r for loop L once per key (r, L & (P_r | head_r)), where P_r is
 `r.positive_present`, and every later loop with that key reuses the
 same object.  The key is exact:
 `support_transform(B, L) = support_transform(B, L & P(B))`, since only
 the positive present atoms of B are struck, and the negated head atoms
 are those of head_r outside L, which depend only on L & head_r.  Atom
 sets in keys are bitmasks, one bit per alphabet atom; an atom outside
-the alphabet is in no P_r or head_r and gets no bit.  Rules are found
-through an index by head atom built once per section, which
-`sourced_completion` uses too, and the mask of P_r | head_r of each
-rule is computed with it; one `AtomRef` per atom serves every formula
-of a call.  `simplify_formulas` and `syntax.format_formulas`
-then do the work for a shared term once per list of formulas.
+the alphabet is in no P_r or head_r and gets no bit.  Each rule of a
+section is kept once as a row with the masks of head_r and of
+P_r | head_r; the rows whose head meets a component are picked once per
+component, by one scan of the section's rows, and each loop of the
+component scans only these, and builds the atom set that
+`support_transform` strikes only when a term is missing from the memo.
+A loop's disjunction is built once per prefix of its sorted atoms, so
+the loops of a call share their prefixes, and one `AtomRef` per atom
+serves every formula of a call.  `simplify_formulas` and
+`syntax.format_formulas` then do the work for a shared term once per
+list of formulas.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .syntax import (
     Always, And, Atom, AtomRef, ExtFormula, FALSUM, Falsum, FinalConst,
     Iff, Implies, INITIAL_CONST, INITIAL_EXPANSION, InitialConst, Not, Or,
     PastFormula, PptError, Previous, Program, Rule, RuleKind, Since,
-    Trigger, Value, Verum, VERUM, WeakNextAlways, atom_tuple,
+    Trigger, Value, Verum, VERUM, WeakNextAlways, atom_tuple, atom_vectors,
     chain_elements, instance_of, or_chain, positive_atoms, refuse_formula,
     rule_formula, value_class,
 )
@@ -161,33 +177,47 @@ def _by_head(p: Program, section: RuleKind) -> _Section:
 
 
 def _supports(p: Program, section: RuleKind, refs: dict[Atom, AtomRef]
-              ) -> Callable[[frozenset[Atom]], PastFormula]:
+              ) -> Callable[[int, int], PastFormula]:
     """The external support of a loop within one section, as a function
-    of the loop (a frozenset); see the module docstring for its memo."""
-    rules, index = _by_head(p, section)
-    bit = {atom: 1 << j for j, atom in enumerate(sorted(p.alphabet))}
-    # Per rule position: the mask of P_r | head_r, and the rule's terms
-    # keyed by the loop's mask within it.
-    strikable = [sum(bit[atom] for atom in r.positive_present.union(r.head))
-                 for r in rules]
-    terms: list[dict[int, PastFormula]] = [{} for _ in rules]
+    of the loop's mask and of a mask that holds it (its component), both
+    over the sorted alphabet; see the module docstring for its memo."""
+    vertices = sorted(p.alphabet)
+    bit = {atom: 1 << j for j, atom in enumerate(vertices)}
+    # Per rule of the section, in program order: (rule, mask of head_r,
+    # mask of P_r | head_r, the rule's terms keyed by the loop's mask
+    # within the latter).
+    rows = [(r, _mask(r.head, bit),
+             _mask(r.positive_present.union(r.head), bit), {})
+            for r in p.rules if r.kind is section]
+    # Per component, the rows whose head meets it.
+    meeting: dict[int, list] = {}
 
-    def support(loop: frozenset[Atom]) -> PastFormula:
-        mask = 0
-        for atom in loop:
-            mask |= bit.get(atom, 0)
-        out = None
-        for i in sorted(set().union(*(index.get(atom, ()) for atom in loop))):
-            key = mask & strikable[i]
-            term = terms[i].get(key)
-            if term is None:
-                r = rules[i]
-                term = terms[i][key] = _support_term(
-                    r, loop, _strike(r.body, loop), refs)
-            out = term if out is None else Or(out, term)
+    def support(mask: int, scc: int) -> PastFormula:
+        found = meeting.get(scc)
+        if found is None:
+            found = meeting[scc] = [row for row in rows if row[1] & scc]
+        loop = out = None
+        for rule, head, strikable, terms in found:
+            if head & mask:
+                key = mask & strikable
+                term = terms.get(key)
+                if term is None:
+                    if loop is None:
+                        loop = frozenset(vertices[j] for j in _positions(mask))
+                    term = terms[key] = _support_term(
+                        rule, loop, _strike(rule.body, loop), refs)
+                out = term if out is None else Or(out, term)
         return FALSUM if out is None else out
 
     return support
+
+
+def _mask(atoms: Iterable[Atom], bit: dict[Atom, int]) -> int:
+    # An atom outside the alphabet gets no bit.
+    mask = 0
+    for atom in atoms:
+        mask |= bit.get(atom, 0)
+    return mask
 
 
 def external_support(p: Program, section: RuleKind,
@@ -200,8 +230,10 @@ def external_support(p: Program, section: RuleKind,
     qualifies.
     """
     instance_of(section, RuleKind, "a section")
-    return _supports(p, section, _atom_refs(p))(
-        frozenset(atom_tuple(loop, "a loop")))
+    loop = atom_tuple(loop, "a loop")
+    mask = _mask(loop, {atom: 1 << j
+                        for j, atom in enumerate(sorted(p.alphabet))})
+    return _supports(p, section, _atom_refs(p))(mask, mask)
 
 
 def sourced_completion(p: Program) -> Sourced:
@@ -244,19 +276,36 @@ def _loop_entries(p: Program, unitary: bool):
     # ((formula, source), default mark) per loop of the regime, from one
     # walk and one support memo per section.
     refs = _atom_refs(p)
+    disjunctions: dict[int, PastFormula] = {}
     for graph in section_graphs(p):
         section = graph.section
         loops = _sorted_loops(graph, unitary)
         if not loops:
             continue
         support = _supports(p, section, refs)
-        for atoms, default in loops:
-            body = Implies(or_chain([refs[a] for a in atoms]),
-                           support(frozenset(atoms)))
-            if section is RuleKind.DYNAMIC:
+        dynamic = section is RuleKind.DYNAMIC
+        name = section.value
+        for atoms, mask, scc, default in loops:
+            body = Implies(_disjunction(atoms, mask, refs, disjunctions),
+                           support(mask, scc))
+            if dynamic:
                 body = WeakNextAlways(body)
-            yield ((body, f"{section.value} loop {{{', '.join(atoms)}}}"),
-                   default)
+            yield (body, f"{name} loop {{{', '.join(atoms)}}}"), default
+
+
+def _disjunction(atoms: list[Atom], mask: int, refs: dict[Atom, AtomRef],
+                 memo: dict[int, PastFormula]) -> PastFormula:
+    # `or_chain` of the refs of a loop's sorted atoms, built once per
+    # prefix: the memo is keyed by a prefix's mask, whose highest bit is
+    # the prefix's last atom.  Module-level, as a recursive closure is a
+    # reference cycle; it recurses at most `SCC_CAP` deep.
+    out = memo.get(mask)
+    if out is None:
+        rest = mask ^ 1 << (mask.bit_length() - 1)
+        out = memo[mask] = (
+            Or(_disjunction(atoms[:-1], rest, refs, memo), refs[atoms[-1]])
+            if rest else refs[atoms[0]])
+    return out
 
 
 def sourced_loop_formulas(p: Program, unitary: bool = False) -> Sourced:
@@ -500,44 +549,115 @@ def _components(forward: list[int], backward: list[int]) -> list[int]:
     return components
 
 
-def _loops(forward: list[int], backward: list[int],
-           components: list[int]) -> Iterator[tuple[int, bool]]:
-    # Each component's unitary loops as vertex masks, whole component
-    # first, each with its default mark: every singleton, marked when it
-    # has a self-edge, and every larger subset whose lowest vertex
-    # reaches all of it both ways inside it, always marked.
-    for scc in components:
-        sub = scc
-        while sub:
-            start = sub & -sub
-            if sub == start:
-                yield sub, bool(forward[start.bit_length() - 1] & start)
-            elif (_closure(start, forward, sub) == sub
-                    and _closure(start, backward, sub) == sub):
-                yield sub, True
-            sub = (sub - 1) & scc
+# The low atoms of a component, whose membership varies within one block
+# of its subsets; the others are fixed per block, so no membership
+# vector is wider than 2^_BLOCK bits.
+_BLOCK = 12
 
 
-def _sorted_loops(g: DepGraph, unitary: bool) -> list[tuple[list[Atom], bool]]:
-    # The loops of a regime as (sorted atoms, default mark), sorted by
-    # their atoms.  No component may exceed the cap: the error names the
-    # first oversize one in the order of the components' smallest atoms.
+def _positions(mask: int) -> list[int]:
+    # The set bits of mask, lowest first.
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _subset_masks(positions: list[int]) -> list[int]:
+    # Entry s is the mask of the positions[j] for the bits j of s.
+    table = [0]
+    for position in positions:
+        bit = 1 << position
+        table += [mask | bit for mask in table]
+    return table
+
+
+def _reach(seeds: list[int], members: list[int],
+           sources: list[list[int]]) -> list[int]:
+    # Per atom j, the subsets in which j is reached from the seed along
+    # edges from the atoms sources[j] inside the subset; one bit per
+    # subset, as in `members`.
+    reach = list(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for j, into in enumerate(sources):
+            got = 0
+            for i in into:
+                got |= reach[i]
+            got = reach[j] | got & members[j]
+            if got != reach[j]:
+                reach[j] = got
+                changed = True
+    return reach
+
+
+def _loops(forward: list[int], scc: int) -> list[int]:
+    """A component's unitary loops as vertex masks, by the module
+    docstring's walk: in each block, bit s of an atom's membership
+    vector is set when subset s of the block holds the atom.  A one-atom
+    component is its one loop."""
+    if not scc & (scc - 1):
+        return [scc]
+    positions = _positions(scc)
+    # Per atom, by its number in the component: forward reach enters it
+    # from its predecessors, backward reach from its successors.
+    into_ahead = [[] for _ in positions]
+    into_behind = [[] for _ in positions]
+    for i, source in enumerate(positions):
+        for j, target in enumerate(positions):
+            if forward[source] >> target & 1:
+                into_ahead[j].append(i)
+                into_behind[i].append(j)
+    width = min(len(positions), _BLOCK)
+    full = (1 << (1 << width)) - 1
+    low_members = atom_vectors(width)
+    low_masks = _subset_masks(positions[:width])
+    loops = []
+    for block, high in enumerate(_subset_masks(positions[width:])):
+        members = list(low_members)
+        for j in range(len(positions) - width):
+            members.append(full if block >> j & 1 else 0)
+        seeds = []
+        unseeded = full
+        for vector in members:
+            seeds.append(vector & unseeded)
+            unseeded &= ~vector
+        # The empty subset is left unseeded, and so is no loop.
+        missed = unseeded
+        for vector, ahead, behind in zip(
+                members, _reach(seeds, members, into_ahead),
+                _reach(seeds, members, into_behind)):
+            missed |= vector & ~(ahead & behind)
+        for s in _positions(full & ~missed):
+            loops.append(low_masks[s] | high)
+    return loops
+
+
+def _sorted_loops(g: DepGraph, unitary: bool
+                  ) -> list[tuple[list[Atom], int, int, bool]]:
+    # The loops of a regime as (sorted atoms, mask, component, default
+    # mark), sorted by their atoms: a singleton is marked when it has a
+    # self-edge, a larger loop always.  No component may exceed the cap:
+    # the error names the first oversize one in the order of the
+    # components' smallest atoms.
     vertices, forward, backward = _adjacency(g)
     components = _components(forward, backward)
     for scc in components:
         if scc.bit_count() > SCC_CAP:
             raise SccTooLarge(
                 f"component of size {scc.bit_count()} exceeds cap {SCC_CAP}")
-    # A loop's atoms, read off in bit order, are sorted already.
     loops = []
-    for mask, default in _loops(forward, backward, components):
-        if unitary or default:
-            atoms = []
-            while mask:
-                low = mask & -mask
-                atoms.append(vertices[low.bit_length() - 1])
-                mask ^= low
-            loops.append((atoms, default))
+    for scc in components:
+        for mask in _loops(forward, scc):
+            default = bool(mask & (mask - 1)
+                           or forward[mask.bit_length() - 1] & mask)
+            if unitary or default:
+                # A loop's atoms, read off in bit order, are sorted.
+                loops.append(([vertices[j] for j in _positions(mask)],
+                              mask, scc, default))
     loops.sort()
     return loops
 
@@ -547,13 +667,15 @@ def enumerate_loops(g: DepGraph,
     """All loops of a graph as atom sets, in canonical order: sorted by
     their sorted atoms.  Every loop lies inside one component, and a
     component past `SCC_CAP` raises `SccTooLarge`."""
-    return tuple(frozenset(atoms) for atoms, _ in _sorted_loops(g, unitary))
+    return tuple(frozenset(loop[0]) for loop in _sorted_loops(g, unitary))
 
 
 def is_tight(p: Program) -> bool:
-    """True when neither section graph has a default-regime loop."""
-    return not any(
-        default
-        for _, forward, backward in map(_adjacency, section_graphs(p))
-        for _, default in _loops(forward, backward,
-                                 _components(forward, backward)))
+    """True when neither section graph has a default-regime loop, that
+    is, no component of two or more atoms and no self-edge."""
+    for g in section_graphs(p):
+        _, forward, backward = _adjacency(g)
+        if (any(scc & (scc - 1) for scc in _components(forward, backward))
+                or any(a == b for a, b in g.edges)):
+            return False
+    return True

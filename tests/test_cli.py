@@ -1381,6 +1381,24 @@ class _ClosedPipe(io.StringIO):
         return self._fd
 
 
+def _open_descriptors():
+    fds = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    return len(os.listdir(fds))
+
+
+def test_closed_pipe_leaks_no_descriptor(monkeypatch, p1_file):
+    # Each call points the dead stdout at devnull, and closes again the
+    # descriptor it opened for that.
+    fd = os.open(os.devnull, os.O_WRONLY)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        before = _open_descriptors()
+        assert [main(["embed", p1_file]) for _ in range(5)] == [1] * 5
+        assert _open_descriptors() == before
+    finally:
+        os.close(fd)
+
+
 class TestCollectorPause:
     """`main` pauses the cyclic collector for the call and leaves it as
     the caller had it, on every way out."""

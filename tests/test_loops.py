@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -301,3 +302,54 @@ class TestBitmaskLoops:
                           "a :- c. b :- b.")
         assert enumerate_loops(_dyn_graph(p)) == (
             frozenset("ab"), frozenset("b"), frozenset("cd"))
+
+
+def _chorded_cycle(size, seed, chords):
+    # A cycle a00 -> a01 -> ... -> a00 plus `chords` random edges, so
+    # that all atoms form one component.
+    rng = random.Random(seed)
+    vertices = [f"a{i:02}" for i in range(size)]
+    edges = {(vertices[i], vertices[(i + 1) % size]) for i in range(size)}
+    edges |= {(rng.choice(vertices), rng.choice(vertices))
+              for _ in range(chords)}
+    return DepGraph(vertices, edges)
+
+
+def _cap_cycle(*steps):
+    # `SCC_CAP` atoms a00 ... with an edge from a_i to a_(i + step) for
+    # each step, indices taken round the cycle.
+    vertices = [f"a{i:02}" for i in range(SCC_CAP)]
+    return DepGraph(vertices, [(vertices[i], vertices[(i + step) % SCC_CAP])
+                               for i in range(SCC_CAP) for step in steps])
+
+
+class TestBlockWalk:
+    """Components past 12 atoms are walked in several blocks of 2^12
+    subsets, the membership of the other atoms fixed per block."""
+
+    def test_multi_block_components_match_set_based_reach(self):
+        for seed in range(21):
+            g = _chorded_cycle(13 + seed % 3, seed, chords=3 + seed % 5)
+            unitary = enumerate_loops(g, unitary=True)
+            assert unitary == _set_based_loops(g, True)
+            default = enumerate_loops(g)
+            assert default == _set_based_loops(g, False)
+            # The default marks of the one walk are the default regime.
+            marks = [loop[3] for loop in depgraph._sorted_loops(g, True)]
+            assert marks == [loop in default for loop in unitary]
+
+    def test_counts_at_the_cap(self):
+        cycle = _cap_cycle(1)
+        assert len(enumerate_loops(cycle, unitary=True)) == SCC_CAP + 1
+        assert enumerate_loops(cycle) == (frozenset(cycle.vertices),)
+        assert len(enumerate_loops(_cap_cycle(1, 3), unitary=True)) == 22859
+
+    def test_walk_at_the_cap_is_bounded_in_memory(self):
+        cycle = _cap_cycle(1)
+        tracemalloc.start()
+        try:
+            enumerate_loops(cycle, unitary=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
