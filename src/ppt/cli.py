@@ -185,11 +185,12 @@ def _cmd_loops(program, args) -> dict:
             for g in section_graphs(program)}
 
 
-def _cmd_compile(pairs, args) -> dict:
+def _cmd_compile(pairs, simplify: bool) -> dict:
     """`complete`, `lf` and `embed`: one translation, given as
-    (formula, source) pairs."""
+    (formula, source) pairs, simplified here when `simplify` is set;
+    `lf` asks its builder for simplified formulas instead."""
     formulas = [f for f, _ in pairs]
-    if args.simplify:
+    if simplify:
         formulas = simplify_formulas(formulas)
     texts = format_formulas(formulas)
     return {"formulas": [{"formula": text, "source": source}
@@ -255,15 +256,16 @@ _COMMANDS = {
                              for section, loops in found.items()
                              for loop in loops]),
     "complete": (lambda program, args: _cmd_compile(
-                     sourced_completion(program), args),
+                     sourced_completion(program), args.simplify),
                  "print the temporal completion",
                  ("file", "--simplify", "--json"), _formula_lines),
     "lf": (lambda program, args: _cmd_compile(
-               sourced_loop_formulas(program, args.unitary), args),
+               sourced_loop_formulas(program, args.unitary,
+                                     simplify=args.simplify), False),
            "print the loop formulas",
            ("file", "--unitary", "--simplify", "--json"), _formula_lines),
     "embed": (lambda program, args: _cmd_compile(
-                  sourced_program_as_ltlf(program), args),
+                  sourced_program_as_ltlf(program), args.simplify),
               "print the rules as classical formulas",
               ("file", "--simplify", "--json"), _formula_lines),
     "verify": (_cmd_verify, "check a correspondence on one program",

@@ -42,7 +42,8 @@ and one atom's biconditional is the `atom x` entry of
 `sourced_completion`.
 
 Emission is canonical and unsimplified; `simplify` applies a fixed set
-of truth-constant rewrites when shorter output is wanted.
+of truth-constant rewrites when shorter output is wanted, and
+`sourced_loop_formulas` can apply them while it builds.
 
 Cost model.  The walk of a component of n atoms goes through its 2^n
 subsets in 2^max(0, n - 12) blocks: the first 12 atoms vary within a
@@ -53,7 +54,8 @@ propagated by ORs of whole vectors over the component's edges, masked
 by membership, until nothing changes; a subset is a loop when every
 member is reached both ways.  A loop's bit is decoded to its mask
 through two tables, one per half: 2^12 and 2^(n - 12) entries at most.
-A component of one atom is its one loop and is not walked.
+A component of one or two atoms is not walked: each of its nonempty
+subsets is a loop.
 
 A section with R rules and a loop set of N loops has up to R*N
 support terms, one per loop and rule whose head meets the loop, but
@@ -76,6 +78,16 @@ the loops of a call share their prefixes, and one `AtomRef` per atom
 serves every formula of a call.  `simplify_formulas` and
 `syntax.format_formulas` then do the work for a shared term once per
 list of formulas.
+
+Simplified loop formulas (`sourced_loop_formulas(..., simplify=True)`)
+are built simplified rather than simplified afterwards: a term is
+simplified once, when it misses the memo, which then holds the
+simplified term; each support is folded as `_simplify` folds a
+disjunction, a false term left out and a true one absorbing the chain.
+So a support costs one `Or` per term that survives, and no pass walks
+the chains again; the loop disjunctions hold atoms only and need no
+simplifying.  The builder picks its chain loop once per section, so
+the unsimplified one does no per-term constant test.
 """
 
 from __future__ import annotations
@@ -176,11 +188,14 @@ def _by_head(p: Program, section: RuleKind) -> _Section:
     return rules, index
 
 
-def _supports(p: Program, section: RuleKind, refs: dict[Atom, AtomRef]
-              ) -> Callable[[int, int], PastFormula]:
+def _supports(p: Program, section: RuleKind, refs: dict[Atom, AtomRef],
+              memo: dict | None = None) -> Callable[[int, int], PastFormula]:
     """The external support of a loop within one section, as a function
     of the loop's mask and of a mask that holds it (its component), both
-    over the sorted alphabet; see the module docstring for its memo."""
+    over the sorted alphabet; see the module docstring for its memo.
+    Given a `_simplify` memo, the support comes out simplified: each
+    term is simplified once, a false term is left out of the chain and
+    a true one absorbs it."""
     vertices = sorted(p.alphabet)
     bit = {atom: 1 << j for j, atom in enumerate(vertices)}
     # Per rule of the section, in program order: (rule, mask of head_r,
@@ -209,7 +224,30 @@ def _supports(p: Program, section: RuleKind, refs: dict[Atom, AtomRef]
                 out = term if out is None else Or(out, term)
         return FALSUM if out is None else out
 
-    return support
+    def folded(mask: int, scc: int) -> PastFormula:
+        # `support` with each term simplified on a memo miss, folded as
+        # the chain loop of `_simplify` folds a disjunction.
+        found = meeting.get(scc)
+        if found is None:
+            found = meeting[scc] = [row for row in rows if row[1] & scc]
+        loop = out = None
+        for rule, head, strikable, terms in found:
+            if head & mask:
+                key = mask & strikable
+                term = terms.get(key)
+                if term is None:
+                    if loop is None:
+                        loop = frozenset(vertices[j] for j in _positions(mask))
+                    term = terms[key] = _simplify(_support_term(
+                        rule, loop, _strike(rule.body, loop), refs), memo)
+                tp = type(term)
+                if tp is Verum:
+                    return VERUM
+                if tp is not Falsum:
+                    out = term if out is None else Or(out, term)
+        return FALSUM if out is None else out
+
+    return support if memo is None else folded
 
 
 def _mask(atoms: Iterable[Atom], bit: dict[Atom, int]) -> int:
@@ -272,17 +310,19 @@ def sourced_program_as_ltlf(p: Program) -> Sourced:
     return [(rule_formula(r), f"rule {i}") for i, r in enumerate(p.rules)]
 
 
-def _loop_entries(p: Program, unitary: bool):
+def _loop_entries(p: Program, unitary: bool, simplified: bool = False):
     # ((formula, source), default mark) per loop of the regime, from one
-    # walk and one support memo per section.
+    # walk and one support memo per section; simplified, the supports
+    # share one `_simplify` memo.
     refs = _atom_refs(p)
     disjunctions: dict[int, PastFormula] = {}
+    memo = {} if simplified else None
     for graph in section_graphs(p):
         section = graph.section
         loops = _sorted_loops(graph, unitary)
         if not loops:
             continue
-        support = _supports(p, section, refs)
+        support = _supports(p, section, refs, memo)
         dynamic = section is RuleKind.DYNAMIC
         name = section.value
         for atoms, mask, scc, default in loops:
@@ -308,14 +348,18 @@ def _disjunction(atoms: list[Atom], mask: int, refs: dict[Atom, AtomRef],
     return out
 
 
-def sourced_loop_formulas(p: Program, unitary: bool = False) -> Sourced:
+def sourced_loop_formulas(p: Program, unitary: bool = False, *,
+                          simplify: bool = False) -> Sourced:
     """One formula per loop: initial loops first, then dynamic loops.
 
     Loops come out in canonical order; each formula states that the loop
     disjunction implies the external support of the loop within its own
-    section.
+    section.  With `simplify`, the formulas are those of
+    `simplify_formulas`, built directly: each support term is simplified
+    once, when first built, and a support keeps only the terms that do
+    not fold to false, or is true when one folds to true.
     """
-    return [entry for entry, _ in _loop_entries(p, unitary)]
+    return [entry for entry, _ in _loop_entries(p, unitary, simplify)]
 
 
 def loop_formula_regimes(p: Program
@@ -598,9 +642,14 @@ def _loops(forward: list[int], scc: int) -> list[int]:
     """A component's unitary loops as vertex masks, by the module
     docstring's walk: in each block, bit s of an atom's membership
     vector is set when subset s of the block holds the atom.  A one-atom
-    component is its one loop."""
-    if not scc & (scc - 1):
+    component is its one loop; the two atoms of a two-atom component
+    reach each other directly, so each of its three subsets is a loop.
+    Neither is walked."""
+    high = scc & (scc - 1)
+    if not high:
         return [scc]
+    if not high & (high - 1):
+        return [scc ^ high, high, scc]
     positions = _positions(scc)
     # Per atom, by its number in the component: forward reach enters it
     # from its predecessors, backward reach from its successors.

@@ -1033,10 +1033,73 @@ GOLDEN = {
 }
 
 
+# Simplified loop formulas of a program whose supports fold each way,
+# recorded while `lf --simplify` still ran `simplify_formulas` over the
+# unsimplified list: the dynamic loop {a, b} has a fact among false terms
+# and comes out true, {c, d} keeps the terms that survive of a mixed chain
+# (the first an `or` whose struck element drops out), every term of
+# {g, h} folds to false, and the dynamic singleton {a} has a term before
+# the fact that absorbs it.
+FOLD_TEXT = (
+    'a.\n'
+    '#dynamic.\n'
+    'a :- b.\n'
+    'b :- a.\n'
+    'a.\n'
+    'c :- d or e or f.\n'
+    'd :- c.\n'
+    'c :- not f.\n'
+    'd :- c, e.\n'
+    'g :- h, k.\n'
+    'h :- g.\n'
+)
+GOLDEN['FOLD', 'lf --simplify --json'] = [
+    ('wnext_always(a or b -> true)',
+     'dynamic loop {a, b}'),
+    ('wnext_always(c or d -> e or f or not f)',
+     'dynamic loop {c, d}'),
+    ('wnext_always(g or h -> false)',
+     'dynamic loop {g, h}'),
+]
+GOLDEN['FOLD', 'lf --unitary --simplify --json'] = [
+    ('a -> true',
+     'initial loop {a}'),
+    *((f'{atom} -> false', f'initial loop {{{atom}}}') for atom in 'bcdefghk'),
+    ('wnext_always(a -> true)',
+     'dynamic loop {a}'),
+    ('wnext_always(a or b -> true)',
+     'dynamic loop {a, b}'),
+    ('wnext_always(b -> a)',
+     'dynamic loop {b}'),
+    ('wnext_always(c -> d or e or f or not f)',
+     'dynamic loop {c}'),
+    ('wnext_always(c or d -> e or f or not f)',
+     'dynamic loop {c, d}'),
+    ('wnext_always(d -> c or c and e)',
+     'dynamic loop {d}'),
+    ('wnext_always(e -> false)',
+     'dynamic loop {e}'),
+    ('wnext_always(f -> false)',
+     'dynamic loop {f}'),
+    ('wnext_always(g -> h and k)',
+     'dynamic loop {g}'),
+    ('wnext_always(g or h -> false)',
+     'dynamic loop {g, h}'),
+    ('wnext_always(h -> g)',
+     'dynamic loop {h}'),
+    ('wnext_always(k -> false)',
+     'dynamic loop {k}'),
+]
+# The text commands print the formulas of the JSON ones, one a line.
+for _command in ('lf --simplify', 'lf --unitary --simplify'):
+    GOLDEN['FOLD', _command] = [
+        f for f, _ in GOLDEN['FOLD', f'{_command} --json']]
+
+
 @pytest.mark.parametrize("program, command", sorted(GOLDEN))
 def test_golden_compile_output(capsys, tmp_path, program, command):
     path = tmp_path / "prog.ppt"
-    path.write_text({"P1": P1_TEXT, "P2": P2_TEXT}[program])
+    path.write_text({"P1": P1_TEXT, "P2": P2_TEXT, "FOLD": FOLD_TEXT}[program])
     name, *flags = command.split()
     code, out, _ = run(capsys, name, str(path), *flags)
     assert code == 0

@@ -304,6 +304,52 @@ class TestBitmaskLoops:
             frozenset("ab"), frozenset("b"), frozenset("cd"))
 
 
+class TestTwoAtomComponents:
+    """A two-atom component is not walked: each of its three subsets is
+    a loop, and the default regime keeps the pair and the singletons
+    with a self-edge."""
+
+    def test_every_two_atom_component_matches_set_based_reach(self):
+        # Every graph over three atoms, and over four atoms with two
+        # pairs, so that a pair takes every pair of bit positions, with
+        # and without self-edges, beside components of other sizes.
+        def pairs(g):
+            _, forward, backward = depgraph._adjacency(g)
+            return [scc for scc in depgraph._components(forward, backward)
+                    if scc.bit_count() == 2]
+
+        graphs = []
+        three = ("a", "b", "c")
+        possible = [(v, w) for v in three for w in three]
+        for chosen in range(1 << len(possible)):
+            graphs.append(DepGraph(three, [edge for j, edge in
+                                           enumerate(possible)
+                                           if chosen >> j & 1]))
+        for first, second in (("ab", "cd"), ("ac", "bd"), ("ad", "bc")):
+            for selfs in range(16):
+                edges = [(v, w) for v, w in (first, second)]
+                edges += [(w, v) for v, w in (first, second)]
+                edges += [(v, v) for j, v in enumerate("abcd")
+                          if selfs >> j & 1]
+                graphs.append(DepGraph(tuple("abcd"), edges))
+        checked = 0
+        for g in graphs:
+            found = pairs(g)
+            if not found:
+                continue
+            checked += len(found)
+            for unitary in (False, True):
+                assert enumerate_loops(g, unitary) == \
+                    _set_based_loops(g, unitary)
+            _, forward, _ = depgraph._adjacency(g)
+            for scc in found:
+                assert sorted(depgraph._loops(forward, scc)) == sorted(
+                    [scc & -scc, scc & (scc - 1), scc])
+        # Over three atoms: 3 pairs, 8 sets of self-edges and the 7 of
+        # the 16 sets of edges to the third atom that leave it outside.
+        assert checked == 3 * 8 * 7 + 3 * 16 * 2
+
+
 def _chorded_cycle(size, seed, chords):
     # A cycle a00 -> a01 -> ... -> a00 plus `chords` random edges, so
     # that all atoms form one component.

@@ -396,6 +396,65 @@ class TestSimplify:
             k = rng.randrange(lam)
             assert ltlf_sat(m.t, k, simplify(f)) == ltlf_sat(m.t, k, f)
 
+    @staticmethod
+    def _check_idempotent(fs):
+        once = simplify_formulas(fs)
+        twice = simplify_formulas(once)
+        assert twice == once
+        assert format_formulas(twice) == format_formulas(once)
+
+    def test_idempotent_on_random_formulas(self):
+        # Simplified loop formulas are built simplified, term by term, and
+        # equal `simplify_formulas` of the unsimplified list only because a
+        # simplified term simplifies to itself.
+        rng = random.Random(53)
+        b = AtomRef("b")
+        for _ in range(500):
+            f = random_past_formula(rng, ("a", "b", "c"), rng.randint(0, 4))
+            self._check_idempotent([f, Implies(f, b), Implies(b, f),
+                                    Not(VERUM), And(f, VERUM), Or(f, VERUM),
+                                    And(VERUM, Not(f))])
+
+    def test_idempotent_on_compiled_programs(self):
+        for seed in range(200):
+            p = random_program(GenConfig(seed=seed, max_atoms=4, max_rules=8))
+            self._check_idempotent(completion(p))
+            for unitary in (False, True):
+                self._check_idempotent(loop_formulas(p, unitary))
+
+
+class TestSimplifiedLoopFormulas:
+    """`sourced_loop_formulas(p, unitary, simplify=True)` builds what
+    `simplify_formulas` makes of the unsimplified list, with the same
+    sources."""
+
+    @staticmethod
+    def _check(p):
+        for unitary in (False, True):
+            plain = sourced_loop_formulas(p, unitary)
+            want = simplify_formulas([f for f, _ in plain])
+            built = sourced_loop_formulas(p, unitary, simplify=True)
+            got = [f for f, _ in built]
+            assert got == want
+            assert format_formulas(got) == format_formulas(want)
+            assert [s for _, s in built] == [s for _, s in plain]
+
+    def test_random_programs(self):
+        for seed in range(400):
+            self._check(random_program(
+                GenConfig(seed=seed, max_atoms=4, max_rules=8)))
+
+    def test_examples_and_large_component(self, p1, p2):
+        for p in (p1, p2, parse_program(TestLoopFormulaRegimes.CYCLE),
+                  parse_program(TestSharedTerms.SEVEN)):
+            self._check(p)
+
+    def test_simplify_is_keyword_only_and_off_by_default(self, p1):
+        assert sourced_loop_formulas(p1, simplify=False) == \
+            sourced_loop_formulas(p1)
+        with pytest.raises(TypeError):
+            sourced_loop_formulas(p1, False, True)
+
 
 class TestCompileUnit:
     def test_provenance_labels(self, p1):
