@@ -67,10 +67,12 @@ same object.  The key is exact:
 the positive present atoms of B are struck, and the negated head atoms
 are those of head_r outside L, which depend only on L & head_r.  Atom
 sets in keys are bitmasks, one bit per alphabet atom; an atom outside
-the alphabet is in no P_r or head_r and gets no bit.  Each rule of a
-section is kept once as a row with the masks of head_r and of
-P_r | head_r; the rows whose head meets a component are picked once per
-component, by one scan of the section's rows, and each loop of the
+the alphabet is in no P_r or head_r and gets no bit.  Loops and
+supports share one atom order: the sorted vertices of a section's
+`_adjacency` number its loop masks and its rows' masks alike.  Each
+rule of a section is kept once as a row with the masks of head_r and
+of P_r | head_r; the rows whose head meets a component are picked once
+per component, by one scan of the section's rows, and each loop of the
 component scans only these, and builds the atom set that
 `support_transform` strikes only when a term is missing from the memo.
 A loop's disjunction is built once per prefix of its sorted atoms, so
@@ -86,8 +88,8 @@ simplified term; each support is folded as `_simplify` folds a
 disjunction, a false term left out and a true one absorbing the chain.
 So a support costs one `Or` per term that survives, and no pass walks
 the chains again; the loop disjunctions hold atoms only and need no
-simplifying.  The builder picks its chain loop once per section, so
-the unsimplified one does no per-term constant test.
+simplifying.  One chain loop serves both outputs, its constant tests
+behind one flag read per term.
 """
 
 from __future__ import annotations
@@ -188,15 +190,17 @@ def _by_head(p: Program, section: RuleKind) -> _Section:
     return rules, index
 
 
-def _supports(p: Program, section: RuleKind, refs: dict[Atom, AtomRef],
+def _supports(p: Program, section: RuleKind, vertices: list[Atom],
+              refs: dict[Atom, AtomRef],
               memo: dict | None = None) -> Callable[[int, int], PastFormula]:
     """The external support of a loop within one section, as a function
     of the loop's mask and of a mask that holds it (its component), both
-    over the sorted alphabet; see the module docstring for its memo.
-    Given a `_simplify` memo, the support comes out simplified: each
-    term is simplified once, a false term is left out of the chain and
-    a true one absorbs it."""
-    vertices = sorted(p.alphabet)
+    over `vertices`, the sorted alphabet that numbered the loops; see
+    the module docstring for its memo.  Given a `_simplify` memo, each
+    term is simplified once, when it misses the memo, and the support
+    is folded as `_simplify` folds a disjunction: a false term is left
+    out of the chain and a true one absorbs it."""
+    folding = memo is not None
     bit = {atom: 1 << j for j, atom in enumerate(vertices)}
     # Per rule of the section, in program order: (rule, mask of head_r,
     # mask of P_r | head_r, the rule's terms keyed by the loop's mask
@@ -219,35 +223,21 @@ def _supports(p: Program, section: RuleKind, refs: dict[Atom, AtomRef],
                 if term is None:
                     if loop is None:
                         loop = frozenset(vertices[j] for j in _positions(mask))
-                    term = terms[key] = _support_term(
-                        rule, loop, _strike(rule.body, loop), refs)
+                    term = _support_term(rule, loop, _strike(rule.body, loop),
+                                         refs)
+                    if folding:
+                        term = _simplify(term, memo)
+                    terms[key] = term
+                if folding:
+                    tp = type(term)
+                    if tp is Verum:
+                        return VERUM
+                    if tp is Falsum:
+                        continue
                 out = term if out is None else Or(out, term)
         return FALSUM if out is None else out
 
-    def folded(mask: int, scc: int) -> PastFormula:
-        # `support` with each term simplified on a memo miss, folded as
-        # the chain loop of `_simplify` folds a disjunction.
-        found = meeting.get(scc)
-        if found is None:
-            found = meeting[scc] = [row for row in rows if row[1] & scc]
-        loop = out = None
-        for rule, head, strikable, terms in found:
-            if head & mask:
-                key = mask & strikable
-                term = terms.get(key)
-                if term is None:
-                    if loop is None:
-                        loop = frozenset(vertices[j] for j in _positions(mask))
-                    term = terms[key] = _simplify(_support_term(
-                        rule, loop, _strike(rule.body, loop), refs), memo)
-                tp = type(term)
-                if tp is Verum:
-                    return VERUM
-                if tp is not Falsum:
-                    out = term if out is None else Or(out, term)
-        return FALSUM if out is None else out
-
-    return support if memo is None else folded
+    return support
 
 
 def _mask(atoms: Iterable[Atom], bit: dict[Atom, int]) -> int:
@@ -269,9 +259,9 @@ def external_support(p: Program, section: RuleKind,
     """
     instance_of(section, RuleKind, "a section")
     loop = atom_tuple(loop, "a loop")
-    mask = _mask(loop, {atom: 1 << j
-                        for j, atom in enumerate(sorted(p.alphabet))})
-    return _supports(p, section, _atom_refs(p))(mask, mask)
+    vertices = sorted(p.alphabet)
+    mask = _mask(loop, {atom: 1 << j for j, atom in enumerate(vertices)})
+    return _supports(p, section, vertices, _atom_refs(p))(mask, mask)
 
 
 def sourced_completion(p: Program) -> Sourced:
@@ -319,10 +309,11 @@ def _loop_entries(p: Program, unitary: bool, simplified: bool = False):
     memo = {} if simplified else None
     for graph in section_graphs(p):
         section = graph.section
-        loops = _sorted_loops(graph, unitary)
+        vertices, forward, backward = _adjacency(graph)
+        loops = _sorted_loops(vertices, forward, backward, unitary)
         if not loops:
             continue
-        support = _supports(p, section, refs, memo)
+        support = _supports(p, section, vertices, refs, memo)
         dynamic = section is RuleKind.DYNAMIC
         name = section.value
         for atoms, mask, scc, default in loops:
@@ -528,12 +519,18 @@ class DepGraph(Value):
 
 def dependency_graph(p: Program, section: RuleKind) -> DepGraph:
     """Positive dependency graph of one section of a program, over its alphabet."""
+    instance_of(p, Program, "the program")
+    instance_of(section, RuleKind, "a section")
     edges: set[tuple[Atom, Atom]] = set()
     for rule in p.rules:
         if rule.kind is section:
             edges.update((h, b) for h in rule.head
                          for b in rule.positive_present)
-    return DepGraph(p.alphabet, frozenset(edges), section)
+    # The program checked its alphabet and its rules their atoms, so
+    # the graph is stored without `DepGraph.__init__`'s checks.
+    g = DepGraph.__new__(DepGraph)
+    g.__setstate__((p.alphabet, frozenset(edges), section))
+    return g
 
 
 def section_graphs(p: Program) -> tuple[DepGraph, DepGraph]:
@@ -685,14 +682,14 @@ def _loops(forward: list[int], scc: int) -> list[int]:
     return loops
 
 
-def _sorted_loops(g: DepGraph, unitary: bool
+def _sorted_loops(vertices: list[Atom], forward: list[int],
+                  backward: list[int], unitary: bool
                   ) -> list[tuple[list[Atom], int, int, bool]]:
-    # The loops of a regime as (sorted atoms, mask, component, default
-    # mark), sorted by their atoms: a singleton is marked when it has a
-    # self-edge, a larger loop always.  No component may exceed the cap:
-    # the error names the first oversize one in the order of the
-    # components' smallest atoms.
-    vertices, forward, backward = _adjacency(g)
+    # The loops of a regime, over a graph's `_adjacency`, as (sorted
+    # atoms, mask, component, default mark), sorted by their atoms: a
+    # singleton is marked when it has a self-edge, a larger loop always.
+    # No component may exceed the cap: the error names the first
+    # oversize one in the order of the components' smallest atoms.
     components = _components(forward, backward)
     for scc in components:
         if scc.bit_count() > SCC_CAP:
@@ -716,7 +713,8 @@ def enumerate_loops(g: DepGraph,
     """All loops of a graph as atom sets, in canonical order: sorted by
     their sorted atoms.  Every loop lies inside one component, and a
     component past `SCC_CAP` raises `SccTooLarge`."""
-    return tuple(frozenset(loop[0]) for loop in _sorted_loops(g, unitary))
+    return tuple(frozenset(loop[0])
+                 for loop in _sorted_loops(*_adjacency(g), unitary))
 
 
 def is_tight(p: Program) -> bool:

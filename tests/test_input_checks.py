@@ -181,6 +181,11 @@ CASES = [
     ("dependency-graph-string-section",
      lambda: dependency_graph(parse_program(_LOOP), "initial"),
      ValueError, re.escape("a section must be a RuleKind, not 'initial'")),
+    # The graph stores a program's alphabet unchecked, so anything else
+    # is refused; it failed with an AttributeError.
+    ("dependency-graph-string-program",
+     lambda: dependency_graph("a.", RuleKind.INITIAL),
+     ValueError, re.escape("the program must be a Program, not 'a.'")),
     ("depgraph-string-section", lambda: DepGraph({"a"}, [], "dynamic"),
      ValueError, re.escape("a section must be a RuleKind, not 'dynamic'")),
     ("edge-unhashable-end", lambda: DepGraph({"a"}, [("a", ["b"])]),

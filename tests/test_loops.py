@@ -5,11 +5,12 @@ import tracemalloc
 import pytest
 
 from ppt import (
-    DepGraph, RuleKind, SccTooLarge, dependency_graph,
+    DepGraph, Program, RuleKind, SccTooLarge, dependency_graph,
     enumerate_loops, is_tight, parse_program, section_graphs,
 )
 from ppt import transform as depgraph
 from ppt.transform import SCC_CAP
+from ppt.verify import GenConfig, random_program
 
 
 def _dyn_graph(p):
@@ -44,6 +45,22 @@ class TestDependencyGraph:
         p = parse_program("#dynamic. a :- (b since c).")
         g = _dyn_graph(p)
         assert g.edges == frozenset({("a", "b"), ("a", "c")})
+
+    def test_equals_the_checked_graph_on_random_programs(self):
+        # `dependency_graph` skips the checks of `DepGraph.__init__`; its
+        # value is the one they pass, by `==` and by `hash`, also over a
+        # widened alphabet.  Not by `repr`: a frozenset's printed order
+        # follows its insertion history.
+        for seed in range(2000):
+            p = random_program(GenConfig(seed=seed, max_atoms=4, max_rules=8))
+            if seed % 3 == 0:
+                p = Program(p.rules, p.alphabet | {"aa", "zz"})
+            for section in (RuleKind.INITIAL, RuleKind.DYNAMIC):
+                edges = [(h, b) for r in p.rules if r.kind is section
+                         for h in r.head for b in r.positive_present]
+                got = dependency_graph(p, section)
+                want = DepGraph(p.alphabet, edges, section)
+                assert got == want and hash(got) == hash(want)
 
 
 class TestDepGraphValue:
@@ -381,7 +398,8 @@ class TestBlockWalk:
             default = enumerate_loops(g)
             assert default == _set_based_loops(g, False)
             # The default marks of the one walk are the default regime.
-            marks = [loop[3] for loop in depgraph._sorted_loops(g, True)]
+            marks = [loop[3] for loop in
+                     depgraph._sorted_loops(*depgraph._adjacency(g), True)]
             assert marks == [loop in default for loop in unitary]
 
     def test_counts_at_the_cap(self):

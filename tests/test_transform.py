@@ -96,12 +96,15 @@ class TestExternalSupport:
     @given(st.integers(0, 2 ** 32 - 1), st.data())
     def test_any_atom_set_matches_definition(self, seed, data):
         # Not only loops: any set, atoms outside the alphabet included.
+        # The widened alphabet puts atoms no rule holds between the
+        # rules' atoms, so that their bits shift.
         p = random_program(GenConfig(seed=seed, max_atoms=4, max_rules=8))
-        atoms = st.sampled_from(sorted(p.alphabet | {"zzz"}))
-        for section in (RuleKind.INITIAL, RuleKind.DYNAMIC):
-            atom_set = data.draw(st.frozensets(atoms))
-            assert external_support(p, section, atom_set) == \
-                external_support_by_definition(p, section, atom_set)
+        for q in (p, Program(p.rules, p.alphabet | {"aa", "bb"})):
+            atoms = st.sampled_from(sorted(q.alphabet | {"zzz"}))
+            for section in (RuleKind.INITIAL, RuleKind.DYNAMIC):
+                atom_set = data.draw(st.frozensets(atoms))
+                assert external_support(q, section, atom_set) == \
+                    external_support_by_definition(q, section, atom_set)
 
     def test_disjuncts_follow_program_order(self):
         c = Rule(RuleKind.DYNAMIC, ("a",), AtomRef("c"))
