@@ -67,11 +67,11 @@ Where each rule of a point has one head atom, minimality is a least
 fixpoint: the temporal form of "a stable model of a normal program is
 the least model of its reduct" (Gelfond and Lifschitz, ICLP 1988).  The
 rules of each point come from the `Rule` objects that `compile_program`
-compiles: those of point 0 and those of the later points that have a
-head, each as (head, body slot), with body None for a fact; constraints
-and final rules enter no fixpoint, and every body is core, as `Rule`
-checks.  A point with a rule of another head, such as `a | b`, keeps
-the subset pass.
+compiles, those that have a head: of `Program.initial` at point 0 and
+of `Program.dynamic` later, each as (head, body slot), with body None
+for a fact; constraints and final rules enter no fixpoint, and every
+body is core, as `Rule` checks.  A point with a rule of another head,
+such as `a | b`, keeps the subset pass.
 
     Lemma 3.  Let each rule of point k have one head atom, T a trace
     on which the formulas required at k hold there, and H = T before
@@ -161,7 +161,7 @@ from typing import Iterable
 
 from .syntax import (
     Always, And, AtomRef, Falsum, FinalConst, Iff, Implies, InitialConst,
-    Not, Or, PptError, Previous, Program, RuleKind, Since, Trigger, Verum,
+    Not, Or, PptError, Previous, Program, Since, Trigger, Verum,
     WeakNextAlways, atom_tuple, atom_vectors, check_int, instance_of,
     is_fact, refuse_formula, rule_formula,
 )
@@ -358,8 +358,8 @@ def compile_program(p: Program) -> Compiled:
     compiled = compile([rule_formula(r) for r in p.rules], p.alphabet)
     index, slots = compiled.index, compiled.slots
     rules = []
-    for kind in (RuleKind.INITIAL, RuleKind.DYNAMIC):
-        headed = [r for r in p.rules if r.kind is kind and r.head]
+    for phase in (p.initial, p.dynamic):
+        headed = [r for r in phase if r.head]
         rules.append(None if any(len(r.head) > 1 for r in headed) else tuple(
             (index[r.head[0]], None if is_fact(r) else slots[
                 r.body.name if type(r.body) is AtomRef else id(r.body)])

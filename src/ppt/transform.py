@@ -12,9 +12,9 @@ decides the regime once: `_loops` tests all subsets of a component at
 once, one bit per subset, and `_sorted_loops` marks the default-regime
 loops among them for `enumerate_loops` and the loop formulas.
 Enumerating loops refuses a component past `SCC_CAP` (`SccTooLarge`).
-A program is tight when no section graph has a marked loop, that is,
-no component of two or more atoms and no self-edge; `is_tight` reads
-that off the components and walks no subsets, so it has no cap.
+A program is tight when no section graph has a marked loop: no
+component of two or more atoms, and no self-edge, which `is_tight`
+reads off the masks as the marks do; it walks no subsets, so no cap.
 
 Three translations are provided, all evaluated classically over total
 traces:
@@ -115,10 +115,6 @@ __all__ = [
 
 Sourced = list[tuple[ExtFormula, str]]
 
-# The rules of one section in program order, and for each atom the
-# positions in that list of the rules whose head holds it.
-_Section = tuple[list[Rule], dict[Atom, list[int]]]
-
 
 def support_transform(f: PastFormula, loop: Iterable[Atom]) -> PastFormula:
     """Strike the loop atoms out of the positive present part of f.
@@ -178,16 +174,17 @@ def _support_term(rule: Rule, excluded: frozenset[Atom],
 
 def _atom_refs(p: Program) -> dict[Atom, AtomRef]:
     # One AtomRef per alphabet atom, shared by the formulas of one call.
+    instance_of(p, Program, "the program")
     return {atom: AtomRef(atom) for atom in p.alphabet}
 
 
-def _by_head(p: Program, section: RuleKind) -> _Section:
-    rules = [r for r in p.rules if r.kind is section]
-    index: dict[Atom, list[int]] = {}
-    for i, r in enumerate(rules):
+def _by_head(rules: Iterable[Rule]) -> dict[Atom, list[Rule]]:
+    # Per atom, the rules whose head holds it, in order.
+    index: dict[Atom, list[Rule]] = {}
+    for r in rules:
         for atom in set(r.head):
-            index.setdefault(atom, []).append(i)
-    return rules, index
+            index.setdefault(atom, []).append(r)
+    return index
 
 
 def _supports(p: Program, section: RuleKind, vertices: list[Atom],
@@ -257,6 +254,7 @@ def external_support(p: Program, section: RuleKind,
     negations of the head atoms outside the loop; false when no rule
     qualifies.
     """
+    instance_of(p, Program, "the program")
     instance_of(section, RuleKind, "a section")
     loop = atom_tuple(loop, "a loop")
     vertices = sorted(p.alphabet)
@@ -277,15 +275,15 @@ def sourced_completion(p: Program) -> Sourced:
     rules, follow as `rule i`, read as `rule_formula` reads them.
     """
     refs = _atom_refs(p)
-    sections = ((INITIAL_CONST, _by_head(p, RuleKind.INITIAL)),
-                (Not(INITIAL_CONST), _by_head(p, RuleKind.DYNAMIC)))
+    sections = ((INITIAL_CONST, _by_head(p.initial)),
+                (Not(INITIAL_CONST), _by_head(p.dynamic)))
     out: Sourced = []
     for atom in sorted(p.alphabet):
         excluded = frozenset((atom,))
         initial, dynamic = (
-            [And(guard, _support_term(rules[i], excluded, rules[i].body, refs))
-             for i in index.get(atom, ())]
-            for guard, (rules, index) in sections)
+            [And(guard, _support_term(r, excluded, r.body, refs))
+             for r in index.get(atom, ())]
+            for guard, index in sections)
         rhs = (Or(or_chain(initial), or_chain(dynamic))
                if initial or dynamic else FALSUM)
         out.append((Always(Iff(refs[atom], rhs)), f"atom {atom}"))
@@ -297,6 +295,7 @@ def sourced_completion(p: Program) -> Sourced:
 
 def sourced_program_as_ltlf(p: Program) -> Sourced:
     """The rules themselves read classically, in program order."""
+    instance_of(p, Program, "the program")
     return [(rule_formula(r), f"rule {i}") for i, r in enumerate(p.rules)]
 
 
@@ -713,6 +712,7 @@ def enumerate_loops(g: DepGraph,
     """All loops of a graph as atom sets, in canonical order: sorted by
     their sorted atoms.  Every loop lies inside one component, and a
     component past `SCC_CAP` raises `SccTooLarge`."""
+    instance_of(g, DepGraph, "a graph")
     return tuple(frozenset(loop[0])
                  for loop in _sorted_loops(*_adjacency(g), unitary))
 
@@ -723,6 +723,6 @@ def is_tight(p: Program) -> bool:
     for g in section_graphs(p):
         _, forward, backward = _adjacency(g)
         if (any(scc & (scc - 1) for scc in _components(forward, backward))
-                or any(a == b for a, b in g.edges)):
+                or any(row >> j & 1 for j, row in enumerate(forward))):
             return False
     return True

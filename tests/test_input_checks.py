@@ -15,14 +15,16 @@ import ppt
 from ppt import (
     Always, And, AtomRef, DepGraph, FALSUM, HTTrace, Implies, Not, Or,
     ParseError, Previous, Program, Rule, RuleKind, Trace, WeakNextAlways,
-    dependency_graph, enumerate_ltlf_models, enumerate_ts_models,
-    external_support, format_formula, ht_sat, ltlf_sat, parse_formula,
-    parse_program, simplify, simplify_formulas, support_transform,
-    three_valued, verify_correspondence,
+    completion, dependency_graph, enumerate_loops, enumerate_ltlf_models,
+    enumerate_ts_models, external_support, format_formula, ht_sat,
+    loop_formulas, ltlf_sat, parse_formula, parse_program, program_as_ltlf,
+    simplify, simplify_formulas, sourced_completion, sourced_loop_formulas,
+    support_transform, three_valued, verify_correspondence,
 )
 from ppt.progression import compile, compile_program, search
 from ppt.syntax import CORE_TRUE, VERUM, format_nesting
 from ppt.tht import formula_sat
+from ppt.transform import loop_formula_regimes
 from ppt.verify import (
     MODES, GenConfig, TraceMask, random_httrace, random_past_formula,
     run_correspondence_suite, run_lemma_suite, run_semantics_suite,
@@ -186,6 +188,28 @@ CASES = [
     ("dependency-graph-string-program",
      lambda: dependency_graph("a.", RuleKind.INITIAL),
      ValueError, re.escape("the program must be a Program, not 'a.'")),
+    # Each builder of `ppt.transform` refuses anything but a Program, and
+    # `enumerate_loops` anything but a DepGraph; each failed with an
+    # AttributeError.
+    ("completion-none", lambda: completion(None), ValueError,
+     re.escape("the program must be a Program, not None")),
+    ("sourced-completion-string", lambda: sourced_completion("a."),
+     ValueError, re.escape("the program must be a Program, not 'a.'")),
+    ("loop-formulas-none", lambda: loop_formulas(None), ValueError,
+     re.escape("the program must be a Program, not None")),
+    ("sourced-loop-formulas-string", lambda: sourced_loop_formulas("a."),
+     ValueError, re.escape("the program must be a Program, not 'a.'")),
+    ("loop-formula-regimes-none", lambda: loop_formula_regimes(None),
+     ValueError, re.escape("the program must be a Program, not None")),
+    ("program-as-ltlf-none", lambda: program_as_ltlf(None), ValueError,
+     re.escape("the program must be a Program, not None")),
+    ("external-support-none-program",
+     lambda: external_support(None, RuleKind.DYNAMIC, []), ValueError,
+     re.escape("the program must be a Program, not None")),
+    ("enumerate-loops-none", lambda: enumerate_loops(None), ValueError,
+     re.escape("a graph must be a DepGraph, not None")),
+    ("enumerate-loops-string", lambda: enumerate_loops("ab"), ValueError,
+     re.escape("a graph must be a DepGraph, not 'ab'")),
     ("depgraph-string-section", lambda: DepGraph({"a"}, [], "dynamic"),
      ValueError, re.escape("a section must be a RuleKind, not 'dynamic'")),
     ("edge-unhashable-end", lambda: DepGraph({"a"}, [("a", ["b"])]),
